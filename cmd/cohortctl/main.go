@@ -223,6 +223,23 @@ func runExplain(wb *core.Workbench, expr query.Expr) {
 	if budget := 100 * time.Millisecond; elapsed > budget {
 		fmt.Printf("over the %s interactive budget\n", budget)
 	}
+	fmt.Printf("backends: %s\n", backendLoad(wb.Engine.ShardStats()))
+}
+
+// backendLoad sums the per-shard counters into "8 evaluations, 2 round
+// trips": shards of one server group share their round trips, so those
+// are counted once per group.
+func backendLoad(stats []engine.ShardStat) string {
+	var evals, trips uint64
+	counted := make(map[int]bool)
+	for _, s := range stats {
+		evals += s.Queries
+		if !counted[s.Group] {
+			counted[s.Group] = true
+			trips += s.RoundTrips
+		}
+	}
+	return fmt.Sprintf("%d evaluations, %d round trips", evals, trips)
 }
 
 // warnIncomplete reports a degraded answer's missing shards on stderr —

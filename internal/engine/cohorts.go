@@ -602,10 +602,11 @@ func orOf(children []Plan) Plan {
 // local engine rides the in-process masked path; a coordinator fans the
 // plan out with each shard's slice of the mask — the masked push-down
 // that keeps a refinement from pulling whole index leaves back over the
-// wire. Backends whose mask slice is empty are never contacted (their
-// range contributes nothing). The fan-out is strict whatever the
-// engine's policy: callers materialize the result, and a degraded cohort
-// must never be saved. Reports whether the mask was pushed to backends.
+// wire, one call per server. Backends whose mask slice is empty are never
+// contacted (their range contributes nothing). The fan-out is strict
+// whatever the engine's policy: callers materialize the result, and a
+// degraded cohort must never be saved. Reports whether the mask was pushed
+// to backends.
 func (e *Engine) evalMaskedAll(ctx context.Context, t *topo, p Plan, mask *store.Bitset) (*store.Bitset, bool, error) {
 	if mask.Count() == 0 {
 		return t.empty(), false, nil
@@ -614,12 +615,6 @@ func (e *Engine) evalMaskedAll(ctx context.Context, t *topo, p Plan, mask *store
 		b, err := e.evalMasked(ctx, t, p, mask)
 		return b, false, err
 	}
-	out, _, err := e.strictFanout(ctx, t, func(ctx context.Context, _ int, b ShardBackend) (*store.Bitset, error) {
-		m := b.Meta()
-		if !mask.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			return store.NewBitset(m.Patients), nil
-		}
-		return b.EvalPlan(ctx, p, mask.SliceRange(m.Offset, m.Offset+m.Patients))
-	})
+	out, _, err := e.evalAll(ctx, t, PolicyStrict, p, mask)
 	return out, true, err
 }

@@ -52,6 +52,50 @@ type shardMetric struct {
 	skips    atomic.Uint64 // unavailability absorbed by PolicyDegraded
 }
 
+func (m *shardMetric) add(t0 time.Time, err error) {
+	m.queries.Add(1)
+	m.nanos.Add(uint64(time.Since(t0)))
+	if err != nil {
+		m.failures.Add(1)
+	}
+}
+
+// group is what one round trip reaches: the backends sharing one shard
+// server's connection (what DialShards hands out), or any other backend —
+// a local view, a replica set, a fault wrapper — alone. Grouping is
+// derived from the topology, never configured.
+type group struct {
+	conn       *remoteConn // nil unless the members are RemoteBackends on one connection
+	members    []int       // backend indexes, ascending
+	roundTrips atomic.Uint64
+}
+
+// groupBackends partitions backends into server groups, in first-member
+// order, and maps every backend index to its group's.
+func groupBackends(backends []ShardBackend) ([]*group, []int) {
+	var groups []*group
+	groupOf := make([]int, len(backends))
+	byConn := make(map[*remoteConn]int)
+	for i, b := range backends {
+		rb, remote := b.(*RemoteBackend)
+		g, known := 0, false
+		if remote {
+			g, known = byConn[rb.conn]
+		}
+		if !known {
+			g = len(groups)
+			groups = append(groups, &group{})
+			if remote {
+				groups[g].conn = rb.conn
+				byConn[rb.conn] = g
+			}
+		}
+		groups[g].members = append(groups[g].members, i)
+		groupOf[i] = g
+	}
+	return groups, groupOf
+}
+
 // boundCacheSize caps the LRU of index-derived scan bounds; bounds are
 // pure functions of one store generation (the cache is epoched by it), so
 // a small fixed cache is safe.
@@ -71,6 +115,17 @@ type topo struct {
 	view     *store.View // pinned full-population view; nil for a coordinator
 	backends []ShardBackend
 	metrics  []shardMetric
+	groups   []*group // the backends partitioned by server (groupBackends)
+	groupOf  []int    // backend index → index into groups
+}
+
+// metasOf returns the metadata of the backends at the given indexes.
+func (t *topo) metasOf(members []int) []ShardMeta {
+	metas := make([]ShardMeta, len(members))
+	for k, i := range members {
+		metas[k] = t.backends[i].Meta()
+	}
+	return metas
 }
 
 // empty returns a fresh empty bitset over the topology's population.
@@ -171,6 +226,7 @@ func (e *Engine) buildTopo(pin *store.View) *topo {
 		}
 	}
 	t.metrics = make([]shardMetric, len(t.backends))
+	t.groups, t.groupOf = groupBackends(t.backends)
 	return t
 }
 
@@ -251,6 +307,7 @@ func NewFromBackends(backends []ShardBackend, opts Options) (*Engine, error) {
 	}
 	t.stats = store.MergeStats(parts...)
 	t.metrics = make([]shardMetric, len(bs))
+	t.groups, t.groupOf = groupBackends(bs)
 	e.topo.Store(t)
 	return e, nil
 }
@@ -362,8 +419,18 @@ type ShardStat struct {
 	// Backend names the transport ("local", "remote(addr)",
 	// "replicas(…)").
 	Backend string
+	// Queries counts evaluations of this shard, Nanos the time the
+	// coordinator waited for them (shards answered by one round trip each
+	// count it whole).
 	Queries uint64
 	Nanos   uint64
+	// Group numbers the backend's server group — the shards of one shard
+	// server share one, any other backend is its own — and RoundTrips
+	// counts the calls actually sent to that group: sum it over distinct
+	// groups. For a group of one it is Queries, less the evaluations an
+	// empty mask slice answered without a call.
+	Group      int
+	RoundTrips uint64
 	// Failures counts calls to this backend that returned an error
 	// (after any replica-level failover).
 	Failures uint64
@@ -389,6 +456,9 @@ func (e *Engine) ShardStats() []ShardStat {
 			Nanos:    t.metrics[i].nanos.Load(),
 			Failures: t.metrics[i].failures.Load(),
 			Skipped:  t.metrics[i].skips.Load(),
+
+			Group:      t.groupOf[i],
+			RoundTrips: t.groups[t.groupOf[i]].roundTrips.Load(),
 		}
 	}
 	return out
@@ -608,12 +678,10 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	var err error
 	if t.view == nil {
 		// Coordinator: every expression is per-history, so a whole plan
-		// distributes over the shards — one fan-out round, each backend
-		// evaluating (and locally re-optimizing) the full plan over its
-		// slice, merged in fixed shard order.
-		out, missing, err = e.fanout(ctx, t, func(ctx context.Context, _ int, b ShardBackend) (*store.Bitset, error) {
-			return b.EvalPlan(ctx, p, nil)
-		})
+		// distributes over the shards — one fan-out round, one call per
+		// server, each shard evaluating (and locally re-optimizing) the
+		// full plan over its slice, merged in fixed shard order.
+		out, missing, err = e.evalAll(ctx, t, e.policy, p, nil)
 	} else {
 		switch n := p.(type) {
 		case IndexScan:
@@ -820,17 +888,7 @@ func (e *Engine) evalScan(ctx context.Context, t *topo, n Scan, mask *store.Bits
 	}
 	// Local scan fan-out is strict regardless of policy: these backends
 	// are in-process views, an error here is a bug, not an outage.
-	out, _, err := e.strictFanout(ctx, t, func(ctx context.Context, _ int, b ShardBackend) (*store.Bitset, error) {
-		m := b.Meta()
-		var local *store.Bitset
-		if eff != nil {
-			if !eff.AnyInRange(m.Offset, m.Offset+m.Patients) {
-				return store.NewBitset(m.Patients), nil
-			}
-			local = eff.SliceRange(m.Offset, m.Offset+m.Patients)
-		}
-		return b.EvalPlan(ctx, n, local)
-	})
+	out, _, err := e.evalAll(ctx, t, PolicyStrict, n, eff)
 	return out, err
 }
 
@@ -971,49 +1029,56 @@ func unionBounds(bounds []*store.Bitset) *store.Bitset {
 	return out
 }
 
-// fanout runs fn against every backend on the worker pool, records each
-// backend's wall time into the /stats counters — uniformly, whatever the
-// transport — and merges the shard-local bitsets into one global bitset
-// in fixed shard order, honoring the engine's policy. Under PolicyStrict
-// any backend error fails the whole evaluation: a partial cohort is
-// never returned. Under PolicyDegraded a backend whose error is
-// transport-level unavailability is skipped — its ordinal range stays
-// zero in the merged bitset and its index is reported in missing — while
-// any other error (a semantic failure, a wrong-sized result) still fails
-// the evaluation under either policy.
-func (e *Engine) fanout(ctx context.Context, t *topo, fn func(ctx context.Context, i int, b ShardBackend) (*store.Bitset, error)) (*store.Bitset, []int, error) {
-	return e.fanoutPolicy(ctx, t, e.policy, fn)
-}
-
-// strictFanout is fanout pinned to PolicyStrict, for operations that must
-// not degrade whatever the engine's policy.
-func (e *Engine) strictFanout(ctx context.Context, t *topo, fn func(ctx context.Context, i int, b ShardBackend) (*store.Bitset, error)) (*store.Bitset, []int, error) {
-	return e.fanoutPolicy(ctx, t, PolicyStrict, fn)
-}
-
-func (e *Engine) fanoutPolicy(ctx context.Context, t *topo, policy Policy, fn func(ctx context.Context, i int, b ShardBackend) (*store.Bitset, error)) (*store.Bitset, []int, error) {
+// evalAll computes eval(p) ∩ mask (nil = everyone) over every backend —
+// one call per server group, each backend handed its slice of the mask in
+// shard-local ordinal space, backends whose slice is empty not called at
+// all — and merges the shard-local bitsets into one global bitset in
+// fixed shard order, honoring policy. Under PolicyStrict any backend error
+// fails the whole evaluation: a partial cohort is never returned. Under
+// PolicyDegraded a backend whose error is transport-level unavailability
+// is skipped — its ordinal range stays zero in the merged bitset and its
+// index is reported in missing; a lost server takes exactly its own
+// shards with it — while any other error (a semantic failure, a
+// wrong-sized result) still fails the evaluation under either policy.
+func (e *Engine) evalAll(ctx context.Context, t *topo, policy Policy, p Plan, mask *store.Bitset) (*store.Bitset, []int, error) {
 	locals := make([]*store.Bitset, len(t.backends))
-	errs := make([]error, len(t.backends))
-	if len(t.backends) == 1 {
-		t0 := time.Now()
-		locals[0], errs[0] = fn(ctx, 0, t.backends[0])
-		t.record(0, t0, errs[0])
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, e.workers)
+	var want []bool
+	slice := func(int) *store.Bitset { return nil }
+	if mask != nil {
+		want = make([]bool, len(t.backends))
 		for i, b := range t.backends {
-			wg.Add(1)
-			go func(i int, b ShardBackend) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				t0 := time.Now()
-				locals[i], errs[i] = fn(ctx, i, b)
-				t.record(i, t0, errs[i])
-			}(i, b)
+			m := b.Meta()
+			if want[i] = mask.AnyInRange(m.Offset, m.Offset+m.Patients); !want[i] {
+				locals[i] = store.NewBitset(m.Patients)
+			}
 		}
-		wg.Wait()
+		slice = func(i int) *store.Bitset {
+			m := t.backends[i].Meta()
+			return mask.SliceRange(m.Offset, m.Offset+m.Patients)
+		}
 	}
+	// The plan is encoded once per query, however many servers receive it.
+	wirePlan := sync.OnceValues(func() ([]byte, error) { return EncodePlan(p) })
+	errs := e.eachGroup(ctx, t, want,
+		func(ctx context.Context, c *remoteConn, members []int) []error {
+			plan, err := wirePlan()
+			if err != nil {
+				return repeatErr(err, len(members))
+			}
+			masks := make([]*store.Bitset, len(members))
+			for k, i := range members {
+				masks[k] = slice(i)
+			}
+			bits, errs := c.eval(ctx, plan, t.metasOf(members), masks)
+			for k, i := range members {
+				locals[i] = bits[k]
+			}
+			return errs
+		},
+		func(ctx context.Context, i int, b ShardBackend) (err error) {
+			locals[i], err = b.EvalPlan(ctx, p, slice(i))
+			return err
+		})
 	var missing []int
 	for i, err := range errs {
 		if err == nil {
@@ -1046,10 +1111,78 @@ func (e *Engine) fanoutPolicy(ctx context.Context, t *topo, policy Policy, fn fu
 	return out, missing, nil
 }
 
-func (t *topo) record(i int, t0 time.Time, err error) {
-	t.metrics[i].queries.Add(1)
-	t.metrics[i].nanos.Add(uint64(time.Since(t0)))
-	if err != nil {
-		t.metrics[i].failures.Add(1)
+// eachGroup runs one operation over the backends marked in want (nil =
+// all of them), every server group at once. A remote group is one remote
+// call covering its wanted members — one RPC, whose per-member errors come
+// back in members order — and any other backend one single call, holding a
+// worker slot while it runs: the semaphore bounds in-process work, not
+// waiting on a server that bounds its own. Every backend's evaluation,
+// wanted or not, lands in the /stats counters — uniformly, whatever the
+// transport, the members of a group sharing its wall time — and the
+// per-backend errors are returned for the caller's policy to judge.
+func (e *Engine) eachGroup(ctx context.Context, t *topo, want []bool,
+	remote func(ctx context.Context, c *remoteConn, members []int) []error,
+	single func(ctx context.Context, i int, b ShardBackend) error) []error {
+	errs := make([]error, len(t.backends))
+	sem := make(chan struct{}, e.workers)
+	run := func(g *group, members []int) {
+		t0 := time.Now()
+		if g.conn != nil {
+			for k, err := range remote(ctx, g.conn, members) {
+				errs[members[k]] = err
+			}
+		} else {
+			sem <- struct{}{}
+			t0 = time.Now()
+			errs[members[0]] = single(ctx, members[0], t.backends[members[0]])
+			<-sem
+		}
+		g.roundTrips.Add(1)
+		for _, i := range members {
+			t.metrics[i].add(t0, errs[i])
+		}
 	}
+	var wg sync.WaitGroup
+	for gi, g := range t.groups {
+		members := g.members
+		if want != nil {
+			members = nil
+			for _, i := range g.members {
+				if want[i] {
+					members = append(members, i)
+				} else {
+					t.metrics[i].add(time.Now(), nil)
+				}
+			}
+		}
+		if len(members) == 0 {
+			continue
+		}
+		if gi == len(t.groups)-1 {
+			run(g, members) // the last group needs no goroutine of its own
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(g, members)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+func repeatErr(err error, n int) []error {
+	errs := make([]error, n)
+	for k := range errs {
+		errs[k] = err
+	}
+	return errs
+}
+
+// record books one per-shard call — its own round trip — into the /stats
+// counters.
+func (t *topo) record(i int, t0 time.Time, err error) {
+	t.metrics[i].add(t0, err)
+	t.groups[t.groupOf[i]].roundTrips.Add(1)
 }

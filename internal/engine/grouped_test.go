@@ -1,0 +1,532 @@
+package engine
+
+// The grouped fan-out contract: a coordinator sends one call per shard
+// server, not per shard, and nothing about the answers changes — counts
+// and refinements over any server layout equal the same evaluation made
+// shard by shard and the reference interpreter; a lost server takes
+// exactly its own shards with it; one bad item of a multi-shard Eval
+// never touches its neighbours.
+
+import (
+	"context"
+	"errors"
+	"hash/crc32"
+	"math/rand"
+	"net"
+	"net/rpc"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pastas/internal/model"
+	"pastas/internal/query"
+	"pastas/internal/store"
+)
+
+func seq(from, to int) []int {
+	var out []int
+	for i := from; i < to; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// groupedLayouts builds coordinators over the parity population at eight
+// shards, one per server layout the grouping has to get right.
+func groupedLayouts(t *testing.T, opts Options) map[string]*Engine {
+	t.Helper()
+	col, st, _ := parityEngines(t)
+	ropts := RemoteOptions{Timeout: 30 * time.Second}
+	flat := func(sv *servedShards) []ShardBackend {
+		var out []ShardBackend
+		for _, bs := range sv.backends {
+			out = append(out, bs...)
+		}
+		return out
+	}
+	layouts := map[string][]ShardBackend{
+		"1x8":   flat(serveShards(t, col, 8, [][]int{seq(0, 8)}, ropts)),
+		"4+4":   flat(serveShards(t, col, 8, [][]int{seq(0, 4), seq(4, 8)}, ropts)),
+		"1+2+5": flat(serveShards(t, col, 8, [][]int{{0}, {1, 2}, seq(3, 8)}, ropts)),
+	}
+	// A remote group interleaved with in-process views of the other shards.
+	mixed := flat(serveShards(t, col, 8, [][]int{seq(0, 8)}, ropts))
+	for i := 1; i < len(mixed); i += 2 {
+		m := mixed[i].Meta()
+		mixed[i] = NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), m.Shard)
+	}
+	layouts["local+remote"] = mixed
+	// Replica sets over two full servers: every shard a group of one.
+	pair := serveShards(t, col, 8, [][]int{seq(0, 8), seq(0, 8)}, ropts)
+	var sets []ShardBackend
+	for s := range pair.backends[0] {
+		rb, err := NewReplicaBackend([]ShardBackend{pair.backends[0][s], pair.backends[1][s]},
+			ReplicaOptions{ProbeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, rb)
+	}
+	layouts["replicas"] = sets
+
+	engines := make(map[string]*Engine, len(layouts))
+	for name, backends := range layouts {
+		eng, err := NewFromBackends(backends, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		engines[name] = eng
+	}
+	return engines
+}
+
+// perShard is the evaluation the grouped fan-out replaces: one EvalPlan
+// per backend with its slice of the mask, merged by offset.
+func perShard(t *testing.T, eng *Engine, p Plan, mask *store.Bitset) *store.Bitset {
+	t.Helper()
+	tp := eng.topoNow()
+	out := tp.empty()
+	for _, b := range tp.backends {
+		m := b.Meta()
+		var local *store.Bitset
+		if mask != nil {
+			local = mask.SliceRange(m.Offset, m.Offset+m.Patients)
+		}
+		bits, err := b.EvalPlan(context.Background(), p, local)
+		if err != nil {
+			t.Fatalf("per-shard EvalPlan on shard %d: %v", m.Shard, err)
+		}
+		out.OrAt(bits, m.Offset)
+	}
+	return out
+}
+
+// roundTrips totals the engine's round trips: members of one group share
+// a counter, so each group is read once.
+func roundTrips(eng *Engine) (trips, evals uint64) {
+	counted := map[int]bool{}
+	for _, s := range eng.ShardStats() {
+		evals += s.Queries
+		if !counted[s.Group] {
+			counted[s.Group] = true
+			trips += s.RoundTrips
+		}
+	}
+	return trips, evals
+}
+
+// TestGroupedParity: over every layout, unmasked and masked evaluation
+// through the grouped fan-out ≡ the same calls made shard by shard ≡
+// query.EvalIndexed, and narrow / widen / exclude refinements land on the
+// reference cohort.
+func TestGroupedParity(t *testing.T) {
+	_, st, _ := parityEngines(t)
+	ctx := context.Background()
+	for name, eng := range groupedLayouts(t, Options{Workers: 4, CacheSize: 32}) {
+		r := rand.New(rand.NewSource(12))
+		for i := 0; i < 25; i++ {
+			e := randExpr(r, 2)
+			want, err := query.EvalIndexed(st, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Compile(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = Optimize(p)
+			tp := eng.topoNow()
+			got, _, err := eng.evalAll(ctx, tp, PolicyStrict, p, nil)
+			if err != nil {
+				t.Fatalf("%s: evalAll(%s): %v", name, e, err)
+			}
+			if !got.Equal(want) || !got.Equal(perShard(t, eng, p, nil)) {
+				t.Fatalf("%s: grouped count of %s diverges: %d, reference %d", name, e, got.Count(), want.Count())
+			}
+			// A random mask, emptied over the first quarter of the
+			// population so some shards are not listed at all.
+			mask := store.NewBitset(st.Len())
+			for o := st.Len() / 4; o < st.Len(); o++ {
+				if r.Intn(3) == 0 {
+					mask.Set(o)
+				}
+			}
+			masked, _, err := eng.evalAll(ctx, tp, PolicyStrict, p, mask)
+			if err != nil {
+				t.Fatalf("%s: masked evalAll(%s): %v", name, e, err)
+			}
+			if !masked.Equal(want.Clone().And(mask)) || !masked.Equal(perShard(t, eng, p, mask)) {
+				t.Fatalf("%s: grouped masked eval of %s diverges from per-shard calls", name, e)
+			}
+		}
+
+		parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
+		delta := query.Has{Pred: query.MustCode("", `K8.`), MinCount: 2}
+		if _, err := eng.Materialize(ctx, "parent", parent); err != nil {
+			t.Fatalf("%s: Materialize: %v", name, err)
+		}
+		for step, tc := range map[string]struct {
+			q    query.Expr
+			mode string
+		}{
+			"narrow":  {query.And{parent, delta}, RefineNarrow},
+			"widen":   {query.Or{parent, delta}, RefineWiden},
+			"exclude": {query.And{parent, query.Not{E: delta}}, RefineNarrow},
+		} {
+			_, ref, err := eng.Refine(ctx, step, tc.q)
+			if err != nil {
+				t.Fatalf("%s: Refine(%s): %v", name, step, err)
+			}
+			if ref.Mode != tc.mode || !ref.Pushed {
+				t.Errorf("%s: Refine(%s) = %+v, want a pushed %s", name, step, ref, tc.mode)
+			}
+			bits, _, err := eng.CohortBits(step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := query.EvalIndexed(st, tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bits.Equal(want) {
+				t.Errorf("%s: %s refinement has %d patients, reference %d", name, step, bits.Count(), want.Count())
+			}
+		}
+	}
+}
+
+// TestGroupedRoundTrips: over 2 servers × 4 shards an unmasked count is 8
+// evaluations in exactly 2 round trips, a refinement at most 2, a masked
+// evaluation whose candidates sit on one server 1, and a timeline 2
+// Locate + 1 Fetch. Replica sets stay groups of one.
+func TestGroupedRoundTrips(t *testing.T) {
+	_, st, _ := parityEngines(t)
+	ctx := context.Background()
+	engines := groupedLayouts(t, Options{Workers: 4, CacheSize: 0})
+	eng := engines["4+4"]
+	delta := func(fn func()) (trips, evals uint64) {
+		t0, e0 := roundTrips(eng)
+		fn()
+		t1, e1 := roundTrips(eng)
+		return t1 - t0, e1 - e0
+	}
+
+	parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
+	trips, evals := delta(func() {
+		if _, err := eng.Materialize(ctx, "parent", parent); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if trips != 2 || evals != 8 {
+		t.Errorf("unmasked count: %d evaluations in %d round trips, want 8 in 2", evals, trips)
+	}
+
+	trips, evals = delta(func() {
+		if _, ref, err := eng.Refine(ctx, "narrow", query.And{parent, query.SexIs(model.SexFemale)}); err != nil || !ref.Pushed {
+			t.Fatalf("Refine = %+v, %v", ref, err)
+		}
+	})
+	if trips < 1 || trips > 2 || evals != 8 {
+		t.Errorf("refinement: %d evaluations in %d round trips, want 8 in ≤ 2", evals, trips)
+	}
+
+	// Candidates on the first server's shards only: the second server is
+	// not called at all.
+	tp := eng.topoNow()
+	firstHalf := store.NewBitset(st.Len())
+	for o := 0; o < tp.backends[4].Meta().Offset; o += 2 {
+		firstHalf.Set(o)
+	}
+	trips, _ = delta(func() {
+		if _, _, err := eng.evalAll(ctx, tp, PolicyStrict, parityPlan(t), firstHalf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if trips != 1 {
+		t.Errorf("masked evaluation over one server's shards took %d round trips, want 1", trips)
+	}
+
+	id := st.Collection().At(st.Len() - 1).Patient.ID
+	trips, _ = delta(func() {
+		h, err := eng.HistoryByID(id)
+		if err != nil || h.Patient.ID != id {
+			t.Fatalf("HistoryByID(%s) = %v, %v", id, h, err)
+		}
+	})
+	if trips != 3 {
+		t.Errorf("HistoryByID took %d round trips, want 2 Locate + 1 Fetch", trips)
+	}
+	if _, err := eng.HistoryByID(model.PatientID(1 << 40)); !errors.Is(err, ErrNoPatient) {
+		t.Errorf("HistoryByID of an unknown patient = %v, want ErrNoPatient", err)
+	}
+
+	groups := map[int]bool{}
+	for _, s := range engines["replicas"].ShardStats() {
+		groups[s.Group] = true
+	}
+	if len(groups) != 8 {
+		t.Errorf("8 replica sets form %d groups, want 8 groups of one", len(groups))
+	}
+}
+
+// groupedCluster is a coordinator over 2 servers × 4 shards with the
+// servers' handles, for killing and draining one of them.
+func groupedCluster(t *testing.T, opts Options) (*Engine, *servedShards) {
+	t.Helper()
+	col, _, _ := parityEngines(t)
+	sv := serveShards(t, col, 8, [][]int{seq(0, 4), seq(4, 8)}, RemoteOptions{Timeout: 5 * time.Second})
+	eng, err := NewFromBackends(append(append([]ShardBackend(nil), sv.backends[0]...), sv.backends[1]...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, sv
+}
+
+// TestGroupedStrictNeverPartial: a server killed while counts are in
+// flight turns them into errors naming a shard; every answer that does
+// come back is the complete cohort.
+func TestGroupedStrictNeverPartial(t *testing.T) {
+	_, st, _ := parityEngines(t)
+	eng, sv := groupedCluster(t, Options{Workers: 4, CacheSize: 0})
+	e := query.Expr(query.Has{Pred: query.MustCode("", `K8.`), MinCount: 2})
+	want, err := query.EvalIndexed(st, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answered atomic.Int64
+	failed := make(chan error, 1)
+	go func() {
+		for {
+			got, err := eng.Execute(e)
+			if err != nil {
+				failed <- err
+				return
+			}
+			if !got.Equal(want) {
+				failed <- errors.New("partial cohort returned without an error")
+				return
+			}
+			answered.Add(1)
+		}
+	}()
+	for answered.Load() < 20 {
+		time.Sleep(time.Millisecond)
+	}
+	sv.listeners[1].kill()
+	select {
+	case err := <-failed:
+		if !strings.Contains(err.Error(), "shard") || !IsUnavailable(err) {
+			t.Errorf("count over a killed server failed with %v, want an unavailable shard named", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("counts kept succeeding over a dead server")
+	}
+}
+
+// TestGroupedDegraded: under PolicyDegraded a dead server is missing as
+// exactly its own shard set, the answer is the reference minus those
+// ranges, and nothing of it is cached.
+func TestGroupedDegraded(t *testing.T) {
+	_, st, _ := parityEngines(t)
+	eng, sv := groupedCluster(t, Options{Workers: 4, CacheSize: 32, Policy: PolicyDegraded})
+	e := query.Expr(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
+	want, err := query.EvalIndexed(st, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.listeners[1].kill()
+	got, status, err := eng.ExecuteStatus(context.Background(), e)
+	if err != nil {
+		t.Fatalf("degraded count errored instead of degrading: %v", err)
+	}
+	if !reflect.DeepEqual(status.MissingShards, seq(4, 8)) {
+		t.Fatalf("MissingShards = %v, want the dead server's [4 5 6 7]", status.MissingShards)
+	}
+	live := store.NewBitset(st.Len())
+	for o := 0; o < eng.BackendInfo()[4].Offset; o++ {
+		live.Set(o)
+	}
+	if !got.Equal(want.Clone().And(live)) {
+		t.Errorf("degraded cohort has %d patients, the live shards' answer %d", got.Count(), want.Clone().And(live).Count())
+	}
+	if n := eng.CacheStats().Entries; n != 0 {
+		t.Errorf("degraded answer left %d entries in the result cache", n)
+	}
+	if _, err := eng.Materialize(context.Background(), "c", e); !IsUnavailable(err) {
+		t.Errorf("Materialize over a dead server = %v, want unavailable", err)
+	}
+}
+
+// TestGroupedDraining: a server in Shutdown refuses the group's call with
+// the drain refusal — ErrDraining for a strict coordinator, exactly its
+// shards missing for a degraded one.
+func TestGroupedDraining(t *testing.T) {
+	e := query.Expr(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
+	for _, policy := range []Policy{PolicyStrict, PolicyDegraded} {
+		eng, sv := groupedCluster(t, Options{Workers: 4, CacheSize: 0, Policy: policy})
+		if _, err := eng.Execute(e); err != nil {
+			t.Fatalf("healthy cluster: %v", err)
+		}
+		if err := sv.servers[0].Shutdown(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		_, status, err := eng.ExecuteStatus(context.Background(), e)
+		switch policy {
+		case PolicyStrict:
+			if !errors.Is(err, ErrDraining) {
+				t.Errorf("strict count over a draining server = %v, want ErrDraining", err)
+			}
+		case PolicyDegraded:
+			if err != nil || !reflect.DeepEqual(status.MissingShards, seq(0, 4)) {
+				t.Errorf("degraded count over a draining server = %v, %v; want shards [0 1 2 3] missing", status, err)
+			}
+		}
+	}
+}
+
+// TestEvalHostileItems drives malformed multi-shard Evals straight at a
+// shard server: structural abuse is a call error, a bad item is that
+// item's error only, and nothing panics.
+func TestEvalHostileItems(t *testing.T) {
+	col, _, _ := parityEngines(t)
+	sv := serveShards(t, col, 4, [][]int{seq(0, 4)}, RemoteOptions{Timeout: 30 * time.Second})
+	client, err := rpc.Dial("tcp", sv.listeners[0].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	plan, err := EncodePlan(parityPlan(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(items ...EvalItem) ([]EvalResult, error) {
+		var reply EvalReply
+		err := client.Call("PastasShard.Eval", &EvalArgs{Plan: plan, Items: items}, &reply)
+		return reply.Results, err
+	}
+
+	clean, err := eval(EvalItem{Shard: 0}, EvalItem{Shard: 1}, EvalItem{Shard: 2}, EvalItem{Shard: 3})
+	if err != nil {
+		t.Fatalf("well-formed multi-shard Eval refused: %v", err)
+	}
+	for k, res := range clean {
+		if res.Err != "" || len(res.Bits) == 0 {
+			t.Fatalf("clean item %d = %+v", k, res)
+		}
+	}
+
+	for name, items := range map[string][]EvalItem{
+		"zero items":       nil,
+		"same shard twice": {{Shard: 1}, {Shard: 2}, {Shard: 1}},
+		"10⁶ items":        make([]EvalItem, 1_000_000),
+	} {
+		if _, err := eval(items...); err == nil {
+			t.Errorf("Eval with %s accepted", name)
+		}
+	}
+	var reply EvalReply
+	if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: []byte{0xff, 0x00}, Items: []EvalItem{{Shard: 0}}}, &reply); err == nil {
+		t.Error("Eval with a garbage plan accepted")
+	}
+
+	good, err := store.NewBitset(sv.backends[0][1].Meta().Patients).Not().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := store.NewBitset(10).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crcOf := func(b []byte) uint32 { return crc32.Checksum(b, maskCRCTable) }
+	for name, bad := range map[string]EvalItem{
+		"unknown shard":         {Shard: 9},
+		"bad crc":               {Shard: 1, Mask: good, MaskCRC: crcOf(good) ^ 1},
+		"wrong-population mask": {Shard: 1, Mask: short, MaskCRC: crcOf(short)},
+	} {
+		results, err := eval(EvalItem{Shard: 0}, bad, EvalItem{Shard: 2})
+		if err != nil {
+			t.Errorf("%s: one bad item failed the whole call: %v", name, err)
+			continue
+		}
+		if results[1].Err == "" || len(results[1].Bits) != 0 {
+			t.Errorf("%s: bad item answered %+v, want its own error", name, results[1])
+		}
+		if !reflect.DeepEqual(results[0], clean[0]) || !reflect.DeepEqual(results[2], clean[2]) {
+			t.Errorf("%s: a bad item changed its neighbours' results", name)
+		}
+	}
+	// The coordinator turns a bad item into a failed query under either
+	// policy: it is a bug, not an outage.
+	_, errs := sv.backends[0][0].(*RemoteBackend).conn.eval(context.Background(), plan,
+		[]ShardMeta{{Shard: 0}, {Shard: 9}}, []*store.Bitset{nil, nil})
+	if errs[0] != nil || errs[1] == nil || IsUnavailable(errs[1]) {
+		t.Errorf("client-side item errors = %v, want only item 1 failing, not as unavailable", errs)
+	}
+}
+
+// slowDescribe is a fake shard server whose Describe announces itself and
+// blocks until released, for holding calls in flight.
+type slowDescribe struct{ entered, release chan struct{} }
+
+func (s *slowDescribe) Describe(_ *DescribeArgs, _ *DescribeReply) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return nil
+}
+
+// TestCancelledCallKeepsConnection: two calls share one connection; one
+// caller's context is cancelled mid-call. The other call still completes,
+// on the same connection — the listener accepted exactly once.
+func TestCancelledCallKeepsConnection(t *testing.T) {
+	// entered is sized for the two calls plus the redial-retry a torn
+	// connection would cost, so a regression fails the test, not hangs it.
+	fake := &slowDescribe{entered: make(chan struct{}, 3), release: make(chan struct{})}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(rpcServiceName, fake); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis := &trackingListener{Listener: inner}
+	defer lis.kill()
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+
+	conn := &remoteConn{addr: lis.Addr().String(), opts: RemoteOptions{Timeout: 30 * time.Second}}
+	defer conn.close()
+	call := func(ctx context.Context) chan error {
+		done := make(chan error, 1)
+		go func() { done <- conn.call(ctx, "Describe", &DescribeArgs{}, new(DescribeReply)) }()
+		return done
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, other := call(ctx), call(context.Background())
+	<-fake.entered
+	<-fake.entered // both calls are in their handlers
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call returned %v, want context.Canceled", err)
+	}
+	close(fake.release)
+	if err := <-other; err != nil {
+		t.Errorf("the other caller's call failed: %v", err)
+	}
+	lis.mu.Lock()
+	n := len(lis.conns)
+	lis.mu.Unlock()
+	if n != 1 {
+		t.Errorf("listener accepted %d connections, want 1 — a cancelled call tore the shared connection down", n)
+	}
+}

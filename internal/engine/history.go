@@ -90,8 +90,9 @@ func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*mode
 
 // HistoryByID resolves one patient's history wherever its shard lives. A
 // store-backed engine answers from the collection; a coordinator probes
-// every backend for the patient's shard-local ordinal concurrently and
-// fetches from the one that holds it. A failed probe is a loud error
+// every server for the patient's shard and shard-local ordinal
+// concurrently — one Locate per server, not per shard — and fetches from
+// the backend that holds it. A failed probe is a loud error
 // under either policy — "not found" is only reported when every shard
 // answered and none holds the patient, so a down backend can never
 // masquerade as a missing patient. Absence is reported as an error
@@ -111,51 +112,48 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 	}
 	ctx, cancel := e.opCtx(ctx)
 	defer cancel()
-	type hit struct {
-		backend int
-		ordinal int
+	// One probe per server group; ordinals[i] ≥ 0 where backend i holds
+	// the patient.
+	ordinals := make([]int, len(t.backends))
+	for i := range ordinals {
+		ordinals[i] = -1
 	}
-	hits := make([]*hit, len(t.backends))
-	errs := make([]error, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		wg.Add(1)
-		go func(i int, bk ShardBackend) {
-			defer wg.Done()
-			t0 := time.Now()
-			o, ok, err := bk.LocateID(ctx, id)
-			t.record(i, t0, err)
-			if err != nil {
-				errs[i] = err
-				return
+	errs := e.eachGroup(ctx, t, nil,
+		func(ctx context.Context, c *remoteConn, members []int) []error {
+			k, o, err := c.locate(ctx, id, t.metasOf(members))
+			if err == nil && k >= 0 {
+				ordinals[members[k]] = o
 			}
-			if ok {
-				hits[i] = &hit{backend: i, ordinal: o}
+			return repeatErr(err, len(members))
+		},
+		func(ctx context.Context, i int, b ShardBackend) error {
+			o, ok, err := b.LocateID(ctx, id)
+			if err == nil && ok {
+				ordinals[i] = o
 			}
-		}(i, bk)
-	}
-	wg.Wait()
-	var found *hit
+			return err
+		})
+	found := -1
 	for i := range t.backends {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("engine: locate %s on shard %d (%s): %w",
 				id, t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])
 		}
-		if hits[i] != nil {
-			if found != nil {
+		if ordinals[i] >= 0 {
+			if found >= 0 {
 				return nil, fmt.Errorf("engine: patient %s claimed by shards %d and %d",
-					id, t.backends[found.backend].Meta().Shard, t.backends[i].Meta().Shard)
+					id, t.backends[found].Meta().Shard, t.backends[i].Meta().Shard)
 			}
-			found = hits[i]
+			found = i
 		}
 	}
-	if found == nil {
+	if found < 0 {
 		return nil, fmt.Errorf("engine: %s: %w", id, ErrNoPatient)
 	}
-	bk := t.backends[found.backend]
+	bk := t.backends[found]
 	t0 := time.Now()
-	hs, err := bk.FetchHistories(ctx, []int{found.ordinal})
-	t.record(found.backend, t0, err)
+	hs, err := bk.FetchHistories(ctx, []int{ordinals[found]})
+	t.record(found, t0, err)
 	if err != nil {
 		return nil, fmt.Errorf("engine: fetch %s from shard %d (%s): %w",
 			id, bk.Meta().Shard, bk.Meta().Backend, err)

@@ -45,14 +45,36 @@ const rpcServiceName = "PastasShard"
 // delta over the wrong candidates.
 var maskCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// checkMaskCRC validates a shipped mask's checksum before any decode
-// work; crc 0 with a non-empty mask means the client predates the
-// checksum, which no supported client does — refuse loudly.
-func checkMaskCRC(data []byte, crc uint32) error {
-	if got := crc32.Checksum(data, maskCRCTable); got != crc {
-		return fmt.Errorf("engine: mask checksum mismatch (got %08x, want %08x): corrupt or truncated mask", got, crc)
+// encodeMask container-encodes a shard-local mask for the wire, with the
+// checksum the server validates it against.
+func encodeMask(mask *store.Bitset) ([]byte, uint32, error) {
+	data, err := mask.MarshalBinary()
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil
+	return data, crc32.Checksum(data, maskCRCTable), nil
+}
+
+// decodeMask is the one validate path for a shipped mask, shared by every
+// mask-carrying RPC: checksum before any decode work (crc 0 with a
+// non-empty mask means the client predates the checksum, which no
+// supported client does — refuse loudly), then structure, then the shard's
+// population. Empty data is "no mask" (nil, nil).
+func decodeMask(data []byte, crc uint32, patients int) (*store.Bitset, error) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	if got := crc32.Checksum(data, maskCRCTable); got != crc {
+		return nil, fmt.Errorf("engine: mask checksum mismatch (got %08x, want %08x): corrupt or truncated mask", got, crc)
+	}
+	mask := new(store.Bitset)
+	if err := mask.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	if mask.Len() != patients {
+		return nil, fmt.Errorf("engine: mask covers %d patients, shard has %d", mask.Len(), patients)
+	}
+	return mask, nil
 }
 
 // servedShard is one shard a server answers for.
@@ -70,6 +92,8 @@ type ShardServer struct {
 	// server of the same snapshot reports, so a client can verify its
 	// assembled topology covers the whole ordinal space.
 	totalPatients int
+	// workers bounds how many items of one Eval call run at once.
+	workers int
 
 	// Graceful-shutdown state: Shutdown flips closing, closes the
 	// listeners Serve registered, and drains the in-flight RPCs so a
@@ -94,6 +118,7 @@ func NewShardServer(snapshotPath string, ids []int, opts Options) (*ShardServer,
 		rpc:           rpc.NewServer(),
 		shards:        make(map[int]*servedShard, len(opened)),
 		totalPatients: info.Patients,
+		workers:       normalizeWorkers(opts.Workers),
 	}
 	for _, sh := range opened {
 		st, err := sh.Store()
@@ -248,50 +273,93 @@ func (r *ShardRPC) Stats(args *StatsArgs, reply *StatsReply) error {
 	return nil
 }
 
-// EvalArgs/EvalReply: plan evaluation. Plan is a wire.go-encoded plan;
-// Mask, when non-empty, is a container-encoded shard-local bitset
-// restricting candidates, with MaskCRC its crc32c — validated server-side
-// before the mask is decoded, so a corrupted mask is a loud error, never
-// a silently wrong cohort.
+// EvalArgs/EvalReply: plan evaluation over some of the server's shards in
+// one round trip. Plan is a wire.go-encoded plan, shipped once however
+// many shards evaluate it; each item names a shard and, when Mask is
+// non-empty, a container-encoded shard-local bitset restricting its
+// candidates, with MaskCRC its crc32c — validated server-side before the
+// mask is decoded, so a corrupted mask is a loud error, never a silently
+// wrong cohort. The reply answers item k in Results[k]: the matches, or
+// the error that item alone failed with.
 type EvalArgs struct {
+	Plan  []byte
+	Items []EvalItem
+}
+type EvalItem struct {
 	Shard   int
-	Plan    []byte
 	Mask    []byte
 	MaskCRC uint32
 }
-type EvalReply struct{ Bits []byte }
+type EvalReply struct{ Results []EvalResult }
+type EvalResult struct {
+	Bits []byte
+	Err  string
+}
 
-// Eval decodes the plan, re-optimizes it against the shard's own
-// statistics and executes it over the shard's engine, returning matches
-// in shard-local ordinal space. A shipped candidate mask is validated
-// before any evaluation work and fed through the engine's masked path,
-// so the server exploits it to skip non-candidates (the ShardBackend
-// contract) instead of paying for the full shard and intersecting after.
+// Eval decodes the plan once and runs it over every listed shard, at most
+// the server's Workers at a time. A request that is malformed as a whole —
+// no items, more items than served shards, a shard listed twice, an
+// undecodable plan — is refused; a fault confined to one item (unknown
+// shard, hostile mask, failed evaluation) is that item's error and leaves
+// its neighbours' results intact.
 func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
-		return err
+	if n := len(args.Items); n == 0 || n > len(r.s.shards) {
+		return fmt.Errorf("engine: eval lists %d items, server serves %d shards", n, len(r.s.shards))
 	}
-	var mask *store.Bitset
-	if len(args.Mask) > 0 {
-		if err := checkMaskCRC(args.Mask, args.MaskCRC); err != nil {
-			return err
+	seen := make(map[int]bool, len(args.Items))
+	for _, it := range args.Items {
+		if seen[it.Shard] {
+			return fmt.Errorf("engine: eval lists shard %d twice", it.Shard)
 		}
-		mask = new(store.Bitset)
-		if err := mask.UnmarshalBinary(args.Mask); err != nil {
-			return err
-		}
-		if mask.Len() != sh.meta.Patients {
-			return fmt.Errorf("engine: mask covers %d patients, shard has %d", mask.Len(), sh.meta.Patients)
-		}
+		seen[it.Shard] = true
 	}
 	p, err := DecodePlan(args.Plan)
 	if err != nil {
 		return err
+	}
+	reply.Results = make([]EvalResult, len(args.Items))
+	sem := make(chan struct{}, r.s.workers)
+	evalItem := func(k int) {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		bits, err := r.s.evalShard(p, args.Items[k])
+		if err != nil {
+			reply.Results[k].Err = err.Error()
+			return
+		}
+		reply.Results[k].Bits = bits
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(args.Items); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evalItem(k)
+		}()
+	}
+	evalItem(0) // on the handler's own goroutine: a one-shard call spawns nothing
+	wg.Wait()
+	return nil
+}
+
+// evalShard re-optimizes the plan against one shard's own statistics and
+// executes it over the shard's engine, returning the encoded matches in
+// shard-local ordinal space. A shipped candidate mask is validated before
+// any evaluation work and fed through the engine's masked path, so the
+// server exploits it to skip non-candidates (the ShardBackend contract)
+// instead of paying for the full shard and intersecting after.
+func (s *ShardServer) evalShard(p Plan, it EvalItem) ([]byte, error) {
+	sh, err := s.shard(it.Shard)
+	if err != nil {
+		return nil, err
+	}
+	mask, err := decodeMask(it.Mask, it.MaskCRC, sh.meta.Patients)
+	if err != nil {
+		return nil, err
 	}
 	t := sh.eng.topoNow()
 	p = sh.eng.optimize(t, p)
@@ -302,14 +370,9 @@ func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 		bits, err = sh.eng.ExecutePlan(p)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	data, err := bits.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	reply.Bits = data
-	return nil
+	return bits.MarshalBinary()
 }
 
 // IDsArgs/IDsReply: ordinal → patient ID resolution.
@@ -379,29 +442,33 @@ func (r *ShardRPC) Fetch(args *FetchArgs, reply *FetchReply) error {
 	return nil
 }
 
-// LocateArgs/LocateReply: patient ID → shard-local ordinal resolution.
-type LocateArgs struct {
-	Shard int
-	ID    model.PatientID
-}
+// LocateArgs/LocateReply: patient ID → (shard, shard-local ordinal)
+// resolution across every shard the server holds.
+type LocateArgs struct{ ID model.PatientID }
 type LocateReply struct {
+	Shard   int
 	Ordinal int
 	Found   bool
 }
 
-// Locate reports whether the shard holds the patient and at which local
-// ordinal; a coordinator probes every shard and fetches from the one
-// that answers.
+// Locate reports which of the server's shards holds the patient, and at
+// which local ordinal; a coordinator probes every server and fetches from
+// the shard that answers.
 func (r *ShardRPC) Locate(args *LocateArgs, reply *LocateReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
-		return err
+	for _, m := range r.s.metas {
+		o, ok := r.s.shards[m.Shard].eng.Store().Ordinal(args.ID)
+		if !ok {
+			continue
+		}
+		if reply.Found {
+			return fmt.Errorf("engine: patient %s claimed by shards %d and %d", args.ID, reply.Shard, m.Shard)
+		}
+		*reply = LocateReply{Shard: m.Shard, Ordinal: o, Found: true}
 	}
-	reply.Ordinal, reply.Found = sh.eng.Store().Ordinal(args.ID)
 	return nil
 }
 
@@ -410,9 +477,10 @@ func (r *ShardRPC) Locate(args *LocateArgs, reply *LocateReply) error {
 // shard's mergeable integral tally, a few dozen bytes whatever the
 // cohort size — the aggregate that replaces shipping every history.
 type IndicatorsArgs struct {
-	Shard  int
-	Mask   []byte
-	Window model.Period
+	Shard   int
+	Mask    []byte
+	MaskCRC uint32
+	Window  model.Period
 }
 type IndicatorsReply struct {
 	Counts stats.IndicatorCounts
@@ -429,12 +497,9 @@ func (r *ShardRPC) Indicators(args *IndicatorsArgs, reply *IndicatorsReply) erro
 	if err != nil {
 		return err
 	}
-	var mask *store.Bitset
-	if len(args.Mask) > 0 {
-		mask = new(store.Bitset)
-		if err := mask.UnmarshalBinary(args.Mask); err != nil {
-			return err
-		}
+	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
+	if err != nil {
+		return err
 	}
 	col := sh.eng.Store().Collection()
 	counts, err := tallyIndicators(col.At, col.Len(), mask, args.Window)
@@ -471,15 +536,9 @@ func (r *ShardRPC) Profile(args *ProfileArgs, reply *ProfileReply) error {
 	if err != nil {
 		return err
 	}
-	var mask *store.Bitset
-	if len(args.Mask) > 0 {
-		if err := checkMaskCRC(args.Mask, args.MaskCRC); err != nil {
-			return err
-		}
-		mask = new(store.Bitset)
-		if err := mask.UnmarshalBinary(args.Mask); err != nil {
-			return err
-		}
+	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
+	if err != nil {
+		return err
 	}
 	col := sh.eng.Store().Collection()
 	prof, err := tallyProfile(col.At, col.Len(), mask, args.Window)
@@ -521,15 +580,9 @@ func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 	if err != nil {
 		return err
 	}
-	var mask *store.Bitset
-	if len(args.Mask) > 0 {
-		if err := checkMaskCRC(args.Mask, args.MaskCRC); err != nil {
-			return err
-		}
-		mask = new(store.Bitset)
-		if err := mask.UnmarshalBinary(args.Mask); err != nil {
-			return err
-		}
+	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
+	if err != nil {
+		return err
 	}
 	col := sh.eng.Store().Collection()
 	part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: args.Kind, Params: args.Params, Mask: mask})
@@ -714,14 +767,16 @@ func (c *remoteConn) attemptBudget(ctx context.Context) time.Duration {
 // stops the retry loop outright. Server-side errors (rpc.ServerError)
 // are deterministic and returned immediately — except the drain refusal,
 // which comes back as ErrDraining so replica sets fail over on it.
-// Transport errors and timeouts reset the connection, are marked
-// ErrUnavailable (safe to retry elsewhere: every RPC is read-only and
-// idempotent), and retry up to the budget. Each attempt decodes into its
-// own fresh reply value — an abandoned attempt's response may still be
-// mid-decode on the old connection when the retry runs, so sharing the
-// caller's reply across attempts would race (and gob's skip-zero-fields
-// decoding could blend stale bytes into the retried answer). The winning
-// attempt's reply is copied out once.
+// Transport errors and per-attempt timeouts reset the connection, are
+// marked ErrUnavailable (safe to retry elsewhere: every RPC is read-only
+// and idempotent), and retry up to the budget; the caller's own context
+// ending abandons just this call and leaves the shared connection alone.
+// Each attempt decodes into its own fresh reply value — an abandoned
+// attempt's response may still be mid-decode when the retry runs (or
+// after the caller has gone), so sharing the caller's reply across
+// attempts would race (and gob's skip-zero-fields decoding could blend
+// stale bytes into the retried answer). The winning attempt's reply is
+// copied out once.
 func (c *remoteConn) call(ctx context.Context, method string, args, reply any) error {
 	var lastErr error
 	out := reflect.ValueOf(reply).Elem()
@@ -759,8 +814,11 @@ func (c *remoteConn) call(ctx context.Context, method string, args, reply any) e
 			lastErr = fmt.Errorf("engine: call %s: %w: timeout after %s", c.addr, ErrUnavailable, budget)
 			c.reset(client)
 		case <-ctx.Done():
+			// Abandon this call only: the connection is healthy as far as
+			// anyone knows, and every other in-flight query to the server is
+			// multiplexed on it. The late response decodes into
+			// attemptReply, which nobody reads.
 			timer.Stop()
-			c.reset(client)
 			return fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, ctx.Err())
 		}
 	}
@@ -891,30 +949,54 @@ func (b *RemoteBackend) Stats(ctx context.Context) (*store.Stats, error) {
 	return st, nil
 }
 
-// EvalPlan implements ShardBackend: the plan (and candidate mask, if
-// any) crosses the wire, the shard's engine evaluates, and the matches
-// come back in shard-local ordinal space.
+// eval is the Eval RPC for some of this server's shards: the encoded plan
+// crosses the wire once, masks[k] (nil = none) restricts metas[k], and the
+// matches come back in shard-local ordinal space, bits[k] or errs[k] per
+// shard. A failure of the call as a whole is every shard's error.
+func (c *remoteConn) eval(ctx context.Context, plan []byte, metas []ShardMeta, masks []*store.Bitset) ([]*store.Bitset, []error) {
+	bits := make([]*store.Bitset, len(metas))
+	args := EvalArgs{Plan: plan, Items: make([]EvalItem, len(metas))}
+	for k, m := range metas {
+		it := &args.Items[k]
+		it.Shard = m.Shard
+		if masks[k] != nil {
+			var err error
+			if it.Mask, it.MaskCRC, err = encodeMask(masks[k]); err != nil {
+				return bits, repeatErr(err, len(metas))
+			}
+		}
+	}
+	var reply EvalReply
+	if err := c.call(ctx, "Eval", &args, &reply); err != nil {
+		return bits, repeatErr(err, len(metas))
+	}
+	if len(reply.Results) != len(metas) {
+		return bits, repeatErr(fmt.Errorf("engine: %s: eval answered %d results for %d shards",
+			c.addr, len(reply.Results), len(metas)), len(metas))
+	}
+	errs := make([]error, len(metas))
+	for k, res := range reply.Results {
+		if res.Err != "" {
+			errs[k] = fmt.Errorf("engine: %s: %s", c.addr, res.Err)
+			continue
+		}
+		bits[k] = new(store.Bitset)
+		if errs[k] = bits[k].UnmarshalBinary(res.Bits); errs[k] != nil {
+			bits[k] = nil
+		}
+	}
+	return bits, errs
+}
+
+// EvalPlan implements ShardBackend: the grouped fan-out's Eval RPC with
+// this shard as its one item.
 func (b *RemoteBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
 	plan, err := EncodePlan(p)
 	if err != nil {
 		return nil, err
 	}
-	args := EvalArgs{Shard: b.meta.Shard, Plan: plan}
-	if mask != nil {
-		if args.Mask, err = mask.MarshalBinary(); err != nil {
-			return nil, err
-		}
-		args.MaskCRC = crc32.Checksum(args.Mask, maskCRCTable)
-	}
-	var reply EvalReply
-	if err := b.conn.call(ctx, "Eval", &args, &reply); err != nil {
-		return nil, err
-	}
-	bits := new(store.Bitset)
-	if err := bits.UnmarshalBinary(reply.Bits); err != nil {
-		return nil, err
-	}
-	return bits, nil
+	bits, errs := b.conn.eval(ctx, plan, []ShardMeta{b.meta}, []*store.Bitset{mask})
+	return bits[0], errs[0]
 }
 
 // FetchHistories implements ShardBackend: the ordinals cross the wire,
@@ -937,22 +1019,40 @@ func (b *RemoteBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*
 	return hs, nil
 }
 
-// LocateID implements ShardBackend.
-func (b *RemoteBackend) LocateID(ctx context.Context, id model.PatientID) (int, bool, error) {
+// locate is the Locate RPC: which of metas — this server's shards the
+// caller is interested in — holds the patient, and at which shard-local
+// ordinal. k is -1 when none does (a hit on a shard outside metas is not
+// the caller's patient).
+func (c *remoteConn) locate(ctx context.Context, id model.PatientID, metas []ShardMeta) (k, ordinal int, err error) {
 	var reply LocateReply
-	if err := b.conn.call(ctx, "Locate", &LocateArgs{Shard: b.meta.Shard, ID: id}, &reply); err != nil {
-		return 0, false, err
+	if err := c.call(ctx, "Locate", &LocateArgs{ID: id}, &reply); err != nil {
+		return -1, 0, err
 	}
-	if reply.Found && (reply.Ordinal < 0 || reply.Ordinal >= b.meta.Patients) {
-		return 0, false, fmt.Errorf("engine: %s: located ordinal %d outside shard of %d patients",
-			b.conn.addr, reply.Ordinal, b.meta.Patients)
+	if !reply.Found {
+		return -1, 0, nil
 	}
-	return reply.Ordinal, reply.Found, nil
+	for k, m := range metas {
+		if m.Shard != reply.Shard {
+			continue
+		}
+		if reply.Ordinal < 0 || reply.Ordinal >= m.Patients {
+			return -1, 0, fmt.Errorf("engine: %s: located ordinal %d outside shard of %d patients",
+				c.addr, reply.Ordinal, m.Patients)
+		}
+		return k, reply.Ordinal, nil
+	}
+	return -1, 0, nil
 }
 
-// Indicators implements ShardBackend: the cohort mask crosses the wire,
-// a fixed-size integral tally comes back — constant reply size whatever
-// the cohort.
+// LocateID implements ShardBackend.
+func (b *RemoteBackend) LocateID(ctx context.Context, id model.PatientID) (int, bool, error) {
+	k, ordinal, err := b.conn.locate(ctx, id, []ShardMeta{b.meta})
+	return ordinal, k == 0, err
+}
+
+// Indicators implements ShardBackend: the cohort mask crosses the wire
+// crc-checked, a fixed-size integral tally comes back — constant reply
+// size whatever the cohort.
 func (b *RemoteBackend) Indicators(ctx context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
 	args := IndicatorsArgs{Shard: b.meta.Shard, Window: window}
 	if mask != nil {
@@ -960,11 +1060,10 @@ func (b *RemoteBackend) Indicators(ctx context.Context, mask *store.Bitset, wind
 			return stats.IndicatorCounts{}, fmt.Errorf("engine: indicator mask covers %d patients, shard has %d",
 				mask.Len(), b.meta.Patients)
 		}
-		data, err := mask.MarshalBinary()
-		if err != nil {
+		var err error
+		if args.Mask, args.MaskCRC, err = encodeMask(mask); err != nil {
 			return stats.IndicatorCounts{}, err
 		}
-		args.Mask = data
 	}
 	var reply IndicatorsReply
 	if err := b.conn.call(ctx, "Indicators", &args, &reply); err != nil {
@@ -986,12 +1085,10 @@ func (b *RemoteBackend) Profile(ctx context.Context, mask *store.Bitset, window 
 			return stats.CohortProfile{}, fmt.Errorf("engine: profile mask covers %d patients, shard has %d",
 				mask.Len(), b.meta.Patients)
 		}
-		data, err := mask.MarshalBinary()
-		if err != nil {
+		var err error
+		if args.Mask, args.MaskCRC, err = encodeMask(mask); err != nil {
 			return stats.CohortProfile{}, err
 		}
-		args.Mask = data
-		args.MaskCRC = crc32.Checksum(data, maskCRCTable)
 	}
 	var reply ProfileReply
 	if err := b.conn.call(ctx, "Profile", &args, &reply); err != nil {
@@ -1015,12 +1112,10 @@ func (b *RemoteBackend) Analyze(ctx context.Context, a AnalyzeArgs) (Partial, er
 			return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d",
 				a.Mask.Len(), b.meta.Patients)
 		}
-		data, err := a.Mask.MarshalBinary()
-		if err != nil {
+		var err error
+		if args.Mask, args.MaskCRC, err = encodeMask(a.Mask); err != nil {
 			return nil, err
 		}
-		args.Mask = data
-		args.MaskCRC = crc32.Checksum(data, maskCRCTable)
 	}
 	var reply AnalyzeRPCReply
 	if err := b.conn.call(ctx, "Analyze", &args, &reply); err != nil {

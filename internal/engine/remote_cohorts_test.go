@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"hash/crc32"
 	"net/rpc"
 	"strings"
@@ -116,13 +117,26 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// evalMasked sends a one-item Eval; the call's error and the item's
+	// own are both "the server refused".
+	evalMasked := func(it EvalItem) ([]byte, error) {
+		var reply EvalReply
+		if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: planBytes, Items: []EvalItem{it}}, &reply); err != nil {
+			return nil, err
+		}
+		if reply.Results[0].Err != "" {
+			return nil, errors.New(reply.Results[0].Err)
+		}
+		return reply.Results[0].Bits, nil
+	}
+
 	// Baseline: a well-formed mask is accepted.
-	var reply EvalReply
-	if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: planBytes, Mask: good, MaskCRC: crcOf(good)}, &reply); err != nil {
+	bits, err := evalMasked(EvalItem{Mask: good, MaskCRC: crcOf(good)})
+	if err != nil {
 		t.Fatalf("well-formed masked Eval rejected: %v", err)
 	}
 	got := new(store.Bitset)
-	if err := got.UnmarshalBinary(reply.Bits); err != nil {
+	if err := got.UnmarshalBinary(bits); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(mask) {
@@ -131,45 +145,53 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xff
-	hostile := []struct {
-		name string
-		args EvalArgs
-		want string
-	}{
-		{"wrong crc", EvalArgs{Plan: planBytes, Mask: good, MaskCRC: crcOf(good) ^ 0xdeadbeef}, "mask checksum mismatch"},
-		{"flipped byte, stale crc", EvalArgs{Plan: planBytes, Mask: flipped, MaskCRC: crcOf(good)}, "mask checksum mismatch"},
-		{"truncated, recomputed crc", EvalArgs{Plan: planBytes, Mask: good[:len(good)-3], MaskCRC: crcOf(good[:len(good)-3])}, ""},
-		{"garbage, recomputed crc", EvalArgs{Plan: planBytes, Mask: []byte{0xff, 0x01, 0x02}, MaskCRC: crcOf([]byte{0xff, 0x01, 0x02})}, ""},
-	}
-	for _, tc := range hostile {
-		var reply EvalReply
-		err := client.Call("PastasShard.Eval", &tc.args, &reply)
-		if err == nil {
-			t.Errorf("Eval(%s): accepted a hostile mask", tc.name)
-			continue
-		}
-		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Eval(%s): error %q does not name the checksum mismatch", tc.name, err)
-		}
-	}
-
 	// Wrong-population mask: valid container stream, valid crc, wrong
 	// patient count for the shard.
 	short, err := store.NewBitset(10).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: planBytes, Mask: short, MaskCRC: crcOf(short)}, &reply); err == nil {
-		t.Error("Eval accepted a mask sized for a different population")
+	hostile := []struct {
+		name string
+		item EvalItem
+		want string
+	}{
+		{"wrong crc", EvalItem{Mask: good, MaskCRC: crcOf(good) ^ 0xdeadbeef}, "mask checksum mismatch"},
+		{"flipped byte, stale crc", EvalItem{Mask: flipped, MaskCRC: crcOf(good)}, "mask checksum mismatch"},
+		{"truncated, recomputed crc", EvalItem{Mask: good[:len(good)-3], MaskCRC: crcOf(good[:len(good)-3])}, ""},
+		{"garbage, recomputed crc", EvalItem{Mask: []byte{0xff, 0x01, 0x02}, MaskCRC: crcOf([]byte{0xff, 0x01, 0x02})}, ""},
+		{"wrong population", EvalItem{Mask: short, MaskCRC: crcOf(short)}, "mask covers 10 patients"},
 	}
-
-	// The profile RPC shares the mask codec and must share the checks.
-	var preply ProfileReply
-	pargs := ProfileArgs{Mask: good, MaskCRC: crcOf(good) ^ 1, Window: model.Period{Start: model.Date(2000, 1, 1), End: model.Date(2020, 1, 1)}}
-	if err := client.Call("PastasShard.Profile", &pargs, &preply); err == nil {
-		t.Error("Profile accepted a mask with a wrong checksum")
-	} else if !strings.Contains(err.Error(), "mask checksum mismatch") {
-		t.Errorf("Profile hostile-mask error %q does not name the checksum mismatch", err)
+	window := model.Period{Start: model.Date(2000, 1, 1), End: model.Date(2020, 1, 1)}
+	for _, tc := range hostile {
+		// Every mask-carrying RPC shares the one validate path, so each
+		// must refuse each hostile mask the same way.
+		calls := map[string]func() error{
+			"Eval": func() error { _, err := evalMasked(tc.item); return err },
+			"Indicators": func() error {
+				return client.Call("PastasShard.Indicators",
+					&IndicatorsArgs{Mask: tc.item.Mask, MaskCRC: tc.item.MaskCRC, Window: window}, new(IndicatorsReply))
+			},
+			"Profile": func() error {
+				return client.Call("PastasShard.Profile",
+					&ProfileArgs{Mask: tc.item.Mask, MaskCRC: tc.item.MaskCRC, Window: window}, new(ProfileReply))
+			},
+		}
+		for rpcName, call := range calls {
+			err := call()
+			if err == nil {
+				t.Errorf("%s(%s): accepted a hostile mask", rpcName, tc.name)
+				continue
+			}
+			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s(%s): error %q does not mention %q", rpcName, tc.name, err, tc.want)
+			}
+		}
+	}
+	// The mask-carrying tallies accept the same well-formed mask.
+	if err := client.Call("PastasShard.Indicators",
+		&IndicatorsArgs{Mask: good, MaskCRC: crcOf(good), Window: window}, new(IndicatorsReply)); err != nil {
+		t.Errorf("well-formed masked Indicators rejected: %v", err)
 	}
 }
 

@@ -57,11 +57,16 @@ type remoteFixture struct {
 	listeners []*trackingListener
 }
 
-// startShardServers saves the parity collection as a snapshot with the
-// given shard count and serves it from `servers` loopback shard servers,
-// shards dealt round-robin. Returns a coordinating engine over all of
-// them.
-func startShardServers(t testing.TB, col *model.Collection, shards, servers int, opts RemoteOptions) *remoteFixture {
+// servedShards is the parity collection saved as a snapshot and served by
+// loopback shard servers, one per shard-id set, with the backends dialed
+// from each (backends[s] are server s's, all on one connection).
+type servedShards struct {
+	servers   []*ShardServer
+	listeners []*trackingListener
+	backends  [][]ShardBackend
+}
+
+func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]int, opts RemoteOptions) *servedShards {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "parity.snap")
 	f, err := os.Create(path)
@@ -72,18 +77,21 @@ func startShardServers(t testing.TB, col *model.Collection, shards, servers int,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if info.Shards != shards {
+		t.Fatalf("snapshot has %d shards, fixture assigned %d", info.Shards, shards)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if servers > info.Shards {
-		servers = info.Shards
-	}
-	assigned := make([][]int, servers)
-	for id := 0; id < info.Shards; id++ {
-		assigned[id%servers] = append(assigned[id%servers], id)
-	}
-	fix := &remoteFixture{}
-	var backends []ShardBackend
+	sv := &servedShards{}
+	t.Cleanup(func() {
+		for _, bs := range sv.backends {
+			bs[0].Close()
+		}
+		for _, l := range sv.listeners {
+			l.kill()
+		}
+	})
 	for _, ids := range assigned {
 		srv, err := NewShardServer(path, ids, Options{Shards: 2, Workers: 2, CacheSize: 16})
 		if err != nil {
@@ -94,7 +102,8 @@ func startShardServers(t testing.TB, col *model.Collection, shards, servers int,
 			t.Fatal(err)
 		}
 		tl := &trackingListener{Listener: lis}
-		fix.listeners = append(fix.listeners, tl)
+		sv.servers = append(sv.servers, srv)
+		sv.listeners = append(sv.listeners, tl)
 		go srv.Serve(tl)
 		bs, total, err := DialShards(lis.Addr().String(), opts)
 		if err != nil {
@@ -103,20 +112,32 @@ func startShardServers(t testing.TB, col *model.Collection, shards, servers int,
 		if total != col.Len() {
 			t.Fatalf("server reports %d total patients, snapshot has %d", total, col.Len())
 		}
+		sv.backends = append(sv.backends, bs)
+	}
+	return sv
+}
+
+// startShardServers saves the parity collection as a snapshot with the
+// given shard count and serves it from `servers` loopback shard servers,
+// shards dealt round-robin. Returns a coordinating engine over all of
+// them.
+func startShardServers(t testing.TB, col *model.Collection, shards, servers int, opts RemoteOptions) *remoteFixture {
+	t.Helper()
+	servers = min(servers, shards)
+	assigned := make([][]int, servers)
+	for id := 0; id < shards; id++ {
+		assigned[id%servers] = append(assigned[id%servers], id)
+	}
+	sv := serveShards(t, col, shards, assigned, opts)
+	var backends []ShardBackend
+	for _, bs := range sv.backends {
 		backends = append(backends, bs...)
 	}
 	eng, err := NewFromBackends(backends, Options{Workers: 4, CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fix.eng = eng
-	t.Cleanup(func() {
-		eng.Close()
-		for _, l := range fix.listeners {
-			l.kill()
-		}
-	})
-	return fix
+	return &remoteFixture{eng: eng, listeners: sv.listeners}
 }
 
 // TestRemoteParity is the acceptance property: local fan-out, remote

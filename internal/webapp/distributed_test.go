@@ -124,9 +124,11 @@ func TestDistributedStatsAndCohort(t *testing.T) {
 	var stats struct {
 		Patients int `json:"patients"`
 		Shards   []struct {
-			Backend string  `json:"backend"`
-			Queries uint64  `json:"queries"`
-			TotalMS float64 `json:"total_ms"`
+			Backend    string  `json:"backend"`
+			Queries    uint64  `json:"queries"`
+			TotalMS    float64 `json:"total_ms"`
+			Group      int     `json:"group"`
+			RoundTrips uint64  `json:"round_trips"`
 		} `json:"shards"`
 		Backends map[string]int `json:"backends"`
 	}
@@ -149,6 +151,14 @@ func TestDistributedStatsAndCohort(t *testing.T) {
 	}
 	if len(stats.Backends) == 0 {
 		t.Error("per-backend block missing")
+	}
+	// The batching is visible: two shards per server share a group, and
+	// the one query above cost each group one round trip, not two.
+	for i, sh := range stats.Shards {
+		if sh.Group != i/2 || sh.RoundTrips != 1 || sh.Queries != 1 {
+			t.Errorf("shard %d: group %d, %d evaluations in %d round trips; want group %d, 1 in 1",
+				i, sh.Group, sh.Queries, sh.RoundTrips, i/2)
+		}
 	}
 
 	// Cohort queries answer across the wire, identical to local.

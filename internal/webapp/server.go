@@ -130,6 +130,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		AvgMS    float64 `json:"avg_ms"`
 		Failures uint64  `json:"failures,omitempty"`
 		Skipped  uint64  `json:"skipped,omitempty"`
+		// Group and RoundTrips make the per-server batching visible:
+		// shards of one group share their round trips.
+		Group      int    `json:"group"`
+		RoundTrips uint64 `json:"round_trips"`
 	}
 	shardStats := s.wb.Engine.ShardStats()
 	shards := make([]shardJSON, len(shardStats))
@@ -140,6 +144,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Entries: sh.Entries, Backend: sh.Backend, Queries: sh.Queries,
 			TotalMS:  float64(sh.Nanos) / 1e6,
 			Failures: sh.Failures, Skipped: sh.Skipped,
+			Group: sh.Group, RoundTrips: sh.RoundTrips,
 		}
 		if sh.Queries > 0 {
 			shards[i].AvgMS = shards[i].TotalMS / float64(sh.Queries)

@@ -6,13 +6,17 @@ package engine
 // AnalyzeArgs carries the kind, its gob-encoded parameters and a
 // shard-local cohort mask, and every backend runs the map step over only
 // the masked-in histories, returning a mergeable integer partial. The
-// coordinator reduces the partials exactly — the same integral-tally
-// discipline stats.IndicatorCounts and stats.CohortProfile follow — so a
-// distributed mine/abstract/match is bit-identical to a sequential pass
-// at any shard count over any transport mix, and no history ever leaves
-// its shard for the map step. Genuinely cross-history analytics (MSA,
-// clustering) stay coordinator-side over candidate sets paged in through
-// FetchHistories.
+// coordinator reduces the partials exactly — integer sums are associative
+// — so a distributed tally/mine/abstract/match is bit-identical to a
+// sequential pass at any shard count over any transport mix, and no
+// history ever leaves its shard for the map step. Genuinely cross-history
+// analytics (MSA, clustering) stay coordinator-side over candidate sets
+// paged in through FetchHistories.
+//
+// Adding a kind is one entry in the analyzers registry below, written in
+// the kind's own parameter and partial types (newKind); every backend,
+// the RPC, failover, fault injection and the coordinator's fan-out and
+// policy handling come with it.
 //
 // Kinds are strings rather than iota for the same reason wire.go's node
 // tags are: a reordered constant block can never silently re-interpret a
@@ -26,12 +30,11 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
-	"time"
 
 	"pastas/internal/abstraction"
 	"pastas/internal/mining"
 	"pastas/internal/model"
+	"pastas/internal/stats"
 	"pastas/internal/store"
 	"pastas/internal/temporal"
 )
@@ -47,6 +50,12 @@ const (
 	// AnalyzeScenario matches an Allen-relation scenario against each
 	// history's episodes (partial: *temporal.ScenarioTally).
 	AnalyzeScenario = "scenario"
+	// AnalyzeIndicators tallies the utilization indicators over a window
+	// (params: the model.Period; partial: *stats.IndicatorCounts).
+	AnalyzeIndicators = "indicators"
+	// AnalyzeProfile tallies the cohort-characteristics dimensions over a
+	// window (params: the model.Period; partial: *stats.CohortProfile).
+	AnalyzeProfile = "profile"
 )
 
 // Partial is one shard's mergeable map-step result. The concrete type is
@@ -67,7 +76,8 @@ type AnalyzeArgs struct {
 }
 
 // AnalyzeRequest is a coordinator-level analysis: the kind plus encoded
-// parameters, built by MineRequest / EpisodesRequest / ScenarioRequest.
+// parameters, built by MineRequest / EpisodesRequest / ScenarioRequest
+// (Engine.Indicators and Engine.Profile build their own).
 type AnalyzeRequest struct {
 	Kind   string
 	Params []byte
@@ -126,40 +136,36 @@ func (p ScenarioParams) validate() error {
 	return p.Scenario.Validate()
 }
 
-// MineRequest validates and encodes mine parameters into a request.
-func MineRequest(p MineParams) (AnalyzeRequest, error) {
-	if err := p.validate(); err != nil {
+// anyWindow is the validation of the window-parameterized kinds: every
+// window is meaningful (an empty one tallies no entry and finalizes to
+// zero rates).
+func anyWindow(model.Period) error { return nil }
+
+// newRequest validates one kind's parameters and gob-encodes them.
+func newRequest[P any](kind string, p P, validate func(P) error) (AnalyzeRequest, error) {
+	if err := validate(p); err != nil {
 		return AnalyzeRequest{}, err
 	}
 	data, err := gobEncode(&p)
 	if err != nil {
 		return AnalyzeRequest{}, err
 	}
-	return AnalyzeRequest{Kind: AnalyzeMine, Params: data}, nil
+	return AnalyzeRequest{Kind: kind, Params: data}, nil
+}
+
+// MineRequest validates and encodes mine parameters into a request.
+func MineRequest(p MineParams) (AnalyzeRequest, error) {
+	return newRequest(AnalyzeMine, p, MineParams.validate)
 }
 
 // EpisodesRequest validates and encodes episode parameters into a request.
 func EpisodesRequest(p EpisodeParams) (AnalyzeRequest, error) {
-	if err := p.validate(); err != nil {
-		return AnalyzeRequest{}, err
-	}
-	data, err := gobEncode(&p)
-	if err != nil {
-		return AnalyzeRequest{}, err
-	}
-	return AnalyzeRequest{Kind: AnalyzeEpisodes, Params: data}, nil
+	return newRequest(AnalyzeEpisodes, p, EpisodeParams.validate)
 }
 
 // ScenarioRequest validates and encodes scenario parameters into a request.
 func ScenarioRequest(p ScenarioParams) (AnalyzeRequest, error) {
-	if err := p.validate(); err != nil {
-		return AnalyzeRequest{}, err
-	}
-	data, err := gobEncode(&p)
-	if err != nil {
-		return AnalyzeRequest{}, err
-	}
-	return AnalyzeRequest{Kind: AnalyzeScenario, Params: data}, nil
+	return newRequest(AnalyzeScenario, p, ScenarioParams.validate)
 }
 
 func gobEncode(v any) ([]byte, error) {
@@ -182,125 +188,113 @@ func gobDecode(data []byte, v any) error {
 
 // analyzer is one registered kind: parameter decoding (with validation),
 // the per-history map step, the exact reduce, and the partial's wire
-// codec. Everything a transport needs, so the local backend, the shard
-// server and the coordinator can never disagree on semantics.
+// decoding (encoding is plain gob). Everything a transport needs, so the
+// local backend, the shard server and the coordinator can never disagree
+// on semantics.
 type analyzer struct {
 	decodeParams  func([]byte) (any, error)
 	newPartial    func(params any) Partial
 	addHistory    func(p Partial, params any, h *model.History)
 	merge         func(dst, src Partial) error
-	encodePartial func(Partial) ([]byte, error)
 	decodePartial func([]byte) (Partial, error)
 }
 
-// analyzers is the kind registry. All three built-in map steps read
-// histories through the non-mutating accessors (SortedEntries and
-// friends): a shard server runs them concurrently over shared histories,
-// so a map step that re-sorted entries in place would race.
+// newKind builds a registry entry from one kind's typed pieces: parameter
+// validation, the empty partial, the per-history map step, the exact
+// reduce, and the consistency check a decoded partial must pass before it
+// is merged. The gob codecs and the type assertions between the untyped
+// registry and the kind's own types are supplied here, once.
+func newKind[P, T any, PT interface {
+	*T
+	Partial
+}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, *model.History),
+	merge func(dst, src PT) error, check func(PT) error) analyzer {
+	return analyzer{
+		decodeParams: func(data []byte) (any, error) {
+			p := new(P)
+			if err := gobDecode(data, p); err != nil {
+				return nil, err
+			}
+			if err := validate(*p); err != nil {
+				return nil, err
+			}
+			return p, nil
+		},
+		newPartial: func(params any) Partial { return newPartial(params.(*P)) },
+		addHistory: func(part Partial, params any, h *model.History) { add(part.(PT), params.(*P), h) },
+		merge:      func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
+		decodePartial: func(data []byte) (Partial, error) {
+			part := PT(new(T))
+			if err := gobDecode(data, part); err != nil {
+				return nil, err
+			}
+			if err := check(part); err != nil {
+				return nil, err
+			}
+			return part, nil
+		},
+	}
+}
+
+// analyzers is the kind registry. Every built-in map step reads histories
+// through non-mutating accessors (SortedEntries and friends, or a plain
+// walk of the entries): a shard server runs them concurrently over shared
+// histories, so a map step that re-sorted entries in place would race.
 var analyzers = map[string]analyzer{
-	AnalyzeMine: {
-		decodeParams: func(data []byte) (any, error) {
-			var p MineParams
-			if err := gobDecode(data, &p); err != nil {
-				return nil, err
-			}
-			if err := p.validate(); err != nil {
-				return nil, err
-			}
-			return &p, nil
-		},
-		newPartial: func(params any) Partial {
-			p := params.(*MineParams)
-			return mining.NewCounts(p.Sequential, p.MaxGap)
-		},
-		addHistory: func(part Partial, params any, h *model.History) {
-			p := params.(*MineParams)
-			seq := mineSequence(h, p)
-			if len(seq) > 0 {
-				part.(*mining.Counts).AddSequence(seq)
+	AnalyzeMine: newKind(MineParams.validate,
+		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
+		func(c *mining.Counts, p *MineParams, h *model.History) {
+			if seq := mineSequence(h, p); len(seq) > 0 {
+				c.AddSequence(seq)
 			}
 		},
-		merge: func(dst, src Partial) error {
-			return dst.(*mining.Counts).Merge(src.(*mining.Counts))
+		(*mining.Counts).Merge, validateCounts),
+	AnalyzeEpisodes: newKind(EpisodeParams.validate,
+		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
+		func(t *abstraction.EpisodeTally, p *EpisodeParams, h *model.History) { t.AddHistory(h, p.Gap) },
+		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
+		validateEpisodeTally),
+	AnalyzeScenario: newKind(ScenarioParams.validate,
+		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
+		func(t *temporal.ScenarioTally, p *ScenarioParams, h *model.History) {
+			t.Add(p.Scenario.MatchEpisodes(abstraction.EpisodesStable(h, p.Gap)))
 		},
-		encodePartial: func(p Partial) ([]byte, error) { return gobEncode(p.(*mining.Counts)) },
-		decodePartial: func(data []byte) (Partial, error) {
-			c := new(mining.Counts)
-			if err := gobDecode(data, c); err != nil {
-				return nil, err
-			}
-			if err := validateCounts(c); err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	},
-	AnalyzeEpisodes: {
-		decodeParams: func(data []byte) (any, error) {
-			var p EpisodeParams
-			if err := gobDecode(data, &p); err != nil {
-				return nil, err
-			}
-			if err := p.validate(); err != nil {
-				return nil, err
-			}
-			return &p, nil
-		},
-		newPartial: func(any) Partial { return abstraction.NewEpisodeTally() },
-		addHistory: func(part Partial, params any, h *model.History) {
-			part.(*abstraction.EpisodeTally).AddHistory(h, params.(*EpisodeParams).Gap)
-		},
-		merge: func(dst, src Partial) error {
-			dst.(*abstraction.EpisodeTally).Merge(src.(*abstraction.EpisodeTally))
-			return nil
-		},
-		encodePartial: func(p Partial) ([]byte, error) { return gobEncode(p.(*abstraction.EpisodeTally)) },
-		decodePartial: func(data []byte) (Partial, error) {
-			t := new(abstraction.EpisodeTally)
-			if err := gobDecode(data, t); err != nil {
-				return nil, err
-			}
-			if err := validateEpisodeTally(t); err != nil {
-				return nil, err
-			}
-			return t, nil
-		},
-	},
-	AnalyzeScenario: {
-		decodeParams: func(data []byte) (any, error) {
-			var p ScenarioParams
-			if err := gobDecode(data, &p); err != nil {
-				return nil, err
-			}
-			if err := p.validate(); err != nil {
-				return nil, err
-			}
-			return &p, nil
-		},
-		newPartial: func(any) Partial { return new(temporal.ScenarioTally) },
-		addHistory: func(part Partial, params any, h *model.History) {
-			p := params.(*ScenarioParams)
-			eps := abstraction.EpisodesStable(h, p.Gap)
-			part.(*temporal.ScenarioTally).Add(p.Scenario.MatchEpisodes(eps))
-		},
-		merge: func(dst, src Partial) error {
-			dst.(*temporal.ScenarioTally).Merge(src.(*temporal.ScenarioTally))
-			return nil
-		},
-		encodePartial: func(p Partial) ([]byte, error) { return gobEncode(p.(*temporal.ScenarioTally)) },
-		decodePartial: func(data []byte) (Partial, error) {
-			t := new(temporal.ScenarioTally)
-			if err := gobDecode(data, t); err != nil {
-				return nil, err
-			}
+		func(dst, src *temporal.ScenarioTally) error { dst.Merge(src); return nil },
+		func(t *temporal.ScenarioTally) error {
 			if t.Histories < 0 || t.Bound < 0 || t.Matched < 0 ||
 				t.Bound > t.Histories || t.Matched > t.Bound {
-				return nil, fmt.Errorf("engine: scenario tally is inconsistent (%d/%d/%d)",
+				return fmt.Errorf("engine: scenario tally is inconsistent (%d/%d/%d)",
 					t.Histories, t.Bound, t.Matched)
 			}
-			return t, nil
-		},
-	},
+			return nil
+		}),
+	AnalyzeIndicators: newKind(anyWindow,
+		func(*model.Period) *stats.IndicatorCounts { return new(stats.IndicatorCounts) },
+		func(c *stats.IndicatorCounts, w *model.Period, h *model.History) { c.AddHistory(h, *w) },
+		func(dst, src *stats.IndicatorCounts) error { dst.Merge(*src); return nil },
+		func(c *stats.IndicatorCounts) error {
+			if c.Patients < 0 || c.Females < 0 || c.Females > c.Patients ||
+				c.EmergencyGP < 0 || c.EmergencyGP > c.GPContacts {
+				return fmt.Errorf("engine: indicator tally is inconsistent (%d patients, %d female, %d/%d emergency contacts)",
+					c.Patients, c.Females, c.EmergencyGP, c.GPContacts)
+			}
+			return nil
+		}),
+	AnalyzeProfile: newKind(anyWindow,
+		func(*model.Period) *stats.CohortProfile { return new(stats.CohortProfile) },
+		func(p *stats.CohortProfile, w *model.Period, h *model.History) { p.AddHistory(h, *w) },
+		func(dst, src *stats.CohortProfile) error { dst.Merge(*src); return nil },
+		func(p *stats.CohortProfile) error {
+			banded := 0
+			for _, n := range p.AgeBands {
+				banded += n
+			}
+			if p.Patients < 0 || p.Females < 0 || p.Males < 0 || p.Females+p.Males > p.Patients || banded != p.Patients {
+				return fmt.Errorf("engine: profile tally is inconsistent (%d patients, %d female, %d male, %d in age bands)",
+					p.Patients, p.Females, p.Males, banded)
+			}
+			return nil
+		}),
 }
 
 // mineSequence extracts one history's code sequence for the mine map
@@ -359,7 +353,7 @@ func validateEpisodeTally(t *abstraction.EpisodeTally) error {
 // tallyAnalyze is the one map loop both transports run — the local view
 // directly, the shard server over its own collection — so the mask
 // contract, the parameter validation and the per-history map step can
-// never diverge between them. This mirrors tallyIndicators/tallyProfile.
+// never diverge between them.
 func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeArgs) (Partial, error) {
 	spec, ok := analyzers[args.Kind]
 	if !ok {
@@ -386,15 +380,6 @@ func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeAr
 	return part, nil
 }
 
-// encodeAnalyzePartial serializes a partial for the wire, keyed by kind.
-func encodeAnalyzePartial(kind string, p Partial) ([]byte, error) {
-	spec, ok := analyzers[kind]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown analyzer kind %q", kind)
-	}
-	return spec.encodePartial(p)
-}
-
 // decodeAnalyzePartial reconstructs and validates a wire partial.
 func decodeAnalyzePartial(kind string, data []byte) (Partial, error) {
 	spec, ok := analyzers[kind]
@@ -414,11 +399,10 @@ func (e *Engine) Analyze(b *store.Bitset, req AnalyzeRequest) (Partial, error) {
 }
 
 // AnalyzeStatus is Analyze under a caller-supplied context, plus the
-// completeness report. The fan-out is the same shape Profile and
-// Indicators use: shards without a cohort member are never contacted,
-// each contacted shard maps over only its slice of the mask, and the
-// partials merge in fixed shard order — integer tallies, so grouping
-// cannot change the result and the reduce is exact.
+// completeness report. Shards without a cohort member are never
+// contacted, each contacted shard maps over only its slice of the mask
+// (fanCohort), and the partials merge in fixed shard order — integer
+// tallies, so grouping cannot change the result and the reduce is exact.
 func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req AnalyzeRequest) (Partial, QueryStatus, error) {
 	spec, ok := analyzers[req.Kind]
 	if !ok {
@@ -428,52 +412,35 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 	if err != nil {
 		return nil, QueryStatus{}, fmt.Errorf("engine: analyzer %q: %w", req.Kind, err)
 	}
-	t := e.topoNow()
-	if b.Len() != t.n {
-		return nil, QueryStatus{}, fmt.Errorf("engine: bitset covers %d patients, population has %d (re-run the query if an append landed since)", b.Len(), t.n)
+	t, err := e.pinCohort(b)
+	if err != nil {
+		return nil, QueryStatus{}, err
 	}
-	ctx, cancel := e.opCtx(ctx)
-	defer cancel()
-	parts := make([]Partial, len(t.backends))
-	errs := make([]error, len(t.backends))
-	asked := make([]bool, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		asked[i] = true
-		mask := b.SliceRange(m.Offset, m.Offset+m.Patients)
-		wg.Add(1)
-		go func(i int, bk ShardBackend, mask *store.Bitset) {
-			defer wg.Done()
-			t0 := time.Now()
-			parts[i], errs[i] = bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: mask})
-			t.record(i, t0, errs[i])
-		}(i, bk, mask)
+	parts, status, err := fanCohort(ctx, e, t, e.policy, b,
+		func(ctx context.Context, bk ShardBackend, mask *store.Bitset) (Partial, error) {
+			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: mask})
+		})
+	if err != nil {
+		return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, err)
 	}
-	wg.Wait()
 	out := spec.newPartial(params)
-	var missing []int
-	for i := range parts {
-		if errs[i] != nil {
-			if e.policy == PolicyDegraded && IsUnavailable(errs[i]) && ctx.Err() == nil {
-				t.metrics[i].skips.Add(1)
-				missing = append(missing, i)
-				continue
-			}
-			return nil, QueryStatus{}, &ShardError{Shard: t.backends[i].Meta().Shard,
-				Err: fmt.Errorf("engine: analyze %q on shard %d (%s): %w",
-					req.Kind, t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])}
+	for i, part := range parts {
+		if part == nil {
+			continue // no cohort member on the shard, or degraded away
 		}
-		if asked[i] {
-			if err := spec.merge(out, parts[i]); err != nil {
-				return nil, QueryStatus{}, &ShardError{Shard: t.backends[i].Meta().Shard,
-					Err: fmt.Errorf("engine: analyze %q on shard %d (%s): %w",
-						req.Kind, t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, err)}
-			}
+		if err := spec.merge(out, part); err != nil {
+			return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, t.shardErr(i, err))
 		}
 	}
-	return out, e.statusFromMissing(t, missing), nil
+	return out, status, nil
+}
+
+// analyzeWindow runs one of the window-parameterized kinds — the shape
+// Engine.Indicators and Engine.Profile wrap with their partial's type.
+func (e *Engine) analyzeWindow(ctx context.Context, b *store.Bitset, kind string, window model.Period) (Partial, QueryStatus, error) {
+	req, err := newRequest(kind, window, anyWindow)
+	if err != nil {
+		return nil, QueryStatus{}, err
+	}
+	return e.AnalyzeStatus(ctx, b, req)
 }

@@ -1,14 +1,16 @@
 package engine
 
-// The distributed-analytics contract: every registered analyzer kind
-// returns partials identical to a single-threaded reference pass at
-// shard counts {1, 4, 16}, over remote shard servers and in-process
-// local backends alike, with the cohort mask pushed down; hostile
-// AnalyzeArgs (unknown kind, truncated params, corrupt mask) are loud
-// errors, never panics; and fault injection degrades or fails over
-// exactly like every other fan-out. Runs under -race in CI — the map
-// steps read shared histories concurrently, so a mutating step would
-// fail here.
+// The distributed-analytics contract, as one table over every registered
+// analyzer kind (analyzeCases): the merged answer equals a sequential
+// reference — stats.ComputeIndicators, stats.ComputeCohortProfile, a
+// single-threaded pass of the mining/episode/scenario map step — at shard
+// counts {1, 4, 16}, over remote shard servers and in-process local
+// backends alike, with the cohort mask pushed down; a partial survives
+// its wire codec; hostile AnalyzeArgs (unknown kind, truncated params,
+// corrupt mask) and hostile partials are loud errors, never panics; and
+// fault injection degrades or fails over exactly like every other
+// fan-out. Runs under -race in CI — the map steps read shared histories
+// concurrently, so a mutating step would fail here.
 
 import (
 	"context"
@@ -23,38 +25,96 @@ import (
 	"pastas/internal/mining"
 	"pastas/internal/model"
 	"pastas/internal/query"
+	"pastas/internal/stats"
 	"pastas/internal/store"
 	"pastas/internal/temporal"
 )
 
-// analyzeRequests sweeps every registered kind with representative
-// parameters: plain and sequential mining, episode tallies, and a
-// scenario over chapter labels the synthetic population actually emits.
-func analyzeRequests(t testing.TB) []AnalyzeRequest {
+// analyzeCase is one registered kind under representative parameters,
+// with the sequential reference its distributed answer must equal: want
+// computes the reference over the cohort's histories in collection order,
+// view renders a merged partial in the reference's form.
+type analyzeCase struct {
+	name string
+	req  AnalyzeRequest
+	want func(cohort *model.Collection) any
+	view func(Partial) any
+}
+
+var caseWindow = model.Period{Start: model.Date(2005, 1, 1), End: model.Date(2015, 1, 1)}
+
+// analyzeCases sweeps every registered kind: plain and sequential mining,
+// episode tallies, a scenario over chapter labels the synthetic population
+// actually emits, and the two window tallies. A kind registered without a
+// row here fails the sweep.
+func analyzeCases(t testing.TB) []analyzeCase {
 	t.Helper()
-	var reqs []AnalyzeRequest
-	mk := func(r AnalyzeRequest, err error) {
+	var cases []analyzeCase
+	mapStep := func(name string, req AnalyzeRequest, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs = append(reqs, r)
+		cases = append(cases, analyzeCase{
+			name: name, req: req,
+			want: func(cohort *model.Collection) any { return normalizePartial(refAnalyze(t, cohort, req)) },
+			view: func(p Partial) any { return normalizePartial(p) },
+		})
 	}
-	mk(MineRequest(MineParams{System: "ICPC2"}))
-	mk(MineRequest(MineParams{Sequential: true, MaxGap: 3, Chapter: true}))
-	mk(EpisodesRequest(EpisodeParams{Gap: 90 * model.Day}))
-	mk(ScenarioRequest(ScenarioParams{Gap: 90 * model.Day, Scenario: temporal.Scenario{
+	req, err := MineRequest(MineParams{System: "ICPC2"})
+	mapStep("mine", req, err)
+	req, err = MineRequest(MineParams{Sequential: true, MaxGap: 3, Chapter: true})
+	mapStep("mine/sequential", req, err)
+	req, err = EpisodesRequest(EpisodeParams{Gap: 90 * model.Day})
+	mapStep("episodes", req, err)
+	req, err = ScenarioRequest(ScenarioParams{Gap: 90 * model.Day, Scenario: temporal.Scenario{
 		Steps: []string{"T", "K"},
 		Relations: []temporal.StepRel{
 			{I: 0, J: 1, Rel: temporal.Before | temporal.Meets | temporal.Overlaps},
 		},
-	}}))
-	return reqs
+	}})
+	mapStep("scenario", req, err)
+
+	window := func(kind string, want func(*model.Collection) any, view func(Partial) any) {
+		req, err := newRequest(kind, caseWindow, anyWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, analyzeCase{name: kind, req: req, want: want, view: view})
+	}
+	window(AnalyzeIndicators,
+		func(cohort *model.Collection) any { return stats.ComputeIndicators(cohort, caseWindow) },
+		func(p Partial) any { return p.(*stats.IndicatorCounts).Finalize(caseWindow) })
+	window(AnalyzeProfile,
+		func(cohort *model.Collection) any { return stats.ComputeCohortProfile(cohort, caseWindow) },
+		func(p Partial) any { return *p.(*stats.CohortProfile) })
+
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.req.Kind] = true
+	}
+	for kind := range analyzers {
+		if !covered[kind] {
+			t.Fatalf("analyzer kind %q is registered but has no row in analyzeCases", kind)
+		}
+	}
+	return cases
 }
 
-// refAnalyze is the single-threaded reference: the same map step, run
-// sequentially over the masked-in histories in global order, with no
-// sharding, no merge and no wire codec in the path.
-func refAnalyze(t testing.TB, col *model.Collection, bits *store.Bitset, req AnalyzeRequest) Partial {
+// cohortOf is the sub-collection a global-ordinal bitset selects.
+func cohortOf(col *model.Collection, bits *store.Bitset) *model.Collection {
+	var hs []*model.History
+	bits.Range(func(i int) bool {
+		hs = append(hs, col.At(i))
+		return true
+	})
+	return model.MustCollection(hs...)
+}
+
+// refAnalyze is the single-threaded reference for the map-step kinds: the
+// same map step, run sequentially over the cohort's histories in
+// collection order, with no sharding, no merge and no wire codec in the
+// path.
+func refAnalyze(t testing.TB, cohort *model.Collection, req AnalyzeRequest) Partial {
 	t.Helper()
 	spec := analyzers[req.Kind]
 	params, err := spec.decodeParams(req.Params)
@@ -62,10 +122,8 @@ func refAnalyze(t testing.TB, col *model.Collection, bits *store.Bitset, req Ana
 		t.Fatal(err)
 	}
 	part := spec.newPartial(params)
-	for i, h := range col.Histories() {
-		if bits.Get(i) {
-			spec.addHistory(part, params, h)
-		}
+	for _, h := range cohort.Histories() {
+		spec.addHistory(part, params, h)
 	}
 	return part
 }
@@ -96,7 +154,7 @@ func normalizePartial(p Partial) Partial {
 // population and over a pushed-down cohort mask.
 func TestAnalyzeParity(t *testing.T) {
 	col, st, _ := parityEngines(t)
-	reqs := analyzeRequests(t)
+	cases := analyzeCases(t)
 	cohortExpr := query.Expr(query.Has{Pred: query.AllOf{
 		query.TypeIs(model.TypeDiagnosis), query.MustCode("", `T90|E11(\..*)?`)}})
 	for _, shards := range []int{1, 4, 16} {
@@ -114,25 +172,70 @@ func TestAnalyzeParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, req := range reqs {
-				want := normalizePartial(refAnalyze(t, col, bits, req))
+			cohort := cohortOf(col, bits)
+			for _, tc := range cases {
+				want := tc.want(cohort)
 				for name, eng := range map[string]*Engine{"remote": fix.eng, "local-dist": localDist} {
-					got, err := eng.Analyze(bits, req)
+					got, err := eng.Analyze(bits, tc.req)
 					if err != nil {
-						t.Fatalf("shards=%d %s Analyze(%s over %s): %v", shards, name, req.Kind, expr, err)
+						t.Fatalf("shards=%d %s Analyze(%s over %s): %v", shards, name, tc.name, expr, err)
 					}
-					if !reflect.DeepEqual(normalizePartial(got), want) {
-						t.Fatalf("shards=%d %s kind=%s over %s: partial mismatch\n got %+v\nwant %+v",
-							shards, name, req.Kind, expr, got, want)
+					if !reflect.DeepEqual(tc.view(got), want) {
+						t.Fatalf("shards=%d %s %s over %s: answer differs from the sequential reference\n got %+v\nwant %+v",
+							shards, name, tc.name, expr, tc.view(got), want)
 					}
 					if got.HistoryCount() > bits.Count() {
-						t.Fatalf("shards=%d %s kind=%s: tallied %d histories from a %d-member cohort",
-							shards, name, req.Kind, got.HistoryCount(), bits.Count())
+						t.Fatalf("shards=%d %s %s: tallied %d histories from a %d-member cohort",
+							shards, name, tc.name, got.HistoryCount(), bits.Count())
 					}
 				}
 			}
 		}
 		localDist.Close()
+	}
+}
+
+// TestAnalyzePartialWireMerge: for every kind, two shards' partials merged
+// after an encode → decode round trip equal the same partials merged
+// directly, and both equal the sequential reference — the codec neither
+// loses nor invents a tally.
+func TestAnalyzePartialWireMerge(t *testing.T) {
+	col, _, _ := parityEngines(t)
+	halves := [2]*store.Bitset{store.NewBitset(col.Len()), store.NewBitset(col.Len())}
+	for i := 0; i < col.Len(); i++ {
+		halves[i%2].Set(i)
+	}
+	for _, tc := range analyzeCases(t) {
+		spec := analyzers[tc.req.Kind]
+		params, err := spec.decodeParams(tc.req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, wired := spec.newPartial(params), spec.newPartial(params)
+		for _, mask := range halves {
+			part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params, Mask: mask})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			data, err := gobEncode(part)
+			if err != nil {
+				t.Fatalf("%s: encode partial: %v", tc.name, err)
+			}
+			decoded, err := decodeAnalyzePartial(tc.req.Kind, data)
+			if err != nil {
+				t.Fatalf("%s: decode partial: %v", tc.name, err)
+			}
+			if err := spec.merge(direct, part); err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.merge(wired, decoded); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := tc.want(col); !reflect.DeepEqual(tc.view(direct), want) || !reflect.DeepEqual(tc.view(wired), want) {
+			t.Errorf("%s: merged partials differ from the reference\n direct %+v\n wired  %+v\n want   %+v",
+				tc.name, tc.view(direct), tc.view(wired), want)
+		}
 	}
 }
 
@@ -157,7 +260,7 @@ func TestAnalyzeRulesDeterministic(t *testing.T) {
 	}
 	opt := mining.Options{MinSupport: 0.01, MinCount: 2}
 	got := part.(*mining.Counts).Rules(opt)
-	want := refAnalyze(t, col, bits, req).(*mining.Counts).Rules(opt)
+	want := refAnalyze(t, cohortOf(col, bits), req).(*mining.Counts).Rules(opt)
 	if len(got) == 0 {
 		t.Fatal("no rules mined from the parity population; the fixture no longer exercises mining")
 	}
@@ -169,9 +272,10 @@ func TestAnalyzeRulesDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeHostileRPC drives raw wire payloads at a live shard server:
-// every malformed request is a loud per-call error, the connection and
-// server survive, and a well-formed call still answers afterwards.
+// TestAnalyzeHostileRPC drives raw wire payloads at a live shard server,
+// for every kind: each malformed request is a loud per-call error, the
+// connection and server survive, and a well-formed call still answers
+// afterwards.
 func TestAnalyzeHostileRPC(t *testing.T) {
 	col, _, _ := parityEngines(t)
 	fix := startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 10 * time.Second})
@@ -181,27 +285,12 @@ func TestAnalyzeHostileRPC(t *testing.T) {
 	}
 	defer client.Close()
 
-	valid, err := MineRequest(MineParams{System: "ICPC2"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	shardPatients := fix.eng.BackendInfo()[0].Patients
 	call := func(args AnalyzeRPCArgs) (AnalyzeRPCReply, error) {
 		var reply AnalyzeRPCReply
 		err := client.Call(rpcServiceName+".Analyze", &args, &reply)
 		return reply, err
 	}
-
-	if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: "bogus", Params: valid.Params}); err == nil {
-		t.Fatal("unknown analyzer kind: want error, got success")
-	}
-	if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: AnalyzeMine}); err == nil {
-		t.Fatal("missing params: want error, got success")
-	}
-	if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: AnalyzeMine, Params: valid.Params[:3]}); err == nil {
-		t.Fatal("truncated params: want error, got success")
-	}
-
 	mask := store.NewBitset(shardPatients)
 	mask.Set(0)
 	maskData, err := mask.MarshalBinary()
@@ -209,38 +298,147 @@ func TestAnalyzeHostileRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	crc := crc32.Checksum(maskData, maskCRCTable)
-	if _, err := call(AnalyzeRPCArgs{
-		Shard: 0, Kind: AnalyzeMine, Params: valid.Params, Mask: maskData, MaskCRC: crc ^ 1,
-	}); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt mask crc: want checksum error, got %v", err)
-	}
-
-	wrong := store.NewBitset(shardPatients + 17)
-	wrongData, err := wrong.MarshalBinary()
+	wrongData, err := store.NewBitset(shardPatients + 17).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call(AnalyzeRPCArgs{
-		Shard: 0, Kind: AnalyzeMine, Params: valid.Params,
-		Mask: wrongData, MaskCRC: crc32.Checksum(wrongData, maskCRCTable),
-	}); err == nil {
-		t.Fatal("wrong-length mask: want error, got success")
-	}
 
-	// The server must still answer a well-formed request on the same
-	// connection — the abuse above cannot have wedged or killed it.
-	reply, err := call(AnalyzeRPCArgs{
-		Shard: 0, Kind: AnalyzeMine, Params: valid.Params, Mask: maskData, MaskCRC: crc,
-	})
-	if err != nil {
-		t.Fatalf("well-formed call after hostile ones: %v", err)
+	for _, tc := range analyzeCases(t) {
+		kind, params := tc.req.Kind, tc.req.Params
+		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: "bogus", Params: params}); err == nil {
+			t.Fatalf("%s params under an unknown analyzer kind: want error, got success", tc.name)
+		}
+		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind}); err == nil {
+			t.Fatalf("%s: missing params: want error, got success", tc.name)
+		}
+		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind, Params: params[:3]}); err == nil {
+			t.Fatalf("%s: truncated params: want error, got success", tc.name)
+		}
+		if _, err := call(AnalyzeRPCArgs{
+			Shard: 0, Kind: kind, Params: params, Mask: maskData, MaskCRC: crc ^ 1,
+		}); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s: corrupt mask crc: want checksum error, got %v", tc.name, err)
+		}
+		if _, err := call(AnalyzeRPCArgs{
+			Shard: 0, Kind: kind, Params: params,
+			Mask: wrongData, MaskCRC: crc32.Checksum(wrongData, maskCRCTable),
+		}); err == nil {
+			t.Fatalf("%s: wrong-length mask: want error, got success", tc.name)
+		}
+
+		// The server must still answer a well-formed request on the same
+		// connection — the abuse above cannot have wedged or killed it.
+		reply, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind, Params: params, Mask: maskData, MaskCRC: crc})
+		if err != nil {
+			t.Fatalf("%s: well-formed call after hostile ones: %v", tc.name, err)
+		}
+		part, err := decodeAnalyzePartial(kind, reply.Partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := part.HistoryCount(); got < 0 || got > 1 {
+			t.Fatalf("%s: one-member mask tallied %d histories", tc.name, got)
+		}
 	}
-	part, err := decodeAnalyzePartial(AnalyzeMine, reply.Partial)
+}
+
+// hostileRPC is a fake shard server that advertises one well-formed shard
+// and then answers the data RPCs with whatever it was loaded with — the
+// server a coordinator must never trust.
+type hostileRPC struct {
+	meta    ShardMeta
+	ids     []model.PatientID
+	partial []byte
+}
+
+func (r *hostileRPC) Describe(_ *DescribeArgs, reply *DescribeReply) error {
+	reply.Shards, reply.TotalPatients = []ShardMeta{r.meta}, r.meta.Patients
+	return nil
+}
+
+func (r *hostileRPC) IDs(_ *IDsArgs, reply *IDsReply) error {
+	reply.IDs = r.ids
+	return nil
+}
+
+func (r *hostileRPC) Analyze(_ *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
+	reply.Partial = r.partial
+	return nil
+}
+
+func dialHostile(t *testing.T, r *hostileRPC) ShardBackend {
+	t.Helper()
+	backends, _, err := DialShards(serveRPCStub(t, r), RemoteOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := part.HistoryCount(); got < 0 || got > 1 {
-		t.Fatalf("one-member mask tallied %d histories", got)
+	t.Cleanup(func() { backends[0].Close() })
+	return backends[0]
+}
+
+// TestAnalyzeHostilePartial: a reply partial is refused when it is
+// internally inconsistent (each kind's decode check), and, for every kind,
+// when it claims more histories than the shard holds.
+func TestAnalyzeHostilePartial(t *testing.T) {
+	for kind, bad := range map[string]any{
+		AnalyzeMine:       &mining.Counts{N: 1, Single: map[string]int{"T90": 2}},
+		AnalyzeEpisodes:   &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2},
+		AnalyzeScenario:   &temporal.ScenarioTally{Histories: 1, Bound: 2},
+		AnalyzeIndicators: &stats.IndicatorCounts{Patients: 1, Females: 2},
+		AnalyzeProfile:    &stats.CohortProfile{Patients: 1}, // nobody in an age band
+	} {
+		data, err := gobEncode(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeAnalyzePartial(kind, data); err == nil {
+			t.Errorf("%s: inconsistent partial accepted", kind)
+		}
+		if _, err := decodeAnalyzePartial(kind, data[:len(data)/2]); err == nil {
+			t.Errorf("%s: truncated partial accepted", kind)
+		}
+	}
+
+	// An honest tally over the whole population, served by a shard that
+	// advertises a single patient.
+	col, _, _ := parityEngines(t)
+	for _, tc := range analyzeCases(t) {
+		part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := gobEncode(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 1, Entries: 1}, partial: data})
+		_, err = b.Analyze(context.Background(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+		if err == nil || !strings.Contains(err.Error(), "shard has 1") {
+			t.Errorf("%s: partial over %d histories from a one-patient shard answered %v, want refusal",
+				tc.name, part.HistoryCount(), err)
+		}
+	}
+}
+
+// TestRemoteIDsOfEnforcesCount: a server answering more or fewer IDs than
+// bits were selected is refused — concatenated by position, the slices
+// would misalign the whole cohort listing.
+func TestRemoteIDsOfEnforcesCount(t *testing.T) {
+	bits := store.NewBitset(8)
+	bits.Set(1)
+	bits.Set(5)
+	for name, ids := range map[string][]model.PatientID{
+		"fewer": {7},
+		"more":  {7, 8, 9},
+	} {
+		b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 8, Entries: 1}, ids: ids})
+		if got, err := b.IDsOf(context.Background(), bits); err == nil {
+			t.Errorf("%s IDs than selected: accepted %v", name, got)
+		}
+	}
+	b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 8, Entries: 1}, ids: []model.PatientID{7, 8}})
+	if got, err := b.IDsOf(context.Background(), bits); err != nil || len(got) != 2 {
+		t.Errorf("matching reply = %v, %v", got, err)
 	}
 }
 
@@ -366,14 +564,13 @@ func TestAnalyzeReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range analyzeRequests(t) {
-		got, err := eng.Analyze(bits, req)
+	for _, tc := range analyzeCases(t) {
+		got, err := eng.Analyze(bits, tc.req)
 		if err != nil {
-			t.Fatalf("replica analyze %s: %v", req.Kind, err)
+			t.Fatalf("replica analyze %s: %v", tc.name, err)
 		}
-		want := normalizePartial(refAnalyze(t, col, bits, req))
-		if !reflect.DeepEqual(normalizePartial(got), want) {
-			t.Fatalf("replica analyze %s: partial mismatch\n got %+v\nwant %+v", req.Kind, got, want)
+		if want := tc.want(col); !reflect.DeepEqual(tc.view(got), want) {
+			t.Fatalf("replica analyze %s: answer differs from the reference\n got %+v\nwant %+v", tc.name, tc.view(got), want)
 		}
 	}
 }

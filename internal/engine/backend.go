@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"pastas/internal/model"
-	"pastas/internal/stats"
 	"pastas/internal/store"
 )
 
@@ -55,16 +54,16 @@ type ShardMeta struct {
 //
 // The history-level operations complete the contract: FetchHistories
 // materializes the histories at strictly increasing shard-local ordinals
-// (the workbench's timeline and details views), LocateID resolves a
+// (the workbench's timeline and details views) and LocateID resolves a
 // patient ID to its shard-local ordinal (ok=false when the patient lives
-// elsewhere), and Indicators tallies the mergeable utilization counts for
-// the shard's slice of a cohort — the server-side aggregate that keeps
-// large cohorts from shipping every history over a wire transport.
+// elsewhere).
 //
-// Analyze generalizes that server-side aggregation into a map-reduce: a
-// registered analyzer kind maps over only the masked-in histories and
-// returns a mergeable partial the coordinator reduces exactly (see
-// analyze.go). Like Indicators and Profile, no history crosses the wire.
+// Analyze is the server-side aggregate that keeps large cohorts from
+// shipping every history over a wire transport, as a map-reduce: a
+// registered analyzer kind — utilization indicators, cohort profile, rule
+// mining, episodes, scenarios — maps over only the masked-in histories
+// and returns a mergeable partial the coordinator reduces exactly (see
+// analyze.go).
 type ShardBackend interface {
 	Meta() ShardMeta
 	Stats(ctx context.Context) (*store.Stats, error)
@@ -72,8 +71,6 @@ type ShardBackend interface {
 	IDsOf(ctx context.Context, b *store.Bitset) ([]model.PatientID, error)
 	FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error)
 	LocateID(ctx context.Context, id model.PatientID) (int, bool, error)
-	Indicators(ctx context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error)
-	Profile(ctx context.Context, mask *store.Bitset, window model.Period) (stats.CohortProfile, error)
 	Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error)
 	Close() error
 }
@@ -85,6 +82,68 @@ type ShardBackend interface {
 // with Stats instead.
 type Prober interface {
 	Probe(ctx context.Context) error
+}
+
+// interceptor is the one decision a ShardBackend decorator makes: how a
+// call reaches the backends it wraps. It runs call against the backend of
+// its choosing — once behind a fault gate, once per failover attempt in a
+// replica set — and returns the outcome of the last run.
+type interceptor func(ctx context.Context, call func(ctx context.Context, b ShardBackend) error) error
+
+// forwarder implements every ShardBackend data operation once, over an
+// interceptor. A decorator embeds it and keeps only Meta, Probe, Close and
+// its own machinery: an operation added to ShardBackend is forwarded — and
+// intercepted — by every decorator or none compiles, and a further
+// cross-cutting concern (tracing, say) is one more interceptor, not one
+// more copy of the interface.
+type forwarder struct{ via interceptor }
+
+// forward runs one result-bearing operation through the interceptor,
+// keeping the result of the run whose outcome the interceptor returns.
+func forward[T any](ctx context.Context, via interceptor, op func(context.Context, ShardBackend) (T, error)) (out T, err error) {
+	err = via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
+		out, err = op(ctx, b)
+		return err
+	})
+	return out, err
+}
+
+func (f forwarder) Stats(ctx context.Context) (*store.Stats, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Stats, error) {
+		return b.Stats(ctx)
+	})
+}
+
+func (f forwarder) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Bitset, error) {
+		return b.EvalPlan(ctx, p, mask)
+	})
+}
+
+func (f forwarder) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]model.PatientID, error) {
+		return b.IDsOf(ctx, bits)
+	})
+}
+
+func (f forwarder) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]*model.History, error) {
+		return b.FetchHistories(ctx, ordinals)
+	})
+}
+
+func (f forwarder) LocateID(ctx context.Context, id model.PatientID) (ordinal int, found bool, err error) {
+	err = f.via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
+		ordinal, found, err = b.LocateID(ctx, id)
+		return err
+	})
+	return ordinal, found, err
+}
+
+func (f forwarder) Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (Partial, error) {
+		return b.Analyze(ctx, args)
+	})
 }
 
 // validateOrdinals enforces the FetchHistories argument contract for both
@@ -160,62 +219,6 @@ func (b *LocalBackend) FetchHistories(_ context.Context, ordinals []int) ([]*mod
 func (b *LocalBackend) LocateID(_ context.Context, id model.PatientID) (int, bool, error) {
 	o, ok := b.v.Ordinal(id)
 	return o, ok, nil
-}
-
-// Indicators implements ShardBackend: one pass over the view's histories,
-// restricted to the mask's cohort members (nil = every patient).
-func (b *LocalBackend) Indicators(_ context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
-	return tallyIndicators(b.v.HistoryAt, b.v.Len(), mask, window)
-}
-
-// tallyIndicators is the one tally loop both transports run — the local
-// view directly, the shard server over its own collection — so the
-// mask contract and the per-history accounting can never diverge
-// between them.
-func tallyIndicators(history func(int) *model.History, patients int, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
-	var counts stats.IndicatorCounts
-	if mask != nil && mask.Len() != patients {
-		return counts, fmt.Errorf("engine: indicator mask covers %d patients, shard has %d", mask.Len(), patients)
-	}
-	if mask != nil {
-		mask.Range(func(i int) bool {
-			counts.AddHistory(history(i), window)
-			return true
-		})
-	} else {
-		for i := 0; i < patients; i++ {
-			counts.AddHistory(history(i), window)
-		}
-	}
-	return counts, nil
-}
-
-// Profile implements ShardBackend: the cohort-characteristics analogue
-// of Indicators — one pass over the masked histories producing the
-// fixed-size dimension tally compare-cohorts merges.
-func (b *LocalBackend) Profile(_ context.Context, mask *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	return tallyProfile(b.v.HistoryAt, b.v.Len(), mask, window)
-}
-
-// tallyProfile mirrors tallyIndicators for cohort characteristics: the
-// one loop both transports run, so the mask contract and the per-history
-// accounting can never diverge between them.
-func tallyProfile(history func(int) *model.History, patients int, mask *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	var prof stats.CohortProfile
-	if mask != nil && mask.Len() != patients {
-		return prof, fmt.Errorf("engine: profile mask covers %d patients, shard has %d", mask.Len(), patients)
-	}
-	if mask != nil {
-		mask.Range(func(i int) bool {
-			prof.AddHistory(history(i), window)
-			return true
-		})
-	} else {
-		for i := 0; i < patients; i++ {
-			prof.AddHistory(history(i), window)
-		}
-	}
-	return prof, nil
 }
 
 // Analyze implements ShardBackend: the registered map step runs over the

@@ -369,8 +369,15 @@ func (r *badDescribeRPC) Describe(_ *DescribeArgs, reply *DescribeReply) error {
 
 func serveBadDescribe(t *testing.T, reply DescribeReply) string {
 	t.Helper()
+	return serveRPCStub(t, &badDescribeRPC{reply: reply})
+}
+
+// serveRPCStub serves a fake shard-server receiver on a loopback listener
+// and returns its address.
+func serveRPCStub(t *testing.T, rcvr any) string {
+	t.Helper()
 	srv := rpc.NewServer()
-	if err := srv.RegisterName(rpcServiceName, &badDescribeRPC{reply: reply}); err != nil {
+	if err := srv.RegisterName(rpcServiceName, rcvr); err != nil {
 		t.Fatal(err)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -611,38 +611,27 @@ func (e *Engine) Select(q query.Expr) ([]model.PatientID, error) {
 // degraded query has no bits on its missing shards, so those backends
 // are never asked.
 func (e *Engine) IDsOf(b *store.Bitset) ([]model.PatientID, error) {
-	t := e.topoNow()
+	t, err := e.pinCohort(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]model.PatientID, 0, b.Count())
 	if t.view != nil {
-		out := make([]model.PatientID, 0, b.Count())
 		b.Range(func(i int) bool {
 			out = append(out, t.view.PatientAt(i))
 			return true
 		})
 		return out, nil
 	}
-	ctx, cancel := e.opCtx(context.Background())
-	defer cancel()
-	parts := make([][]model.PatientID, len(t.backends))
-	errs := make([]error, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, bk ShardBackend, m ShardMeta) {
-			defer wg.Done()
-			parts[i], errs[i] = bk.IDsOf(ctx, b.SliceRange(m.Offset, m.Offset+m.Patients))
-		}(i, bk, m)
+	parts, _, err := fanCohort(context.Background(), e, t, PolicyStrict, b,
+		func(ctx context.Context, bk ShardBackend, slice *store.Bitset) ([]model.PatientID, error) {
+			return bk.IDsOf(ctx, slice)
+		})
+	if err != nil {
+		return nil, fmt.Errorf("engine: ids: %w", err)
 	}
-	wg.Wait()
-	out := make([]model.PatientID, 0, b.Count())
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("engine: ids from backend %q: %w", t.backends[i].Meta().Backend, errs[i])
-		}
-		out = append(out, parts[i]...)
+	for _, part := range parts {
+		out = append(out, part...)
 	}
 	return out, nil
 }
@@ -1079,22 +1068,12 @@ func (e *Engine) evalAll(ctx context.Context, t *topo, policy Policy, p Plan, ma
 			locals[i], err = b.EvalPlan(ctx, p, slice(i))
 			return err
 		})
-	var missing []int
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		m := t.backends[i].Meta()
-		if policy == PolicyDegraded && IsUnavailable(err) && ctx.Err() == nil {
-			// Absorb the outage: this shard contributes nothing, and the
-			// caller is told exactly which one. (A dead overall context is
-			// not an outage — the caller's budget expired, fail loudly.)
-			t.metrics[i].skips.Add(1)
-			missing = append(missing, i)
-			locals[i] = nil
-			continue
-		}
-		return nil, nil, fmt.Errorf("engine: shard %d (%s): %w", m.Shard, m.Backend, err)
+	missing, err := e.judge(ctx, t, policy, errs)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, i := range missing {
+		locals[i] = nil
 	}
 	out := t.empty()
 	for i, local := range locals {
@@ -1103,12 +1082,104 @@ func (e *Engine) evalAll(ctx context.Context, t *topo, policy Policy, p Plan, ma
 		}
 		m := t.backends[i].Meta()
 		if local.Len() != m.Patients {
-			return nil, nil, fmt.Errorf("engine: shard %d (%s): result covers %d patients, shard has %d",
-				m.Shard, m.Backend, local.Len(), m.Patients)
+			return nil, nil, t.shardErr(i, fmt.Errorf("result covers %d patients, shard has %d", local.Len(), m.Patients))
 		}
 		out.OrAt(local, m.Offset)
 	}
 	return out, missing, nil
+}
+
+// shardErr attributes a fan-out failure to backend i's shard — in the
+// message and, as a *ShardError, structurally, so an API layer can name
+// the shard without parsing text.
+func (t *topo) shardErr(i int, err error) error {
+	m := t.backends[i].Meta()
+	return &ShardError{Shard: m.Shard, Err: fmt.Errorf("engine: shard %d (%s): %w", m.Shard, m.Backend, err)}
+}
+
+// judge holds one fan-out's per-backend errors to the failure policy — the
+// one place Strict and Degraded are told apart, for plan evaluation and
+// cohort operations alike. Under PolicyDegraded transport-level
+// unavailability is absorbed: the backend's index is returned in missing
+// and the caller is told exactly which shards its answer lacks. (A dead
+// overall context is not an outage — the caller's budget expired, fail
+// loudly.) Any other error — every error under PolicyStrict, a semantic
+// failure or a corrupt reply under either — fails the operation: the
+// message is the first failing shard's, and every further failing shard
+// rides along as attribution, so a lost server is reported with all of its
+// shards.
+func (e *Engine) judge(ctx context.Context, t *topo, policy Policy, errs []error) (missing []int, err error) {
+	degrade := policy == PolicyDegraded && ctx.Err() == nil
+	var failed error
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case degrade && IsUnavailable(err):
+			t.metrics[i].skips.Add(1)
+			missing = append(missing, i)
+		case failed == nil:
+			failed = t.shardErr(i, err)
+		default:
+			failed = &ShardError{Shard: t.backends[i].Meta().Shard, Err: failed}
+		}
+	}
+	if failed != nil {
+		return nil, failed
+	}
+	return missing, nil
+}
+
+// pinCohort pins the topology a cohort operation runs against and checks
+// the cohort bitset covers exactly its population: a bitset from before an
+// append (or from another engine) would select the wrong patients on a
+// coordinator and index past the pinned view locally.
+func (e *Engine) pinCohort(b *store.Bitset) (*topo, error) {
+	t := e.topoNow()
+	if b.Len() != t.n {
+		return nil, fmt.Errorf("engine: bitset covers %d patients, population has %d (re-run the query if an append landed since)", b.Len(), t.n)
+	}
+	return t, nil
+}
+
+// fanCohort is the fan-out every cohort operation shares — ID listing,
+// history fetch, every analyzer kind: each backend holding a member of the
+// cohort b selects is handed its slice of b in shard-local ordinal space,
+// all at once, under the engine's default budget; backends without a
+// member are never contacted. Each call is its own round trip in the
+// /stats counters, and the errors are judged under policy exactly as
+// evalAll's are. parts[i] is backend i's answer — the zero T where the
+// backend was not asked or was degraded away.
+func fanCohort[T any](ctx context.Context, e *Engine, t *topo, policy Policy, b *store.Bitset,
+	call func(ctx context.Context, bk ShardBackend, slice *store.Bitset) (T, error)) ([]T, QueryStatus, error) {
+	ctx, cancel := e.opCtx(ctx)
+	defer cancel()
+	parts := make([]T, len(t.backends))
+	errs := make([]error, len(t.backends))
+	var wg sync.WaitGroup
+	for i, bk := range t.backends {
+		m := bk.Meta()
+		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
+			continue
+		}
+		slice := b.SliceRange(m.Offset, m.Offset+m.Patients)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			parts[i], errs[i] = call(ctx, bk, slice)
+			t.record(i, t0, errs[i])
+		}()
+	}
+	wg.Wait()
+	missing, err := e.judge(ctx, t, policy, errs)
+	if err != nil {
+		return nil, QueryStatus{}, err
+	}
+	for _, i := range missing {
+		var zero T
+		parts[i] = zero
+	}
+	return parts, e.statusFromMissing(t, missing), nil
 }
 
 // eachGroup runs one operation over the backends marked in want (nil =

@@ -16,10 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pastas/internal/model"
-	"pastas/internal/stats"
-	"pastas/internal/store"
 )
 
 // FaultMode is the backend's current injected behavior.
@@ -37,7 +33,10 @@ const (
 )
 
 // FaultBackend wraps a ShardBackend with a controllable fault schedule.
+// The data operations are the shared forwarder's, each run through
+// intercept.
 type FaultBackend struct {
+	forwarder
 	inner ShardBackend
 
 	mode     atomic.Int32
@@ -53,7 +52,9 @@ type FaultBackend struct {
 
 // NewFaultBackend wraps a backend, initially healthy.
 func NewFaultBackend(inner ShardBackend) *FaultBackend {
-	return &FaultBackend{inner: inner, release: make(chan struct{})}
+	f := &FaultBackend{inner: inner, release: make(chan struct{})}
+	f.forwarder.via = f.intercept
+	return f
 }
 
 // Meta implements ShardBackend; the label marks the injection wrapper so
@@ -177,68 +178,13 @@ func (f *FaultBackend) gate(ctx context.Context) error {
 	}
 }
 
-// Stats implements ShardBackend.
-func (f *FaultBackend) Stats(ctx context.Context) (*store.Stats, error) {
+// intercept is the wrapper's interceptor: the fault schedule first, then
+// the wrapped backend.
+func (f *FaultBackend) intercept(ctx context.Context, call func(ctx context.Context, b ShardBackend) error) error {
 	if err := f.gate(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	return f.inner.Stats(ctx)
-}
-
-// EvalPlan implements ShardBackend.
-func (f *FaultBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.EvalPlan(ctx, p, mask)
-}
-
-// IDsOf implements ShardBackend.
-func (f *FaultBackend) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.IDsOf(ctx, bits)
-}
-
-// FetchHistories implements ShardBackend.
-func (f *FaultBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.FetchHistories(ctx, ordinals)
-}
-
-// LocateID implements ShardBackend.
-func (f *FaultBackend) LocateID(ctx context.Context, id model.PatientID) (int, bool, error) {
-	if err := f.gate(ctx); err != nil {
-		return 0, false, err
-	}
-	return f.inner.LocateID(ctx, id)
-}
-
-// Indicators implements ShardBackend.
-func (f *FaultBackend) Indicators(ctx context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
-	if err := f.gate(ctx); err != nil {
-		return stats.IndicatorCounts{}, err
-	}
-	return f.inner.Indicators(ctx, mask, window)
-}
-
-// Profile implements ShardBackend.
-func (f *FaultBackend) Profile(ctx context.Context, mask *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	if err := f.gate(ctx); err != nil {
-		return stats.CohortProfile{}, err
-	}
-	return f.inner.Profile(ctx, mask, window)
-}
-
-// Analyze implements ShardBackend.
-func (f *FaultBackend) Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.Analyze(ctx, args)
+	return call(ctx, f.inner)
 }
 
 // Probe implements Prober, under the same fault schedule as real calls —

@@ -508,7 +508,10 @@ func TestCancelledCallKeepsConnection(t *testing.T) {
 	defer conn.close()
 	call := func(ctx context.Context) chan error {
 		done := make(chan error, 1)
-		go func() { done <- conn.call(ctx, "Describe", &DescribeArgs{}, new(DescribeReply)) }()
+		go func() {
+			_, err := rpcCall[DescribeReply](ctx, conn, "Describe", &DescribeArgs{})
+			done <- err
+		}()
 		return done
 	}
 	ctx, cancel := context.WithCancel(context.Background())

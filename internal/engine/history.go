@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"pastas/internal/model"
@@ -45,45 +44,27 @@ func (e *Engine) Histories(b *store.Bitset) ([]*model.History, error) {
 
 // HistoriesContext is Histories under a caller-supplied context.
 func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*model.History, error) {
-	t := e.topoNow()
-	if b.Len() != t.n {
-		return nil, fmt.Errorf("engine: bitset covers %d patients, population has %d (re-run the query if an append landed since)", b.Len(), t.n)
+	t, err := e.pinCohort(b)
+	if err != nil {
+		return nil, err
 	}
+	out := make([]*model.History, 0, b.Count())
 	if t.view != nil {
-		out := make([]*model.History, 0, b.Count())
 		b.Range(func(i int) bool {
 			out = append(out, t.view.HistoryAt(i))
 			return true
 		})
 		return out, nil
 	}
-	ctx, cancel := e.opCtx(ctx)
-	defer cancel()
-	parts := make([][]*model.History, len(t.backends))
-	errs := make([]error, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		ordinals := b.SliceRange(m.Offset, m.Offset+m.Patients).Ones()
-		wg.Add(1)
-		go func(i int, bk ShardBackend, ordinals []int) {
-			defer wg.Done()
-			t0 := time.Now()
-			parts[i], errs[i] = bk.FetchHistories(ctx, ordinals)
-			t.record(i, t0, errs[i])
-		}(i, bk, ordinals)
+	parts, _, err := fanCohort(ctx, e, t, PolicyStrict, b,
+		func(ctx context.Context, bk ShardBackend, slice *store.Bitset) ([]*model.History, error) {
+			return bk.FetchHistories(ctx, slice.Ones())
+		})
+	if err != nil {
+		return nil, fmt.Errorf("engine: histories: %w", err)
 	}
-	wg.Wait()
-	out := make([]*model.History, 0, b.Count())
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("engine: histories from shard %d (%s): %w",
-				t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])
-		}
-		out = append(out, parts[i]...)
+	for _, part := range parts {
+		out = append(out, part...)
 	}
 	return out, nil
 }
@@ -133,12 +114,11 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 			}
 			return err
 		})
+	if _, err := e.judge(ctx, t, PolicyStrict, errs); err != nil {
+		return nil, fmt.Errorf("engine: locate %s: %w", id, err)
+	}
 	found := -1
 	for i := range t.backends {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("engine: locate %s on shard %d (%s): %w",
-				id, t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])
-		}
 		if ordinals[i] >= 0 {
 			if found >= 0 {
 				return nil, fmt.Errorf("engine: patient %s claimed by shards %d and %d",
@@ -155,8 +135,7 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 	hs, err := bk.FetchHistories(ctx, []int{ordinals[found]})
 	t.record(found, t0, err)
 	if err != nil {
-		return nil, fmt.Errorf("engine: fetch %s from shard %d (%s): %w",
-			id, bk.Meta().Shard, bk.Meta().Backend, err)
+		return nil, fmt.Errorf("engine: fetch %s: %w", id, t.shardErr(found, err))
 	}
 	if len(hs) != 1 || hs[0].Patient.ID != id {
 		return nil, fmt.Errorf("engine: shard %d answered the fetch for %s with the wrong history",
@@ -166,14 +145,13 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 }
 
 // Indicators aggregates the utilization indicators for the cohort a
-// global-ordinal bitset selects, over the window. Every backend tallies
-// its slice server-side (a fixed-size integral partial, whatever the
-// cohort size) and the partials merge exactly — integer sums are
-// associative — so the result is bit-identical to a sequential pass over
+// global-ordinal bitset selects, over the window: the AnalyzeIndicators
+// kind, finalized. Every backend tallies its slice server-side (a
+// fixed-size integral partial, whatever the cohort size) and the partials
+// merge exactly, so the result is bit-identical to a sequential pass over
 // the same cohort on a single store, at shard counts 1 through N and over
-// any transport mix. Shards without a cohort member are never contacted.
-// Under PolicyDegraded the aggregate may omit unreachable shards; use
-// IndicatorsStatus to learn which.
+// any transport mix. Under PolicyDegraded the aggregate may omit
+// unreachable shards; use IndicatorsStatus to learn which.
 func (e *Engine) Indicators(b *store.Bitset, window model.Period) (stats.Indicators, error) {
 	ind, _, err := e.IndicatorsStatus(context.Background(), b, window)
 	return ind, err
@@ -183,47 +161,9 @@ func (e *Engine) Indicators(b *store.Bitset, window model.Period) (stats.Indicat
 // the completeness report: under PolicyDegraded the QueryStatus names the
 // shards whose tallies are absent from the aggregate.
 func (e *Engine) IndicatorsStatus(ctx context.Context, b *store.Bitset, window model.Period) (stats.Indicators, QueryStatus, error) {
-	t := e.topoNow()
-	if b.Len() != t.n {
-		return stats.Indicators{}, QueryStatus{}, fmt.Errorf("engine: bitset covers %d patients, population has %d (re-run the query if an append landed since)", b.Len(), t.n)
+	part, status, err := e.analyzeWindow(ctx, b, AnalyzeIndicators, window)
+	if err != nil {
+		return stats.Indicators{}, QueryStatus{}, err
 	}
-	ctx, cancel := e.opCtx(ctx)
-	defer cancel()
-	parts := make([]stats.IndicatorCounts, len(t.backends))
-	errs := make([]error, len(t.backends))
-	asked := make([]bool, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		asked[i] = true
-		mask := b.SliceRange(m.Offset, m.Offset+m.Patients)
-		wg.Add(1)
-		go func(i int, bk ShardBackend, mask *store.Bitset) {
-			defer wg.Done()
-			t0 := time.Now()
-			parts[i], errs[i] = bk.Indicators(ctx, mask, window)
-			t.record(i, t0, errs[i])
-		}(i, bk, mask)
-	}
-	wg.Wait()
-	var counts stats.IndicatorCounts
-	var missing []int
-	for i := range parts {
-		if errs[i] != nil {
-			if e.policy == PolicyDegraded && IsUnavailable(errs[i]) && ctx.Err() == nil {
-				t.metrics[i].skips.Add(1)
-				missing = append(missing, i)
-				continue
-			}
-			return stats.Indicators{}, QueryStatus{}, fmt.Errorf("engine: indicators from shard %d (%s): %w",
-				t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])
-		}
-		if asked[i] {
-			counts.Merge(parts[i])
-		}
-	}
-	return counts.Finalize(window), e.statusFromMissing(t, missing), nil
+	return part.(*stats.IndicatorCounts).Finalize(window), status, nil
 }

@@ -1,19 +1,14 @@
 package engine
 
 // Cohort-characteristics aggregation over the backend set: the
-// compare-cohorts half of the workspace. Same architecture as
-// Indicators — every backend tallies its slice of the cohort
+// compare-cohorts half of the workspace, and the AnalyzeProfile kind
+// under its typed name. Every backend tallies its slice of the cohort
 // server-side into a fixed-size integral partial, the partials merge
-// exactly (integer sums are associative), and the result is
-// bit-identical to a sequential pass at any shard count over any
-// transport mix. Shards without a cohort member are never contacted,
-// and no history ever crosses the wire.
+// exactly, and the result is bit-identical to a sequential pass at any
+// shard count over any transport mix.
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"time"
 
 	"pastas/internal/model"
 	"pastas/internal/stats"
@@ -33,47 +28,9 @@ func (e *Engine) Profile(b *store.Bitset, window model.Period) (stats.CohortProf
 // completeness report: under PolicyDegraded the QueryStatus names the
 // shards whose tallies are absent from the aggregate.
 func (e *Engine) ProfileStatus(ctx context.Context, b *store.Bitset, window model.Period) (stats.CohortProfile, QueryStatus, error) {
-	t := e.topoNow()
-	if b.Len() != t.n {
-		return stats.CohortProfile{}, QueryStatus{}, fmt.Errorf("engine: bitset covers %d patients, population has %d (re-run the query if an append landed since)", b.Len(), t.n)
+	part, status, err := e.analyzeWindow(ctx, b, AnalyzeProfile, window)
+	if err != nil {
+		return stats.CohortProfile{}, QueryStatus{}, err
 	}
-	ctx, cancel := e.opCtx(ctx)
-	defer cancel()
-	parts := make([]stats.CohortProfile, len(t.backends))
-	errs := make([]error, len(t.backends))
-	asked := make([]bool, len(t.backends))
-	var wg sync.WaitGroup
-	for i, bk := range t.backends {
-		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		asked[i] = true
-		mask := b.SliceRange(m.Offset, m.Offset+m.Patients)
-		wg.Add(1)
-		go func(i int, bk ShardBackend, mask *store.Bitset) {
-			defer wg.Done()
-			t0 := time.Now()
-			parts[i], errs[i] = bk.Profile(ctx, mask, window)
-			t.record(i, t0, errs[i])
-		}(i, bk, mask)
-	}
-	wg.Wait()
-	var prof stats.CohortProfile
-	var missing []int
-	for i := range parts {
-		if errs[i] != nil {
-			if e.policy == PolicyDegraded && IsUnavailable(errs[i]) && ctx.Err() == nil {
-				t.metrics[i].skips.Add(1)
-				missing = append(missing, i)
-				continue
-			}
-			return stats.CohortProfile{}, QueryStatus{}, fmt.Errorf("engine: profile from shard %d (%s): %w",
-				t.backends[i].Meta().Shard, t.backends[i].Meta().Backend, errs[i])
-		}
-		if asked[i] {
-			prof.Merge(parts[i])
-		}
-	}
-	return prof, e.statusFromMissing(t, missing), nil
+	return *part.(*stats.CohortProfile), status, nil
 }

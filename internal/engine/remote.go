@@ -22,7 +22,6 @@ import (
 	"hash/crc32"
 	"net"
 	"net/rpc"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"pastas/internal/model"
-	"pastas/internal/stats"
 	"pastas/internal/store"
 )
 
@@ -472,91 +470,15 @@ func (r *ShardRPC) Locate(args *LocateArgs, reply *LocateReply) error {
 	return nil
 }
 
-// IndicatorsArgs/IndicatorsReply: server-side indicator aggregation.
-// Mask, when non-empty, is a shard-local cohort bitset; the reply is the
-// shard's mergeable integral tally, a few dozen bytes whatever the
-// cohort size — the aggregate that replaces shipping every history.
-type IndicatorsArgs struct {
-	Shard   int
-	Mask    []byte
-	MaskCRC uint32
-	Window  model.Period
-}
-type IndicatorsReply struct {
-	Counts stats.IndicatorCounts
-}
-
-// Indicators tallies the utilization indicators over the shard's slice
-// of the cohort.
-func (r *ShardRPC) Indicators(args *IndicatorsArgs, reply *IndicatorsReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
-		return err
-	}
-	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
-	if err != nil {
-		return err
-	}
-	col := sh.eng.Store().Collection()
-	counts, err := tallyIndicators(col.At, col.Len(), mask, args.Window)
-	if err != nil {
-		return err
-	}
-	reply.Counts = counts
-	return nil
-}
-
-// ProfileArgs/ProfileReply: server-side cohort-characteristics
-// aggregation. Mask, when non-empty, is a container-encoded shard-local
-// cohort bitset with its crc32c; the reply is the shard's mergeable
-// dimension tally — fixed size whatever the cohort, so compare-cohorts
-// never ships a history.
-type ProfileArgs struct {
-	Shard   int
-	Mask    []byte
-	MaskCRC uint32
-	Window  model.Period
-}
-type ProfileReply struct {
-	Profile stats.CohortProfile
-}
-
-// Profile tallies the cohort characteristics over the shard's slice of
-// the cohort.
-func (r *ShardRPC) Profile(args *ProfileArgs, reply *ProfileReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
-		return err
-	}
-	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
-	if err != nil {
-		return err
-	}
-	col := sh.eng.Store().Collection()
-	prof, err := tallyProfile(col.At, col.Len(), mask, args.Window)
-	if err != nil {
-		return err
-	}
-	reply.Profile = prof
-	return nil
-}
-
-// AnalyzeRPCArgs/AnalyzeRPCReply: the generic map-reduce RPC. Kind names
-// a registered analyzer, Params its gob-encoded parameters (validated
-// server-side before any map work), and Mask, when non-empty, is the
+// AnalyzeRPCArgs/AnalyzeRPCReply: the generic map-reduce RPC — the one
+// server-side aggregation, whatever is tallied. Kind names a registered
+// analyzer, Params its gob-encoded parameters (validated server-side
+// before any map work), and Mask, when non-empty, is the
 // container-encoded shard-local cohort mask with its crc32c — the same
-// push-down discipline Eval and Profile use. The reply is the shard's
-// gob-encoded mergeable partial: integer tallies whose size depends on
-// the code vocabulary, never on the cohort, so the map step ships no
-// history to the coordinator.
+// push-down discipline Eval uses. The reply is the shard's gob-encoded
+// mergeable partial: integer tallies whose size is fixed (indicators,
+// profile) or depends on the code vocabulary, never on the cohort, so
+// the map step ships no history to the coordinator.
 type AnalyzeRPCArgs struct {
 	Shard   int
 	Kind    string
@@ -589,12 +511,8 @@ func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 	if err != nil {
 		return err
 	}
-	data, err := encodeAnalyzePartial(args.Kind, part)
-	if err != nil {
-		return err
-	}
-	reply.Partial = data
-	return nil
+	reply.Partial, err = gobEncode(part)
+	return err
 }
 
 // RemoteOptions tunes the client side of the shard transport.
@@ -760,29 +678,28 @@ func (c *remoteConn) attemptBudget(ctx context.Context) time.Duration {
 	return budget
 }
 
-// call performs one RPC under the caller's context deadline with bounded
-// redial-retry. The coordinator threads its query budget through ctx, so
-// a slow replica can never pin a worker past it: each attempt is bounded
-// by min(per-call timeout, remaining deadline), and an expired context
-// stops the retry loop outright. Server-side errors (rpc.ServerError)
-// are deterministic and returned immediately — except the drain refusal,
-// which comes back as ErrDraining so replica sets fail over on it.
-// Transport errors and per-attempt timeouts reset the connection, are
-// marked ErrUnavailable (safe to retry elsewhere: every RPC is read-only
-// and idempotent), and retry up to the budget; the caller's own context
-// ending abandons just this call and leaves the shared connection alone.
-// Each attempt decodes into its own fresh reply value — an abandoned
-// attempt's response may still be mid-decode when the retry runs (or
-// after the caller has gone), so sharing the caller's reply across
-// attempts would race (and gob's skip-zero-fields decoding could blend
-// stale bytes into the retried answer). The winning attempt's reply is
-// copied out once.
-func (c *remoteConn) call(ctx context.Context, method string, args, reply any) error {
+// rpcCall performs one RPC under the caller's context deadline with
+// bounded redial-retry. The coordinator threads its query budget through
+// ctx, so a slow replica can never pin a worker past it: each attempt is
+// bounded by min(per-call timeout, remaining deadline), and an expired
+// context stops the retry loop outright. Server-side errors
+// (rpc.ServerError) are deterministic and returned immediately — except
+// the drain refusal, which comes back as ErrDraining so replica sets fail
+// over on it. Transport errors and per-attempt timeouts reset the
+// connection, are marked ErrUnavailable (safe to retry elsewhere: every
+// RPC is read-only and idempotent), and retry up to the budget; the
+// caller's own context ending abandons just this call and leaves the
+// shared connection alone. Each attempt decodes into its own fresh reply
+// value — an abandoned attempt's response may still be mid-decode when
+// the retry runs (or after the caller has gone), so sharing one reply
+// across attempts would race (and gob's skip-zero-fields decoding could
+// blend stale bytes into the retried answer). The winning attempt's reply
+// is the one returned.
+func rpcCall[R any](ctx context.Context, c *remoteConn, method string, args any) (*R, error) {
 	var lastErr error
-	out := reflect.ValueOf(reply).Elem()
 	for attempt := 0; attempt <= c.opts.retries(); attempt++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, err)
+			return nil, fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, err)
 		}
 		budget := c.attemptBudget(ctx)
 		client, err := c.get(budget)
@@ -790,23 +707,22 @@ func (c *remoteConn) call(ctx context.Context, method string, args, reply any) e
 			lastErr = err
 			continue
 		}
-		attemptReply := reflect.New(out.Type())
-		call := client.Go(rpcServiceName+"."+method, args, attemptReply.Interface(), make(chan *rpc.Call, 1))
+		reply := new(R)
+		call := client.Go(rpcServiceName+"."+method, args, reply, make(chan *rpc.Call, 1))
 		timer := time.NewTimer(budget)
 		select {
 		case done := <-call.Done:
 			timer.Stop()
 			if done.Error == nil {
-				out.Set(attemptReply.Elem())
-				return nil
+				return reply, nil
 			}
 			var serverErr rpc.ServerError
 			if errors.As(done.Error, &serverErr) {
 				if strings.Contains(string(serverErr), drainingMarker) {
 					c.reset(client) // the listener is closing; force a redial next time
-					return fmt.Errorf("engine: %s: %w", c.addr, ErrDraining)
+					return nil, fmt.Errorf("engine: %s: %w", c.addr, ErrDraining)
 				}
-				return fmt.Errorf("engine: %s: %s", c.addr, serverErr)
+				return nil, fmt.Errorf("engine: %s: %s", c.addr, serverErr)
 			}
 			lastErr = fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, done.Error)
 			c.reset(client)
@@ -816,13 +732,13 @@ func (c *remoteConn) call(ctx context.Context, method string, args, reply any) e
 		case <-ctx.Done():
 			// Abandon this call only: the connection is healthy as far as
 			// anyone knows, and every other in-flight query to the server is
-			// multiplexed on it. The late response decodes into
-			// attemptReply, which nobody reads.
+			// multiplexed on it. The late response decodes into reply, which
+			// nobody reads.
 			timer.Stop()
-			return fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, ctx.Err())
+			return nil, fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, ctx.Err())
 		}
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // RemoteBackend is the client stub for one shard on one shard server.
@@ -846,8 +762,8 @@ type RemoteBackend struct {
 // instead of surfacing as a confusing per-query failure later.
 func DialShards(addr string, opts RemoteOptions) ([]ShardBackend, int, error) {
 	conn := &remoteConn{addr: addr, opts: opts}
-	var reply DescribeReply
-	if err := conn.call(context.Background(), "Describe", &DescribeArgs{}, &reply); err != nil {
+	reply, err := rpcCall[DescribeReply](context.Background(), conn, "Describe", &DescribeArgs{})
+	if err != nil {
 		conn.close() // the dial may have succeeded even though the call failed
 		return nil, 0, err
 	}
@@ -931,15 +847,15 @@ func (b *RemoteBackend) Meta() ShardMeta { return b.meta }
 // round trip the replica set's health checker can afford to send every
 // interval.
 func (b *RemoteBackend) Probe(ctx context.Context) error {
-	var reply DescribeReply
-	return b.conn.call(ctx, "Describe", &DescribeArgs{}, &reply)
+	_, err := rpcCall[DescribeReply](ctx, b.conn, "Describe", &DescribeArgs{})
+	return err
 }
 
 // Stats implements ShardBackend by fetching the shard's marshaled
 // cardinalities.
 func (b *RemoteBackend) Stats(ctx context.Context) (*store.Stats, error) {
-	var reply StatsReply
-	if err := b.conn.call(ctx, "Stats", &StatsArgs{Shard: b.meta.Shard}, &reply); err != nil {
+	reply, err := rpcCall[StatsReply](ctx, b.conn, "Stats", &StatsArgs{Shard: b.meta.Shard})
+	if err != nil {
 		return nil, err
 	}
 	st := new(store.Stats)
@@ -966,8 +882,8 @@ func (c *remoteConn) eval(ctx context.Context, plan []byte, metas []ShardMeta, m
 			}
 		}
 	}
-	var reply EvalReply
-	if err := c.call(ctx, "Eval", &args, &reply); err != nil {
+	reply, err := rpcCall[EvalReply](ctx, c, "Eval", &args)
+	if err != nil {
 		return bits, repeatErr(err, len(metas))
 	}
 	if len(reply.Results) != len(metas) {
@@ -1008,8 +924,8 @@ func (b *RemoteBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*
 	if err := validateOrdinals(ordinals, b.meta.Patients); err != nil {
 		return nil, err
 	}
-	var reply FetchReply
-	if err := b.conn.call(ctx, "Fetch", &FetchArgs{Shard: b.meta.Shard, Ordinals: ordinals}, &reply); err != nil {
+	reply, err := rpcCall[FetchReply](ctx, b.conn, "Fetch", &FetchArgs{Shard: b.meta.Shard, Ordinals: ordinals})
+	if err != nil {
 		return nil, err
 	}
 	hs, err := store.DecodeHistories(reply.Histories, reply.Checksum, len(ordinals))
@@ -1024,8 +940,8 @@ func (b *RemoteBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*
 // ordinal. k is -1 when none does (a hit on a shard outside metas is not
 // the caller's patient).
 func (c *remoteConn) locate(ctx context.Context, id model.PatientID, metas []ShardMeta) (k, ordinal int, err error) {
-	var reply LocateReply
-	if err := c.call(ctx, "Locate", &LocateArgs{ID: id}, &reply); err != nil {
+	reply, err := rpcCall[LocateReply](ctx, c, "Locate", &LocateArgs{ID: id})
+	if err != nil {
 		return -1, 0, err
 	}
 	if !reply.Found {
@@ -1050,57 +966,6 @@ func (b *RemoteBackend) LocateID(ctx context.Context, id model.PatientID) (int, 
 	return ordinal, k == 0, err
 }
 
-// Indicators implements ShardBackend: the cohort mask crosses the wire
-// crc-checked, a fixed-size integral tally comes back — constant reply
-// size whatever the cohort.
-func (b *RemoteBackend) Indicators(ctx context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
-	args := IndicatorsArgs{Shard: b.meta.Shard, Window: window}
-	if mask != nil {
-		if mask.Len() != b.meta.Patients {
-			return stats.IndicatorCounts{}, fmt.Errorf("engine: indicator mask covers %d patients, shard has %d",
-				mask.Len(), b.meta.Patients)
-		}
-		var err error
-		if args.Mask, args.MaskCRC, err = encodeMask(mask); err != nil {
-			return stats.IndicatorCounts{}, err
-		}
-	}
-	var reply IndicatorsReply
-	if err := b.conn.call(ctx, "Indicators", &args, &reply); err != nil {
-		return stats.IndicatorCounts{}, err
-	}
-	if got := reply.Counts.Patients; got < 0 || got > b.meta.Patients {
-		return stats.IndicatorCounts{}, fmt.Errorf("engine: %s: indicator tally covers %d patients, shard has %d",
-			b.conn.addr, got, b.meta.Patients)
-	}
-	return reply.Counts, nil
-}
-
-// Profile implements ShardBackend: the cohort mask crosses the wire
-// crc-checked, a fixed-size dimension tally comes back.
-func (b *RemoteBackend) Profile(ctx context.Context, mask *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	args := ProfileArgs{Shard: b.meta.Shard, Window: window}
-	if mask != nil {
-		if mask.Len() != b.meta.Patients {
-			return stats.CohortProfile{}, fmt.Errorf("engine: profile mask covers %d patients, shard has %d",
-				mask.Len(), b.meta.Patients)
-		}
-		var err error
-		if args.Mask, args.MaskCRC, err = encodeMask(mask); err != nil {
-			return stats.CohortProfile{}, err
-		}
-	}
-	var reply ProfileReply
-	if err := b.conn.call(ctx, "Profile", &args, &reply); err != nil {
-		return stats.CohortProfile{}, err
-	}
-	if got := reply.Profile.Patients; got < 0 || got > b.meta.Patients {
-		return stats.CohortProfile{}, fmt.Errorf("engine: %s: profile tally covers %d patients, shard has %d",
-			b.conn.addr, got, b.meta.Patients)
-	}
-	return reply.Profile, nil
-}
-
 // Analyze implements ShardBackend: the kind, parameters and crc-checked
 // cohort mask cross the wire, the shard runs the map step server-side,
 // and a validated mergeable partial comes back — the reply is bounded by
@@ -1117,8 +982,8 @@ func (b *RemoteBackend) Analyze(ctx context.Context, a AnalyzeArgs) (Partial, er
 			return nil, err
 		}
 	}
-	var reply AnalyzeRPCReply
-	if err := b.conn.call(ctx, "Analyze", &args, &reply); err != nil {
+	reply, err := rpcCall[AnalyzeRPCReply](ctx, b.conn, "Analyze", &args)
+	if err != nil {
 		return nil, err
 	}
 	part, err := decodeAnalyzePartial(a.Kind, reply.Partial)
@@ -1132,15 +997,20 @@ func (b *RemoteBackend) Analyze(ctx context.Context, a AnalyzeArgs) (Partial, er
 	return part, nil
 }
 
-// IDsOf implements ShardBackend.
+// IDsOf implements ShardBackend. The reply must carry one ID per set bit:
+// the coordinator concatenates the shards' slices by position, so a
+// server answering more or fewer would misalign the whole cohort listing.
 func (b *RemoteBackend) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
 	data, err := bits.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	var reply IDsReply
-	if err := b.conn.call(ctx, "IDs", &IDsArgs{Shard: b.meta.Shard, Bits: data}, &reply); err != nil {
+	reply, err := rpcCall[IDsReply](ctx, b.conn, "IDs", &IDsArgs{Shard: b.meta.Shard, Bits: data})
+	if err != nil {
 		return nil, err
+	}
+	if want := bits.Count(); len(reply.IDs) != want {
+		return nil, fmt.Errorf("engine: %s: ids reply carries %d patients for %d selected", b.conn.addr, len(reply.IDs), want)
 	}
 	return reply.IDs, nil
 }

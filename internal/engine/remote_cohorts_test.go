@@ -162,20 +162,24 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 		{"garbage, recomputed crc", EvalItem{Mask: []byte{0xff, 0x01, 0x02}, MaskCRC: crcOf([]byte{0xff, 0x01, 0x02})}, ""},
 		{"wrong population", EvalItem{Mask: short, MaskCRC: crcOf(short)}, "mask covers 10 patients"},
 	}
+	// Every mask-carrying RPC shares the one validate path, so each must
+	// refuse each hostile mask the same way: Eval, and Analyze under every
+	// window-parameterized kind (what the Indicators and Profile RPCs
+	// became).
 	window := model.Period{Start: model.Date(2000, 1, 1), End: model.Date(2020, 1, 1)}
+	analyze := func(kind string, it EvalItem) error {
+		req, err := newRequest(kind, window, anyWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return client.Call("PastasShard.Analyze",
+			&AnalyzeRPCArgs{Kind: kind, Params: req.Params, Mask: it.Mask, MaskCRC: it.MaskCRC}, new(AnalyzeRPCReply))
+	}
 	for _, tc := range hostile {
-		// Every mask-carrying RPC shares the one validate path, so each
-		// must refuse each hostile mask the same way.
 		calls := map[string]func() error{
-			"Eval": func() error { _, err := evalMasked(tc.item); return err },
-			"Indicators": func() error {
-				return client.Call("PastasShard.Indicators",
-					&IndicatorsArgs{Mask: tc.item.Mask, MaskCRC: tc.item.MaskCRC, Window: window}, new(IndicatorsReply))
-			},
-			"Profile": func() error {
-				return client.Call("PastasShard.Profile",
-					&ProfileArgs{Mask: tc.item.Mask, MaskCRC: tc.item.MaskCRC, Window: window}, new(ProfileReply))
-			},
+			"Eval":                func() error { _, err := evalMasked(tc.item); return err },
+			"Analyze(indicators)": func() error { return analyze(AnalyzeIndicators, tc.item) },
+			"Analyze(profile)":    func() error { return analyze(AnalyzeProfile, tc.item) },
 		}
 		for rpcName, call := range calls {
 			err := call()
@@ -189,9 +193,10 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 		}
 	}
 	// The mask-carrying tallies accept the same well-formed mask.
-	if err := client.Call("PastasShard.Indicators",
-		&IndicatorsArgs{Mask: good, MaskCRC: crcOf(good), Window: window}, new(IndicatorsReply)); err != nil {
-		t.Errorf("well-formed masked Indicators rejected: %v", err)
+	for _, kind := range []string{AnalyzeIndicators, AnalyzeProfile} {
+		if err := analyze(kind, EvalItem{Mask: good, MaskCRC: crcOf(good)}); err != nil {
+			t.Errorf("well-formed masked Analyze(%s) rejected: %v", kind, err)
+		}
 	}
 }
 

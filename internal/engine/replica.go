@@ -22,10 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pastas/internal/model"
-	"pastas/internal/stats"
-	"pastas/internal/store"
 )
 
 // ReplicaOptions tunes a replica set. The zero value uses the defaults.
@@ -90,8 +86,11 @@ func (o ReplicaOptions) backoffMax() time.Duration {
 
 // ReplicaBackend implements ShardBackend over a set of same-shard
 // replicas with health-checked failover and latency-aware read
-// balancing.
+// balancing. The data operations are the shared forwarder's, each run
+// through do — a replica dying mid-call fails over transparently because
+// every operation is pure.
 type ReplicaBackend struct {
+	forwarder
 	meta     ShardMeta
 	replicas []*replicaState
 	opts     ReplicaOptions
@@ -130,6 +129,7 @@ func NewReplicaBackend(replicas []ShardBackend, opts ReplicaOptions) (*ReplicaBa
 	meta := ref
 	meta.Backend = fmt.Sprintf("replicas(%s)", strings.Join(names, " | "))
 	rb := &ReplicaBackend{meta: meta, replicas: states, opts: opts, stop: make(chan struct{})}
+	rb.forwarder.via = rb.do
 	if opts.ProbeInterval >= 0 {
 		go healthLoop(rb.stop, opts.probeInterval(), opts.probeTimeout(), states)
 	}
@@ -215,11 +215,11 @@ func (rb *ReplicaBackend) backoff(ctx context.Context, round int) error {
 	}
 }
 
-// do runs one idempotent operation with failover: try a replica, and on
-// an unavailability error mark it down, back off (jittered, bounded by
-// the context) and try another. Deterministic errors — a semantic
-// refusal the next replica would repeat — return immediately without
-// burning attempts or marking anyone down.
+// do is the set's interceptor: it runs one idempotent operation with
+// failover — try a replica, and on an unavailability error mark it down,
+// back off (jittered, bounded by the context) and try another.
+// Deterministic errors — a semantic refusal the next replica would repeat
+// — return immediately without burning attempts or marking anyone down.
 func (rb *ReplicaBackend) do(ctx context.Context, fn func(ctx context.Context, b ShardBackend) error) error {
 	tried := make([]bool, len(rb.replicas))
 	attempts := rb.opts.maxAttempts(len(rb.replicas))
@@ -264,100 +264,6 @@ func (rb *ReplicaBackend) do(ctx context.Context, fn func(ctx context.Context, b
 		lastErr = fmt.Errorf("engine: shard %d: %w: %w", rb.meta.Shard, ErrUnavailable, ctx.Err())
 	}
 	return fmt.Errorf("engine: shard %d: all %d replicas failed: %w", rb.meta.Shard, len(rb.replicas), lastErr)
-}
-
-// Stats implements ShardBackend.
-func (rb *ReplicaBackend) Stats(ctx context.Context) (*store.Stats, error) {
-	var out *store.Stats
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.Stats(ctx)
-		return err
-	})
-	return out, err
-}
-
-// EvalPlan implements ShardBackend; a replica dying mid-query fails over
-// transparently because evaluation is pure.
-func (rb *ReplicaBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
-	var out *store.Bitset
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.EvalPlan(ctx, p, mask)
-		return err
-	})
-	return out, err
-}
-
-// IDsOf implements ShardBackend.
-func (rb *ReplicaBackend) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
-	var out []model.PatientID
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.IDsOf(ctx, bits)
-		return err
-	})
-	return out, err
-}
-
-// FetchHistories implements ShardBackend.
-func (rb *ReplicaBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
-	var out []*model.History
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.FetchHistories(ctx, ordinals)
-		return err
-	})
-	return out, err
-}
-
-// LocateID implements ShardBackend.
-func (rb *ReplicaBackend) LocateID(ctx context.Context, id model.PatientID) (int, bool, error) {
-	var (
-		ordinal int
-		found   bool
-	)
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		ordinal, found, err = b.LocateID(ctx, id)
-		return err
-	})
-	return ordinal, found, err
-}
-
-// Indicators implements ShardBackend.
-func (rb *ReplicaBackend) Indicators(ctx context.Context, mask *store.Bitset, window model.Period) (stats.IndicatorCounts, error) {
-	var out stats.IndicatorCounts
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.Indicators(ctx, mask, window)
-		return err
-	})
-	return out, err
-}
-
-// Profile implements ShardBackend.
-func (rb *ReplicaBackend) Profile(ctx context.Context, mask *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	var out stats.CohortProfile
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.Profile(ctx, mask, window)
-		return err
-	})
-	return out, err
-}
-
-// Analyze implements ShardBackend. A map step is read-only and
-// idempotent like every other backend op, so retrying it on another
-// replica after a transport failure is safe.
-func (rb *ReplicaBackend) Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error) {
-	var out Partial
-	err := rb.do(ctx, func(ctx context.Context, b ShardBackend) error {
-		var err error
-		out, err = b.Analyze(ctx, args)
-		return err
-	})
-	return out, err
 }
 
 // Probe implements Prober: the set is alive if any member answers.

@@ -103,6 +103,10 @@ func (p *CohortProfile) Merge(o CohortProfile) {
 	}
 }
 
+// HistoryCount is the number of histories tallied — the bound a transport
+// checks a shard's partial against (engine.Partial).
+func (p CohortProfile) HistoryCount() int { return p.Patients }
+
 // MeanAge returns the mean whole-year age at window start.
 func (p CohortProfile) MeanAge() float64 {
 	if p.Patients == 0 {

@@ -1,8 +1,7 @@
 package webapp
 
-// The redesigned API surface: /api/cohorts/query is the canonical query
-// route with /api/cohort as a byte-identical deprecated alias, every
-// cohort/analytics error arrives in the shared JSON envelope, and the
+// The redesigned API surface: /api/cohorts/query is the query route,
+// every cohort/analytics error arrives in the shared JSON envelope, and the
 // /api/analytics/{kind} family answers byte-identically whether the
 // server fronts a local store or a connected shard cluster.
 
@@ -11,19 +10,6 @@ import (
 	"net/http"
 	"testing"
 )
-
-func TestCohortQueryRouteAlias(t *testing.T) {
-	s, _ := testServer(t, 60)
-	spec := `{"all":[{"has":{"type":"diagnosis"}}]}`
-	oldRec := postJSON(t, s, "/api/cohort?pw=tromsø", spec)
-	newRec := postJSON(t, s, "/api/cohorts/query?pw=tromsø", spec)
-	if oldRec.Code != http.StatusOK || newRec.Code != http.StatusOK {
-		t.Fatalf("codes %d/%d: %s / %s", oldRec.Code, newRec.Code, oldRec.Body, newRec.Body)
-	}
-	if oldRec.Body.String() != newRec.Body.String() {
-		t.Fatalf("deprecated alias diverged from canonical route:\n old %s\n new %s", oldRec.Body, newRec.Body)
-	}
-}
 
 // envelope decodes a response that must carry the shared error envelope
 // and checks its code.

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,7 +164,7 @@ func TestDistributedStatsAndCohort(t *testing.T) {
 
 	// Cohort queries answer across the wire, identical to local.
 	spec := `{"op":"has","pattern":"T90|E11(\\..*)?"}`
-	req := httptest.NewRequest(http.MethodPost, "/api/cohort", strings.NewReader(spec))
+	req := httptest.NewRequest(http.MethodPost, "/api/cohorts/query", strings.NewReader(spec))
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -178,7 +179,7 @@ func TestDistributedStatsAndCohort(t *testing.T) {
 	}
 	localSrv := NewServer(local, Config{})
 	rec = httptest.NewRecorder()
-	localSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/cohort", strings.NewReader(spec)))
+	localSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/cohorts/query", strings.NewReader(spec)))
 	var localResp struct {
 		Count  int      `json:"count"`
 		Sample []uint64 `json:"sample"`
@@ -286,5 +287,42 @@ func TestDistributedHistoryFailureInjection(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/indicators", strings.NewReader("")))
 	if rec.Code < 500 {
 		t.Errorf("indicators with a dead shard server = %d, want 5xx: %.200s", rec.Code, rec.Body)
+	}
+}
+
+// TestDistributedOutageNamesShards: under the strict policy, over plain
+// (un-replicated) remote backends, every cohort fan-out attributes its
+// failure — the 502 envelope of the indicators, profile, compare and
+// analytics routes alike names exactly the dead server's shards.
+func TestDistributedOutageNamesShards(t *testing.T) {
+	s, _, _, listeners := distributedServer(t, 120)
+	for _, name := range []string{"a", "b"} {
+		rec := postJSON(t, s, "/api/cohorts", `{"name":"`+name+`","spec":{"op":"has","type":"diagnosis"}}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("save cohort %s = %d: %s", name, rec.Code, rec.Body)
+		}
+	}
+	listeners[1].kill() // shards 2 and 3
+
+	for name, rec := range map[string]*httptest.ResponseRecorder{
+		"POST /api/indicators":       postJSON(t, s, "/api/indicators", ""),
+		"GET /api/cohorts/{name}":    get(t, s, "/api/cohorts/a"),
+		"GET /api/cohorts/compare":   get(t, s, "/api/cohorts/compare?a=a&b=b"),
+		"POST /api/analytics/{kind}": postJSON(t, s, "/api/analytics/episodes", `{"cohort":"a"}`),
+	} {
+		if rec.Code != http.StatusBadGateway {
+			t.Errorf("%s with a dead shard server = %d, want 502: %.200s", name, rec.Code, rec.Body)
+			continue
+		}
+		var e struct {
+			Error apiErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Errorf("%s: not the error envelope: %s", name, rec.Body)
+			continue
+		}
+		if e.Error.Code != "unavailable" || !slices.Equal(e.Error.ShardsMissing, []int{2, 3}) {
+			t.Errorf("%s: envelope %+v, want unavailable with shards_missing [2 3]", name, e.Error)
+		}
 	}
 }

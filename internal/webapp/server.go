@@ -56,10 +56,6 @@ func NewServer(wb *core.Workbench, cfg Config) *Server {
 	s.mux.HandleFunc("GET /api/patients", s.auth(s.handlePatients))
 	s.mux.HandleFunc("GET /api/timeline", s.auth(s.handleTimelineJSON))
 	s.mux.HandleFunc("GET /api/details", s.auth(s.handleDetails))
-	// POST /api/cohort is the deprecated spelling of POST
-	// /api/cohorts/query — same handler, same bytes — kept so existing
-	// Query-Builder deployments keep working.
-	s.mux.HandleFunc("POST /api/cohort", s.auth(s.handleCohortQuery))
 	s.mux.HandleFunc("GET /api/cohorts", s.auth(s.handleCohortList))
 	s.mux.HandleFunc("POST /api/cohorts", s.auth(s.handleCohortSave))
 	s.mux.HandleFunc("POST /api/cohorts/query", s.auth(s.handleCohortQuery))
@@ -374,8 +370,7 @@ func (s *Server) handleDetails(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCohortQuery runs one ad-hoc cohort query — count plus an ID
-// sample. Canonically POST /api/cohorts/query; also serves the
-// deprecated POST /api/cohort alias.
+// sample: POST /api/cohorts/query.
 func (s *Server) handleCohortQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -469,12 +464,12 @@ func (s *Server) handleIndicators(w http.ResponseWriter, r *http.Request) {
 	}
 	bits, qstatus, err := s.wb.QueryStatus(expr)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		s.apiError(w, err)
 		return
 	}
 	ind, istatus, err := s.wb.IndicatorsStatus(bits)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		s.apiError(w, err)
 		return
 	}
 	// The aggregate is incomplete if either phase skipped shards: the

@@ -143,7 +143,7 @@ func TestDetailsEndpoint(t *testing.T) {
 func TestCohortEndpoint(t *testing.T) {
 	s, wb := testServer(t, 200)
 	spec := `{"op":"has","pattern":"T90|E11(\\..*)?","type":"diagnosis"}`
-	req := httptest.NewRequest(http.MethodPost, "/api/cohort?pw=tromsø", strings.NewReader(spec))
+	req := httptest.NewRequest(http.MethodPost, "/api/cohorts/query?pw=tromsø", strings.NewReader(spec))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -165,7 +165,7 @@ func TestCohortEndpoint(t *testing.T) {
 
 	// Bad JSON and bad spec.
 	for _, payload := range []string{"{broken", `{"op":"zzz"}`} {
-		req := httptest.NewRequest(http.MethodPost, "/api/cohort?pw=tromsø", strings.NewReader(payload))
+		req := httptest.NewRequest(http.MethodPost, "/api/cohorts/query?pw=tromsø", strings.NewReader(payload))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {
@@ -264,7 +264,7 @@ func TestStatsEndpoint(t *testing.T) {
 	// then once more so the plan cache registers a hit.
 	spec := `{"op":"has","pattern":"K8.","minCount":2}`
 	for i := 0; i < 2; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/api/cohort?pw=tromsø", strings.NewReader(spec))
+		req := httptest.NewRequest(http.MethodPost, "/api/cohorts/query?pw=tromsø", strings.NewReader(spec))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {

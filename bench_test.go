@@ -505,10 +505,10 @@ func BenchmarkE7_ParallelIngest(b *testing.B) {
 
 // BenchmarkE9_SnapshotReopen measures the workbench-level "reopen a saved
 // session" path the paper's workflow depends on (re-integrating six
-// registries vs. reopening a persisted collection): core.Open of a legacy
-// v1 single-gob snapshot against sharded v2 snapshots at 1, 4 and 16
-// shards. Open re-indexes the store after decode, so the delta between
-// variants isolates what the snapshot format itself buys.
+// registries vs. reopening a persisted collection): core.Open of
+// snapshots saved at 1, 4 and 16 shards. Open re-indexes the store after
+// decode, so the delta between shard counts isolates what the parallel
+// segment decode buys.
 func BenchmarkE9_SnapshotReopen(b *testing.B) {
 	n := 21000
 	if testing.Short() {
@@ -516,12 +516,8 @@ func BenchmarkE9_SnapshotReopen(b *testing.B) {
 	}
 	wb := workbenchAt(b, n)
 
-	var legacy bytes.Buffer
-	if err := wb.SaveSnapshot(&legacy); err != nil {
-		b.Fatal(err)
-	}
-	snaps := map[string][]byte{"legacy-v1": legacy.Bytes()}
-	order := []string{"legacy-v1"}
+	snaps := map[string][]byte{}
+	var order []string
 	for _, shards := range []int{1, 4, 16} {
 		var buf bytes.Buffer
 		if _, err := wb.Save(&buf, core.SnapshotOptions{Shards: shards}); err != nil {
@@ -696,14 +692,14 @@ func BenchmarkE10_RemoteFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("load/full-LoadSharded", func(b *testing.B) {
+	b.Run("load/full-Load", func(b *testing.B) {
 		b.SetBytes(info.Bytes)
 		for i := 0; i < b.N; i++ {
 			f, err := os.Open(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			col, _, err := store.LoadSharded(f)
+			col, _, _, err := store.Load(f)
 			f.Close()
 			if err != nil {
 				b.Fatal(err)

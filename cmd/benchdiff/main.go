@@ -1,8 +1,8 @@
 // Command benchdiff turns `go test -bench` output into a committed
 // trajectory file and gates regressions against it. Two modes:
 //
-//	benchdiff -bench bench.txt -write BENCH_PR6.json
-//	benchdiff -bench bench.txt -baseline BENCH_PR6.json [-factor 2]
+//	benchdiff -bench bench.txt -write BENCH_PR10.json
+//	benchdiff -bench bench.txt -baseline BENCH_PR10.json [-factor 2]
 //
 // The write mode captures every benchmark result line as {name, ns/op}
 // JSON — the artifact each PR commits. The diff mode compares a fresh run

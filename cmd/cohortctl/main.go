@@ -29,8 +29,8 @@
 // exercises the live-ingest path: it appends follow-on bundle directories
 // to a loaded workbench, optionally compacts, and can save the result.
 //
-// shard-server serves one or more shards of a sharded v2 snapshot over
-// the wire protocol, paging in only the assigned segments; the top-level
+// shard-server serves one or more shards of a snapshot over the wire
+// protocol, paging in only the assigned segments; the top-level
 // -shards flag connects a client to a set of such servers, whose shards
 // together must cover the snapshot, and runs queries across them with
 // bit-identical results to a local run. History-level operations work
@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -101,7 +102,7 @@ func main() {
 	fs := flag.NewFlagSet("cohortctl", flag.ExitOnError)
 	dataDir := fs.String("data", "", "registry extract directory (from datagen)")
 	synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
-	snapshotFile := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
+	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
 	shardAddrs := fs.String("shards", "", "comma-separated shard-server addresses to query across; \"a|b\" groups replicas serving the same shards")
 	degraded := fs.Bool("degraded", false, "with -shards: answer over reachable shards when some are down, reporting which are missing (default: any down shard is an error)")
 	queryFile := fs.String("query", "", "JSON query-spec file")
@@ -111,7 +112,7 @@ func main() {
 	timelineID := fs.Uint64("timeline", 0, "render this patient's timeline as SVG on stdout (works over -shards)")
 	fs.Parse(args) // ExitOnError: parse failures exit(2) with usage
 
-	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotFile, *shardAddrs, *degraded)
+	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, *shardAddrs, *degraded)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func warnIncomplete(wb *core.Workbench, status engine.QueryStatus) {
 	log.Printf("warning: %s (incomplete mask %v)", status, mask.Ones())
 }
 
-func loadWorkbench(dataDir string, synthN int, snapshotFile, shardAddrs string, degraded bool) (*core.Workbench, model.Period, error) {
+func loadWorkbench(dataDir string, synthN int, snapshotPath, shardAddrs string, degraded bool) (*core.Workbench, model.Period, error) {
 	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
 	switch {
 	case shardAddrs != "":
@@ -269,8 +270,8 @@ func loadWorkbench(dataDir string, synthN int, snapshotFile, shardAddrs string, 
 		fmt.Printf("connected to %d shards on %d servers in %s\n",
 			wb.Engine.NumShards(), len(addrs), time.Since(t0).Round(time.Millisecond))
 		return wb, window, nil
-	case snapshotFile != "":
-		f, err := os.Open(snapshotFile)
+	case snapshotPath != "":
+		f, err := os.Open(snapshotPath)
 		if err != nil {
 			return nil, window, err
 		}
@@ -299,11 +300,47 @@ func loadWorkbench(dataDir string, synthN int, snapshotFile, shardAddrs string, 
 	}
 }
 
-// runShardServer serves shards of a sharded snapshot over the wire
-// protocol until killed.
+// saveSnapshot writes the workbench to path so that path only ever holds
+// a complete snapshot: the bytes go to a temp file next to it, are synced,
+// and replace path with one rename. A failed save — or a crash mid-write —
+// leaves whatever was at path (for `cohort save|refine` the input snapshot
+// itself) untouched, and the temp file is removed on any error. shards 0
+// means match the engine.
+func saveSnapshot(wb *core.Workbench, path string, shards int) (info *store.SnapshotInfo, err error) {
+	// The pid makes the name unique and O_EXCL refuses to reuse a stale one;
+	// unlike a CreateTemp file (0600) the snapshot keeps the umask-derived
+	// mode it has always had.
+	tmp := fmt.Sprintf("%s.tmp-%d", path, os.Getpid())
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp)
+		}
+	}()
+	if info, err = wb.Save(f, core.SnapshotOptions{Shards: shards}); err != nil {
+		return nil, err
+	}
+	if err = f.Sync(); err != nil {
+		return nil, err
+	}
+	if err = f.Close(); err != nil {
+		return nil, err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return nil, err
+	}
+	return info, nil
+}
+
+// runShardServer serves shards of a snapshot over the wire protocol
+// until killed.
 func runShardServer(args []string) {
 	fs := flag.NewFlagSet("cohortctl shard-server", flag.ExitOnError)
-	snapshot := fs.String("snapshot", "", "sharded v2 snapshot file to serve from")
+	snapshot := fs.String("snapshot", "", "snapshot file to serve from")
 	serve := fs.String("serve", "", "comma-separated shard ids to serve (empty = all)")
 	listen := fs.String("listen", "127.0.0.1:7070", "address to listen on")
 	fs.Parse(args)
@@ -371,7 +408,7 @@ func runIngest(args []string) {
 	fs := flag.NewFlagSet("cohortctl ingest", flag.ExitOnError)
 	dataDir := fs.String("data", "", "registry extract directory for the base load")
 	synthN := fs.Int("synth", 0, "synthesize the base population instead")
-	snapshotFile := fs.String("snapshot", "", "reopen a saved snapshot as the base")
+	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot as the base")
 	feed := fs.String("feed", "", "comma-separated bundle directories to append, in order")
 	compact := fs.Bool("compact", false, "fold the delta into containerized postings after the feed")
 	out := fs.String("out", "", "save the post-ingest workbench as a sharded snapshot")
@@ -381,7 +418,7 @@ func runIngest(args []string) {
 		log.Fatal("need -feed DIR[,DIR...]")
 	}
 
-	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotFile, "", false)
+	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, "", false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -420,16 +457,8 @@ func runIngest(args []string) {
 		wb.Patients(), wb.Entries(), st.Generation, st.Batches, st.Compactions)
 
 	if *out != "" {
-		f, err := os.Create(*out)
+		info, err := saveSnapshot(wb, *out, *shards)
 		if err != nil {
-			log.Fatal(err)
-		}
-		info, err := wb.Save(f, core.SnapshotOptions{Shards: *shards})
-		if err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("saved %s snapshot (%d shards) to %s\n", info.Format(), info.Shards, *out)
@@ -440,7 +469,7 @@ func runIngest(args []string) {
 // cohort into a snapshot's workspace, list a snapshot's cohorts, refine
 // one incrementally (only the delta executes, masked by the saved
 // bitset), and compare two cohorts' profiles. save and refine write the
-// updated workspace back as a v5 snapshot (in place unless -out names a
+// updated workspace back as a snapshot (in place unless -out names a
 // different file).
 func runCohortCmd(args []string) {
 	if len(args) == 0 {
@@ -448,7 +477,7 @@ func runCohortCmd(args []string) {
 	}
 	sub := args[0]
 	fs := flag.NewFlagSet("cohortctl cohort "+sub, flag.ExitOnError)
-	snapshotFile := fs.String("snapshot", "", "snapshot file holding the workbench and its cohort workspace")
+	snapshotPath := fs.String("snapshot", "", "snapshot file holding the workbench and its cohort workspace")
 	dataDir := fs.String("data", "", "registry extract directory (instead of -snapshot; workspace starts empty)")
 	synthN := fs.Int("synth", 0, "synthesize the population instead (workspace starts empty)")
 	var name, queryFile, out, cohortA, cohortB *string
@@ -469,7 +498,7 @@ func runCohortCmd(args []string) {
 	}
 	fs.Parse(args[1:])
 
-	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotFile, "", false)
+	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, "", false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -481,20 +510,13 @@ func runCohortCmd(args []string) {
 			path = *out
 		}
 		if path == "" {
-			path = *snapshotFile
+			path = *snapshotPath
 		}
 		if path == "" {
 			log.Print("warning: no -out and no -snapshot input; the workspace change was not persisted")
 			return
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		info, err := wb.Save(f, core.SnapshotOptions{})
-		if err == nil {
-			err = f.Close()
-		}
+		info, err := saveSnapshot(wb, path, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -582,7 +604,7 @@ func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("cohortctl analyze "+kind, flag.ExitOnError)
 	dataDir := fs.String("data", "", "registry extract directory (from datagen)")
 	synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
-	snapshotFile := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
+	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
 	shardAddrs := fs.String("shards", "", "comma-separated shard-server addresses to analyze across")
 	degraded := fs.Bool("degraded", false, "with -shards: answer over reachable shards when some are down")
 	cohortName := fs.String("cohort", "", "saved cohort to analyze")
@@ -614,7 +636,7 @@ func runAnalyze(args []string) {
 	}
 	fs.Parse(args[1:])
 
-	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotFile, *shardAddrs, *degraded)
+	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, *shardAddrs, *degraded)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -781,15 +803,8 @@ func runSnapshotCmd(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
 		t0 := time.Now()
-		info, err := wb.Save(f, core.SnapshotOptions{Shards: *shards})
-		if err == nil {
-			err = f.Close()
-		}
+		info, err := saveSnapshot(wb, *out, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -816,30 +831,33 @@ func runSnapshotCmd(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("format:   %s\n", info.Format())
-		fmt.Printf("shards:   %d\n", info.Shards)
-		fmt.Printf("patients: %d\n", info.Patients)
-		fmt.Printf("entries:  %d\n", info.Entries)
-		if info.Bytes > 0 {
-			fmt.Printf("bytes:    %d\n", info.Bytes)
-		}
+		// One write for the whole report: `snapshot info … | grep -q X`
+		// (CI's live-ingest step, under pipefail) closes the pipe at the
+		// first match, and a later line's write would die of SIGPIPE.
+		out := bufio.NewWriterSize(os.Stdout, 1<<16)
+		defer out.Flush()
+		fmt.Fprintf(out, "format:   %s\n", info.Format())
+		fmt.Fprintf(out, "shards:   %d\n", info.Shards)
+		fmt.Fprintf(out, "patients: %d\n", info.Patients)
+		fmt.Fprintf(out, "entries:  %d\n", info.Entries)
+		fmt.Fprintf(out, "bytes:    %d\n", info.Bytes)
 		if info.Generation > 0 {
-			fmt.Printf("ingest:   generation %d, %d compactions, delta at save: %d entries / %d patients\n",
+			fmt.Fprintf(out, "ingest:   generation %d, %d compactions, delta at save: %d entries / %d patients\n",
 				info.Generation, info.Compactions, info.DeltaEntries, info.DeltaPatients)
 		}
 		if info.Cohorts > 0 {
-			fmt.Printf("cohorts:  %d (%d bytes, crc32c %08x)\n", info.Cohorts, info.CohortBytes, info.CohortChecksum)
+			fmt.Fprintf(out, "cohorts:  %d (%d bytes, crc32c %08x)\n", info.Cohorts, info.CohortBytes, info.CohortChecksum)
 		}
 		for _, sh := range info.ShardDetail {
-			fmt.Printf("  shard %d: offset %d, %d bytes, %d patients, %d entries, crc32c %08x\n",
+			fmt.Fprintf(out, "  shard %d: offset %d, %d bytes, %d patients, %d entries, crc32c %08x\n",
 				sh.Shard, sh.Offset, sh.Bytes, sh.Patients, sh.Entries, sh.Checksum)
 		}
 		if len(info.Postings) > 0 {
 			var tb int64
 			var tl, ta, tm, tr int
-			fmt.Printf("postings (containerized indexes):\n")
+			fmt.Fprintf(out, "postings (containerized indexes):\n")
 			for _, pi := range info.Postings {
-				fmt.Printf("  shard %d: %d bytes, %d lists (%d array / %d bitmap / %d run containers), crc32c %08x\n",
+				fmt.Fprintf(out, "  shard %d: %d bytes, %d lists (%d array / %d bitmap / %d run containers), crc32c %08x\n",
 					pi.Shard, pi.Bytes, pi.Lists, pi.Arrays, pi.Bitmaps, pi.Runs, pi.Checksum)
 				tb += pi.Bytes
 				tl += pi.Lists
@@ -847,7 +865,7 @@ func runSnapshotCmd(args []string) {
 				tm += pi.Bitmaps
 				tr += pi.Runs
 			}
-			fmt.Printf("  total:   %d bytes, %d lists (%d array / %d bitmap / %d run containers)\n",
+			fmt.Fprintf(out, "  total:   %d bytes, %d lists (%d array / %d bitmap / %d run containers)\n",
 				tb, tl, ta, tm, tr)
 		}
 	default:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -44,24 +43,6 @@ func TestSynthesizePipeline(t *testing.T) {
 	}
 	if wb.Window.Empty() {
 		t.Error("window missing")
-	}
-}
-
-func TestSnapshotRoundTripWorkbench(t *testing.T) {
-	wb := testWorkbench(t, 40)
-	var buf bytes.Buffer
-	if err := wb.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSnapshot(&buf, wb.Window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Patients() != wb.Patients() || back.Entries() != wb.Entries() {
-		t.Error("snapshot round trip lost data")
-	}
-	if _, err := LoadSnapshot(strings.NewReader("garbage"), wb.Window); err == nil {
-		t.Error("garbage snapshot accepted")
 	}
 }
 

@@ -111,9 +111,6 @@ func TestConnectParityAndGuards(t *testing.T) {
 	if _, err := remote.Save(os.Stderr, SnapshotOptions{}); err == nil {
 		t.Error("save over remote shards succeeded")
 	}
-	if err := remote.SaveSnapshot(os.Stderr); err == nil {
-		t.Error("legacy save over remote shards succeeded")
-	}
 	if _, err := cohort.FromEngine(remote.Engine, "x", query.TrueExpr{}); err == nil {
 		t.Error("store-backed cohort over remote shards succeeded")
 	}

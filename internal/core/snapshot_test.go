@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestSnapshotShardedEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: open: %v", shards, err)
 		}
-		if back.Snapshot == nil || back.Snapshot.Legacy || back.Snapshot.Shards != shards {
+		if back.Snapshot == nil || back.Snapshot.Shards != shards {
 			t.Errorf("shards=%d: provenance = %+v", shards, back.Snapshot)
 		}
 
@@ -78,23 +80,24 @@ func TestSnapshotShardedEngineParity(t *testing.T) {
 	}
 }
 
-// TestOpenLegacyFallback: a v1 single-gob snapshot opens transparently
-// through the same Open entry point and is flagged as legacy.
-func TestOpenLegacyFallback(t *testing.T) {
+// TestOpenRefusesOtherVersions: Open reads one format. A header stamped
+// with an older version, and a stream that is no snapshot at all, are
+// errors — the former naming the version found — never a partial
+// workbench.
+func TestOpenRefusesOtherVersions(t *testing.T) {
 	wb := testWorkbench(t, 60)
 	var buf bytes.Buffer
-	if err := wb.SaveSnapshot(&buf); err != nil {
+	if _, err := wb.Save(&buf, SnapshotOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(&buf, wb.Window)
-	if err != nil {
-		t.Fatal(err)
+	old := buf.Bytes()
+	binary.BigEndian.PutUint32(old[8:], 4) // the version field follows the 8-byte magic
+	back, err := Open(bytes.NewReader(old), wb.Window)
+	if err == nil || back != nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Errorf("v4 header: workbench %v, err %v", back, err)
 	}
-	if back.Snapshot == nil || !back.Snapshot.Legacy {
-		t.Errorf("legacy provenance = %+v", back.Snapshot)
-	}
-	if back.Patients() != wb.Patients() || back.Entries() != wb.Entries() {
-		t.Error("legacy round trip lost data")
+	if back, err := Open(strings.NewReader("garbage"), wb.Window); err == nil || back != nil {
+		t.Errorf("garbage stream: workbench %v, err %v", back, err)
 	}
 }
 

@@ -371,14 +371,11 @@ type SnapshotOptions struct {
 	Shards int
 }
 
-// Save persists the collection as a sharded snapshot and returns the
-// layout written. A store that has ingested (generation > 0) is saved
-// fully merged with its ingest provenance in the v4 header; otherwise
-// the format is v3. Materialized cohorts valid at the current generation
-// are persisted alongside (promoting the snapshot to v5); with none the
-// output is byte-identical to before cohorts existed. Saving pins one
-// revision, so it is safe while queries — and further appends — are in
-// flight.
+// Save persists the collection as a snapshot (the one format,
+// store.Save) and returns the layout written: histories fully merged, the
+// store's ingest provenance in the header, and the materialized cohorts
+// valid at the current generation alongside. Saving pins one revision, so
+// it is safe while queries — and further appends — are in flight.
 func (wb *Workbench) Save(w io.Writer, opts SnapshotOptions) (*store.SnapshotInfo, error) {
 	if wb.Store == nil {
 		return nil, fmt.Errorf("core: save: workbench has no local collection (connected to remote shards)")
@@ -391,19 +388,19 @@ func (wb *Workbench) Save(w io.Writer, opts SnapshotOptions) (*store.SnapshotInf
 	if err != nil {
 		return nil, err
 	}
-	info, err := store.SaveShardedStoreCohorts(w, wb.Store, shards, cohorts)
+	info, err := store.Save(w, wb.Store, shards, cohorts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return info, nil
 }
 
-// Open reopens a previously saved workbench from a snapshot of either
-// format: sharded v2 snapshots decode shard-parallel; legacy v1 single-
-// gob snapshots are detected transparently and fall back to the gob
-// decoder. The resulting workbench records the snapshot's provenance.
+// Open reopens a previously saved workbench from a snapshot, decoding its
+// shards in parallel; a file of any other version is refused with an error
+// naming the version. The resulting workbench records the snapshot's
+// provenance.
 func Open(r io.Reader, window model.Period) (*Workbench, error) {
-	col, cohorts, info, err := store.LoadInfoCohorts(r)
+	col, cohorts, info, err := store.Load(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -423,25 +420,6 @@ func Open(r io.Reader, window model.Period) (*Workbench, error) {
 		}
 	}
 	return wb, nil
-}
-
-// LoadSnapshot reopens a previously saved workbench. Kept as an alias
-// for Open so existing callers keep compiling.
-func LoadSnapshot(r io.Reader, window model.Period) (*Workbench, error) {
-	return Open(r, window)
-}
-
-// SaveSnapshot persists the collection in the legacy v1 single-gob
-// format. New code should prefer Save, which writes the sharded format
-// Open decodes in parallel.
-func (wb *Workbench) SaveSnapshot(w io.Writer) error {
-	if wb.Store == nil {
-		return fmt.Errorf("core: save: workbench has no local collection (connected to remote shards)")
-	}
-	if err := store.Save(w, wb.Store.Collection()); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
 }
 
 // Patients returns the population size (summed across shard backends for

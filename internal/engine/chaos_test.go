@@ -49,7 +49,7 @@ func startChaosCluster(t testing.TB, col *model.Collection, shards, replicas int
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.SaveSharded(f, col, shards)
+	info, err := store.Save(f, store.New(col), shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

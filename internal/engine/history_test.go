@@ -193,7 +193,7 @@ func TestShardServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveSharded(f, col, 2); err != nil {
+	if _, err := store.Save(f, store.New(col), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -2,7 +2,7 @@ package engine
 
 // The remote shard transport: a net/rpc wire protocol (gob-framed over
 // TCP) between a coordinating engine and shard servers. A shard server
-// pages its assigned shards out of a sharded v2 snapshot with
+// pages its assigned shards out of a snapshot with
 // store.OpenShards — only those segments are ever read — indexes each as
 // a dedicated store, and answers plan evaluations through a per-shard
 // engine, re-optimized against the shard's own statistics. The client
@@ -104,9 +104,9 @@ type ShardServer struct {
 
 // NewShardServer opens the given shards of a sharded snapshot (no ids
 // = every shard) and builds a per-shard engine over each. Only the
-// header and the assigned segments are read from the file; on v3
-// snapshots each shard's indexes are restored from its postings segment
-// instead of being rebuilt from the entries.
+// header and the assigned segments are read from the file; each shard's
+// indexes are restored from its postings segment instead of being
+// rebuilt from the entries.
 func NewShardServer(snapshotPath string, ids []int, opts Options) (*ShardServer, error) {
 	opened, info, err := store.OpenShards(snapshotPath, ids...)
 	if err != nil {

@@ -73,7 +73,7 @@ func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]i
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.SaveSharded(f, col, shards)
+	info, err := store.Save(f, store.New(col), shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

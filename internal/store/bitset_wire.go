@@ -8,8 +8,9 @@ import (
 
 // Bitset wire codec.
 //
-// The containerized format opens with a 0x00 tag byte, then the bit
-// capacity as a uvarint, then one record per 65,536-bit container. Each
+// The wire form opens with a 0x00 tag byte, then the bit capacity as a
+// uvarint, then one record per 65,536-bit container (an empty set of
+// capacity 0 is the two bytes 00 00). Each
 // container is written in whichever physical encoding is smallest for its
 // contents — the wire form need not match the in-memory form:
 //
@@ -18,10 +19,8 @@ import (
 //	0x02  bitmap  1024 words = 8192 bytes (LE)
 //	0x03  run     uvarint run count, then [lo, hi] uint16 pairs (LE)
 //
-// The legacy flat format (uvarint capacity + LE words) opened with the
-// capacity varint, whose first byte is 0x00 only for the 1-byte empty
-// encoding — so the tag byte is unambiguous and UnmarshalBinary accepts
-// both: snapshots and RPC peers written before containerization still load.
+// There is no other form: coordinator and shard servers ship as one
+// binary, so UnmarshalBinary refuses a payload that lacks the tag.
 
 // Wire container types.
 const (
@@ -152,22 +151,16 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a bitset written by MarshalBinary — current
-// container format or the legacy flat-word format. Every length is
-// validated against the bytes actually present, every container against
-// its capacity span, so a truncated or hostile payload errors instead of
-// allocating from a lie or leaking bits beyond the declared capacity.
+// UnmarshalBinary decodes a bitset written by MarshalBinary. Every length
+// is validated against the bytes actually present, every container
+// against its capacity span, so a truncated or hostile payload errors
+// instead of allocating from a lie or leaking bits beyond the declared
+// capacity.
 func (b *Bitset) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("store: bitset: truncated capacity")
+	if len(data) == 0 || data[0] != wireEmpty {
+		return fmt.Errorf("store: bitset: missing format tag")
 	}
-	if data[0] == wireEmpty && len(data) > 1 {
-		return b.unmarshalContainers(data[1:])
-	}
-	return b.unmarshalLegacy(data)
-}
-
-func (b *Bitset) unmarshalContainers(data []byte) error {
+	data = data[1:]
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return fmt.Errorf("store: bitset: truncated capacity")
@@ -282,44 +275,4 @@ func decodeContainer(data []byte, span int) (container, []byte, error) {
 	default:
 		return container{}, nil, fmt.Errorf("store: bitset: unknown container type 0x%02x", typ)
 	}
-}
-
-// unmarshalLegacy decodes the pre-container flat format: uvarint bit
-// capacity followed by little-endian payload words.
-func (b *Bitset) unmarshalLegacy(data []byte) error {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("store: bitset: truncated capacity")
-	}
-	data = data[k:]
-	// Bound the capacity by the bytes present before converting to int,
-	// so a 2^63-bit claim can neither overflow nor allocate.
-	if n > uint64(len(data))*8+63 {
-		return fmt.Errorf("store: bitset: capacity %d exceeds %d payload bytes", n, len(data))
-	}
-	words := (int(n) + 63) / 64
-	if len(data) != 8*words {
-		return fmt.Errorf("store: bitset: capacity %d needs %d payload words, have %d bytes", n, words, len(data))
-	}
-	out := NewBitset(int(n))
-	for wi := 0; wi < words; wi++ {
-		w := binary.LittleEndian.Uint64(data[8*wi:])
-		if w == 0 {
-			continue
-		}
-		// Reject set bits beyond the declared capacity: they would
-		// silently leak into ordinal space after an OrAt merge.
-		if wi == words-1 {
-			if rem := int(n) & 63; rem != 0 && w&^((1<<uint(rem))-1) != 0 {
-				return fmt.Errorf("store: bitset: set bits beyond capacity %d", n)
-			}
-		}
-		out.orWord(wi, w)
-	}
-	for i := range out.cs {
-		out.cs[i].optimize()
-	}
-	b.n = out.n
-	b.cs = out.cs
-	return nil
 }

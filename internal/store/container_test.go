@@ -369,34 +369,6 @@ func TestContainerWireFormats(t *testing.T) {
 	}
 }
 
-func TestLegacyWireDecode(t *testing.T) {
-	// Payloads written by the flat-word MarshalBinary must still decode.
-	n := containerBits + 130
-	f := newFlat(n)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		f.set(r.Intn(n))
-	}
-	legacy := binary.AppendUvarint(nil, uint64(n))
-	for _, w := range f.words {
-		legacy = binary.LittleEndian.AppendUint64(legacy, w)
-	}
-	var b Bitset
-	if err := b.UnmarshalBinary(legacy); err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	mustEqual(t, "legacy", &b, f)
-
-	// Legacy empty bitset: bare uvarint 0, one byte.
-	var empty Bitset
-	if err := empty.UnmarshalBinary([]byte{0x00}); err != nil {
-		t.Fatalf("legacy empty: %v", err)
-	}
-	if empty.Len() != 0 || empty.Count() != 0 {
-		t.Fatalf("legacy empty decoded to n=%d count=%d", empty.Len(), empty.Count())
-	}
-}
-
 func TestContainerWireHostilePayloads(t *testing.T) {
 	good, err := func() ([]byte, error) {
 		b := NewBitset(300)
@@ -409,8 +381,18 @@ func TestContainerWireHostilePayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	le16 := binary.LittleEndian.AppendUint16
+	// The flat-word form (uvarint capacity + LE words, no tag) is gone;
+	// the oracle still knows how to spell it.
+	flat := newFlat(200)
+	flat.set(3)
+	flatWords := binary.AppendUvarint(nil, uint64(flat.n))
+	for _, w := range flat.words {
+		flatWords = binary.LittleEndian.AppendUint64(flatWords, w)
+	}
 	cases := map[string][]byte{
 		"empty input":       nil,
+		"flat words":        flatWords,
+		"flat empty set":    {0x00}, // one byte: a tag with no capacity behind it
 		"capacity lie":      append([]byte{0x00}, binary.AppendUvarint(nil, 1<<40)...),
 		"truncated":         good[:len(good)-3],
 		"trailing garbage":  append(append([]byte{}, good...), 0xFF),

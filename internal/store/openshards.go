@@ -1,14 +1,13 @@
 package store
 
-// Random access into sharded v2 snapshots. The v2 header's shard table
-// carries every segment's offset and size, so a process that is assigned a
+// Random access into snapshots. The header's shard and postings tables
+// carry every segment's offset and size, so a process that is assigned a
 // subset of the shards — a shard server in a distributed deployment — can
 // page in exactly its segments with io.ReaderAt instead of streaming the
 // whole file: the on-disk half of cross-process shard distribution.
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
@@ -26,29 +25,23 @@ type OpenedShard struct {
 	Offset int
 	// Col holds the shard's histories, in the order they were saved.
 	Col *model.Collection
-	// Postings holds the shard's decoded inverted indexes when the
-	// snapshot carries a postings block (v3+); nil for v2 snapshots, in
-	// which case the opener rebuilds indexes with New.
+	// Postings holds the shard's inverted indexes, decoded from its
+	// postings segment.
 	Postings *ShardPostings
 }
 
-// Store indexes the opened shard: from the snapshot's postings block when
-// present, by re-walking the entries otherwise.
+// Store indexes the opened shard from its postings segment, without
+// re-walking the entries.
 func (os *OpenedShard) Store() (*Store, error) {
-	if os.Postings != nil {
-		return NewFromPostings(os.Col, os.Postings)
-	}
-	return New(os.Col), nil
+	return NewFromPostings(os.Col, os.Postings)
 }
 
-// OpenShards opens the given shards of a sharded snapshot, reading only
-// the header and those shards' segments (checksummed, decoded in
-// parallel) — never the rest of the file. On v3 snapshots each shard's
-// postings segment is read and decoded too, so the caller can index the
-// shard without re-walking its entries. No ids means every shard. The
-// shard table is validated against the file size up front, so a truncated
-// file errors at header time instead of mid-read; out-of-range or
-// duplicate shard ids are refused.
+// OpenShards opens the given shards of a snapshot, reading only the
+// header and those shards' history and postings segments (checksummed,
+// decoded in parallel) — never the rest of the file. No ids means every
+// shard. The tables are validated against the file size up front, so a
+// truncated file errors at header time instead of mid-read; out-of-range
+// or duplicate shard ids are refused.
 func OpenShards(path string, ids ...int) ([]*OpenedShard, *SnapshotInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -95,18 +88,11 @@ func OpenShards(path string, ids ...int) ([]*OpenedShard, *SnapshotInfo, error) 
 
 	// Postings segments follow the last history segment, packed in shard
 	// order; their offsets are the running sum of the table's sizes.
-	var postBase int64
-	var postOff []int64
-	if info.Version >= snapshotVersionPostings {
-		postBase = payload
-		if info.Shards > 0 {
-			last := info.ShardDetail[info.Shards-1]
-			postBase += last.Offset + last.Bytes
-		}
-		postOff = make([]int64, info.Shards)
-		for i := 1; i < info.Shards; i++ {
-			postOff[i] = postOff[i-1] + info.Postings[i-1].Bytes
-		}
+	last := info.ShardDetail[info.Shards-1]
+	postBase := payload + last.Offset + last.Bytes
+	postOff := make([]int64, info.Shards)
+	for i := 1; i < info.Shards; i++ {
+		postOff[i] = postOff[i-1] + info.Postings[i-1].Bytes
 	}
 
 	out := make([]*OpenedShard, len(ids))
@@ -120,52 +106,13 @@ func OpenShards(path string, ids ...int) ([]*OpenedShard, *SnapshotInfo, error) 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			si := info.ShardDetail[id]
-			seg := make([]byte, si.Bytes)
-			if _, err := f.ReadAt(seg, payload+si.Offset); err != nil {
-				errs[i] = fmt.Errorf("store: open shards: shard %d: read %d bytes at %d: %w", id, si.Bytes, payload+si.Offset, err)
-				return
-			}
-			if got := crc32.Checksum(seg, crcTable); got != si.Checksum {
-				errs[i] = fmt.Errorf("store: open shards: shard %d: checksum mismatch (got %08x, want %08x)", id, got, si.Checksum)
-				return
-			}
-			hs, entries, err := decodeSegment(seg, si.Patients)
+			sh, err := openShard(f, si, info.Postings[id], payload+si.Offset, postBase+postOff[id])
 			if err != nil {
 				errs[i] = fmt.Errorf("store: open shards: shard %d: %w", id, err)
 				return
 			}
-			if entries != si.Entries {
-				errs[i] = fmt.Errorf("store: open shards: shard %d: %d entries, header promised %d", id, entries, si.Entries)
-				return
-			}
-			for _, h := range hs {
-				h.Sort() // no-op for well-formed snapshots
-			}
-			col, err := model.NewCollection(hs...)
-			if err != nil {
-				errs[i] = fmt.Errorf("store: open shards: shard %d: %w", id, err)
-				return
-			}
-			os := &OpenedShard{Shard: id, Offset: starts[id], Col: col}
-			if postOff != nil {
-				pi := info.Postings[id]
-				pseg := make([]byte, pi.Bytes)
-				if _, err := f.ReadAt(pseg, postBase+postOff[id]); err != nil {
-					errs[i] = fmt.Errorf("store: open shards: shard %d: read postings (%d bytes at %d): %w", id, pi.Bytes, postBase+postOff[id], err)
-					return
-				}
-				if got := crc32.Checksum(pseg, crcTable); got != pi.Checksum {
-					errs[i] = fmt.Errorf("store: open shards: shard %d: postings checksum mismatch (got %08x, want %08x)", id, got, pi.Checksum)
-					return
-				}
-				sp, err := decodePostings(pseg, si.Patients)
-				if err != nil {
-					errs[i] = fmt.Errorf("store: open shards: shard %d: %w", id, err)
-					return
-				}
-				os.Postings = sp
-			}
-			out[i] = os
+			sh.Offset = starts[id]
+			out[i] = sh
 		}(i, id)
 	}
 	wg.Wait()
@@ -177,7 +124,34 @@ func OpenShards(path string, ids ...int) ([]*OpenedShard, *SnapshotInfo, error) 
 	return out, info, nil
 }
 
-// validateSnapshotSize checks the shard table against the file size:
+// openShard reads, verifies and decodes one shard's history and postings
+// segments at their file offsets. The sizes it allocates were checked
+// against the file size by the caller.
+func openShard(f io.ReaderAt, si ShardInfo, pi PostingsInfo, histAt, postAt int64) (*OpenedShard, error) {
+	seg := make([]byte, si.Bytes)
+	if _, err := f.ReadAt(seg, histAt); err != nil {
+		return nil, fmt.Errorf("read %d bytes at %d: %w", si.Bytes, histAt, err)
+	}
+	hs, err := si.decode(seg)
+	if err != nil {
+		return nil, err
+	}
+	col, err := model.NewCollection(hs...)
+	if err != nil {
+		return nil, err
+	}
+	seg = make([]byte, pi.Bytes)
+	if _, err := f.ReadAt(seg, postAt); err != nil {
+		return nil, fmt.Errorf("read postings (%d bytes at %d): %w", pi.Bytes, postAt, err)
+	}
+	sp, err := pi.decode(seg, si.Patients)
+	if err != nil {
+		return nil, fmt.Errorf("postings: %w", err)
+	}
+	return &OpenedShard{Shard: si.Shard, Col: col, Postings: sp}, nil
+}
+
+// validateSnapshotSize checks the header's tables against the file size:
 // every segment (offset + size, relative to the end of the header) must
 // lie inside the file, i.e. the header's total byte count must fit.
 func validateSnapshotSize(info *SnapshotInfo, size int64) error {

@@ -11,23 +11,12 @@ import (
 	"pastas/internal/model"
 )
 
-// writeShardedSnapshot saves a snapshot to a temp file and returns its
-// path along with the collection it encodes.
+// writeShardedSnapshot saves a snapshot of n pristine patients to a temp
+// file and returns its path along with the layout written.
 func writeShardedSnapshot(t *testing.T, n, shards int) (string, *SnapshotInfo) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "wb.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := SaveSharded(f, snapCollection(n), shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, info
+	snap, info := saveSnap(t, New(snapCollection(n)), shards, nil)
+	return writeTemp(t, snap), info
 }
 
 // TestOpenShardsSubsetRoundTrip: a subset-open store answers subset
@@ -88,35 +77,6 @@ func TestOpenShardsSubsetRoundTrip(t *testing.T) {
 				t.Errorf("shard %d: WithType(%d) differs", sh.Shard, typ)
 			}
 		}
-	}
-}
-
-// TestOpenShardsAll: no ids = every shard, concatenating to the full load.
-func TestOpenShardsAll(t *testing.T) {
-	const n = 37
-	path, _ := writeShardedSnapshot(t, n, 5)
-	opened, info, err := OpenShards(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opened) != info.Shards {
-		t.Fatalf("opened %d shards, header says %d", len(opened), info.Shards)
-	}
-	want := snapCollection(n).Histories()
-	off := 0
-	for i, sh := range opened {
-		if sh.Shard != i || sh.Offset != off {
-			t.Fatalf("shard %d: id %d offset %d, want offset %d", i, sh.Shard, sh.Offset, off)
-		}
-		for j, h := range sh.Col.Histories() {
-			if h.Patient.ID != want[off+j].Patient.ID {
-				t.Fatalf("shard %d history %d: patient %v, want %v", i, j, h.Patient.ID, want[off+j].Patient.ID)
-			}
-		}
-		off += sh.Col.Len()
-	}
-	if off != n {
-		t.Fatalf("shards cover %d patients, want %d", off, n)
 	}
 }
 
@@ -182,12 +142,12 @@ func TestHeaderRejectsOverflowingShardTable(t *testing.T) {
 	snap := shardedSnapshot(t, 40, 2)
 	bad := append([]byte{}, snap...)
 	huge := uint64(1) << 62
-	const table = snapshotHeaderFixed
+	const table = shardTableOff
 	binary.BigEndian.PutUint64(bad[table+8:], huge)                  // row 0 bytes
 	binary.BigEndian.PutUint64(bad[table+snapshotShardRow:], huge)   // row 1 offset (contiguous)
 	binary.BigEndian.PutUint64(bad[table+snapshotShardRow+8:], huge) // row 1 bytes
-	if _, _, err := LoadSharded(bytes.NewReader(bad)); err == nil {
-		t.Error("overflowing shard table accepted by LoadSharded")
+	if _, _, _, err := Load(bytes.NewReader(bad)); err == nil {
+		t.Error("overflowing shard table accepted by Load")
 	}
 	if _, err := Inspect(bytes.NewReader(bad)); err == nil {
 		t.Error("overflowing shard table accepted by Inspect")
@@ -250,15 +210,16 @@ func TestBitsetWireRoundTrip(t *testing.T) {
 	if err := b.UnmarshalBinary(nil); err == nil {
 		t.Error("empty payload accepted")
 	}
-	if err := b.UnmarshalBinary([]byte{200, 200, 200, 200, 200, 200, 200, 200, 200, 1}); err == nil {
+	if err := b.UnmarshalBinary([]byte{wireEmpty, 200, 200, 200, 200, 200, 200, 200, 200, 200, 1}); err == nil {
 		t.Error("huge capacity with no payload accepted")
 	}
 	good, _ := NewBitset(100).MarshalBinary()
 	if err := b.UnmarshalBinary(good[:len(good)-3]); err == nil {
 		t.Error("truncated payload accepted")
 	}
-	// Set bits beyond the declared capacity must be rejected.
-	evil := append([]byte{65}, bytes.Repeat([]byte{0xFF}, 16)...)
+	// Set bits beyond the declared capacity must be rejected: 65 bits,
+	// one bitmap container with every word full.
+	evil := append([]byte{wireEmpty, 65, wireBitmap}, bytes.Repeat([]byte{0xFF}, bitmapWireBytes)...)
 	if err := b.UnmarshalBinary(evil); err == nil {
 		t.Error("bits beyond capacity accepted")
 	}

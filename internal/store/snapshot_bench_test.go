@@ -38,88 +38,47 @@ func benchCollection(n int) *model.Collection {
 }
 
 // BenchmarkSnapshotRoundTrip pins the snapshot persistence numbers on the
-// 5k fixture: the legacy single-gob baseline (save ~98 MB/s, load
-// ~69 MB/s when the sharded format landed) against the sharded v2 format
-// at 1, 4 and 16 shards. The sharded wins come from two places: the
-// hand-rolled varint segment codec skips gob's per-value reflection
-// (which is why even shards=1 beats the baseline wall-clock), and
-// independent segments decode on a worker pool (which is what scales
-// with cores). b.SetBytes uses each variant's own on-disk size, so MB/s
-// throughputs are honest per format — but the sharded file is also ~3×
-// smaller than the gob one, so MB/s understates the win; the
-// format-independent patients/s metric (and time/op) is what compares
-// the same logical collection across variants.
+// 5k fixture at 1, 4 and 16 shards. Two things make it fast: the
+// hand-rolled varint segment codec skips gob's per-value reflection (the
+// single-gob stream it replaced saved at ~98 MB/s and loaded at ~69 MB/s,
+// for a file ~3× larger), and independent segments decode on a worker
+// pool, which is what scales with cores. b.SetBytes uses each variant's
+// own on-disk size; the patients/s metric (and time/op) compares the same
+// logical collection across shard counts.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
-	col := benchCollection(5000)
+	st := New(benchCollection(5000))
 	patientsPerSec := func(b *testing.B) {
 		b.Helper()
 		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(col.Len())/secPerOp, "patients/s")
+		b.ReportMetric(float64(st.Len())/secPerOp, "patients/s")
 	}
-
-	b.Run("save/legacy-v1", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := Save(&buf, col); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := Save(&buf, col); err != nil {
-				b.Fatal(err)
-			}
-		}
-		patientsPerSec(b)
-	})
-	b.Run("load/legacy-v1", func(b *testing.B) {
-		var snap bytes.Buffer
-		if err := Save(&snap, col); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(snap.Len()))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, err := Load(bytes.NewReader(snap.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got.Len() != col.Len() {
-				b.Fatal("round trip lost patients")
-			}
-		}
-		patientsPerSec(b)
-	})
 
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("save/shards=%d", shards), func(b *testing.B) {
 			var buf bytes.Buffer
-			if _, err := SaveSharded(&buf, col, shards); err != nil {
+			if _, err := Save(&buf, st, shards, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(buf.Len()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if _, err := SaveSharded(&buf, col, shards); err != nil {
+				if _, err := Save(&buf, st, shards, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			patientsPerSec(b)
 		})
 		b.Run(fmt.Sprintf("load/shards=%d", shards), func(b *testing.B) {
-			var snap bytes.Buffer
-			if _, err := SaveSharded(&snap, col, shards); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(snap.Len()))
+			snap, _ := saveSnap(b, st, shards, nil)
+			b.SetBytes(int64(len(snap)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, _, err := LoadSharded(bytes.NewReader(snap.Bytes()))
+				got, _, _, err := Load(bytes.NewReader(snap))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got.Len() != col.Len() {
+				if got.Len() != st.Len() {
 					b.Fatal("round trip lost patients")
 				}
 			}

@@ -1,39 +1,20 @@
 package store
 
-// The v5 cohort segment: materialized cohorts persisted inside the
-// sharded snapshot, after the postings segments. Each record is a name,
+// The cohort segment: materialized cohorts persisted inside the snapshot,
+// after the postings segments. Each record is a name,
 // an opaque expression blob (the engine's wire codec; the store never
 // interprets it) and a container-encoded bitset over the full
 // population. The header carries the record count, the segment size and
 // a crc32c over the whole segment, so a truncated or tampered segment is
 // refused before a single record is parsed — and every inner length is
 // re-validated against the remaining bytes, so a hostile header can
-// never drive an allocation or a slice past the payload.
-//
-// Snapshots without cohorts keep their previous version (v3 pristine, v4
-// ingested) byte for byte; v5 is only written when there is a cohort to
-// persist, so live-ingest batch-vs-incremental byte-identity diffs are
-// unaffected.
+// never drive an allocation or a slice past the payload. A snapshot
+// without cohorts has an empty segment and an all-zero header extension.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-
-	"pastas/internal/model"
 )
-
-// snapshotVersionCohorts adds the cohort extension (record count,
-// segment size, crc32c) after the ingest extension, and the cohort
-// segment after the postings segments. The ingest extension is always
-// present in a v5 header (zeros for a pristine store).
-const snapshotVersionCohorts = 5
-
-// snapshotCohortExt is the v5 header extension size: count uint32,
-// segment bytes uint64, crc32c uint32.
-const snapshotCohortExt = 4 + 8 + 4
 
 // maxSnapshotCohorts bounds the cohort count a header may claim.
 const maxSnapshotCohorts = 1 << 12
@@ -139,56 +120,4 @@ func readCohortField(data []byte, maxLen int, what string) (field, rest []byte, 
 		return nil, nil, fmt.Errorf("%s length %d exceeds remaining %d bytes", what, n, len(data))
 	}
 	return data[:n], data[n:], nil
-}
-
-// SaveShardedStoreCohorts is SaveShardedStore plus a cohort segment:
-// when cohorts is non-empty the snapshot is written as v5, carrying the
-// materialized cohorts; with no cohorts it is byte-identical to
-// SaveShardedStore.
-func SaveShardedStoreCohorts(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotInfo, error) {
-	r := s.loadRev()
-	col := r.collection()
-	// A cohort exported just before a concurrent append no longer covers
-	// the pinned population — the very append that outdated it has already
-	// invalidated it in the workspace, so it is dropped here too rather
-	// than failing the save.
-	kept := make([]CohortRecord, 0, len(cohorts))
-	for _, c := range cohorts {
-		if c.Bits != nil && c.Bits.Len() == col.Len() {
-			kept = append(kept, c)
-		}
-	}
-	cohorts = kept
-	var prov *ingestProvenance
-	if r.gen != 0 {
-		prov = &ingestProvenance{
-			generation:    r.gen,
-			deltaEntries:  r.deltaEntries,
-			deltaPatients: r.deltaPatients,
-			compactions:   r.compaction.Runs,
-		}
-	}
-	return saveSharded(w, col, shards, prov, cohorts)
-}
-
-// LoadShardedCohorts is LoadSharded plus the decoded cohort records
-// (nil for pre-v5 snapshots).
-func LoadShardedCohorts(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error) {
-	return loadShardedFull(bufio.NewReaderSize(r, snapshotBufSize))
-}
-
-// readCohortSegment drains and decodes the cohort segment off the
-// stream; call after the postings segments have been consumed.
-func readCohortSegment(r io.Reader, info *SnapshotInfo) ([]CohortRecord, error) {
-	if info.Version < snapshotVersionCohorts || info.Cohorts == 0 {
-		return nil, nil
-	}
-	seg := make([]byte, int(info.CohortBytes))
-	if _, err := io.ReadFull(r, seg); err != nil {
-		return nil, fmt.Errorf("store: load snapshot: cohort segment: read %d bytes: %w", info.CohortBytes, err)
-	}
-	if got := crc32.Checksum(seg, crcTable); got != info.CohortChecksum {
-		return nil, fmt.Errorf("store: load snapshot: cohort segment: checksum mismatch (got %08x, want %08x)", got, info.CohortChecksum)
-	}
-	return decodeCohortSegment(seg, info.Cohorts, info.Patients)
 }

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// cohortFixture builds a store plus a few cohort records over it. Expr
-// bytes are opaque to this package, so any non-empty blob stands in for
-// an engine-encoded expression.
-func cohortFixture(t testing.TB, n int) (*Store, []CohortRecord) {
-	t.Helper()
-	st := New(snapCollection(n))
+// cohortRecords builds a few cohort records over an n-patient
+// population. Expr bytes are opaque to this package, so any non-empty
+// blob stands in for an engine-encoded expression.
+func cohortRecords(n int) []CohortRecord {
 	every := NewBitset(n)
 	for i := 0; i < n; i++ {
 		every.Set(i)
@@ -21,69 +19,10 @@ func cohortFixture(t testing.TB, n int) (*Store, []CohortRecord) {
 	for i := 0; i < n; i += 3 {
 		thirds.Set(i)
 	}
-	return st, []CohortRecord{
+	return []CohortRecord{
 		{Name: "all", Expr: []byte("expr:true"), Bits: every},
 		{Name: "thirds", Expr: []byte{0x00, 0x01, 0xff}, Bits: thirds},
 		{Name: "none", Expr: []byte("expr:none"), Bits: NewBitset(n)},
-	}
-}
-
-// TestCohortSegmentRoundTrip: save with cohorts, load, and get back the
-// same histories, the same cohort names/exprs, and bit-identical
-// bitsets, across shard counts.
-func TestCohortSegmentRoundTrip(t *testing.T) {
-	const n = 103
-	st, cohorts := cohortFixture(t, n)
-	for _, shards := range []int{1, 4, 16} {
-		var buf bytes.Buffer
-		info, err := SaveShardedStoreCohorts(&buf, st, shards, cohorts)
-		if err != nil {
-			t.Fatalf("shards=%d save: %v", shards, err)
-		}
-		if info.Cohorts != len(cohorts) || info.CohortBytes == 0 {
-			t.Fatalf("shards=%d info = %+v, want %d cohorts with bytes", shards, info, len(cohorts))
-		}
-		col, got, info2, err := LoadShardedCohorts(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("shards=%d load: %v", shards, err)
-		}
-		if info2.Cohorts != len(cohorts) {
-			t.Fatalf("shards=%d loaded info reports %d cohorts", shards, info2.Cohorts)
-		}
-		historiesEqual(t, st.Collection(), col)
-		if len(got) != len(cohorts) {
-			t.Fatalf("shards=%d loaded %d cohorts, want %d", shards, len(got), len(cohorts))
-		}
-		for i, c := range cohorts {
-			g := got[i]
-			if g.Name != c.Name || !bytes.Equal(g.Expr, c.Expr) {
-				t.Errorf("shards=%d cohort %d: (%q, %x), want (%q, %x)", shards, i, g.Name, g.Expr, c.Name, c.Expr)
-			}
-			if !g.Bits.Equal(c.Bits) {
-				t.Errorf("shards=%d cohort %q bits diverge: %d vs %d", shards, c.Name, g.Bits.Count(), c.Bits.Count())
-			}
-		}
-		// The generic loaders must still accept a v5 snapshot.
-		if _, _, err := LoadSharded(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("shards=%d LoadSharded rejects v5: %v", shards, err)
-		}
-	}
-}
-
-// TestCohortlessSaveByteIdentity: adding the cohort capability must not
-// perturb cohortless snapshots by a single byte — the live-ingest e2e
-// diffs batch and incremental snapshots for equality.
-func TestCohortlessSaveByteIdentity(t *testing.T) {
-	st := New(snapCollection(60))
-	var plain, viaCohorts bytes.Buffer
-	if _, err := SaveShardedStore(&plain, st, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SaveShardedStoreCohorts(&viaCohorts, st, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), viaCohorts.Bytes()) {
-		t.Fatal("SaveShardedStoreCohorts(nil) diverges from SaveShardedStore byte-for-byte")
 	}
 }
 
@@ -92,17 +31,13 @@ func TestCohortlessSaveByteIdentity(t *testing.T) {
 // silently dropped — the epoch-invalidation semantics — not an error
 // and never a corrupted segment.
 func TestCohortSaveDropsStaleBitsets(t *testing.T) {
-	st, cohorts := cohortFixture(t, 50)
+	cohorts := cohortRecords(50)
 	stale := CohortRecord{Name: "stale", Expr: []byte("x"), Bits: NewBitset(49)}
-	var buf bytes.Buffer
-	info, err := SaveShardedStoreCohorts(&buf, st, 4, append(cohorts, stale))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, info := saveSnap(t, New(snapCollection(50)), 4, append(cohorts, stale))
 	if info.Cohorts != len(cohorts) {
 		t.Fatalf("saved %d cohorts, want the %d current ones (stale dropped)", info.Cohorts, len(cohorts))
 	}
-	_, got, _, err := LoadShardedCohorts(bytes.NewReader(buf.Bytes()))
+	_, got, _, err := Load(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +53,14 @@ func TestCohortSaveDropsStaleBitsets(t *testing.T) {
 // counts fail validation. Loud errors, never panics, never silently
 // short cohort lists.
 func TestCohortSegmentHostile(t *testing.T) {
-	st, cohorts := cohortFixture(t, 31)
-	var buf bytes.Buffer
-	info, err := SaveShardedStoreCohorts(&buf, st, 3, cohorts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
+	snap, info := saveSnap(t, New(snapCollection(31)), 3, cohortRecords(31))
 	segStart := len(snap) - int(info.CohortBytes)
 
 	// Flip one byte at several positions inside the segment.
 	for _, off := range []int{0, int(info.CohortBytes) / 2, int(info.CohortBytes) - 1} {
 		mut := append([]byte(nil), snap...)
 		mut[segStart+off] ^= 0x40
-		_, _, _, err := LoadShardedCohorts(bytes.NewReader(mut))
+		_, _, _, err := Load(bytes.NewReader(mut))
 		if err == nil {
 			t.Fatalf("flipped byte at segment offset %d loaded cleanly", off)
 		}
@@ -143,30 +72,34 @@ func TestCohortSegmentHostile(t *testing.T) {
 	// Truncations anywhere in the cohort segment are read errors.
 	for _, keep := range []int{0, 1, int(info.CohortBytes) / 2, int(info.CohortBytes) - 1} {
 		mut := snap[:segStart+keep]
-		if _, _, _, err := LoadShardedCohorts(bytes.NewReader(mut)); err == nil {
+		if _, _, _, err := Load(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("truncation to %d cohort bytes loaded cleanly", keep)
 		}
 	}
 
-	// Hostile cohort count in the header: count with no bytes, and a
-	// count beyond the cap. The v5 header is fixed(32, incl. magic) +
-	// ingest ext(32) + cohort ext(16), big-endian.
+	// Hostile cohort extension in the header: a count with no bytes, a
+	// count beyond the cap, and a checksum over an empty segment.
 	mutateHeader := func(f func(ext []byte)) []byte {
 		mut := append([]byte(nil), snap...)
-		f(mut[snapshotHeaderFixed+snapshotIngestExt : snapshotHeaderFixed+snapshotIngestExt+snapshotCohortExt])
+		f(mut[cohortExtOff:shardTableOff])
 		return mut
 	}
 	zeroBytes := mutateHeader(func(ext []byte) {
 		binary.BigEndian.PutUint64(ext[4:12], 0) // count kept, bytes zeroed
 	})
-	if _, _, _, err := LoadShardedCohorts(bytes.NewReader(zeroBytes)); err == nil {
+	if _, _, _, err := Load(bytes.NewReader(zeroBytes)); err == nil {
 		t.Error("cohort count with zero segment bytes loaded cleanly")
 	}
 	hugeCount := mutateHeader(func(ext []byte) {
 		binary.BigEndian.PutUint32(ext[0:4], 1<<31-1)
 	})
-	if _, _, _, err := LoadShardedCohorts(bytes.NewReader(hugeCount)); err == nil {
+	if _, _, _, err := Load(bytes.NewReader(hugeCount)); err == nil {
 		t.Error("cohort count beyond the cap loaded cleanly")
+	}
+	cohortless, _ := saveSnap(t, New(snapCollection(31)), 3, nil)
+	binary.BigEndian.PutUint32(cohortless[cohortExtOff+12:], 0xdeadbeef)
+	if _, _, _, err := Load(bytes.NewReader(cohortless)); err == nil {
+		t.Error("non-zero checksum over an empty cohort segment loaded cleanly")
 	}
 }
 
@@ -213,16 +146,13 @@ func TestCohortSegmentCodecValidation(t *testing.T) {
 }
 
 // FuzzCohortSegment throws arbitrary bytes at both the segment codec
-// and the whole-snapshot loader seeded with a real v5 snapshot: any
-// input may error but must never panic.
+// and the whole-snapshot loader seeded with a real snapshot: any input
+// may error but must never panic.
 func FuzzCohortSegment(f *testing.F) {
-	st, cohorts := cohortFixture(f, 13)
-	var buf bytes.Buffer
-	if _, err := SaveShardedStoreCohorts(&buf, st, 3, cohorts); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes(), 3)
-	f.Add(buf.Bytes()[:buf.Len()-5], 3)
+	cohorts := cohortRecords(13)
+	snap, _ := saveSnap(f, New(snapCollection(13)), 3, cohorts)
+	f.Add(snap, 3)
+	f.Add(snap[:len(snap)-5], 3)
 	seg, err := encodeCohortSegment(cohorts)
 	if err != nil {
 		f.Fatal(err)
@@ -242,7 +172,7 @@ func FuzzCohortSegment(f *testing.F) {
 				}
 			}
 		}
-		col, _, _, err := LoadShardedCohorts(bytes.NewReader(data))
+		col, _, _, err := Load(bytes.NewReader(data))
 		if err == nil && col == nil {
 			t.Error("nil collection without error")
 		}

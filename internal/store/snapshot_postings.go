@@ -1,14 +1,12 @@
 package store
 
-// Snapshot postings block (format v3). A v3 sharded snapshot carries,
-// after the history segments, one postings segment per shard: the shard's
-// inverted indexes (code/type/source → patients) in the containerized
-// bitset wire encoding. The header's postings table stores each segment's
-// size, checksum, and container-type histogram, so `snapshot info` can
-// report per-shard compression without decoding anything, and a shard
-// server can restore its indexes from the file instead of re-walking
-// every entry. v2 snapshots simply lack the block — loaders fall back to
-// rebuilding indexes — and v3 history segments are byte-identical to v2.
+// Snapshot postings block. A snapshot carries, after the history
+// segments, one postings segment per shard: the shard's inverted indexes
+// (code/type/source → patients) in the containerized bitset wire
+// encoding. The header's postings table stores each segment's size,
+// checksum, and container-type histogram, so `snapshot info` can report
+// per-shard compression without decoding anything, and a shard server can
+// restore its indexes from the file instead of re-walking every entry.
 
 import (
 	"encoding/binary"
@@ -182,6 +180,15 @@ func sortedKeys[K ~uint8, V any](m map[K]V) []K {
 	return out
 }
 
+// decode verifies the postings segment this table row describes against
+// its checksum and decodes it for a shard of `patients` patients.
+func (pi PostingsInfo) decode(seg []byte, patients int) (*ShardPostings, error) {
+	if err := verifySegment(seg, pi.Checksum); err != nil {
+		return nil, err
+	}
+	return decodePostings(seg, patients)
+}
+
 // decodePostings decodes a postings segment for a shard of `patients`
 // patients. Every length is bounded by the bytes present and every bitset
 // must declare exactly the shard's capacity, so a corrupt or hostile
@@ -289,7 +296,7 @@ func decodePostings(data []byte, patients int) (*ShardPostings, error) {
 	return sp, nil
 }
 
-// NewFromPostings indexes a collection using pre-built postings (a v3
+// NewFromPostings indexes a collection using pre-built postings (a
 // snapshot's postings block) instead of re-walking every entry; the
 // entry walk is the dominant cost of New on a loaded shard. The postings
 // must cover exactly this collection — decodePostings has already

@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -48,32 +46,16 @@ func storesEquivalent(t *testing.T, want, got *Store) {
 	}
 }
 
-// TestOpenShardsPostingsRoundTrip: a v3 snapshot's postings block
-// restores each shard's indexes exactly as New would build them.
-func TestOpenShardsPostingsRoundTrip(t *testing.T) {
+// TestOpenShardsPostingsHistogram: the header's per-shard container
+// histogram is the decoded block's histogram (the restored indexes
+// themselves are compared with a rebuilt store in TestSaveLoadRoundTrip).
+func TestOpenShardsPostingsHistogram(t *testing.T) {
 	path, info := writeShardedSnapshot(t, 73, 4)
-	if info.Version != snapshotVersionPostings {
-		t.Fatalf("version = %d, want %d", info.Version, snapshotVersionPostings)
-	}
-	if len(info.Postings) != info.Shards {
-		t.Fatalf("postings table has %d rows, want %d", len(info.Postings), info.Shards)
-	}
 	opened, _, err := OpenShards(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range opened {
-		if sh.Postings == nil {
-			t.Fatalf("shard %d: no postings decoded from a v3 snapshot", sh.Shard)
-		}
-		fromPostings, err := sh.Store()
-		if err != nil {
-			t.Fatalf("shard %d: %v", sh.Shard, err)
-		}
-		rebuilt := New(sh.Col)
-		storesEquivalent(t, rebuilt, fromPostings)
-
-		// The header's histogram is the decoded block's histogram.
 		pi := info.Postings[sh.Shard]
 		st := sh.Postings.Stats()
 		if lists := len(sh.Postings.Codes) + len(sh.Postings.Types) + len(sh.Postings.Sources); pi.Lists != lists {
@@ -86,76 +68,11 @@ func TestOpenShardsPostingsRoundTrip(t *testing.T) {
 	}
 }
 
-// stripPostings rewrites a v3 snapshot as its v2 equivalent: same fixed
-// header (version 2), same shard table, byte-identical history segments,
-// no postings table or block — the format every pre-container release
-// wrote.
-func stripPostings(t *testing.T, snap []byte, info *SnapshotInfo) []byte {
-	t.Helper()
-	tableEnd := snapshotHeaderFixed + info.Shards*snapshotShardRow
-	last := info.ShardDetail[info.Shards-1]
-	histBytes := int(last.Offset + last.Bytes)
-	v2 := make([]byte, 0, tableEnd+histBytes)
-	v2 = append(v2, snap[:tableEnd]...)
-	binary.BigEndian.PutUint32(v2[8:], snapshotVersionSharded)
-	body := int(info.headerLen())
-	return append(v2, snap[body:body+histBytes]...)
-}
-
-// TestSnapshotV2Fallback: v2 snapshots (no postings block) still load —
-// streaming and random-access — and OpenShards reports nil Postings so
-// callers rebuild indexes from the entries.
-func TestSnapshotV2Fallback(t *testing.T) {
-	var buf bytes.Buffer
-	col := snapCollection(57)
-	info, err := SaveSharded(&buf, col, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := stripPostings(t, buf.Bytes(), info)
-
-	got, v2info, err := LoadSharded(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2info.Version != snapshotVersionSharded || len(v2info.Postings) != 0 {
-		t.Fatalf("v2 info = %+v", v2info)
-	}
-	if v2info.Bytes != int64(len(v2)) {
-		t.Errorf("v2 info.Bytes = %d, file is %d", v2info.Bytes, len(v2))
-	}
-	historiesEqual(t, col, got)
-
-	path := filepath.Join(t.TempDir(), "v2.snap")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opened, _, err := OpenShards(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range opened {
-		if sh.Postings != nil {
-			t.Fatalf("shard %d: postings from a v2 snapshot", sh.Shard)
-		}
-		st, err := sh.Store()
-		if err != nil {
-			t.Fatal(err)
-		}
-		storesEquivalent(t, New(sh.Col), st)
-	}
-}
-
 // TestSnapshotPostingsCorruption: a flipped bit in a postings segment is
 // caught by its checksum — by the streaming loader and by OpenShards for
 // the owning shard — while other shards stay loadable.
 func TestSnapshotPostingsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	info, err := SaveSharded(&buf, snapCollection(73), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
+	snap, info := saveSnap(t, New(snapCollection(73)), 4, nil)
 	last := info.ShardDetail[info.Shards-1]
 	postBase := info.headerLen() + last.Offset + last.Bytes
 
@@ -163,13 +80,10 @@ func TestSnapshotPostingsCorruption(t *testing.T) {
 	off := postBase + info.Postings[0].Bytes + info.Postings[1].Bytes
 	bad := append([]byte{}, snap...)
 	bad[off] ^= 0x10
-	if _, _, err := LoadSharded(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := Load(bytes.NewReader(bad)); err == nil {
 		t.Error("streaming loader accepted a corrupt postings segment")
 	}
-	path := filepath.Join(t.TempDir(), "bad.snap")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeTemp(t, bad)
 	if _, _, err := OpenShards(path, 2); err == nil {
 		t.Error("OpenShards accepted a corrupt postings segment")
 	}
@@ -180,20 +94,10 @@ func TestSnapshotPostingsCorruption(t *testing.T) {
 	// A postings table claiming more bytes than the file holds must fail
 	// size validation at header time.
 	huge := append([]byte{}, snap...)
-	prow := snapshotHeaderFixed + info.Shards*snapshotShardRow
-	binary.BigEndian.PutUint64(huge[prow:], 1<<40)
+	binary.BigEndian.PutUint64(huge[postingsTableOff(info.Shards):], 1<<40)
 	if _, _, err := OpenShards(writeTemp(t, huge)); err == nil {
 		t.Error("postings table byte-count lie accepted")
 	}
-}
-
-func writeTemp(t *testing.T, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "snap.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // TestDecodePostingsHostile: crafted postings payloads — truncations,

@@ -1,24 +1,58 @@
 package store
 
-// Sharded snapshot persistence (format v2). The collection is split on
-// the same ordinal-contiguous boundaries the engine shards on, each chunk
-// encoded as an independently decodable segment (segment.go), and the
-// file leads with a fixed header so version and integrity are checked
-// before a single payload byte is decoded:
+// Snapshot persistence. Loading 168k patients from the raw registry files
+// takes orders of magnitude longer than decoding a pre-integrated
+// snapshot; the workbench saves the integrated collection (and the
+// analyst's materialized cohorts) once and reopens instantly.
 //
-//	offset  field
-//	0       magic "PASTSNP2" (8 bytes)
-//	8       version  uint32 (= 2)
-//	12      shards   uint32
-//	16      patients uint64 (total)
-//	24      entries  uint64 (total)
-//	32      shard table, one row per shard:
-//	          offset   uint64 (from the end of the header)
-//	          bytes    uint64
-//	          patients uint64
-//	          entries  uint64
-//	          crc32c   uint32 (Castagnoli, over the segment bytes)
-//	…       shard segments, back to back
+// There is one format, and this comment is its authoritative layout. The
+// collection is split on the same ordinal-contiguous boundaries the engine
+// shards on; each chunk is written as an independently decodable history
+// segment (segment.go) and a postings segment holding the chunk's inverted
+// indexes (snapshot_postings.go), and the cohorts ride in one trailing
+// cohort segment (snapshot_cohorts.go). The file leads with a header whose
+// size depends on the shard count S alone, so version and integrity are
+// checked before a single payload byte is decoded. Integers are
+// big-endian, checksums crc32c (Castagnoli) over the segment bytes:
+//
+//	offset   field
+//	0        magic "PASTSNP2" (8 bytes)
+//	8        version  uint32 (= 5)
+//	12       shards   uint32 (S ≥ 1)
+//	16       patients uint64 (total)
+//	24       entries  uint64 (total)
+//	32       ingest extension: the store revision the snapshot was taken
+//	         from; all zero for a store that never ingested
+//	           generation     uint64
+//	           delta entries  uint64 (pending compaction at save)
+//	           delta patients uint64
+//	           compactions    uint64
+//	64       cohort extension; all zero with no cohorts
+//	           cohorts uint32
+//	           bytes   uint64 (cohort segment size)
+//	           crc32c  uint32
+//	80       shard table, S rows:
+//	           offset   uint64 (from the end of the header)
+//	           bytes    uint64
+//	           patients uint64
+//	           entries  uint64
+//	           crc32c   uint32
+//	80+36·S  postings table, S rows:
+//	           bytes   uint64
+//	           crc32c  uint32
+//	           lists, arrays, bitmaps, runs  uint32 each
+//	80+64·S  S history segments, then S postings segments, then the
+//	         cohort segment, back to back
+//
+// Histories are saved fully merged (base ∪ delta), so the ingest counters
+// are provenance, not reconstruction state: a reload starts a fresh
+// generation 0 over the merged data.
+//
+// The version is 5 because four shorter layouts preceded it (a gob stream,
+// then headers without the postings table or the extensions). Nothing
+// reads or writes them any more: a snapshot is a cache, and `cohortctl
+// snapshot save -data …` / `ingest -feed …` rebuild it from the registry
+// extracts.
 //
 // Save encodes segments concurrently; Load reads the segments off the
 // stream sequentially (it only needs an io.Reader) but decodes them on a
@@ -38,34 +72,14 @@ import (
 	"pastas/internal/model"
 )
 
-// snapshotMagic leads every sharded snapshot; legacy v1 gob streams can
-// never start with it (gob's first byte is a small message length).
+// snapshotMagic leads every snapshot.
 const snapshotMagic = "PASTSNP2"
 
-// snapshotVersionSharded is the original sharded header version: history
-// segments only. Still accepted on load.
-const snapshotVersionSharded = 2
+// snapshotVersion is the one layout Save writes and readHeader accepts.
+const snapshotVersion = 5
 
-// snapshotVersionPostings adds the containerized postings block: a
-// postings table after the shard table (size, checksum, and container
-// histogram per shard) and one postings segment per shard after the
-// history segments (see snapshot_postings.go). Save writes this version;
-// history segments are byte-identical to v2.
-const snapshotVersionPostings = 3
-
-// snapshotVersionIngest records live-ingest provenance: a 32-byte
-// extension after the fixed header (generation, pending delta entries and
-// patients, compaction runs) describing the store revision the snapshot
-// was taken from. The payload is unchanged from v3 — histories are saved
-// fully merged, base ∪ delta — so the counters are provenance, not
-// reconstruction state: a reload starts a fresh generation 0 over the
-// merged data. Save writes this version only for stores that have
-// actually ingested (generation > 0); pristine batch-built stores keep
-// writing v3.
-const snapshotVersionIngest = 4
-
-// snapshotIngestExt is the v4 header extension size.
-const snapshotIngestExt = 8 + 8 + 8 + 8
+// snapshotBufSize is the bufio buffer for streaming snapshot reads.
+const snapshotBufSize = 1 << 20
 
 // maxSnapshotShards bounds the shard count a header may claim, so a
 // corrupt or hostile header cannot demand a gigantic shard table.
@@ -73,6 +87,8 @@ const maxSnapshotShards = 1 << 16
 
 const (
 	snapshotHeaderFixed = 8 + 4 + 4 + 8 + 8     // magic, version, shards, patients, entries
+	snapshotIngestExt   = 8 + 8 + 8 + 8         // generation, delta entries, delta patients, compactions
+	snapshotCohortExt   = 4 + 8 + 4             // cohorts, segment bytes, crc
 	snapshotShardRow    = 8 + 8 + 8 + 8 + 4     // offset, bytes, patients, entries, crc
 	snapshotPostingsRow = 8 + 4 + 4 + 4 + 4 + 4 // bytes, crc, lists, arrays, bitmaps, runs
 )
@@ -80,7 +96,7 @@ const (
 // crcTable is the Castagnoli polynomial (hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ShardInfo describes one segment of a sharded snapshot.
+// ShardInfo describes one history segment of a snapshot.
 type ShardInfo struct {
 	Shard    int    `json:"shard"`
 	Offset   int64  `json:"offset"` // from the end of the header
@@ -90,57 +106,43 @@ type ShardInfo struct {
 	Checksum uint32 `json:"checksum"`
 }
 
-// SnapshotInfo is the provenance of a decoded (or inspected) snapshot.
+// SnapshotInfo is the provenance of a saved, decoded or inspected snapshot.
 type SnapshotInfo struct {
-	Version  int  `json:"version"`
-	Legacy   bool `json:"legacy"` // true for v1 single-gob snapshots
-	Shards   int  `json:"shards"`
-	Patients int  `json:"patients"`
-	Entries  int  `json:"entries"`
-	// Bytes is the total snapshot size (header + segments); 0 for legacy
-	// snapshots, whose gob stream carries no length.
+	Version  int `json:"version"`
+	Shards   int `json:"shards"`
+	Patients int `json:"patients"`
+	Entries  int `json:"entries"`
+	// Bytes is the total snapshot size (header + segments).
 	Bytes       int64       `json:"bytes"`
 	ShardDetail []ShardInfo `json:"shard_detail,omitempty"`
-	// Postings describes the per-shard containerized postings segments
-	// (v3+ snapshots only): sizes, checksums, and container histograms.
+	// Postings describes the per-shard containerized postings segments:
+	// sizes, checksums, and container histograms.
 	Postings []PostingsInfo `json:"postings,omitempty"`
-	// Live-ingest provenance (v4 snapshots only): the generation of the
-	// store revision the snapshot was taken from, the delta still pending
-	// compaction at that moment, and how many compactions had run. The
-	// snapshot payload is always fully merged; these are informational.
+	// Live-ingest provenance: the generation of the store revision the
+	// snapshot was taken from, the delta still pending compaction at that
+	// moment, and how many compactions had run. The snapshot payload is
+	// always fully merged; these are informational.
 	Generation    uint64 `json:"generation,omitempty"`
 	DeltaEntries  int    `json:"delta_entries,omitempty"`
 	DeltaPatients int    `json:"delta_patients,omitempty"`
 	Compactions   uint64 `json:"compactions,omitempty"`
-	// Materialized cohorts persisted with the snapshot (v5 only): record
-	// count, segment size, and the segment's crc32c.
+	// Materialized cohorts persisted with the snapshot: record count,
+	// segment size, and the segment's crc32c.
 	Cohorts        int    `json:"cohorts,omitempty"`
 	CohortBytes    int64  `json:"cohort_bytes,omitempty"`
 	CohortChecksum uint32 `json:"cohort_checksum,omitempty"`
 }
 
-// headerLen returns the full header size: fixed part, shard table, and —
-// for snapshots carrying a postings block — the postings table. Segment
-// offsets are relative to this point.
+// headerLen returns the full header size: fixed part, both extensions,
+// shard table and postings table. Segment offsets are relative to this
+// point.
 func (si *SnapshotInfo) headerLen() int64 {
-	l := int64(snapshotHeaderFixed) + int64(si.Shards)*snapshotShardRow
-	if si.Version >= snapshotVersionIngest {
-		l += snapshotIngestExt
-	}
-	if si.Version >= snapshotVersionCohorts {
-		l += snapshotCohortExt
-	}
-	if si.Version >= snapshotVersionPostings {
-		l += int64(si.Shards) * snapshotPostingsRow
-	}
-	return l
+	return snapshotHeaderFixed + snapshotIngestExt + snapshotCohortExt +
+		int64(si.Shards)*(snapshotShardRow+snapshotPostingsRow)
 }
 
 // Format names the wire format for display.
 func (si *SnapshotInfo) Format() string {
-	if si.Legacy {
-		return "legacy-v1"
-	}
 	return fmt.Sprintf("sharded-v%d", si.Version)
 }
 
@@ -170,54 +172,35 @@ func shardBounds(n, shards int) [][2]int {
 	return bounds
 }
 
-// SaveSharded writes the collection as a sharded v3 snapshot with the
-// given shard count (clamped to [1, patients]): history segments exactly
-// as v2 wrote them, plus one containerized postings segment per shard.
-// Segments are encoded concurrently on a worker pool; like Save, it is
-// read-only on the collection. Returns the layout it wrote.
-func SaveSharded(w io.Writer, col *model.Collection, shards int) (*SnapshotInfo, error) {
-	return saveSharded(w, col, shards, nil, nil)
-}
-
-// SaveShardedStore snapshots a store: the current revision is pinned
-// once, its histories (fully merged, base ∪ delta) are saved like
-// SaveSharded, and — when the store has ingested (generation > 0) — the
-// header is written as v4 with the revision's ingest provenance. A
-// pristine store produces a byte-identical v3 snapshot to
-// SaveSharded(w, s.Collection(), shards). Safe while appends and queries
-// run: the pinned revision is immutable.
-func SaveShardedStore(w io.Writer, s *Store, shards int) (*SnapshotInfo, error) {
+// Save snapshots a store with the given shard count (clamped to
+// [1, patients]) and returns the layout it wrote. The current revision is
+// pinned once and its histories are written fully merged, with the
+// revision's ingest provenance in the header, so saving is safe while
+// appends and queries run: the pinned revision is immutable, and entries
+// are serialized through SortedEntries, which copies before sorting, so a
+// history a concurrent query is scanning is never reordered. cohorts are
+// persisted in the cohort segment; a record that does not cover the pinned
+// population — exported just before a concurrent append, which has already
+// invalidated it in the workspace — is dropped rather than failing the
+// save. Segments are encoded concurrently on a worker pool.
+func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotInfo, error) {
 	r := s.loadRev()
 	col := r.collection()
-	if r.gen == 0 {
-		return saveSharded(w, col, shards, nil, nil)
-	}
-	return saveSharded(w, col, shards, &ingestProvenance{
-		generation:    r.gen,
-		deltaEntries:  r.deltaEntries,
-		deltaPatients: r.deltaPatients,
-		compactions:   r.compaction.Runs,
-	}, nil)
-}
-
-// ingestProvenance is the v4 header extension's content.
-type ingestProvenance struct {
-	generation    uint64
-	deltaEntries  int
-	deltaPatients int
-	compactions   uint64
-}
-
-func saveSharded(w io.Writer, col *model.Collection, shards int, prov *ingestProvenance, cohorts []CohortRecord) (*SnapshotInfo, error) {
 	hs := col.Histories()
-	if len(cohorts) > maxSnapshotCohorts {
-		return nil, fmt.Errorf("store: save snapshot: %d cohorts exceeds limit %d", len(cohorts), maxSnapshotCohorts)
-	}
+	kept := make([]CohortRecord, 0, len(cohorts))
 	for _, c := range cohorts {
-		if c.Bits == nil || c.Bits.Len() != len(hs) {
-			return nil, fmt.Errorf("store: save snapshot: cohort %q bitset does not cover the %d-patient population", c.Name, len(hs))
+		if c.Bits != nil && c.Bits.Len() == len(hs) {
+			kept = append(kept, c)
 		}
 	}
+	if len(kept) > maxSnapshotCohorts {
+		return nil, fmt.Errorf("store: save snapshot: %d cohorts exceeds limit %d", len(kept), maxSnapshotCohorts)
+	}
+	cohortSeg, err := encodeCohortSegment(kept)
+	if err != nil {
+		return nil, fmt.Errorf("store: save snapshot: %w", err)
+	}
+
 	bounds := shardBounds(len(hs), shards)
 	segs := make([][]byte, len(bounds))
 	postSegs := make([][]byte, len(bounds))
@@ -250,57 +233,35 @@ func saveSharded(w io.Writer, col *model.Collection, shards int, prov *ingestPro
 		}
 	}
 
-	// Version selection preserves byte-identity for cohortless saves: a
-	// pristine store stays v3, an ingested one v4, and only a snapshot
-	// actually carrying cohorts is promoted to v5 (whose header always
-	// includes the ingest extension, zeroed for a pristine store).
-	version := uint32(snapshotVersionPostings)
-	if prov != nil {
-		version = snapshotVersionIngest
-	}
-	var cohortSeg []byte
-	if len(cohorts) > 0 {
-		version = snapshotVersionCohorts
-		var err error
-		if cohortSeg, err = encodeCohortSegment(cohorts); err != nil {
-			return nil, fmt.Errorf("store: save snapshot: %w", err)
-		}
-	}
 	info := &SnapshotInfo{
-		Version:  int(version),
+		Version:  snapshotVersion,
 		Shards:   len(bounds),
 		Patients: len(hs),
 		Entries:  col.TotalEntries(),
 		Postings: postInfos,
+
+		Generation:    r.gen,
+		DeltaEntries:  r.deltaEntries,
+		DeltaPatients: r.deltaPatients,
+		Compactions:   r.compaction.Runs,
+
+		Cohorts:        len(kept),
+		CohortBytes:    int64(len(cohortSeg)),
+		CohortChecksum: crc32.Checksum(cohortSeg, crcTable),
 	}
-	header := make([]byte, 0, snapshotHeaderFixed+snapshotIngestExt+snapshotCohortExt+len(bounds)*(snapshotShardRow+snapshotPostingsRow))
+	header := make([]byte, 0, info.headerLen())
 	header = append(header, snapshotMagic...)
-	header = binary.BigEndian.AppendUint32(header, version)
+	header = binary.BigEndian.AppendUint32(header, snapshotVersion)
 	header = binary.BigEndian.AppendUint32(header, uint32(len(bounds)))
 	header = binary.BigEndian.AppendUint64(header, uint64(info.Patients))
 	header = binary.BigEndian.AppendUint64(header, uint64(info.Entries))
-	if version >= snapshotVersionIngest {
-		p := ingestProvenance{}
-		if prov != nil {
-			p = *prov
-			info.Generation = p.generation
-			info.DeltaEntries = p.deltaEntries
-			info.DeltaPatients = p.deltaPatients
-			info.Compactions = p.compactions
-		}
-		header = binary.BigEndian.AppendUint64(header, p.generation)
-		header = binary.BigEndian.AppendUint64(header, uint64(p.deltaEntries))
-		header = binary.BigEndian.AppendUint64(header, uint64(p.deltaPatients))
-		header = binary.BigEndian.AppendUint64(header, p.compactions)
-	}
-	if version >= snapshotVersionCohorts {
-		info.Cohorts = len(cohorts)
-		info.CohortBytes = int64(len(cohortSeg))
-		info.CohortChecksum = crc32.Checksum(cohortSeg, crcTable)
-		header = binary.BigEndian.AppendUint32(header, uint32(info.Cohorts))
-		header = binary.BigEndian.AppendUint64(header, uint64(info.CohortBytes))
-		header = binary.BigEndian.AppendUint32(header, info.CohortChecksum)
-	}
+	header = binary.BigEndian.AppendUint64(header, info.Generation)
+	header = binary.BigEndian.AppendUint64(header, uint64(info.DeltaEntries))
+	header = binary.BigEndian.AppendUint64(header, uint64(info.DeltaPatients))
+	header = binary.BigEndian.AppendUint64(header, info.Compactions)
+	header = binary.BigEndian.AppendUint32(header, uint32(info.Cohorts))
+	header = binary.BigEndian.AppendUint64(header, uint64(info.CohortBytes))
+	header = binary.BigEndian.AppendUint32(header, info.CohortChecksum)
 	offset := int64(0)
 	for i, b := range bounds {
 		entries := 0
@@ -333,38 +294,20 @@ func saveSharded(w io.Writer, col *model.Collection, shards int, prov *ingestPro
 		header = binary.BigEndian.AppendUint32(header, uint32(pi.Runs))
 		postBytes += pi.Bytes
 	}
-	info.Bytes = int64(len(header)) + offset + postBytes + int64(len(cohortSeg))
+	info.Bytes = int64(len(header)) + offset + postBytes + info.CohortBytes
 
-	if _, err := w.Write(header); err != nil {
-		return nil, fmt.Errorf("store: save snapshot: %w", err)
-	}
-	for _, seg := range segs {
-		if _, err := w.Write(seg); err != nil {
-			return nil, fmt.Errorf("store: save snapshot: %w", err)
-		}
-	}
-	for _, seg := range postSegs {
-		if _, err := w.Write(seg); err != nil {
-			return nil, fmt.Errorf("store: save snapshot: %w", err)
-		}
-	}
-	if len(cohortSeg) > 0 {
-		if _, err := w.Write(cohortSeg); err != nil {
+	parts := append(append([][]byte{header}, segs...), postSegs...)
+	for _, part := range append(parts, cohortSeg) {
+		if _, err := w.Write(part); err != nil {
 			return nil, fmt.Errorf("store: save snapshot: %w", err)
 		}
 	}
 	return info, nil
 }
 
-// LoadSharded reads a sharded v2 snapshot. The header is validated first
-// — magic, version, shard count, table consistency — so an incompatible
-// file errors before any payload decode; then segments are checksummed
-// and decoded concurrently and merged in shard order.
-func LoadSharded(r io.Reader) (*model.Collection, *SnapshotInfo, error) {
-	return loadSharded(bufio.NewReaderSize(r, snapshotBufSize))
-}
-
-// readHeader reads and validates the fixed header and shard table.
+// readHeader reads and validates the header: magic and version first —
+// anything but snapshotVersion is refused before another byte is read —
+// then the extensions and both tables.
 func readHeader(r io.Reader) (*SnapshotInfo, error) {
 	fixed := make([]byte, snapshotHeaderFixed)
 	if _, err := io.ReadFull(r, fixed); err != nil {
@@ -373,9 +316,8 @@ func readHeader(r io.Reader) (*SnapshotInfo, error) {
 	if string(fixed[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("store: load snapshot: bad magic %q", fixed[:len(snapshotMagic)])
 	}
-	version := binary.BigEndian.Uint32(fixed[8:])
-	if version < snapshotVersionSharded || version > snapshotVersionCohorts {
-		return nil, fmt.Errorf("store: load snapshot: unsupported version %d", version)
+	if version := binary.BigEndian.Uint32(fixed[8:]); version != snapshotVersion {
+		return nil, fmt.Errorf("store: load snapshot: unsupported version %d (only version %d is read; rebuild the snapshot with `cohortctl snapshot save` or `ingest`)", version, snapshotVersion)
 	}
 	shards := binary.BigEndian.Uint32(fixed[12:])
 	if shards == 0 {
@@ -387,60 +329,45 @@ func readHeader(r io.Reader) (*SnapshotInfo, error) {
 	patients := binary.BigEndian.Uint64(fixed[16:])
 	entries := binary.BigEndian.Uint64(fixed[24:])
 
-	var prov ingestProvenance
-	if version >= snapshotVersionIngest {
-		ext := make([]byte, snapshotIngestExt)
-		if _, err := io.ReadFull(r, ext); err != nil {
-			return nil, fmt.Errorf("store: load snapshot: ingest header: %w", err)
-		}
-		prov.generation = binary.BigEndian.Uint64(ext[0:])
-		de := binary.BigEndian.Uint64(ext[8:])
-		dp := binary.BigEndian.Uint64(ext[16:])
-		prov.compactions = binary.BigEndian.Uint64(ext[24:])
-		if de > entries || dp > patients {
-			return nil, fmt.Errorf("store: load snapshot: ingest header claims delta %d/%d larger than totals %d/%d",
-				de, dp, entries, patients)
-		}
-		prov.deltaEntries = int(de)
-		prov.deltaPatients = int(dp)
+	ext := make([]byte, snapshotIngestExt)
+	if _, err := io.ReadFull(r, ext); err != nil {
+		return nil, fmt.Errorf("store: load snapshot: ingest header: %w", err)
+	}
+	deltaEntries := binary.BigEndian.Uint64(ext[8:])
+	deltaPatients := binary.BigEndian.Uint64(ext[16:])
+	if deltaEntries > entries || deltaPatients > patients {
+		return nil, fmt.Errorf("store: load snapshot: ingest header claims delta %d/%d larger than totals %d/%d",
+			deltaEntries, deltaPatients, entries, patients)
+	}
+	info := &SnapshotInfo{
+		Version:       snapshotVersion,
+		Shards:        int(shards),
+		Patients:      int(patients),
+		Entries:       int(entries),
+		Generation:    binary.BigEndian.Uint64(ext[0:]),
+		DeltaEntries:  int(deltaEntries),
+		DeltaPatients: int(deltaPatients),
+		Compactions:   binary.BigEndian.Uint64(ext[24:]),
 	}
 
-	var cohortCount uint32
-	var cohortBytes uint64
-	var cohortCRC uint32
-	if version >= snapshotVersionCohorts {
-		ext := make([]byte, snapshotCohortExt)
-		if _, err := io.ReadFull(r, ext); err != nil {
-			return nil, fmt.Errorf("store: load snapshot: cohort header: %w", err)
-		}
-		cohortCount = binary.BigEndian.Uint32(ext[0:])
-		cohortBytes = binary.BigEndian.Uint64(ext[4:])
-		cohortCRC = binary.BigEndian.Uint32(ext[12:])
-		if cohortCount > maxSnapshotCohorts {
-			return nil, fmt.Errorf("store: load snapshot: cohort count %d exceeds limit %d", cohortCount, maxSnapshotCohorts)
-		}
-		if (cohortCount == 0) != (cohortBytes == 0) {
-			return nil, fmt.Errorf("store: load snapshot: cohort header claims %d cohorts in %d bytes", cohortCount, cohortBytes)
-		}
+	ext = make([]byte, snapshotCohortExt)
+	if _, err := io.ReadFull(r, ext); err != nil {
+		return nil, fmt.Errorf("store: load snapshot: cohort header: %w", err)
 	}
+	cohortCount := binary.BigEndian.Uint32(ext[0:])
+	cohortBytes := binary.BigEndian.Uint64(ext[4:])
+	if cohortCount > maxSnapshotCohorts {
+		return nil, fmt.Errorf("store: load snapshot: cohort count %d exceeds limit %d", cohortCount, maxSnapshotCohorts)
+	}
+	if (cohortCount == 0) != (cohortBytes == 0) {
+		return nil, fmt.Errorf("store: load snapshot: cohort header claims %d cohorts in %d bytes", cohortCount, cohortBytes)
+	}
+	info.Cohorts = int(cohortCount)
+	info.CohortChecksum = binary.BigEndian.Uint32(ext[12:])
 
 	table := make([]byte, int(shards)*snapshotShardRow)
 	if _, err := io.ReadFull(r, table); err != nil {
 		return nil, fmt.Errorf("store: load snapshot: shard table: %w", err)
-	}
-	info := &SnapshotInfo{
-		Version:       int(version),
-		Shards:        int(shards),
-		Patients:      int(patients),
-		Entries:       int(entries),
-		Generation:    prov.generation,
-		DeltaEntries:  prov.deltaEntries,
-		DeltaPatients: prov.deltaPatients,
-		Compactions:   prov.compactions,
-
-		Cohorts:        int(cohortCount),
-		CohortBytes:    int64(cohortBytes),
-		CohortChecksum: cohortCRC,
 	}
 	// maxPayload caps the summed segment sizes so info.Bytes (header +
 	// payload) can never overflow int64 — a hostile shard table claiming
@@ -479,121 +406,140 @@ func readHeader(r io.Reader) (*SnapshotInfo, error) {
 	if sumEntries != entries {
 		return nil, fmt.Errorf("store: load snapshot: shard table sums to %d entries, header says %d", sumEntries, entries)
 	}
-	if version >= snapshotVersionPostings {
-		ptable := make([]byte, int(shards)*snapshotPostingsRow)
-		if _, err := io.ReadFull(r, ptable); err != nil {
-			return nil, fmt.Errorf("store: load snapshot: postings table: %w", err)
+
+	table = make([]byte, int(shards)*snapshotPostingsRow)
+	if _, err := io.ReadFull(r, table); err != nil {
+		return nil, fmt.Errorf("store: load snapshot: postings table: %w", err)
+	}
+	for i := 0; i < int(shards); i++ {
+		row := table[i*snapshotPostingsRow:]
+		pi := PostingsInfo{
+			Shard:    i,
+			Bytes:    int64(binary.BigEndian.Uint64(row[0:])),
+			Checksum: binary.BigEndian.Uint32(row[8:]),
+			Lists:    int(binary.BigEndian.Uint32(row[12:])),
+			Arrays:   int(binary.BigEndian.Uint32(row[16:])),
+			Bitmaps:  int(binary.BigEndian.Uint32(row[20:])),
+			Runs:     int(binary.BigEndian.Uint32(row[24:])),
 		}
-		for i := 0; i < int(shards); i++ {
-			row := ptable[i*snapshotPostingsRow:]
-			pi := PostingsInfo{
-				Shard:    i,
-				Bytes:    int64(binary.BigEndian.Uint64(row[0:])),
-				Checksum: binary.BigEndian.Uint32(row[8:]),
-				Lists:    int(binary.BigEndian.Uint32(row[12:])),
-				Arrays:   int(binary.BigEndian.Uint32(row[16:])),
-				Bitmaps:  int(binary.BigEndian.Uint32(row[20:])),
-				Runs:     int(binary.BigEndian.Uint32(row[24:])),
-			}
-			if pi.Bytes < 0 {
-				return nil, fmt.Errorf("store: load snapshot: postings %d: negative size", i)
-			}
-			if uint64(pi.Bytes) > maxPayload-offset {
-				return nil, fmt.Errorf("store: load snapshot: postings %d: segment sizes overflow", i)
-			}
-			offset += uint64(pi.Bytes)
-			info.Postings = append(info.Postings, pi)
+		if pi.Bytes < 0 {
+			return nil, fmt.Errorf("store: load snapshot: postings %d: negative size", i)
 		}
+		if uint64(pi.Bytes) > maxPayload-offset {
+			return nil, fmt.Errorf("store: load snapshot: postings %d: segment sizes overflow", i)
+		}
+		offset += uint64(pi.Bytes)
+		info.Postings = append(info.Postings, pi)
 	}
 	if cohortBytes > maxPayload-offset {
 		return nil, fmt.Errorf("store: load snapshot: cohort segment size overflows")
 	}
-	offset += cohortBytes
-	info.Bytes = headerLen + int64(offset)
+	info.CohortBytes = int64(cohortBytes)
+	info.Bytes = headerLen + int64(offset+cohortBytes)
 	return info, nil
 }
 
-// loadSharded reads header + segments off the (buffered) stream. Segment
-// bytes are read sequentially — io.Reader has no random access — but
-// each segment's checksum + decode is handed to the worker pool the
-// moment its bytes arrive, so decode overlaps both the remaining reads
-// and the other shards' decodes.
-func loadSharded(r io.Reader) (*model.Collection, *SnapshotInfo, error) {
-	col, _, info, err := loadShardedFull(r)
-	return col, info, err
+// readSegment reads the next n bytes of the stream — a length the header
+// claimed, so untrusted. CopyN grows the buffer only as bytes actually
+// arrive (the up-front Grow is capped at 4 MiB), so a crafted length over
+// a short stream is a read error, never a giant allocation.
+func readSegment(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, 4<<20)))
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		return nil, fmt.Errorf("read %d bytes: %w", n, err)
+	}
+	return buf.Bytes(), nil
 }
 
-// loadShardedFull is loadSharded plus the decoded cohort records. The
-// cohort segment is always drained, checksummed, and parsed when present
-// — even callers that discard cohorts get the whole-file integrity
-// check.
-func loadShardedFull(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error) {
+// verifySegment checks a segment against the crc32c its header row holds.
+func verifySegment(seg []byte, want uint32) error {
+	if got := crc32.Checksum(seg, crcTable); got != want {
+		return fmt.Errorf("checksum mismatch (got %08x, want %08x)", got, want)
+	}
+	return nil
+}
+
+// decode verifies and decodes the history segment this table row
+// describes: checksum first, then a decode bounded by the row's patient
+// count and checked against its entry count. The histories come back
+// chronologically sorted.
+func (si ShardInfo) decode(seg []byte) ([]*model.History, error) {
+	if err := verifySegment(seg, si.Checksum); err != nil {
+		return nil, err
+	}
+	hs, entries, err := decodeSegment(seg, si.Patients)
+	if err != nil {
+		return nil, err
+	}
+	if entries != si.Entries {
+		return nil, fmt.Errorf("%d entries, header promised %d", entries, si.Entries)
+	}
+	for _, h := range hs {
+		h.Sort() // no-op for well-formed snapshots
+	}
+	return hs, nil
+}
+
+// Load reads a snapshot back into its collection and cohort records. The
+// header is validated first — magic, version, shard count, table
+// consistency — so an incompatible file errors before any payload decode.
+// Segment bytes are read sequentially — io.Reader has no random access —
+// but each history segment's checksum + decode is handed to the worker
+// pool the moment its bytes arrive, so decode overlaps both the remaining
+// reads and the other shards' decodes. The indexes are rebuilt by the
+// caller from the merged collection, but every byte the header promises —
+// postings and cohort segments included — must be present and match its
+// checksum.
+func Load(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error) {
+	r = bufio.NewReaderSize(r, snapshotBufSize)
 	info, err := readHeader(r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	type result struct {
-		hs      []*model.History
-		entries int
-		err     error
+		hs  []*model.History
+		err error
 	}
 	results := make([]result, info.Shards)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < info.Shards; i++ {
-		si := info.ShardDetail[i]
-		// CopyN grows the buffer only as bytes actually arrive, so a
-		// crafted length plus a short stream errors without ballooning.
-		var buf bytes.Buffer
-		buf.Grow(int(min(si.Bytes, 4<<20)))
-		if _, err := io.CopyN(&buf, r, si.Bytes); err != nil {
-			wg.Wait()
-			return nil, nil, nil, fmt.Errorf("store: load snapshot: shard %d: read %d bytes: %w", i, si.Bytes, err)
+	fail := func(err error) (*model.Collection, []CohortRecord, *SnapshotInfo, error) {
+		wg.Wait()
+		return nil, nil, nil, err
+	}
+	for i, si := range info.ShardDetail {
+		seg, err := readSegment(r, si.Bytes)
+		if err != nil {
+			return fail(fmt.Errorf("store: load snapshot: shard %d: %w", i, err))
 		}
 		wg.Add(1)
-		go func(i int, si ShardInfo, seg []byte) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if got := crc32.Checksum(seg, crcTable); got != si.Checksum {
-				results[i].err = fmt.Errorf("store: load snapshot: shard %d: checksum mismatch (got %08x, want %08x)", i, got, si.Checksum)
-				return
-			}
-			hs, entries, err := decodeSegment(seg, si.Patients)
-			if err != nil {
-				results[i].err = fmt.Errorf("store: load snapshot: shard %d: %w", i, err)
-				return
-			}
-			if entries != si.Entries {
-				results[i].err = fmt.Errorf("store: load snapshot: shard %d: %d entries, header promised %d", i, entries, si.Entries)
-				return
-			}
-			results[i].hs, results[i].entries = hs, entries
-		}(i, si, buf.Bytes())
+			results[i].hs, results[i].err = si.decode(seg)
+		}()
 	}
-	// Drain and checksum the postings segments (v3): the streaming loader
-	// rebuilds its indexes from the merged collection, but the stream's
-	// integrity contract — every byte the header promises is present and
-	// checksummed — must hold for the whole file, not just the histories.
-	for i := 0; i < len(info.Postings); i++ {
-		pi := info.Postings[i]
-		var buf bytes.Buffer
-		buf.Grow(int(min(pi.Bytes, 4<<20)))
-		if _, err := io.CopyN(&buf, r, pi.Bytes); err != nil {
-			wg.Wait()
-			return nil, nil, nil, fmt.Errorf("store: load snapshot: postings %d: read %d bytes: %w", i, pi.Bytes, err)
+	for i, pi := range info.Postings {
+		seg, err := readSegment(r, pi.Bytes)
+		if err == nil {
+			err = verifySegment(seg, pi.Checksum)
 		}
-		if got := crc32.Checksum(buf.Bytes(), crcTable); got != pi.Checksum {
-			wg.Wait()
-			return nil, nil, nil, fmt.Errorf("store: load snapshot: postings %d: checksum mismatch (got %08x, want %08x)", i, got, pi.Checksum)
+		if err != nil {
+			return fail(fmt.Errorf("store: load snapshot: postings %d: %w", i, err))
 		}
 	}
-	// The cohort segment (v5) trails the postings; drain, verify, and
-	// decode it whether or not the caller wants the records.
-	cohorts, cohortErr := readCohortSegment(r, info)
-	if cohortErr != nil {
-		wg.Wait()
-		return nil, nil, nil, cohortErr
+	seg, err := readSegment(r, info.CohortBytes)
+	if err == nil {
+		err = verifySegment(seg, info.CohortChecksum)
+	}
+	if err != nil {
+		return fail(fmt.Errorf("store: load snapshot: cohort segment: %w", err))
+	}
+	cohorts, err := decodeCohortSegment(seg, info.Cohorts, info.Patients)
+	if err != nil {
+		return fail(err)
 	}
 	wg.Wait()
 
@@ -605,7 +551,7 @@ func loadShardedFull(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotI
 	total := 0
 	for i := range results {
 		if results[i].err != nil {
-			return nil, nil, nil, results[i].err
+			return fail(fmt.Errorf("store: load snapshot: shard %d: %w", i, results[i].err))
 		}
 		total += len(results[i].hs)
 	}
@@ -613,41 +559,29 @@ func loadShardedFull(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotI
 	// shard 1's, … — exactly the ordinal order they were saved in.
 	all := make([]*model.History, 0, total)
 	for i := range results {
-		for _, h := range results[i].hs {
-			h.Sort() // no-op for well-formed snapshots
-		}
 		all = append(all, results[i].hs...)
 	}
 	col, err := model.NewCollection(all...)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("store: load snapshot: %w", err)
+		return fail(fmt.Errorf("store: load snapshot: %w", err))
 	}
 	return col, cohorts, info, nil
 }
 
-// Inspect reads a snapshot's provenance without materializing the
-// collection: header-only for sharded snapshots; legacy v1 snapshots
-// carry no header, so inspecting one costs a full decode. When the
-// reader's total size is discoverable (files, in-memory readers), the
-// shard table is validated against it, so a truncated file is reported
-// here — at header time — rather than by a mid-read failure in OpenShards
-// or LoadSharded.
+// Inspect reads a snapshot's provenance from its header alone, without
+// touching the payload. When the reader's total size is discoverable
+// (files, in-memory readers), the tables are validated against it, so a
+// truncated file is reported here — at header time — rather than by a
+// mid-read failure in OpenShards or Load.
 func Inspect(r io.Reader) (*SnapshotInfo, error) {
-	size, sized := readerSize(r)
-	br := bufio.NewReaderSize(r, snapshotBufSize)
-	head, err := br.Peek(len(snapshotMagic))
-	if err == nil && bytes.Equal(head, []byte(snapshotMagic)) {
-		info, err := readHeader(br)
-		if err != nil {
+	info, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if size, sized := readerSize(r); sized {
+		if err := validateSnapshotSize(info, size); err != nil {
 			return nil, err
 		}
-		if sized {
-			if err := validateSnapshotSize(info, size); err != nil {
-				return nil, err
-			}
-		}
-		return info, nil
 	}
-	_, info, err := loadLegacy(br)
-	return info, err
+	return info, nil
 }

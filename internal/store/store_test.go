@@ -243,42 +243,24 @@ func TestBitsetRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
+func TestSnapshotRoundTripSynthetic(t *testing.T) {
 	bundle := synth.Generate(synth.DefaultConfig(80))
 	col, _, err := integrate.Build(bundle, integrate.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, col); err != nil {
+	if _, err := Save(&buf, New(col), 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, _, _, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != col.Len() || got.TotalEntries() != col.TotalEntries() {
-		t.Fatalf("snapshot round trip: %d/%d patients, %d/%d entries",
-			got.Len(), col.Len(), got.TotalEntries(), col.TotalEntries())
+	if got.TotalEntries() != col.TotalEntries() {
+		t.Fatalf("snapshot round trip: %d/%d entries", got.TotalEntries(), col.TotalEntries())
 	}
-	for _, h := range col.Histories() {
-		g := got.Get(h.Patient.ID)
-		if g == nil {
-			t.Fatalf("patient %s lost", h.Patient.ID)
-		}
-		if !reflect.DeepEqual(g.Patient, h.Patient) {
-			t.Fatalf("patient record changed: %+v vs %+v", g.Patient, h.Patient)
-		}
-		if !reflect.DeepEqual(g.Entries, h.Entries) {
-			t.Fatalf("entries changed for %s", h.Patient.ID)
-		}
-	}
-}
-
-func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage snapshot accepted")
-	}
+	historiesEqual(t, col, got)
 }
 
 func TestStoreOverSyntheticData(t *testing.T) {

@@ -356,7 +356,7 @@ func TestStatsSnapshotProvenance(t *testing.T) {
 	if body.Snapshot == nil {
 		t.Fatal("snapshot provenance missing for a reopened workbench")
 	}
-	if body.Snapshot.Format != "sharded-v3" || body.Snapshot.Shards != 4 {
+	if body.Snapshot.Format != "sharded-v5" || body.Snapshot.Shards != 4 {
 		t.Errorf("snapshot = %+v", body.Snapshot)
 	}
 	if body.Snapshot.Patients != 120 || body.Snapshot.Bytes != info.Bytes {

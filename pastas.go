@@ -138,13 +138,13 @@ type (
 	SnapshotInfo = store.SnapshotInfo
 )
 
-// Open reopens a workbench from a saved snapshot (sharded v2 snapshots
-// decode shard-parallel; legacy v1 single-gob snapshots are detected
-// transparently).
+// Open reopens a workbench from a saved snapshot, decoding its shards in
+// parallel; a file of any other version is refused with an error naming
+// the version.
 func Open(r io.Reader, window Period) (*Workbench, error) { return core.Open(r, window) }
 
-// InspectSnapshot reads a snapshot's provenance without materializing
-// the collection (header-only for sharded snapshots).
+// InspectSnapshot reads a snapshot's provenance from its header alone,
+// without materializing the collection.
 func InspectSnapshot(r io.Reader) (*SnapshotInfo, error) { return store.Inspect(r) }
 
 // --- distributed execution -------------------------------------------------
@@ -190,8 +190,9 @@ func NewReplicaBackend(replicas []ShardBackend, opts ReplicaOptions) (*ReplicaBa
 	return engine.NewReplicaBackend(replicas, opts)
 }
 
-// OpenShards pages the given shards (no ids = all) of a sharded v2
-// snapshot into memory, reading only the header and those segments.
+// OpenShards pages the given shards (no ids = all) of a snapshot into
+// memory — histories and inverted indexes — reading only the header and
+// those shards' segments.
 func OpenShards(path string, ids ...int) ([]*OpenedShard, *SnapshotInfo, error) {
 	return store.OpenShards(path, ids...)
 }

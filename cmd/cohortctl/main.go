@@ -20,6 +20,8 @@
 //	cohortctl cohort list -snapshot wb.snap
 //	cohortctl cohort refine -snapshot wb.snap -name dm-elderly -query q2.json
 //	cohortctl cohort compare -snapshot wb.snap -a diabetics -b dm-elderly
+//	cohortctl serve -snapshot wb.snap -addr :8080 -password tromsø
+//	cohortctl serve -shards 10.0.0.1:7070,10.0.0.2:7070 -addr :8080
 //
 // The explain subcommand prints the cost-annotated plan (estimated rows
 // and cost per node, in execution order), then runs the query and reports
@@ -35,18 +37,23 @@
 // together must cover the snapshot, and runs queries across them with
 // bit-identical results to a local run. History-level operations work
 // over -shards too: -timeline fetches the patient's history from its
-// shard and renders it, -indicators aggregates server-side. The server
-// shuts down gracefully on SIGINT/SIGTERM (listener closed, in-flight
-// RPCs drained).
+// shard and renders it, -indicators aggregates server-side.
+//
+// serve runs the personal-timeline web service — the paper's pastas.no
+// deployment: interactive timelines plus the cohort API, behind the sample
+// password — over any of the four sources. Both servers shut down
+// gracefully on SIGINT/SIGTERM (listener closed, in-flight calls drained).
 package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -55,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"pastas/internal/cohort"
 	"pastas/internal/core"
 	"pastas/internal/engine"
 	"pastas/internal/integrate"
@@ -67,6 +73,7 @@ import (
 	"pastas/internal/store"
 	"pastas/internal/synth"
 	"pastas/internal/temporal"
+	"pastas/internal/webapp"
 )
 
 func main() {
@@ -74,25 +81,14 @@ func main() {
 	log.SetPrefix("cohortctl: ")
 
 	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "snapshot" {
-		runSnapshotCmd(args[1:])
-		return
-	}
-	if len(args) > 0 && args[0] == "shard-server" {
-		runShardServer(args[1:])
-		return
-	}
-	if len(args) > 0 && args[0] == "ingest" {
-		runIngest(args[1:])
-		return
-	}
-	if len(args) > 0 && args[0] == "cohort" {
-		runCohortCmd(args[1:])
-		return
-	}
-	if len(args) > 0 && args[0] == "analyze" {
-		runAnalyze(args[1:])
-		return
+	if len(args) > 0 {
+		if run, ok := map[string]func([]string){
+			"snapshot": runSnapshotCmd, "shard-server": runShardServer, "ingest": runIngest,
+			"cohort": runCohortCmd, "analyze": runAnalyze, "serve": runServe,
+		}[args[0]]; ok {
+			run(args[1:])
+			return
+		}
 	}
 	explainMode := len(args) > 0 && args[0] == "explain"
 	if explainMode {
@@ -100,11 +96,7 @@ func main() {
 	}
 
 	fs := flag.NewFlagSet("cohortctl", flag.ExitOnError)
-	dataDir := fs.String("data", "", "registry extract directory (from datagen)")
-	synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
-	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
-	shardAddrs := fs.String("shards", "", "comma-separated shard-server addresses to query across; \"a|b\" groups replicas serving the same shards")
-	degraded := fs.Bool("degraded", false, "with -shards: answer over reachable shards when some are down, reporting which are missing (default: any down shard is an error)")
+	load := sourceFlags(fs, true)
 	queryFile := fs.String("query", "", "JSON query-spec file")
 	study := fs.Bool("study", false, "run the paper's predefined-characteristics selection")
 	limit := fs.Int("limit", 20, "IDs to print")
@@ -112,7 +104,7 @@ func main() {
 	timelineID := fs.Uint64("timeline", 0, "render this patient's timeline as SVG on stdout (works over -shards)")
 	fs.Parse(args) // ExitOnError: parse failures exit(2) with usage
 
-	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, *shardAddrs, *degraded)
+	wb, window, err := load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,18 +127,9 @@ func main() {
 	var expr query.Expr
 	switch {
 	case *study:
-		expr = cohort.StudyCriteria(window)
+		expr = core.StudyCriteria(window)
 	case *queryFile != "":
-		data, err := os.ReadFile(*queryFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		spec, err := query.ParseSpec(data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		expr, err = spec.Compile()
-		if err != nil {
+		if expr, err = loadQueryExpr(*queryFile); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -253,50 +236,64 @@ func warnIncomplete(wb *core.Workbench, status engine.QueryStatus) {
 	log.Printf("warning: %s (incomplete mask %v)", status, mask.Ones())
 }
 
-func loadWorkbench(dataDir string, synthN int, snapshotPath, shardAddrs string, degraded bool) (*core.Workbench, model.Period, error) {
-	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
-	switch {
-	case shardAddrs != "":
-		addrs := strings.Split(shardAddrs, ",")
-		opts := engine.DefaultOptions()
-		if degraded {
-			opts.Policy = engine.PolicyDegraded
+// sourceFlags registers on fs the flags that say where the population comes
+// from, and returns the loader to call once fs is parsed. remote adds
+// -shards and -degraded; the subcommands that need the histories locally
+// (and spell their own shard *count* -shards) pass false.
+func sourceFlags(fs *flag.FlagSet, remote bool) (load func() (*core.Workbench, model.Period, error)) {
+	dataDir := fs.String("data", "", "registry extract directory (from datagen)")
+	synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
+	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot (and its cohort workspace) instead of ingesting")
+	shardAddrs, degraded := new(string), new(bool)
+	if remote {
+		fs.StringVar(shardAddrs, "shards", "", "comma-separated shard-server addresses to run across; \"a|b\" groups replicas serving the same shards")
+		fs.BoolVar(degraded, "degraded", false, "with -shards: answer over reachable shards when some are down, reporting which are missing (default: any down shard is an error)")
+	}
+	return func() (*core.Workbench, model.Period, error) {
+		window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
+		switch {
+		case *shardAddrs != "":
+			addrs := strings.Split(*shardAddrs, ",")
+			opts := engine.DefaultOptions()
+			if *degraded {
+				opts.Policy = engine.PolicyDegraded
+			}
+			t0 := time.Now()
+			wb, err := core.Connect(addrs, engine.RemoteOptions{}, opts, window)
+			if err != nil {
+				return nil, window, err
+			}
+			fmt.Printf("connected to %d shards on %d servers in %s\n",
+				wb.Engine.NumShards(), len(addrs), time.Since(t0).Round(time.Millisecond))
+			return wb, window, nil
+		case *snapshotPath != "":
+			f, err := os.Open(*snapshotPath)
+			if err != nil {
+				return nil, window, err
+			}
+			defer f.Close()
+			t0 := time.Now()
+			wb, err := core.Open(f, window)
+			if err != nil {
+				return nil, window, err
+			}
+			fmt.Printf("reopened %s snapshot (%d shards) in %s\n",
+				wb.Snapshot.Format(), wb.Snapshot.Shards, time.Since(t0).Round(time.Millisecond))
+			return wb, window, nil
+		case *dataDir != "":
+			bundle, err := sources.ReadDir(*dataDir)
+			if err != nil {
+				return nil, window, err
+			}
+			wb, err := core.FromBundle(bundle, integrate.DefaultOptions(), window)
+			return wb, window, err
+		case *synthN > 0:
+			cfg := synth.DefaultConfig(*synthN)
+			wb, err := core.Synthesize(cfg)
+			return wb, cfg.Window(), err
+		default:
+			return nil, window, fmt.Errorf("need -data DIR, -synth N, -snapshot FILE or -shards ADDRS")
 		}
-		t0 := time.Now()
-		wb, err := core.Connect(addrs, engine.RemoteOptions{}, opts, window)
-		if err != nil {
-			return nil, window, err
-		}
-		fmt.Printf("connected to %d shards on %d servers in %s\n",
-			wb.Engine.NumShards(), len(addrs), time.Since(t0).Round(time.Millisecond))
-		return wb, window, nil
-	case snapshotPath != "":
-		f, err := os.Open(snapshotPath)
-		if err != nil {
-			return nil, window, err
-		}
-		defer f.Close()
-		t0 := time.Now()
-		wb, err := core.Open(f, window)
-		if err != nil {
-			return nil, window, err
-		}
-		fmt.Printf("reopened %s snapshot (%d shards) in %s\n",
-			wb.Snapshot.Format(), wb.Snapshot.Shards, time.Since(t0).Round(time.Millisecond))
-		return wb, window, nil
-	case dataDir != "":
-		bundle, err := sources.ReadDir(dataDir)
-		if err != nil {
-			return nil, window, err
-		}
-		wb, err := core.FromBundle(bundle, integrate.DefaultOptions(), window)
-		return wb, window, err
-	case synthN > 0:
-		cfg := synth.DefaultConfig(synthN)
-		wb, err := core.Synthesize(cfg)
-		return wb, cfg.Window(), err
-	default:
-		return nil, window, fmt.Errorf("need -data DIR, -synth N, -snapshot FILE or -shards ADDRS")
 	}
 }
 
@@ -379,25 +376,76 @@ func runShardServer(args []string) {
 	// dying mid-call — so supervisor teardown, Ctrl-C and the CI e2e
 	// job's trap all leave clients with complete answers, never EOF
 	// halfway through a bitset.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		sig := <-sigs
-		fmt.Printf("received %s, draining in-flight RPCs\n", sig)
-		if err := srv.Shutdown(10 * time.Second); err != nil {
-			log.Print(err)
-		}
-	}()
-	if err := srv.Serve(lis); !errors.Is(err, engine.ErrServerClosed) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err = serveUntil(ctx, func() error { return srv.Serve(lis) }, func() error {
+		fmt.Println("shutting down, draining in-flight RPCs")
+		return srv.Shutdown(10 * time.Second)
+	}, engine.ErrServerClosed)
+	if err != nil {
 		log.Fatal(err)
 	}
-	// Serve returns as soon as the listener closes; the drain may still
-	// be flushing responses. Exit only after Shutdown finishes, or the
-	// process teardown would sever the very calls it just waited for.
-	<-drained
 	fmt.Println("shard server stopped")
+}
+
+// serveUntil runs serve — which blocks until its listener closes — and,
+// once ctx ends, drain, which closes the listener and waits for the calls
+// in flight. closed is what serve returns for a listener drain closed. It
+// returns only after the drain has finished: serve returns as soon as the
+// listener closes, and a process that exited then would sever the very
+// calls the drain is still flushing.
+func serveUntil(ctx context.Context, serve, drain func() error, closed error) error {
+	drained := make(chan error, 1)
+	stop := context.AfterFunc(ctx, func() { drained <- drain() })
+	err := serve()
+	if stop() {
+		return err // serve failed on its own; ctx never ended
+	}
+	if derr := <-drained; errors.Is(err, closed) {
+		return derr
+	}
+	return err
+}
+
+// runServe runs the personal-timeline web service over any source.
+func runServe(args []string) {
+	fs := flag.NewFlagSet("cohortctl serve", flag.ExitOnError)
+	load := sourceFlags(fs, true)
+	addr := fs.String("addr", ":8080", "listen address")
+	password := fs.String("password", "tromsø", "sample password ('' = open)")
+	fs.Parse(args)
+	wb, _, err := load()
+	if err != nil {
+		log.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("loaded %d patients (%d entries)\n", wb.Patients(), wb.Entries())
+	fmt.Printf("serving on %s — try /timeline?patient=1&pw=%s\n", lis.Addr(), *password)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serveHTTP(ctx, lis, wb, *password); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("web server stopped")
+}
+
+// serveHTTP answers HTTP on lis until ctx ends, then lets the requests in
+// flight finish and closes the workbench (remote connections, replica
+// health loops).
+func serveHTTP(ctx context.Context, lis net.Listener, wb *core.Workbench, password string) error {
+	defer wb.Close()
+	hs := &http.Server{
+		Handler:           webapp.NewServer(wb, webapp.Config{Password: password, MaxCohortSample: 100}),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	return serveUntil(ctx, func() error { return hs.Serve(lis) }, func() error {
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+		defer cancel()
+		return hs.Shutdown(ctx)
+	}, http.ErrServerClosed)
 }
 
 // runIngest loads a workbench locally, feeds it one or more append-round
@@ -406,9 +454,7 @@ func runShardServer(args []string) {
 // of the live-ingest path.
 func runIngest(args []string) {
 	fs := flag.NewFlagSet("cohortctl ingest", flag.ExitOnError)
-	dataDir := fs.String("data", "", "registry extract directory for the base load")
-	synthN := fs.Int("synth", 0, "synthesize the base population instead")
-	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot as the base")
+	load := sourceFlags(fs, false)
 	feed := fs.String("feed", "", "comma-separated bundle directories to append, in order")
 	compact := fs.Bool("compact", false, "fold the delta into containerized postings after the feed")
 	out := fs.String("out", "", "save the post-ingest workbench as a sharded snapshot")
@@ -418,7 +464,7 @@ func runIngest(args []string) {
 		log.Fatal("need -feed DIR[,DIR...]")
 	}
 
-	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, "", false)
+	wb, _, err := load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -477,9 +523,7 @@ func runCohortCmd(args []string) {
 	}
 	sub := args[0]
 	fs := flag.NewFlagSet("cohortctl cohort "+sub, flag.ExitOnError)
-	snapshotPath := fs.String("snapshot", "", "snapshot file holding the workbench and its cohort workspace")
-	dataDir := fs.String("data", "", "registry extract directory (instead of -snapshot; workspace starts empty)")
-	synthN := fs.Int("synth", 0, "synthesize the population instead (workspace starts empty)")
+	load := sourceFlags(fs, false)
 	var name, queryFile, out, cohortA, cohortB *string
 	switch sub {
 	case "save", "refine":
@@ -498,7 +542,7 @@ func runCohortCmd(args []string) {
 	}
 	fs.Parse(args[1:])
 
-	wb, _, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, "", false)
+	wb, _, err := load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -510,7 +554,7 @@ func runCohortCmd(args []string) {
 			path = *out
 		}
 		if path == "" {
-			path = *snapshotPath
+			path = fs.Lookup("snapshot").Value.String()
 		}
 		if path == "" {
 			log.Print("warning: no -out and no -snapshot input; the workspace change was not persisted")
@@ -602,11 +646,7 @@ func runAnalyze(args []string) {
 	}
 	kind := args[0]
 	fs := flag.NewFlagSet("cohortctl analyze "+kind, flag.ExitOnError)
-	dataDir := fs.String("data", "", "registry extract directory (from datagen)")
-	synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
-	snapshotPath := fs.String("snapshot", "", "reopen a saved snapshot instead of ingesting")
-	shardAddrs := fs.String("shards", "", "comma-separated shard-server addresses to analyze across")
-	degraded := fs.Bool("degraded", false, "with -shards: answer over reachable shards when some are down")
+	load := sourceFlags(fs, true)
 	cohortName := fs.String("cohort", "", "saved cohort to analyze")
 	queryFile := fs.String("query", "", "JSON query-spec file defining an ad-hoc cohort")
 	study := fs.Bool("study", false, "use the paper's predefined-characteristics selection as the cohort")
@@ -636,7 +676,7 @@ func runAnalyze(args []string) {
 	}
 	fs.Parse(args[1:])
 
-	wb, window, err := loadWorkbench(*dataDir, *synthN, *snapshotPath, *shardAddrs, *degraded)
+	wb, window, err := load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -647,7 +687,7 @@ func runAnalyze(args []string) {
 		var expr query.Expr
 		switch {
 		case *study:
-			expr = cohort.StudyCriteria(window)
+			expr = core.StudyCriteria(window)
 		case *queryFile != "":
 			if expr, err = loadQueryExpr(*queryFile); err != nil {
 				log.Fatal(err)
@@ -794,12 +834,11 @@ func runSnapshotCmd(args []string) {
 	switch args[0] {
 	case "save":
 		fs := flag.NewFlagSet("cohortctl snapshot save", flag.ExitOnError)
-		dataDir := fs.String("data", "", "registry extract directory (from datagen)")
-		synthN := fs.Int("synth", 0, "generate a synthetic population of this size instead")
+		load := sourceFlags(fs, false)
 		out := fs.String("out", "wb.snap", "output snapshot file")
 		shards := fs.Int("shards", 0, "shard count (0 = engine default)")
 		fs.Parse(args[1:])
-		wb, _, err := loadWorkbench(*dataDir, *synthN, "", "", false)
+		wb, _, err := load()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,11 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"pastas/internal/core"
 	"pastas/internal/store"
@@ -82,4 +91,92 @@ func TestSaveSnapshotKeepsOriginalOnFailure(t *testing.T) {
 		t.Error("successful save did not replace the target")
 	}
 	alone("after a successful save")
+}
+
+// TestServeDrainsBeforeReturning: `serve` over a saved snapshot answers the
+// webapp's routes, and once its context ends it returns nil only after the
+// request in flight has been answered — leaving no goroutine of its own.
+func TestServeDrainsBeforeReturning(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wb.snap")
+	saved, err := core.Synthesize(synth.DefaultConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := saveSnapshot(saved, path, 2); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	load := sourceFlags(fs, true)
+	if err := fs.Parse([]string{"-snapshot", path}); err != nil {
+		t.Fatal(err)
+	}
+	wb, _, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serveHTTP(ctx, lis, wb, "pw") }()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	for _, route := range []string{"/healthz", "/api/timeline?patient=1&pw=pw"} {
+		resp, err := client.Get("http://" + lis.Addr().String() + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !json.Valid(body) {
+			t.Fatalf("GET %s: status %d, body %.80q", route, resp.StatusCode, body)
+		}
+	}
+	client.CloseIdleConnections()
+
+	// A query whose body has not arrived: "100 Continue" proves the handler
+	// is running and blocked on the body when the context ends.
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	spec := `{"op":"has","type":"diagnosis"}`
+	fmt.Fprintf(conn, "POST /api/cohorts/query?pw=pw HTTP/1.1\r\nHost: wb\r\nContent-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n", len(spec))
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("waiting for 100 Continue: %v, %v", resp, err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		t.Fatalf("serve returned (%v) with a request still in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	io.WriteString(conn, spec)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("in-flight request was severed: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"count"`)) {
+		t.Fatalf("in-flight request: status %d, body %.80q", resp.StatusCode, body)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve = %v, want nil after a drained shutdown", err)
+	}
+	if _, err := net.Dial("tcp", lis.Addr().String()); err == nil {
+		t.Error("listener still accepts after serve returned")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before serve:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

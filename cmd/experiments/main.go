@@ -1,5 +1,5 @@
 // Command experiments runs the full paper-reproduction suite and prints the
-// measured-vs-paper report (the content of EXPERIMENTS.md), writing figure
+// measured-vs-paper report (-md also writes it as Markdown), writing figure
 // artifacts alongside.
 //
 // Usage:

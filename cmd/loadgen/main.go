@@ -1,20 +1,17 @@
-// Command loadgen drives concurrent mixed sessions — cohort queries,
-// patient timeline fetches and indicator aggregations — against a
-// workbench and reports per-class latency percentiles, throughput and
-// error rates. It is the load half of the failover experiments: point
-// it at a replicated shard topology, kill and restart servers
-// underneath it, and read a p99 instead of an outage.
+// Command loadgen is the chaos e2e's driver: it runs concurrent mixed
+// sessions — cohort queries, patient timeline fetches, indicator
+// aggregations, refine loops and cohort analytics — against a shard
+// topology for a fixed time and prints, as JSON, how many operations of
+// each class ran and how many failed. Point it at a replicated topology,
+// kill and restart servers underneath it, and assert total.errors == 0.
+// (Latency is the benchmark's job: see benchmark/.)
 //
 // Usage:
 //
-//	loadgen -synth 21000 -c 8 -d 10s
-//	loadgen -shards "h1:7070|h2:7070,h3:7070|h4:7070" -c 16 -d 60s
-//	loadgen -shards h1:7070 -degraded -json
+//	loadgen -shards "h1:7070|h2:7070,h3:7070|h4:7070" -c 4 -d 8s
 //
 // Replica groups use the same "a|b" syntax as cohortctl -shards: the
 // members of a group serve the same shards and fail over transparently.
-// With -degraded the run keeps going when whole shards are unreachable,
-// counting incomplete answers instead of errors.
 package main
 
 import (
@@ -24,7 +21,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -35,25 +31,22 @@ import (
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/store"
-	"pastas/internal/synth"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
 	var (
-		shardAddrs = flag.String("shards", "", "comma-separated shard server addresses; replica groups as \"a|b\"")
-		synthN     = flag.Int("synth", 21000, "synthesize N patients when no -shards is given")
+		shardAddrs = flag.String("shards", "", "comma-separated shard server addresses (required); replica groups as \"a|b\"")
 		workers    = flag.Int("c", 8, "concurrent session workers")
 		duration   = flag.Duration("d", 10*time.Second, "run duration")
-		timeout    = flag.Duration("timeout", 10*time.Second, "per-RPC timeout for remote topologies")
-		degraded   = flag.Bool("degraded", false, "serve partial answers when shards are unreachable (count them, don't fail)")
-		jsonOut    = flag.Bool("json", false, "emit the summary as JSON on stdout")
-		seed       = flag.Int64("seed", 1, "workload RNG seed")
 	)
 	flag.Parse()
 
-	wb, err := buildWorkbench(*shardAddrs, *synthN, *timeout, *degraded)
+	opts := engine.DefaultOptions()
+	opts.CacheSize = 0 // a load generator must generate load, not cache hits
+	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
+	wb, err := core.Connect(strings.Split(*shardAddrs, ","), engine.RemoteOptions{}, opts, window)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,34 +59,11 @@ func main() {
 	log.Printf("%d patients, %d shards; %d workers for %s",
 		wb.Patients(), wb.Engine.NumShards(), *workers, *duration)
 
-	results := run(wb, ids, cohortBits, *workers, *duration, *seed)
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			log.Fatal(err)
-		}
-		return
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(run(wb, ids, cohortBits, *workers, *duration)); err != nil {
+		log.Fatal(err)
 	}
-	results.print(os.Stdout)
-}
-
-func buildWorkbench(shardAddrs string, synthN int, timeout time.Duration, degraded bool) (*core.Workbench, error) {
-	if shardAddrs != "" {
-		opts := engine.DefaultOptions()
-		opts.CacheSize = 0 // a load generator must generate load, not cache hits
-		if degraded {
-			opts.Policy = engine.PolicyDegraded
-		}
-		window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
-		return core.Connect(strings.Split(shardAddrs, ","), engine.RemoteOptions{Timeout: timeout}, opts, window)
-	}
-	wb, err := core.Synthesize(synth.DefaultConfig(synthN))
-	if err != nil {
-		return nil, err
-	}
-	wb.Engine.ResetCache()
-	return wb, nil
 }
 
 // analyticsCohort is the saved cohort the analytics class mines over,
@@ -105,19 +75,16 @@ const analyticsCohort = "lg-analytics"
 // aggregations, and a saved cohort for the analytics class. Priming goes
 // through the engine, so it works over any transport.
 func primeWorkload(wb *core.Workbench) ([]model.PatientID, *store.Bitset, error) {
-	ids, err := wb.Engine.Select(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
+	bits, err := wb.Query(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
+	if err != nil {
+		return nil, nil, fmt.Errorf("priming indicator cohort: %w", err)
+	}
+	ids, err := wb.Engine.IDsOf(bits.FirstN(4096))
 	if err != nil {
 		return nil, nil, fmt.Errorf("priming timeline pool: %w", err)
 	}
 	if len(ids) == 0 {
 		return nil, nil, fmt.Errorf("no patients with diagnoses to fetch timelines for")
-	}
-	if len(ids) > 4096 {
-		ids = ids[:4096]
-	}
-	bits, err := wb.Query(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
-	if err != nil {
-		return nil, nil, fmt.Errorf("priming indicator cohort: %w", err)
 	}
 	if _, err := wb.SaveCohort(analyticsCohort, sessionExprs[0]); err != nil {
 		return nil, nil, fmt.Errorf("priming analytics cohort: %w", err)
@@ -150,107 +117,76 @@ var sessionExprs = []query.Expr{
 	},
 }
 
-type sample struct {
-	class int
-	d     time.Duration
-	err   bool
-}
-
-// classSummary is one op class's aggregate, and Summary the whole run's.
-type classSummary struct {
-	Ops    int     `json:"ops"`
-	Errors int     `json:"errors"`
-	P50ms  float64 `json:"p50_ms"`
-	P95ms  float64 `json:"p95_ms"`
-	P99ms  float64 `json:"p99_ms"`
+// tally counts one op class's operations and failures; Summary is the run.
+type tally struct {
+	Ops    int `json:"ops"`
+	Errors int `json:"errors"`
 }
 
 type Summary struct {
-	Seconds    float64                 `json:"seconds"`
-	Workers    int                     `json:"workers"`
-	Throughput float64                 `json:"ops_per_sec"`
-	Incomplete int                     `json:"incomplete_answers"`
-	Classes    map[string]classSummary `json:"classes"`
-	Total      classSummary            `json:"total"`
+	Classes map[string]tally `json:"classes"`
+	Total   tally            `json:"total"`
 }
 
-func run(wb *core.Workbench, ids []model.PatientID, cohortBits *store.Bitset, workers int, d time.Duration, seed int64) *Summary {
-	var (
-		mu         sync.Mutex
-		samples    []sample
-		incomplete int
-	)
+func run(wb *core.Workbench, ids []model.PatientID, cohortBits *store.Bitset, workers int, d time.Duration) *Summary {
+	counts := make([][numClasses]tally, workers) // one row per worker, summed after the run
 	deadline := time.Now().Add(d)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + int64(w)))
-			var local []sample
-			localIncomplete := 0
+			r := rand.New(rand.NewSource(1 + int64(w)))
 			for i := 0; time.Now().Before(deadline); i++ {
-				class := pickClass(r)
-				t0 := time.Now()
-				status, err := doOp(wb, class, r, ids, cohortBits, fmt.Sprintf("lg-%d-%d", w, i))
-				local = append(local, sample{class: class, d: time.Since(t0), err: err != nil})
-				if !status.Complete() {
-					localIncomplete++
+				class := mix[r.Intn(len(mix))]
+				counts[w][class].Ops++
+				if err := doOp(wb, class, r, ids, cohortBits, fmt.Sprintf("lg-%d-%d", w, i)); err != nil {
+					counts[w][class].Errors++
 				}
 			}
-			mu.Lock()
-			samples = append(samples, local...)
-			incomplete += localIncomplete
-			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
-	return summarize(samples, workers, d, incomplete)
+	s := &Summary{Classes: map[string]tally{}}
+	for c, name := range classNames {
+		var t tally
+		for w := range counts {
+			t.Ops += counts[w][c].Ops
+			t.Errors += counts[w][c].Errors
+		}
+		s.Classes[name] = t
+		s.Total.Ops += t.Ops
+		s.Total.Errors += t.Errors
+	}
+	return s
 }
 
-// pickClass weights the mix: cohort queries lead, then timelines, with
+// mix weights the classes: cohort queries lead, then timelines, with
 // indicator aggregations, full refine sessions (save → narrow ×3 →
 // compare) and cohort analytics (distributed rule mining and episode
 // tallies) rounding out a workbench session's rhythm.
-func pickClass(r *rand.Rand) int {
-	switch n := r.Intn(9); {
-	case n < 3:
-		return opQuery
-	case n < 5:
-		return opTimeline
-	case n < 6:
-		return opIndicators
-	case n < 8:
-		return opRefine
-	default:
-		return opAnalytics
-	}
-}
+var mix = [...]int{opQuery, opQuery, opQuery, opTimeline, opTimeline, opIndicators, opRefine, opRefine, opAnalytics}
 
-func doOp(wb *core.Workbench, class int, r *rand.Rand, ids []model.PatientID, cohortBits *store.Bitset, name string) (engine.QueryStatus, error) {
+func doOp(wb *core.Workbench, class int, r *rand.Rand, ids []model.PatientID, cohortBits *store.Bitset, name string) error {
+	var err error
 	switch class {
 	case opQuery:
-		_, status, err := wb.QueryStatus(sessionExprs[r.Intn(len(sessionExprs))])
-		return status, err
+		_, err = wb.Query(sessionExprs[r.Intn(len(sessionExprs))])
 	case opTimeline:
-		_, err := wb.History(ids[r.Intn(len(ids))])
-		return engine.QueryStatus{}, err
+		_, err = wb.History(ids[r.Intn(len(ids))])
 	case opRefine:
-		return doRefineSession(wb, name)
+		err = doRefineSession(wb, name)
 	case opAnalytics:
-		// The map step runs where the histories live; only fixed-size
-		// partials cross the wire, whatever the cohort size.
 		if r.Intn(2) == 0 {
-			_, _, status, err := wb.MineRules(analyticsCohort,
+			_, _, _, err = wb.MineRules(analyticsCohort,
 				engine.MineParams{System: "ICPC2", Chapter: true}, mining.Options{})
-			return status, err
+		} else {
+			_, _, _, err = wb.Episodes(analyticsCohort, 90*model.Day)
 		}
-		_, _, status, err := wb.Episodes(analyticsCohort, 90*model.Day)
-		return status, err
 	default:
-		_, status, err := wb.IndicatorsStatus(cohortBits)
-		return status, err
+		_, err = wb.Indicators(cohortBits)
 	}
+	return err
 }
 
 // refineNarrowers are applied one at a time on top of the session's base
@@ -266,17 +202,8 @@ var refineNarrowers = []query.Expr{
 // doRefineSession runs one full explore loop under a session-unique name:
 // save a base cohort, narrow it three times (each refinement seeded by
 // the previous save), compare first against last, then drop the
-// session's cohorts. Materialization is strict by design, so with shards
-// down the save step fails with an unavailability error — counted as an
-// incomplete answer, like a degraded query, not as a load-generator
-// error.
-func doRefineSession(wb *core.Workbench, name string) (engine.QueryStatus, error) {
-	incomplete := func(err error) (engine.QueryStatus, error) {
-		if engine.IsUnavailable(err) {
-			return engine.QueryStatus{MissingShards: []int{-1}}, nil
-		}
-		return engine.QueryStatus{}, err
-	}
+// session's cohorts.
+func doRefineSession(wb *core.Workbench, name string) error {
 	names := []string{name + "-base"}
 	defer func() {
 		for _, n := range names {
@@ -285,7 +212,7 @@ func doRefineSession(wb *core.Workbench, name string) (engine.QueryStatus, error
 	}()
 	base := query.Expr(sessionExprs[0])
 	if _, err := wb.SaveCohort(names[0], base); err != nil {
-		return incomplete(err)
+		return err
 	}
 	conj := []query.Expr{base}
 	for j, n := range refineNarrowers {
@@ -293,68 +220,9 @@ func doRefineSession(wb *core.Workbench, name string) (engine.QueryStatus, error
 		step := fmt.Sprintf("%s-n%d", name, j)
 		names = append(names, step)
 		if _, _, err := wb.RefineCohort(step, query.And(append([]query.Expr(nil), conj...))); err != nil {
-			return incomplete(err)
+			return err
 		}
 	}
-	if _, err := wb.CompareCohorts(names[0], names[len(names)-1]); err != nil {
-		return incomplete(err)
-	}
-	return engine.QueryStatus{}, nil
-}
-
-func summarize(samples []sample, workers int, d time.Duration, incomplete int) *Summary {
-	s := &Summary{
-		Seconds:    d.Seconds(),
-		Workers:    workers,
-		Incomplete: incomplete,
-		Classes:    map[string]classSummary{},
-	}
-	perClass := make([][]time.Duration, numClasses)
-	errs := make([]int, numClasses)
-	var all []time.Duration
-	totalErrs := 0
-	for _, sm := range samples {
-		if sm.err {
-			errs[sm.class]++
-			totalErrs++
-			continue
-		}
-		perClass[sm.class] = append(perClass[sm.class], sm.d)
-		all = append(all, sm.d)
-	}
-	for c := 0; c < numClasses; c++ {
-		s.Classes[classNames[c]] = summarizeClass(perClass[c], errs[c])
-	}
-	s.Total = summarizeClass(all, totalErrs)
-	s.Throughput = float64(s.Total.Ops) / d.Seconds()
-	return s
-}
-
-func summarizeClass(lat []time.Duration, errs int) classSummary {
-	cs := classSummary{Ops: len(lat) + errs, Errors: errs}
-	if len(lat) == 0 {
-		return cs
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) float64 {
-		return float64(lat[int(p*float64(len(lat)-1))].Microseconds()) / 1000.0
-	}
-	cs.P50ms, cs.P95ms, cs.P99ms = pct(0.50), pct(0.95), pct(0.99)
-	return cs
-}
-
-func (s *Summary) print(w *os.File) {
-	fmt.Fprintf(w, "%-12s %8s %8s %9s %9s %9s\n", "class", "ops", "errors", "p50", "p95", "p99")
-	for c := 0; c < numClasses; c++ {
-		cs := s.Classes[classNames[c]]
-		fmt.Fprintf(w, "%-12s %8d %8d %8.2fms %8.2fms %8.2fms\n",
-			classNames[c], cs.Ops, cs.Errors, cs.P50ms, cs.P95ms, cs.P99ms)
-	}
-	fmt.Fprintf(w, "%-12s %8d %8d %8.2fms %8.2fms %8.2fms\n",
-		"total", s.Total.Ops, s.Total.Errors, s.Total.P50ms, s.Total.P95ms, s.Total.P99ms)
-	fmt.Fprintf(w, "throughput %.0f ops/s over %.1fs with %d workers\n",
-		s.Throughput, s.Seconds, s.Workers)
-	if s.Incomplete > 0 {
-		fmt.Fprintf(w, "incomplete answers: %d (degraded mode)\n", s.Incomplete)
-	}
+	_, err := wb.CompareCohorts(names[0], names[len(names)-1])
+	return err
 }

@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("population: %d patients, %d entries\n", wb.Patients(), wb.Entries())
 
 	// The predefined-characteristics selection.
-	study, err := pastas.NewCohort(wb, "study", pastas.StudyCriteria(wb.Window))
+	study, err := wb.Query(pastas.StudyCriteria(wb.Window))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +31,10 @@ func main() {
 		study.Count(), 100*float64(study.Count())/float64(population))
 
 	// Describe the cohort: contacts per patient.
-	col := study.Collection()
+	col, err := wb.Histories(study)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var contacts []float64
 	for _, h := range col.Histories() {
 		n := 0

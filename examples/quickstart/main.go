@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	diabetics, err := pastas.NewCohort(wb, "diabetics", q)
+	diabetics, err := wb.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}

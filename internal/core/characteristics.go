@@ -1,4 +1,4 @@
-package cohort
+package core
 
 import (
 	"pastas/internal/model"

@@ -9,11 +9,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"pastas/internal/cohort"
 	"pastas/internal/engine"
 	"pastas/internal/query"
 	"pastas/internal/render"
@@ -101,6 +101,25 @@ func TestConnectParityAndGuards(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("remote diverges for %s: %d vs %d", e, got.Count(), want.Count())
 		}
+		// The sub-collection a cohort selects — Query + Histories, the path
+		// every cohort consumer takes — is the local one, history for history.
+		wantCol, err := local.Histories(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCol, err := remote.Histories(got)
+		if err != nil {
+			t.Fatalf("remote Histories(%s): %v", e, err)
+		}
+		if gotCol.Len() != wantCol.Len() || gotCol.Len() != want.Count() {
+			t.Fatalf("%s: remote sub-collection has %d histories, local %d, cohort %d", e, gotCol.Len(), wantCol.Len(), want.Count())
+		}
+		for i, h := range wantCol.Histories() {
+			g := gotCol.At(i)
+			if g.Patient != h.Patient || !slices.Equal(g.SortedEntries(), h.SortedEntries()) {
+				t.Fatalf("%s: history %d diverges: remote %s, local %s", e, i, g.Patient.ID, h.Patient.ID)
+			}
+		}
 	}
 
 	// Snapshot persistence still needs the local collection: every guard
@@ -110,9 +129,6 @@ func TestConnectParityAndGuards(t *testing.T) {
 	}
 	if _, err := remote.Save(os.Stderr, SnapshotOptions{}); err == nil {
 		t.Error("save over remote shards succeeded")
-	}
-	if _, err := cohort.FromEngine(remote.Engine, "x", query.TrueExpr{}); err == nil {
-		t.Error("store-backed cohort over remote shards succeeded")
 	}
 
 	// Sessions now work over remote shards: Extract pages the matching

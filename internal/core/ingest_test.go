@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"pastas/internal/cohort"
 	"pastas/internal/engine"
 	"pastas/internal/integrate"
 	"pastas/internal/model"
@@ -51,7 +50,7 @@ func wbAtShards(t testing.TB, b *sources.Bundle, opts integrate.Options, window 
 
 func ingestQueries(window model.Period) []query.Expr {
 	return []query.Expr{
-		cohort.StudyCriteria(window),
+		StudyCriteria(window),
 		query.Has{Pred: query.MustCode("ICPC2", "T90|K86")},
 		query.And{
 			query.Has{Pred: query.TypeIs(model.TypeMedication)},

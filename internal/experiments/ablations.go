@@ -6,7 +6,7 @@ import (
 
 	"pastas/internal/abstraction"
 	"pastas/internal/cluster"
-	"pastas/internal/cohort"
+	"pastas/internal/core"
 	"pastas/internal/graph"
 	"pastas/internal/mining"
 	"pastas/internal/model"
@@ -89,16 +89,15 @@ func (s *Suite) A1MergeNoiseAblation() (Result, error) {
 // Allen networks over derived care episodes, erase edges, and measure what
 // path consistency recovers.
 func (s *Suite) A2IntervalReasoning() (Result, error) {
-	study, err := cohort.FromEngine(s.WB.Engine, "study", cohort.StudyCriteria(s.Window))
+	panel, err := s.panel(core.StudyCriteria(s.Window), 60, 7)
 	if err != nil {
 		return Result{}, err
 	}
-	sample := study.Sample(60, 7)
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 13))
 
 	networks, erased, narrowed, exact := 0, 0, 0, 0
 	inconsistent := 0
-	for _, h := range sample.Collection().Histories() {
+	for _, h := range panel.Histories() {
 		eps := abstraction.Episodes(h, 30*model.Day)
 		if len(eps) < 3 {
 			continue

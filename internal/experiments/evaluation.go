@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pastas/internal/align"
-	"pastas/internal/cohort"
 	"pastas/internal/core"
 	"pastas/internal/model"
 	"pastas/internal/perception"
@@ -22,7 +21,7 @@ import (
 // patients based on predefined characteristics."
 func (s *Suite) E1CohortSelection() (Result, error) {
 	start := time.Now()
-	study, err := cohort.FromEngine(s.WB.Engine, "study", cohort.StudyCriteria(s.Window))
+	study, err := s.WB.Query(core.StudyCriteria(s.Window))
 	if err != nil {
 		return Result{}, err
 	}
@@ -48,11 +47,15 @@ func (s *Suite) E1CohortSelection() (Result, error) {
 // of the patients said that everything was wrong ... while 92% could easily
 // recognize their own trajectory and 7% did not remember."
 func (s *Suite) E2RecognitionSurvey() (Result, error) {
-	study, err := cohort.FromEngine(s.WB.Engine, "study", cohort.StudyCriteria(s.Window))
+	study, err := s.WB.Query(core.StudyCriteria(s.Window))
 	if err != nil {
 		return Result{}, err
 	}
-	res := stats.SimulateSurvey(study.Collection(), stats.DefaultSurveyParams())
+	col, err := s.WB.Histories(study)
+	if err != nil {
+		return Result{}, err
+	}
+	res := stats.SimulateSurvey(col, stats.DefaultSurveyParams())
 	rec, notRem, wrong := res.Proportions()
 
 	r := Result{
@@ -198,9 +201,11 @@ func (s *Suite) E5InteractionBudget() (Result, error) {
 		if size > s.WB.Patients() {
 			continue
 		}
-		sub := cohort.All(s.WB.Store, "all").Sample(size, 5)
-		wb := core.FromCollection(sub.Collection(), s.Window)
-		sess, err := core.NewSession(wb)
+		sub, err := s.panel(query.TrueExpr{}, size, 5)
+		if err != nil {
+			return Result{}, err
+		}
+		sess, err := core.NewSession(core.FromCollection(sub, s.Window))
 		if err != nil {
 			return Result{}, err
 		}

@@ -2,9 +2,9 @@
 // paper's evaluation: Figs. 1-4, the Section-IV cohort selection (13,000 of
 // 168,000) and recognition survey (92/7/1), the abstract's scale claims
 // (100k+ cohort analysis, 10k+ web timelines), the 0.1 s interaction
-// budget, and the ablations DESIGN.md calls out (merge noise resilience,
-// interval reasoning, code-relation mining). The experiment index lives in
-// DESIGN.md §4; measured-vs-paper goes to EXPERIMENTS.md.
+// budget, and the ablations (merge noise resilience, interval reasoning,
+// code-relation mining). RunAll is the experiment index; the
+// measured-vs-paper record is what cmd/experiments -md writes.
 package experiments
 
 import (
@@ -16,6 +16,8 @@ import (
 
 	"pastas/internal/core"
 	"pastas/internal/model"
+	"pastas/internal/query"
+	"pastas/internal/store"
 	"pastas/internal/synth"
 )
 
@@ -47,7 +49,7 @@ type Result struct {
 	Details  []string
 }
 
-// Format renders the result block for EXPERIMENTS.md.
+// Format renders the result block of the cmd/experiments -md record.
 func (r Result) Format() string {
 	status := "SHAPE OK"
 	if !r.Pass {
@@ -139,6 +141,45 @@ func (s *Suite) writeArtifact(name, content string) (string, error) {
 		return "", fmt.Errorf("experiments: %w", err)
 	}
 	return path, nil
+}
+
+// panel evaluates a cohort expression and materializes a sample of at most
+// n of its members as a sub-collection.
+func (s *Suite) panel(e query.Expr, n int, seed int64) (*model.Collection, error) {
+	cohort, err := s.WB.Query(e)
+	if err != nil {
+		return nil, err
+	}
+	return s.WB.Histories(sample(cohort, n, seed))
+}
+
+// sample returns a deterministic pseudo-random subset of a cohort with at
+// most n members (seeded; stable across runs) — it cuts a 13k cohort down
+// to a reviewable panel. n ≤ 0 selects nobody.
+func sample(cohort *store.Bitset, n int, seed int64) *store.Bitset {
+	ords := cohort.Ones()
+	if n >= len(ords) {
+		return cohort
+	}
+	// Fisher-Yates over a local PRNG (splitmix-style) so package math/rand
+	// state elsewhere cannot perturb experiment determinism.
+	state := uint64(seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
+	next := func() uint64 {
+		state += 0x9E3779B97F4A7C15
+		z := state
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	for i := len(ords) - 1; i > 0; i-- {
+		j := int(next() % uint64(i+1))
+		ords[i], ords[j] = ords[j], ords[i]
+	}
+	picked := store.NewBitset(cohort.Len())
+	for _, o := range ords[:max(n, 0)] {
+		picked.Set(o)
+	}
+	return picked
 }
 
 // scaled maps a full-population count to this run's population.

@@ -3,9 +3,13 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"pastas/internal/core"
+	"pastas/internal/model"
 )
 
 // The suite at reduced scale: every experiment must run, and the shape
@@ -106,6 +110,63 @@ func TestWriteReport(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// sample replaces the store-bound cohort type's Sample: shuffling the set
+// ordinals must pick the members the ID shuffle did (Fisher-Yates depends
+// only on positions and length). The goldens are the parent commit's
+// Sample output for the study cohort of the 2,000-patient seed-42
+// population, at two (n, seed) pairs the experiments use.
+func TestSampleDeterministic(t *testing.T) {
+	s, err := NewSuite(Config{Population: 2000, Seed: 42, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := s.WB.Query(core.StudyCriteria(s.Window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if study.Count() != 173 {
+		t.Fatalf("study cohort = %d, want 173 (the goldens' cohort)", study.Count())
+	}
+	for _, g := range []struct {
+		n    int
+		seed int64
+		want []model.PatientID
+	}{
+		{100, 1, []model.PatientID{4, 62, 99, 102, 115, 125, 136, 189, 201, 220, 221, 227, 290, 294, 321, 340,
+			395, 427, 437, 440, 458, 501, 513, 524, 536, 560, 582, 594, 598, 626, 637, 644, 654, 665, 670,
+			689, 714, 721, 725, 735, 774, 781, 784, 828, 832, 872, 914, 941, 999, 1002, 1012, 1031, 1036,
+			1043, 1084, 1094, 1157, 1170, 1259, 1320, 1324, 1351, 1358, 1377, 1402, 1403, 1408, 1413, 1434,
+			1436, 1442, 1456, 1470, 1479, 1485, 1500, 1501, 1548, 1597, 1617, 1625, 1658, 1669, 1707, 1709,
+			1724, 1744, 1775, 1788, 1821, 1831, 1849, 1860, 1862, 1866, 1881, 1893, 1902, 1945, 1956}},
+		{60, 7, []model.PatientID{59, 102, 125, 129, 214, 220, 291, 322, 404, 437, 455, 488, 501, 524, 563, 644,
+			665, 670, 689, 752, 781, 784, 872, 980, 990, 992, 999, 1009, 1036, 1078, 1094, 1222, 1303, 1324,
+			1325, 1343, 1403, 1408, 1413, 1426, 1434, 1436, 1470, 1501, 1597, 1616, 1625, 1626, 1660, 1682,
+			1724, 1739, 1744, 1755, 1812, 1821, 1838, 1881, 1903, 1956}},
+	} {
+		got, err := s.WB.Engine.IDsOf(sample(study, g.n, g.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, g.want) {
+			t.Errorf("sample(%d, %d) = %v, want the parent's %v", g.n, g.seed, got, g.want)
+		}
+	}
+
+	if a, b := sample(study, 20, 7), sample(study, 20, 8); a.Count() != 20 || a.Equal(b) {
+		t.Errorf("sample(20): %d members, equal across seeds %v", a.Count(), a.Equal(b))
+	}
+	// Oversampling returns the whole cohort; n ≤ 0 nobody (the old
+	// ids[:n] panicked on a negative n).
+	if got := sample(study, 1000, 1); !got.Equal(study) {
+		t.Errorf("oversample = %d members", got.Count())
+	}
+	for _, n := range []int{0, -3} {
+		if got := sample(study, n, 1); got.Count() != 0 || got.Len() != study.Len() {
+			t.Errorf("sample(%d) = %d members over %d", n, got.Count(), got.Len())
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"pastas/internal/align"
-	"pastas/internal/cohort"
+	"pastas/internal/core"
 	"pastas/internal/graph"
 	"pastas/internal/model"
 	"pastas/internal/perception"
@@ -17,12 +17,10 @@ import (
 // sub-cohort — gray history bars, diagnosis rectangles, blood-pressure
 // arrows, medication-class colorings, axes and zoom.
 func (s *Suite) F1Workbench() (Result, error) {
-	study, err := cohort.FromEngine(s.WB.Engine, "study", cohort.StudyCriteria(s.Window))
+	col, err := s.panel(core.StudyCriteria(s.Window), 100, 1)
 	if err != nil {
 		return Result{}, err
 	}
-	panel := study.Sample(100, 1)
-	col := panel.Collection()
 
 	// The detail panel shows the cursor hovering the first patient's
 	// first diagnosis, as in the screenshot's bottom display.
@@ -86,15 +84,14 @@ func (s *Suite) F1Workbench() (Result, error) {
 // diabeticSequences extracts ICPC-2 diagnosis sequences for patients with
 // a T90 diagnosis, NSEPter's Fig. 2 input.
 func (s *Suite) diabeticSequences(max int) ([][]string, error) {
-	diab, err := cohort.FromEngine(s.WB.Engine, "diabetics", query.Has{
+	col, err := s.panel(query.Has{
 		Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", "T90")},
-	})
+	}, max, 2)
 	if err != nil {
 		return nil, err
 	}
-	sample := diab.Sample(max, 2)
 	var seqs [][]string
-	for _, h := range sample.Collection().Histories() {
+	for _, h := range col.Histories() {
 		var seq []string
 		for _, c := range h.CodeSequence(model.TypeDiagnosis) {
 			if c.System == "ICPC2" {
@@ -271,23 +268,23 @@ func (s *Suite) F4QueryBuilder() (Result, error) {
 	count := bits.Count()
 
 	// The disjunction must equal the union of its branches.
-	eye, err := cohort.FromEngine(s.WB.Engine, "eye", query.Has{
+	eye, err := s.WB.Query(query.Has{
 		Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", `F.*`)}})
 	if err != nil {
 		return Result{}, err
 	}
-	ear, err := cohort.FromEngine(s.WB.Engine, "ear", query.Has{
+	ear, err := s.WB.Query(query.Has{
 		Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", `H.*`)}})
 	if err != nil {
 		return Result{}, err
 	}
-	gp2, err := cohort.FromEngine(s.WB.Engine, "gp2", query.Has{
+	gp2, err := s.WB.Query(query.Has{
 		Pred:     query.AllOf{query.TypeIs(model.TypeContact), query.SourceIs(model.SourceGP)},
 		MinCount: 2})
 	if err != nil {
 		return Result{}, err
 	}
-	union := eye.Union(ear).Intersect(gp2)
+	union := eye.Or(ear).And(gp2)
 
 	r := Result{
 		ID:    "F4",

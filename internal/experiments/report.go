@@ -8,8 +8,7 @@ import (
 )
 
 // WriteReport renders a full run as the Markdown record cmd/experiments
-// emits with -md: the generated counterpart of the hand-annotated
-// EXPERIMENTS.md, for diffing a fresh environment against the recorded one.
+// emits with -md, for diffing a fresh environment against an earlier run.
 func WriteReport(w io.Writer, s *Suite, results []Result, elapsed time.Duration) error {
 	var b strings.Builder
 	b.WriteString("# Experiment run record\n\n")

@@ -129,7 +129,7 @@ func FitLine(points []Point) (intercept, slope float64) {
 	return intercept, slope
 }
 
-// FormatSeries renders a series as the table EXPERIMENTS.md embeds.
+// FormatSeries renders a series as the table the F3 experiment reports.
 func FormatSeries(mode Mode, points []Point) string {
 	out := fmt.Sprintf("%s search:\n", mode)
 	for _, p := range points {

@@ -235,16 +235,6 @@ func CompileCodePattern(pattern string) (*regexp.Regexp, error) {
 	return re, nil
 }
 
-// CompileCodePatternUncached compiles without consulting the cache; used by
-// the ablation benchmark that quantifies what the cache buys.
-func CompileCodePatternUncached(pattern string) (*regexp.Regexp, error) {
-	re, err := regexp.Compile(`\A(?:` + pattern + `)\z`)
-	if err != nil {
-		return nil, fmt.Errorf("terminology: pattern %q: %w", pattern, err)
-	}
-	return re, nil
-}
-
 // Disjunction builds the regex pattern matching any of the given codes or
 // prefixes-with-wildcards, the "disjunctive construct" of the paper.
 func Disjunction(patterns ...string) string {

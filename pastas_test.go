@@ -22,7 +22,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diabetics, err := pastas.NewCohort(wb, "diabetics", q)
+	diabetics, err := wb.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,15 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 
 	// Study criteria + survey.
-	study, err := pastas.NewCohort(wb, "study", pastas.StudyCriteria(wb.Window))
+	study, err := wb.Query(pastas.StudyCriteria(wb.Window))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := pastas.SimulateSurvey(study.Collection(), pastas.DefaultSurveyParams())
+	col, err := wb.Histories(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := pastas.SimulateSurvey(col, pastas.DefaultSurveyParams())
 	if res.N != study.Count() {
 		t.Error("survey size mismatch")
 	}

@@ -7,7 +7,9 @@
 package abstraction
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"pastas/internal/model"
 	"pastas/internal/terminology"
@@ -53,9 +55,11 @@ func AbstractCodes(codes []model.Code) []string {
 // by no more than the gap parameter, summarized by period and dominant
 // diagnosis code.
 type Episode struct {
-	Period   model.Period
-	Entries  []*model.Entry
-	Dominant model.Code // most frequent diagnosis code, ties by code value
+	Period  model.Period
+	Entries []*model.Entry
+	// Dominant is the most frequent diagnosis code; ties go to the lower
+	// code value, then the lower system name.
+	Dominant model.Code
 }
 
 // Episodes groups a history's entries into episodes separated by quiet
@@ -66,7 +70,7 @@ type Episode struct {
 // what cohort-level tallies (core.Workbench.Episodes) use per shard.
 func Episodes(h *model.History, gap model.Time) []Episode {
 	h.Sort()
-	return episodesOf(h.Entries, gap)
+	return new(EpisodeScratch).derive(h.Entries, gap)
 }
 
 // EpisodesStable is Episodes without mutating the history: it reads the
@@ -74,56 +78,97 @@ func Episodes(h *model.History, gap model.Time) []Episode {
 // histories (a shard server answering several Analyze RPCs at once)
 // never reorder entries under each other.
 func EpisodesStable(h *model.History, gap model.Time) []Episode {
-	return episodesOf(h.SortedEntries(), gap)
+	return new(EpisodeScratch).Episodes(h, gap)
 }
 
-// episodesOf is the one episode-derivation loop both entry points run;
-// entries must already be in chronological order.
-func episodesOf(entries []model.Entry, gap model.Time) []Episode {
+// EpisodeScratch is the working memory of the episode derivation, reused
+// from one history to the next by a caller that visits many (a map step
+// allocates nothing per history once it is warm). A scratch belongs to
+// one goroutine; the zero value is ready.
+type EpisodeScratch struct {
+	eps     []Episode
+	entries []*model.Entry // every episode's Entries is a run of this
+	codes   []model.Code   // one episode's diagnosis codes, sorted
+}
+
+// Episodes is EpisodesStable into the scratch: the result, and the Entries
+// slices inside it, are valid until the next call.
+func (s *EpisodeScratch) Episodes(h *model.History, gap model.Time) []Episode {
+	return s.derive(h.SortedEntries(), gap)
+}
+
+// derive is the one episode-derivation loop every entry point runs;
+// entries must already be in chronological order. An episode is a
+// contiguous run of them, so all episodes share one backing slice.
+func (s *EpisodeScratch) derive(entries []model.Entry, gap model.Time) []Episode {
 	if len(entries) == 0 {
 		return nil
 	}
-	var eps []Episode
-	var cur *Episode
+	if cap(s.entries) < len(entries) {
+		s.entries = make([]*model.Entry, len(entries))
+	}
+	ptrs := s.entries[:len(entries)]
+	s.eps = s.eps[:0]
+	first, period := 0, model.Period{}
 	for i := range entries {
 		e := &entries[i]
+		ptrs[i] = e
 		end := e.Start
 		if e.Kind == model.Interval {
 			end = e.End
 		}
-		if cur != nil && e.Start-cur.Period.End <= gap {
-			cur.Entries = append(cur.Entries, e)
-			if end > cur.Period.End {
-				cur.Period.End = end
+		if i > 0 && e.Start-period.End <= gap {
+			if end > period.End {
+				period.End = end
 			}
 			continue
 		}
-		eps = append(eps, Episode{Period: model.Period{Start: e.Start, End: end}, Entries: []*model.Entry{e}})
-		cur = &eps[len(eps)-1]
-	}
-	for i := range eps {
-		eps[i].Dominant = dominantDiagnosis(eps[i].Entries)
-		// A point-only episode still covers its day.
-		if eps[i].Period.Empty() {
-			eps[i].Period.End = eps[i].Period.Start + model.Day
+		if i > 0 {
+			s.finish(period, ptrs[first:i:i])
 		}
+		first, period = i, model.Period{Start: e.Start, End: end}
 	}
-	return eps
+	s.finish(period, ptrs[first:len(ptrs):len(ptrs)])
+	return s.eps
 }
 
-func dominantDiagnosis(entries []*model.Entry) model.Code {
-	counts := make(map[model.Code]int)
+// finish appends the completed episode.
+func (s *EpisodeScratch) finish(period model.Period, entries []*model.Entry) {
+	// A point-only episode still covers its day.
+	if period.Empty() {
+		period.End = period.Start + model.Day
+	}
+	s.eps = append(s.eps, Episode{Period: period, Entries: entries, Dominant: s.dominant(entries)})
+}
+
+// dominant sorts the episode's diagnosis codes and takes the longest run.
+// The order is total — count, then value, then system — so two systems
+// sharing a code value (ICPC-2 and ICD-10 both have K80, R05, …) cannot
+// make the answer depend on anything but the entries.
+func (s *EpisodeScratch) dominant(entries []*model.Entry) model.Code {
+	s.codes = s.codes[:0]
 	for _, e := range entries {
 		if e.Type == model.TypeDiagnosis && !e.Code.IsZero() {
-			counts[e.Code]++
+			s.codes = append(s.codes, e.Code)
 		}
 	}
+	slices.SortFunc(s.codes, func(a, b model.Code) int {
+		if c := strings.Compare(a.Value, b.Value); c != 0 {
+			return c
+		}
+		return strings.Compare(a.System, b.System)
+	})
 	var best model.Code
 	bestN := 0
-	for c, n := range counts {
-		if n > bestN || (n == bestN && (best.IsZero() || c.Value < best.Value)) {
-			best, bestN = c, n
+	for i := 0; i < len(s.codes); {
+		j := i + 1
+		for j < len(s.codes) && s.codes[j] == s.codes[i] {
+			j++
 		}
+		if j-i > bestN {
+			best, bestN = s.codes[i], j-i
+		}
+		i = j
 	}
 	return best
 }
@@ -238,8 +283,12 @@ func NewEpisodeTally() *EpisodeTally {
 // AddHistory derives one history's episodes (without mutating it) and
 // folds them into the tally.
 func (t *EpisodeTally) AddHistory(h *model.History, gap model.Time) {
+	t.AddEpisodes(EpisodesStable(h, gap))
+}
+
+// AddEpisodes folds one history's derived episodes into the tally.
+func (t *EpisodeTally) AddEpisodes(eps []Episode) {
 	t.Histories++
-	eps := EpisodesStable(h, gap)
 	if len(eps) == 0 {
 		return
 	}

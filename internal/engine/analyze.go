@@ -73,6 +73,11 @@ type AnalyzeArgs struct {
 	Kind   string
 	Params []byte
 	Mask   *store.Bitset
+	// params is Params as the coordinator already decoded and validated
+	// it, shared read-only by the in-process backends of one call so each
+	// need not compile a gob decoder for it again. No wire form carries
+	// it: what arrives over RPC is decoded and validated where it lands.
+	params any
 }
 
 // AnalyzeRequest is a coordinator-level analysis: the kind plus encoded
@@ -194,7 +199,7 @@ func gobDecode(data []byte, v any) error {
 type analyzer struct {
 	decodeParams  func([]byte) (any, error)
 	newPartial    func(params any) Partial
-	addHistory    func(p Partial, params any, h *model.History)
+	addHistory    func(p Partial, params any, h *model.History, sc *mapScratch)
 	merge         func(dst, src Partial) error
 	decodePartial func([]byte) (Partial, error)
 }
@@ -207,7 +212,7 @@ type analyzer struct {
 func newKind[P, T any, PT interface {
 	*T
 	Partial
-}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, *model.History),
+}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, *model.History, *mapScratch),
 	merge func(dst, src PT) error, check func(PT) error) analyzer {
 	return analyzer{
 		decodeParams: func(data []byte) (any, error) {
@@ -221,8 +226,10 @@ func newKind[P, T any, PT interface {
 			return p, nil
 		},
 		newPartial: func(params any) Partial { return newPartial(params.(*P)) },
-		addHistory: func(part Partial, params any, h *model.History) { add(part.(PT), params.(*P), h) },
-		merge:      func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
+		addHistory: func(part Partial, params any, h *model.History, sc *mapScratch) {
+			add(part.(PT), params.(*P), h, sc)
+		},
+		merge: func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
 		decodePartial: func(data []byte) (Partial, error) {
 			part := PT(new(T))
 			if err := gobDecode(data, part); err != nil {
@@ -243,21 +250,23 @@ func newKind[P, T any, PT interface {
 var analyzers = map[string]analyzer{
 	AnalyzeMine: newKind(MineParams.validate,
 		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
-		func(c *mining.Counts, p *MineParams, h *model.History) {
-			if seq := mineSequence(h, p); len(seq) > 0 {
-				c.AddSequence(seq)
+		func(c *mining.Counts, p *MineParams, h *model.History, sc *mapScratch) {
+			if seq := mineSequence(h, p, sc); len(seq) > 0 {
+				c.Add(seq, &sc.mine)
 			}
 		},
 		(*mining.Counts).Merge, validateCounts),
 	AnalyzeEpisodes: newKind(EpisodeParams.validate,
 		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
-		func(t *abstraction.EpisodeTally, p *EpisodeParams, h *model.History) { t.AddHistory(h, p.Gap) },
+		func(t *abstraction.EpisodeTally, p *EpisodeParams, h *model.History, sc *mapScratch) {
+			t.AddEpisodes(sc.episodes.Episodes(h, p.Gap))
+		},
 		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
 		validateEpisodeTally),
 	AnalyzeScenario: newKind(ScenarioParams.validate,
 		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
-		func(t *temporal.ScenarioTally, p *ScenarioParams, h *model.History) {
-			t.Add(p.Scenario.MatchEpisodes(abstraction.EpisodesStable(h, p.Gap)))
+		func(t *temporal.ScenarioTally, p *ScenarioParams, h *model.History, sc *mapScratch) {
+			t.Add(p.Scenario.MatchEpisodes(sc.episodes.Episodes(h, p.Gap)))
 		},
 		func(dst, src *temporal.ScenarioTally) error { dst.Merge(src); return nil },
 		func(t *temporal.ScenarioTally) error {
@@ -270,7 +279,7 @@ var analyzers = map[string]analyzer{
 		}),
 	AnalyzeIndicators: newKind(anyWindow,
 		func(*model.Period) *stats.IndicatorCounts { return new(stats.IndicatorCounts) },
-		func(c *stats.IndicatorCounts, w *model.Period, h *model.History) { c.AddHistory(h, *w) },
+		func(c *stats.IndicatorCounts, w *model.Period, h *model.History, _ *mapScratch) { c.AddHistory(h, *w) },
 		func(dst, src *stats.IndicatorCounts) error { dst.Merge(*src); return nil },
 		func(c *stats.IndicatorCounts) error {
 			if c.Patients < 0 || c.Females < 0 || c.Females > c.Patients ||
@@ -282,7 +291,7 @@ var analyzers = map[string]analyzer{
 		}),
 	AnalyzeProfile: newKind(anyWindow,
 		func(*model.Period) *stats.CohortProfile { return new(stats.CohortProfile) },
-		func(p *stats.CohortProfile, w *model.Period, h *model.History) { p.AddHistory(h, *w) },
+		func(p *stats.CohortProfile, w *model.Period, h *model.History, _ *mapScratch) { p.AddHistory(h, *w) },
 		func(dst, src *stats.CohortProfile) error { dst.Merge(*src); return nil },
 		func(p *stats.CohortProfile) error {
 			banded := 0
@@ -297,25 +306,36 @@ var analyzers = map[string]analyzer{
 		}),
 }
 
+// mapScratch is the working memory one tallyAnalyze call reuses from
+// history to history, so a warm map step allocates nothing per history.
+// It belongs to that call alone — never to the engine, a backend or a
+// package variable: a shard server runs map steps concurrently.
+type mapScratch struct {
+	codes    []model.Code
+	seq      []string
+	mine     mining.Scratch
+	episodes abstraction.EpisodeScratch
+}
+
 // mineSequence extracts one history's code sequence for the mine map
 // step: chronological diagnosis codes, optionally filtered to one system
-// and abstracted to chapter level.
-func mineSequence(h *model.History, p *MineParams) []string {
-	codes := h.CodeSequenceStable(model.TypeDiagnosis)
-	out := make([]string, 0, len(codes))
-	for _, c := range codes {
+// and abstracted to chapter level. The result lives in the scratch.
+func mineSequence(h *model.History, p *MineParams, sc *mapScratch) []string {
+	sc.codes = h.AppendCodeSequence(sc.codes[:0], model.TypeDiagnosis)
+	sc.seq = sc.seq[:0]
+	for _, c := range sc.codes {
 		if p.System != "" && c.System != p.System {
 			continue
 		}
 		if p.Chapter {
 			if ch := abstraction.ChapterOf(c); ch != "" {
-				out = append(out, ch)
+				sc.seq = append(sc.seq, ch)
 			}
 			continue
 		}
-		out = append(out, c.Value)
+		sc.seq = append(sc.seq, c.Value)
 	}
-	return out
+	return sc.seq
 }
 
 // validateCounts holds a hostile or corrupt mine partial to an error: the
@@ -359,22 +379,26 @@ func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeAr
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown analyzer kind %q", args.Kind)
 	}
-	params, err := spec.decodeParams(args.Params)
-	if err != nil {
-		return nil, fmt.Errorf("engine: analyzer %q: %w", args.Kind, err)
+	params := args.params
+	if params == nil {
+		var err error
+		if params, err = spec.decodeParams(args.Params); err != nil {
+			return nil, fmt.Errorf("engine: analyzer %q: %w", args.Kind, err)
+		}
 	}
 	if args.Mask != nil && args.Mask.Len() != patients {
 		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", args.Mask.Len(), patients)
 	}
 	part := spec.newPartial(params)
+	var sc mapScratch
 	if args.Mask != nil {
 		args.Mask.Range(func(i int) bool {
-			spec.addHistory(part, params, history(i))
+			spec.addHistory(part, params, history(i), &sc)
 			return true
 		})
 	} else {
 		for i := 0; i < patients; i++ {
-			spec.addHistory(part, params, history(i))
+			spec.addHistory(part, params, history(i), &sc)
 		}
 	}
 	return part, nil
@@ -418,7 +442,7 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 	}
 	parts, status, err := fanCohort(ctx, e, t, e.policy, b,
 		func(ctx context.Context, bk ShardBackend, mask *store.Bitset) (Partial, error) {
-			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: mask})
+			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: mask, params: params})
 		})
 	if err != nil {
 		return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, err)

@@ -18,15 +18,18 @@ import (
 	"net/rpc"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pastas/internal/abstraction"
+	"pastas/internal/integrate"
 	"pastas/internal/mining"
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/stats"
 	"pastas/internal/store"
+	"pastas/internal/synth"
 	"pastas/internal/temporal"
 )
 
@@ -110,10 +113,12 @@ func cohortOf(col *model.Collection, bits *store.Bitset) *model.Collection {
 	return model.MustCollection(hs...)
 }
 
-// refAnalyze is the single-threaded reference for the map-step kinds: the
-// same map step, run sequentially over the cohort's histories in
-// collection order, with no sharding, no merge and no wire codec in the
-// path.
+// refAnalyze is the single-threaded, fresh-allocation reference for the
+// map-step kinds: each history goes through the exported slice-returning
+// forms (CodeSequenceStable + AddSequence, EpisodeTally.AddHistory,
+// EpisodesStable), sequentially in collection order, with no sharding, no
+// merge, no wire codec and no scratch carried from one history to the
+// next in the path.
 func refAnalyze(t testing.TB, cohort *model.Collection, req AnalyzeRequest) Partial {
 	t.Helper()
 	spec := analyzers[req.Kind]
@@ -123,7 +128,28 @@ func refAnalyze(t testing.TB, cohort *model.Collection, req AnalyzeRequest) Part
 	}
 	part := spec.newPartial(params)
 	for _, h := range cohort.Histories() {
-		spec.addHistory(part, params, h)
+		switch p := params.(type) {
+		case *MineParams:
+			var seq []string
+			for _, c := range h.CodeSequenceStable(model.TypeDiagnosis) {
+				switch {
+				case p.System != "" && c.System != p.System:
+				case !p.Chapter:
+					seq = append(seq, c.Value)
+				case abstraction.ChapterOf(c) != "":
+					seq = append(seq, abstraction.ChapterOf(c))
+				}
+			}
+			if len(seq) > 0 {
+				part.(*mining.Counts).AddSequence(seq)
+			}
+		case *EpisodeParams:
+			part.(*abstraction.EpisodeTally).AddHistory(h, p.Gap)
+		case *ScenarioParams:
+			part.(*temporal.ScenarioTally).Add(p.Scenario.MatchEpisodes(abstraction.EpisodesStable(h, p.Gap)))
+		default:
+			t.Fatalf("refAnalyze: no reference for kind %q", req.Kind)
+		}
 	}
 	return part
 }
@@ -571,6 +597,170 @@ func TestAnalyzeReplicaFailover(t *testing.T) {
 		}
 		if want := tc.want(col); !reflect.DeepEqual(tc.view(got), want) {
 			t.Fatalf("replica analyze %s: answer differs from the reference\n got %+v\nwant %+v", tc.name, tc.view(got), want)
+		}
+	}
+}
+
+// scratchOrders are the history orders the scratch axis tallies a cohort
+// in: shard order, reversed, and with the histories a reused scratch is
+// most likely to leak into or out of — empty, single-entry, and unsorted
+// (SortedEntries' copy path) — interleaved between the real ones. Every
+// call builds fresh histories: a reference may sort what it reads.
+func scratchOrders(col *model.Collection) map[string]func() *model.Collection {
+	hs := col.Histories()
+	odd := func(i int) *model.History {
+		id := model.PatientID(1_000_000 + i)
+		h := model.NewHistory(model.Patient{ID: id, Birth: model.Date(1950, 6, 1)})
+		switch src := hs[i]; i % 3 {
+		case 1: // a single entry
+			if src.Len() > 0 {
+				h.Add(src.Entries[0])
+			}
+		case 2: // the neighbour's entries, newest first, left unsorted
+			for j := src.Len() - 1; j >= 0; j-- {
+				e := src.Entries[j]
+				e.ID += 1 << 40
+				h.Add(e)
+			}
+		}
+		return h
+	}
+	return map[string]func() *model.Collection{
+		"shard order": func() *model.Collection { return model.MustCollection(hs...) },
+		"reversed": func() *model.Collection {
+			out := make([]*model.History, len(hs))
+			for i, h := range hs {
+				out[len(hs)-1-i] = h
+			}
+			return model.MustCollection(out...)
+		},
+		"interleaved": func() *model.Collection {
+			var out []*model.History
+			for i, h := range hs {
+				out = append(out, h, odd(i))
+			}
+			return model.MustCollection(out...)
+		},
+	}
+}
+
+// TestAnalyzeScratchParity: tallyAnalyze reuses one scratch across the
+// histories of a call, so for every kind the tally must not depend on
+// which history came before — each order equals the fresh-allocation
+// reference over the same order.
+func TestAnalyzeScratchParity(t *testing.T) {
+	col, _, _ := parityEngines(t)
+	for _, tc := range analyzeCases(t) {
+		for name, build := range scratchOrders(col) {
+			cohort := build()
+			unsorted := 0
+			for _, h := range cohort.Histories() {
+				if !h.Sorted() {
+					unsorted++
+				}
+			}
+			if (name == "interleaved") != (unsorted > 0) {
+				t.Fatalf("%s: %d unsorted histories", name, unsorted)
+			}
+			got, err := tallyAnalyze(cohort.At, cohort.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, name, err)
+			}
+			if want := tc.want(build()); !reflect.DeepEqual(tc.view(got), want) {
+				t.Errorf("%s, %s: tally differs from the fresh-allocation reference\n got %+v\nwant %+v",
+					tc.name, name, tc.view(got), want)
+			}
+		}
+	}
+}
+
+// TestAnalyzeConcurrentCalls: eight AnalyzeStatus calls of mixed kinds at
+// once — on one local engine, and through one loopback shard server, whose
+// map steps then share histories — answer what they answer one at a time.
+// A scratch owned by anything wider than the call fails here under -race.
+func TestAnalyzeConcurrentCalls(t *testing.T) {
+	col, _, engines := parityEngines(t)
+	cases := analyzeCases(t)
+	remote := startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 30 * time.Second})
+	for name, eng := range map[string]*Engine{"local": engines[1], "loopback": remote.eng} {
+		bits, err := eng.Execute(query.TrueExpr{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]any, len(cases))
+		for i, tc := range cases {
+			part, err := eng.Analyze(bits, tc.req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tc.name, err)
+			}
+			want[i] = tc.view(part)
+		}
+		const calls = 8
+		got := make([]any, calls)
+		errs := make([]error, calls)
+		var wg sync.WaitGroup
+		for c := 0; c < calls; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				tc := cases[c%len(cases)]
+				part, _, err := eng.AnalyzeStatus(context.Background(), bits, tc.req)
+				if errs[c] = err; err == nil {
+					got[c] = tc.view(part)
+				}
+			}(c)
+		}
+		wg.Wait()
+		for c := 0; c < calls; c++ {
+			if errs[c] != nil {
+				t.Fatalf("%s call %d (%s): %v", name, c, cases[c%len(cases)].name, errs[c])
+			}
+			if !reflect.DeepEqual(got[c], want[c%len(cases)]) {
+				t.Errorf("%s call %d (%s): concurrent answer differs from the sequential one\n got %+v\nwant %+v",
+					name, c, cases[c%len(cases)].name, got[c], want[c%len(cases)])
+			}
+		}
+	}
+}
+
+// TestTallyAnalyzeAllocationBudget holds the map steps to what a call may
+// allocate over a fixed 2,000-history shard: the window tallies nothing
+// per history, the scratch-reusing kinds at most one allocation per twenty
+// histories (the partial's maps and the scratch growing to the largest
+// history), and an in-process call handed the coordinator's decoded
+// params compiles no gob decoder at all.
+func TestTallyAnalyzeAllocationBudget(t *testing.T) {
+	col, _, err := integrate.Build(synth.Generate(synth.DefaultConfig(2000)), integrate.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range col.Histories() {
+		h.Sort() // as a store holds them: no SortedEntries copy
+	}
+	for _, tc := range analyzeCases(t) {
+		params, err := analyzers[tc.req.Kind].decodeParams(tc.req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perCall := func(args AnalyzeArgs) float64 {
+			return testing.AllocsPerRun(3, func() { // one warm pass first
+				if _, err := tallyAnalyze(col.At, col.Len(), args); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		wire := perCall(AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+		local := perCall(AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params, params: params})
+		budget := 0.05 * float64(col.Len())
+		if tc.req.Kind == AnalyzeIndicators || tc.req.Kind == AnalyzeProfile {
+			budget = 4 // the partial, not the histories
+		}
+		t.Logf("%s: %.0f allocations per call with decoded params, %.0f decoding them", tc.name, local, wire)
+		if local > budget {
+			t.Errorf("%s: %.0f allocations per call over %d histories, budget %.0f", tc.name, local, col.Len(), budget)
+		}
+		if wire <= local {
+			t.Errorf("%s: decoding the params cost nothing (%.0f vs %.0f allocations): is args.params ignored?", tc.name, wire, local)
 		}
 	}
 }

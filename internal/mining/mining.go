@@ -7,6 +7,7 @@ package mining
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -90,45 +91,58 @@ func NewCounts(sequential bool, maxGap int) *Counts {
 // AddSequence tallies one history's code sequence. Each history
 // contributes at most one count per code and per pair, whatever the
 // repetition inside the sequence.
-func (c *Counts) AddSequence(seq []string) {
+func (c *Counts) AddSequence(seq []string) { c.Add(seq, new(Scratch)) }
+
+// Scratch is the working memory of one tally step, reused from one
+// sequence to the next by a caller that tallies many (a map step allocates
+// nothing per history once it is warm). A scratch belongs to one
+// goroutine; the zero value is ready.
+type Scratch struct {
+	codes []string // the sequence's distinct codes, sorted
+	ranks []int32  // each position's index into codes
+	seen  []uint64 // len(codes)² bits: ordered pairs already counted
+}
+
+// Add is AddSequence over a caller-owned scratch — the one tally loop.
+func (c *Counts) Add(seq []string, s *Scratch) {
 	c.N++
-	if c.Sequential {
-		present := make(map[string]bool)
-		ordered := make(map[[2]string]bool)
-		for i, a := range seq {
-			present[a] = true
-			for j := i + 1; j < len(seq); j++ {
-				if c.MaxGap > 0 && j-i > c.MaxGap {
-					break
-				}
-				if seq[j] != a {
-					ordered[[2]string{a, seq[j]}] = true
-				}
-			}
-		}
-		for code := range present {
-			c.Single[code]++
-		}
-		for p := range ordered {
-			c.Pair[p]++
-		}
-		return
-	}
-	present := make(map[string]bool)
-	for _, code := range seq {
-		present[code] = true
-	}
-	codes := make([]string, 0, len(present))
-	for code := range present {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes)
+	s.codes = append(s.codes[:0], seq...)
+	slices.Sort(s.codes)
+	s.codes = slices.Compact(s.codes)
+	codes := s.codes
 	for _, code := range codes {
 		c.Single[code]++
 	}
-	for i := 0; i < len(codes); i++ {
-		for j := i + 1; j < len(codes); j++ {
-			c.Pair[[2]string{codes[i], codes[j]}]++
+	if !c.Sequential {
+		for i := range codes {
+			for j := i + 1; j < len(codes); j++ {
+				c.Pair[[2]string{codes[i], codes[j]}]++
+			}
+		}
+		return
+	}
+	// Ordered pairs: a pair counts once per history however often it
+	// recurs, so each (a, b) is marked in a bit matrix over the distinct
+	// codes' ranks and counted the first time only.
+	k := len(codes)
+	s.ranks = s.ranks[:0]
+	for _, code := range seq {
+		r, _ := slices.BinarySearch(codes, code)
+		s.ranks = append(s.ranks, int32(r))
+	}
+	words := (k*k + 63) / 64
+	s.seen = slices.Grow(s.seen[:0], words)[:words]
+	clear(s.seen)
+	for i, a := range s.ranks {
+		for j := i + 1; j < len(s.ranks); j++ {
+			if c.MaxGap > 0 && j-i > c.MaxGap {
+				break
+			}
+			b := s.ranks[j]
+			if bit := int(a)*k + int(b); a != b && s.seen[bit/64]&(1<<(bit%64)) == 0 {
+				s.seen[bit/64] |= 1 << (bit % 64)
+				c.Pair[[2]string{codes[a], codes[b]}]++
+			}
 		}
 	}
 }
@@ -203,8 +217,9 @@ func (c *Counts) Rules(opt Options) []Rule {
 // (core.Workbench.MineRules), which runs the same Counts tally per shard.
 func CoOccurrence(seqs [][]string, opt Options) []Rule {
 	c := NewCounts(false, 0)
+	var s Scratch
 	for _, seq := range seqs {
-		c.AddSequence(seq)
+		c.Add(seq, &s)
 	}
 	return c.Rules(opt)
 }
@@ -217,8 +232,9 @@ func CoOccurrence(seqs [][]string, opt Options) []Rule {
 // callers go through core.Workbench.MineRules.
 func Sequential(seqs [][]string, opt Options) []Rule {
 	c := NewCounts(true, opt.MaxGap)
+	var s Scratch
 	for _, seq := range seqs {
-		c.AddSequence(seq)
+		c.Add(seq, &s)
 	}
 	return c.Rules(opt)
 }

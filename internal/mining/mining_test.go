@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,5 +218,73 @@ func TestTopDeterministicOnTies(t *testing.T) {
 	// co-occurrence form of (A01,B02) before its sequential twin.
 	if want[1].B != "A09" || want[2].B != "B02" || want[2].Sequential {
 		t.Errorf("tie-break order wrong: %v", want[1:])
+	}
+}
+
+// refAddSequence is the tally the scratch-based loop replaced — a presence
+// map and a pair map per history — kept as the oracle.
+func refAddSequence(c *Counts, seq []string) {
+	c.N++
+	present := make(map[string]bool)
+	pairs := make(map[[2]string]bool)
+	for i, a := range seq {
+		present[a] = true
+		for j := i + 1; j < len(seq); j++ {
+			b := seq[j]
+			switch {
+			case a == b:
+			case !c.Sequential && a < b:
+				pairs[[2]string{a, b}] = true
+			case !c.Sequential:
+				pairs[[2]string{b, a}] = true
+			case c.MaxGap == 0 || j-i <= c.MaxGap:
+				pairs[[2]string{a, b}] = true
+			}
+		}
+	}
+	for code := range present {
+		c.Single[code]++
+	}
+	for p := range pairs {
+		c.Pair[p]++
+	}
+}
+
+// TestAddMatchesReference: the same tallies from the per-history maps, from
+// AddSequence's fresh scratch and from one scratch reused across every
+// sequence (long after short, empty in between), in every counting mode.
+func TestAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []string{"A", "B", "D", "K", "K86", "L", "R", "T", "T90", ""}
+	var seqs [][]string
+	for i := 0; i < 500; i++ {
+		seq := make([]string, rng.Intn(1+rng.Intn(40)))
+		for j := range seq {
+			seq[j] = alphabet[rng.Intn(1+rng.Intn(len(alphabet)))]
+		}
+		seqs = append(seqs, seq)
+	}
+	for _, mode := range []struct {
+		sequential bool
+		maxGap     int
+	}{{false, 0}, {true, 0}, {true, 1}, {true, 3}} {
+		want := NewCounts(mode.sequential, mode.maxGap)
+		fresh := NewCounts(mode.sequential, mode.maxGap)
+		reused := NewCounts(mode.sequential, mode.maxGap)
+		var scratch Scratch
+		for _, seq := range seqs {
+			refAddSequence(want, seq)
+			fresh.AddSequence(seq)
+			reused.Add(seq, &scratch)
+		}
+		if len(want.Pair) < 20 {
+			t.Fatalf("%+v: the sample counted only %d pairs", mode, len(want.Pair))
+		}
+		if !reflect.DeepEqual(fresh, want) {
+			t.Errorf("%+v: AddSequence diverges from the reference:\n got %+v\nwant %+v", mode, fresh, want)
+		}
+		if !reflect.DeepEqual(reused, want) {
+			t.Errorf("%+v: a reused scratch diverges from the reference:\n got %+v\nwant %+v", mode, reused, want)
+		}
 	}
 }

@@ -194,14 +194,7 @@ func (h *History) Within(p Period) []*Entry {
 // ("the only information ... utilized was the diagnosis codes").
 func (h *History) CodeSequence(t Type) []Code {
 	h.Sort()
-	var out []Code
-	for i := range h.Entries {
-		e := &h.Entries[i]
-		if e.Type == t && !e.Code.IsZero() {
-			out = append(out, e.Code)
-		}
-	}
-	return out
+	return h.AppendCodeSequence(nil, t)
 }
 
 // CodeSequenceStable is CodeSequence without mutating the history: it
@@ -209,15 +202,21 @@ func (h *History) CodeSequence(t Type) []Code {
 // (shard servers running map steps over the same collection) never
 // reorder entries under each other.
 func (h *History) CodeSequenceStable(t Type) []Code {
-	var out []Code
+	return h.AppendCodeSequence(nil, t)
+}
+
+// AppendCodeSequence appends the code sequence to dst without mutating
+// the history — the one walk behind CodeSequence and CodeSequenceStable;
+// a caller visiting many histories passes the previous result's dst[:0].
+func (h *History) AppendCodeSequence(dst []Code, t Type) []Code {
 	entries := h.SortedEntries()
 	for i := range entries {
 		e := &entries[i]
 		if e.Type == t && !e.Code.IsZero() {
-			out = append(out, e.Code)
+			dst = append(dst, e.Code)
 		}
 	}
-	return out
+	return dst
 }
 
 // Clone returns a deep copy of the history.

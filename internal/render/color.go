@@ -1,9 +1,6 @@
 package render
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // Color assignment. The background colorings of Fig. 1 distinguish
 // medication classes; Section II demands encodings that stay preattentive:
@@ -75,6 +72,3 @@ func (c *ClassColors) Color(class string) string {
 // Classes returns the labels assigned so far (unordered count only matters
 // for legends; callers sort).
 func (c *ClassColors) Len() int { return len(c.assigned) }
-
-// RGB builds an rgb() literal; convenience for computed shades.
-func RGB(r, g, b int) string { return fmt.Sprintf("rgb(%d,%d,%d)", r, g, b) }

@@ -77,13 +77,12 @@ func EventChart(col *model.Collection, seq query.Sequence, opt EventChartOptions
 		// Matched entries as dots.
 		for _, e := range ht.match.Entries {
 			cx := x(e.Start - span.Start)
-			title := e.String()
 			if opt.Tooltips {
-				end := s.TitledGroup(title)
-				s.Circle(cx, y, 3.2, "fill", ColorDiagnosis)
-				end()
-			} else {
-				s.Circle(cx, y, 3.2, "fill", ColorDiagnosis)
+				s.TitledGroup(e.String())
+			}
+			s.Circle(cx, y, 3.2, "fill", ColorDiagnosis)
+			if opt.Tooltips {
+				s.EndGroup()
 			}
 		}
 

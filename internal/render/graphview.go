@@ -82,7 +82,7 @@ func Graph(g *graph.Graph, l *graph.Layout, opt GraphOptions) string {
 			fill = "#dcedc8" // merged nodes tinted
 		}
 		rx := 16.0 + 4*float64(min(n.Histories()-1, 4))
-		end := s.TitledGroup(fmt.Sprintf("%s: %d occurrence(s) in %d history(ies)",
+		s.TitledGroup(fmt.Sprintf("%s: %d occurrence(s) in %d history(ies)",
 			n.Label, len(n.Members), n.Histories()))
 		s.Ellipse(px(n.ID), py(n.ID), rx, 12,
 			"fill", fill, "stroke", stroke, "stroke-width", "1")
@@ -90,7 +90,7 @@ func Graph(g *graph.Graph, l *graph.Layout, opt GraphOptions) string {
 			s.Text(px(n.ID), py(n.ID)+3.5, n.Label,
 				"font-size", "9", "text-anchor", "middle", "fill", "#111111")
 		}
-		end()
+		s.EndGroup()
 	}
 	return s.String()
 }

@@ -1,9 +1,9 @@
 package render
 
 import (
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"pastas/internal/align"
 	"pastas/internal/graph"
@@ -31,18 +31,16 @@ func TestSVGPrimitives(t *testing.T) {
 	s.Line(0, 0, 10, 10, "stroke", "red")
 	s.Polygon([]float64{0, 0, 5, 0, 2.5, 5})
 	s.Text(10, 10, `label <with> "specials" & stuff`)
-	end := s.Group("class", "g1")
+	s.TitledGroup("tool tip")
 	s.Comment("inside -- group")
-	end()
-	end = s.TitledGroup("tool tip")
 	s.Circle(1, 1, 1)
-	end()
+	s.EndGroup()
 	out := s.String()
 
 	for _, want := range []string{
 		"<svg", `width="100"`, "<rect", "<circle", "<ellipse", "<line",
 		"<polygon", "&lt;with&gt;", "&quot;specials&quot;", "&amp;",
-		"<g class=\"g1\">", "<title>tool tip</title>", "</svg>",
+		"<g>", "<title>tool tip</title>", "    <circle", "  </g>", "</svg>",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("SVG missing %q", want)
@@ -228,19 +226,41 @@ func TestTimelineDeterministic(t *testing.T) {
 	}
 }
 
-func TestTimelineScalesTo1000(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// allocsAndBytes reports what one call of f allocates (after a warm call),
+// averaged over a few runs: deterministic where a wall-clock bound is a
+// guess about the machine.
+func allocsAndBytes(f func()) (allocs, bytes float64) {
+	const runs = 5
+	allocs = testing.AllocsPerRun(runs, f) // warms f up with one extra call
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestTimelineAllocatesInProportionToOutput is the render layer's budget: a
+// 1,000-row drawing costs a handful of allocations per row (band merging)
+// and a small multiple of its own size in bytes (the buffer, a reserve step
+// or two, the string: 3.2×, 4.3× under the race detector). The fmt-based
+// writer it replaced cost 586 allocations per row and 137 bytes per byte
+// drawn.
+func TestTimelineAllocatesInProportionToOutput(t *testing.T) {
 	col := testCollection(t, 1000)
-	start := time.Now()
-	svg := Timeline(col, TimelineOptions{})
-	elapsed := time.Since(start)
-	if len(svg) == 0 {
-		t.Fatal("empty render")
-	}
-	// Generous bound; the E5 bench measures precisely.
-	if elapsed > 5*time.Second {
-		t.Errorf("1000-patient render took %v", elapsed)
+	for _, opt := range []TimelineOptions{{}, {Tooltips: true, Legend: true}} {
+		var size int
+		allocs, bytes := allocsAndBytes(func() { size = len(Timeline(col, opt)) })
+		if size == 0 {
+			t.Fatal("empty render")
+		}
+		if perRow := allocs / float64(col.Len()); perRow > 10 {
+			t.Errorf("tooltips=%v: %.0f allocations, %.1f per row (budget 10)", opt.Tooltips, allocs, perRow)
+		}
+		if ratio := bytes / float64(size); ratio > 6 {
+			t.Errorf("tooltips=%v: %.0f bytes allocated for a %d-byte drawing, %.1f× (budget 6×)",
+				opt.Tooltips, bytes, size, ratio)
+		}
 	}
 }

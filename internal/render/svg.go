@@ -6,85 +6,155 @@
 package render
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
-// SVG is a minimal scene writer. Coordinates are pixels.
+// SVG is a minimal scene writer. Coordinates are pixels. The document is
+// appended to one byte slice as the scene is drawn — no element is
+// formatted on the side and copied in — so a drawing allocates in
+// proportion to its own size.
 type SVG struct {
-	w, h  float64
-	body  strings.Builder
-	defs  strings.Builder
+	buf   []byte
 	depth int
 }
 
 // NewSVG creates a document of the given pixel size.
-func NewSVG(width, height float64) *SVG {
-	return &SVG{w: width, h: height}
+func NewSVG(width, height float64) *SVG { return newSVG(nil, width, height) }
+
+// newSVG starts the document at the end of dst, so a caller that already
+// holds a buffer (a page being assembled) draws straight into it.
+func newSVG(dst []byte, width, height float64) *SVG {
+	s := &SVG{buf: dst}
+	s.raw(`<svg xmlns="http://www.w3.org/2000/svg"`)
+	s.coord("width", width)
+	s.coord("height", height)
+	s.raw(` viewBox="0 0 `)
+	s.num(width)
+	s.raw(" ")
+	s.num(height)
+	s.raw("\" font-family=\"sans-serif\">\n")
+	return s
 }
 
-// Width returns the document width.
-func (s *SVG) Width() float64 { return s.w }
+func (s *SVG) raw(t string) { s.buf = append(s.buf, t...) }
 
-// Height returns the document height.
-func (s *SVG) Height() float64 { return s.h }
+// esc appends text content or an attribute value, escaped.
+func (s *SVG) esc(t string) { s.buf = appendEsc(s.buf, t) }
 
-func (s *SVG) indent() string { return strings.Repeat("  ", s.depth+1) }
+// num appends a coordinate.
+func (s *SVG) num(v float64) { s.buf = appendNum(s.buf, v) }
 
-// esc escapes text content and attribute values.
-func esc(t string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(t)
-}
-
-// num formats coordinates compactly.
-func num(v float64) string {
-	out := fmt.Sprintf("%.2f", v)
-	out = strings.TrimRight(out, "0")
-	out = strings.TrimRight(out, ".")
-	if out == "" || out == "-" {
-		return "0"
+// appendEsc escapes the four characters that end text content or a quoted
+// attribute value; every other byte (valid UTF-8 or not) passes through.
+func appendEsc(dst []byte, t string) []byte {
+	from := 0
+	for i := 0; i < len(t); i++ {
+		var ent string
+		switch t[i] {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			ent = "&quot;"
+		default:
+			continue
+		}
+		dst = append(dst, t[from:i]...)
+		dst = append(dst, ent...)
+		from = i + 1
 	}
-	return out
+	return append(dst, t[from:]...)
 }
 
-// Attrs is a list of attribute key-value pairs (order preserved).
-type Attrs []string
+// appendNum formats coordinates compactly: two decimals (the digits fmt's
+// %.2f prints), trailing zeros and a bare trailing point trimmed in place
+// (1.50 → 1.5, 2.00 → 2).
+func appendNum(dst []byte, v float64) []byte {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, v, 'f', 2, 64)
+	for len(dst) > start && dst[len(dst)-1] == '0' {
+		dst = dst[:len(dst)-1]
+	}
+	if len(dst) > start && dst[len(dst)-1] == '.' {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
+}
 
-// attrString renders pairs; panics on odd length (programmer error).
-func attrString(attrs Attrs) string {
+// num is appendNum as a string, for a computed attribute value.
+func num(v float64) string { return string(appendNum(nil, v)) }
+
+// indent starts a fresh line at the current group depth.
+func (s *SVG) indent() {
+	for i := 0; i <= s.depth; i++ {
+		s.raw("  ")
+	}
+}
+
+func (s *SVG) open(tag string) {
+	s.indent()
+	s.raw("<")
+	s.raw(tag)
+}
+
+func (s *SVG) coord(name string, v float64) {
+	s.raw(" ")
+	s.raw(name)
+	s.raw(`="`)
+	s.num(v)
+	s.raw(`"`)
+}
+
+// attrs appends key-value pairs in order; panics on odd length
+// (programmer error).
+func (s *SVG) attrs(attrs []string) {
 	if len(attrs)%2 != 0 {
 		panic("render: odd attribute list")
 	}
-	var b strings.Builder
 	for i := 0; i < len(attrs); i += 2 {
-		fmt.Fprintf(&b, ` %s="%s"`, attrs[i], esc(attrs[i+1]))
+		s.raw(" ")
+		s.raw(attrs[i])
+		s.raw(`="`)
+		s.esc(attrs[i+1])
+		s.raw(`"`)
 	}
-	return b.String()
+}
+
+// shape draws one self-closing element: its named coordinates (up to
+// four; unused names are empty), then the caller's attributes.
+func (s *SVG) shape(tag string, names [4]string, vals [4]float64, attrs []string) {
+	s.open(tag)
+	for i, name := range names {
+		if name != "" {
+			s.coord(name, vals[i])
+		}
+	}
+	s.attrs(attrs)
+	s.raw("/>\n")
 }
 
 // Rect draws a rectangle.
 func (s *SVG) Rect(x, y, w, h float64, attrs ...string) {
-	fmt.Fprintf(&s.body, "%s<rect x=\"%s\" y=\"%s\" width=\"%s\" height=\"%s\"%s/>\n",
-		s.indent(), num(x), num(y), num(w), num(h), attrString(attrs))
+	s.shape("rect", [4]string{"x", "y", "width", "height"}, [4]float64{x, y, w, h}, attrs)
 }
 
 // Circle draws a circle.
 func (s *SVG) Circle(cx, cy, r float64, attrs ...string) {
-	fmt.Fprintf(&s.body, "%s<circle cx=\"%s\" cy=\"%s\" r=\"%s\"%s/>\n",
-		s.indent(), num(cx), num(cy), num(r), attrString(attrs))
+	s.shape("circle", [4]string{"cx", "cy", "r"}, [4]float64{cx, cy, r}, attrs)
 }
 
 // Ellipse draws an ellipse.
 func (s *SVG) Ellipse(cx, cy, rx, ry float64, attrs ...string) {
-	fmt.Fprintf(&s.body, "%s<ellipse cx=\"%s\" cy=\"%s\" rx=\"%s\" ry=\"%s\"%s/>\n",
-		s.indent(), num(cx), num(cy), num(rx), num(ry), attrString(attrs))
+	s.shape("ellipse", [4]string{"cx", "cy", "rx", "ry"}, [4]float64{cx, cy, rx, ry}, attrs)
 }
 
 // Line draws a line segment.
 func (s *SVG) Line(x1, y1, x2, y2 float64, attrs ...string) {
-	fmt.Fprintf(&s.body, "%s<line x1=\"%s\" y1=\"%s\" x2=\"%s\" y2=\"%s\"%s/>\n",
-		s.indent(), num(x1), num(y1), num(x2), num(y2), attrString(attrs))
+	s.shape("line", [4]string{"x1", "y1", "x2", "y2"}, [4]float64{x1, y1, x2, y2}, attrs)
 }
 
 // Polygon draws a closed polygon from x,y pairs.
@@ -92,58 +162,72 @@ func (s *SVG) Polygon(points []float64, attrs ...string) {
 	if len(points)%2 != 0 {
 		panic("render: odd point list")
 	}
-	var pts []string
+	s.open("polygon")
+	s.raw(` points="`)
 	for i := 0; i < len(points); i += 2 {
-		pts = append(pts, num(points[i])+","+num(points[i+1]))
+		if i > 0 {
+			s.raw(" ")
+		}
+		s.num(points[i])
+		s.raw(",")
+		s.num(points[i+1])
 	}
-	fmt.Fprintf(&s.body, "%s<polygon points=\"%s\"%s/>\n",
-		s.indent(), strings.Join(pts, " "), attrString(attrs))
+	s.raw(`"`)
+	s.attrs(attrs)
+	s.raw("/>\n")
 }
 
 // Text draws a text label.
 func (s *SVG) Text(x, y float64, text string, attrs ...string) {
-	fmt.Fprintf(&s.body, "%s<text x=\"%s\" y=\"%s\"%s>%s</text>\n",
-		s.indent(), num(x), num(y), attrString(attrs), esc(text))
+	s.open("text")
+	s.coord("x", x)
+	s.coord("y", y)
+	s.attrs(attrs)
+	s.raw(">")
+	s.esc(text)
+	s.raw("</text>\n")
 }
 
-// Title attaches a tooltip to the previous element by wrapping — SVG
-// renderers show <title> children on hover; our details-on-demand in the
-// static artifacts. It must be called via the WithTitle helpers below, so
-// as a primitive we expose a titled group instead.
-func (s *SVG) TitledGroup(title string, attrs ...string) func() {
-	fmt.Fprintf(&s.body, "%s<g%s>\n", s.indent(), attrString(attrs))
+// TitledGroup opens a <g> whose <title> child is the tooltip of the
+// elements drawn until EndGroup — SVG renderers show it on hover; our
+// details-on-demand in the static artifacts.
+func (s *SVG) TitledGroup(title string) {
+	s.openTitle()
+	s.esc(title)
+	s.closeTitle()
+}
+
+// openTitle and closeTitle bracket a tooltip the caller appends piecewise
+// (s.esc, strconv.Append*) instead of concatenating a string per mark.
+func (s *SVG) openTitle() {
+	s.open("g")
+	s.raw(">\n")
 	s.depth++
-	fmt.Fprintf(&s.body, "%s<title>%s</title>\n", s.indent(), esc(title))
-	return s.endGroup
+	s.open("title")
+	s.raw(">")
 }
 
-// Group opens a <g>; the returned func closes it (use with defer).
-func (s *SVG) Group(attrs ...string) func() {
-	fmt.Fprintf(&s.body, "%s<g%s>\n", s.indent(), attrString(attrs))
-	s.depth++
-	return s.endGroup
-}
+func (s *SVG) closeTitle() { s.raw("</title>\n") }
 
-func (s *SVG) endGroup() {
+// EndGroup closes the innermost open group.
+func (s *SVG) EndGroup() {
 	s.depth--
-	fmt.Fprintf(&s.body, "%s</g>\n", s.indent())
+	s.indent()
+	s.raw("</g>\n")
 }
 
-// Comment inserts an XML comment (section markers for tests and humans).
+// Comment inserts an XML comment (section markers for tests and humans);
+// a double dash, which would end the comment early, becomes an em dash.
 func (s *SVG) Comment(text string) {
-	fmt.Fprintf(&s.body, "%s<!-- %s -->\n", s.indent(), strings.ReplaceAll(text, "--", "—"))
+	s.indent()
+	s.raw("<!-- ")
+	s.raw(strings.ReplaceAll(text, "--", "—")) // no copy when there is none
+	s.raw(" -->\n")
 }
 
-// String renders the complete document.
-func (s *SVG) String() string {
-	var out strings.Builder
-	fmt.Fprintf(&out, `<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" viewBox="0 0 %s %s" font-family="sans-serif">`,
-		num(s.w), num(s.h), num(s.w), num(s.h))
-	out.WriteString("\n")
-	if s.defs.Len() > 0 {
-		out.WriteString("  <defs>\n" + s.defs.String() + "  </defs>\n")
-	}
-	out.WriteString(s.body.String())
-	out.WriteString("</svg>\n")
-	return out.String()
-}
+// Bytes returns the complete document: whatever preceded it in the buffer
+// newSVG was handed, then the drawing.
+func (s *SVG) Bytes() []byte { return append(s.buf, "</svg>\n"...) }
+
+// String returns the complete document as a string.
+func (s *SVG) String() string { return string(s.Bytes()) }

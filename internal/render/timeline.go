@@ -2,7 +2,9 @@ package render
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"pastas/internal/abstraction"
 	"pastas/internal/align"
@@ -79,6 +81,13 @@ const (
 
 // Timeline renders the collection.
 func Timeline(col *model.Collection, opt TimelineOptions) string {
+	return string(AppendTimeline(nil, col, opt))
+}
+
+// AppendTimeline appends the rendered collection to dst — the one drawing
+// routine behind Timeline; a caller assembling a larger document (the web
+// pages) draws into its own buffer instead of copying a string in.
+func AppendTimeline(dst []byte, col *model.Collection, opt TimelineOptions) []byte {
 	opt.defaults()
 
 	rows := col.Histories()
@@ -125,7 +134,7 @@ func Timeline(col *model.Collection, opt TimelineOptions) string {
 	docW := marginLeft + plotW + marginRight + legendW
 	docH := marginTop + plotH + marginBottom + panelH
 
-	s := NewSVG(docW, docH)
+	s := newSVG(dst, docW, docH)
 	s.Rect(0, 0, docW, docH, "fill", "#ffffff")
 
 	offset := func(h *model.History) model.Time {
@@ -148,12 +157,26 @@ func Timeline(col *model.Collection, opt TimelineOptions) string {
 	}
 
 	s.Comment("patient histories")
+	// A row's size follows its entry count, so the bytes per entry drawn so
+	// far tell what the whole plot needs; reserving that (plus an eighth for
+	// drift and the labels and legend that follow) keeps append's own 1.25×
+	// steps from copying a large drawing five times on its way up.
+	entries := 0
+	for _, h := range rows {
+		entries += h.Len()
+	}
+	rowsStart, drawn := len(s.buf), 0
 	for i, h := range rows {
 		top := marginTop + float64(i)*rowH
 		if color, ok := opt.Highlights[h.Patient.ID]; ok {
 			s.Rect(marginLeft-6, top+rowH*0.1, 3, rowH*0.8, "fill", color)
 		}
 		drawHistoryRow(s, h, top, rowH, x, offset(h), domain, colors, opt)
+		if drawn += h.Len(); drawn > 0 {
+			used := len(s.buf) - rowsStart
+			want := (used/drawn + 1) * entries
+			s.buf = slices.Grow(s.buf, want+want/8-used)
+		}
 	}
 
 	// Y axis labels: patient IDs, thinned when crowded.
@@ -192,7 +215,7 @@ func Timeline(col *model.Collection, opt TimelineOptions) string {
 				"font-size", "10", "fill", ColorAxis, "font-weight", weight)
 		}
 	}
-	return s.String()
+	return s.Bytes()
 }
 
 // drawHistoryRow draws one gray bar with its bands and marks.
@@ -247,7 +270,8 @@ func drawHistoryRow(s *SVG, h *model.History, top, rowH float64,
 		drawBand(s, bx0, bx1, top+rowH*0.72, rowH*0.22, color, title, opt)
 	}
 
-	// Marks.
+	// Marks. A tooltip is appended piece by piece, and only when tooltips
+	// are on: a view without them never looks a title up.
 	icpc := terminology.ForICPC2()
 	icd := terminology.ForICD10()
 	for i := range h.Entries {
@@ -257,33 +281,46 @@ func drawHistoryRow(s *SVG, h *model.History, top, rowH float64,
 		case model.TypeContact:
 			s.Line(ex, barY, ex, barY+barH, "stroke", ColorContact, "stroke-width", "0.6")
 		case model.TypeDiagnosis:
-			size := rowH * 0.32
-			title := e.Code.String()
-			switch e.Code.System {
-			case "ICPC2":
-				if t := icpc.Title(e.Code.Value); t != "" {
-					title += " " + t
+			if opt.Tooltips {
+				s.openTitle()
+				s.esc(e.Code.String())
+				var t string
+				switch e.Code.System {
+				case "ICPC2":
+					t = icpc.Title(e.Code.Value)
+				case "ICD10":
+					t = icd.Title(e.Code.Value)
 				}
-			case "ICD10":
-				if t := icd.Title(e.Code.Value); t != "" {
-					title += " " + t
+				if t != "" {
+					s.raw(" ")
+					s.esc(t)
 				}
+				s.closeTitle()
 			}
-			drawMark(s, opt, title, func() {
-				s.Rect(ex-size/2, top+rowH*0.08, size, size,
-					"fill", ColorDiagnosis)
-			})
+			size := rowH * 0.32
+			s.Rect(ex-size/2, top+rowH*0.08, size, size, "fill", ColorDiagnosis)
+			if opt.Tooltips {
+				s.EndGroup()
+			}
 		case model.TypeMeasurement:
+			if opt.Tooltips {
+				s.openTitle()
+				s.raw("BP ")
+				s.buf = strconv.AppendFloat(s.buf, e.Value, 'f', 0, 64) // fmt's %.0f
+				s.raw("/")
+				s.buf = strconv.AppendFloat(s.buf, e.Aux, 'f', 0, 64)
+				s.closeTitle()
+			}
 			// The blood-pressure arrow: an upward triangle.
 			sz := rowH * 0.35
-			title := fmt.Sprintf("BP %.0f/%.0f", e.Value, e.Aux)
-			drawMark(s, opt, title, func() {
-				s.Polygon([]float64{
-					ex, top + rowH*0.58,
-					ex - sz/2, top + rowH*0.58 + sz,
-					ex + sz/2, top + rowH*0.58 + sz,
-				}, "fill", ColorArrow)
-			})
+			s.Polygon([]float64{
+				ex, top + rowH*0.58,
+				ex - sz/2, top + rowH*0.58 + sz,
+				ex + sz/2, top + rowH*0.58 + sz,
+			}, "fill", ColorArrow)
+			if opt.Tooltips {
+				s.EndGroup()
+			}
 		}
 	}
 }
@@ -292,23 +329,14 @@ func drawBand(s *SVG, x0, x1, y, h float64, color, title string, opt TimelineOpt
 	if x1 <= x0 {
 		x1 = x0 + 0.5
 	}
-	if opt.Tooltips && title != "" {
-		end := s.TitledGroup(title)
-		s.Rect(x0, y, x1-x0, h, "fill", color, "fill-opacity", "0.75")
-		end()
-		return
+	titled := opt.Tooltips && title != ""
+	if titled {
+		s.TitledGroup(title)
 	}
 	s.Rect(x0, y, x1-x0, h, "fill", color, "fill-opacity", "0.75")
-}
-
-func drawMark(s *SVG, opt TimelineOptions, title string, draw func()) {
-	if opt.Tooltips && title != "" {
-		end := s.TitledGroup(title)
-		draw()
-		end()
-		return
+	if titled {
+		s.EndGroup()
 	}
-	draw()
 }
 
 // drawAxes renders the horizontal axis: calendar dates, or month offsets in

@@ -11,6 +11,7 @@ package temporal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pastas/internal/abstraction"
@@ -119,12 +120,14 @@ func episodeLabel(ep *abstraction.Episode) string {
 // claimed by steps 0..k-1 — so a distributed match tallies exactly what a
 // local pass would.
 func (s Scenario) MatchEpisodes(eps []abstraction.Episode) (bound, matched bool) {
-	chosen := make([]int, len(s.Steps))
-	used := make([]bool, len(eps))
-	for k, step := range s.Steps {
+	// Most histories fail to bind, and they should cost the map step no
+	// allocation: the binding lives on the stack up to eight steps.
+	var few [8]int
+	chosen := few[:0]
+	for _, step := range s.Steps {
 		found := -1
 		for i := range eps {
-			if !used[i] && episodeLabel(&eps[i]) == step {
+			if episodeLabel(&eps[i]) == step && !slices.Contains(chosen, i) {
 				found = i
 				break
 			}
@@ -132,8 +135,7 @@ func (s Scenario) MatchEpisodes(eps []abstraction.Episode) (bound, matched bool)
 		if found < 0 {
 			return false, false
 		}
-		used[found] = true
-		chosen[k] = found
+		chosen = append(chosen, found)
 	}
 	net := NewNetwork(s.Steps...)
 	for i := range s.Steps {

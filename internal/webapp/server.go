@@ -515,18 +515,30 @@ func (s *Server) mergeStatus(a, b engine.QueryStatus) engine.QueryStatus {
 	return out
 }
 
-var pageTemplate = template.Must(template.New("page").Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>{{.Title}}</title>
+// pageHead opens every HTML page; html/template escapes the title for
+// both places it appears, so handlers pass it raw. What follows the head —
+// a page's body, then pageTail — is written to the reply as bytes: a
+// drawing is never copied into a template value.
+var pageHead = template.Must(template.New("head").Parse(`<!DOCTYPE html>
+<html><head><meta charset="utf-8"><title>{{.}}</title>
 <style>body{font-family:sans-serif;margin:2em}svg{border:1px solid #ddd}</style>
 </head><body>
-<h1>{{.Title}}</h1>
-{{.Body}}
-</body></html>
+<h1>{{.}}</h1>
 `))
 
-type pageData struct {
-	Title string
-	Body  template.HTML
+const pageTail = "\n</body></html>\n"
+
+// writePage answers one HTML page. body is trusted markup: the renderer's
+// SVG (payloads escaped by the renderer) and text the handler escaped.
+func writePage(w http.ResponseWriter, title string, body []byte) {
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	if err := pageHead.Execute(w, title); err != nil {
+		httpError(w, http.StatusInternalServerError, "render: %v", err)
+		return
+	}
+	// Like writeJSON: a failed write means the client went away.
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, pageTail)
 }
 
 func (s *Server) handleTimelinePage(w http.ResponseWriter, r *http.Request) {
@@ -536,18 +548,11 @@ func (s *Server) handleTimelinePage(w http.ResponseWriter, r *http.Request) {
 	}
 	// The "simplified form" presented to patients: one history, enlarged,
 	// with tooltips and legend.
-	single := model.MustCollection(h)
-	svg := render.Timeline(single, render.TimelineOptions{
+	body := []byte("<p>Your contacts with the health service. Hover any mark for details.</p>")
+	body = render.AppendTimeline(body, model.MustCollection(h), render.TimelineOptions{
 		Width: 1000, Height: 220, ZoomY: 5, Tooltips: true, Legend: true,
 	})
-	body := fmt.Sprintf("<p>Your contacts with the health service. Hover any mark for details.</p>%s", svg)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTemplate.Execute(w, pageData{
-		Title: "Personal health timeline — " + h.Patient.ID.String(),
-		Body:  template.HTML(body), // svg is produced by our renderer, with escaped payloads
-	}); err != nil {
-		httpError(w, http.StatusInternalServerError, "render: %v", err)
-	}
+	writePage(w, "Personal health timeline — "+h.Patient.ID.String(), body)
 }
 
 // handleCohortView renders the researcher-facing workbench view for a
@@ -586,18 +591,14 @@ func (s *Server) handleCohortView(w http.ResponseWriter, r *http.Request) {
 			rows = n
 		}
 	}
-	svg := render.Timeline(col, render.TimelineOptions{
+	// The pattern is escaped once here for the body and once by pageHead
+	// for the title and heading.
+	body := fmt.Appendf(nil, "<p>%d of %d patients match <code>%s</code>; first %d drawn.</p>",
+		col.Len(), s.wb.Patients(), template.HTMLEscapeString(pattern), min(rows, col.Len()))
+	body = render.AppendTimeline(body, col, render.TimelineOptions{
 		MaxRows: rows, Tooltips: true, Legend: true,
 	})
-	body := fmt.Sprintf("<p>%d of %d patients match <code>%s</code>; first %d drawn.</p>%s",
-		col.Len(), s.wb.Patients(), template.HTMLEscapeString(pattern), min(rows, col.Len()), svg)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTemplate.Execute(w, pageData{
-		Title: "Cohort view — " + template.HTMLEscapeString(pattern),
-		Body:  template.HTML(body),
-	}); err != nil {
-		httpError(w, http.StatusInternalServerError, "render: %v", err)
-	}
+	writePage(w, "Cohort view — "+pattern, body)
 }
 
 func min(a, b int) int {
@@ -613,16 +614,13 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	body := "<p>PaSTAs — patient story timelines. Sample patients:</p><ul>"
+	body := []byte("<p>PaSTAs — patient story timelines. Sample patients:</p><ul>")
 	for _, id := range ids {
-		body += fmt.Sprintf(`<li><a href="/timeline?patient=%d&pw=%s">%s</a></li>`,
+		body = fmt.Appendf(body, `<li><a href="/timeline?patient=%d&pw=%s">%s</a></li>`,
 			uint64(id), template.URLQueryEscaper(s.cfg.Password), id)
 	}
-	body += "</ul>"
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTemplate.Execute(w, pageData{Title: "PaSTAs timelines", Body: template.HTML(body)}); err != nil {
-		httpError(w, http.StatusInternalServerError, "render: %v", err)
-	}
+	body = append(body, "</ul>"...)
+	writePage(w, "PaSTAs timelines", body)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

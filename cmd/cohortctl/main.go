@@ -418,6 +418,9 @@ func runServe(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if wb.Store != nil {
+		wb.Store.Pin().Frame() // built before listening: no analyst request pays for it
+	}
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)

@@ -7,11 +7,12 @@
 package abstraction
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"pastas/internal/model"
+	"pastas/internal/store"
 	"pastas/internal/terminology"
 )
 
@@ -55,30 +56,34 @@ func AbstractCodes(codes []model.Code) []string {
 // by no more than the gap parameter, summarized by period and dominant
 // diagnosis code.
 type Episode struct {
-	Period  model.Period
-	Entries []*model.Entry
+	Period model.Period
+	// First and N locate the episode's entries in the history's
+	// chronological order (SortedEntries, or a frame row's cells).
+	First, N int
 	// Dominant is the most frequent diagnosis code; ties go to the lower
 	// code value, then the lower system name.
 	Dominant model.Code
+	// Label is what tallies and scenario steps key the episode by: the
+	// dominant code's chapter, falling back to its raw value.
+	Label string
 }
 
 // Episodes groups a history's entries into episodes separated by quiet
 // gaps of at least gap. Interval entries extend an episode to their end.
 // It sorts the history in place, so it is the single-threaded,
-// direct-collection form; distributed callers (and anything running
-// concurrently over shared histories) go through EpisodesStable, which is
-// what cohort-level tallies (core.Workbench.Episodes) use per shard.
+// direct-collection form; anything running concurrently over shared
+// histories goes through EpisodesStable.
 func Episodes(h *model.History, gap model.Time) []Episode {
 	h.Sort()
-	return new(EpisodeScratch).derive(h.Entries, gap)
+	return EpisodesStable(h, gap)
 }
 
-// EpisodesStable is Episodes without mutating the history: it reads the
-// entries through SortedEntries, so concurrent map steps over shared
-// histories (a shard server answering several Analyze RPCs at once)
-// never reorder entries under each other.
+// EpisodesStable is Episodes without mutating the history: the history is
+// framed (through SortedEntries) and goes through the EpisodeScratch
+// kernel the engine's map steps run over a store's frame.
 func EpisodesStable(h *model.History, gap model.Time) []Episode {
-	return new(EpisodeScratch).Episodes(h, gap)
+	row, codes := store.FrameHistory(h)
+	return new(EpisodeScratch).Episodes(row.Cells, codes, gap)
 }
 
 // EpisodeScratch is the working memory of the episode derivation, reused
@@ -86,87 +91,72 @@ func EpisodesStable(h *model.History, gap model.Time) []Episode {
 // allocates nothing per history once it is warm). A scratch belongs to
 // one goroutine; the zero value is ready.
 type EpisodeScratch struct {
-	eps     []Episode
-	entries []*model.Entry // every episode's Entries is a run of this
-	codes   []model.Code   // one episode's diagnosis codes, sorted
+	eps []Episode
+	ids []uint32 // one episode's diagnosis code ids, sorted
 }
 
-// Episodes is EpisodesStable into the scratch: the result, and the Entries
-// slices inside it, are valid until the next call.
-func (s *EpisodeScratch) Episodes(h *model.History, gap model.Time) []Episode {
-	return s.derive(h.SortedEntries(), gap)
-}
-
-// derive is the one episode-derivation loop every entry point runs;
-// entries must already be in chronological order. An episode is a
-// contiguous run of them, so all episodes share one backing slice.
-func (s *EpisodeScratch) derive(entries []model.Entry, gap model.Time) []Episode {
-	if len(entries) == 0 {
+// Episodes derives the episodes of one framed history — the one
+// derivation loop every entry point runs. codes is the dictionary the
+// cells' code ids index. The result is valid until the next call.
+func (s *EpisodeScratch) Episodes(cells []store.Cell, codes []store.FrameCode, gap model.Time) []Episode {
+	if len(cells) == 0 {
 		return nil
 	}
-	if cap(s.entries) < len(entries) {
-		s.entries = make([]*model.Entry, len(entries))
-	}
-	ptrs := s.entries[:len(entries)]
 	s.eps = s.eps[:0]
 	first, period := 0, model.Period{}
-	for i := range entries {
-		e := &entries[i]
-		ptrs[i] = e
-		end := e.Start
-		if e.Kind == model.Interval {
-			end = e.End
-		}
-		if i > 0 && e.Start-period.End <= gap {
+	for i := range cells {
+		start, end := model.Time(cells[i].Start), model.Time(cells[i].End)
+		if i > 0 && start-period.End <= gap {
 			if end > period.End {
 				period.End = end
 			}
 			continue
 		}
 		if i > 0 {
-			s.finish(period, ptrs[first:i:i])
+			s.finish(period, cells, first, i, codes)
 		}
-		first, period = i, model.Period{Start: e.Start, End: end}
+		first, period = i, model.Period{Start: start, End: end}
 	}
-	s.finish(period, ptrs[first:len(ptrs):len(ptrs)])
+	s.finish(period, cells, first, len(cells), codes)
 	return s.eps
 }
 
-// finish appends the completed episode.
-func (s *EpisodeScratch) finish(period model.Period, entries []*model.Entry) {
+// finish appends the completed episode cells[first:end].
+func (s *EpisodeScratch) finish(period model.Period, cells []store.Cell, first, end int, codes []store.FrameCode) {
 	// A point-only episode still covers its day.
 	if period.Empty() {
 		period.End = period.Start + model.Day
 	}
-	s.eps = append(s.eps, Episode{Period: period, Entries: entries, Dominant: s.dominant(entries)})
+	ep := Episode{Period: period, First: first, N: end - first}
+	if id := s.dominant(cells[first:end], codes); id != 0 {
+		ep.Dominant, ep.Label = codes[id].Code, codes[id].Label()
+	}
+	s.eps = append(s.eps, ep)
 }
 
-// dominant sorts the episode's diagnosis codes and takes the longest run.
-// The order is total — count, then value, then system — so two systems
-// sharing a code value (ICPC-2 and ICD-10 both have K80, R05, …) cannot
-// make the answer depend on anything but the entries.
-func (s *EpisodeScratch) dominant(entries []*model.Entry) model.Code {
-	s.codes = s.codes[:0]
-	for _, e := range entries {
-		if e.Type == model.TypeDiagnosis && !e.Code.IsZero() {
-			s.codes = append(s.codes, e.Code)
+// dominant sorts the episode's diagnosis code ids and takes the longest
+// run (0 when there is none). The order is total — count, then value,
+// then system, compared as strings, never as ids — so two systems sharing
+// a code value (ICPC-2 and ICD-10 both have K80, R05, …) cannot make the
+// answer depend on anything but the entries.
+func (s *EpisodeScratch) dominant(cells []store.Cell, codes []store.FrameCode) uint32 {
+	s.ids = s.ids[:0]
+	for i := range cells {
+		if cells[i].Type == model.TypeDiagnosis && cells[i].Code != 0 {
+			s.ids = append(s.ids, cells[i].Code)
 		}
 	}
-	slices.SortFunc(s.codes, func(a, b model.Code) int {
-		if c := strings.Compare(a.Value, b.Value); c != 0 {
-			return c
-		}
-		return strings.Compare(a.System, b.System)
-	})
-	var best model.Code
+	slices.Sort(s.ids)
+	var best uint32
 	bestN := 0
-	for i := 0; i < len(s.codes); {
+	for i := 0; i < len(s.ids); {
 		j := i + 1
-		for j < len(s.codes) && s.codes[j] == s.codes[i] {
+		for j < len(s.ids) && s.ids[j] == s.ids[i] {
 			j++
 		}
-		if j-i > bestN {
-			best, bestN = s.codes[i], j-i
+		if a, b := &codes[s.ids[i]], &codes[best]; j-i > bestN || j-i == bestN &&
+			(a.Value < b.Value || a.Value == b.Value && a.System < b.System) {
+			best, bestN = s.ids[i], j-i
 		}
 		i = j
 	}
@@ -212,46 +202,38 @@ func classPrefix(atc string, level ATCLevel) string {
 // become one band. The result is sorted by class then start.
 func MedicationBands(h *model.History, level ATCLevel, bridge model.Time) []Band {
 	h.Sort()
-	periods := make(map[string][]model.Period)
+	isBand := func(e *model.Entry) bool {
+		return e.Type == model.TypeMedication && e.Kind == model.Interval && e.Code.Value != ""
+	}
+	n := h.Count(isBand)
+	if n == 0 {
+		return nil
+	}
+	// One slice holds every interval as its own band, is sorted, and is
+	// merged in place.
+	out := make([]Band, 0, n)
 	for i := range h.Entries {
-		e := &h.Entries[i]
-		if e.Type != model.TypeMedication || e.Kind != model.Interval {
-			continue
+		if e := &h.Entries[i]; isBand(e) {
+			out = append(out, Band{Class: classPrefix(e.Code.Value, level), Period: e.Period()})
 		}
-		cls := classPrefix(e.Code.Value, level)
-		if cls == "" {
-			continue
+	}
+	slices.SortFunc(out, func(a, b Band) int {
+		if c := strings.Compare(a.Class, b.Class); c != 0 {
+			return c
 		}
-		periods[cls] = append(periods[cls], e.Period())
-	}
-
-	classes := make([]string, 0, len(periods))
-	for cls := range periods {
-		classes = append(classes, cls)
-	}
-	sort.Strings(classes)
-
+		return cmp.Compare(a.Period.Start, b.Period.Start)
+	})
 	atc := terminology.ForATC()
-	var out []Band
-	for _, cls := range classes {
-		ps := periods[cls]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Start < ps[j].Start })
-		merged := ps[:1]
-		for _, p := range ps[1:] {
-			last := &merged[len(merged)-1]
-			if p.Start <= last.End+bridge {
-				if p.End > last.End {
-					last.End = p.End
-				}
-				continue
-			}
-			merged = append(merged, p)
+	merged := out[:0]
+	for _, b := range out {
+		if k := len(merged) - 1; k >= 0 && merged[k].Class == b.Class && b.Period.Start <= merged[k].Period.End+bridge {
+			merged[k].Period.End = max(merged[k].Period.End, b.Period.End)
+			continue
 		}
-		for _, p := range merged {
-			out = append(out, Band{Class: cls, Title: atc.Title(cls), Period: p})
-		}
+		b.Title = atc.Title(b.Class)
+		merged = append(merged, b)
 	}
-	return out
+	return merged
 }
 
 // EpisodeTally is the mergeable map-step partial for distributed episode
@@ -295,15 +277,11 @@ func (t *EpisodeTally) AddEpisodes(eps []Episode) {
 	t.WithEpisodes++
 	t.Episodes += len(eps)
 	for i := range eps {
-		t.Entries += len(eps[i].Entries)
+		t.Entries += eps[i].N
 		t.SpanTotal += eps[i].Period.End - eps[i].Period.Start
 		key := "-"
 		if !eps[i].Dominant.IsZero() {
-			if ch := ChapterOf(eps[i].Dominant); ch != "" {
-				key = ch
-			} else {
-				key = eps[i].Dominant.Value
-			}
+			key = eps[i].Label
 		}
 		t.ByDominant[key]++
 	}

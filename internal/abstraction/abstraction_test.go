@@ -97,8 +97,8 @@ func TestEpisodes(t *testing.T) {
 	if eps[1].Period.End != day(67) {
 		t.Errorf("episode 2 end = %v (stay must extend episode)", eps[1].Period.End)
 	}
-	if len(eps[0].Entries) != 4 || len(eps[1].Entries) != 3 {
-		t.Errorf("episode sizes = %d, %d", len(eps[0].Entries), len(eps[1].Entries))
+	if eps[0].N != 4 || eps[1].N != 3 {
+		t.Errorf("episode sizes = %d, %d", eps[0].N, eps[1].N)
 	}
 }
 

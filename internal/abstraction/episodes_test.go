@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pastas/internal/model"
+	"pastas/internal/store"
 )
 
 // refEpisodes is the derivation the scratch-based loop replaced — a fresh
@@ -25,18 +26,18 @@ func refEpisodes(entries []model.Entry, gap model.Time) []Episode {
 			end = e.End
 		}
 		if cur != nil && e.Start-cur.Period.End <= gap {
-			cur.Entries = append(cur.Entries, e)
+			cur.N++
 			if end > cur.Period.End {
 				cur.Period.End = end
 			}
 			continue
 		}
-		eps = append(eps, Episode{Period: model.Period{Start: e.Start, End: end}, Entries: []*model.Entry{e}})
+		eps = append(eps, Episode{Period: model.Period{Start: e.Start, End: end}, First: i, N: 1})
 		cur = &eps[len(eps)-1]
 	}
 	for i := range eps {
 		counts := make(map[model.Code]int)
-		for _, e := range eps[i].Entries {
+		for _, e := range entries[eps[i].First : eps[i].First+eps[i].N] {
 			if e.Type == model.TypeDiagnosis && !e.Code.IsZero() {
 				counts[e.Code]++
 			}
@@ -49,6 +50,9 @@ func refEpisodes(entries []model.Entry, gap model.Time) []Episode {
 			}
 		}
 		eps[i].Dominant = best
+		if eps[i].Label = ChapterOf(best); eps[i].Label == "" {
+			eps[i].Label = best.Value
+		}
 		if eps[i].Period.Empty() {
 			eps[i].Period.End = eps[i].Period.Start + model.Day
 		}
@@ -83,23 +87,8 @@ func randomHistory(rng *rand.Rand, id model.PatientID) *model.History {
 	return h
 }
 
-// sameEpisodes compares by value: entries by what they point at, so a
-// sorted copy's pointers equal the original's.
 func sameEpisodes(a, b []Episode) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Period != b[i].Period || a[i].Dominant != b[i].Dominant || len(a[i].Entries) != len(b[i].Entries) {
-			return false
-		}
-		for j := range a[i].Entries {
-			if *a[i].Entries[j] != *b[i].Entries[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
 func TestEpisodesMatchReference(t *testing.T) {
@@ -114,7 +103,8 @@ func TestEpisodesMatchReference(t *testing.T) {
 			t.Fatalf("history %d: EpisodesStable = %v, reference %v", id, got, want)
 		}
 		// The scratch carries nothing from one history into the next.
-		got := scratch.Episodes(h, gap)
+		row, codes := store.FrameHistory(h)
+		got := scratch.Episodes(row.Cells, codes, gap)
 		if !sameEpisodes(got, want) {
 			t.Fatalf("history %d: reused scratch = %v, reference %v", id, got, want)
 		}

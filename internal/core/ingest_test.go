@@ -10,6 +10,7 @@ import (
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/sources"
+	"pastas/internal/stats"
 	"pastas/internal/store"
 	"pastas/internal/synth"
 )
@@ -156,6 +157,7 @@ func TestNoStaleAnswersUnderConcurrentIngest(t *testing.T) {
 	// plain indexed interpreter over a frozen revision. Written only by
 	// the writer goroutine; read only after the join.
 	refs := make([][]model.PatientID, rounds+1)
+	profiles := make([]stats.CohortProfile, rounds+1) // the same cohort's profile, sequentially
 	record := func(g uint64) error {
 		frozen := wb.Store.Freeze()
 		bits, err := query.EvalIndexed(frozen, q)
@@ -163,6 +165,7 @@ func TestNoStaleAnswersUnderConcurrentIngest(t *testing.T) {
 			return err
 		}
 		refs[g] = frozen.IDsOf(bits)
+		profiles[g] = stats.ComputeCohortProfile(frozen.Subset(bits), window)
 		return nil
 	}
 	if err := record(0); err != nil {
@@ -226,11 +229,58 @@ func TestNoStaleAnswersUnderConcurrentIngest(t *testing.T) {
 			}
 		}(r)
 	}
+	// One more reader analyses while the writer appends: it reads the
+	// frame each generation carries forward, and its profile must be some
+	// overlapped generation's. A cohort from before an append no longer
+	// fits the population; that refusal is the contract, not a failure.
+	type profiled struct {
+		g0, g1 uint64
+		prof   stats.CohortProfile
+	}
+	var analysed []profiled
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			g0 := wb.Engine.Generation()
+			bits, err := wb.Query(q)
+			if err != nil {
+				errCh <- err
+				return
+			}
+			prof, err := wb.Engine.Profile(bits, window)
+			if err != nil {
+				if bits.Len() != wb.Patients() || wb.Engine.Generation() != g0 {
+					continue
+				}
+				errCh <- err
+				return
+			}
+			analysed = append(analysed, profiled{g0, wb.Engine.Generation(), prof})
+		}
+	}()
 	wg.Wait()
 	select {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+	for _, a := range analysed {
+		ok := false
+		for g := a.g0; g <= a.g1 && g <= rounds; g++ {
+			ok = ok || a.prof == profiles[g]
+		}
+		if !ok {
+			t.Fatalf("profile %+v matches no generation in [%d, %d] — a stale or torn frame", a.prof, a.g0, a.g1)
+		}
+	}
+	if len(analysed) == 0 {
+		t.Error("no profile samples collected")
 	}
 
 	total := 0

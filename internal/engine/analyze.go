@@ -86,6 +86,10 @@ type AnalyzeArgs struct {
 type AnalyzeRequest struct {
 	Kind   string
 	Params []byte
+	// params is what a request builder validated before encoding Params;
+	// AnalyzeStatus uses it as is. A request made from bytes has none, and
+	// is decoded and validated there.
+	params any
 }
 
 // MineParams parameterizes the AnalyzeMine map step. Thresholds
@@ -155,7 +159,7 @@ func newRequest[P any](kind string, p P, validate func(P) error) (AnalyzeRequest
 	if err != nil {
 		return AnalyzeRequest{}, err
 	}
-	return AnalyzeRequest{Kind: kind, Params: data}, nil
+	return AnalyzeRequest{Kind: kind, Params: data, params: &p}, nil
 }
 
 // MineRequest validates and encodes mine parameters into a request.
@@ -192,14 +196,15 @@ func gobDecode(data []byte, v any) error {
 }
 
 // analyzer is one registered kind: parameter decoding (with validation),
-// the per-history map step, the exact reduce, and the partial's wire
-// decoding (encoding is plain gob). Everything a transport needs, so the
-// local backend, the shard server and the coordinator can never disagree
-// on semantics.
+// the per-history map step over a frame row, the exact reduce, and the
+// partial's wire decoding (encoding is plain gob). Everything a transport
+// needs, so the local backend, the shard server and the coordinator can
+// never disagree on semantics.
 type analyzer struct {
 	decodeParams  func([]byte) (any, error)
 	newPartial    func(params any) Partial
-	addHistory    func(p Partial, params any, h *model.History, sc *mapScratch)
+	addRow        func(p Partial, params any, r store.Row, sc *mapScratch)
+	finish        func(p Partial, sc *mapScratch) // nil unless the tally lives in the scratch
 	merge         func(dst, src Partial) error
 	decodePartial func([]byte) (Partial, error)
 }
@@ -212,7 +217,7 @@ type analyzer struct {
 func newKind[P, T any, PT interface {
 	*T
 	Partial
-}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, *model.History, *mapScratch),
+}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, store.Row, *mapScratch),
 	merge func(dst, src PT) error, check func(PT) error) analyzer {
 	return analyzer{
 		decodeParams: func(data []byte) (any, error) {
@@ -226,8 +231,8 @@ func newKind[P, T any, PT interface {
 			return p, nil
 		},
 		newPartial: func(params any) Partial { return newPartial(params.(*P)) },
-		addHistory: func(part Partial, params any, h *model.History, sc *mapScratch) {
-			add(part.(PT), params.(*P), h, sc)
+		addRow: func(part Partial, params any, r store.Row, sc *mapScratch) {
+			add(part.(PT), params.(*P), r, sc)
 		},
 		merge: func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
 		decodePartial: func(data []byte) (Partial, error) {
@@ -243,30 +248,44 @@ func newKind[P, T any, PT interface {
 	}
 }
 
-// analyzers is the kind registry. Every built-in map step reads histories
-// through non-mutating accessors (SortedEntries and friends, or a plain
-// walk of the entries): a shard server runs them concurrently over shared
-// histories, so a map step that re-sorted entries in place would race.
+// utilization is the window-parameterized kinds' entry: both run the one
+// stats.Utilization kernel into the call's scratch, and read their own
+// partial off it when the call ends.
+func utilization[T any, PT interface {
+	*T
+	Partial
+}](read func(*stats.Utilization) T, merge func(PT, T), check func(PT) error) analyzer {
+	k := newKind(anyWindow,
+		func(*model.Period) PT { return new(T) },
+		func(_ PT, w *model.Period, r store.Row, sc *mapScratch) { sc.util.Add(r, *w) },
+		func(dst, src PT) error { merge(dst, *src); return nil }, check)
+	k.finish = func(p Partial, sc *mapScratch) { *p.(PT) = read(&sc.util) }
+	return k
+}
+
+// analyzers is the kind registry. Every map step reads the immutable
+// cells of a frame row: a shard server runs them concurrently over one
+// frame.
 var analyzers = map[string]analyzer{
 	AnalyzeMine: newKind(MineParams.validate,
 		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
-		func(c *mining.Counts, p *MineParams, h *model.History, sc *mapScratch) {
-			if seq := mineSequence(h, p, sc); len(seq) > 0 {
+		func(c *mining.Counts, p *MineParams, r store.Row, sc *mapScratch) {
+			if seq := mineSequence(r, p, sc); len(seq) > 0 {
 				c.Add(seq, &sc.mine)
 			}
 		},
 		(*mining.Counts).Merge, validateCounts),
 	AnalyzeEpisodes: newKind(EpisodeParams.validate,
 		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
-		func(t *abstraction.EpisodeTally, p *EpisodeParams, h *model.History, sc *mapScratch) {
-			t.AddEpisodes(sc.episodes.Episodes(h, p.Gap))
+		func(t *abstraction.EpisodeTally, p *EpisodeParams, r store.Row, sc *mapScratch) {
+			t.AddEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
 		},
 		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
 		validateEpisodeTally),
 	AnalyzeScenario: newKind(ScenarioParams.validate,
 		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
-		func(t *temporal.ScenarioTally, p *ScenarioParams, h *model.History, sc *mapScratch) {
-			t.Add(p.Scenario.MatchEpisodes(sc.episodes.Episodes(h, p.Gap)))
+		func(t *temporal.ScenarioTally, p *ScenarioParams, r store.Row, sc *mapScratch) {
+			t.Add(p.Scenario.MatchEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap)))
 		},
 		func(dst, src *temporal.ScenarioTally) error { dst.Merge(src); return nil },
 		func(t *temporal.ScenarioTally) error {
@@ -277,10 +296,7 @@ var analyzers = map[string]analyzer{
 			}
 			return nil
 		}),
-	AnalyzeIndicators: newKind(anyWindow,
-		func(*model.Period) *stats.IndicatorCounts { return new(stats.IndicatorCounts) },
-		func(c *stats.IndicatorCounts, w *model.Period, h *model.History, _ *mapScratch) { c.AddHistory(h, *w) },
-		func(dst, src *stats.IndicatorCounts) error { dst.Merge(*src); return nil },
+	AnalyzeIndicators: utilization((*stats.Utilization).Indicators, (*stats.IndicatorCounts).Merge,
 		func(c *stats.IndicatorCounts) error {
 			if c.Patients < 0 || c.Females < 0 || c.Females > c.Patients ||
 				c.EmergencyGP < 0 || c.EmergencyGP > c.GPContacts {
@@ -289,10 +305,7 @@ var analyzers = map[string]analyzer{
 			}
 			return nil
 		}),
-	AnalyzeProfile: newKind(anyWindow,
-		func(*model.Period) *stats.CohortProfile { return new(stats.CohortProfile) },
-		func(p *stats.CohortProfile, w *model.Period, h *model.History, _ *mapScratch) { p.AddHistory(h, *w) },
-		func(dst, src *stats.CohortProfile) error { dst.Merge(*src); return nil },
+	AnalyzeProfile: utilization((*stats.Utilization).Profile, (*stats.CohortProfile).Merge,
 		func(p *stats.CohortProfile) error {
 			banded := 0
 			for _, n := range p.AgeBands {
@@ -306,34 +319,35 @@ var analyzers = map[string]analyzer{
 		}),
 }
 
-// mapScratch is the working memory one tallyAnalyze call reuses from
+// mapScratch is the working memory one tallyFrame call reuses from
 // history to history, so a warm map step allocates nothing per history.
 // It belongs to that call alone — never to the engine, a backend or a
 // package variable: a shard server runs map steps concurrently.
 type mapScratch struct {
-	codes    []model.Code
+	codes    []store.FrameCode // the frame's dictionary
 	seq      []string
 	mine     mining.Scratch
 	episodes abstraction.EpisodeScratch
+	util     stats.Utilization
 }
 
 // mineSequence extracts one history's code sequence for the mine map
 // step: chronological diagnosis codes, optionally filtered to one system
 // and abstracted to chapter level. The result lives in the scratch.
-func mineSequence(h *model.History, p *MineParams, sc *mapScratch) []string {
-	sc.codes = h.AppendCodeSequence(sc.codes[:0], model.TypeDiagnosis)
+func mineSequence(r store.Row, p *MineParams, sc *mapScratch) []string {
 	sc.seq = sc.seq[:0]
-	for _, c := range sc.codes {
-		if p.System != "" && c.System != p.System {
+	for i := range r.Cells {
+		if r.Cells[i].Type != model.TypeDiagnosis || r.Cells[i].Code == 0 {
 			continue
 		}
-		if p.Chapter {
-			if ch := abstraction.ChapterOf(c); ch != "" {
-				sc.seq = append(sc.seq, ch)
-			}
-			continue
+		c := &sc.codes[r.Cells[i].Code]
+		switch {
+		case p.System != "" && c.System != p.System:
+		case !p.Chapter:
+			sc.seq = append(sc.seq, c.Value)
+		case c.Chapter != "":
+			sc.seq = append(sc.seq, c.Chapter)
 		}
-		sc.seq = append(sc.seq, c.Value)
 	}
 	return sc.seq
 }
@@ -370,11 +384,11 @@ func validateEpisodeTally(t *abstraction.EpisodeTally) error {
 	return nil
 }
 
-// tallyAnalyze is the one map loop both transports run — the local view
-// directly, the shard server over its own collection — so the mask
-// contract, the parameter validation and the per-history map step can
-// never diverge between them.
-func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeArgs) (Partial, error) {
+// tallyFrame is the one map loop both transports run — the local view
+// over its slice of the frame, the shard server over its store's — so the
+// mask contract, the parameter validation and the per-history map step
+// can never diverge between them.
+func tallyFrame(f store.Frame, args AnalyzeArgs) (Partial, error) {
 	spec, ok := analyzers[args.Kind]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown analyzer kind %q", args.Kind)
@@ -386,20 +400,23 @@ func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeAr
 			return nil, fmt.Errorf("engine: analyzer %q: %w", args.Kind, err)
 		}
 	}
-	if args.Mask != nil && args.Mask.Len() != patients {
-		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", args.Mask.Len(), patients)
+	if args.Mask != nil && args.Mask.Len() != f.Len() {
+		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", args.Mask.Len(), f.Len())
 	}
 	part := spec.newPartial(params)
-	var sc mapScratch
+	sc := mapScratch{codes: f.Codes}
 	if args.Mask != nil {
 		args.Mask.Range(func(i int) bool {
-			spec.addHistory(part, params, history(i), &sc)
+			spec.addRow(part, params, f.Row(i), &sc)
 			return true
 		})
 	} else {
-		for i := 0; i < patients; i++ {
-			spec.addHistory(part, params, history(i), &sc)
+		for i := 0; i < f.Len(); i++ {
+			spec.addRow(part, params, f.Row(i), &sc)
 		}
+	}
+	if spec.finish != nil {
+		spec.finish(part, &sc)
 	}
 	return part, nil
 }
@@ -432,9 +449,12 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 	if !ok {
 		return nil, QueryStatus{}, fmt.Errorf("engine: unknown analyzer kind %q", req.Kind)
 	}
-	params, err := spec.decodeParams(req.Params)
-	if err != nil {
-		return nil, QueryStatus{}, fmt.Errorf("engine: analyzer %q: %w", req.Kind, err)
+	params := req.params
+	if params == nil {
+		var err error
+		if params, err = spec.decodeParams(req.Params); err != nil {
+			return nil, QueryStatus{}, fmt.Errorf("engine: analyzer %q: %w", req.Kind, err)
+		}
 	}
 	t, err := e.pinCohort(b)
 	if err != nil {

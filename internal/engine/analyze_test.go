@@ -724,7 +724,7 @@ func TestAnalyzeConcurrentCalls(t *testing.T) {
 }
 
 // TestTallyAnalyzeAllocationBudget holds the map steps to what a call may
-// allocate over a fixed 2,000-history shard: the window tallies nothing
+// allocate over a fixed 2,000-history frame: the window tallies nothing
 // per history, the scratch-reusing kinds at most one allocation per twenty
 // histories (the partial's maps and the scratch growing to the largest
 // history), and an in-process call handed the coordinator's decoded
@@ -734,9 +734,7 @@ func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range col.Histories() {
-		h.Sort() // as a store holds them: no SortedEntries copy
-	}
+	frame := *store.BuildFrame(col.Histories()) // as a store holds it: built once, before any call
 	for _, tc := range analyzeCases(t) {
 		params, err := analyzers[tc.req.Kind].decodeParams(tc.req.Params)
 		if err != nil {
@@ -744,7 +742,7 @@ func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 		}
 		perCall := func(args AnalyzeArgs) float64 {
 			return testing.AllocsPerRun(3, func() { // one warm pass first
-				if _, err := tallyAnalyze(col.At, col.Len(), args); err != nil {
+				if _, err := tallyFrame(frame, args); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -223,9 +223,9 @@ func (b *LocalBackend) LocateID(_ context.Context, id model.PatientID) (int, boo
 
 // Analyze implements ShardBackend: the registered map step runs over the
 // view's masked-in histories through the same shared loop the shard
-// server uses (tallyAnalyze), so the two transports cannot diverge.
+// server uses (tallyFrame), so the two transports cannot diverge.
 func (b *LocalBackend) Analyze(_ context.Context, args AnalyzeArgs) (Partial, error) {
-	return tallyAnalyze(b.v.HistoryAt, b.v.Len(), args)
+	return tallyFrame(b.v.Frame(), args)
 }
 
 // Probe implements Prober; an in-process view is always alive.

@@ -123,6 +123,7 @@ func NewShardServer(snapshotPath string, ids []int, opts Options) (*ShardServer,
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard server: shard %d: %w", sh.Shard, err)
 		}
+		st.Pin().Frame() // a shard server analyses: built before it listens
 		served := &servedShard{
 			meta: ShardMeta{
 				Shard:    sh.Shard,
@@ -506,8 +507,7 @@ func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 	if err != nil {
 		return err
 	}
-	col := sh.eng.Store().Collection()
-	part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: args.Kind, Params: args.Params, Mask: mask})
+	part, err := tallyFrame(sh.eng.Store().Pin().Frame(), AnalyzeArgs{Kind: args.Kind, Params: args.Params, Mask: mask})
 	if err != nil {
 		return err
 	}

@@ -194,29 +194,22 @@ func (h *History) Within(p Period) []*Entry {
 // ("the only information ... utilized was the diagnosis codes").
 func (h *History) CodeSequence(t Type) []Code {
 	h.Sort()
-	return h.AppendCodeSequence(nil, t)
+	return h.CodeSequenceStable(t)
 }
 
 // CodeSequenceStable is CodeSequence without mutating the history: it
 // reads through SortedEntries, so concurrent readers of a shared history
-// (shard servers running map steps over the same collection) never
-// reorder entries under each other.
+// never reorder entries under each other.
 func (h *History) CodeSequenceStable(t Type) []Code {
-	return h.AppendCodeSequence(nil, t)
-}
-
-// AppendCodeSequence appends the code sequence to dst without mutating
-// the history — the one walk behind CodeSequence and CodeSequenceStable;
-// a caller visiting many histories passes the previous result's dst[:0].
-func (h *History) AppendCodeSequence(dst []Code, t Type) []Code {
+	var out []Code
 	entries := h.SortedEntries()
 	for i := range entries {
 		e := &entries[i]
 		if e.Type == t && !e.Code.IsZero() {
-			dst = append(dst, e.Code)
+			out = append(out, e.Code)
 		}
 	}
-	return dst
+	return out
 }
 
 // Clone returns a deep copy of the history.

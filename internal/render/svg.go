@@ -6,6 +6,7 @@
 package render
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
@@ -72,10 +73,45 @@ func appendEsc(dst []byte, t string) []byte {
 
 // appendNum formats coordinates compactly: two decimals (the digits fmt's
 // %.2f prints), trailing zeros and a bare trailing point trimmed in place
-// (1.50 → 1.5, 2.00 → 2).
+// (1.50 → 1.5, 2.00 → 2). The digits come from exact integer arithmetic —
+// v is mant·2^exp, so v·100 is (mant·100)·2^exp, shifted and rounded half
+// to even on the remainder — because strconv has no fast path for a fixed
+// precision and sends every coordinate through its multiprecision decimal.
 func appendNum(dst []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits>>52) & 0x7ff
+	if exp >= 1023+57 { // NaN, ±Inf, or too large for mant·100·2^exp in 64 bits
+		return trimNum(strconv.AppendFloat(dst, v, 'f', 2, 64), len(dst))
+	}
+	mant := bits & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	cents := mant * 100 // < 2^60
+	if shift := 1075 - exp; shift <= 0 {
+		cents <<= -shift
+	} else if shift > 61 {
+		cents = 0 // below half a cent
+	} else {
+		rem, half := cents&(1<<shift-1), uint64(1)<<(shift-1)
+		cents >>= shift
+		if rem > half || rem == half && cents&1 == 1 {
+			cents++
+		}
+	}
 	start := len(dst)
-	dst = strconv.AppendFloat(dst, v, 'f', 2, 64)
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, cents/100, 10)
+	dst = append(dst, '.', byte('0'+cents%100/10), byte('0'+cents%10))
+	return trimNum(dst, start)
+}
+
+// trimNum drops trailing zeros and a bare trailing point from dst[start:].
+func trimNum(dst []byte, start int) []byte {
 	for len(dst) > start && dst[len(dst)-1] == '0' {
 		dst = dst[:len(dst)-1]
 	}

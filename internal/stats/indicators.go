@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pastas/internal/model"
+	"pastas/internal/store"
 )
 
 // Utilization indicators — the paper's introduction lists "statistical
@@ -64,50 +65,14 @@ type IndicatorCounts struct {
 	Females  int
 }
 
-// AddHistory tallies one patient's history over the window.
+// AddHistory tallies one patient's history over the window: the history
+// is framed and goes through the Utilization kernel the engine's map step
+// runs over a store's frame.
 func (c *IndicatorCounts) AddHistory(h *model.History, window model.Period) {
-	c.Patients++
-	c.AgeYears += int64(h.Patient.AgeAt(window.Start))
-	if h.Patient.Sex == model.SexFemale {
-		c.Females++
-	}
-	for i := range h.Entries {
-		e := &h.Entries[i]
-		p := e.Period().Clamp(window)
-		inWindow := e.Kind == model.Interval && !p.Empty() ||
-			e.Kind == model.Point && window.Contains(e.Start)
-		if !inWindow {
-			continue
-		}
-		switch e.Type {
-		case model.TypeContact:
-			switch e.Source {
-			case model.SourceGP:
-				c.GPContacts++
-				if strings.Contains(e.Text, "legevakt") || strings.Contains(e.Text, "akutt") {
-					c.EmergencyGP++
-				}
-			case model.SourceHospital:
-				c.OutpatientVisits++
-			case model.SourceSpecialist:
-				c.SpecialistContacts++
-			case model.SourcePhysio:
-				c.PhysioContacts++
-			}
-		case model.TypeStay:
-			switch e.Source {
-			case model.SourceHospital:
-				c.Admissions++
-				c.AdmissionTicks += int64(p.Duration())
-			case model.SourceMunicipal:
-				c.NursingTicks += int64(p.Duration())
-			}
-		case model.TypeService:
-			c.HomeCareTicks += int64(p.Duration())
-		case model.TypeMedication:
-			c.Prescriptions++
-		}
-	}
+	var u Utilization
+	row, _ := store.FrameHistory(h)
+	u.Add(row, window)
+	c.Merge(u.Indicators())
 }
 
 // Merge folds another partial tally into the receiver. Every field is an

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pastas/internal/model"
+	"pastas/internal/store"
 )
 
 // Cohort characteristics as mergeable dimension breakdowns — the
@@ -44,43 +45,13 @@ type CohortProfile struct {
 	ByType   [profileTypes]int   // indexed by model.Type
 }
 
-// AddHistory tallies one patient into the profile. The in-window test is
-// the same one IndicatorCounts uses: intervals count when their clamped
-// period is non-empty, points when the window contains them.
+// AddHistory tallies one patient into the profile, through the same
+// framing and kernel as IndicatorCounts.AddHistory.
 func (p *CohortProfile) AddHistory(h *model.History, window model.Period) {
-	p.Patients++
-	switch h.Patient.Sex {
-	case model.SexFemale:
-		p.Females++
-	case model.SexMale:
-		p.Males++
-	}
-	age := h.Patient.AgeAt(window.Start)
-	if age < 0 {
-		age = 0
-	}
-	p.AgeYears += int64(age)
-	band := age / 15
-	if band >= profileAgeBands {
-		band = profileAgeBands - 1
-	}
-	p.AgeBands[band]++
-	for i := range h.Entries {
-		e := &h.Entries[i]
-		pd := e.Period().Clamp(window)
-		inWindow := e.Kind == model.Interval && !pd.Empty() ||
-			e.Kind == model.Point && window.Contains(e.Start)
-		if !inWindow {
-			continue
-		}
-		p.Entries++
-		if int(e.Source) < profileSources {
-			p.BySource[e.Source]++
-		}
-		if int(e.Type) < profileTypes {
-			p.ByType[e.Type]++
-		}
-	}
+	var u Utilization
+	row, _ := store.FrameHistory(h)
+	u.Add(row, window)
+	p.Merge(u.Profile())
 }
 
 // Merge folds another partial profile into the receiver. Integer sums

@@ -71,6 +71,8 @@ func (s *Store) Compact() CompactionStats {
 		compaction: comp,
 		// col deliberately left nil: reading cur.col here would race its
 		// lazy Once-guarded build; the folded revision rebuilds on demand.
+		// The frame's holder is shared instead: same hists, same frame.
+		frame:      cur.frame,
 		maxEntryID: cur.computeMaxEntryID(),
 	}
 	next.maxIDOnce.Do(func() {})

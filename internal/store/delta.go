@@ -270,6 +270,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 	maxID := cur.computeMaxEntryID()
 
 	added := 0
+	var touched []int // ordinals whose history this batch replaces or adds
 	// mark indexes one entry at ordinal i, honoring the disjointness
 	// invariant: a delta bit is set only when the patient is absent from
 	// base ∪ delta for that key, which also makes stats increments exact.
@@ -322,6 +323,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		}
 		merged.Sort()
 		hists2[i] = merged
+		touched = append(touched, i)
 		added += len(u.Entries)
 	}
 
@@ -331,6 +333,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		hists2 = append(hists2, h)
 		ids2 = append(ids2, h.Patient.ID)
 		ordDelta2[h.Patient.ID] = i
+		touched = append(touched, i)
 		for j := range h.Entries {
 			mark(i, &h.Entries[j])
 		}
@@ -367,6 +370,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		ingest:        ingest2,
 		compaction:    cur.compaction,
 		maxEntryID:    maxID,
+		frame:         cur.frame.carry(hists2, touched),
 	}
 	next.maxIDOnce.Do(func() {})
 	s.rev.Store(next)

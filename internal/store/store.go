@@ -95,6 +95,10 @@ type storeRev struct {
 	colOnce sync.Once
 	col     *model.Collection
 
+	// frame holds the lazily built analysis frame (frame.go); revisions
+	// with the same hists share the holder.
+	frame *frameHolder
+
 	maxIDOnce  sync.Once
 	maxEntryID uint64
 }
@@ -196,6 +200,7 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 		delta:    newPostings(),
 		codes:    codes,
 		col:      col,
+		frame:    new(frameHolder),
 	}
 	for i, h := range hists {
 		r.ordBase[h.Patient.ID] = i

@@ -100,18 +100,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// episodeLabel is the label a scenario step matches against: the chapter
-// of the dominant diagnosis, falling back to the raw code value.
-func episodeLabel(ep *abstraction.Episode) string {
-	if ep.Dominant.IsZero() {
-		return ""
-	}
-	if ch := abstraction.ChapterOf(ep.Dominant); ch != "" {
-		return ch
-	}
-	return ep.Dominant.Value
-}
-
 // MatchEpisodes binds the scenario's steps to a history's episodes and
 // checks the constraints. bound reports whether every step found an
 // episode; matched whether the bound intervals satisfy the relations
@@ -127,7 +115,7 @@ func (s Scenario) MatchEpisodes(eps []abstraction.Episode) (bound, matched bool)
 	for _, step := range s.Steps {
 		found := -1
 		for i := range eps {
-			if episodeLabel(&eps[i]) == step && !slices.Contains(chosen, i) {
+			if eps[i].Label == step && !slices.Contains(chosen, i) {
 				found = i
 				break
 			}

@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"pastas/internal/engine"
+	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/render"
+	"pastas/internal/store"
 	"pastas/internal/synth"
 )
 
@@ -371,5 +373,66 @@ func TestConnectRejectsPartialTopology(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "cover") && !strings.Contains(err.Error(), "tile") {
 		t.Errorf("error does not explain the missing coverage: %v", err)
+	}
+}
+
+// TestViewEqualsWholeCohort: Workbench.View answers the first rows
+// histories and the span of the whole cohort — model.Collection.Span over
+// every member, which skips a history without entries and follows a widest
+// history lying beyond the rows — locally and over shard servers alike,
+// for cohorts of nobody, one entry-less patient, and everyone.
+func TestViewEqualsWholeCohort(t *testing.T) {
+	base, err := Synthesize(synth.DefaultConfig(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := append([]*model.History(nil), base.Store.Collection().Histories()...)
+	empty := model.NewHistory(model.Patient{ID: 1 << 40, Birth: model.Date(1950, 1, 1)})
+	wide := model.NewHistory(model.Patient{ID: 1<<40 + 1, Birth: model.Date(1900, 1, 1)})
+	for i, at := range []model.Time{model.Date(1931, 5, 1), model.Date(2044, 2, 1)} {
+		wide.Add(model.Entry{ID: 1<<50 + uint64(i), Kind: model.Point, Start: at, End: at, Type: model.TypeContact, Source: model.SourceGP})
+	}
+	hs = append([]*model.History{empty}, append(hs, wide)...)
+	local := FromCollection(model.MustCollection(hs...), base.Window)
+	remote, err := Connect(startCluster(t, local, 4), engine.RemoteOptions{Timeout: 30 * time.Second}, engine.Options{Workers: 2}, local.Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	everyone, err := local.Query(query.TrueExpr{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onlyEmpty := everyone.FirstN(1)
+	head := everyone.FirstN(40)
+	for cohort, bits := range map[string]*store.Bitset{
+		"nobody": everyone.Clone().AndNot(everyone), "the entry-less patient": onlyEmpty,
+		"the first forty": head, "everyone": everyone,
+	} {
+		col, err := local.Histories(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range []int{1, 5, 1000} {
+			for name, wb := range map[string]*Workbench{"local": local, "connected": remote} {
+				got, domain, err := wb.View(bits, rows)
+				if err != nil {
+					t.Fatalf("%s View(%s, %d): %v", name, cohort, rows, err)
+				}
+				if domain != col.Span() {
+					t.Errorf("%s View(%s, %d) spans %v, the cohort's collection %v", name, cohort, rows, domain, col.Span())
+				}
+				want := col.Histories()[:min(rows, col.Len())]
+				if len(got) != len(want) {
+					t.Fatalf("%s View(%s, %d) = %d histories, want %d", name, cohort, rows, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Patient != want[i].Patient || got[i].Len() != want[i].Len() {
+						t.Errorf("%s View(%s, %d) row %d is %v, want %v", name, cohort, rows, i, got[i].Patient, want[i].Patient)
+					}
+				}
+			}
+		}
 	}
 }

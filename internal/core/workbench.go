@@ -126,6 +126,24 @@ func (wb *Workbench) Histories(bits *store.Bitset) (*model.Collection, error) {
 	return col, nil
 }
 
+// View materializes what a population view of a cohort draws: its first
+// rows histories in display order, and the period all of its histories
+// span — the view's time axis, equal to model.Collection.Span over the
+// whole cohort. Each shard tallies the span where the histories live, so a
+// connected workbench ships the rows it draws and a fixed-size tally per
+// server, never the cohort.
+func (wb *Workbench) View(bits *store.Bitset, rows int) ([]*model.History, model.Period, error) {
+	span, err := wb.Engine.Analyze(bits, engine.SpanRequest())
+	if err != nil {
+		return nil, model.Period{}, fmt.Errorf("core: %w", err)
+	}
+	hs, err := wb.Engine.Histories(bits.FirstN(rows))
+	if err != nil {
+		return nil, model.Period{}, fmt.Errorf("core: %w", err)
+	}
+	return hs, span.(*engine.SpanTally).Period, nil
+}
+
 // Indicators computes the utilization-indicator summary for the cohort a
 // bitset selects, over the workbench window. Each shard tallies its slice
 // where the histories live (a fixed-size partial per shard, whatever the

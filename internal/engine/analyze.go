@@ -20,13 +20,14 @@ package engine
 //
 // Kinds are strings rather than iota for the same reason wire.go's node
 // tags are: a reordered constant block can never silently re-interpret a
-// peer's payload. Parameters and partials cross the wire gob-encoded per
-// kind; decode validates before any map or merge work, so a hostile
-// payload (unknown kind, truncated params, out-of-range relation) is a
-// loud error, never a panic and never a silently wrong tally.
+// peer's payload. Parameters and partials cross the wire as typed values
+// on the connection's gob stream, each kind's two types registered under
+// names derived from the kind; what lands is checked against the kind and
+// validated before any map or merge work, so a hostile payload (unknown
+// kind, another kind's params, out-of-range relation) is a loud error,
+// never a panic and never a silently wrong tally.
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -56,39 +57,35 @@ const (
 	// AnalyzeProfile tallies the cohort-characteristics dimensions over a
 	// window (params: the model.Period; partial: *stats.CohortProfile).
 	AnalyzeProfile = "profile"
+	// AnalyzeSpan finds the period the cohort's histories cover — the time
+	// axis of a population view (partial: *SpanTally).
+	AnalyzeSpan = "span"
 )
 
 // Partial is one shard's mergeable map-step result. The concrete type is
 // per analyzer kind (see the kind constants); HistoryCount is the sanity
-// bound a transport checks a reply against — a shard can never claim to
-// have tallied more histories than it holds.
+// bound a transport checks a reply against — a server can never claim to
+// have tallied more histories than the shards it was asked about hold.
 type Partial interface {
 	HistoryCount() int
 }
 
 // AnalyzeArgs is one backend's share of a map step: the analyzer kind,
-// its encoded parameters, and the shard-local candidate mask (nil means
-// the whole shard).
+// its parameters — the kind's own pointer type, as a request builder
+// validated it — and the shard-local candidate mask (nil means the whole
+// shard).
 type AnalyzeArgs struct {
 	Kind   string
-	Params []byte
+	Params any
 	Mask   *store.Bitset
-	// params is Params as the coordinator already decoded and validated
-	// it, shared read-only by the in-process backends of one call so each
-	// need not compile a gob decoder for it again. No wire form carries
-	// it: what arrives over RPC is decoded and validated where it lands.
-	params any
 }
 
-// AnalyzeRequest is a coordinator-level analysis: the kind plus encoded
-// parameters, built by MineRequest / EpisodesRequest / ScenarioRequest
-// (Engine.Indicators and Engine.Profile build their own).
+// AnalyzeRequest is a coordinator-level analysis: the kind plus its
+// validated parameters, built by MineRequest / EpisodesRequest /
+// ScenarioRequest / SpanRequest (Engine.Indicators and Engine.Profile
+// build their own).
 type AnalyzeRequest struct {
 	Kind   string
-	Params []byte
-	// params is what a request builder validated before encoding Params;
-	// AnalyzeStatus uses it as is. A request made from bytes has none, and
-	// is decoded and validated there.
 	params any
 }
 
@@ -145,119 +142,161 @@ func (p ScenarioParams) validate() error {
 	return p.Scenario.Validate()
 }
 
-// anyWindow is the validation of the window-parameterized kinds: every
-// window is meaningful (an empty one tallies no entry and finalizes to
-// zero rates).
-func anyWindow(model.Period) error { return nil }
+// SpanParams parameterizes the AnalyzeSpan map step: with nothing. gob
+// cannot carry a struct without exported fields, so it is a byte whose one
+// valid value is zero.
+type SpanParams uint8
 
-// newRequest validates one kind's parameters and gob-encodes them.
-func newRequest[P any](kind string, p P, validate func(P) error) (AnalyzeRequest, error) {
-	if err := validate(p); err != nil {
-		return AnalyzeRequest{}, err
-	}
-	data, err := gobEncode(&p)
-	if err != nil {
-		return AnalyzeRequest{}, err
-	}
-	return AnalyzeRequest{Kind: kind, Params: data, params: &p}, nil
-}
-
-// MineRequest validates and encodes mine parameters into a request.
-func MineRequest(p MineParams) (AnalyzeRequest, error) {
-	return newRequest(AnalyzeMine, p, MineParams.validate)
-}
-
-// EpisodesRequest validates and encodes episode parameters into a request.
-func EpisodesRequest(p EpisodeParams) (AnalyzeRequest, error) {
-	return newRequest(AnalyzeEpisodes, p, EpisodeParams.validate)
-}
-
-// ScenarioRequest validates and encodes scenario parameters into a request.
-func ScenarioRequest(p ScenarioParams) (AnalyzeRequest, error) {
-	return newRequest(AnalyzeScenario, p, ScenarioParams.validate)
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("engine: encode analyze payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	if len(data) == 0 {
-		return fmt.Errorf("engine: empty analyze payload")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("engine: decode analyze payload: %w", err)
+func (p SpanParams) validate() error {
+	if p != 0 {
+		return fmt.Errorf("engine: span params: the span takes no parameters, got %d", p)
 	}
 	return nil
 }
 
-// analyzer is one registered kind: parameter decoding (with validation),
-// the per-history map step over a frame row, the exact reduce, and the
-// partial's wire decoding (encoding is plain gob). Everything a transport
-// needs, so the local backend, the shard server and the coordinator can
-// never disagree on semantics.
+// SpanTally is the AnalyzeSpan partial: how many histories were visited,
+// how many of them hold an entry, and the earliest start and latest end
+// over those — model.Collection.Span of the cohort, as a fixed-size tally.
+type SpanTally struct {
+	Histories, Spanned int
+	Period             model.Period
+}
+
+// HistoryCount implements Partial.
+func (t *SpanTally) HistoryCount() int { return t.Histories }
+
+// addRow reads the cells exactly as model.History.Span reads entries.
+func (t *SpanTally) addRow(r store.Row) {
+	one := SpanTally{Histories: 1}
+	if len(r.Cells) > 0 {
+		start, end := r.Cells[0].Start, r.Cells[0].Start
+		for i := range r.Cells {
+			end = max(end, r.Cells[i].Start)
+			if r.Cells[i].Kind == model.Interval {
+				end = max(end, r.Cells[i].End)
+			}
+		}
+		one.Spanned, one.Period = 1, model.Period{Start: model.Time(start), End: model.Time(end)}
+	}
+	t.merge(&one)
+}
+
+func (t *SpanTally) merge(src *SpanTally) {
+	t.Histories += src.Histories
+	switch {
+	case src.Spanned == 0:
+	case t.Spanned == 0:
+		t.Period = src.Period
+	default:
+		t.Period.Start = min(t.Period.Start, src.Period.Start)
+		t.Period.End = max(t.Period.End, src.Period.End)
+	}
+	t.Spanned += src.Spanned
+}
+
+// newRequest validates one kind's parameters into a request.
+func newRequest[P any](kind string, p P, validate func(P) error) (AnalyzeRequest, error) {
+	if err := validate(p); err != nil {
+		return AnalyzeRequest{}, err
+	}
+	return AnalyzeRequest{Kind: kind, params: &p}, nil
+}
+
+// MineRequest validates mine parameters into a request.
+func MineRequest(p MineParams) (AnalyzeRequest, error) {
+	return newRequest(AnalyzeMine, p, MineParams.validate)
+}
+
+// EpisodesRequest validates episode parameters into a request.
+func EpisodesRequest(p EpisodeParams) (AnalyzeRequest, error) {
+	return newRequest(AnalyzeEpisodes, p, EpisodeParams.validate)
+}
+
+// ScenarioRequest validates scenario parameters into a request.
+func ScenarioRequest(p ScenarioParams) (AnalyzeRequest, error) {
+	return newRequest(AnalyzeScenario, p, ScenarioParams.validate)
+}
+
+// SpanRequest is the request for a cohort's span.
+func SpanRequest() AnalyzeRequest {
+	return AnalyzeRequest{Kind: AnalyzeSpan, params: new(SpanParams)}
+}
+
+// analyzer is one registered kind: the check a parameter value must pass
+// wherever it lands, the per-history map step over a frame row, the exact
+// reduce, and the check a partial must pass before it is merged.
+// Everything a transport needs, so the local backend, the shard server and
+// the coordinator can never disagree on semantics.
 type analyzer struct {
-	decodeParams  func([]byte) (any, error)
-	newPartial    func(params any) Partial
-	addRow        func(p Partial, params any, r store.Row, sc *mapScratch)
-	finish        func(p Partial, sc *mapScratch) // nil unless the tally lives in the scratch
-	merge         func(dst, src Partial) error
-	decodePartial func([]byte) (Partial, error)
+	register     func(kind string) // names the kind's two types for the wire
+	checkParams  func(params any) error
+	newPartial   func(params any) Partial
+	addRow       func(p Partial, params any, r store.Row, sc *mapScratch)
+	finish       func(p Partial, sc *mapScratch) // nil unless the tally lives in the scratch
+	merge        func(dst, src Partial) error
+	checkPartial func(Partial) error
 }
 
 // newKind builds a registry entry from one kind's typed pieces: parameter
 // validation, the empty partial, the per-history map step, the exact
-// reduce, and the consistency check a decoded partial must pass before it
-// is merged. The gob codecs and the type assertions between the untyped
-// registry and the kind's own types are supplied here, once.
+// reduce, and the consistency check a received partial must pass before it
+// is merged. The wire names and the type assertions between the untyped
+// registry and the kind's own types are supplied here, once. The names are
+// the kind's, not the Go types': a renamed type can never re-interpret a
+// peer's payload.
 func newKind[P, T any, PT interface {
 	*T
 	Partial
 }](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, store.Row, *mapScratch),
 	merge func(dst, src PT) error, check func(PT) error) analyzer {
 	return analyzer{
-		decodeParams: func(data []byte) (any, error) {
-			p := new(P)
-			if err := gobDecode(data, p); err != nil {
-				return nil, err
+		register: func(kind string) {
+			gob.RegisterName("pastas.analyze."+kind+".params", new(P))
+			gob.RegisterName("pastas.analyze."+kind+".partial", PT(new(T)))
+		},
+		checkParams: func(params any) error {
+			p, ok := params.(*P)
+			if !ok || p == nil {
+				return fmt.Errorf("engine: params are %T, want %T", params, p)
 			}
-			if err := validate(*p); err != nil {
-				return nil, err
-			}
-			return p, nil
+			return validate(*p)
 		},
 		newPartial: func(params any) Partial { return newPartial(params.(*P)) },
 		addRow: func(part Partial, params any, r store.Row, sc *mapScratch) {
 			add(part.(PT), params.(*P), r, sc)
 		},
 		merge: func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
-		decodePartial: func(data []byte) (Partial, error) {
-			part := PT(new(T))
-			if err := gobDecode(data, part); err != nil {
-				return nil, err
+		checkPartial: func(part Partial) error {
+			t, ok := part.(PT)
+			if !ok || t == nil {
+				return fmt.Errorf("engine: partial is %T, want %T", part, t)
 			}
-			if err := check(part); err != nil {
-				return nil, err
-			}
-			return part, nil
+			return check(t)
 		},
 	}
 }
 
+func init() {
+	for kind, spec := range analyzers {
+		spec.register(kind)
+	}
+}
+
+// window is a window kind's parameter type: the period, as a type of the
+// kind's own (gob gives a type one wire name, and the names are per kind).
+type window[T any] struct{ model.Period }
+
 // utilization is the window-parameterized kinds' entry: both run the one
 // stats.Utilization kernel into the call's scratch, and read their own
-// partial off it when the call ends.
+// partial off it when the call ends. Every window is meaningful (an empty
+// one tallies no entry and finalizes to zero rates).
 func utilization[T any, PT interface {
 	*T
 	Partial
 }](read func(*stats.Utilization) T, merge func(PT, T), check func(PT) error) analyzer {
-	k := newKind(anyWindow,
-		func(*model.Period) PT { return new(T) },
-		func(_ PT, w *model.Period, r store.Row, sc *mapScratch) { sc.util.Add(r, *w) },
+	k := newKind(func(window[T]) error { return nil },
+		func(*window[T]) PT { return new(T) },
+		func(_ PT, w *window[T], r store.Row, sc *mapScratch) { sc.util.Add(r, w.Period) },
 		func(dst, src PT) error { merge(dst, *src); return nil }, check)
 	k.finish = func(p Partial, sc *mapScratch) { *p.(PT) = read(&sc.util) }
 	return k
@@ -314,6 +353,18 @@ var analyzers = map[string]analyzer{
 			if p.Patients < 0 || p.Females < 0 || p.Males < 0 || p.Females+p.Males > p.Patients || banded != p.Patients {
 				return fmt.Errorf("engine: profile tally is inconsistent (%d patients, %d female, %d male, %d in age bands)",
 					p.Patients, p.Females, p.Males, banded)
+			}
+			return nil
+		}),
+	AnalyzeSpan: newKind(SpanParams.validate,
+		func(*SpanParams) *SpanTally { return new(SpanTally) },
+		func(t *SpanTally, _ *SpanParams, r store.Row, _ *mapScratch) { t.addRow(r) },
+		func(dst, src *SpanTally) error { dst.merge(src); return nil },
+		func(t *SpanTally) error {
+			if t.Spanned < 0 || t.Spanned > t.Histories || t.Period.End < t.Period.Start ||
+				t.Spanned == 0 && t.Period != (model.Period{}) {
+				return fmt.Errorf("engine: span tally is inconsistent (%d of %d histories span %v)",
+					t.Spanned, t.Histories, t.Period)
 			}
 			return nil
 		}),
@@ -384,29 +435,39 @@ func validateEpisodeTally(t *abstraction.EpisodeTally) error {
 	return nil
 }
 
-// tallyFrame is the one map loop both transports run — the local view
-// over its slice of the frame, the shard server over its store's — so the
-// mask contract, the parameter validation and the per-history map step
-// can never diverge between them.
-func tallyFrame(f store.Frame, args AnalyzeArgs) (Partial, error) {
-	spec, ok := analyzers[args.Kind]
+// analyzerFor is the one check of a kind and its parameters, wherever they
+// land: the coordinator's entry, a backend, a shard server's wire.
+func analyzerFor(kind string, params any) (analyzer, error) {
+	spec, ok := analyzers[kind]
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown analyzer kind %q", args.Kind)
+		return analyzer{}, fmt.Errorf("engine: unknown analyzer kind %q", kind)
 	}
-	params := args.params
-	if params == nil {
-		var err error
-		if params, err = spec.decodeParams(args.Params); err != nil {
-			return nil, fmt.Errorf("engine: analyzer %q: %w", args.Kind, err)
-		}
+	if err := spec.checkParams(params); err != nil {
+		return analyzer{}, fmt.Errorf("engine: analyzer %q: %w", kind, err)
 	}
-	if args.Mask != nil && args.Mask.Len() != f.Len() {
-		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", args.Mask.Len(), f.Len())
+	return spec, nil
+}
+
+// tallyFrame is a backend's map step over its frame.
+func tallyFrame(f store.Frame, args AnalyzeArgs) (Partial, error) {
+	spec, err := analyzerFor(args.Kind, args.Params)
+	if err != nil {
+		return nil, err
+	}
+	return spec.tally(f, args.Params, args.Mask)
+}
+
+// tally is the one map loop both transports run — a shard server item by
+// item, kind and parameters checked once — so the mask contract and the
+// per-history map step can never diverge. params passed checkParams.
+func (spec analyzer) tally(f store.Frame, params any, mask *store.Bitset) (Partial, error) {
+	if mask != nil && mask.Len() != f.Len() {
+		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", mask.Len(), f.Len())
 	}
 	part := spec.newPartial(params)
 	sc := mapScratch{codes: f.Codes}
-	if args.Mask != nil {
-		args.Mask.Range(func(i int) bool {
+	if mask != nil {
+		mask.Range(func(i int) bool {
 			spec.addRow(part, params, f.Row(i), &sc)
 			return true
 		})
@@ -421,15 +482,6 @@ func tallyFrame(f store.Frame, args AnalyzeArgs) (Partial, error) {
 	return part, nil
 }
 
-// decodeAnalyzePartial reconstructs and validates a wire partial.
-func decodeAnalyzePartial(kind string, data []byte) (Partial, error) {
-	spec, ok := analyzers[kind]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown analyzer kind %q", kind)
-	}
-	return spec.decodePartial(data)
-}
-
 // Analyze runs a registered map step over the cohort a global-ordinal
 // bitset selects and reduces the per-shard partials exactly. Under
 // PolicyDegraded the reduce may omit unreachable shards; use
@@ -441,36 +493,37 @@ func (e *Engine) Analyze(b *store.Bitset, req AnalyzeRequest) (Partial, error) {
 
 // AnalyzeStatus is Analyze under a caller-supplied context, plus the
 // completeness report. Shards without a cohort member are never
-// contacted, each contacted shard maps over only its slice of the mask
-// (fanCohort), and the partials merge in fixed shard order — integer
-// tallies, so grouping cannot change the result and the reduce is exact.
+// contacted, each contacted shard maps over only its slice of the mask, a
+// shard server merges its shards' partials before it answers — one round
+// trip and one partial per server (fanCohort) — and the partials merge in
+// fixed order: integer tallies, so grouping cannot change the result and
+// the reduce is exact.
 func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req AnalyzeRequest) (Partial, QueryStatus, error) {
-	spec, ok := analyzers[req.Kind]
-	if !ok {
-		return nil, QueryStatus{}, fmt.Errorf("engine: unknown analyzer kind %q", req.Kind)
-	}
-	params := req.params
-	if params == nil {
-		var err error
-		if params, err = spec.decodeParams(req.Params); err != nil {
-			return nil, QueryStatus{}, fmt.Errorf("engine: analyzer %q: %w", req.Kind, err)
-		}
+	spec, err := analyzerFor(req.Kind, req.params)
+	if err != nil {
+		return nil, QueryStatus{}, err
 	}
 	t, err := e.pinCohort(b)
 	if err != nil {
 		return nil, QueryStatus{}, err
 	}
 	parts, status, err := fanCohort(ctx, e, t, e.policy, b,
+		func(ctx context.Context, c *remoteConn, metas []ShardMeta, masks []*store.Bitset) ([]Partial, error) {
+			parts := make([]Partial, len(metas)) // the server's one partial stands first
+			var err error
+			parts[0], err = c.analyze(ctx, req.Kind, req.params, metas, masks)
+			return parts, err
+		},
 		func(ctx context.Context, bk ShardBackend, mask *store.Bitset) (Partial, error) {
-			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: mask, params: params})
+			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.params, Mask: mask})
 		})
 	if err != nil {
 		return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, err)
 	}
-	out := spec.newPartial(params)
+	out := spec.newPartial(req.params)
 	for i, part := range parts {
 		if part == nil {
-			continue // no cohort member on the shard, or degraded away
+			continue // no cohort member on the shard, covered by its server's partial, or degraded away
 		}
 		if err := spec.merge(out, part); err != nil {
 			return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, t.shardErr(i, err))
@@ -481,10 +534,10 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 
 // analyzeWindow runs one of the window-parameterized kinds — the shape
 // Engine.Indicators and Engine.Profile wrap with their partial's type.
-func (e *Engine) analyzeWindow(ctx context.Context, b *store.Bitset, kind string, window model.Period) (Partial, QueryStatus, error) {
-	req, err := newRequest(kind, window, anyWindow)
+func analyzeWindow[T any](ctx context.Context, e *Engine, b *store.Bitset, kind string, w model.Period) (*T, QueryStatus, error) {
+	part, status, err := e.AnalyzeStatus(ctx, b, AnalyzeRequest{Kind: kind, params: &window[T]{w}})
 	if err != nil {
 		return nil, QueryStatus{}, err
 	}
-	return e.AnalyzeStatus(ctx, b, req)
+	return any(part).(*T), status, nil
 }

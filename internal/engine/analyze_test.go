@@ -6,15 +6,17 @@ package engine
 // single-threaded pass of the mining/episode/scenario map step — at shard
 // counts {1, 4, 16}, over remote shard servers and in-process local
 // backends alike, with the cohort mask pushed down; a partial survives
-// its wire codec; hostile AnalyzeArgs (unknown kind, truncated params,
-// corrupt mask) and hostile partials are loud errors, never panics; and
+// the gob stream it rides; hostile typed requests (unknown kind, another
+// kind's params, corrupt mask) and hostile partials are loud errors, never
+// panics; and
 // fault injection degrades or fails over exactly like every other
 // fan-out. Runs under -race in CI — the map steps read shared histories
 // concurrently, so a mutating step would fail here.
 
 import (
+	"bytes"
 	"context"
-	"hash/crc32"
+	"encoding/gob"
 	"net/rpc"
 	"reflect"
 	"strings"
@@ -78,11 +80,7 @@ func analyzeCases(t testing.TB) []analyzeCase {
 	mapStep("scenario", req, err)
 
 	window := func(kind string, want func(*model.Collection) any, view func(Partial) any) {
-		req, err := newRequest(kind, caseWindow, anyWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, analyzeCase{name: kind, req: req, want: want, view: view})
+		cases = append(cases, analyzeCase{name: kind, req: windowRequest(t, kind, caseWindow), want: want, view: view})
 	}
 	window(AnalyzeIndicators,
 		func(cohort *model.Collection) any { return stats.ComputeIndicators(cohort, caseWindow) },
@@ -90,6 +88,9 @@ func analyzeCases(t testing.TB) []analyzeCase {
 	window(AnalyzeProfile,
 		func(cohort *model.Collection) any { return stats.ComputeCohortProfile(cohort, caseWindow) },
 		func(p Partial) any { return *p.(*stats.CohortProfile) })
+	cases = append(cases, analyzeCase{name: AnalyzeSpan, req: SpanRequest(),
+		want: func(cohort *model.Collection) any { return refSpan(cohort.Histories()) },
+		view: func(p Partial) any { return *p.(*SpanTally) }})
 
 	covered := map[string]bool{}
 	for _, c := range cases {
@@ -101,6 +102,32 @@ func analyzeCases(t testing.TB) []analyzeCase {
 		}
 	}
 	return cases
+}
+
+// windowRequest builds a window kind's request, as Engine.Indicators and
+// Engine.Profile do.
+func windowRequest(t testing.TB, kind string, w model.Period) AnalyzeRequest {
+	t.Helper()
+	switch kind {
+	case AnalyzeIndicators:
+		return AnalyzeRequest{Kind: kind, params: &window[stats.IndicatorCounts]{w}}
+	case AnalyzeProfile:
+		return AnalyzeRequest{Kind: kind, params: &window[stats.CohortProfile]{w}}
+	}
+	t.Fatalf("%q is not a window kind", kind)
+	return AnalyzeRequest{}
+}
+
+// refSpan is the span reference: model.Collection.Span's walk over
+// History.Span, with the two counts the tally carries beside it.
+func refSpan(hs []*model.History) SpanTally {
+	want := SpanTally{Histories: len(hs), Period: model.MustCollection(hs...).Span()}
+	for _, h := range hs {
+		if h.Len() > 0 {
+			want.Spanned++
+		}
+	}
+	return want
 }
 
 // cohortOf is the sub-collection a global-ordinal bitset selects.
@@ -121,14 +148,9 @@ func cohortOf(col *model.Collection, bits *store.Bitset) *model.Collection {
 // next in the path.
 func refAnalyze(t testing.TB, cohort *model.Collection, req AnalyzeRequest) Partial {
 	t.Helper()
-	spec := analyzers[req.Kind]
-	params, err := spec.decodeParams(req.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := spec.newPartial(params)
+	part := analyzers[req.Kind].newPartial(req.params)
 	for _, h := range cohort.Histories() {
-		switch p := params.(type) {
+		switch p := req.params.(type) {
 		case *MineParams:
 			var seq []string
 			for _, c := range h.CodeSequenceStable(model.TypeDiagnosis) {
@@ -222,9 +244,10 @@ func TestAnalyzeParity(t *testing.T) {
 }
 
 // TestAnalyzePartialWireMerge: for every kind, two shards' partials merged
-// after an encode → decode round trip equal the same partials merged
-// directly, and both equal the sequential reference — the codec neither
-// loses nor invents a tally.
+// after crossing a gob stream as a connection carries them — typed values
+// in the reply struct, the second one without its type descriptor — equal
+// the same partials merged directly, and both equal the sequential
+// reference: the stream neither loses nor invents a tally.
 func TestAnalyzePartialWireMerge(t *testing.T) {
 	col, _, _ := parityEngines(t)
 	halves := [2]*store.Bitset{store.NewBitset(col.Len()), store.NewBitset(col.Len())}
@@ -233,28 +256,28 @@ func TestAnalyzePartialWireMerge(t *testing.T) {
 	}
 	for _, tc := range analyzeCases(t) {
 		spec := analyzers[tc.req.Kind]
-		params, err := spec.decodeParams(tc.req.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, wired := spec.newPartial(params), spec.newPartial(params)
+		direct, wired := spec.newPartial(tc.req.params), spec.newPartial(tc.req.params)
+		var stream bytes.Buffer
+		enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
 		for _, mask := range halves {
-			part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params, Mask: mask})
+			part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.params, Mask: mask})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			data, err := gobEncode(part)
-			if err != nil {
+			if err := enc.Encode(&AnalyzeRPCReply{Partial: part}); err != nil {
 				t.Fatalf("%s: encode partial: %v", tc.name, err)
 			}
-			decoded, err := decodeAnalyzePartial(tc.req.Kind, data)
-			if err != nil {
+			var reply AnalyzeRPCReply
+			if err := dec.Decode(&reply); err != nil {
 				t.Fatalf("%s: decode partial: %v", tc.name, err)
+			}
+			if err := spec.checkPartial(reply.Partial); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
 			}
 			if err := spec.merge(direct, part); err != nil {
 				t.Fatal(err)
 			}
-			if err := spec.merge(wired, decoded); err != nil {
+			if err := spec.merge(wired, reply.Partial); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -298,10 +321,51 @@ func TestAnalyzeRulesDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeHostileRPC drives raw wire payloads at a live shard server,
-// for every kind: each malformed request is a loud per-call error, the
+// otherKind returns the first case of another analyzer kind: the source of
+// "another kind's" params and partials.
+func otherKind(cases []analyzeCase, kind string) analyzeCase {
+	for _, tc := range cases {
+		if tc.req.Kind != kind {
+			return tc
+		}
+	}
+	panic("one analyzer kind only")
+}
+
+// invalidParams are parameter values no request builder lets through, in
+// each kind's own registered type: what only a hostile peer can send. The
+// window kinds have none — every window is meaningful.
+func invalidParams() map[string]any {
+	one := SpanParams(1)
+	return map[string]any{
+		AnalyzeMine:     &MineParams{MaxGap: -1},
+		AnalyzeEpisodes: &EpisodeParams{},
+		AnalyzeScenario: &ScenarioParams{Gap: model.Day, Scenario: temporal.Scenario{
+			Steps: []string{"T"}, Relations: []temporal.StepRel{{I: 0, J: 5, Rel: temporal.Before}}}},
+		AnalyzeSpan: &one,
+	}
+}
+
+// wantErr fails the test unless err is an error mentioning every one of
+// the given fragments.
+func wantErr(t *testing.T, what string, err error, mentions ...string) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s: want an error, got success", what)
+		return
+	}
+	for _, m := range mentions {
+		if !strings.Contains(err.Error(), m) {
+			t.Errorf("%s: error %q does not mention %q", what, err, m)
+		}
+	}
+}
+
+// TestAnalyzeHostileRPC drives hostile typed requests at a live shard
+// server over a raw rpc.Client, for every kind: each malformed request is a
+// loud per-call error — naming the shard where one is at fault — the
 // connection and server survive, and a well-formed call still answers
-// afterwards.
+// afterwards, a multi-shard one with the server-side merge of its shards.
 func TestAnalyzeHostileRPC(t *testing.T) {
 	col, _, _ := parityEngines(t)
 	fix := startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 10 * time.Second})
@@ -312,58 +376,69 @@ func TestAnalyzeHostileRPC(t *testing.T) {
 	defer client.Close()
 
 	shardPatients := fix.eng.BackendInfo()[0].Patients
-	call := func(args AnalyzeRPCArgs) (AnalyzeRPCReply, error) {
+	call := func(args AnalyzeRPCArgs) (Partial, error) {
 		var reply AnalyzeRPCReply
 		err := client.Call(rpcServiceName+".Analyze", &args, &reply)
-		return reply, err
+		return reply.Partial, err
 	}
 	mask := store.NewBitset(shardPatients)
 	mask.Set(0)
-	maskData, err := mask.MarshalBinary()
+	maskData, crc, err := encodeMask(mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crc := crc32.Checksum(maskData, maskCRCTable)
-	wrongData, err := store.NewBitset(shardPatients + 17).MarshalBinary()
+	wrongData, wrongCRC, err := encodeMask(store.NewBitset(shardPatients + 17))
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := ShardItem{Shard: 0, Mask: maskData, MaskCRC: crc}
 
-	for _, tc := range analyzeCases(t) {
-		kind, params := tc.req.Kind, tc.req.Params
-		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: "bogus", Params: params}); err == nil {
-			t.Fatalf("%s params under an unknown analyzer kind: want error, got success", tc.name)
+	cases := analyzeCases(t)
+	invalid := invalidParams()
+	for _, tc := range cases {
+		kind, params := tc.req.Kind, tc.req.params
+		type row struct {
+			name     string
+			args     AnalyzeRPCArgs
+			mentions []string
 		}
-		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind}); err == nil {
-			t.Fatalf("%s: missing params: want error, got success", tc.name)
+		rows := []row{
+			{"unknown kind", AnalyzeRPCArgs{Kind: "bogus", Params: params, Items: []ShardItem{good}}, []string{"unknown analyzer kind"}},
+			{"nil params", AnalyzeRPCArgs{Kind: kind, Items: []ShardItem{good}}, []string{kind, "params are <nil>"}},
+			{"another kind's params", AnalyzeRPCArgs{Kind: kind, Params: otherKind(cases, kind).req.params, Items: []ShardItem{good}}, []string{kind, "params are"}},
+			{"zero items", AnalyzeRPCArgs{Kind: kind, Params: params}, []string{"lists 0 items"}},
+			{"a shard twice", AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{good, {Shard: 1}, good}}, []string{"shard 0 twice"}},
+			{"10⁶ items", AnalyzeRPCArgs{Kind: kind, Params: params, Items: make([]ShardItem, 1_000_000)}, []string{"lists 1000000 items"}},
+			{"unknown shard", AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{good, {Shard: 9}}}, []string{"shard 9"}},
+			{"bad crc", AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{{Shard: 1}, {Shard: 0, Mask: maskData, MaskCRC: crc ^ 1}}}, []string{"shard 0", "checksum"}},
+			{"wrong-length mask", AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{{Shard: 0, Mask: wrongData, MaskCRC: wrongCRC}}}, []string{"shard 0", "mask covers"}},
 		}
-		if _, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind, Params: params[:3]}); err == nil {
-			t.Fatalf("%s: truncated params: want error, got success", tc.name)
+		if bad, ok := invalid[kind]; ok {
+			rows = append(rows, row{"invalid values", AnalyzeRPCArgs{Kind: kind, Params: bad, Items: []ShardItem{good}}, []string{kind}})
 		}
-		if _, err := call(AnalyzeRPCArgs{
-			Shard: 0, Kind: kind, Params: params, Mask: maskData, MaskCRC: crc ^ 1,
-		}); err == nil || !strings.Contains(err.Error(), "checksum") {
-			t.Fatalf("%s: corrupt mask crc: want checksum error, got %v", tc.name, err)
-		}
-		if _, err := call(AnalyzeRPCArgs{
-			Shard: 0, Kind: kind, Params: params,
-			Mask: wrongData, MaskCRC: crc32.Checksum(wrongData, maskCRCTable),
-		}); err == nil {
-			t.Fatalf("%s: wrong-length mask: want error, got success", tc.name)
+		for _, row := range rows {
+			_, err := call(row.args)
+			wantErr(t, tc.name+": "+row.name, err, row.mentions...)
 		}
 
-		// The server must still answer a well-formed request on the same
+		// The server must still answer well-formed requests on the same
 		// connection — the abuse above cannot have wedged or killed it.
-		reply, err := call(AnalyzeRPCArgs{Shard: 0, Kind: kind, Params: params, Mask: maskData, MaskCRC: crc})
+		part, err := call(AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{good}})
 		if err != nil {
 			t.Fatalf("%s: well-formed call after hostile ones: %v", tc.name, err)
 		}
-		part, err := decodeAnalyzePartial(kind, reply.Partial)
-		if err != nil {
+		if err := analyzers[kind].checkPartial(part); err != nil {
 			t.Fatal(err)
 		}
 		if got := part.HistoryCount(); got < 0 || got > 1 {
 			t.Fatalf("%s: one-member mask tallied %d histories", tc.name, got)
+		}
+		part, err = call(AnalyzeRPCArgs{Kind: kind, Params: params, Items: []ShardItem{{Shard: 2}, {Shard: 0}, {Shard: 3}, {Shard: 1}}})
+		if err != nil {
+			t.Fatalf("%s: well-formed four-shard call: %v", tc.name, err)
+		}
+		if want := tc.want(col); !reflect.DeepEqual(tc.view(part), want) {
+			t.Errorf("%s: the server's merge of its four shards differs from the reference\n got %+v\nwant %+v", tc.name, tc.view(part), want)
 		}
 	}
 }
@@ -372,9 +447,10 @@ func TestAnalyzeHostileRPC(t *testing.T) {
 // and then answers the data RPCs with whatever it was loaded with — the
 // server a coordinator must never trust.
 type hostileRPC struct {
-	meta    ShardMeta
-	ids     []model.PatientID
-	partial []byte
+	meta     ShardMeta
+	ids      [][]model.PatientID
+	partial  Partial
+	segments []FetchSegment
 }
 
 func (r *hostileRPC) Describe(_ *DescribeArgs, reply *DescribeReply) error {
@@ -392,84 +468,143 @@ func (r *hostileRPC) Analyze(_ *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 	return nil
 }
 
-func dialHostile(t *testing.T, r *hostileRPC) ShardBackend {
+func (r *hostileRPC) Fetch(_ *FetchArgs, reply *FetchReply) error {
+	reply.Segments = r.segments
+	return nil
+}
+
+// dialHostile serves r and dials it; addr is what every refusal of its
+// replies must name.
+func dialHostile(t *testing.T, r *hostileRPC) (b ShardBackend, addr string) {
 	t.Helper()
-	backends, _, err := DialShards(serveRPCStub(t, r), RemoteOptions{Timeout: 5 * time.Second})
+	addr = serveRPCStub(t, r)
+	backends, _, err := DialShards(addr, RemoteOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { backends[0].Close() })
-	return backends[0]
+	return backends[0], addr
 }
 
-// TestAnalyzeHostilePartial: a reply partial is refused when it is
-// internally inconsistent (each kind's decode check), and, for every kind,
-// when it claims more histories than the shard holds.
+// TestAnalyzeHostilePartial: for every kind, a reply partial is refused —
+// the error naming the server — when it is missing, is another kind's, is
+// internally inconsistent (each kind's own check), or claims more
+// histories than the shards asked hold; the connection survives each, and
+// an honest partial from an honest-sized shard is accepted.
 func TestAnalyzeHostilePartial(t *testing.T) {
-	for kind, bad := range map[string]any{
+	inconsistent := map[string]Partial{
 		AnalyzeMine:       &mining.Counts{N: 1, Single: map[string]int{"T90": 2}},
 		AnalyzeEpisodes:   &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2},
 		AnalyzeScenario:   &temporal.ScenarioTally{Histories: 1, Bound: 2},
 		AnalyzeIndicators: &stats.IndicatorCounts{Patients: 1, Females: 2},
 		AnalyzeProfile:    &stats.CohortProfile{Patients: 1}, // nobody in an age band
-	} {
-		data, err := gobEncode(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := decodeAnalyzePartial(kind, data); err == nil {
-			t.Errorf("%s: inconsistent partial accepted", kind)
-		}
-		if _, err := decodeAnalyzePartial(kind, data[:len(data)/2]); err == nil {
-			t.Errorf("%s: truncated partial accepted", kind)
-		}
+		AnalyzeSpan:       &SpanTally{Histories: 1, Spanned: 2},
 	}
-
-	// An honest tally over the whole population, served by a shard that
-	// advertises a single patient.
 	col, _, _ := parityEngines(t)
-	for _, tc := range analyzeCases(t) {
-		part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+	cases := analyzeCases(t)
+	honest := func(tc analyzeCase) Partial {
+		part, err := tallyAnalyze(col.At, col.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.params})
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := gobEncode(part)
-		if err != nil {
-			t.Fatal(err)
+		return part
+	}
+	for _, tc := range cases {
+		bad, ok := inconsistent[tc.req.Kind]
+		if !ok {
+			t.Fatalf("analyzer kind %q has no inconsistent partial here", tc.req.Kind)
 		}
-		b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 1, Entries: 1}, partial: data})
-		_, err = b.Analyze(context.Background(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
-		if err == nil || !strings.Contains(err.Error(), "shard has 1") {
-			t.Errorf("%s: partial over %d histories from a one-patient shard answered %v, want refusal",
-				tc.name, part.HistoryCount(), err)
+		srv := &hostileRPC{meta: ShardMeta{Patients: 1, Entries: 1}}
+		b, addr := dialHostile(t, srv)
+		analyze := func() (Partial, error) {
+			return b.Analyze(context.Background(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.params})
+		}
+		for name, row := range map[string]struct {
+			partial  Partial
+			mentions string
+		}{
+			"no partial":             {nil, "partial is <nil>"},
+			"another kind's partial": {honest(otherKind(cases, tc.req.Kind)), "partial is"},
+			"inconsistent partial":   {bad, "tally"},
+			// An honest tally over the whole population, from a server whose
+			// one shard advertises a single patient.
+			"more histories than the shard holds": {honest(tc), "hold 1"},
+		} {
+			srv.partial = row.partial
+			_, err := analyze()
+			wantErr(t, tc.name+": "+name, err, addr, row.mentions)
+		}
+		srv.partial = analyzers[tc.req.Kind].newPartial(tc.req.params)
+		if _, err := analyze(); err != nil {
+			t.Errorf("%s: an empty, consistent partial on the same connection: %v", tc.name, err)
 		}
 	}
 }
 
+// TestRemoteFetchEnforcesCounts: a server answering a fetch with more or
+// fewer segments than shards asked, or a segment with more or fewer
+// histories than ordinals asked, is refused — the error naming the server
+// and, for a segment, the shard — and the matching reply is accepted on the
+// same connection.
+func TestRemoteFetchEnforcesCounts(t *testing.T) {
+	col, _, _ := parityEngines(t)
+	segment := func(n int) FetchSegment {
+		data, sum := store.EncodeHistories(col.Histories()[:n])
+		return FetchSegment{Histories: data, Checksum: sum}
+	}
+	srv := &hostileRPC{meta: ShardMeta{Shard: 3, Patients: 8, Entries: 1}}
+	b, addr := dialHostile(t, srv)
+	fetch := func() ([]*model.History, error) { return b.FetchHistories(context.Background(), []int{1, 5}) }
+	for name, row := range map[string]struct {
+		segments []FetchSegment
+		mentions []string
+	}{
+		"no segment":        {nil, []string{addr, "0 segments for 1 shards"}},
+		"two segments":      {[]FetchSegment{segment(2), segment(2)}, []string{addr, "2 segments for 1 shards"}},
+		"one history short": {[]FetchSegment{segment(1)}, []string{addr, "shard 3"}},
+		"one history over":  {[]FetchSegment{segment(3)}, []string{addr, "shard 3"}},
+		"flipped byte":      {[]FetchSegment{{Histories: segment(2).Histories, Checksum: segment(2).Checksum ^ 1}}, []string{addr, "shard 3"}},
+	} {
+		srv.segments = row.segments
+		_, err := fetch()
+		wantErr(t, name, err, row.mentions...)
+	}
+	srv.segments = []FetchSegment{segment(2)}
+	if hs, err := fetch(); err != nil || len(hs) != 2 {
+		t.Errorf("matching reply = %d histories, %v", len(hs), err)
+	}
+}
+
 // TestRemoteIDsOfEnforcesCount: a server answering more or fewer IDs than
-// bits were selected is refused — concatenated by position, the slices
-// would misalign the whole cohort listing.
+// bits were selected, or more or fewer listings than shards asked, is
+// refused — concatenated by position, the slices would misalign the whole
+// cohort listing.
 func TestRemoteIDsOfEnforcesCount(t *testing.T) {
 	bits := store.NewBitset(8)
 	bits.Set(1)
 	bits.Set(5)
-	for name, ids := range map[string][]model.PatientID{
-		"fewer": {7},
-		"more":  {7, 8, 9},
+	srv := &hostileRPC{meta: ShardMeta{Patients: 8, Entries: 1}}
+	b, addr := dialHostile(t, srv)
+	for name, ids := range map[string][][]model.PatientID{
+		"fewer":        {{7}},
+		"more":         {{7, 8, 9}},
+		"no listing":   nil,
+		"two listings": {{7, 8}, {9, 10}},
 	} {
-		b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 8, Entries: 1}, ids: ids})
-		if got, err := b.IDsOf(context.Background(), bits); err == nil {
-			t.Errorf("%s IDs than selected: accepted %v", name, got)
-		}
+		srv.ids = ids
+		_, err := b.IDsOf(context.Background(), bits)
+		wantErr(t, name+" IDs than selected", err, addr)
 	}
-	b := dialHostile(t, &hostileRPC{meta: ShardMeta{Patients: 8, Entries: 1}, ids: []model.PatientID{7, 8}})
+	srv.ids = [][]model.PatientID{{7, 8}}
 	if got, err := b.IDsOf(context.Background(), bits); err != nil || len(got) != 2 {
 		t.Errorf("matching reply = %v, %v", got, err)
 	}
 }
 
-// TestAnalyzeBadBitset: a coordinator-level request with an unknown kind
-// or a stale-generation bitset fails before any fan-out.
+// TestAnalyzeBadRequest: a coordinator-level request with an unknown kind,
+// without parameters, with another kind's parameters or with a
+// stale-generation bitset fails before any fan-out, and the request
+// builders refuse invalid values.
 func TestAnalyzeBadRequest(t *testing.T) {
 	_, st, engines := parityEngines(t)
 	eng := engines[1]
@@ -477,11 +612,23 @@ func TestAnalyzeBadRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: "bogus"}); err == nil {
+	req, err := EpisodesRequest(EpisodeParams{Gap: 90 * model.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: "bogus", params: req.params}); err == nil {
 		t.Fatal("unknown kind: want error")
 	}
-	if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: AnalyzeMine, Params: []byte{0x01}}); err == nil {
-		t.Fatal("garbage params: want error")
+	if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: AnalyzeMine}); err == nil {
+		t.Fatal("a request no builder made: want error")
+	}
+	if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: AnalyzeMine, params: req.params}); err == nil {
+		t.Fatal("episode params under the mine kind: want error")
+	}
+	for kind, bad := range invalidParams() {
+		if _, err := eng.Analyze(bits, AnalyzeRequest{Kind: kind, params: bad}); err == nil {
+			t.Fatalf("%s: invalid values: want error", kind)
+		}
 	}
 	if _, err := MineRequest(MineParams{MaxGap: -1}); err == nil {
 		t.Fatal("negative MaxGap: want error")
@@ -495,10 +642,6 @@ func TestAnalyzeBadRequest(t *testing.T) {
 		t.Fatal("out-of-range scenario relation: want error")
 	}
 	short := store.NewBitset(st.Len() - 1)
-	req, err := EpisodesRequest(EpisodeParams{Gap: 90 * model.Day})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := eng.Analyze(short, req); err == nil {
 		t.Fatal("wrong-length bitset: want error")
 	}
@@ -662,7 +805,7 @@ func TestAnalyzeScratchParity(t *testing.T) {
 			if (name == "interleaved") != (unsorted > 0) {
 				t.Fatalf("%s: %d unsorted histories", name, unsorted)
 			}
-			got, err := tallyAnalyze(cohort.At, cohort.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
+			got, err := tallyAnalyze(cohort.At, cohort.Len(), AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.params})
 			if err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, name, err)
 			}
@@ -724,11 +867,10 @@ func TestAnalyzeConcurrentCalls(t *testing.T) {
 }
 
 // TestTallyAnalyzeAllocationBudget holds the map steps to what a call may
-// allocate over a fixed 2,000-history frame: the window tallies nothing
-// per history, the scratch-reusing kinds at most one allocation per twenty
-// histories (the partial's maps and the scratch growing to the largest
-// history), and an in-process call handed the coordinator's decoded
-// params compiles no gob decoder at all.
+// allocate over a fixed 2,000-history frame: the window tallies and the
+// span nothing per history, the scratch-reusing kinds at most one
+// allocation per twenty histories (the partial's maps and the scratch
+// growing to the largest history).
 func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 	col, _, err := integrate.Build(synth.Generate(synth.DefaultConfig(2000)), integrate.DefaultOptions())
 	if err != nil {
@@ -736,29 +878,20 @@ func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 	}
 	frame := *store.BuildFrame(col.Histories()) // as a store holds it: built once, before any call
 	for _, tc := range analyzeCases(t) {
-		params, err := analyzers[tc.req.Kind].decodeParams(tc.req.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perCall := func(args AnalyzeArgs) float64 {
-			return testing.AllocsPerRun(3, func() { // one warm pass first
-				if _, err := tallyFrame(frame, args); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		wire := perCall(AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params})
-		local := perCall(AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.Params, params: params})
+		args := AnalyzeArgs{Kind: tc.req.Kind, Params: tc.req.params}
+		got := testing.AllocsPerRun(3, func() { // one warm pass first
+			if _, err := tallyFrame(frame, args); err != nil {
+				t.Fatal(err)
+			}
+		})
 		budget := 0.05 * float64(col.Len())
-		if tc.req.Kind == AnalyzeIndicators || tc.req.Kind == AnalyzeProfile {
+		switch tc.req.Kind {
+		case AnalyzeIndicators, AnalyzeProfile, AnalyzeSpan:
 			budget = 4 // the partial, not the histories
 		}
-		t.Logf("%s: %.0f allocations per call with decoded params, %.0f decoding them", tc.name, local, wire)
-		if local > budget {
-			t.Errorf("%s: %.0f allocations per call over %d histories, budget %.0f", tc.name, local, col.Len(), budget)
-		}
-		if wire <= local {
-			t.Errorf("%s: decoding the params cost nothing (%.0f vs %.0f allocations): is args.params ignored?", tc.name, wire, local)
+		t.Logf("%s: %.0f allocations per call", tc.name, got)
+		if got > budget {
+			t.Errorf("%s: %.0f allocations per call over %d histories, budget %.0f", tc.name, got, col.Len(), budget)
 		}
 	}
 }

@@ -624,6 +624,9 @@ func (e *Engine) IDsOf(b *store.Bitset) ([]model.PatientID, error) {
 		return out, nil
 	}
 	parts, _, err := fanCohort(context.Background(), e, t, PolicyStrict, b,
+		func(ctx context.Context, c *remoteConn, metas []ShardMeta, slices []*store.Bitset) ([][]model.PatientID, error) {
+			return c.ids(ctx, metas, slices)
+		},
 		func(ctx context.Context, bk ShardBackend, slice *store.Bitset) ([]model.PatientID, error) {
 			return bk.IDsOf(ctx, slice)
 		})
@@ -1046,11 +1049,12 @@ func (e *Engine) evalAll(ctx context.Context, t *topo, policy Policy, p Plan, ma
 			return mask.SliceRange(m.Offset, m.Offset+m.Patients)
 		}
 	}
-	// The plan is encoded once per query, however many servers receive it.
-	wirePlan := sync.OnceValues(func() ([]byte, error) { return EncodePlan(p) })
+	// The plan takes its wire form once per query, however many servers
+	// receive it.
+	wired := sync.OnceValues(func() (wirePlan, error) { return planToWire(p) })
 	errs := e.eachGroup(ctx, t, want,
 		func(ctx context.Context, c *remoteConn, members []int) []error {
-			plan, err := wirePlan()
+			plan, err := wired()
 			if err != nil {
 				return repeatErr(err, len(members))
 			}
@@ -1142,42 +1146,52 @@ func (e *Engine) pinCohort(b *store.Bitset) (*topo, error) {
 }
 
 // fanCohort is the fan-out every cohort operation shares — ID listing,
-// history fetch, every analyzer kind: each backend holding a member of the
-// cohort b selects is handed its slice of b in shard-local ordinal space,
-// all at once, under the engine's default budget; backends without a
-// member are never contacted. Each call is its own round trip in the
-// /stats counters, and the errors are judged under policy exactly as
-// evalAll's are. parts[i] is backend i's answer — the zero T where the
-// backend was not asked or was degraded away.
+// history fetch, every analyzer kind — on eachGroup's loop: each backend
+// holding a member of the cohort b selects is handed its slice of b in
+// shard-local ordinal space, a shard server all of its shards' slices in
+// one call, under the engine's default budget; backends without a member
+// are never listed. The errors are judged under policy exactly as evalAll's
+// are. parts[i] is backend i's answer — the zero T where the backend was
+// not asked or was degraded away.
 func fanCohort[T any](ctx context.Context, e *Engine, t *topo, policy Policy, b *store.Bitset,
-	call func(ctx context.Context, bk ShardBackend, slice *store.Bitset) (T, error)) ([]T, QueryStatus, error) {
+	remote func(ctx context.Context, c *remoteConn, metas []ShardMeta, slices []*store.Bitset) ([]T, error),
+	single func(ctx context.Context, bk ShardBackend, slice *store.Bitset) (T, error)) ([]T, QueryStatus, error) {
 	ctx, cancel := e.opCtx(ctx)
 	defer cancel()
 	parts := make([]T, len(t.backends))
-	errs := make([]error, len(t.backends))
-	var wg sync.WaitGroup
+	want := make([]bool, len(t.backends))
 	for i, bk := range t.backends {
 		m := bk.Meta()
-		if !b.AnyInRange(m.Offset, m.Offset+m.Patients) {
-			continue
-		}
-		slice := b.SliceRange(m.Offset, m.Offset+m.Patients)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			parts[i], errs[i] = call(ctx, bk, slice)
-			t.record(i, t0, errs[i])
-		}()
+		want[i] = b.AnyInRange(m.Offset, m.Offset+m.Patients)
 	}
-	wg.Wait()
+	slice := func(i int) *store.Bitset {
+		m := t.backends[i].Meta()
+		return b.SliceRange(m.Offset, m.Offset+m.Patients)
+	}
+	errs := e.eachGroup(ctx, t, want,
+		func(ctx context.Context, c *remoteConn, members []int) []error {
+			slices := make([]*store.Bitset, len(members))
+			for k, i := range members {
+				slices[k] = slice(i)
+			}
+			got, err := remote(ctx, c, t.metasOf(members), slices)
+			if err == nil {
+				for k, i := range members {
+					parts[i] = got[k]
+				}
+			}
+			return repeatErr(err, len(members))
+		},
+		func(ctx context.Context, i int, bk ShardBackend) error {
+			part, err := single(ctx, bk, slice(i))
+			if err == nil {
+				parts[i] = part
+			}
+			return err
+		})
 	missing, err := e.judge(ctx, t, policy, errs)
 	if err != nil {
 		return nil, QueryStatus{}, err
-	}
-	for _, i := range missing {
-		var zero T
-		parts[i] = zero
 	}
 	return parts, e.statusFromMissing(t, missing), nil
 }
@@ -1249,11 +1263,4 @@ func repeatErr(err error, n int) []error {
 		errs[k] = err
 	}
 	return errs
-}
-
-// record books one per-shard call — its own round trip — into the /stats
-// counters.
-func (t *topo) record(i int, t0 time.Time, err error) {
-	t.metrics[i].add(t0, err)
-	t.groups[t.groupOf[i]].roundTrips.Add(1)
 }

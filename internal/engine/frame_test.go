@@ -162,12 +162,7 @@ func refEpisodes(h *model.History, gap model.Time) []abstraction.Episode {
 // refTally is the sequential *model.History reference for one request.
 func refTally(t testing.TB, req AnalyzeRequest, hs []*model.History) Partial {
 	t.Helper()
-	spec := analyzers[req.Kind]
-	params, err := spec.decodeParams(req.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch p := params.(type) {
+	switch p := req.params.(type) {
 	case *MineParams:
 		return refAnalyze(t, model.MustCollection(hs...), req)
 	case *EpisodeParams:
@@ -182,19 +177,21 @@ func refTally(t testing.TB, req AnalyzeRequest, hs []*model.History) Partial {
 			tally.Add(p.Scenario.MatchEpisodes(refEpisodes(h, p.Gap)))
 		}
 		return tally
-	case *model.Period:
-		if req.Kind == AnalyzeIndicators {
-			c := new(stats.IndicatorCounts)
-			for _, h := range hs {
-				refIndicators(c, h, *p)
-			}
-			return c
+	case *window[stats.IndicatorCounts]:
+		c := new(stats.IndicatorCounts)
+		for _, h := range hs {
+			refIndicators(c, h, p.Period)
 		}
+		return c
+	case *window[stats.CohortProfile]:
 		prof := new(stats.CohortProfile)
 		for _, h := range hs {
-			refProfile(prof, h, *p)
+			refProfile(prof, h, p.Period)
 		}
 		return prof
+	case *SpanParams:
+		span := refSpan(hs)
+		return &span
 	}
 	t.Fatalf("refTally: no reference for kind %q", req.Kind)
 	return nil
@@ -304,8 +301,9 @@ func drawRequests(t testing.TB, src *byteSource) []AnalyzeRequest {
 			Steps:     []string{step(), step()},
 			Relations: []temporal.StepRel{{I: 0, J: 1, Rel: 1 + temporal.Rel(src.next()*31)%temporal.Full}},
 		}})),
-		built(newRequest(AnalyzeIndicators, window, anyWindow)),
-		built(newRequest(AnalyzeProfile, window, anyWindow)),
+		windowRequest(t, AnalyzeIndicators, window),
+		windowRequest(t, AnalyzeProfile, window),
+		SpanRequest(),
 	}
 	if len(reqs) != len(analyzers) {
 		t.Fatalf("%d analyzer kinds are registered, drawRequests draws %d", len(analyzers), len(reqs))
@@ -339,13 +337,13 @@ func checkFrameAgainstHistories(t testing.TB, data []byte) {
 				m.Range(func(i int) bool { cohort = append(cohort, hs[i]); return true })
 			}
 			want := normalizePartial(refTally(t, req, cohort))
-			whole, err := tallyFrame(st.Pin().Frame(), AnalyzeArgs{Kind: req.Kind, Params: req.Params, Mask: m})
+			whole, err := tallyFrame(st.Pin().Frame(), AnalyzeArgs{Kind: req.Kind, Params: req.params, Mask: m})
 			if err != nil {
 				t.Fatalf("%s: %v", req.Kind, err)
 			}
 			merged := spec.newPartial(req.params)
 			for _, r := range [][2]int{{0, cut}, {cut, len(hs)}} {
-				args := AnalyzeArgs{Kind: req.Kind, Params: req.Params, params: req.params}
+				args := AnalyzeArgs{Kind: req.Kind, Params: req.params}
 				if m != nil {
 					args.Mask = m.SliceRange(r[0], r[1])
 				}
@@ -421,55 +419,82 @@ func TestProfileAndIndicatorsShareOneMeanAge(t *testing.T) {
 	}
 }
 
-// TestShardAnalyzeAllocatesByCohort: a shard server's Analyze right after
-// an append allocates for the cohort it tallies — mask, partial, reply —
-// not for the shard. It used to ask the store for a model.Collection,
-// which every new revision rebuilds: an ID → history map over the shard.
-func TestShardAnalyzeAllocatesByCohort(t *testing.T) {
+// shardAfterAppends serves a 2,000-patient shard on a loopback server and
+// measures call — made straight at the server's RPC surface — after each of
+// three appends: what a shard server's handler allocates right after the
+// store moved to a new revision must stay under budget bytes.
+func shardAfterAppends(t *testing.T, what string, budget uint64, call func(rpc *ShardRPC, patients int)) {
+	t.Helper()
 	col, _, err := integrate.Build(synth.Generate(synth.DefaultConfig(2000)), integrate.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := serveShards(t, col, 1, [][]int{{0}}, RemoteOptions{Timeout: 30 * time.Second})
 	st := sv.servers[0].shards[0].eng.Store()
-	mask := store.NewBitset(col.Len())
-	for i := 0; i < 10; i++ {
-		mask.Set(i * 150)
-	}
-	data, crc, err := encodeMask(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := newRequest(AnalyzeProfile, caseWindow, anyWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rpc := &ShardRPC{s: sv.servers[0]}
-	analyze := func() uint64 {
+	measure := func() uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		var reply AnalyzeRPCReply
-		if err := rpc.Analyze(&AnalyzeRPCArgs{Kind: AnalyzeProfile, Params: req.Params, Mask: data, MaskCRC: crc}, &reply); err != nil {
-			t.Fatal(err)
-		}
+		call(rpc, col.Len())
 		runtime.ReadMemStats(&m1)
-		if part, err := decodeAnalyzePartial(AnalyzeProfile, reply.Partial); err != nil || part.HistoryCount() != 10 {
-			t.Fatalf("partial tallies %v histories (%v), want the mask's 10", part, err)
-		}
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	analyze() // gob's per-type encoder, compiled once per process
+	measure() // whatever the first call of a process compiles or builds
 	for round := 1; round <= 3; round++ {
 		at := model.Date(2011, 3, round)
 		if _, err := st.Append(store.AppendBatch{Updates: []store.HistoryUpdate{{ID: st.PatientAt(7), Entries: []model.Entry{{
 			ID: st.MaxEntryID() + 1, Kind: model.Point, Start: at, End: at, Source: model.SourceGP, Type: model.TypeContact}}}}}); err != nil {
 			t.Fatal(err)
 		}
-		const budget = 24 << 10
-		got := analyze()
-		t.Logf("Analyze of 10 of %d patients after append %d: %d bytes", col.Len(), round, got)
+		got := measure()
+		t.Logf("%s of 10 of %d patients after append %d: %d bytes", what, col.Len(), round, got)
 		if got > budget {
-			t.Errorf("Analyze of 10 of %d patients after append %d allocated %d bytes, budget %d", col.Len(), round, got, budget)
+			t.Errorf("%s of 10 of %d patients after append %d allocated %d bytes, budget %d", what, col.Len(), round, got, budget)
 		}
 	}
+}
+
+// tenOf selects ten patients spread over a shard.
+func tenOf(patients int) *store.Bitset {
+	mask := store.NewBitset(patients)
+	for i := 0; i < 10; i++ {
+		mask.Set(i * 150)
+	}
+	return mask
+}
+
+// TestShardAnalyzeAllocatesByCohort: a shard server's Analyze right after
+// an append allocates for the cohort it tallies — mask, partial, reply —
+// not for the shard. It used to ask the store for a model.Collection,
+// which every new revision rebuilds: an ID → history map over the shard.
+func TestShardAnalyzeAllocatesByCohort(t *testing.T) {
+	req := windowRequest(t, AnalyzeProfile, caseWindow)
+	shardAfterAppends(t, "Analyze", 24<<10, func(rpc *ShardRPC, patients int) {
+		data, crc, err := encodeMask(tenOf(patients))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply AnalyzeRPCReply
+		err = rpc.Analyze(&AnalyzeRPCArgs{Kind: AnalyzeProfile, Params: req.params,
+			Items: []ShardItem{{Mask: data, MaskCRC: crc}}}, &reply)
+		if err != nil || reply.Partial.HistoryCount() != 10 {
+			t.Fatalf("partial tallies %v histories (%v), want the mask's 10", reply.Partial, err)
+		}
+	})
+}
+
+// TestShardFetchAllocatesByHistories: the same for Fetch, which indexes
+// the shard by position only — its bytes follow the ten histories it
+// encodes, not the 2,000 it holds.
+func TestShardFetchAllocatesByHistories(t *testing.T) {
+	shardAfterAppends(t, "Fetch", 96<<10, func(rpc *ShardRPC, patients int) {
+		var reply FetchReply
+		if err := rpc.Fetch(&FetchArgs{Items: []FetchItem{{Ordinals: tenOf(patients).Ones()}}}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		hs, err := store.DecodeHistories(reply.Segments[0].Histories, reply.Segments[0].Checksum, 10)
+		if err != nil || len(hs) != 10 {
+			t.Fatalf("fetched %d histories (%v), want 10", len(hs), err)
+		}
+	})
 }

@@ -1,11 +1,12 @@
 package engine
 
 // The grouped fan-out contract: a coordinator sends one call per shard
-// server, not per shard, and nothing about the answers changes — counts
-// and refinements over any server layout equal the same evaluation made
-// shard by shard and the reference interpreter; a lost server takes
-// exactly its own shards with it; one bad item of a multi-shard Eval
-// never touches its neighbours.
+// server, not per shard, for every operation, and nothing about the
+// answers changes — counts and refinements over any server layout equal
+// the same evaluation made shard by shard and the reference interpreter,
+// analyses, history fetches and ID listings their sequential references; a
+// lost server takes exactly its own shards with it; one bad item of a
+// multi-shard Eval never touches its neighbours.
 
 import (
 	"context"
@@ -16,6 +17,7 @@ import (
 	"net/rpc"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,12 +120,72 @@ func roundTrips(eng *Engine) (trips, evals uint64) {
 	return trips, evals
 }
 
+// groupsHolding counts the server groups with a member of the cohort on
+// one of their shards: the round trips a cohort operation is allowed.
+func groupsHolding(eng *Engine, bits *store.Bitset) uint64 {
+	tp := eng.topoNow()
+	groups := map[int]bool{}
+	for i, b := range tp.backends {
+		if m := b.Meta(); bits.AnyInRange(m.Offset, m.Offset+m.Patients) {
+			groups[tp.groupOf[i]] = true
+		}
+	}
+	return uint64(len(groups))
+}
+
+// checkCohortOps runs every cohort operation — Analyze under every
+// registered kind, Histories, IDsOf — over the cohort bits select: each
+// answer equals its sequential reference over the collection, and each
+// took exactly one round trip per server group holding a member.
+func checkCohortOps(t *testing.T, name string, eng *Engine, col *model.Collection, bits *store.Bitset) {
+	t.Helper()
+	cohort := cohortOf(col, bits)
+	ops := map[string]func(){
+		"Histories": func() {
+			hs, err := eng.Histories(bits)
+			if err != nil || len(hs) != cohort.Len() {
+				t.Fatalf("%s: Histories = %d histories, %v; want %d", name, len(hs), err, cohort.Len())
+			}
+			for i, h := range hs {
+				sameHistory(t, h, cohort.At(i))
+			}
+		},
+		"IDsOf": func() {
+			ids, err := eng.IDsOf(bits)
+			if err != nil || !reflect.DeepEqual(ids, cohort.IDs()) && len(ids)+cohort.Len() > 0 {
+				t.Fatalf("%s: IDsOf = %v, %v; want %v", name, ids, err, cohort.IDs())
+			}
+		},
+	}
+	for _, tc := range analyzeCases(t) {
+		ops["Analyze("+tc.name+")"] = func() {
+			got, err := eng.Analyze(bits, tc.req)
+			if err != nil {
+				t.Fatalf("%s: Analyze(%s): %v", name, tc.name, err)
+			}
+			if want := tc.want(cohort); !reflect.DeepEqual(tc.view(got), want) {
+				t.Fatalf("%s: Analyze(%s) differs from the sequential reference\n got %+v\nwant %+v", name, tc.name, tc.view(got), want)
+			}
+		}
+	}
+	want := groupsHolding(eng, bits)
+	for op, run := range ops {
+		before, _ := roundTrips(eng)
+		run()
+		if after, _ := roundTrips(eng); after-before != want {
+			t.Errorf("%s: %s over a cohort on %d server groups took %d round trips", name, op, want, after-before)
+		}
+	}
+}
+
 // TestGroupedParity: over every layout, unmasked and masked evaluation
 // through the grouped fan-out ≡ the same calls made shard by shard ≡
 // query.EvalIndexed, and narrow / widen / exclude refinements land on the
-// reference cohort.
+// reference cohort; every cohort operation over the whole population, a
+// cohort that leaves the first shards empty, one patient and nobody equals
+// its reference in one round trip per server group holding a member.
 func TestGroupedParity(t *testing.T) {
-	_, st, _ := parityEngines(t)
+	col, st, _ := parityEngines(t)
 	ctx := context.Background()
 	for name, eng := range groupedLayouts(t, Options{Workers: 4, CacheSize: 32}) {
 		r := rand.New(rand.NewSource(12))
@@ -163,6 +225,17 @@ func TestGroupedParity(t *testing.T) {
 			}
 		}
 
+		sparse, one := store.NewBitset(st.Len()), store.NewBitset(st.Len())
+		for o := st.Len() / 4; o < st.Len(); o += 1 + r.Intn(5) {
+			sparse.Set(o)
+		}
+		one.Set(st.Len() - 1)
+		for cname, bits := range map[string]*store.Bitset{
+			"everyone": eng.topoNow().all(), "sparse": sparse, "one patient": one, "nobody": store.NewBitset(st.Len()),
+		} {
+			checkCohortOps(t, name+", "+cname, eng, col, bits)
+		}
+
 		parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
 		delta := query.Has{Pred: query.MustCode("", `K8.`), MinCount: 2}
 		if _, err := eng.Materialize(ctx, "parent", parent); err != nil {
@@ -198,12 +271,47 @@ func TestGroupedParity(t *testing.T) {
 	}
 }
 
+// listingRPC is a shard server's RPC surface that notes which shards each
+// cohort call lists before answering it.
+type listingRPC struct {
+	*ShardRPC
+	mu     sync.Mutex
+	listed map[string][][]int // method → the shard ids of each call, in item order
+}
+
+func (r *listingRPC) note(method string, n int, shard func(k int) int) {
+	shards := make([]int, n)
+	for k := range shards {
+		shards[k] = shard(k)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.listed[method] = append(r.listed[method], shards)
+}
+
+func (r *listingRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
+	r.note("Analyze", len(args.Items), func(k int) int { return args.Items[k].Shard })
+	return r.ShardRPC.Analyze(args, reply)
+}
+
+func (r *listingRPC) Fetch(args *FetchArgs, reply *FetchReply) error {
+	r.note("Fetch", len(args.Items), func(k int) int { return args.Items[k].Shard })
+	return r.ShardRPC.Fetch(args, reply)
+}
+
+func (r *listingRPC) IDs(args *IDsArgs, reply *IDsReply) error {
+	r.note("IDs", len(args.Items), func(k int) int { return args.Items[k].Shard })
+	return r.ShardRPC.IDs(args, reply)
+}
+
 // TestGroupedRoundTrips: over 2 servers × 4 shards an unmasked count is 8
 // evaluations in exactly 2 round trips, a refinement at most 2, a masked
-// evaluation whose candidates sit on one server 1, and a timeline 2
-// Locate + 1 Fetch. Replica sets stay groups of one.
+// evaluation whose candidates sit on one server 1, an analysis, a history
+// fetch and an ID listing 2 — 1 when the cohort sits on one server — and a
+// timeline 2 Locate + 1 Fetch. Replica sets stay groups of one. A cohort
+// call lists the shards holding a member, in shard order, and no other.
 func TestGroupedRoundTrips(t *testing.T) {
-	_, st, _ := parityEngines(t)
+	col, st, _ := parityEngines(t)
 	ctx := context.Background()
 	engines := groupedLayouts(t, Options{Workers: 4, CacheSize: 0})
 	eng := engines["4+4"]
@@ -247,6 +355,60 @@ func TestGroupedRoundTrips(t *testing.T) {
 	})
 	if trips != 1 {
 		t.Errorf("masked evaluation over one server's shards took %d round trips, want 1", trips)
+	}
+
+	req, err := EpisodesRequest(EpisodeParams{Gap: 90 * model.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cohort, bits := range map[string]*store.Bitset{"both servers": tp.all(), "the first server": firstHalf} {
+		want := groupsHolding(eng, bits)
+		for op, run := range map[string]func() error{
+			"Analyze":   func() error { _, err := eng.Analyze(bits, req); return err },
+			"Histories": func() error { _, err := eng.Histories(bits); return err },
+			"IDsOf":     func() error { _, err := eng.IDsOf(bits); return err },
+		} {
+			trips, _ = delta(func() {
+				if err := run(); err != nil {
+					t.Fatalf("%s over %s: %v", op, cohort, err)
+				}
+			})
+			if trips != want {
+				t.Errorf("%s over a cohort on %s took %d round trips, want %d", op, cohort, trips, want)
+			}
+		}
+	}
+
+	// One server of eight shards behind a recorder, a cohort on three of
+	// them: each cohort call is one call listing exactly those three.
+	sv := serveShards(t, col, 8, [][]int{seq(0, 8)}, RemoteOptions{Timeout: 30 * time.Second})
+	rec := &listingRPC{ShardRPC: &ShardRPC{s: sv.servers[0]}, listed: map[string][][]int{}}
+	backends, _, err := DialShards(serveRPCStub(t, rec), RemoteOptions{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, err := NewFromBackends(backends, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listing.Close()
+	some := store.NewBitset(st.Len())
+	for _, shard := range []int{5, 2, 3} {
+		some.Set(backends[shard].Meta().Offset)
+	}
+	if _, err := listing.Analyze(some, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := listing.Histories(some); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := listing.IDsOf(some); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"Analyze", "Fetch", "IDs"} {
+		if got := rec.listed[method]; !reflect.DeepEqual(got, [][]int{{2, 3, 5}}) {
+			t.Errorf("%s calls listed shards %v, want one call listing [2 3 5]", method, got)
+		}
 	}
 
 	id := st.Collection().At(st.Len() - 1).Patient.ID
@@ -355,6 +517,25 @@ func TestGroupedDegraded(t *testing.T) {
 	if n := eng.CacheStats().Entries; n != 0 {
 		t.Errorf("degraded answer left %d entries in the result cache", n)
 	}
+	// Every cohort operation loses the same four shards: an analysis
+	// degrades to the live shards' tally and names the missing ones — all
+	// of them, no others; fetches and listings are strict under either
+	// policy.
+	everyone := eng.topoNow().all()
+	for _, tc := range analyzeCases(t) {
+		part, status, err := eng.AnalyzeStatus(context.Background(), everyone, tc.req)
+		if err != nil || !reflect.DeepEqual(status.MissingShards, seq(4, 8)) || part.HistoryCount() > live.Count() ||
+			tc.req.Kind == AnalyzeSpan && part.HistoryCount() != live.Count() {
+			t.Errorf("degraded Analyze(%s) = %d histories, missing %v, %v; want at most the live %d and [4 5 6 7] missing",
+				tc.name, part.HistoryCount(), status.MissingShards, err, live.Count())
+		}
+	}
+	if _, err := eng.Histories(everyone); !IsUnavailable(err) {
+		t.Errorf("Histories over a dead server = %v, want unavailable", err)
+	}
+	if _, err := eng.IDsOf(everyone); !IsUnavailable(err) {
+		t.Errorf("IDsOf over a dead server = %v, want unavailable", err)
+	}
 	if _, err := eng.Materialize(context.Background(), "c", e); !IsUnavailable(err) {
 		t.Errorf("Materialize over a dead server = %v, want unavailable", err)
 	}
@@ -398,17 +579,17 @@ func TestEvalHostileItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	plan, err := EncodePlan(parityPlan(t))
+	plan, err := planToWire(parityPlan(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(items ...EvalItem) ([]EvalResult, error) {
+	eval := func(items ...ShardItem) ([]EvalResult, error) {
 		var reply EvalReply
 		err := client.Call("PastasShard.Eval", &EvalArgs{Plan: plan, Items: items}, &reply)
 		return reply.Results, err
 	}
 
-	clean, err := eval(EvalItem{Shard: 0}, EvalItem{Shard: 1}, EvalItem{Shard: 2}, EvalItem{Shard: 3})
+	clean, err := eval(ShardItem{Shard: 0}, ShardItem{Shard: 1}, ShardItem{Shard: 2}, ShardItem{Shard: 3})
 	if err != nil {
 		t.Fatalf("well-formed multi-shard Eval refused: %v", err)
 	}
@@ -418,18 +599,25 @@ func TestEvalHostileItems(t *testing.T) {
 		}
 	}
 
-	for name, items := range map[string][]EvalItem{
+	for name, items := range map[string][]ShardItem{
 		"zero items":       nil,
 		"same shard twice": {{Shard: 1}, {Shard: 2}, {Shard: 1}},
-		"10⁶ items":        make([]EvalItem, 1_000_000),
+		"10⁶ items":        make([]ShardItem, 1_000_000),
 	} {
 		if _, err := eval(items...); err == nil {
 			t.Errorf("Eval with %s accepted", name)
 		}
 	}
 	var reply EvalReply
-	if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: []byte{0xff, 0x00}, Items: []EvalItem{{Shard: 0}}}, &reply); err == nil {
-		t.Error("Eval with a garbage plan accepted")
+	for name, bad := range map[string]wirePlan{
+		"no node kind":          {},
+		"an unknown node kind":  {Kind: "bogus"},
+		"a scan without a body": {Kind: wireScan},
+		"an invalid pattern":    {Kind: wireIndex, Op: int(OpCode), Pattern: "("},
+	} {
+		if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: bad, Items: []ShardItem{{Shard: 0}}}, &reply); err == nil {
+			t.Errorf("Eval of a plan with %s accepted", name)
+		}
 	}
 
 	good, err := store.NewBitset(sv.backends[0][1].Meta().Patients).Not().MarshalBinary()
@@ -441,12 +629,12 @@ func TestEvalHostileItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	crcOf := func(b []byte) uint32 { return crc32.Checksum(b, maskCRCTable) }
-	for name, bad := range map[string]EvalItem{
+	for name, bad := range map[string]ShardItem{
 		"unknown shard":         {Shard: 9},
 		"bad crc":               {Shard: 1, Mask: good, MaskCRC: crcOf(good) ^ 1},
 		"wrong-population mask": {Shard: 1, Mask: short, MaskCRC: crcOf(short)},
 	} {
-		results, err := eval(EvalItem{Shard: 0}, bad, EvalItem{Shard: 2})
+		results, err := eval(ShardItem{Shard: 0}, bad, ShardItem{Shard: 2})
 		if err != nil {
 			t.Errorf("%s: one bad item failed the whole call: %v", name, err)
 			continue
@@ -458,12 +646,53 @@ func TestEvalHostileItems(t *testing.T) {
 			t.Errorf("%s: a bad item changed its neighbours' results", name)
 		}
 	}
+	// Fetch and IDs refuse the same structural abuse, and — a listing or a
+	// fetch with a hole in it being none — fail the call on a bad item,
+	// naming its shard; a well-formed call answers afterwards.
+	goodItem := ShardItem{Shard: 1, Mask: good, MaskCRC: crcOf(good)}
+	for name, row := range map[string]struct {
+		fetch    []FetchItem
+		ids      []ShardItem
+		mentions string
+	}{
+		"zero items":       {nil, nil, "lists 0 items"},
+		"same shard twice": {[]FetchItem{{Shard: 1}, {Shard: 2}, {Shard: 1}}, []ShardItem{goodItem, {Shard: 2}, goodItem}, "shard 1 twice"},
+		"10⁶ items":        {make([]FetchItem, 1_000_000), make([]ShardItem, 1_000_000), "lists 1000000 items"},
+		"unknown shard":    {[]FetchItem{{Shard: 0}, {Shard: 9}}, []ShardItem{goodItem, {Shard: 9, Mask: good, MaskCRC: crcOf(good)}}, "shard 9"},
+		"item out of its shard's range": {[]FetchItem{{Shard: 0}, {Shard: 2, Ordinals: []int{1 << 30}}},
+			[]ShardItem{goodItem, {Shard: 2, Mask: short, MaskCRC: crcOf(short)}}, "shard 2"},
+		"a bad item for shard 3": {[]FetchItem{{Shard: 3, Ordinals: []int{2, 1}}}, []ShardItem{goodItem, {Shard: 3}}, "shard 3"},
+	} {
+		wantErr(t, "Fetch with "+name, client.Call("PastasShard.Fetch", &FetchArgs{Items: row.fetch}, new(FetchReply)), row.mentions)
+		wantErr(t, "IDs with "+name, client.Call("PastasShard.IDs", &IDsArgs{Items: row.ids}, new(IDsReply)), row.mentions)
+	}
+	var fetched FetchReply
+	if err := client.Call("PastasShard.Fetch", &FetchArgs{Items: []FetchItem{{Shard: 1, Ordinals: []int{0, 2}}, {Shard: 0}}}, &fetched); err != nil || len(fetched.Segments) != 2 {
+		t.Errorf("well-formed Fetch after hostile ones = %d segments, %v", len(fetched.Segments), err)
+	}
+	var listed IDsReply
+	if err := client.Call("PastasShard.IDs", &IDsArgs{Items: []ShardItem{goodItem}}, &listed); err != nil ||
+		len(listed.IDs) != 1 || len(listed.IDs[0]) != sv.backends[0][1].Meta().Patients {
+		t.Errorf("well-formed IDs after hostile ones = %v, %v", listed.IDs, err)
+	}
+
 	// The coordinator turns a bad item into a failed query under either
 	// policy: it is a bug, not an outage.
 	_, errs := sv.backends[0][0].(*RemoteBackend).conn.eval(context.Background(), plan,
 		[]ShardMeta{{Shard: 0}, {Shard: 9}}, []*store.Bitset{nil, nil})
 	if errs[0] != nil || errs[1] == nil || IsUnavailable(errs[1]) {
 		t.Errorf("client-side item errors = %v, want only item 1 failing, not as unavailable", errs)
+	}
+	conn := sv.backends[0][0].(*RemoteBackend).conn
+	strays := []ShardMeta{sv.backends[0][0].Meta(), {Shard: 9, Patients: 1}}
+	_, err = conn.analyze(context.Background(), AnalyzeSpan, SpanRequest().params, strays, []*store.Bitset{nil, nil})
+	wantErr(t, "grouped Analyze listing a stray shard", err, conn.addr, "shard 9")
+	_, ferr := conn.fetch(context.Background(), strays, [][]int{{0}, {0}})
+	wantErr(t, "grouped Fetch listing a stray shard", ferr, conn.addr, "shard 9")
+	_, ierr := conn.ids(context.Background(), strays, []*store.Bitset{store.NewBitset(strays[0].Patients), store.NewBitset(1)})
+	wantErr(t, "grouped IDs listing a stray shard", ierr, conn.addr, "shard 9")
+	if IsUnavailable(err) || IsUnavailable(ferr) || IsUnavailable(ierr) {
+		t.Errorf("a bad item reads as an outage: %v / %v / %v", err, ferr, ierr)
 	}
 }
 

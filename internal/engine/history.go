@@ -34,8 +34,8 @@ var ErrNoPatient = errors.New("no such patient")
 // Histories materializes the histories selected by a global-ordinal
 // bitset, in ordinal (collection) order. A store-backed engine reads them
 // off the collection; a coordinator fetches each backend's slice of the
-// selection concurrently — shards without a selected patient are never
-// contacted — and concatenates in fixed shard order. Any backend failure
+// selection concurrently, one call per server — shards without a selected
+// patient are never listed — and concatenates in fixed shard order. Any backend failure
 // fails the whole call under either policy: a partial history set is
 // never returned.
 func (e *Engine) Histories(b *store.Bitset) ([]*model.History, error) {
@@ -57,6 +57,13 @@ func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*mode
 		return out, nil
 	}
 	parts, _, err := fanCohort(ctx, e, t, PolicyStrict, b,
+		func(ctx context.Context, c *remoteConn, metas []ShardMeta, slices []*store.Bitset) ([][]*model.History, error) {
+			ordinals := make([][]int, len(slices))
+			for k, slice := range slices {
+				ordinals[k] = slice.Ones()
+			}
+			return c.fetch(ctx, metas, ordinals)
+		},
 		func(ctx context.Context, bk ShardBackend, slice *store.Bitset) ([]*model.History, error) {
 			return bk.FetchHistories(ctx, slice.Ones())
 		})
@@ -133,7 +140,8 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 	bk := t.backends[found]
 	t0 := time.Now()
 	hs, err := bk.FetchHistories(ctx, []int{ordinals[found]})
-	t.record(found, t0, err)
+	t.metrics[found].add(t0, err)
+	t.groups[t.groupOf[found]].roundTrips.Add(1)
 	if err != nil {
 		return nil, fmt.Errorf("engine: fetch %s: %w", id, t.shardErr(found, err))
 	}
@@ -161,9 +169,9 @@ func (e *Engine) Indicators(b *store.Bitset, window model.Period) (stats.Indicat
 // the completeness report: under PolicyDegraded the QueryStatus names the
 // shards whose tallies are absent from the aggregate.
 func (e *Engine) IndicatorsStatus(ctx context.Context, b *store.Bitset, window model.Period) (stats.Indicators, QueryStatus, error) {
-	part, status, err := e.analyzeWindow(ctx, b, AnalyzeIndicators, window)
+	counts, status, err := analyzeWindow[stats.IndicatorCounts](ctx, e, b, AnalyzeIndicators, window)
 	if err != nil {
 		return stats.Indicators{}, QueryStatus{}, err
 	}
-	return part.(*stats.IndicatorCounts).Finalize(window), status, nil
+	return counts.Finalize(window), status, nil
 }

@@ -28,9 +28,9 @@ func (e *Engine) Profile(b *store.Bitset, window model.Period) (stats.CohortProf
 // completeness report: under PolicyDegraded the QueryStatus names the
 // shards whose tallies are absent from the aggregate.
 func (e *Engine) ProfileStatus(ctx context.Context, b *store.Bitset, window model.Period) (stats.CohortProfile, QueryStatus, error) {
-	part, status, err := e.analyzeWindow(ctx, b, AnalyzeProfile, window)
+	prof, status, err := analyzeWindow[stats.CohortProfile](ctx, e, b, AnalyzeProfile, window)
 	if err != nil {
 		return stats.CohortProfile{}, QueryStatus{}, err
 	}
-	return *part.(*stats.CohortProfile), status, nil
+	return *prof, status, nil
 }

@@ -11,9 +11,12 @@ package engine
 // verbatim and never retried (they are deterministic), while transport
 // errors reset the connection.
 //
-// Payloads that have their own codecs (plans, bitsets, statistics) cross
-// the wire as opaque byte slices, so the RPC layer adds no second
-// serialization semantics on top of wire.go and the store codecs.
+// There is one framing: plans (wire.go's tagged form), analyzer parameters
+// and partials are typed fields of the RPC structs on the connection's own
+// gob stream; only what the store checksums and validates with its own
+// codecs — bitsets, statistics, history segments — crosses as bytes. Every
+// cohort operation is one call per server: Eval, Analyze, Fetch and IDs
+// list the server's shards they concern as items.
 
 import (
 	"context"
@@ -226,6 +229,67 @@ func (s *ShardServer) shard(id int) (*servedShard, error) {
 	return sh, nil
 }
 
+// ShardItem is one shard's share of a mask-carrying call — Eval, Analyze,
+// IDs: the shard and, when Mask is non-empty, a container-encoded
+// shard-local bitset with MaskCRC its crc32c — checked before the mask is
+// decoded, so a corrupted mask is a loud error, never a wrong answer.
+type ShardItem struct {
+	Shard   int
+	Mask    []byte
+	MaskCRC uint32
+}
+
+// checkItems refuses a call that is malformed as a whole, before any work:
+// no items, more items than served shards, a shard listed twice.
+func (s *ShardServer) checkItems(op string, n int, shard func(k int) int) error {
+	if n == 0 || n > len(s.shards) {
+		return fmt.Errorf("engine: %s lists %d items, server serves %d shards", op, n, len(s.shards))
+	}
+	seen := make(map[int]bool, n)
+	for k := 0; k < n; k++ {
+		if seen[shard(k)] {
+			return fmt.Errorf("engine: %s lists shard %d twice", op, shard(k))
+		}
+		seen[shard(k)] = true
+	}
+	return nil
+}
+
+// open is the one validate path of an item: the shard must be served and
+// the mask pass decodeMask against its population; the error names it.
+func (s *ShardServer) open(it ShardItem) (*servedShard, *store.Bitset, error) {
+	sh, err := s.shard(it.Shard)
+	if err != nil {
+		return nil, nil, err
+	}
+	mask, err := decodeMask(it.Mask, it.MaskCRC, sh.meta.Patients)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: shard %d: %w", it.Shard, err)
+	}
+	return sh, mask, nil
+}
+
+// eachItem runs fn over a call's n items, at most Workers at a time, item
+// 0 on the handler's own goroutine: a one-shard call spawns nothing.
+func (s *ShardServer) eachItem(n int, fn func(k int)) {
+	sem := make(chan struct{}, s.workers)
+	run := func(k int) {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		fn(k)
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	run(0)
+	wg.Wait()
+}
+
 // ShardRPC is the net/rpc service surface of a ShardServer.
 type ShardRPC struct{ s *ShardServer }
 
@@ -273,21 +337,13 @@ func (r *ShardRPC) Stats(args *StatsArgs, reply *StatsReply) error {
 }
 
 // EvalArgs/EvalReply: plan evaluation over some of the server's shards in
-// one round trip. Plan is a wire.go-encoded plan, shipped once however
-// many shards evaluate it; each item names a shard and, when Mask is
-// non-empty, a container-encoded shard-local bitset restricting its
-// candidates, with MaskCRC its crc32c — validated server-side before the
-// mask is decoded, so a corrupted mask is a loud error, never a silently
-// wrong cohort. The reply answers item k in Results[k]: the matches, or
-// the error that item alone failed with.
+// one round trip. The plan crosses once however many shards evaluate it;
+// each item names a shard and the mask restricting its candidates. The
+// reply answers item k in Results[k]: the matches, or the error that item
+// alone failed with.
 type EvalArgs struct {
-	Plan  []byte
-	Items []EvalItem
-}
-type EvalItem struct {
-	Shard   int
-	Mask    []byte
-	MaskCRC uint32
+	Plan  wirePlan
+	Items []ShardItem
 }
 type EvalReply struct{ Results []EvalResult }
 type EvalResult struct {
@@ -295,53 +351,32 @@ type EvalResult struct {
 	Err  string
 }
 
-// Eval decodes the plan once and runs it over every listed shard, at most
-// the server's Workers at a time. A request that is malformed as a whole —
-// no items, more items than served shards, a shard listed twice, an
-// undecodable plan — is refused; a fault confined to one item (unknown
-// shard, hostile mask, failed evaluation) is that item's error and leaves
-// its neighbours' results intact.
+// Eval rebuilds the plan once and runs it over every listed shard. A
+// request that is malformed as a whole (checkItems, a plan that does not
+// re-validate) is refused; a fault confined to one item (unknown shard,
+// hostile mask, failed evaluation) is that item's error and leaves its
+// neighbours' results intact.
 func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	if n := len(args.Items); n == 0 || n > len(r.s.shards) {
-		return fmt.Errorf("engine: eval lists %d items, server serves %d shards", n, len(r.s.shards))
+	if err := r.s.checkItems("eval", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
+		return err
 	}
-	seen := make(map[int]bool, len(args.Items))
-	for _, it := range args.Items {
-		if seen[it.Shard] {
-			return fmt.Errorf("engine: eval lists shard %d twice", it.Shard)
-		}
-		seen[it.Shard] = true
-	}
-	p, err := DecodePlan(args.Plan)
+	p, err := planFromWire(args.Plan)
 	if err != nil {
 		return err
 	}
 	reply.Results = make([]EvalResult, len(args.Items))
-	sem := make(chan struct{}, r.s.workers)
-	evalItem := func(k int) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
+	r.s.eachItem(len(args.Items), func(k int) {
 		bits, err := r.s.evalShard(p, args.Items[k])
 		if err != nil {
 			reply.Results[k].Err = err.Error()
 			return
 		}
 		reply.Results[k].Bits = bits
-	}
-	var wg sync.WaitGroup
-	for k := 1; k < len(args.Items); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			evalItem(k)
-		}()
-	}
-	evalItem(0) // on the handler's own goroutine: a one-shard call spawns nothing
-	wg.Wait()
+	})
 	return nil
 }
 
@@ -351,12 +386,8 @@ func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 // any evaluation work and fed through the engine's masked path, so the
 // server exploits it to skip non-candidates (the ShardBackend contract)
 // instead of paying for the full shard and intersecting after.
-func (s *ShardServer) evalShard(p Plan, it EvalItem) ([]byte, error) {
-	sh, err := s.shard(it.Shard)
-	if err != nil {
-		return nil, err
-	}
-	mask, err := decodeMask(it.Mask, it.MaskCRC, sh.meta.Patients)
+func (s *ShardServer) evalShard(p Plan, it ShardItem) ([]byte, error) {
+	sh, mask, err := s.open(it)
 	if err != nil {
 		return nil, err
 	}
@@ -374,70 +405,81 @@ func (s *ShardServer) evalShard(p Plan, it EvalItem) ([]byte, error) {
 	return bits.MarshalBinary()
 }
 
-// IDsArgs/IDsReply: ordinal → patient ID resolution.
-type IDsArgs struct {
-	Shard int
-	Bits  []byte
-}
-type IDsReply struct{ IDs []model.PatientID }
+// IDsArgs/IDsReply: ordinal → patient ID resolution over some of the
+// server's shards; item k's mask selects the ordinals IDs[k] answers.
+type IDsArgs struct{ Items []ShardItem }
+type IDsReply struct{ IDs [][]model.PatientID }
 
-// IDs resolves a shard-local bitset to patient IDs in ordinal order.
+// IDs resolves each item's shard-local bitset to patient IDs in ordinal
+// order. Unlike Eval's, an item's fault fails the call, naming the shard: a
+// listing with a hole in it is no listing.
 func (r *ShardRPC) IDs(args *IDsArgs, reply *IDsReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
+	if err := r.s.checkItems("ids", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
 		return err
 	}
-	var bits store.Bitset
-	if err := bits.UnmarshalBinary(args.Bits); err != nil {
-		return err
+	reply.IDs = make([][]model.PatientID, len(args.Items))
+	for k, it := range args.Items {
+		sh, mask, err := r.s.open(it)
+		if err != nil {
+			return err
+		}
+		if mask == nil {
+			return fmt.Errorf("engine: shard %d: ids item carries no mask", it.Shard)
+		}
+		reply.IDs[k] = sh.eng.Store().IDsOf(mask)
 	}
-	if bits.Len() != sh.meta.Patients {
-		return fmt.Errorf("engine: bitset covers %d patients, shard has %d", bits.Len(), sh.meta.Patients)
-	}
-	reply.IDs = sh.eng.Store().IDsOf(&bits)
 	return nil
 }
 
-// FetchArgs/FetchReply: history materialization. Ordinals are strictly
-// increasing shard-local positions; the reply carries the histories in
-// the snapshot segment codec (store.EncodeHistories) with a crc32c, so
-// the client's defensive decoder validates structure and integrity
-// before a single history object is built.
-type FetchArgs struct {
+// FetchArgs/FetchReply: history materialization over some of the server's
+// shards. Item k's ordinals are strictly increasing shard-local positions,
+// answered by Segments[k]: the histories in the snapshot segment codec
+// (store.EncodeHistories) with a crc32c, so the client's defensive decoder
+// validates structure and integrity before a single history is built.
+type FetchArgs struct{ Items []FetchItem }
+type FetchItem struct {
 	Shard    int
 	Ordinals []int
 }
-type FetchReply struct {
+type FetchReply struct{ Segments []FetchSegment }
+type FetchSegment struct {
 	Histories []byte
 	Checksum  uint32
 }
 
 // Fetch materializes the histories at the given shard-local ordinals —
-// the wire behind timelines and details-on-demand on a connected
-// workbench. Ordinals are validated against the shard bounds before any
-// encoding work.
+// the wire behind timelines, details-on-demand and a cohort view's rows.
+// Ordinals are validated against the shard bounds before any encoding
+// work, and the histories are read off a pinned view by position: the
+// store's collection is an ID → history map rebuilt after every append.
 func (r *ShardRPC) Fetch(args *FetchArgs, reply *FetchReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
+	if err := r.s.checkItems("fetch", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
 		return err
 	}
-	if err := validateOrdinals(args.Ordinals, sh.meta.Patients); err != nil {
-		return err
+	reply.Segments = make([]FetchSegment, len(args.Items))
+	for k, it := range args.Items {
+		sh, err := r.s.shard(it.Shard)
+		if err != nil {
+			return err
+		}
+		if err := validateOrdinals(it.Ordinals, sh.meta.Patients); err != nil {
+			return fmt.Errorf("engine: shard %d: %w", it.Shard, err)
+		}
+		view := sh.eng.Store().Pin()
+		hs := make([]*model.History, len(it.Ordinals))
+		for i, o := range it.Ordinals {
+			hs[i] = view.HistoryAt(o)
+		}
+		reply.Segments[k].Histories, reply.Segments[k].Checksum = store.EncodeHistories(hs)
 	}
-	col := sh.eng.Store().Collection()
-	hs := make([]*model.History, len(args.Ordinals))
-	for i, o := range args.Ordinals {
-		hs[i] = col.At(o)
-	}
-	reply.Histories, reply.Checksum = store.EncodeHistories(hs)
 	return nil
 }
 
@@ -472,47 +514,57 @@ func (r *ShardRPC) Locate(args *LocateArgs, reply *LocateReply) error {
 }
 
 // AnalyzeRPCArgs/AnalyzeRPCReply: the generic map-reduce RPC — the one
-// server-side aggregation, whatever is tallied. Kind names a registered
-// analyzer, Params its gob-encoded parameters (validated server-side
-// before any map work), and Mask, when non-empty, is the
-// container-encoded shard-local cohort mask with its crc32c — the same
-// push-down discipline Eval uses. The reply is the shard's gob-encoded
-// mergeable partial: integer tallies whose size is fixed (indicators,
-// profile) or depends on the code vocabulary, never on the cohort, so
-// the map step ships no history to the coordinator.
+// server-side aggregation, whatever is tallied — over some of the server's
+// shards. Kind names a registered analyzer, Params is its parameter value
+// (the kind's own registered type, checked server-side before any map
+// work), and each item names a shard and its slice of the cohort mask. The
+// reply is one mergeable partial for all the items: integer tallies whose
+// size is fixed or follows the code vocabulary, never the cohort, so the
+// map step ships no history to the coordinator.
 type AnalyzeRPCArgs struct {
-	Shard   int
-	Kind    string
-	Params  []byte
-	Mask    []byte
-	MaskCRC uint32
+	Kind   string
+	Params any
+	Items  []ShardItem
 }
-type AnalyzeRPCReply struct {
-	Partial []byte
-}
+type AnalyzeRPCReply struct{ Partial Partial }
 
-// Analyze runs the registered map step over the shard's slice of the
-// cohort. A hostile request — unknown kind, truncated params, corrupt
-// mask — is refused loudly before any per-history work.
+// Analyze runs the registered map step over each listed shard's slice of
+// the cohort and merges the partials, in item order, with the kind's own
+// merge — the coordinator's reduce, one round trip earlier. A hostile
+// request — unknown kind, another kind's params, corrupt mask — is refused
+// loudly, a faulty item naming its shard.
 func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 	if err := r.s.begin(); err != nil {
 		return err
 	}
 	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
+	if err := r.s.checkItems("analyze", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
+		return err
+	}
+	spec, err := analyzerFor(args.Kind, args.Params)
 	if err != nil {
 		return err
 	}
-	mask, err := decodeMask(args.Mask, args.MaskCRC, sh.meta.Patients)
-	if err != nil {
-		return err
+	parts := make([]Partial, len(args.Items))
+	errs := make([]error, len(args.Items))
+	r.s.eachItem(len(args.Items), func(k int) {
+		sh, mask, err := r.s.open(args.Items[k])
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		parts[k], errs[k] = spec.tally(sh.eng.Store().Pin().Frame(), args.Params, mask)
+	})
+	for k, err := range errs {
+		if err == nil && k > 0 {
+			err = spec.merge(parts[0], parts[k])
+		}
+		if err != nil {
+			return err
+		}
 	}
-	part, err := tallyFrame(sh.eng.Store().Pin().Frame(), AnalyzeArgs{Kind: args.Kind, Params: args.Params, Mask: mask})
-	if err != nil {
-		return err
-	}
-	reply.Partial, err = gobEncode(part)
-	return err
+	reply.Partial = parts[0]
+	return nil
 }
 
 // RemoteOptions tunes the client side of the shard transport.
@@ -865,24 +917,34 @@ func (b *RemoteBackend) Stats(ctx context.Context) (*store.Stats, error) {
 	return st, nil
 }
 
-// eval is the Eval RPC for some of this server's shards: the encoded plan
-// crosses the wire once, masks[k] (nil = none) restricts metas[k], and the
-// matches come back in shard-local ordinal space, bits[k] or errs[k] per
-// shard. A failure of the call as a whole is every shard's error.
-func (c *remoteConn) eval(ctx context.Context, plan []byte, metas []ShardMeta, masks []*store.Bitset) ([]*store.Bitset, []error) {
-	bits := make([]*store.Bitset, len(metas))
-	args := EvalArgs{Plan: plan, Items: make([]EvalItem, len(metas))}
+// maskItems lists some of a server's shards as items: masks[k] (nil = none)
+// restricts metas[k].
+func maskItems(metas []ShardMeta, masks []*store.Bitset) ([]ShardItem, error) {
+	items := make([]ShardItem, len(metas))
 	for k, m := range metas {
-		it := &args.Items[k]
+		it := &items[k]
 		it.Shard = m.Shard
 		if masks[k] != nil {
 			var err error
 			if it.Mask, it.MaskCRC, err = encodeMask(masks[k]); err != nil {
-				return bits, repeatErr(err, len(metas))
+				return nil, err
 			}
 		}
 	}
-	reply, err := rpcCall[EvalReply](ctx, c, "Eval", &args)
+	return items, nil
+}
+
+// eval is the Eval RPC for some of this server's shards: masks[k] (nil =
+// none) restricts metas[k], and the matches come back in shard-local
+// ordinal space, bits[k] or errs[k] per shard. A failure of the call as a
+// whole is every shard's error.
+func (c *remoteConn) eval(ctx context.Context, plan wirePlan, metas []ShardMeta, masks []*store.Bitset) ([]*store.Bitset, []error) {
+	bits := make([]*store.Bitset, len(metas))
+	items, err := maskItems(metas, masks)
+	if err != nil {
+		return bits, repeatErr(err, len(metas))
+	}
+	reply, err := rpcCall[EvalReply](ctx, c, "Eval", &EvalArgs{Plan: plan, Items: items})
 	if err != nil {
 		return bits, repeatErr(err, len(metas))
 	}
@@ -907,7 +969,7 @@ func (c *remoteConn) eval(ctx context.Context, plan []byte, metas []ShardMeta, m
 // EvalPlan implements ShardBackend: the grouped fan-out's Eval RPC with
 // this shard as its one item.
 func (b *RemoteBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
-	plan, err := EncodePlan(p)
+	plan, err := planToWire(p)
 	if err != nil {
 		return nil, err
 	}
@@ -915,24 +977,43 @@ func (b *RemoteBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset
 	return bits[0], errs[0]
 }
 
-// FetchHistories implements ShardBackend: the ordinals cross the wire,
-// the histories come back in the checksummed segment codec, and the
-// defensive decoder (store.DecodeHistories) holds a hostile or corrupt
-// reply to an error — the count promised by the request is enforced, so
-// a server cannot answer with more or fewer histories than asked.
+// fetch is the Fetch RPC for some of this server's shards: the histories
+// at ordinals[k] of metas[k] come back one checksummed segment per shard,
+// and the defensive decoder (store.DecodeHistories) holds a hostile or
+// corrupt reply to an error — a server cannot answer with more or fewer
+// segments, or histories in one, than asked.
+func (c *remoteConn) fetch(ctx context.Context, metas []ShardMeta, ordinals [][]int) ([][]*model.History, error) {
+	args := FetchArgs{Items: make([]FetchItem, len(metas))}
+	for k, m := range metas {
+		if err := validateOrdinals(ordinals[k], m.Patients); err != nil {
+			return nil, err
+		}
+		args.Items[k] = FetchItem{Shard: m.Shard, Ordinals: ordinals[k]}
+	}
+	reply, err := rpcCall[FetchReply](ctx, c, "Fetch", &args)
+	if err != nil {
+		return nil, err
+	}
+	if len(reply.Segments) != len(metas) {
+		return nil, fmt.Errorf("engine: %s: fetch answered %d segments for %d shards", c.addr, len(reply.Segments), len(metas))
+	}
+	out := make([][]*model.History, len(metas))
+	for k, seg := range reply.Segments {
+		if out[k], err = store.DecodeHistories(seg.Histories, seg.Checksum, len(ordinals[k])); err != nil {
+			return nil, fmt.Errorf("engine: %s: shard %d: %w", c.addr, metas[k].Shard, err)
+		}
+	}
+	return out, nil
+}
+
+// FetchHistories implements ShardBackend: the grouped fan-out's Fetch RPC
+// with this shard as its one item.
 func (b *RemoteBackend) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
-	if err := validateOrdinals(ordinals, b.meta.Patients); err != nil {
-		return nil, err
-	}
-	reply, err := rpcCall[FetchReply](ctx, b.conn, "Fetch", &FetchArgs{Shard: b.meta.Shard, Ordinals: ordinals})
+	hs, err := b.conn.fetch(ctx, []ShardMeta{b.meta}, [][]int{ordinals})
 	if err != nil {
 		return nil, err
 	}
-	hs, err := store.DecodeHistories(reply.Histories, reply.Checksum, len(ordinals))
-	if err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", b.conn.addr, err)
-	}
-	return hs, nil
+	return hs[0], nil
 }
 
 // locate is the Locate RPC: which of metas — this server's shards the
@@ -966,53 +1047,76 @@ func (b *RemoteBackend) LocateID(ctx context.Context, id model.PatientID) (int, 
 	return ordinal, k == 0, err
 }
 
-// Analyze implements ShardBackend: the kind, parameters and crc-checked
-// cohort mask cross the wire, the shard runs the map step server-side,
-// and a validated mergeable partial comes back — the reply is bounded by
-// the code vocabulary, never the cohort size.
-func (b *RemoteBackend) Analyze(ctx context.Context, a AnalyzeArgs) (Partial, error) {
-	args := AnalyzeRPCArgs{Shard: b.meta.Shard, Kind: a.Kind, Params: a.Params}
-	if a.Mask != nil {
-		if a.Mask.Len() != b.meta.Patients {
-			return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d",
-				a.Mask.Len(), b.meta.Patients)
-		}
-		var err error
-		if args.Mask, args.MaskCRC, err = encodeMask(a.Mask); err != nil {
-			return nil, err
-		}
-	}
-	reply, err := rpcCall[AnalyzeRPCReply](ctx, b.conn, "Analyze", &args)
+// analyze is the Analyze RPC for some of this server's shards: the server
+// runs the map step over each shard's slice of the mask and merges, and one
+// partial comes back — checked against the kind and bounded by the listed
+// shards' patients before anyone merges it.
+func (c *remoteConn) analyze(ctx context.Context, kind string, params any, metas []ShardMeta, masks []*store.Bitset) (Partial, error) {
+	spec, err := analyzerFor(kind, params)
 	if err != nil {
 		return nil, err
 	}
-	part, err := decodeAnalyzePartial(a.Kind, reply.Partial)
+	items, err := maskItems(metas, masks)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", b.conn.addr, err)
+		return nil, err
 	}
-	if got := part.HistoryCount(); got < 0 || got > b.meta.Patients {
-		return nil, fmt.Errorf("engine: %s: analyze partial covers %d histories, shard has %d",
-			b.conn.addr, got, b.meta.Patients)
+	reply, err := rpcCall[AnalyzeRPCReply](ctx, c, "Analyze", &AnalyzeRPCArgs{Kind: kind, Params: params, Items: items})
+	if err != nil {
+		return nil, err
 	}
-	return part, nil
+	if err := spec.checkPartial(reply.Partial); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", c.addr, err)
+	}
+	held := 0
+	for _, m := range metas {
+		held += m.Patients
+	}
+	if got := reply.Partial.HistoryCount(); got < 0 || got > held {
+		return nil, fmt.Errorf("engine: %s: analyze partial covers %d histories, the %d shards asked hold %d",
+			c.addr, got, len(metas), held)
+	}
+	return reply.Partial, nil
 }
 
-// IDsOf implements ShardBackend. The reply must carry one ID per set bit:
-// the coordinator concatenates the shards' slices by position, so a
-// server answering more or fewer would misalign the whole cohort listing.
-func (b *RemoteBackend) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
-	data, err := bits.MarshalBinary()
+// Analyze implements ShardBackend: the grouped fan-out's Analyze RPC with
+// this shard as its one item.
+func (b *RemoteBackend) Analyze(ctx context.Context, a AnalyzeArgs) (Partial, error) {
+	return b.conn.analyze(ctx, a.Kind, a.Params, []ShardMeta{b.meta}, []*store.Bitset{a.Mask})
+}
+
+// ids is the IDs RPC for some of this server's shards. The reply must
+// carry one ID per set bit of every slice: the coordinator concatenates the
+// shards' listings by position, so a server answering more or fewer would
+// misalign the whole cohort listing.
+func (c *remoteConn) ids(ctx context.Context, metas []ShardMeta, slices []*store.Bitset) ([][]model.PatientID, error) {
+	items, err := maskItems(metas, slices)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := rpcCall[IDsReply](ctx, b.conn, "IDs", &IDsArgs{Shard: b.meta.Shard, Bits: data})
+	reply, err := rpcCall[IDsReply](ctx, c, "IDs", &IDsArgs{Items: items})
 	if err != nil {
 		return nil, err
 	}
-	if want := bits.Count(); len(reply.IDs) != want {
-		return nil, fmt.Errorf("engine: %s: ids reply carries %d patients for %d selected", b.conn.addr, len(reply.IDs), want)
+	if len(reply.IDs) != len(metas) {
+		return nil, fmt.Errorf("engine: %s: ids answered %d listings for %d shards", c.addr, len(reply.IDs), len(metas))
+	}
+	for k, ids := range reply.IDs {
+		if want := slices[k].Count(); len(ids) != want {
+			return nil, fmt.Errorf("engine: %s: shard %d: ids reply carries %d patients for %d selected",
+				c.addr, metas[k].Shard, len(ids), want)
+		}
 	}
 	return reply.IDs, nil
+}
+
+// IDsOf implements ShardBackend: the grouped fan-out's IDs RPC with this
+// shard as its one item.
+func (b *RemoteBackend) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
+	ids, err := b.conn.ids(ctx, []ShardMeta{b.meta}, []*store.Bitset{bits})
+	if err != nil {
+		return nil, err
+	}
+	return ids[0], nil
 }
 
 // Close implements ShardBackend. The connection is shared by every

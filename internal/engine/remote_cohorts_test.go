@@ -102,7 +102,7 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planBytes, err := EncodePlan(plan)
+	wired, err := planToWire(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 
 	// evalMasked sends a one-item Eval; the call's error and the item's
 	// own are both "the server refused".
-	evalMasked := func(it EvalItem) ([]byte, error) {
+	evalMasked := func(it ShardItem) ([]byte, error) {
 		var reply EvalReply
-		if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: planBytes, Items: []EvalItem{it}}, &reply); err != nil {
+		if err := client.Call("PastasShard.Eval", &EvalArgs{Plan: wired, Items: []ShardItem{it}}, &reply); err != nil {
 			return nil, err
 		}
 		if reply.Results[0].Err != "" {
@@ -131,7 +131,7 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 	}
 
 	// Baseline: a well-formed mask is accepted.
-	bits, err := evalMasked(EvalItem{Mask: good, MaskCRC: crcOf(good)})
+	bits, err := evalMasked(ShardItem{Mask: good, MaskCRC: crcOf(good)})
 	if err != nil {
 		t.Fatalf("well-formed masked Eval rejected: %v", err)
 	}
@@ -153,36 +153,41 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 	}
 	hostile := []struct {
 		name string
-		item EvalItem
+		item ShardItem
 		want string
 	}{
-		{"wrong crc", EvalItem{Mask: good, MaskCRC: crcOf(good) ^ 0xdeadbeef}, "mask checksum mismatch"},
-		{"flipped byte, stale crc", EvalItem{Mask: flipped, MaskCRC: crcOf(good)}, "mask checksum mismatch"},
-		{"truncated, recomputed crc", EvalItem{Mask: good[:len(good)-3], MaskCRC: crcOf(good[:len(good)-3])}, ""},
-		{"garbage, recomputed crc", EvalItem{Mask: []byte{0xff, 0x01, 0x02}, MaskCRC: crcOf([]byte{0xff, 0x01, 0x02})}, ""},
-		{"wrong population", EvalItem{Mask: short, MaskCRC: crcOf(short)}, "mask covers 10 patients"},
+		{"wrong crc", ShardItem{Mask: good, MaskCRC: crcOf(good) ^ 0xdeadbeef}, "mask checksum mismatch"},
+		{"flipped byte, stale crc", ShardItem{Mask: flipped, MaskCRC: crcOf(good)}, "mask checksum mismatch"},
+		{"truncated, recomputed crc", ShardItem{Mask: good[:len(good)-3], MaskCRC: crcOf(good[:len(good)-3])}, ""},
+		{"garbage, recomputed crc", ShardItem{Mask: []byte{0xff, 0x01, 0x02}, MaskCRC: crcOf([]byte{0xff, 0x01, 0x02})}, ""},
+		{"wrong population", ShardItem{Mask: short, MaskCRC: crcOf(short)}, "mask covers 10 patients"},
 	}
-	// Every mask-carrying RPC shares the one validate path, so each must
-	// refuse each hostile mask the same way: Eval, and Analyze under every
-	// window-parameterized kind (what the Indicators and Profile RPCs
-	// became).
-	window := model.Period{Start: model.Date(2000, 1, 1), End: model.Date(2020, 1, 1)}
-	analyze := func(kind string, it EvalItem) error {
-		req, err := newRequest(kind, window, anyWindow)
-		if err != nil {
-			t.Fatal(err)
+	// Every mask-carrying RPC shares the one item envelope and its one
+	// validate path, so each must refuse each hostile mask the same way:
+	// Eval, IDs, and Analyze under every registered kind.
+	ids := func(it ShardItem) error {
+		var reply IDsReply
+		if err := client.Call("PastasShard.IDs", &IDsArgs{Items: []ShardItem{it}}, &reply); err != nil {
+			return err
 		}
-		return client.Call("PastasShard.Analyze",
-			&AnalyzeRPCArgs{Kind: kind, Params: req.Params, Mask: it.Mask, MaskCRC: it.MaskCRC}, new(AnalyzeRPCReply))
+		if len(reply.IDs) != 1 || len(reply.IDs[0]) != mask.Count() {
+			t.Errorf("IDs answered %d listings, the first of %d patients, for a mask of %d", len(reply.IDs), len(reply.IDs[0]), mask.Count())
+		}
+		return nil
 	}
-	for _, tc := range hostile {
-		calls := map[string]func() error{
-			"Eval":                func() error { _, err := evalMasked(tc.item); return err },
-			"Analyze(indicators)": func() error { return analyze(AnalyzeIndicators, tc.item) },
-			"Analyze(profile)":    func() error { return analyze(AnalyzeProfile, tc.item) },
+	calls := map[string]func(ShardItem) error{
+		"Eval": func(it ShardItem) error { _, err := evalMasked(it); return err },
+		"IDs":  ids,
+	}
+	for _, tc := range analyzeCases(t) {
+		calls["Analyze("+tc.name+")"] = func(it ShardItem) error {
+			return client.Call("PastasShard.Analyze",
+				&AnalyzeRPCArgs{Kind: tc.req.Kind, Params: tc.req.params, Items: []ShardItem{it}}, new(AnalyzeRPCReply))
 		}
-		for rpcName, call := range calls {
-			err := call()
+	}
+	for rpcName, call := range calls {
+		for _, tc := range hostile {
+			err := call(tc.item)
 			if err == nil {
 				t.Errorf("%s(%s): accepted a hostile mask", rpcName, tc.name)
 				continue
@@ -191,11 +196,9 @@ func TestRemoteCohortMaskWireHardening(t *testing.T) {
 				t.Errorf("%s(%s): error %q does not mention %q", rpcName, tc.name, err, tc.want)
 			}
 		}
-	}
-	// The mask-carrying tallies accept the same well-formed mask.
-	for _, kind := range []string{AnalyzeIndicators, AnalyzeProfile} {
-		if err := analyze(kind, EvalItem{Mask: good, MaskCRC: crcOf(good)}); err != nil {
-			t.Errorf("well-formed masked Analyze(%s) rejected: %v", kind, err)
+		// And each accepts the same well-formed mask afterwards.
+		if err := call(ShardItem{Mask: good, MaskCRC: crcOf(good)}); err != nil {
+			t.Errorf("well-formed masked %s rejected: %v", rpcName, err)
 		}
 	}
 }

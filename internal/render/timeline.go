@@ -84,24 +84,35 @@ func Timeline(col *model.Collection, opt TimelineOptions) string {
 	return string(AppendTimeline(nil, col, opt))
 }
 
-// AppendTimeline appends the rendered collection to dst — the one drawing
-// routine behind Timeline; a caller assembling a larger document (the web
-// pages) draws into its own buffer instead of copying a string in.
+// AppendTimeline appends the rendered collection to dst: its first MaxRows
+// histories, on the time axis its whole span (or the alignment's) sets. A
+// caller assembling a larger document (the web pages) draws into its own
+// buffer instead of copying a string in.
 func AppendTimeline(dst []byte, col *model.Collection, opt TimelineOptions) []byte {
-	opt.defaults()
-
 	rows := col.Histories()
 	if opt.MaxRows > 0 && len(rows) > opt.MaxRows {
 		rows = rows[:opt.MaxRows]
 	}
-
-	// Time domain.
 	var domain model.Period
 	if opt.Aligned != nil {
 		domain = opt.Aligned.Span()
 	} else {
 		domain = col.Span()
 	}
+	var detail *model.History
+	if opt.DetailPatient != 0 {
+		detail = col.Get(opt.DetailPatient)
+	}
+	return AppendRows(dst, rows, domain, detail, opt)
+}
+
+// AppendRows is the one drawing routine, behind Timeline and the cohort
+// view alike: it draws exactly rows, scaled to domain — a view of a large
+// cohort hands it the rows it fetched and the span the shards tallied,
+// never the cohort. detail is the history opt.DetailPatient names (nil
+// draws no panel); opt.MaxRows is not consulted.
+func AppendRows(dst []byte, rows []*model.History, domain model.Period, detail *model.History, opt TimelineOptions) []byte {
+	opt.defaults()
 	if domain.Empty() {
 		domain.End = domain.Start + model.Day
 	}
@@ -119,12 +130,10 @@ func AppendTimeline(dst []byte, col *model.Collection, opt TimelineOptions) []by
 
 	// Detail panel content, sized before the canvas is fixed.
 	var detailLines []string
-	if opt.DetailPatient != 0 {
-		if h := col.Get(opt.DetailPatient); h != nil {
-			detailLines = Details(h, opt.DetailAt, 3*model.Day)
-			header := fmt.Sprintf("details: %s @ %s", opt.DetailPatient, opt.DetailAt)
-			detailLines = append([]string{header}, detailLines...)
-		}
+	if detail != nil {
+		detailLines = Details(detail, opt.DetailAt, 3*model.Day)
+		header := fmt.Sprintf("details: %s @ %s", opt.DetailPatient, opt.DetailAt)
+		detailLines = append([]string{header}, detailLines...)
 	}
 	panelH := 0.0
 	if len(detailLines) > 0 {

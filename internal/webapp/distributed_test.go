@@ -217,6 +217,9 @@ func TestDistributedHistoryEndpoints(t *testing.T) {
 		fmt.Sprintf("/timeline?patient=%d", uint64(id)),
 		"/",
 		"/cohort-view?pattern=T90",
+		"/cohort-view?rows=5&pattern=.*",    // more patients than rows: five histories and a span tally cross
+		"/cohort-view?rows=500&pattern=T90", // fewer than rows
+		"/cohort-view?pattern=ZZZ99",        // nobody
 	}
 	for _, path := range paths {
 		remoteRec := get(t, s, path)

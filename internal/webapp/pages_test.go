@@ -1,13 +1,25 @@
 package webapp
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"html/template"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"pastas/internal/core"
+	"pastas/internal/engine"
+	"pastas/internal/model"
+	"pastas/internal/query"
+	"pastas/internal/render"
+	"pastas/internal/synth"
 )
 
 // TestPageGoldenBytes pins the HTML pages' bodies to what the parent of
@@ -102,6 +114,111 @@ func TestPageAllocationBudgets(t *testing.T) {
 		if allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("%s: %.0f allocations and %.0f bytes per request, budget %.0f and %.0f",
 				c.path, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+}
+
+// referenceCohortView is the page as the handler built it when it shipped
+// the whole cohort: every matching history materialized, the time axis read
+// off their collection, the first rows drawn.
+func referenceCohortView(t *testing.T, wb *core.Workbench, pattern string, rows int) []byte {
+	t.Helper()
+	bits, err := wb.Query(query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("", pattern)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := wb.Histories(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Appendf(nil, "<p>%d of %d patients match <code>%s</code>; first %d drawn.</p>",
+		col.Len(), wb.Patients(), template.HTMLEscapeString(pattern), min(rows, col.Len()))
+	body = render.AppendTimeline(body, col, render.TimelineOptions{MaxRows: rows, Tooltips: true, Legend: true})
+	rec := httptest.NewRecorder()
+	writePage(rec, "Cohort view — "+pattern, body)
+	return rec.Body.Bytes()
+}
+
+// fetchCounter counts the histories a backend is asked to materialize.
+type fetchCounter struct {
+	engine.ShardBackend
+	fetched *atomic.Int64
+}
+
+func (b fetchCounter) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
+	b.fetched.Add(int64(len(ordinals)))
+	return b.ShardBackend.FetchHistories(ctx, ordinals)
+}
+
+// TestCohortViewShipsWhatItDraws: the view fetches the rows it draws and a
+// span tally, and its page is, byte for byte, the page drawn from every
+// matching history — for rows of 5, 50 and 500 over cohorts of nobody, one
+// patient, fewer than rows and more than rows, the last of which holds, in
+// its final ordinal, the patient whose history is the widest by decades: a
+// time axis read off the fetched head alone gets every x coordinate wrong.
+// Over counting backends, a view of a cohort past 500 patients fetches at
+// most rows histories.
+func TestCohortViewShipsWhatItDraws(t *testing.T) {
+	base, err := core.Synthesize(synth.DefaultConfig(900))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := append([]*model.History(nil), base.Store.Collection().Histories()...)
+	diagnosis := func(id uint64, value string, at model.Time) model.Entry {
+		return model.Entry{ID: 1<<50 + id, Kind: model.Point, Start: at, End: at, Type: model.TypeDiagnosis,
+			Source: model.SourceGP, Code: model.Code{System: "ICPC2", Value: value}}
+	}
+	wide := model.NewHistory(model.Patient{ID: 1 << 40, Birth: model.Date(1900, 1, 1), Sex: model.SexFemale})
+	wide.Add(diagnosis(1, "T90", model.Date(1931, 5, 1)))
+	wide.Add(diagnosis(2, "Y99", model.Date(2044, 2, 1)))
+	hs = append(hs, wide)
+	wb := core.FromCollection(model.MustCollection(hs...), base.Window)
+	s := NewServer(wb, Config{})
+
+	var fetched atomic.Int64
+	var counting []engine.ShardBackend
+	for i, m := range wb.Engine.BackendInfo() {
+		counting = append(counting, fetchCounter{engine.NewLocalBackend(wb.Store.Slice(m.Offset, m.Offset+m.Patients), i), &fetched})
+	}
+	eng, err := engine.NewFromBackends(counting, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	counted := NewServer(&core.Workbench{Engine: eng, Window: wb.Window}, Config{})
+
+	for pattern, matches := range map[string]func(n int) bool{
+		"ZZZ99":   func(n int) bool { return n == 0 },
+		"Y99":     func(n int) bool { return n == 1 },
+		"T90|Y99": func(n int) bool { return n > 5 && n < 50 },
+		".*":      func(n int) bool { return n > 500 },
+	} {
+		bits, err := wb.Query(query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("", pattern)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matches(bits.Count()) {
+			t.Fatalf("pattern %s matches %d patients: the fixture no longer has the cohort size this row is for", pattern, bits.Count())
+		}
+		if pattern != "ZZZ99" && !bits.Get(len(hs)-1) {
+			t.Fatalf("pattern %s misses the widest history", pattern)
+		}
+		for _, rows := range []int{5, 50, 500} {
+			path := fmt.Sprintf("/cohort-view?rows=%d&pattern=%s", rows, url.QueryEscape(pattern))
+			want := sha256.Sum256(referenceCohortView(t, wb, pattern, rows))
+			for name, srv := range map[string]*Server{"local": s, "counting backends": counted} {
+				fetched.Store(0)
+				rec := get(t, srv, path)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s (%s) = %d: %s", path, name, rec.Code, rec.Body)
+				}
+				if got := sha256.Sum256(rec.Body.Bytes()); got != want {
+					t.Errorf("%s (%s): %d bytes, not the page drawn from the whole cohort", path, name, rec.Body.Len())
+				}
+				if n := fetched.Load(); srv == counted && n != int64(min(rows, bits.Count())) {
+					t.Errorf("%s: the view of %d patients fetched %d histories to draw %d rows", path, bits.Count(), n, rows)
+				}
+			}
 		}
 	}
 }

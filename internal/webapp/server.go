@@ -575,37 +575,26 @@ func (s *Server) handleCohortView(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// The render reads the whole sub-collection (its span sets the time
-	// axis even for rows beyond MaxRows), so on a connected workbench the
-	// cohort's histories ship from their shards — the ship-all path, by
-	// design for a draw-the-cohort view. Cohort-wide numbers without the
-	// freight belong to /api/indicators.
-	col, err := s.wb.Histories(bits)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
 	rows := 50
 	if v := r.URL.Query().Get("rows"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 500 {
 			rows = n
 		}
 	}
+	// The view ships what it draws: the first rows histories, and the span
+	// of the whole cohort — the time axis, set even by rows beyond the drawn
+	// ones — as a tally the shards make where the histories live.
+	hs, domain, err := s.wb.View(bits, rows)
+	if err != nil {
+		httpError(w, http.StatusBadGateway, "%v", err)
+		return
+	}
 	// The pattern is escaped once here for the body and once by pageHead
 	// for the title and heading.
 	body := fmt.Appendf(nil, "<p>%d of %d patients match <code>%s</code>; first %d drawn.</p>",
-		col.Len(), s.wb.Patients(), template.HTMLEscapeString(pattern), min(rows, col.Len()))
-	body = render.AppendTimeline(body, col, render.TimelineOptions{
-		MaxRows: rows, Tooltips: true, Legend: true,
-	})
+		bits.Count(), s.wb.Patients(), template.HTMLEscapeString(pattern), len(hs))
+	body = render.AppendRows(body, hs, domain, nil, render.TimelineOptions{Tooltips: true, Legend: true})
 	writePage(w, "Cohort view — "+pattern, body)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -3,11 +3,10 @@ package engine
 // The cohort workspace: named query results materialized as bitsets the
 // refinement planner can seed later executions from — the engine half of
 // the paper's iterate-on-a-cohort workflow. A materialized cohort is
-// keyed by (name, canonical expression key, store generation); like the
-// plan cache and the plan memo, the workspace is epoched by the
-// generation, so an append invalidates every saved cohort at once and a
-// stale cohort can never seed a plan over a population it no longer
-// describes.
+// keyed by name within a store generation; like the result cache and the
+// plan memo, the workspace is an epochLRU, so an append invalidates every
+// saved cohort at once and a stale cohort can never seed a plan over a
+// population it no longer describes.
 //
 // Refine is where the O(delta) win lives: when a new expression is
 // parent ∧ delta (or parent ∨ delta, parent ∧ ¬delta — Not is just
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"pastas/internal/query"
 	"pastas/internal/store"
@@ -45,12 +43,6 @@ const (
 	RefineScratch = "scratch"
 )
 
-// workspaceSize caps the number of materialized cohorts held in memory;
-// the oldest saved cohort is evicted first (loadgen-style workloads mint
-// unique names forever, and an unbounded map of 1M-patient bitsets is a
-// leak, not a cache).
-const workspaceSize = 1024
-
 // cohortEntry is one materialized cohort, immutable once stored: bits is
 // never written again, readers clone before any set algebra.
 type cohortEntry struct {
@@ -67,90 +59,10 @@ type cohortEntry struct {
 	bits    *store.Bitset
 }
 
-// workspace holds the materialized cohorts of one engine, epoched by
-// store generation exactly like planCache: entries from any other
-// generation are invisible, and the first access at a newer generation
-// drops the old entries wholesale.
-type workspace struct {
-	mu    sync.Mutex
-	gen   uint64
-	m     map[string]*cohortEntry
-	order []string // insertion order, for bounded eviction
-}
-
-func newWorkspace() *workspace {
-	return &workspace{m: make(map[string]*cohortEntry)}
-}
-
-// sync advances the epoch, dropping every entry from an older
-// generation; the caller holds ws.mu. Returns false when the caller's
-// generation is itself stale.
-func (ws *workspace) sync(gen uint64) bool {
-	if gen != ws.gen {
-		if gen < ws.gen {
-			return false
-		}
-		ws.m = make(map[string]*cohortEntry)
-		ws.order = ws.order[:0]
-		ws.gen = gen
-	}
-	return true
-}
-
-func (ws *workspace) put(gen uint64, en *cohortEntry) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if !ws.sync(gen) {
-		return // a save that raced an append: the cohort is already stale
-	}
-	if _, ok := ws.m[en.name]; !ok {
-		ws.order = append(ws.order, en.name)
-	}
-	ws.m[en.name] = en
-	for len(ws.m) > workspaceSize {
-		oldest := ws.order[0]
-		ws.order = ws.order[1:]
-		delete(ws.m, oldest)
-	}
-}
-
-func (ws *workspace) get(gen uint64, name string) *cohortEntry {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if !ws.sync(gen) {
-		return nil
-	}
-	return ws.m[name]
-}
-
-func (ws *workspace) drop(name string) bool {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if _, ok := ws.m[name]; !ok {
-		return false
-	}
-	delete(ws.m, name)
-	for i, n := range ws.order {
-		if n == name {
-			ws.order = append(ws.order[:i], ws.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// all returns the live entries at gen, sorted by name (deterministic
-// seed selection).
-func (ws *workspace) all(gen uint64) []*cohortEntry {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if !ws.sync(gen) {
-		return nil
-	}
-	out := make([]*cohortEntry, 0, len(ws.m))
-	for _, en := range ws.m {
-		out = append(out, en)
-	}
+// cohortsAt returns the workspace's cohorts live at gen, sorted by name
+// (deterministic listing, export and seed selection).
+func (e *Engine) cohortsAt(gen uint64) []*cohortEntry {
+	out := e.ws.values(gen)
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
@@ -320,11 +232,9 @@ func (e *Engine) Refine(ctx context.Context, name string, q query.Expr) (CohortI
 	// The refined result is the complete answer for p; share it with the
 	// plan cache and the planner feedback like any full execution.
 	if cacheable(p) {
-		if e.fb != nil {
-			e.fb.observe(t.gen, p.Key(), bits.Count())
-		}
+		e.fb.observe(t.gen, p.Key(), bits.Count())
 		if e.cache != nil {
-			e.cache.put(t.gen, p.Key(), bits)
+			e.cache.put(t.gen, p.Key(), bits.Clone())
 		}
 	}
 	return e.saveCohort(t, name, q, p, bits), ref, nil
@@ -352,9 +262,7 @@ func (e *Engine) saveCohort(t *topo, name string, q query.Expr, p Plan, bits *st
 		en.op = "or"
 		en.subKeys = childKeys(n.Children)
 	}
-	if e.ws != nil {
-		e.ws.put(t.gen, en)
-	}
+	e.ws.put(t.gen, name, en) // a save that raced an append is already stale: not stored
 	return CohortInfo{Name: name, Expr: q.String(), Generation: t.gen, Count: en.count}
 }
 
@@ -363,10 +271,7 @@ func (e *Engine) saveCohort(t *topo, name string, q query.Expr, p Plan, bits *st
 // been invalidated by an append and do not appear.
 func (e *Engine) Cohorts() []CohortInfo {
 	t := e.topoNow()
-	if e.ws == nil {
-		return nil
-	}
-	entries := e.ws.all(t.gen)
+	entries := e.cohortsAt(t.gen)
 	out := make([]CohortInfo, len(entries))
 	for i, en := range entries {
 		out[i] = CohortInfo{Name: en.name, Expr: en.expr.String(), Generation: t.gen, Count: en.count}
@@ -383,22 +288,17 @@ var ErrNoCohort = fmt.Errorf("no such cohort (never saved, or invalidated by an 
 // bitset, valid at the current store generation.
 func (e *Engine) CohortBits(name string) (*store.Bitset, CohortInfo, error) {
 	t := e.topoNow()
-	if e.ws == nil {
-		return nil, CohortInfo{}, fmt.Errorf("engine: cohort %q: %w", name, ErrNoCohort)
-	}
-	en := e.ws.get(t.gen, name)
-	if en == nil {
+	en, ok := e.ws.get(t.gen, name)
+	if !ok {
 		return nil, CohortInfo{}, fmt.Errorf("engine: cohort %q: %w", name, ErrNoCohort)
 	}
 	return en.bits.Clone(), CohortInfo{Name: en.name, Expr: en.expr.String(), Generation: t.gen, Count: en.count}, nil
 }
 
-// DropCohort removes a materialized cohort; reports whether it existed.
+// DropCohort removes a materialized cohort valid at the current store
+// generation; reports whether it existed.
 func (e *Engine) DropCohort(name string) bool {
-	if e.ws == nil {
-		return false
-	}
-	return e.ws.drop(name)
+	return e.ws.remove(e.topoNow().gen, name)
 }
 
 // CohortExport is one cohort handed to the persistence layer: the saved
@@ -412,11 +312,7 @@ type CohortExport struct {
 // ExportCohorts returns the cohorts valid at the current generation for
 // snapshot persistence, sorted by name. Bitsets are caller-owned copies.
 func (e *Engine) ExportCohorts() []CohortExport {
-	t := e.topoNow()
-	if e.ws == nil {
-		return nil
-	}
-	entries := e.ws.all(t.gen)
+	entries := e.cohortsAt(e.topoNow().gen)
 	out := make([]CohortExport, len(entries))
 	for i, en := range entries {
 		out[i] = CohortExport{Name: en.name, Expr: en.expr, Bits: en.bits.Clone()}
@@ -444,9 +340,6 @@ func (e *Engine) AdoptCohort(name string, q query.Expr, bits *store.Bitset) erro
 	if err != nil {
 		return fmt.Errorf("engine: adopt cohort %q: %w", name, err)
 	}
-	if e.ws == nil {
-		return fmt.Errorf("engine: adopt cohort %q: engine has no workspace", name)
-	}
 	e.saveCohort(t, name, q, e.plan(t, p), bits.Clone())
 	return nil
 }
@@ -459,10 +352,10 @@ func (e *Engine) AdoptCohort(name string, q query.Expr, bits *store.Bitset) erro
 // to execute, and the refinement mode; (nil, nil, "") when nothing
 // seeds.
 func (e *Engine) refineSeed(t *topo, p Plan) (*cohortEntry, []Plan, string) {
-	if e.ws == nil || !cacheable(p) {
+	if !cacheable(p) {
 		return nil, nil, ""
 	}
-	entries := e.ws.all(t.gen)
+	entries := e.cohortsAt(t.gen)
 	if len(entries) == 0 {
 		return nil, nil, ""
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -140,9 +141,9 @@ func TestCohortRefineParityRandom(t *testing.T) {
 }
 
 // TestCohortInvalidationAcrossGenerations: a cohort materialized at
-// generation G must be invisible at G+1 — not listed, not a seed for
-// Explain or Refine — because the population it was computed over no
-// longer exists.
+// generation G must be invisible at G+1 — not droppable, not listed, not
+// a seed for Explain or Refine — because the population it was computed
+// over no longer exists.
 func TestCohortInvalidationAcrossGenerations(t *testing.T) {
 	st := store.New(fbCollection(300))
 	e := New(st, Options{Shards: 4, CacheSize: 32})
@@ -164,13 +165,11 @@ func TestCohortInvalidationAcrossGenerations(t *testing.T) {
 		t.Fatalf("Explain before append: seed %+v, want narrow from \"base\"", x.Seed)
 	}
 
-	h := model.NewHistory(model.Patient{ID: model.PatientID(10001), Birth: model.Date(1990, 1, 1)})
-	h.Add(model.Entry{ID: 900001, Kind: model.Point, Start: model.Date(2012, 1, 1), End: model.Date(2012, 1, 1),
-		Type: model.TypeMeasurement, Source: model.Source(1), Value: 50})
-	if _, err := st.Append(store.AppendBatch{NewHistories: []*model.History{h}}); err != nil {
-		t.Fatal(err)
-	}
+	appendPatient(t, st, 10001, 50)
 
+	if e.DropCohort("base") { // first, before anything else reads the new generation
+		t.Error("DropCohort dropped a cohort the append had already invalidated")
+	}
 	if got := e.Cohorts(); len(got) != 0 {
 		t.Fatalf("Cohorts() after append = %+v, want empty: a generation-G cohort must not survive G+1", got)
 	}
@@ -190,6 +189,30 @@ func TestCohortInvalidationAcrossGenerations(t *testing.T) {
 	}
 }
 
+// TestWorkspaceEvictsLeastRecentlyUsed: one generation holds at most
+// workspaceSize cohorts; saving one more evicts the least recently saved
+// or read.
+func TestWorkspaceEvictsLeastRecentlyUsed(t *testing.T) {
+	e := New(store.New(fbCollection(50)), Options{Shards: 1})
+	name := func(i int) string { return fmt.Sprintf("c%04d", i) }
+	for i := 0; i <= workspaceSize; i++ {
+		if i == workspaceSize {
+			e.CohortBits(name(0)) // the oldest save becomes the latest read
+		}
+		if _, err := e.Materialize(context.Background(), name(i), query.TrueExpr{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.Cohorts()); n != workspaceSize {
+		t.Fatalf("%d cohorts listed, want %d", n, workspaceSize)
+	}
+	for i, kept := range map[int]bool{0: true, 1: false, 2: true, workspaceSize: true} {
+		if _, _, err := e.CohortBits(name(i)); (err == nil) != kept {
+			t.Errorf("cohort %s: kept = %v, want %v", name(i), err == nil, kept)
+		}
+	}
+}
+
 // TestCohortRefineAfterAppendParity: re-materializing after an append
 // and refining again must be parity-identical to a from-scratch
 // evaluation over the grown population.
@@ -206,13 +229,7 @@ func TestCohortRefineAfterAppendParity(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		h := model.NewHistory(model.Patient{ID: model.PatientID(20001 + i), Birth: model.Date(1985, 1, 1)})
-		h.Add(model.Entry{ID: uint64(910000 + i), Kind: model.Point, Start: model.Date(2012, 1, 1),
-			End: model.Date(2012, 1, 1), Type: model.TypeMeasurement, Source: model.Source(1),
-			Value: float64(45 + i*20)})
-		if _, err := st.Append(store.AppendBatch{NewHistories: []*model.History{h}}); err != nil {
-			t.Fatal(err)
-		}
+		appendPatient(t, st, model.PatientID(20001+i), float64(45+i*20))
 	}
 
 	// Re-materialize at the new generation, then refine: the narrow path

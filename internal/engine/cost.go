@@ -55,7 +55,7 @@ type costModel struct {
 	leafMemo map[string]Estimate
 	// fb holds executor-observed true cardinalities; when non-nil,
 	// observations override the model's row estimates (see feedback.go).
-	fb *feedback
+	fb *epochLRU[string, int]
 	// gen is the store generation the model plans for; feedback from any
 	// other generation is ignored.
 	gen uint64
@@ -81,8 +81,8 @@ func newCostModel(st *store.Stats) *costModel {
 // rendering entirely until the first observation lands.
 func newFeedbackCostModel(st *store.Stats, fb *feedback, gen uint64) *costModel {
 	m := newCostModel(st)
-	if m != nil && fb != nil && fb.size() > 0 {
-		m.fb = fb
+	if m != nil && fb.obs.stats(gen).Entries > 0 {
+		m.fb = fb.obs
 		m.gen = gen
 	}
 	return m
@@ -102,7 +102,7 @@ func (m *costModel) estimate(p Plan) Estimate {
 		switch p.(type) {
 		case All, None:
 		default:
-			if rows, ok := m.fb.rowsFor(m.gen, p.Key()); ok {
+			if rows, ok := m.fb.get(m.gen, p.Key()); ok {
 				est.Rows = float64(rows)
 			}
 		}
@@ -416,7 +416,7 @@ func (m *costModel) refineAndOrder(children []Plan) {
 					members = append(members, children[j])
 				}
 			}
-			if rows, ok := m.fb.rowsFor(m.gen, And{Children: members}.Key()); ok {
+			if rows, ok := m.fb.get(m.gen, And{Children: members}.Key()); ok {
 				sel[S] = clampSel(float64(rows) / m.n)
 			}
 		}

@@ -96,10 +96,17 @@ func groupBackends(backends []ShardBackend) ([]*group, []int) {
 	return groups, groupOf
 }
 
-// boundCacheSize caps the LRU of index-derived scan bounds; bounds are
-// pure functions of one store generation (the cache is epoched by it), so
-// a small fixed cache is safe.
-const boundCacheSize = 64
+const (
+	// boundCacheSize caps the LRU of index-derived scan bounds; bounds are
+	// pure functions of one store generation (the cache is epoched by it),
+	// so a small fixed cache is safe.
+	boundCacheSize = 64
+	// workspaceSize caps the materialized cohorts held in memory; the
+	// least recently saved or read is evicted first (loadgen-style
+	// workloads mint unique names forever, and an unbounded map of
+	// 1M-patient bitsets is a leak, not a cache).
+	workspaceSize = 1024
+)
 
 // topo is the engine's execution topology pinned to one store generation:
 // the shard views, backends and statistics every evaluation of that
@@ -147,9 +154,10 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 //
 // A local engine follows its store's live-ingest generation: every
 // operation pins the current topology first, and everything derived from
-// store contents — plan cache, scan-bound cache, planner feedback, plan
-// memo — is epoched by the generation, discarded on advance rather than
-// ever answering for a population it no longer describes.
+// store contents — result cache, scan-bound cache, planner feedback, plan
+// memo, cohort workspace — is an epochLRU keyed under that generation,
+// discarded on advance rather than ever answering for a population it no
+// longer describes.
 type Engine struct {
 	st     *store.Store // nil for a coordinator over remote backends
 	shards int          // configured shard count (local engines re-shard on rebuild)
@@ -160,23 +168,43 @@ type Engine struct {
 	workers int
 	policy  Policy
 	timeout time.Duration // default per-operation budget; 0 = unbounded
-	cache   *planCache
+	// cache holds complete results by canonical sub-plan key; nil when
+	// Options.CacheSize is 0.
+	cache *epochLRU[string, *store.Bitset]
 	// boundCache memoizes scanBound results by Scan key, so the
 	// interactive refinement loop re-intersects a cached bound instead
-	// of re-walking the code vocabulary on every repeated scan.
-	boundCache *planCache
+	// of re-walking the code vocabulary on every repeated scan. A nil
+	// value records that no index bounds the scan.
+	boundCache *epochLRU[string, *store.Bitset]
 	// fb records the true cardinality of every evaluated plan node; the
 	// optimizer's cost model reads it back on later planning passes
 	// (adaptive feedback planning, see feedback.go).
 	fb *feedback
-	// plans memoizes optimized plans by (expression, feedback epoch,
-	// store generation).
-	plans *planMemo
-	// ws holds the materialized cohorts (cohorts.go), epoched by store
-	// generation like the caches — but NOT cleared by ResetCache: a saved
-	// cohort is user state, not derived state, and benchmark cold arms
-	// must be able to drop the caches without losing the workspace.
-	ws *workspace
+	// plans memoizes optimized plans by (feedback epoch, expression).
+	plans *epochLRU[planKey, Plan]
+	// ws holds the materialized cohorts by name (cohorts.go) — but is NOT
+	// cleared by ResetCache: a saved cohort is user state, not derived
+	// state, and benchmark cold arms must be able to drop the caches
+	// without losing the workspace.
+	ws *epochLRU[string, *cohortEntry]
+}
+
+// newEngine builds an engine with the options' settings and empty caches;
+// the caller installs the topology.
+func newEngine(opts Options) *Engine {
+	e := &Engine{
+		policy:     opts.Policy,
+		timeout:    opts.QueryTimeout,
+		workers:    normalizeWorkers(opts.Workers),
+		boundCache: newEpochLRU[string, *store.Bitset](boundCacheSize),
+		fb:         newFeedback(feedbackSize),
+		plans:      newEpochLRU[planKey, Plan](plansSize),
+		ws:         newEpochLRU[string, *cohortEntry](workspaceSize),
+	}
+	if opts.CacheSize > 0 {
+		e.cache = newEpochLRU[string, *store.Bitset](opts.CacheSize)
+	}
+	return e
 }
 
 // New builds an engine over an already-indexed global store. With more
@@ -185,18 +213,8 @@ type Engine struct {
 // fans out across a worker pool and merges per-shard bitsets by ordinal
 // offset without duplicating any index memory.
 func New(st *store.Store, opts Options) *Engine {
-	e := &Engine{
-		st:         st,
-		shards:     opts.Shards,
-		policy:     opts.Policy,
-		timeout:    opts.QueryTimeout,
-		workers:    normalizeWorkers(opts.Workers),
-		cache:      newPlanCache(opts.CacheSize),
-		boundCache: newPlanCache(boundCacheSize),
-		fb:         newFeedback(feedbackSize),
-		plans:      newPlanMemo(planMemoSize),
-		ws:         newWorkspace(),
-	}
+	e := newEngine(opts)
+	e.st, e.shards = st, opts.Shards
 	e.topo.Store(e.buildTopo(st.Pin()))
 	return e
 }
@@ -263,16 +281,7 @@ func NewFromBackends(backends []ShardBackend, opts Options) (*Engine, error) {
 	}
 	bs := append([]ShardBackend(nil), backends...)
 	sort.SliceStable(bs, func(i, j int) bool { return bs[i].Meta().Offset < bs[j].Meta().Offset })
-	e := &Engine{
-		policy:     opts.Policy,
-		timeout:    opts.QueryTimeout,
-		workers:    normalizeWorkers(opts.Workers),
-		cache:      newPlanCache(opts.CacheSize),
-		boundCache: newPlanCache(boundCacheSize),
-		fb:         newFeedback(feedbackSize),
-		plans:      newPlanMemo(planMemoSize),
-		ws:         newWorkspace(),
-	}
+	e := newEngine(opts)
 	t := &topo{backends: bs}
 	for _, b := range bs {
 		m := b.Meta()
@@ -378,30 +387,25 @@ func (e *Engine) Close() error {
 	return errors.Join(errs...)
 }
 
-// CacheStats reports plan-cache hits, misses and occupancy.
+// CacheStats reports result-cache hits and misses, and the entries that
+// can still answer at the current generation.
 func (e *Engine) CacheStats() CacheStats {
 	if e.cache == nil {
 		return CacheStats{}
 	}
-	return e.cache.stats()
+	return e.cache.stats(e.topoNow().gen)
 }
 
-// ResetCache empties the plan cache, the scan-bound cache, the recorded
+// ResetCache empties the result cache, the scan-bound cache, the recorded
 // execution feedback and the plan memo (benchmarks use this to measure
 // cold executions — cold statistics included).
 func (e *Engine) ResetCache() {
 	if e.cache != nil {
 		e.cache.reset()
 	}
-	if e.boundCache != nil {
-		e.boundCache.reset()
-	}
-	if e.fb != nil {
-		e.fb.reset()
-	}
-	if e.plans != nil {
-		e.plans.reset()
-	}
+	e.boundCache.reset()
+	e.fb.reset()
+	e.plans.reset()
 }
 
 // ShardStat reports one backend's cumulative evaluation load since the
@@ -501,26 +505,25 @@ func (e *Engine) optimize(t *topo, p Plan) Plan {
 	return Optimize(p)
 }
 
-// plan returns the optimized form of p, memoized by (canonical
-// expression key, feedback epoch, store generation). When execution
-// feedback advances the epoch the expression is re-planned under the
-// corrected estimates; the re-plan lands under the new epoch's key, never
-// evicting the plan the previous epoch produced — an in-flight execution
-// may still hold it, and reverting feedback restores it for free. When an
-// append advances the store generation, every memoized plan keys to a
-// generation that no longer exists and is simply never found again: a
-// plan chosen for a previous population never answers for the new one.
-// Opaque plans (per-compile keys) are planned fresh every time.
+// plan returns the optimized form of p, memoized by (feedback epoch,
+// canonical expression key) within the topology's generation. When
+// execution feedback advances the epoch the expression is re-planned under
+// the corrected estimates; the re-plan lands under the new epoch's key,
+// never evicting the plan the previous epoch produced — an in-flight
+// execution may still hold it, and reverting feedback restores it for
+// free. When an append advances the store generation the memo drops every
+// plan: a plan chosen for a previous population never answers for the new
+// one. Opaque plans (per-compile keys) are planned fresh every time.
 func (e *Engine) plan(t *topo, p Plan) Plan {
-	if e.plans == nil || e.fb == nil || !cacheable(p) {
+	if !cacheable(p) {
 		return e.optimize(t, p)
 	}
-	key := planMemoKey(p.Key(), e.fb.epochNow(), t.gen)
-	if op, ok := e.plans.get(key); ok {
+	key := planKey{epoch: e.fb.epoch.Load(), expr: p.Key()}
+	if op, ok := e.plans.get(t.gen, key); ok {
 		return op
 	}
 	op := e.optimize(t, p)
-	e.plans.put(key, op)
+	e.plans.put(t.gen, key, op)
 	return op
 }
 
@@ -528,12 +531,7 @@ func (e *Engine) plan(t *topo, p Plan) Plan {
 // whenever execution observes a cardinality the cost model did not
 // already know, and re-planning any expression under a new epoch may
 // produce a different (better-informed) plan.
-func (e *Engine) FeedbackEpoch() uint64 {
-	if e.fb == nil {
-		return 0
-	}
-	return e.fb.epochNow()
-}
+func (e *Engine) FeedbackEpoch() uint64 { return e.fb.epoch.Load() }
 
 // Execute compiles, optimizes and runs a query expression, returning the
 // matching patients as a bitset in global ordinal space. Under
@@ -655,14 +653,11 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	case None:
 		return t.empty(), nil, nil
 	}
+	key := p.Key()
 	useCache := e.cache != nil && cacheable(p)
-	key := ""
-	if useCache || e.fb != nil {
-		key = p.Key()
-		if useCache {
-			if b, ok := e.cache.get(t.gen, key); ok {
-				return b, nil, nil
-			}
+	if useCache {
+		if b, ok := e.cache.get(t.gen, key); ok {
+			return b.Clone(), nil, nil
 		}
 	}
 	var out *store.Bitset
@@ -701,11 +696,9 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	if len(missing) > 0 {
 		return out, missing, nil
 	}
-	if e.fb != nil {
-		e.fb.observe(t.gen, key, out.Count())
-	}
+	e.fb.observe(t.gen, key, out.Count())
 	if useCache {
-		e.cache.put(t.gen, key, out)
+		e.cache.put(t.gen, key, out.Clone())
 	}
 	return out, nil, nil
 }
@@ -723,7 +716,7 @@ func (e *Engine) evalMasked(ctx context.Context, t *topo, p Plan, mask *store.Bi
 	}
 	if e.cache != nil && cacheable(p) {
 		if b, ok := e.cache.get(t.gen, p.Key()); ok {
-			return b.And(mask), nil
+			return b.Clone().And(mask), nil
 		}
 	}
 	switch n := p.(type) {
@@ -783,7 +776,7 @@ func (e *Engine) evalAnd(ctx context.Context, t *topo, children []Plan, mask *st
 		// correlated predicates, and the canonical And key is
 		// order-insensitive, so a prefix recorded under one order is
 		// found again whatever order is tried next.
-		if mask == nil && e.fb != nil && i < len(children)-1 {
+		if mask == nil && i < len(children)-1 {
 			if i == 0 {
 				e.fb.observe(t.gen, c.Key(), acc.Count())
 			} else {
@@ -888,24 +881,20 @@ func (e *Engine) evalScan(ctx context.Context, t *topo, n Scan, mask *store.Bits
 // candidate bound, memoized by Scan key under the topology's generation
 // (opaque scans have per-compile keys, and the bound only depends on the
 // typed predicate structure, so sharing by key is sound). Bound-less
-// outcomes are memoized too — a zero-capacity sentinel — because deriving
-// "no bound" can still walk the code vocabulary (e.g. a Code branch
-// discarded by an unbounded sibling under Or).
+// outcomes are memoized too, as nil, because deriving "no bound" can still
+// walk the code vocabulary (e.g. a Code branch discarded by an unbounded
+// sibling under Or).
 func (e *Engine) cachedBound(t *topo, n Scan) *store.Bitset {
 	key := n.Key()
-	if b, ok := e.boundCache.get(t.gen, key); ok {
-		if b.Len() == 0 && t.n != 0 {
-			return nil // negative entry: no index bounds this scan
-		}
-		return b
-	}
-	bound := e.scanBound(t, n.Expr)
-	if bound == nil {
-		e.boundCache.put(t.gen, key, store.NewBitset(0))
-	} else {
+	bound, ok := e.boundCache.get(t.gen, key)
+	if !ok {
+		bound = e.scanBound(t, n.Expr)
 		e.boundCache.put(t.gen, key, bound)
 	}
-	return bound
+	if bound == nil {
+		return nil
+	}
+	return bound.Clone()
 }
 
 // scanBound derives a candidate superset for a scanned expression from

@@ -11,201 +11,63 @@ package engine
 // conjunction prefixes evalAnd materializes on the way to its result.
 //
 // Observations carry a monotonically increasing epoch. Plans are
-// memoized per (expression, epoch, store generation), so advancing
-// feedback triggers a re-plan under the corrected estimates without
-// evicting the plan an earlier epoch produced — both entries live in the
-// memo side by side.
+// memoized per (expression, epoch) within a store generation, so
+// advancing feedback triggers a re-plan under the corrected estimates
+// without evicting the plan an earlier epoch produced — both entries live
+// in the memo side by side.
 //
-// Observations are also scoped to the store generation they were measured
-// at: a cardinality observed before an append describes a population that
-// no longer exists, so feedback recorded against an old generation is
-// discarded on the first observation or lookup at a newer one, never
-// poisoning plans for the grown store. The epoch does NOT reset when the
-// generation advances — memo keys carry both components, so (epoch,
-// generation) pairs never recur.
+// Observations, like memoized plans, are scoped to the store generation
+// they were made at (both are epochLRUs): a cardinality observed before an
+// append describes a population that no longer exists, so it is dropped on
+// the first access at the newer generation. The epoch does NOT reset when
+// the generation advances; it only ever grows until ResetCache.
 
-import (
-	"container/list"
-	"strconv"
-	"sync"
-)
+import "sync/atomic"
 
 const (
 	// feedbackSize bounds the recorded observations (LRU).
 	feedbackSize = 4096
-	// planMemoSize bounds the memoized optimized plans (LRU).
-	planMemoSize = 256
+	// plansSize bounds the memoized optimized plans (LRU).
+	plansSize = 256
 )
 
-// feedback is a mutex-guarded LRU of observed true cardinalities, all
-// from one store generation at a time.
+// feedback holds the observed true cardinalities of one store generation
+// by plan key, and the statistics epoch they have reached.
 type feedback struct {
-	mu    sync.Mutex
-	max   int
-	epoch uint64
-	gen   uint64
-	ll    *list.List
-	byKey map[string]*list.Element
-}
-
-type fbEntry struct {
-	key  string
-	rows int
+	obs   *epochLRU[string, int]
+	epoch atomic.Uint64
 }
 
 func newFeedback(max int) *feedback {
-	return &feedback{max: max, ll: list.New(), byKey: make(map[string]*list.Element, max)}
+	return &feedback{obs: newEpochLRU[string, int](max)}
 }
 
 // observe records the true cardinality of an executed plan node, as
-// measured at store generation gen. Observations from a superseded
-// generation are discarded; the first observation at a newer generation
-// drops everything recorded before it. The epoch advances only when the
+// measured at store generation gen. The epoch advances only when the
 // observation is news — a fresh key, or a value that moved by more than
 // 10% — so repeated executions of a stable workload settle into a fixed
-// epoch and the plan memo stays hot.
+// epoch and the plan memo stays hot. An observation from a superseded
+// generation is discarded and advances nothing.
 func (f *feedback) observe(gen uint64, key string, rows int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if gen != f.gen {
-		if gen < f.gen {
-			return // measured against a population that no longer exists
-		}
-		f.clearLocked()
-		f.gen = gen
-	}
-	if el, ok := f.byKey[key]; ok {
-		e := el.Value.(*fbEntry)
-		f.ll.MoveToFront(el)
-		if d := e.rows - rows; d*10 <= e.rows && -d*10 <= e.rows {
+	if old, ok := f.obs.get(gen, key); ok {
+		if d := old - rows; d*10 <= old && -d*10 <= old {
 			return
 		}
-		e.rows = rows
-		f.epoch++
-		return
 	}
-	f.byKey[key] = f.ll.PushFront(&fbEntry{key: key, rows: rows})
-	f.epoch++
-	for f.ll.Len() > f.max {
-		el := f.ll.Back()
-		f.ll.Remove(el)
-		delete(f.byKey, el.Value.(*fbEntry).key)
+	if f.obs.put(gen, key, rows) {
+		f.epoch.Add(1)
 	}
 }
 
-// rowsFor returns the cardinality recorded at store generation gen for a
-// plan key, if any; observations from any other generation never answer.
-func (f *feedback) rowsFor(gen uint64, key string) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if gen != f.gen {
-		return 0, false
-	}
-	el, ok := f.byKey[key]
-	if !ok {
-		return 0, false
-	}
-	f.ll.MoveToFront(el)
-	return el.Value.(*fbEntry).rows, true
-}
-
-// size reports the number of recorded observations.
-func (f *feedback) size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ll.Len()
-}
-
-// epochNow returns the current stats epoch.
-func (f *feedback) epochNow() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
-}
-
-// clearLocked drops every observation; the caller holds f.mu.
-func (f *feedback) clearLocked() {
-	f.ll.Init()
-	f.byKey = make(map[string]*list.Element, f.max)
-}
-
+// reset drops every observation and restarts the epoch.
 func (f *feedback) reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.clearLocked()
-	f.epoch = 0
-	f.gen = 0
+	f.obs.reset()
+	f.epoch.Store(0)
 }
 
-// planMemo is a mutex-guarded LRU of optimized plans keyed by
-// (expression key, feedback epoch) — see planMemoKey. Plans are
-// immutable once built, so entries are shared, not cloned.
-type planMemo struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	byKey map[string]*list.Element
-}
-
-type planMemoEntry struct {
-	key string
-	p   Plan
-}
-
-func newPlanMemo(max int) *planMemo {
-	if max <= 0 {
-		return nil
-	}
-	return &planMemo{max: max, ll: list.New(), byKey: make(map[string]*list.Element, max)}
-}
-
-func (c *planMemo) get(key string) (Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*planMemoEntry).p, true
-}
-
-func (c *planMemo) put(key string, p Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*planMemoEntry).p = p
-		return
-	}
-	c.byKey[key] = c.ll.PushFront(&planMemoEntry{key: key, p: p})
-	for c.ll.Len() > c.max {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.byKey, el.Value.(*planMemoEntry).key)
-	}
-}
-
-func (c *planMemo) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *planMemo) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.byKey = make(map[string]*list.Element, c.max)
-}
-
-// planMemoKey builds the memo key for an expression at a feedback epoch
-// and store generation. Components are joined with NUL separators — a
-// byte no plan key contains (keys render from expression strings) — so
-// distinct (expression, epoch, generation) triples can never collide by
-// concatenation. The generation component is what guarantees a plan
-// memoized before an append is never reused after it: the old key is
-// simply never constructed again.
-func planMemoKey(exprKey string, epoch, gen uint64) string {
-	return strconv.FormatUint(gen, 10) + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + exprKey
+// planKey identifies a memoized optimized plan within a store generation:
+// the expression's canonical key under one feedback epoch.
+type planKey struct {
+	epoch uint64
+	expr  string
 }

@@ -148,7 +148,7 @@ func TestFeedbackEpochSettles(t *testing.T) {
 	if e.FeedbackEpoch() != settled {
 		t.Errorf("epoch kept advancing on a stable workload: %d → %d", settled, e.FeedbackEpoch())
 	}
-	if e.plans.len() == 0 {
+	if e.plans.stats(0).Entries == 0 {
 		t.Error("no plans memoized")
 	}
 }
@@ -178,35 +178,11 @@ func TestPlanMemoKeepsColdEntry(t *testing.T) {
 		t.Fatal("re-plan produced the cold plan; feedback had no effect")
 	}
 
-	if got, ok := e.plans.get(planMemoKey(p.Key(), epoch0, 0)); !ok || got.String() != cold.String() {
+	if got, ok := e.plans.get(0, planKey{epoch0, p.Key()}); !ok || got.String() != cold.String() {
 		t.Errorf("cold-epoch plan evicted or replaced (ok=%v)", ok)
 	}
-	if got, ok := e.plans.get(planMemoKey(p.Key(), epoch1, 0)); !ok || got.String() != warm.String() {
+	if got, ok := e.plans.get(0, planKey{epoch1, p.Key()}); !ok || got.String() != warm.String() {
 		t.Errorf("warm-epoch plan missing (ok=%v)", ok)
-	}
-}
-
-// TestPlanMemoKeyCollision: distinct (expression, epoch, generation)
-// triples must map to distinct memo keys even when naive concatenation
-// would collide.
-func TestPlanMemoKeyCollision(t *testing.T) {
-	triples := []struct {
-		key        string
-		epoch, gen uint64
-	}{
-		{"a", 1, 0}, {"a", 2, 0}, {"b", 1, 0},
-		{"a1", 2, 0}, {"1a", 2, 0}, {"a", 12, 0},
-		{"2\x00a", 1, 0}, {"a", 21, 0},
-		{"a", 1, 2}, {"a", 21, 1}, {"a", 2, 1},
-		{"1\x00a", 1, 1}, {"a", 11, 1}, {"a", 1, 11},
-	}
-	seen := make(map[string]int)
-	for i, p := range triples {
-		k := planMemoKey(p.key, p.epoch, p.gen)
-		if j, dup := seen[k]; dup {
-			t.Errorf("triples %d and %d collide on %q", j, i, k)
-		}
-		seen[k] = i
 	}
 }
 
@@ -227,12 +203,12 @@ func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
 	if cacheable(p) {
 		t.Fatal("plan with MatchFunc classified cacheable")
 	}
-	memoBefore := e.plans.len()
+	memoBefore := e.plans.stats(0).Entries
 	bits1, err := e.ExecutePlan(e.plan(e.topoNow(), p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.plans.len() != memoBefore {
+	if e.plans.stats(0).Entries != memoBefore {
 		t.Error("opaque plan was memoized")
 	}
 	// Same compiled plan, re-planned: feedback applies via the stable
@@ -258,9 +234,9 @@ func TestFeedbackResetWithCache(t *testing.T) {
 		t.Fatal("no feedback recorded")
 	}
 	e.ResetCache()
-	if e.FeedbackEpoch() != 0 || e.fb.size() != 0 || e.plans.len() != 0 {
-		t.Errorf("ResetCache left state: epoch=%d fb=%d plans=%d",
-			e.FeedbackEpoch(), e.fb.size(), e.plans.len())
+	fb, plans := e.fb.obs.stats(0).Entries, e.plans.stats(0).Entries
+	if e.FeedbackEpoch() != 0 || fb != 0 || plans != 0 {
+		t.Errorf("ResetCache left state: epoch=%d fb=%d plans=%d", e.FeedbackEpoch(), fb, plans)
 	}
 }
 
@@ -270,23 +246,31 @@ func TestFeedbackLRUBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.observe(0, fmt.Sprintf("k%d", i), i)
 	}
-	if f.size() != 8 {
-		t.Fatalf("size = %d, want 8", f.size())
+	if n := f.obs.stats(0).Entries; n != 8 {
+		t.Fatalf("size = %d, want 8", n)
 	}
-	if _, ok := f.rowsFor(0, "k0"); ok {
+	if _, ok := f.obs.get(0, "k0"); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if rows, ok := f.rowsFor(0, "k99"); !ok || rows != 99 {
+	if rows, ok := f.obs.get(0, "k99"); !ok || rows != 99 {
 		t.Errorf("newest entry = %d, %v", rows, ok)
 	}
-	// Confirmations within 10% must not advance the epoch.
-	before := f.epochNow()
+	// Confirmations within 10% neither replace the value nor advance the
+	// epoch.
+	before := f.epoch.Load()
 	f.observe(0, "k99", 95)
-	if f.epochNow() != before {
-		t.Error("a within-10% confirmation advanced the epoch")
+	if rows, _ := f.obs.get(0, "k99"); f.epoch.Load() != before || rows != 99 {
+		t.Errorf("a within-10%% confirmation advanced the epoch or replaced 99 by %d", rows)
 	}
 	f.observe(0, "k99", 9)
-	if f.epochNow() == before {
+	if f.epoch.Load() == before {
 		t.Error("a 10× cardinality shift did not advance the epoch")
+	}
+	// An observation at a superseded generation advances nothing.
+	f.observe(1, "k1", 1)
+	before = f.epoch.Load()
+	f.observe(0, "k2", 2)
+	if f.epoch.Load() != before {
+		t.Error("a stale-generation observation advanced the epoch")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"pastas/internal/model"
@@ -9,23 +8,27 @@ import (
 	"pastas/internal/store"
 )
 
-// memoKeys snapshots the plan memo's key set (white-box).
-func memoKeys(m *planMemo) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.byKey))
-	for k := range m.byKey {
-		out = append(out, k)
+// appendPatient appends one patient carrying a measurement per value,
+// advancing the store's generation.
+func appendPatient(t *testing.T, st *store.Store, id model.PatientID, values ...float64) {
+	t.Helper()
+	base := model.Date(2012, 1, 1)
+	h := model.NewHistory(model.Patient{ID: id, Birth: model.Date(1960, 1, 1)})
+	for i, v := range values {
+		h.Add(model.Entry{ID: uint64(id)*10 + uint64(i), Kind: model.Point, Start: base, End: base,
+			Type: model.TypeMeasurement, Source: model.Source(1), Value: v})
 	}
-	return out
+	if _, err := st.Append(store.AppendBatch{NewHistories: []*model.History{h}}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPlanMemoEpochedByGeneration: a plan memoized before an append must
-// never answer a query after it — the memo key carries the store
-// generation, so the post-append execution plans (and caches) under a
-// fresh key, and the engine's answer reflects the appended patient
-// immediately. This is the no-stale-answers contract observed directly
-// on the memo rather than through timing.
+// never answer a query after it — the memo holds one store generation,
+// so the post-append execution plans (and caches) afresh, and the engine's
+// answer reflects the appended patient immediately. This is the
+// no-stale-answers contract observed directly on the memo rather than
+// through timing.
 func TestPlanMemoEpochedByGeneration(t *testing.T) {
 	st := store.New(fbCollection(200))
 	e := New(st, Options{Shards: 2, CacheSize: 8})
@@ -35,26 +38,12 @@ func TestPlanMemoEpochedByGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys0 := memoKeys(e.plans)
-	if len(keys0) == 0 {
+	if len(e.plans.values(0)) == 0 {
 		t.Fatal("no plan memoized by the first execution")
-	}
-	for _, k := range keys0 {
-		if !strings.HasPrefix(k, "0\x00") {
-			t.Fatalf("pre-append memo key %q not under generation 0", k)
-		}
 	}
 
 	// Append one patient matching both conjuncts.
-	base := model.Date(2012, 1, 1)
-	h := model.NewHistory(model.Patient{ID: 10001, Birth: model.Date(1960, 1, 1)})
-	h.Add(model.Entry{ID: 100001, Kind: model.Point, Start: base, End: base,
-		Type: model.TypeMeasurement, Source: model.Source(1), Value: 25})
-	h.Add(model.Entry{ID: 100002, Kind: model.Point, Start: base, End: base,
-		Type: model.TypeMeasurement, Source: model.Source(1), Value: 1020})
-	if _, err := st.Append(store.AppendBatch{NewHistories: []*model.History{h}}); err != nil {
-		t.Fatal(err)
-	}
+	appendPatient(t, st, 10001, 25, 1020)
 
 	after, err := e.Execute(q)
 	if err != nil {
@@ -71,20 +60,17 @@ func TestPlanMemoEpochedByGeneration(t *testing.T) {
 		t.Fatal("appended patient missing from the post-append answer")
 	}
 
-	gen1 := false
-	for _, k := range memoKeys(e.plans) {
-		if strings.HasPrefix(k, "1\x00") {
-			gen1 = true
-			break
-		}
-	}
-	if !gen1 {
+	if len(e.plans.values(1)) == 0 {
 		t.Error("post-append execution did not memoize under generation 1")
+	}
+	if n := len(e.plans.values(0)); n != 0 {
+		t.Errorf("the memo still answers %d plans at generation 0", n)
 	}
 }
 
 // TestResultCacheEpochedByGeneration: the result cache keyed at the old
-// generation must miss after an append even for the identical expression.
+// generation must miss after an append even for the identical expression,
+// and CacheStats must count only the entries that can still answer.
 func TestResultCacheEpochedByGeneration(t *testing.T) {
 	st := store.New(fbCollection(100))
 	e := New(st, Options{Shards: 1, CacheSize: 8})
@@ -103,12 +89,14 @@ func TestResultCacheEpochedByGeneration(t *testing.T) {
 		t.Fatalf("warm re-execution diverged: %d vs %d", again.Count(), first.Count())
 	}
 
-	base := model.Date(2012, 1, 1)
-	h := model.NewHistory(model.Patient{ID: 20001, Birth: model.Date(1960, 1, 1)})
-	h.Add(model.Entry{ID: 200001, Kind: model.Point, Start: base, End: base,
-		Type: model.TypeMeasurement, Source: model.Source(1), Value: 10})
-	if _, err := st.Append(store.AppendBatch{NewHistories: []*model.History{h}}); err != nil {
-		t.Fatal(err)
+	if got := e.CacheStats(); got != (CacheStats{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Fatalf("warm stats = %+v", got)
+	}
+
+	appendPatient(t, st, 20001, 10)
+	// No cached entry can answer now; the lifetime counters stay.
+	if got := e.CacheStats(); got != (CacheStats{Hits: 1, Misses: 1}) {
+		t.Errorf("stats after append = %+v, want no live entries and the same counters", got)
 	}
 
 	fresh, err := e.Execute(q)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pastas/internal/query"
+	"pastas/internal/synth"
 )
 
 func mustExpr(t *testing.T, specJSON string) query.Expr {
@@ -32,7 +33,7 @@ func postJSON(t *testing.T, s *Server, path, body string) *httptest.ResponseReco
 }
 
 // TestCohortWorkspaceEndpoints walks the save → list → refine →
-// compare → drop loop over HTTP.
+// compare → drop → ingest → drop loop over HTTP.
 func TestCohortWorkspaceEndpoints(t *testing.T) {
 	s, wb := testServer(t, 200)
 	diag := `{"op":"has","type":"diagnosis"}`
@@ -145,6 +146,17 @@ func TestCohortWorkspaceEndpoints(t *testing.T) {
 	}
 	if rec := get(t, s, "/api/cohorts/dw?pw=tromsø"); rec.Code != http.StatusNotFound {
 		t.Fatalf("profile after drop = %d, want 404", rec.Code)
+	}
+
+	// An ingest invalidates every saved cohort: dropping diag is a 404 too.
+	bundle, _ := json.Marshal(synth.GenerateAppend(synth.DefaultConfig(200), 201, 202, 1))
+	if rec := postJSON(t, s, "/api/ingest?pw=tromsø", string(bundle)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body.String())
+	}
+	drec = httptest.NewRecorder()
+	s.ServeHTTP(drec, httptest.NewRequest(http.MethodDelete, "/api/cohorts/diag?pw=tromsø", nil))
+	if drec.Code != http.StatusNotFound || !strings.Contains(drec.Body.String(), "no_cohort") {
+		t.Errorf("drop after ingest = %d %s, want 404 no_cohort", drec.Code, drec.Body.String())
 	}
 }
 

@@ -3,49 +3,22 @@ package integrate
 import (
 	"testing"
 
+	"pastas/internal/sources"
 	"pastas/internal/synth"
 )
 
 // TestBuildDeterministicAcrossConcurrency: the concurrent staging pipeline
-// must produce byte-for-byte the same collection, entry IDs and report as
-// the serial one, whatever the worker count.
+// must produce byte-for-byte the same collection, entry IDs, sorted flags
+// and report as the serial one, whatever the worker count.
 func TestBuildDeterministicAcrossConcurrency(t *testing.T) {
-	bundle := synth.Generate(synth.DefaultConfig(400))
-
-	serialOpts := DefaultOptions()
-	serialOpts.Concurrency = 1
-	wantCol, wantRep, err := Build(bundle, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{0, 2, 6, 16} {
+	for _, bundle := range []*sources.Bundle{synth.Generate(synth.DefaultConfig(400)), hostileBundle()} {
 		opts := DefaultOptions()
-		opts.Concurrency = workers
-		col, rep, err := Build(bundle, opts)
-		if err != nil {
-			t.Fatalf("concurrency %d: %v", workers, err)
-		}
-		if *rep != *wantRep {
-			t.Fatalf("concurrency %d: report diverged\n got %s\nwant %s", workers, rep, wantRep)
-		}
-		if col.Len() != wantCol.Len() {
-			t.Fatalf("concurrency %d: %d patients, want %d", workers, col.Len(), wantCol.Len())
-		}
-		for i := 0; i < col.Len(); i++ {
-			got, want := col.At(i), wantCol.At(i)
-			if got.Patient != want.Patient {
-				t.Fatalf("concurrency %d: patient %d demographics diverged", workers, i)
-			}
-			if len(got.Entries) != len(want.Entries) {
-				t.Fatalf("concurrency %d: patient %s has %d entries, want %d",
-					workers, got.Patient.ID, len(got.Entries), len(want.Entries))
-			}
-			for j := range got.Entries {
-				if got.Entries[j] != want.Entries[j] {
-					t.Fatalf("concurrency %d: patient %s entry %d diverged:\n got %+v\nwant %+v",
-						workers, got.Patient.ID, j, got.Entries[j], want.Entries[j])
-				}
+		opts.Concurrency = 1
+		want := outcome(buildOnce(bundle, opts))
+		for _, workers := range []int{0, 2, 6, 16} {
+			opts.Concurrency = workers
+			if got := outcome(buildOnce(bundle, opts)); got != want {
+				t.Errorf("concurrency %d: %s, serial %s", workers, got, want)
 			}
 		}
 	}

@@ -10,17 +10,12 @@ package integrate
 // calls, and each Consume turns one bundle into a Batch of new histories
 // and per-patient entry appends that a mutable store can apply.
 //
-// Determinism carries over from Build: the registries stage in the same
-// fixed order and entry IDs are assigned sequentially during the merge,
-// so consuming the same bundles in the same order always produces the
-// same batches. Staging is sequential here (batches are small next to an
-// initial load, and the persistent dedup maps and the birth-date resolver
-// are single-threaded state); Build keeps its concurrent staging.
+// Consume runs Build's patient-major pipeline with one stager that persists
+// across batches (its dedup fingerprints and birth-date cache), so one
+// Consume on an empty consumer yields exactly Build's histories, entry IDs
+// and report, and the same bundles in the same order give the same batches.
 
 import (
-	"fmt"
-	"sort"
-
 	"pastas/internal/model"
 	"pastas/internal/sources"
 )
@@ -50,8 +45,7 @@ func (b *Batch) Empty() bool { return len(b.NewPatients) == 0 && len(b.Updates) 
 
 // Consumer integrates a stream of bundles incrementally.
 type Consumer struct {
-	opts   Options
-	ctx    *stageCtx
+	st     *stager
 	nextID uint64
 	total  Report
 }
@@ -68,17 +62,9 @@ func NewConsumer(opts Options, resolve func(uint64) (model.Time, bool), nextEntr
 	if nextEntryID == 0 {
 		nextEntryID = 1
 	}
-	return &Consumer{
-		opts: opts,
-		ctx: &stageCtx{
-			opts:    opts,
-			birthOf: make(map[uint64]model.Time),
-			resolve: resolve,
-			seenGP:  make(map[string]bool),
-			seenSp:  make(map[string]bool),
-		},
-		nextID: nextEntryID,
-	}
+	st := &stager{opts: opts, birthOf: make(map[uint64]model.Time), resolve: resolve,
+		seenGP: make(map[gpKey]bool), seenSp: make(map[spKey]bool)}
+	return &Consumer{st: st, nextID: nextEntryID}
 }
 
 // NextEntryID returns the ID the next staged entry will be assigned.
@@ -93,81 +79,28 @@ func (c *Consumer) TotalReport() Report { return c.total }
 // exactly as in Build.
 func (c *Consumer) Consume(b *sources.Bundle) (*Batch, error) {
 	rep := Report{RecordsIn: b.TotalRecords()}
-
-	newPatients := make(map[uint64]*model.History)
-	var order []uint64
-	for i := range b.Persons {
-		p := &b.Persons[i]
-		h, birth, err := personHistory(p)
-		if err != nil {
-			rep.DroppedUnparsable++
-			continue
-		}
-		if _, dup := newPatients[p.ID]; dup {
-			return nil, fmt.Errorf("integrate: duplicate person %d in demographic extract", p.ID)
-		}
-		if _, known := c.ctx.birthOf[p.ID]; known {
-			return nil, fmt.Errorf("integrate: person %d already integrated", p.ID)
-		}
-		if c.ctx.resolve != nil {
-			if _, known := c.ctx.resolve(p.ID); known {
-				return nil, fmt.Errorf("integrate: person %d already integrated", p.ID)
-			}
-		}
-		c.ctx.birthOf[p.ID] = birth
-		newPatients[p.ID] = h
-		order = append(order, p.ID)
+	known := func(id uint64) bool { _, ok := c.st.linked(id); return ok }
+	p, err := newPlan(b, c.nextID, known, &rep)
+	if err != nil {
+		return nil, err
 	}
+	c.st.openEnd = horizon(c.st.opts, b)
+	hists := p.run([]*stager{c.st}, c.nextID, &rep)
 
-	openEnd := c.opts.OpenIntervalEnd
-	if !openEnd.Valid() || openEnd == 0 {
-		openEnd = latestDate(b).AddDays(1)
-	}
-	c.ctx.openEnd = openEnd
-
-	// Same fixed registry order as Build; sequential because the ctx
-	// carries mutable cross-batch state.
-	results := []sourceResult{
-		c.ctx.stageGPClaims(b.GPClaims),
-		c.ctx.stagePrescriptions(b.Prescriptions),
-		c.ctx.stageEpisodes(b.Episodes),
-		c.ctx.stageMunicipal(b.Municipal),
-		c.ctx.stageSpecialist(b.Specialist),
-		c.ctx.stagePhysio(b.Physio),
-	}
-
-	updates := make(map[uint64][]model.Entry)
-	var updateOrder []uint64
-	for _, res := range results {
-		rep.add(res.rep)
-		for _, st := range res.staged {
-			e := st.entry
-			e.ID = c.nextID
-			c.nextID++
-			rep.EntriesOut++
-			if h, isNew := newPatients[st.person]; isNew {
-				h.Add(e)
-				continue
-			}
-			if _, seen := updates[st.person]; !seen {
-				updateOrder = append(updateOrder, st.person)
-			}
-			updates[st.person] = append(updates[st.person], e)
+	out := &Batch{}
+	for s, h := range hists {
+		switch {
+		case h == nil:
+		case p.isNew[s]:
+			c.st.birthOf[p.ids[s]] = h.Patient.Birth
+			out.NewPatients = append(out.NewPatients, h)
+		default:
+			out.Updates = append(out.Updates, Update{ID: h.Patient.ID, Entries: h.Entries})
 		}
 	}
-	rep.Patients = len(newPatients)
-
-	out := &Batch{Report: rep}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
-		h := newPatients[id]
-		h.Sort()
-		out.NewPatients = append(out.NewPatients, h)
-	}
-	sort.Slice(updateOrder, func(i, j int) bool { return updateOrder[i] < updateOrder[j] })
-	for _, id := range updateOrder {
-		out.Updates = append(out.Updates, Update{ID: model.PatientID(id), Entries: updates[id]})
-	}
+	rep.Patients = len(out.NewPatients)
+	out.Report = rep
+	c.nextID += uint64(rep.EntriesOut)
 
 	c.total.RecordsIn += rep.RecordsIn
 	c.total.EntriesOut += rep.EntriesOut

@@ -2,6 +2,7 @@ package integrate
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -186,14 +187,28 @@ func TestConsumerResolveFallback(t *testing.T) {
 
 // TestConsumerRejectsReintegratedPerson: a person record for an
 // already-known patient fails the bundle, whether known to the consumer
-// itself or only to the pre-existing store via resolve.
+// itself or only to the pre-existing store via resolve, and the failed
+// bundle records nothing. A bundle whose entry IDs would wrap fails too.
 func TestConsumerRejectsReintegratedPerson(t *testing.T) {
 	c := NewConsumer(DefaultOptions(), nil, 0)
 	if _, err := c.Consume(&sources.Bundle{Persons: onePerson()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Consume(&sources.Bundle{Persons: onePerson()}); err == nil {
+	fresh := sources.Person{ID: 5, BirthDate: "1970-01-01"}
+	if _, err := c.Consume(&sources.Bundle{Persons: append([]sources.Person{fresh}, onePerson()...)}); err == nil {
 		t.Error("re-delivered person accepted")
+	}
+	// Person 5 stays unknown to a later claim and can be delivered again.
+	b, err := c.Consume(&sources.Bundle{GPClaims: []sources.GPClaim{{Person: 5, Date: "2010-01-01"}}})
+	if err != nil || len(b.Updates) != 0 || b.Report.UnknownPersons != 1 {
+		t.Fatalf("a claim for the rejected person: %+v, %v", b, err)
+	}
+	if b, err := c.Consume(&sources.Bundle{Persons: []sources.Person{fresh}}); err != nil || len(b.NewPatients) != 1 {
+		t.Fatalf("re-delivering the rejected person: %v", err)
+	}
+	wrap := &sources.Bundle{Persons: onePerson(), GPClaims: []sources.GPClaim{{Person: 1, Date: "2010-01-01", ICPC: "T90"}}}
+	if _, err := NewConsumer(DefaultOptions(), nil, math.MaxUint64-1).Consume(wrap); err == nil {
+		t.Error("entry IDs wrapped")
 	}
 
 	resolve := func(person uint64) (model.Time, bool) { return model.Date(1950, 6, 1), person == 1 }

@@ -9,20 +9,30 @@
 // describes, and deriving interval entries (stays, services, medication
 // periods) alongside point events.
 //
-// The six registries are independent once the demographic extract is
-// loaded, so Build stages them concurrently: each source is parsed,
-// deduplicated and validated in its own goroutine into an ordered list of
-// staged entries, then the staged lists merge serially in fixed registry
-// order. Entry IDs are assigned during the merge, so the output —
-// collection, entry IDs and report — is byte-for-byte identical whatever
-// the concurrency level.
+// Integration runs patient by patient. One counting sort per registry
+// groups record indices by person; workers claim blocks of persons and
+// stage each person's six registries — in fixed registry order, records in
+// record order — into a reused scratch slice, then copy it into the
+// person's exactly-sized history and sort it. Entry IDs number entries
+// registry by registry, as if each registry were staged whole in turn: a
+// staged entry carries a provisional ID (its unit and its position in the
+// unit), and one prefix sum over the units' counts then turns these into
+// final IDs. The mapping is monotone, so sorting before renumbering gives
+// the same order, and the output — collection, entry IDs and report — is
+// byte-for-byte identical at any concurrency. Build and the incremental
+// Consumer share this one pipeline.
 package integrate
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pastas/internal/model"
 	"pastas/internal/sources"
@@ -39,9 +49,9 @@ type Options struct {
 	// OpenIntervalEnd closes still-running service intervals (empty To
 	// field). Zero means: one day past the latest date seen in the bundle.
 	OpenIntervalEnd model.Time
-	// Concurrency bounds how many registries stage at once: 0 means
-	// GOMAXPROCS, 1 forces the serial pipeline (the ingest benchmark's
-	// baseline). Output is identical at any setting.
+	// Concurrency bounds how many workers stage persons at once: 0 means
+	// GOMAXPROCS, 1 stages every person on one goroutine. Output is
+	// identical at any setting.
 	Concurrency int
 }
 
@@ -66,12 +76,14 @@ type Report struct {
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("integrate: %d records -> %d entries for %d patients (pre-birth %d, unparsable %d, duplicates %d, merged intervals %d, BP from text %d, codes from text %d, unknown persons %d)",
-		r.RecordsIn, r.EntriesOut, r.Patients, r.DroppedPreBirth, r.DroppedUnparsable,
-		r.DuplicatesCollapsed, r.MergedIntervals, r.BPFromText, r.CodesFromText, r.UnknownPersons)
+	return fmt.Sprint("integrate: ", r.RecordsIn, " records -> ", r.EntriesOut, " entries for ", r.Patients,
+		" patients (pre-birth ", r.DroppedPreBirth, ", unparsable ", r.DroppedUnparsable,
+		", duplicates ", r.DuplicatesCollapsed, ", merged intervals ", r.MergedIntervals,
+		", BP from text ", r.BPFromText, ", codes from text ", r.CodesFromText,
+		", unknown persons ", r.UnknownPersons, ")")
 }
 
-// add accumulates a per-source report delta.
+// add accumulates a per-stager report delta.
 func (r *Report) add(d Report) {
 	r.DroppedPreBirth += d.DroppedPreBirth
 	r.DroppedUnparsable += d.DroppedUnparsable
@@ -82,393 +94,497 @@ func (r *Report) add(d Report) {
 	r.UnknownPersons += d.UnknownPersons
 }
 
-// staged is one validated entry awaiting its ID and its history append.
-type staged struct {
-	person uint64
-	entry  model.Entry // ID assigned at merge time
+// Build runs the pipeline over a bundle.
+func Build(b *sources.Bundle, opts Options) (*model.Collection, *Report, error) {
+	report := Report{RecordsIn: b.TotalRecords()}
+	p, err := newPlan(b, 1, nil, &report)
+	if err != nil {
+		return nil, nil, err
+	}
+	workers := opts.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	openEnd := horizon(opts, b)
+	sts := make([]*stager, workers)
+	for w := range sts {
+		sts[w] = &stager{opts: opts, openEnd: openEnd, perPerson: true, seenGP: make(map[gpKey]bool), seenSp: make(map[spKey]bool)}
+	}
+	hists := p.run(sts, 1, &report)
+	// Only demographic records yield histories here: anyone else is
+	// unknown to Build, so everything staged for them was dropped.
+	col := model.MustCollection(slices.DeleteFunc(hists, func(h *model.History) bool { return h == nil })...)
+	report.Patients = col.Len()
+	return col, &report, nil
 }
 
-// sourceResult is one registry's staging output.
-type sourceResult struct {
-	staged []staged
-	rep    Report
+// The six registries, in the order that numbers entry IDs.
+const (
+	regGP = iota
+	regPrescription
+	regEpisode
+	regMunicipal
+	regSpecialist
+	regPhysio
+	numRegistries
+)
+
+// A provisional entry ID is unit<<subBits | sub: the entry's unit and its
+// position among the unit's staged entries. Units are numbered registry by
+// registry, one per record index — except that a person's municipal
+// services, whose periods merge across records, are one unit, at the
+// person's first position in the grouped index.
+const subBits = 32
+
+// plan groups a bundle's records by person. Slot s is person ids[s], in
+// ascending ID order over everyone the demographics or any registry
+// names; registry r's records for it are records(r, s), in record order.
+// pat[s] is the slot's demographic record when isNew[s]; counts holds each
+// unit's staged entries, then its first entry's offset.
+type plan struct {
+	b        *sources.Bundle
+	ids      []uint64
+	off, idx [numRegistries][]int32
+	pat      []model.Patient
+	isNew    []bool
+	unitBase [numRegistries]int
+	counts   []uint32
 }
 
-// stageCtx is the context the stagers share. Build uses it read-only, so
-// the six registries can stage concurrently. The incremental Consumer
-// reuses one stageCtx across batches and sets the mutable extensions —
-// persistent dedup maps (seenGP, seenSp) so a claim repeated in a later
-// batch still collapses, and a resolve fallback that looks up birth dates
-// of patients integrated before this consumer existed (cached into
-// birthOf on first hit). A ctx with resolve set or persistent dedup maps
-// must stage sequentially; Build leaves them nil.
-type stageCtx struct {
+// newPlan groups b's records by person and parses its demographics. A
+// person delivered twice, one known reports as integrated already, or a
+// bundle whose entries could overflow the numbering from next fails
+// before anything is staged.
+func newPlan(b *sources.Bundle, next uint64, known func(uint64) bool, rep *Report) (*plan, error) {
+	// A record stages at most three entries, an episode one more per
+	// secondary ICD: below MaxInt32, every index, unit, count and offset
+	// fits its int32 or uint32.
+	bound := uint64(3*b.TotalRecords() + len(b.Persons))
+	for i := range b.Episodes {
+		bound += uint64(len(b.Episodes[i].SecondaryICD))
+	}
+	if bound >= math.MaxInt32 || next+bound < next {
+		return nil, errors.New("integrate: bundle overflows the entry numbering")
+	}
+	// Number persons in first-seen order.
+	number := make(map[uint64]int32, len(b.Persons))
+	var first []uint64
+	visit := func(id uint64) int32 {
+		n, ok := number[id]
+		if !ok {
+			n = int32(len(first))
+			number[id] = n
+			first = append(first, id)
+		}
+		return n
+	}
+	persons := personsOf(b.Persons, func(r *sources.Person) uint64 { return r.ID }, visit)
+	tmp := [numRegistries][]int32{
+		personsOf(b.GPClaims, func(r *sources.GPClaim) uint64 { return r.Person }, visit),
+		personsOf(b.Prescriptions, func(r *sources.Prescription) uint64 { return r.Person }, visit),
+		personsOf(b.Episodes, func(r *sources.HospitalEpisode) uint64 { return r.Person }, visit),
+		personsOf(b.Municipal, func(r *sources.MunicipalService) uint64 { return r.Person }, visit),
+		personsOf(b.Specialist, func(r *sources.SpecialistClaim) uint64 { return r.Person }, visit),
+		personsOf(b.Physio, func(r *sources.PhysioClaim) uint64 { return r.Person }, visit),
+	}
+
+	order := make([]int32, len(first))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(first[x], first[y]) })
+	p := &plan{b: b, ids: make([]uint64, len(order))}
+	slot := make([]int32, len(order)) // first-seen number → slot
+	for s, n := range order {
+		p.ids[s] = first[n]
+		slot[n] = int32(s)
+	}
+
+	p.pat = make([]model.Patient, len(p.ids))
+	p.isNew = make([]bool, len(p.ids))
+	for i := range b.Persons {
+		pt, err := parsePerson(&b.Persons[i])
+		if err != nil {
+			rep.DroppedUnparsable++
+			continue
+		}
+		s := slot[persons[i]]
+		if p.isNew[s] {
+			return nil, fmt.Errorf("integrate: duplicate person %d in demographic extract", pt.ID)
+		}
+		if known != nil && known(uint64(pt.ID)) {
+			return nil, fmt.Errorf("integrate: person %d already integrated", pt.ID)
+		}
+		p.pat[s], p.isNew[s] = pt, true
+	}
+
+	// One counting sort per registry.
+	pos := make([]int32, len(p.ids))
+	units := 0
+	for r, recs := range tmp {
+		off := make([]int32, len(p.ids)+1)
+		for i, n := range recs {
+			recs[i] = slot[n]
+			off[recs[i]+1]++
+		}
+		for s := range p.ids {
+			off[s+1] += off[s]
+		}
+		copy(pos, off)
+		idx := make([]int32, len(recs))
+		for i, s := range recs {
+			idx[pos[s]] = int32(i)
+			pos[s]++
+		}
+		p.off[r], p.idx[r] = off, idx
+		p.unitBase[r], units = units, units+len(recs)
+	}
+	p.counts = make([]uint32, units)
+	return p, nil
+}
+
+// personsOf numbers the person of every record.
+func personsOf[T any](recs []T, person func(*T) uint64, visit func(uint64) int32) []int32 {
+	out := make([]int32, len(recs))
+	for i := range recs {
+		out[i] = visit(person(&recs[i]))
+	}
+	return out
+}
+
+// records returns registry r's record indices for slot s.
+func (p *plan) records(r, s int) []int32 { return p.idx[r][p.off[r][s]:p.off[r][s+1]] }
+
+// run stages every slot, one goroutine per stager claiming blocks of
+// slots, then renumbers the provisional IDs from next. hists[s] is the
+// sorted history of a new patient, the staged entries (in staging order,
+// under a bare patient record) of anyone else, or nil when there is
+// nothing.
+func (p *plan) run(sts []*stager, next uint64, rep *Report) []*model.History {
+	for _, st := range sts {
+		st.counts, st.rep = p.counts, Report{}
+	}
+	hists := make([]*model.History, len(p.ids))
+	parallel(len(sts), len(hists), func(w, s int) { hists[s] = sts[w].stagePerson(p, s) })
+	for _, st := range sts {
+		rep.add(st.rep)
+	}
+
+	var total uint32
+	for u, n := range p.counts {
+		p.counts[u] = total
+		total += n
+	}
+	parallel(len(sts), len(hists), func(_, s int) {
+		if h := hists[s]; h != nil {
+			for i := range h.Entries {
+				e := &h.Entries[i]
+				e.ID = next + uint64(p.counts[e.ID>>subBits]) + e.ID&(1<<subBits-1)
+			}
+		}
+	})
+	rep.EntriesOut += int(total)
+	return hists
+}
+
+// parallel calls fn(w, i) for every i in [0, n) on workers goroutines,
+// worker w claiming blocks of indices.
+func parallel(workers, n int, fn func(w, i int)) {
+	const block = 64
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := int(claimed.Add(block)) - block; lo < n; lo = int(claimed.Add(block)) - block {
+				for i := lo; i < min(lo+block, n); i++ {
+					fn(w, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sexOf maps the demographic extract's sex codes; any other is unknown.
+var sexOf = map[string]model.Sex{"F": model.SexFemale, "M": model.SexMale}
+
+// parsePerson parses one demographic record; the single place the person
+// → patient mapping rules live.
+func parsePerson(p *sources.Person) (model.Patient, error) {
+	birth, err := model.ParseDate(p.BirthDate)
+	return model.Patient{ID: model.PatientID(p.ID), Birth: birth, Sex: sexOf[p.Sex], Municipality: p.Municipality}, err
+}
+
+// horizon is the end given to still-running services: the option, or one
+// day past the latest date in the bundle.
+func horizon(opts Options, b *sources.Bundle) model.Time {
+	if end := opts.OpenIntervalEnd; end.Valid() && end != 0 {
+		return end
+	}
+	return latestDate(b).AddDays(1)
+}
+
+// stager stages one person at a time; each worker owns one. It carries
+// the linkage state the registry rules read — birth dates integrated by
+// earlier batches and the resolve fallback for patients integrated before
+// a Consumer existed (cached into birthOf on first hit) — the dedup
+// fingerprints, and the scratch a person's entries are staged into.
+type stager struct {
 	opts    Options
 	openEnd model.Time
 	birthOf map[uint64]model.Time
 	resolve func(uint64) (model.Time, bool)
-	seenGP  map[string]bool
-	seenSp  map[string]bool
+	seenGP  map[gpKey]bool
+	seenSp  map[spKey]bool
+	// perPerson forgets the fingerprints after each person (their key holds
+	// it); a Consumer keeps them so a claim re-delivered later collapses.
+	perPerson bool
+
+	counts    []uint32 // the plan's, while it runs
+	birth     model.Time
+	known     bool
+	unit, sub uint64
+	scratch   []model.Entry
+	order     []int32
+	periods   []openPeriod
+	rep       Report
+}
+
+// gpKey and spKey fingerprint a claim for duplicate collapsing.
+type gpKey struct {
+	person           uint64
+	date, icpc, text string
+	emergency        bool
+}
+
+type spKey struct {
+	person               uint64
+	date, icd, specialty string
+}
+
+// stagePerson stages slot s — its six registries in fixed order, each
+// registry's records in record order — and returns its output (see run).
+func (st *stager) stagePerson(p *plan, s int) *model.History {
+	b := p.b
+	st.scratch = st.scratch[:0]
+	st.birth, st.known = p.pat[s].Birth, p.isNew[s]
+	if !st.known {
+		st.birth, st.known = st.linked(p.ids[s])
+	}
+	stageEach(st, p, regGP, s, b.GPClaims, (*stager).gpClaim)
+	stageEach(st, p, regPrescription, s, b.Prescriptions, (*stager).prescription)
+	stageEach(st, p, regEpisode, s, b.Episodes, (*stager).episode)
+	st.unit, st.sub = uint64(p.unitBase[regMunicipal]+int(p.off[regMunicipal][s])), 0
+	st.municipal(b.Municipal, p.records(regMunicipal, s))
+	stageEach(st, p, regSpecialist, s, b.Specialist, (*stager).specialist)
+	stageEach(st, p, regPhysio, s, b.Physio, (*stager).physio)
+	if st.perPerson {
+		clear(st.seenGP)
+		clear(st.seenSp)
+	}
+
+	var es []model.Entry
+	if len(st.scratch) > 0 {
+		es = make([]model.Entry, len(st.scratch))
+		copy(es, st.scratch)
+	}
+	switch {
+	case p.isNew[s]:
+		h := model.RestoreHistory(p.pat[s], es)
+		h.Sort()
+		return h
+	case es != nil:
+		return &model.History{Patient: model.Patient{ID: model.PatientID(p.ids[s])}, Entries: es}
+	}
+	return nil
+}
+
+// stageEach stages registry r's records for slot s, each its own unit.
+func stageEach[T any](st *stager, p *plan, r, s int, recs []T, stage func(*stager, *T)) {
+	for _, i := range p.records(r, s) {
+		st.unit, st.sub = uint64(p.unitBase[r]+int(i)), 0
+		stage(st, &recs[i])
+	}
+}
+
+// linked returns the birth date of a person integrated before this
+// bundle: by an earlier batch, or before the Consumer existed.
+func (st *stager) linked(id uint64) (model.Time, bool) {
+	birth, ok := st.birthOf[id]
+	if !ok && st.resolve != nil {
+		if birth, ok = st.resolve(id); ok {
+			st.birthOf[id] = birth
+		}
+	}
+	return birth, ok
 }
 
 // admit validates linkage and the pre-birth rule.
-func (c *stageCtx) admit(person uint64, t model.Time, rep *Report) bool {
-	birth, ok := c.birthOf[person]
-	if !ok && c.resolve != nil {
-		if b, found := c.resolve(person); found {
-			birth, ok = b, true
-			c.birthOf[person] = b
-		}
-	}
-	if !ok {
-		rep.UnknownPersons++
+func (st *stager) admit(t model.Time) bool {
+	if !st.known {
+		st.rep.UnknownPersons++
 		return false
 	}
-	if t < birth {
-		rep.DroppedPreBirth++
+	if t < st.birth {
+		st.rep.DroppedPreBirth++
 		return false
 	}
 	return true
 }
 
-// Build runs the pipeline over a bundle.
-func Build(b *sources.Bundle, opts Options) (*model.Collection, *Report, error) {
-	report := Report{RecordsIn: b.TotalRecords()}
-	patients, order, birthOf, err := loadPersons(b.Persons, &report)
+// emit stages e under its provisional ID and counts it for its unit.
+func (st *stager) emit(e model.Entry) {
+	e.ID = st.unit<<subBits | st.sub
+	st.sub++
+	st.counts[st.unit] = uint32(st.sub)
+	st.scratch = append(st.scratch, e)
+}
+
+// date parses a record's date, counting the record unparsable when it
+// does not parse.
+func (st *stager) date(s string) (model.Time, bool) {
+	t, err := model.ParseDate(s)
 	if err != nil {
-		return nil, nil, err
+		st.rep.DroppedUnparsable++
 	}
-
-	openEnd := opts.OpenIntervalEnd
-	if !openEnd.Valid() || openEnd == 0 {
-		openEnd = latestDate(b).AddDays(1)
-	}
-	ctx := &stageCtx{opts: opts, openEnd: openEnd, birthOf: birthOf}
-
-	// Stage the six registries concurrently; the slice order fixes the
-	// merge order (and therefore entry IDs) regardless of which stager
-	// finishes first.
-	stagers := []func() sourceResult{
-		func() sourceResult { return ctx.stageGPClaims(b.GPClaims) },
-		func() sourceResult { return ctx.stagePrescriptions(b.Prescriptions) },
-		func() sourceResult { return ctx.stageEpisodes(b.Episodes) },
-		func() sourceResult { return ctx.stageMunicipal(b.Municipal) },
-		func() sourceResult { return ctx.stageSpecialist(b.Specialist) },
-		func() sourceResult { return ctx.stagePhysio(b.Physio) },
-	}
-	results := make([]sourceResult, len(stagers))
-	workers := opts.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, stage := range stagers {
-			wg.Add(1)
-			go func(i int, stage func() sourceResult) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i] = stage()
-			}(i, stage)
-		}
-		wg.Wait()
-	} else {
-		for i, stage := range stagers {
-			results[i] = stage()
-		}
-	}
-
-	// Deterministic merge: fixed registry order, sequential ID assignment.
-	nextID := uint64(1)
-	for _, res := range results {
-		report.add(res.rep)
-		for _, st := range res.staged {
-			e := st.entry
-			e.ID = nextID
-			nextID++
-			patients[st.person].Add(e)
-		}
-	}
-
-	col := &model.Collection{}
-	ids := make([]uint64, 0, len(patients))
-	ids = append(ids, order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := patients[id]
-		h.Sort()
-		if err := col.Add(h); err != nil {
-			return nil, nil, fmt.Errorf("integrate: %w", err)
-		}
-		report.EntriesOut += h.Len()
-	}
-	report.Patients = col.Len()
-	return col, &report, nil
+	return t, err == nil
 }
 
-// loadPersons builds the demographic skeleton: one empty history per
-// person, plus the birth-date map the stagers validate against.
-func loadPersons(ps []sources.Person, rep *Report) (map[uint64]*model.History, []uint64, map[uint64]model.Time, error) {
-	patients := make(map[uint64]*model.History, len(ps))
-	birthOf := make(map[uint64]model.Time, len(ps))
-	var order []uint64
-	for i := range ps {
-		p := &ps[i]
-		h, birth, err := personHistory(p)
-		if err != nil {
-			rep.DroppedUnparsable++
-			continue
-		}
-		if _, dup := patients[p.ID]; dup {
-			return nil, nil, nil, fmt.Errorf("integrate: duplicate person %d in demographic extract", p.ID)
-		}
-		patients[p.ID] = h
-		birthOf[p.ID] = birth
-		order = append(order, p.ID)
-	}
-	return patients, order, birthOf, nil
+// point is a point event at t.
+func point(t model.Time, src model.Source, typ model.Type, code model.Code) model.Entry {
+	return model.Entry{Kind: model.Point, Start: t, End: t, Source: src, Type: typ, Code: code}
 }
 
-// personHistory parses one demographic record into an empty history; the
-// single place the person → patient mapping rules live, shared by the
-// batch Build and the incremental Consumer.
-func personHistory(p *sources.Person) (*model.History, model.Time, error) {
-	birth, err := model.ParseDate(p.BirthDate)
-	if err != nil {
-		return nil, 0, err
+func (st *stager) gpClaim(cl *sources.GPClaim) {
+	t, ok := st.date(cl.Date)
+	if !ok {
+		return
 	}
-	sex := model.SexUnknown
-	switch p.Sex {
-	case "F":
-		sex = model.SexFemale
-	case "M":
-		sex = model.SexMale
+	key := gpKey{cl.Person, cl.Date, cl.ICPC, cl.Text, cl.Emergency}
+	if st.seenGP[key] {
+		st.rep.DuplicatesCollapsed++
+		return
 	}
-	h := model.NewHistory(model.Patient{
-		ID:           model.PatientID(p.ID),
-		Birth:        birth,
-		Sex:          sex,
-		Municipality: p.Municipality,
-	})
-	return h, birth, nil
+	st.seenGP[key] = true
+	if !st.admit(t) {
+		return
+	}
+	contact := point(t, model.SourceGP, model.TypeContact, model.Code{})
+	contact.Value, contact.Text = cl.Amount, cl.Text
+	st.emit(contact)
+
+	code := cl.ICPC
+	if code == "" && st.opts.ExtractFromText {
+		if m := sources.ExtractICPCMention(cl.Text); m != "" {
+			code = m
+			st.rep.CodesFromText++
+		}
+	}
+	if code != "" {
+		st.emit(point(t, model.SourceGP, model.TypeDiagnosis, model.Code{System: "ICPC2", Value: code}))
+	}
+
+	sys, dia := cl.Systolic, cl.Diastolic
+	if sys == 0 && st.opts.ExtractFromText {
+		if s, d, ok := sources.ExtractBP(cl.Text); ok {
+			sys, dia = s, d
+			st.rep.BPFromText++
+		}
+	}
+	if sys > 0 {
+		bp := point(t, model.SourceGP, model.TypeMeasurement, model.Code{})
+		bp.Value, bp.Aux = float64(sys), float64(dia)
+		st.emit(bp)
+	}
 }
 
-func (c *stageCtx) stageGPClaims(claims []sources.GPClaim) sourceResult {
-	var res sourceResult
-	seen := c.seenGP
-	if seen == nil {
-		seen = make(map[string]bool)
+func (st *stager) prescription(rx *sources.Prescription) {
+	t, ok := st.date(rx.Date)
+	if !ok || !st.admit(t) {
+		return
 	}
-	for i := range claims {
-		cl := &claims[i]
-		t, err := model.ParseDate(cl.Date)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		key := fmt.Sprintf("gp|%d|%s|%s|%v|%s", cl.Person, cl.Date, cl.ICPC, cl.Emergency, cl.Text)
-		if seen[key] {
-			res.rep.DuplicatesCollapsed++
-			continue
-		}
-		seen[key] = true
+	med := point(t, model.SourceGP, model.TypeMedication, model.Code{System: "ATC", Value: rx.ATC})
+	med.Kind, med.End = model.Interval, t.AddDays(max(rx.DurationDays, 1))
+	st.emit(med)
+}
 
-		if !c.admit(cl.Person, t, &res.rep) {
-			continue
-		}
-
-		src := model.SourceGP
-		res.staged = append(res.staged, staged{cl.Person, model.Entry{
-			Kind: model.Point, Start: t, End: t,
-			Source: src, Type: model.TypeContact,
-			Value: cl.Amount, Text: cl.Text,
-		}})
-
-		code := cl.ICPC
-		if code == "" && c.opts.ExtractFromText {
-			if m := sources.ExtractICPCMention(cl.Text); m != "" {
-				code = m
-				res.rep.CodesFromText++
+func (st *stager) episode(e *sources.HospitalEpisode) {
+	start, ok := st.date(e.Admitted)
+	if !ok || !st.admit(start) {
+		return
+	}
+	icd := func(v string) model.Code { return model.Code{System: "ICD10", Value: v} }
+	switch e.Mode {
+	case sources.ModeInpatient, sources.ModeDay:
+		stay := point(start, model.SourceHospital, model.TypeStay, icd(e.MainICD))
+		stay.Kind, stay.End = model.Interval, start.AddDays(1)
+		if e.Discharged != "" {
+			d, ok := st.date(e.Discharged)
+			if !ok {
+				return
+			}
+			if d > start {
+				stay.End = d
 			}
 		}
-		if code != "" {
-			res.staged = append(res.staged, staged{cl.Person, model.Entry{
-				Kind: model.Point, Start: t, End: t,
-				Source: src, Type: model.TypeDiagnosis,
-				Code: model.Code{System: "ICPC2", Value: code},
-			}})
-		}
+		st.emit(stay)
+	case sources.ModeOutpatient:
+		st.emit(point(start, model.SourceHospital, model.TypeContact, model.Code{}))
+	default:
+		st.rep.DroppedUnparsable++
+		return
+	}
+	if e.MainICD != "" {
+		st.emit(point(start, model.SourceHospital, model.TypeDiagnosis, icd(e.MainICD)))
+	}
+	for _, sec := range e.SecondaryICD {
+		st.emit(point(start, model.SourceHospital, model.TypeDiagnosis, icd(sec)))
+	}
+}
 
-		sys, dia := cl.Systolic, cl.Diastolic
-		if sys == 0 && c.opts.ExtractFromText {
-			if s, d, ok := sources.ExtractBP(cl.Text); ok {
-				sys, dia = s, d
-				res.rep.BPFromText++
+// municipal stages one person's services, one service at a time in
+// service order, so overlapping decisions of a service can merge.
+func (st *stager) municipal(recs []sources.MunicipalService, idx []int32) {
+	order := append(st.order[:0], idx...)
+	slices.SortStableFunc(order, func(x, y int32) int { return strings.Compare(recs[x].Service, recs[y].Service) })
+	st.order = order
+	for lo := 0; lo < len(order); {
+		service := recs[order[lo]].Service
+		periods := st.periods[:0]
+		for ; lo < len(order) && recs[order[lo]].Service == service; lo++ {
+			s := &recs[order[lo]]
+			from, ok := st.date(s.From)
+			to, open := st.openEnd, s.To == ""
+			if ok && !open {
+				to, ok = st.date(s.To)
 			}
-		}
-		if sys > 0 {
-			res.staged = append(res.staged, staged{cl.Person, model.Entry{
-				Kind: model.Point, Start: t, End: t,
-				Source: src, Type: model.TypeMeasurement,
-				Value: float64(sys), Aux: float64(dia),
-			}})
-		}
-	}
-	return res
-}
-
-func (c *stageCtx) stagePrescriptions(rxs []sources.Prescription) sourceResult {
-	var res sourceResult
-	for i := range rxs {
-		rx := &rxs[i]
-		t, err := model.ParseDate(rx.Date)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		if !c.admit(rx.Person, t, &res.rep) {
-			continue
-		}
-		days := rx.DurationDays
-		if days <= 0 {
-			days = 1
-		}
-		res.staged = append(res.staged, staged{rx.Person, model.Entry{
-			Kind: model.Interval, Start: t, End: t.AddDays(days),
-			Source: model.SourceGP, Type: model.TypeMedication,
-			Code: model.Code{System: "ATC", Value: rx.ATC},
-		}})
-	}
-	return res
-}
-
-func (c *stageCtx) stageEpisodes(eps []sources.HospitalEpisode) sourceResult {
-	var res sourceResult
-	for i := range eps {
-		e := &eps[i]
-		start, err := model.ParseDate(e.Admitted)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		if !c.admit(e.Person, start, &res.rep) {
-			continue
-		}
-
-		switch e.Mode {
-		case sources.ModeInpatient, sources.ModeDay:
-			end := start.AddDays(1)
-			if e.Discharged != "" {
-				d, err := model.ParseDate(e.Discharged)
-				if err != nil {
-					res.rep.DroppedUnparsable++
-					continue
-				}
-				if d > start {
-					end = d
-				}
-			}
-			res.staged = append(res.staged, staged{e.Person, model.Entry{
-				Kind: model.Interval, Start: start, End: end,
-				Source: model.SourceHospital, Type: model.TypeStay,
-				Code: model.Code{System: "ICD10", Value: e.MainICD},
-			}})
-		case sources.ModeOutpatient:
-			res.staged = append(res.staged, staged{e.Person, model.Entry{
-				Kind: model.Point, Start: start, End: start,
-				Source: model.SourceHospital, Type: model.TypeContact,
-			}})
-		default:
-			res.rep.DroppedUnparsable++
-			continue
-		}
-
-		if e.MainICD != "" {
-			res.staged = append(res.staged, staged{e.Person, model.Entry{
-				Kind: model.Point, Start: start, End: start,
-				Source: model.SourceHospital, Type: model.TypeDiagnosis,
-				Code: model.Code{System: "ICD10", Value: e.MainICD},
-			}})
-		}
-		for _, sec := range e.SecondaryICD {
-			res.staged = append(res.staged, staged{e.Person, model.Entry{
-				Kind: model.Point, Start: start, End: start,
-				Source: model.SourceHospital, Type: model.TypeDiagnosis,
-				Code: model.Code{System: "ICD10", Value: sec},
-			}})
-		}
-	}
-	return res
-}
-
-func (c *stageCtx) stageMunicipal(svcs []sources.MunicipalService) sourceResult {
-	var res sourceResult
-	// Group per person+service so overlapping decisions can merge.
-	type key struct {
-		person  uint64
-		service string
-	}
-	grouped := make(map[key][]openPeriod)
-	for i := range svcs {
-		s := &svcs[i]
-		from, err := model.ParseDate(s.From)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		to := c.openEnd
-		open := s.To == ""
-		if !open {
-			to, err = model.ParseDate(s.To)
-			if err != nil {
-				res.rep.DroppedUnparsable++
+			if !ok {
 				continue
 			}
+			if to <= from {
+				to = from.AddDays(1)
+			}
+			periods = append(periods, openPeriod{Period: model.Period{Start: from, End: to}, open: open})
 		}
-		if to <= from {
-			to = from.AddDays(1)
-		}
-		grouped[key{s.Person, s.Service}] = append(grouped[key{s.Person, s.Service}],
-			openPeriod{Period: model.Period{Start: from, End: to}, open: open})
-	}
-
-	// Deterministic iteration order.
-	keys := make([]key, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].person != keys[j].person {
-			return keys[i].person < keys[j].person
-		}
-		return keys[i].service < keys[j].service
-	})
-
-	for _, k := range keys {
-		periods := grouped[k]
-		if c.opts.MergeOverlappingServices {
+		st.periods = periods
+		if st.opts.MergeOverlappingServices {
 			merged := mergeOpenPeriods(periods)
-			res.rep.MergedIntervals += len(periods) - len(merged)
+			st.rep.MergedIntervals += len(periods) - len(merged)
 			periods = merged
 		}
 		typ := model.TypeService
-		if k.service == sources.ServiceNursing {
+		if service == sources.ServiceNursing {
 			typ = model.TypeStay
 		}
 		for _, p := range periods {
-			if !c.admit(k.person, p.Start, &res.rep) {
-				continue
+			if st.admit(p.Start) {
+				st.emit(model.Entry{Kind: model.Interval, Start: p.Start, End: p.End,
+					Source: model.SourceMunicipal, Type: typ, Text: service, OpenEnd: p.open})
 			}
-			res.staged = append(res.staged, staged{k.person, model.Entry{
-				Kind: model.Interval, Start: p.Start, End: p.End,
-				Source: model.SourceMunicipal, Type: typ,
-				Text: k.service, OpenEnd: p.open,
-			}})
 		}
 	}
-	return res
 }
 
 // openPeriod is a period whose end may be the extract horizon rather than
@@ -479,12 +595,14 @@ type openPeriod struct {
 }
 
 // mergeOpenPeriods merges overlapping or touching periods, propagating the
-// open-end flag when the merged tail came from an open record.
+// open-end flag when the merged tail came from an open record. The result
+// does not depend on the input order: a merged period ends at its
+// members' latest end, open when any member ending there is.
 func mergeOpenPeriods(ps []openPeriod) []openPeriod {
 	if len(ps) <= 1 {
 		return ps
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Start < ps[j].Start })
+	slices.SortFunc(ps, func(a, b openPeriod) int { return cmp.Compare(a.Start, b.Start) })
 	out := ps[:1]
 	for _, p := range ps[1:] {
 		last := &out[len(out)-1]
@@ -502,102 +620,51 @@ func mergeOpenPeriods(ps []openPeriod) []openPeriod {
 	return out
 }
 
-func (c *stageCtx) stageSpecialist(claims []sources.SpecialistClaim) sourceResult {
-	var res sourceResult
-	seen := c.seenSp
-	if seen == nil {
-		seen = make(map[string]bool)
+func (st *stager) specialist(cl *sources.SpecialistClaim) {
+	t, ok := st.date(cl.Date)
+	if !ok {
+		return
 	}
-	for i := range claims {
-		cl := &claims[i]
-		t, err := model.ParseDate(cl.Date)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		key := fmt.Sprintf("sp|%d|%s|%s|%s", cl.Person, cl.Date, cl.ICD, cl.Specialty)
-		if seen[key] {
-			res.rep.DuplicatesCollapsed++
-			continue
-		}
-		seen[key] = true
-		if !c.admit(cl.Person, t, &res.rep) {
-			continue
-		}
-		res.staged = append(res.staged, staged{cl.Person, model.Entry{
-			Kind: model.Point, Start: t, End: t,
-			Source: model.SourceSpecialist, Type: model.TypeContact,
-			Text: cl.Specialty,
-		}})
-		if cl.ICD != "" {
-			res.staged = append(res.staged, staged{cl.Person, model.Entry{
-				Kind: model.Point, Start: t, End: t,
-				Source: model.SourceSpecialist, Type: model.TypeDiagnosis,
-				Code: model.Code{System: "ICD10", Value: cl.ICD},
-			}})
-		}
+	key := spKey{cl.Person, cl.Date, cl.ICD, cl.Specialty}
+	if st.seenSp[key] {
+		st.rep.DuplicatesCollapsed++
+		return
 	}
-	return res
+	st.seenSp[key] = true
+	if !st.admit(t) {
+		return
+	}
+	contact := point(t, model.SourceSpecialist, model.TypeContact, model.Code{})
+	contact.Text = cl.Specialty
+	st.emit(contact)
+	if cl.ICD != "" {
+		st.emit(point(t, model.SourceSpecialist, model.TypeDiagnosis, model.Code{System: "ICD10", Value: cl.ICD}))
+	}
 }
 
-func (c *stageCtx) stagePhysio(claims []sources.PhysioClaim) sourceResult {
-	var res sourceResult
-	for i := range claims {
-		cl := &claims[i]
-		t, err := model.ParseDate(cl.Date)
-		if err != nil {
-			res.rep.DroppedUnparsable++
-			continue
-		}
-		if !c.admit(cl.Person, t, &res.rep) {
-			continue
-		}
-		res.staged = append(res.staged, staged{cl.Person, model.Entry{
-			Kind: model.Point, Start: t, End: t,
-			Source: model.SourcePhysio, Type: model.TypeContact,
-			Value: float64(cl.Sessions),
-		}})
-		if cl.ICPC != "" {
-			res.staged = append(res.staged, staged{cl.Person, model.Entry{
-				Kind: model.Point, Start: t, End: t,
-				Source: model.SourcePhysio, Type: model.TypeDiagnosis,
-				Code: model.Code{System: "ICPC2", Value: cl.ICPC},
-			}})
-		}
+func (st *stager) physio(cl *sources.PhysioClaim) {
+	t, ok := st.date(cl.Date)
+	if !ok || !st.admit(t) {
+		return
 	}
-	return res
-}
-
-// mergePeriods merges overlapping or touching periods.
-func mergePeriods(ps []model.Period) []model.Period {
-	if len(ps) <= 1 {
-		return ps
+	contact := point(t, model.SourcePhysio, model.TypeContact, model.Code{})
+	contact.Value = float64(cl.Sessions)
+	st.emit(contact)
+	if cl.ICPC != "" {
+		st.emit(point(t, model.SourcePhysio, model.TypeDiagnosis, model.Code{System: "ICPC2", Value: cl.ICPC}))
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Start < ps[j].Start })
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		last := &out[len(out)-1]
-		if p.Start <= last.End {
-			if p.End > last.End {
-				last.End = p.End
-			}
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // latestDate scans the bundle for the latest parsable date; used to close
-// still-open service intervals.
+// still-open service intervals. A parsable date is YYYY-MM-DD, so string
+// order is date order and only a string past the latest yet is parsed.
 func latestDate(b *sources.Bundle) model.Time {
-	latest := model.Time(0)
+	latest, last := model.Time(0), ""
 	consider := func(s string) {
-		if s == "" {
-			return
-		}
-		if t, err := model.ParseDate(s); err == nil && t > latest {
-			latest = t
+		if s > last {
+			if t, err := model.ParseDate(s); err == nil {
+				latest, last = max(latest, t), s
+			}
 		}
 	}
 	for i := range b.GPClaims {

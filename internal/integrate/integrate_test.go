@@ -1,6 +1,7 @@
 package integrate
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -308,25 +309,6 @@ func TestHistoriesSortedAfterBuild(t *testing.T) {
 	}
 }
 
-func TestMergePeriods(t *testing.T) {
-	ps := []model.Period{
-		{Start: 100, End: 200},
-		{Start: 150, End: 250},
-		{Start: 250, End: 300}, // touching merges too
-		{Start: 400, End: 500},
-	}
-	got := mergePeriods(ps)
-	if len(got) != 2 {
-		t.Fatalf("merged = %v", got)
-	}
-	if got[0].Start != 100 || got[0].End != 300 || got[1].Start != 400 {
-		t.Errorf("merged = %v", got)
-	}
-	if out := mergePeriods(nil); len(out) != 0 {
-		t.Error("empty merge broken")
-	}
-}
-
 func TestOpenEndFlagPropagates(t *testing.T) {
 	b := &sources.Bundle{
 		Persons: onePerson(),
@@ -360,21 +342,23 @@ func TestOpenEndFlagPropagates(t *testing.T) {
 }
 
 func TestMergeOpenPeriodsFlagPropagation(t *testing.T) {
-	ps := []openPeriod{
-		{Period: model.Period{Start: 0, End: 100}, open: false},
-		{Period: model.Period{Start: 50, End: 300}, open: true}, // extends the tail
+	period := func(start, end model.Time, open bool) openPeriod {
+		return openPeriod{Period: model.Period{Start: start, End: end}, open: open}
 	}
-	got := mergeOpenPeriods(ps)
-	if len(got) != 1 || !got[0].open || got[0].End != 300 {
-		t.Errorf("merged = %+v", got)
-	}
-	// Closed period extending past an open one clears the flag.
-	ps = []openPeriod{
-		{Period: model.Period{Start: 0, End: 100}, open: true},
-		{Period: model.Period{Start: 50, End: 300}, open: false},
-	}
-	got = mergeOpenPeriods(ps)
-	if len(got) != 1 || got[0].open {
-		t.Errorf("merged = %+v", got)
+	for _, tc := range []struct {
+		name     string
+		in, want []openPeriod
+	}{
+		{"empty input", nil, nil},
+		{"open tail extends", []openPeriod{period(0, 100, false), period(50, 300, true)}, []openPeriod{period(0, 300, true)}},
+		{"closed tail clears the flag", []openPeriod{period(0, 100, true), period(50, 300, false)}, []openPeriod{period(0, 300, false)}},
+		{"equal ends keep an open flag", []openPeriod{period(0, 300, false), period(50, 300, true)}, []openPeriod{period(0, 300, true)}},
+		{"overlapping and touching merge, gaps stay", []openPeriod{
+			period(400, 500, false), period(150, 250, false), period(100, 200, false), period(250, 300, false),
+		}, []openPeriod{period(100, 300, false), period(400, 500, false)}},
+	} {
+		if got := mergeOpenPeriods(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: merged = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -309,6 +309,25 @@ func TestHistoriesSortedAfterBuild(t *testing.T) {
 	}
 }
 
+func TestMergePeriods(t *testing.T) {
+	closed := func(start, end model.Time) openPeriod {
+		return openPeriod{Period: model.Period{Start: start, End: end}}
+	}
+	ps := []openPeriod{
+		closed(400, 500),
+		closed(150, 250),
+		closed(100, 200),
+		closed(250, 300), // touching merges too
+	}
+	want := []openPeriod{closed(100, 300), closed(400, 500)} // the gap stays
+	if got := mergeOpenPeriods(ps); !reflect.DeepEqual(got, want) {
+		t.Errorf("merged = %+v, want %+v", got, want)
+	}
+	if out := mergeOpenPeriods(nil); len(out) != 0 {
+		t.Error("empty merge broken")
+	}
+}
+
 func TestOpenEndFlagPropagates(t *testing.T) {
 	b := &sources.Bundle{
 		Persons: onePerson(),
@@ -349,13 +368,9 @@ func TestMergeOpenPeriodsFlagPropagation(t *testing.T) {
 		name     string
 		in, want []openPeriod
 	}{
-		{"empty input", nil, nil},
 		{"open tail extends", []openPeriod{period(0, 100, false), period(50, 300, true)}, []openPeriod{period(0, 300, true)}},
 		{"closed tail clears the flag", []openPeriod{period(0, 100, true), period(50, 300, false)}, []openPeriod{period(0, 300, false)}},
 		{"equal ends keep an open flag", []openPeriod{period(0, 300, false), period(50, 300, true)}, []openPeriod{period(0, 300, true)}},
-		{"overlapping and touching merge, gaps stay", []openPeriod{
-			period(400, 500, false), period(150, 250, false), period(100, 200, false), period(250, 300, false),
-		}, []openPeriod{period(100, 300, false), period(400, 500, false)}},
 	} {
 		if got := mergeOpenPeriods(tc.in); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: merged = %+v, want %+v", tc.name, got, tc.want)

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"pastas/internal/model"
 	"pastas/internal/query"
+	"pastas/internal/store"
 )
 
 // TestSnapshotShardedEngineParity is the round-trip gate CI runs under
@@ -134,4 +136,52 @@ func TestSaveDuringQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotAllocationBudget: the Save → Open round trip allocates what
+// it keeps. Save sizes each history segment from its entry count, so it
+// allocates at most twice the snapshot it writes; Open reads a sized input
+// into exactly sized segments and decodes one string per distinct text,
+// so it makes well under one allocation per entry.
+func TestSnapshotAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		// CI's race pass runs -short; the budget is measured without it.
+		t.Skip("allocation budget is measured without -short")
+	}
+	wb := testWorkbench(t, 2000)
+	measure := func(fn func() error) (bytes, mallocs uint64) {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := fn()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	// Save once to learn the size, then into a destination grown to it,
+	// so only Save's own allocations count.
+	var probe bytes.Buffer
+	if _, err := wb.Save(&probe, SnapshotOptions{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, probe.Len()))
+	var info *store.SnapshotInfo
+	saved, _ := measure(func() (err error) {
+		info, err = wb.Save(buf, SnapshotOptions{Shards: 4})
+		return err
+	})
+	_, opened := measure(func() error {
+		_, err := Open(bytes.NewReader(buf.Bytes()), wb.Window)
+		return err
+	})
+	saveRatio, perEntry := float64(saved)/float64(info.Bytes), float64(opened)/float64(info.Entries)
+	t.Logf("%d entries, %d-byte snapshot: Save allocated %.2f× its bytes, Open %.2f allocations per entry", info.Entries, info.Bytes, saveRatio, perEntry)
+	if saveRatio > 2 {
+		t.Errorf("Save allocated %d bytes for a %d-byte snapshot (%.2f×); budget 2×", saved, info.Bytes, saveRatio)
+	}
+	if perEntry > 0.3 {
+		t.Errorf("Open made %.2f allocations per entry; budget 0.3", perEntry)
+	}
 }

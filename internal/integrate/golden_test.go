@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"pastas/internal/model"
 	"pastas/internal/sources"
@@ -14,13 +15,18 @@ import (
 )
 
 // digest hashes every field of every entry (the ID included), each
-// patient's demographics and sorted flag, and the report.
+// patient's demographics and sorted flag, and the report. Entries are
+// rendered field by field, in the order and form %#v gave model.Entry when
+// the digests were taken — with the owning patient's ID as its Patient —
+// so reordering or dropping fields of the struct leaves the digests alone.
 func digest(hs []*model.History, rep *Report) string {
 	h := sha256.New()
 	for _, hist := range hs {
 		fmt.Fprintf(h, "%#v %v\n", hist.Patient, hist.Sorted())
 		for i := range hist.Entries {
-			fmt.Fprintf(h, "%#v\n", hist.Entries[i])
+			e := &hist.Entries[i]
+			fmt.Fprintf(h, "model.Entry{ID:%#v, Patient:%#v, Kind:%#v, Start:%#v, End:%#v, Source:%#v, Type:%#v, Code:%#v, Value:%#v, Aux:%#v, Text:%#v, OpenEnd:%#v}\n",
+				e.ID, hist.Patient.ID, e.Kind, e.Start, e.End, e.Source, e.Type, e.Code, e.Value, e.Aux, e.Text, e.OpenEnd)
 		}
 	}
 	fmt.Fprintf(h, "%#v", *rep)
@@ -158,6 +164,37 @@ func TestBuildAllocationBudget(t *testing.T) {
 	t.Logf("%d entries: %.0f B and %.2f allocations per entry", rep.EntriesOut, perEntry, allocs)
 	if perEntry > 256 || allocs > 0.5 {
 		t.Errorf("Build allocated %.0f B and %.2f allocations per entry; budget 256 B and 0.5", perEntry, allocs)
+	}
+}
+
+// TestBuildSharesTexts: Build's output holds one string per distinct
+// entry text — every entry with an equal text points at the same bytes —
+// not one per record. Each worker keeps its own copies, so this runs one.
+func TestBuildSharesTexts(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Concurrency = 1
+	hs, _, err := buildOnce(synth.Generate(synth.DefaultConfig(500)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := map[string]*byte{}
+	texts := 0
+	for _, h := range hs {
+		for i := range h.Entries {
+			s := h.Entries[i].Text
+			if s == "" {
+				continue
+			}
+			texts++
+			if p, ok := backing[s]; !ok {
+				backing[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("history %s entry %d: text %q is a second copy", h.Patient.ID, i, s)
+			}
+		}
+	}
+	if texts < 2*len(backing) {
+		t.Fatalf("fixture has %d texts over %d distinct values; want repeats", texts, len(backing))
 	}
 }
 

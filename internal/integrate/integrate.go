@@ -262,7 +262,7 @@ func (p *plan) records(r, s int) []int32 { return p.idx[r][p.off[r][s]:p.off[r][
 // nothing.
 func (p *plan) run(sts []*stager, next uint64, rep *Report) []*model.History {
 	for _, st := range sts {
-		st.counts, st.rep = p.counts, Report{}
+		st.counts, st.rep, st.texts = p.counts, Report{}, make(map[string]string)
 	}
 	hists := make([]*model.History, len(p.ids))
 	parallel(len(sts), len(hists), func(w, s int) { hists[s] = sts[w].stagePerson(p, s) })
@@ -350,6 +350,7 @@ type stager struct {
 	order     []int32
 	periods   []openPeriod
 	rep       Report
+	texts     map[string]string // one copy of each text staged this call
 }
 
 // gpKey and spKey fingerprint a claim for duplicate collapsing.
@@ -434,6 +435,17 @@ func (st *stager) admit(t model.Time) bool {
 	return true
 }
 
+// text returns the stager's one copy of s for this call, so the entries
+// of every record with the same text share one string rather than pinning
+// a string per record.
+func (st *stager) text(s string) string {
+	if t, ok := st.texts[s]; ok {
+		return t
+	}
+	st.texts[s] = s
+	return s
+}
+
 // emit stages e under its provisional ID and counts it for its unit.
 func (st *stager) emit(e model.Entry) {
 	e.ID = st.unit<<subBits | st.sub
@@ -472,7 +484,7 @@ func (st *stager) gpClaim(cl *sources.GPClaim) {
 		return
 	}
 	contact := point(t, model.SourceGP, model.TypeContact, model.Code{})
-	contact.Value, contact.Text = cl.Amount, cl.Text
+	contact.Value, contact.Text = cl.Amount, st.text(cl.Text)
 	st.emit(contact)
 
 	code := cl.ICPC
@@ -581,7 +593,7 @@ func (st *stager) municipal(recs []sources.MunicipalService, idx []int32) {
 		for _, p := range periods {
 			if st.admit(p.Start) {
 				st.emit(model.Entry{Kind: model.Interval, Start: p.Start, End: p.End,
-					Source: model.SourceMunicipal, Type: typ, Text: service, OpenEnd: p.open})
+					Source: model.SourceMunicipal, Type: typ, Text: st.text(service), OpenEnd: p.open})
 			}
 		}
 	}
@@ -635,7 +647,7 @@ func (st *stager) specialist(cl *sources.SpecialistClaim) {
 		return
 	}
 	contact := point(t, model.SourceSpecialist, model.TypeContact, model.Code{})
-	contact.Text = cl.Specialty
+	contact.Text = st.text(cl.Specialty)
 	st.emit(contact)
 	if cl.ICD != "" {
 		st.emit(point(t, model.SourceSpecialist, model.TypeDiagnosis, model.Code{System: "ICD10", Value: cl.ICD}))

@@ -128,22 +128,19 @@ func (c Code) String() string {
 
 // Entry is one event or interval in a patient history. Entries are value
 // types; collections hold them in contiguous slices so that scanning a
-// 168,000-patient data set stays cache-friendly.
+// 168,000-patient data set stays cache-friendly. An entry does not name
+// its patient: it belongs to the history whose slice holds it.
+//
+// The fields are ordered by size so the four one-byte fields share the
+// last word: 8+8+8+32+8+8+16+4·1 rounds to 96 bytes, with no padding
+// between fields.
 type Entry struct {
 	// ID is unique within a collection and stable across snapshots.
 	ID uint64
-	// Patient is the owning patient.
-	Patient PatientID
-	// Kind says whether End is meaningful.
-	Kind Kind
 	// Start is when the event happened, or the interval began.
 	Start Time
 	// End is the interval end (exclusive); equals Start for point events.
 	End Time
-	// Source is the registry the entry was aggregated from.
-	Source Source
-	// Type classifies the entry.
-	Type Type
 	// Code is the clinical code, when coded.
 	Code Code
 	// Value carries a numeric payload: systolic blood pressure for
@@ -154,6 +151,12 @@ type Entry struct {
 	// Text is the free-text fragment attached to the record, when any.
 	// The paper extracts limited structure from such text with regexes.
 	Text string
+	// Kind says whether End is meaningful.
+	Kind Kind
+	// Source is the registry the entry was aggregated from.
+	Source Source
+	// Type classifies the entry.
+	Type Type
 	// OpenEnd marks intervals whose true end is unknown (a service still
 	// running at extract time); End then holds the extract horizon. The
 	// renderer draws these with an uncertainty fade, after the interval

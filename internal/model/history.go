@@ -19,9 +19,11 @@ func NewHistory(p Patient) *History {
 	return &History{Patient: p, sorted: true}
 }
 
-// Add appends an entry, invalidating sort order until Sort is called.
+// Add appends an entry, invalidating sort order until Sort is called. The
+// slice grows by append, so a history built entry by entry can carry up to
+// twice its length in capacity; paths that know the final size build the
+// slice themselves and hand it to RestoreHistory.
 func (h *History) Add(e Entry) {
-	e.Patient = h.Patient.ID
 	h.Entries = append(h.Entries, e)
 	h.sorted = false
 }
@@ -85,15 +87,12 @@ func (h *History) SortedEntries() []Entry {
 	return c
 }
 
-// RestoreHistory rebuilds a history from a decoded patient record and
-// entry slice, adopting the slice without copying. Every entry is stamped
-// with the owning patient (the invariant Add maintains), and the sorted
-// flag is derived by a linear scan so a snapshot claiming order cannot
-// smuggle an unsorted history past Sort's idempotence check.
+// RestoreHistory rebuilds a history from a patient record and an entry
+// slice, adopting the slice without copying: the entries belong to p by
+// living in its history. The sorted flag is derived by a linear scan so a
+// snapshot claiming order cannot smuggle an unsorted history past Sort's
+// idempotence check.
 func RestoreHistory(p Patient, entries []Entry) *History {
-	for i := range entries {
-		entries[i].Patient = p.ID
-	}
 	return &History{Patient: p, Entries: entries, sorted: entriesSorted(entries)}
 }
 
@@ -222,6 +221,7 @@ func (h *History) Clone() *History {
 
 // Validate checks the history and every entry, including the paper's
 // pre-birth rule: entries dated before the patient's birth are invalid.
+// Ownership needs no check: an entry's patient is the history holding it.
 func (h *History) Validate() error {
 	if err := h.Patient.Validate(); err != nil {
 		return err
@@ -230,9 +230,6 @@ func (h *History) Validate() error {
 		e := &h.Entries[i]
 		if err := e.Validate(); err != nil {
 			return err
-		}
-		if e.Patient != h.Patient.ID {
-			return fmt.Errorf("model: history %s: entry %d owned by %s", h.Patient.ID, e.ID, e.Patient)
 		}
 		if e.Start < h.Patient.Birth {
 			return fmt.Errorf("model: history %s: entry %d predates birth", h.Patient.ID, e.ID)

@@ -41,7 +41,7 @@ func TestSortedEntriesDoesNotMutate(t *testing.T) {
 func TestRestoreHistory(t *testing.T) {
 	p := Patient{ID: 42, Birth: Date(1960, 2, 2)}
 
-	// Sorted input: flag set, entries adopted in place, owner stamped.
+	// Sorted input: flag set, entries adopted in place.
 	sorted := []Entry{
 		{ID: 1, Kind: Point, Start: Date(2011, 1, 1), End: Date(2011, 1, 1)},
 		{ID: 2, Kind: Point, Start: Date(2011, 5, 1), End: Date(2011, 5, 1)},
@@ -52,11 +52,6 @@ func TestRestoreHistory(t *testing.T) {
 	}
 	if &h.Entries[0] != &sorted[0] {
 		t.Error("RestoreHistory copied instead of adopting")
-	}
-	for i := range h.Entries {
-		if h.Entries[i].Patient != p.ID {
-			t.Errorf("entry %d owner = %v", i, h.Entries[i].Patient)
-		}
 	}
 
 	// Unsorted input: the flag must stay false so Sort still works.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func newTestPatient(id PatientID) Patient {
@@ -38,6 +39,17 @@ func TestEntryValidate(t *testing.T) {
 	iv.End = NoTime
 	if err := iv.Validate(); err == nil {
 		t.Error("interval without end must fail")
+	}
+}
+
+// TestEntryLayout pins the resident entry at 96 bytes. Three word-sized
+// fields, the two-string Code, two floats and Text come first; the four
+// one-byte fields (Kind, Source, Type, OpenEnd) share the last word. A
+// one-byte field placed between word-sized ones pads a whole word, and a
+// 3.2M-entry store pays that 3.2M times.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 96 {
+		t.Errorf("model.Entry is %d bytes, want 96", got)
 	}
 }
 

@@ -310,15 +310,12 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		}
 		i, _ := cur.ordinalOf(u.ID)
 		old := hists2[i]
-		// Build the merged history through the public History API and
-		// sort before publishing: a published history must have its
-		// sorted flag set, or concurrent readers calling Sort would race.
-		merged := model.NewHistory(old.Patient)
-		for j := range old.Entries {
-			merged.Add(old.Entries[j])
-		}
+		// Build the merged history at its exact size and sort before
+		// publishing: a published history must have its sorted flag set,
+		// or concurrent readers calling Sort would race.
+		es := make([]model.Entry, 0, len(old.Entries)+len(u.Entries))
+		merged := model.RestoreHistory(old.Patient, append(append(es, old.Entries...), u.Entries...))
 		for j := range u.Entries {
-			merged.Add(u.Entries[j])
 			mark(i, &u.Entries[j])
 		}
 		merged.Sort()

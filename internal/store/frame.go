@@ -11,7 +11,7 @@ import (
 )
 
 // The analysis frame: a revision's histories as the analyzer kinds read
-// them. A model.Entry is 120 bytes behind two pointers, and a cohort is a
+// them. A model.Entry is 96 bytes behind two pointers, and a cohort is a
 // percent of the population, so a map step over histories is one cold
 // pointer chase per patient and another per entry slice. The frame holds
 // the same entries as 24-byte pointer-free cells in one slab, in

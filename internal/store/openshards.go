@@ -162,12 +162,12 @@ func validateSnapshotSize(info *SnapshotInfo, size int64) error {
 }
 
 // readerSize discovers an io.Reader's total size when it can be known
-// without disturbing the stream (files via Stat, in-memory readers via
-// Size); ok=false otherwise.
+// without disturbing the stream (regular files via Stat, in-memory readers
+// via Size); ok=false otherwise — a pipe's Stat size is not its length.
 func readerSize(r io.Reader) (int64, bool) {
 	switch v := r.(type) {
 	case interface{ Stat() (os.FileInfo, error) }:
-		if fi, err := v.Stat(); err == nil {
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
 			return fi.Size(), true
 		}
 	case interface{ Size() int64 }:

@@ -86,10 +86,16 @@ func (w *segWriter) code(c model.Code) {
 
 // encodeSegment serializes a contiguous run of histories. Entries are
 // written in chronological order via SortedEntries, which never reorders
-// the shared live slice (save is read-only; see the store.Save fix).
+// the shared live slice (save is read-only; see the store.Save fix). The
+// buffer is sized from the run's entry count: the synthetic population
+// encodes in about 21 bytes per entry, so it rarely grows, and then once.
 func encodeSegment(hs []*model.History) []byte {
+	n := 0
+	for _, h := range hs {
+		n += h.Len()
+	}
 	w := &segWriter{
-		buf:   make([]byte, 0, 64*len(hs)),
+		buf:   make([]byte, 0, 16*len(hs)+24*n),
 		codes: make(map[model.Code]uint64),
 	}
 	w.uvarint(uint64(len(hs)))
@@ -155,6 +161,9 @@ type segReader struct {
 	buf []byte
 	off int
 	err error
+	// texts holds one copy of each distinct entry text read so far; it is
+	// made on the first text.
+	texts map[string]string
 }
 
 func (r *segReader) fail(format string, args ...any) {
@@ -204,17 +213,36 @@ func (r *segReader) byte() byte {
 	return b
 }
 
-func (r *segReader) str() string {
+// field reads a length-prefixed byte string, aliasing the buffer.
+func (r *segReader) field() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.rem()) {
 		r.fail("string length %d exceeds %d remaining bytes", n, r.rem())
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
+	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
+	return b
+}
+
+func (r *segReader) str() string { return string(r.field()) }
+
+// text reads a string like str, but returns the segment's one copy of it:
+// the lookup converts without allocating, so only a text's first
+// occurrence allocates.
+func (r *segReader) text() string {
+	b := r.field()
+	if s, ok := r.texts[string(b)]; ok {
+		return s
+	}
+	if r.texts == nil {
+		r.texts = make(map[string]string)
+	}
+	s := string(b)
+	r.texts[s] = s
 	return s
 }
 
@@ -299,7 +327,7 @@ func decodeSegment(buf []byte, wantHist int) ([]*model.History, int, error) {
 				e.Aux = r.f64()
 			}
 			if flags&segHasText != 0 {
-				e.Text = r.str()
+				e.Text = r.text()
 			}
 			e.OpenEnd = flags&segOpenEnd != 0
 			if r.err != nil {

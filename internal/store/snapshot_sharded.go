@@ -440,10 +440,19 @@ func readHeader(r io.Reader) (*SnapshotInfo, error) {
 }
 
 // readSegment reads the next n bytes of the stream — a length the header
-// claimed, so untrusted. CopyN grows the buffer only as bytes actually
+// claimed, so untrusted. Where the input's size is known and the header
+// was checked against it (sized), n is trusted and read into an exactly
+// sized buffer. Otherwise CopyN grows the buffer only as bytes actually
 // arrive (the up-front Grow is capped at 4 MiB), so a crafted length over
 // a short stream is a read error, never a giant allocation.
-func readSegment(r io.Reader, n int64) ([]byte, error) {
+func readSegment(r io.Reader, n int64, sized bool) ([]byte, error) {
+	if sized {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("read %d bytes: %w", n, err)
+		}
+		return buf, nil
+	}
 	var buf bytes.Buffer
 	buf.Grow(int(min(n, 4<<20)))
 	if _, err := io.CopyN(&buf, r, n); err != nil {
@@ -483,19 +492,26 @@ func (si ShardInfo) decode(seg []byte) ([]*model.History, error) {
 
 // Load reads a snapshot back into its collection and cohort records. The
 // header is validated first — magic, version, shard count, table
-// consistency — so an incompatible file errors before any payload decode.
-// Segment bytes are read sequentially — io.Reader has no random access —
-// but each history segment's checksum + decode is handed to the worker
-// pool the moment its bytes arrive, so decode overlaps both the remaining
-// reads and the other shards' decodes. The indexes are rebuilt by the
-// caller from the merged collection, but every byte the header promises —
-// postings and cohort segments included — must be present and match its
-// checksum.
+// consistency, and, when the reader's size is known (regular files,
+// in-memory readers), the tables against that size, so a truncated file
+// errors at header time — before any payload decode. Segment bytes are read
+// sequentially — io.Reader has no random access — but each history
+// segment's checksum + decode is handed to the worker pool the moment its
+// bytes arrive, so decode overlaps both the remaining reads and the other
+// shards' decodes. The indexes are rebuilt by the caller from the merged
+// collection, but every byte the header promises — postings and cohort
+// segments included — must be present and match its checksum.
 func Load(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error) {
+	size, sized := readerSize(r)
 	r = bufio.NewReaderSize(r, snapshotBufSize)
 	info, err := readHeader(r)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if sized {
+		if err := validateSnapshotSize(info, size); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	type result struct {
 		hs  []*model.History
@@ -509,7 +525,7 @@ func Load(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error)
 		return nil, nil, nil, err
 	}
 	for i, si := range info.ShardDetail {
-		seg, err := readSegment(r, si.Bytes)
+		seg, err := readSegment(r, si.Bytes, sized)
 		if err != nil {
 			return fail(fmt.Errorf("store: load snapshot: shard %d: %w", i, err))
 		}
@@ -522,7 +538,7 @@ func Load(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error)
 		}()
 	}
 	for i, pi := range info.Postings {
-		seg, err := readSegment(r, pi.Bytes)
+		seg, err := readSegment(r, pi.Bytes, sized)
 		if err == nil {
 			err = verifySegment(seg, pi.Checksum)
 		}
@@ -530,7 +546,7 @@ func Load(r io.Reader) (*model.Collection, []CohortRecord, *SnapshotInfo, error)
 			return fail(fmt.Errorf("store: load snapshot: postings %d: %w", i, err))
 		}
 	}
-	seg, err := readSegment(r, info.CohortBytes)
+	seg, err := readSegment(r, info.CohortBytes, sized)
 	if err == nil {
 		err = verifySegment(seg, info.CohortChecksum)
 	}

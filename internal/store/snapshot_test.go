@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pastas/internal/model"
 )
@@ -487,16 +488,44 @@ func TestLoadZeroShardCount(t *testing.T) {
 	}
 }
 
+// TestLoadTruncatedPayload: a cut at the first payload byte, inside the
+// history segments, inside the postings segments, or one byte short of
+// the end is refused. Through a sized reader the header's tables are
+// checked against the size, so the error names the truncation before a
+// shard is decoded; an unsized stream still fails on the short read.
 func TestLoadTruncatedPayload(t *testing.T) {
 	snap := shardedSnapshot(t, 40, 4)
 	headerLen := int((&SnapshotInfo{Shards: 4}).headerLen())
-	// Cut at the first payload byte, inside the history segments, inside
-	// the postings segments, and one byte short of the end.
 	for _, cut := range []int{headerLen, headerLen + 10, len(snap) / 2, len(snap) - 10, len(snap) - 1} {
-		if _, _, _, err := Load(bytes.NewReader(snap[:cut])); err == nil {
-			t.Errorf("truncation at %d of %d accepted", cut, len(snap))
+		_, _, _, err := Load(bytes.NewReader(snap[:cut]))
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("sized: truncation at %d of %d: err = %v, want the truncation named", cut, len(snap), err)
+		}
+		if _, _, _, err := Load(io.MultiReader(bytes.NewReader(snap[:cut]))); err == nil {
+			t.Errorf("unsized: truncation at %d of %d accepted", cut, len(snap))
 		}
 	}
+}
+
+// TestLoadFromPipe: a pipe is an *os.File whose Stat size is not its
+// length, so Load must read it as an unsized stream, not refuse it as
+// truncated.
+func TestLoadFromPipe(t *testing.T) {
+	snap := shardedSnapshot(t, 40, 4)
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		pw.Write(snap) // a short write surfaces as Load's read error
+		pw.Close()
+	}()
+	col, _, _, err := Load(pr)
+	if err != nil {
+		t.Fatalf("load from pipe: %v", err)
+	}
+	historiesEqual(t, New(snapCollection(40)).Collection(), col)
 }
 
 func TestLoadChecksumMismatch(t *testing.T) {
@@ -608,6 +637,37 @@ func TestNegativeZeroValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedTextsShared: a decoded segment holds one string per distinct
+// text — every entry with an equal text points at the same bytes — and
+// the texts still round-trip.
+func TestDecodedTextsShared(t *testing.T) {
+	col := snapCollection(60)
+	hs, _, err := decodeSegment(encodeSegment(col.Histories()), col.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	historiesEqual(t, col, model.MustCollection(hs...))
+	backing := map[string]*byte{}
+	texts := 0
+	for _, h := range hs {
+		for i := range h.Entries {
+			s := h.Entries[i].Text
+			if s == "" {
+				continue
+			}
+			texts++
+			if p, ok := backing[s]; !ok {
+				backing[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("history %s entry %d: text %q is a second copy", h.Patient.ID, i, s)
+			}
+		}
+	}
+	if texts < 2*len(backing) {
+		t.Fatalf("fixture has %d texts over %d distinct values; want repeats", texts, len(backing))
+	}
+}
+
 func TestInspectIsHeaderOnly(t *testing.T) {
 	snap := shardedSnapshot(t, 50, 4)
 	info, err := Inspect(bytes.NewReader(snap))
@@ -634,7 +694,9 @@ func TestInspectIsHeaderOnly(t *testing.T) {
 
 // FuzzLoadSharded throws arbitrary bytes at the loader: any input may
 // error but must never panic or balloon memory, even with self-consistent
-// checksums over a hostile payload.
+// checksums over a hostile payload. A bytes.Reader is sized, so this is
+// the path that checks the header against the input's size and reads each
+// segment into an exactly sized buffer, then decodes it sharing texts.
 func FuzzLoadSharded(f *testing.F) {
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("not a snapshot at all"))

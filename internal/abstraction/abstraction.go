@@ -105,7 +105,10 @@ func (s *EpisodeScratch) Episodes(cells []store.Cell, codes []store.FrameCode, g
 	s.eps = s.eps[:0]
 	first, period := 0, model.Period{}
 	for i := range cells {
-		start, end := model.Time(cells[i].Start), model.Time(cells[i].End)
+		start, end := model.Time(cells[i].Start), model.Time(cells[i].Start)
+		if cells[i].Kind == model.Interval {
+			end = model.Time(cells[i].End)
+		}
 		if i > 0 && start-period.End <= gap {
 			if end > period.End {
 				period.End = end

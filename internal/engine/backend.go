@@ -164,8 +164,9 @@ func validateOrdinals(ordinals []int, patients int) error {
 }
 
 // LocalBackend serves a shard from an in-process store view: index
-// lookups slice the parent store's postings, scans walk the view's
-// histories. It is the transport the single-process engine fans out over.
+// lookups slice the parent store's postings, scans and analyses read the
+// revision's analysis frame. It is the transport the single-process engine
+// fans out over.
 type LocalBackend struct {
 	v    *store.View
 	meta ShardMeta
@@ -267,6 +268,11 @@ func evalOnView(v *store.View, p Plan, mask *store.Bitset) (*store.Bitset, error
 		}
 		return out, nil
 	case Scan:
+		f := v.Frame()
+		match, ok := compileScan(n.Expr, &f)
+		if !ok {
+			match = func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) }
+		}
 		out := v.Empty()
 		if mask != nil {
 			// Iterate the mask's set bits instead of probing it per
@@ -274,15 +280,15 @@ func evalOnView(v *store.View, p Plan, mask *store.Bitset) (*store.Bitset, error
 			// this a handful of array-container walks, and whole
 			// 65k-patient chunks of non-candidates are skipped outright.
 			mask.Range(func(i int) bool {
-				if n.Expr.Eval(v.HistoryAt(i)) {
+				if match(i) {
 					out.Set(i)
 				}
 				return true
 			})
 			return out, nil
 		}
-		for i, h := range v.Histories() {
-			if n.Expr.Eval(h) {
+		for i := range v.Len() {
+			if match(i) {
 				out.Set(i)
 			}
 		}

@@ -8,6 +8,7 @@ package engine
 // target.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -229,6 +230,7 @@ var (
 		{System: "LOCAL"}, {Value: "bare"},
 	}
 	frameTexts  = []string{"", "kontroll", "legevakt", "time akutt", "Legevakt"}
+	frameValues = []float64{0, 0, 1, -1, 120, 140.5, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	frameLabels = []string{"T", "K", "R", "K80", "x1", "E", "bare"}
 	farPast     = model.Time(-1) << 62
 	farFuture   = model.Time(1) << 62
@@ -237,7 +239,8 @@ var (
 // drawHistories draws a small cohort: births on both sides of any window,
 // point, interval, empty, inverted and unknown-kind entries, any type and
 // source byte, zero codes and code values two systems share, GP texts
-// with and without the emergency words; two histories in three are sorted,
+// with and without the emergency words, NaN, infinite and signed-zero
+// values; two histories in three are sorted,
 // the rest go through SortedEntries' copy path.
 func drawHistories(src *byteSource) []*model.History {
 	hs := make([]*model.History, src.next()%10)
@@ -248,7 +251,8 @@ func drawHistories(src *byteSource) []*model.History {
 			start := model.Date(2000+src.next()%16, 1, 1).AddDays(src.next()) + model.Time(src.next())
 			e := model.Entry{ID: uint64(i*100 + j + 1), Start: start, End: start, Kind: model.Kind(src.next() % 5 % 3),
 				Type: model.Type(src.enum(7)), Source: model.Source(src.enum(6)),
-				Code: frameCodes[src.next()%len(frameCodes)], Text: frameTexts[src.next()%len(frameTexts)]}
+				Code: frameCodes[src.next()%len(frameCodes)], Text: frameTexts[src.next()%len(frameTexts)],
+				Value: frameValues[src.next()%len(frameValues)]}
 			if e.Kind != model.Point {
 				e.End = start.AddDays(src.next() - 8) // before, at or after the start
 			}

@@ -50,9 +50,51 @@ var (
 	paritySystems  = []string{"", "ICPC2", "ICD10", "ATC"}
 )
 
+// randScanLeaf draws one of the criteria only a scan answers, over every
+// predicate the frame matcher compiles — and TextMatch, which it does not,
+// so the history fallback is drawn too.
+func randScanLeaf(r *rand.Rand, pat string) query.Expr {
+	pred := func() query.EventPred {
+		switch r.Intn(8) {
+		case 0:
+			lo := 110 + r.Intn(60) // systolic pressures; Hi < Lo one time in eight
+			return query.AllOf{query.TypeIs(model.TypeMeasurement), query.ValueBetween{Lo: float64(lo), Hi: float64(lo - 5 + r.Intn(40))}}
+		case 1:
+			return query.KindIs(model.Kind(r.Intn(2)))
+		case 2:
+			from := model.Date(2009, 1, 1).AddDays(r.Intn(4 * 365))
+			return query.InPeriod(model.Period{Start: from, End: from.AddDays(r.Intn(400))})
+		case 3:
+			return query.NotEv{P: query.TypeIs(model.Type(1 + r.Intn(6)))}
+		case 4:
+			return query.AnyOf{query.SourceIs(model.Source(1 + r.Intn(5))), query.MustCode(paritySystems[r.Intn(len(paritySystems))], pat)}
+		case 5:
+			return scanText
+		case 6:
+			return query.TypeIs(model.Type(1 + r.Intn(6)))
+		default:
+			return query.MustCode(paritySystems[r.Intn(len(paritySystems))], pat)
+		}
+	}
+	switch r.Intn(4) {
+	case 0:
+		return query.Sequence{Steps: []query.Step{{Pred: pred()},
+			{Pred: pred(), MinGap: query.Days(r.Intn(30)), MaxGap: query.Days(r.Intn(400))}}}
+	case 1:
+		return query.During{Interval: query.AnyOf{query.TypeIs(model.TypeStay), query.TypeIs(model.TypeMedication)}, Event: pred()}
+	case 2:
+		return query.Has{Pred: []query.EventPred{query.TypeIs(model.Type(1 + r.Intn(6))), query.SourceIs(model.Source(1 + r.Intn(5)))}[r.Intn(2)],
+			MinCount: 2 + r.Intn(8)}
+	default:
+		return query.Has{Pred: pred(), MinCount: r.Intn(3)}
+	}
+}
+
 func randLeaf(r *rand.Rand) query.Expr {
 	pat := parityPatterns[r.Intn(len(parityPatterns))]
-	switch r.Intn(9) {
+	switch r.Intn(14) {
+	case 9, 10, 11, 12, 13:
+		return randScanLeaf(r, pat)
 	case 0:
 		return query.TrueExpr{}
 	case 1:
@@ -119,6 +161,13 @@ func scanBits(col *model.Collection, st *store.Store, e query.Expr) *store.Bitse
 func checkParity(t *testing.T, e query.Expr) {
 	t.Helper()
 	col, st, engines := parityEngines(t)
+	checkParityOn(t, col, st, engines, e)
+}
+
+// checkParityOn holds every engine over st, and the scan site at each
+// engine's shard count, to the per-history scan and EvalIndexed.
+func checkParityOn(t *testing.T, col *model.Collection, st *store.Store, engines []*Engine, e query.Expr) {
+	t.Helper()
 	want := scanBits(col, st, e)
 
 	legacy, err := query.EvalIndexed(st, e)
@@ -138,6 +187,37 @@ func checkParity(t *testing.T, e query.Expr) {
 			plan, _ := Explain(e)
 			t.Fatalf("engine(shards=%d) diverges from scan for %s:\n plan %s\n got %d want %d",
 				eng.NumShards(), e, plan, got.Count(), want.Count())
+		}
+		checkScanSite(t, st, eng.NumShards(), e, want)
+	}
+}
+
+// checkScanSite runs the whole expression as one Scan leaf through the
+// backends' scan site over every shard of an even split, unmasked and
+// under a mask dropping one patient in three, against the reference.
+func checkScanSite(t testing.TB, st *store.Store, shards int, e query.Expr, want *store.Bitset) {
+	t.Helper()
+	size := (st.Len() + shards - 1) / shards
+	for lo := 0; lo < st.Len(); lo += size {
+		hi := min(lo+size, st.Len())
+		mask := store.NewBitset(hi - lo)
+		for i := lo; i < hi; i++ {
+			if i%3 != 1 {
+				mask.Set(i - lo)
+			}
+		}
+		for _, m := range []*store.Bitset{nil, mask} {
+			ref := want.SliceRange(lo, hi)
+			if m != nil {
+				ref.And(m)
+			}
+			got, err := evalOnView(st.Slice(lo, hi), newScan(e), m)
+			if err != nil {
+				t.Fatalf("scan site [%d, %d) of %s: %v", lo, hi, e, err)
+			}
+			if !got.Equal(ref) {
+				t.Fatalf("scan site [%d, %d) (masked %v) of %s: %v, want %v", lo, hi, m != nil, e, got.Ones(), ref.Ones())
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // History is one patient's trajectory: the patient record plus every entry
@@ -31,45 +32,47 @@ func (h *History) Add(e Entry) {
 // Len returns the number of entries.
 func (h *History) Len() int { return len(h.Entries) }
 
-// entryLess is the chronological order of Sort: start, then end, type and
-// ID as deterministic tie-breaks.
-func entryLess(a, b *Entry) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
+// entryCompare is the chronological order of Sort: start, then end, type
+// and ID as deterministic tie-breaks.
+func entryCompare(a, b *Entry) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	if a.End != b.End {
-		return a.End < b.End
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
 	}
-	if a.Type != b.Type {
-		return a.Type < b.Type
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // sortEntries orders a slice of entries chronologically (stable).
 func sortEntries(es []Entry) {
-	sort.SliceStable(es, func(i, j int) bool {
-		return entryLess(&es[i], &es[j])
-	})
+	slices.SortStableFunc(es, func(a, b Entry) int { return entryCompare(&a, &b) })
 }
 
 // entriesSorted reports whether the slice is already in chronological
 // order (one linear pass, no allocation).
 func entriesSorted(es []Entry) bool {
 	for i := 1; i < len(es); i++ {
-		if entryLess(&es[i], &es[i-1]) {
+		if entryCompare(&es[i], &es[i-1]) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Sort orders entries chronologically; it is idempotent.
+// Sort orders entries chronologically; it is idempotent, and a history
+// whose entries are already in order (one built by Add in time order, say)
+// is only checked, not sorted, and allocates nothing.
 func (h *History) Sort() {
 	if h.sorted {
 		return
 	}
-	sortEntries(h.Entries)
+	if !entriesSorted(h.Entries) {
+		sortEntries(h.Entries)
+	}
 	h.sorted = true
 }
 

@@ -47,14 +47,18 @@ func MustCode(system, pattern string) *Code {
 	return c
 }
 
-func (c *Code) Match(e *model.Entry) bool {
-	if e.Code.IsZero() {
+func (c *Code) Match(e *model.Entry) bool { return c.MatchCode(e.Code) }
+
+// MatchCode is Match on a code alone: the test a scan over interned codes
+// runs once per distinct code instead of once per entry.
+func (c *Code) MatchCode(code model.Code) bool {
+	if code.IsZero() {
 		return false
 	}
-	if c.System != "" && e.Code.System != c.System {
+	if c.System != "" && code.System != c.System {
 		return false
 	}
-	return c.re.MatchString(e.Code.Value)
+	return c.re.MatchString(code.Value)
 }
 
 func (c *Code) String() string {

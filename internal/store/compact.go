@@ -40,14 +40,7 @@ func (s *Store) Compact() CompactionStats {
 	comp.LastPatients = cur.deltaPatients
 	comp.LastLists = cur.delta.lists()
 
-	ordBase := make(map[model.PatientID]int, n)
-	for k, v := range cur.ordBase {
-		ordBase[k] = v
-	}
-	for k, v := range cur.ordDelta {
-		ordBase[k] = v
-	}
-
+	ordBase := ordinalIndex(cur.ids)
 	folded := &postings{
 		byCodeValue: foldLayer(cur.base.byCodeValue, cur.delta.byCodeValue, cur.baseN, n),
 		byType:      foldLayer(cur.base.byType, cur.delta.byType, cur.baseN, n),

@@ -10,20 +10,24 @@ import (
 	"pastas/internal/terminology"
 )
 
-// The analysis frame: a revision's histories as the analyzer kinds read
-// them. A model.Entry is 96 bytes behind two pointers, and a cohort is a
-// percent of the population, so a map step over histories is one cold
-// pointer chase per patient and another per entry slice. The frame holds
-// the same entries as 24-byte pointer-free cells in one slab, in
+// The analysis frame: a revision's histories as the scans and analyzer
+// kinds read them. A model.Entry is 96 bytes behind two pointers, and a
+// cohort is a percent of the population, so a pass over histories is one
+// cold pointer chase per patient and another per entry slice. The frame
+// holds the same entries as 32-byte pointer-free cells in one slab, in
 // SortedEntries order, with the codes interned into a dictionary that
 // resolves each code's chapter once. It is derived state: built lazily by
-// the first analysis of a revision, carried forward by Append, never
-// saved, and never built by a path that only counts, refines or draws.
+// the first scan or analysis of a revision, carried forward by Append,
+// never saved. Index-answered counts and refines never build it.
 
-// Cell is one history entry in analysis form.
+// Cell is one history entry in the form scans and analyses read: every
+// field a criterion or an analyzer tests except the text, which only the
+// emergency flag summarizes. Sixteen bytes of times, the value, then the
+// code id and four one-byte fields fill 32 bytes with no padding.
 type Cell struct {
-	Start, End int64  // model.Time ticks; End == Start unless Kind is Interval
-	Code       uint32 // index into Frame.Codes; 0 = uncoded
+	Start, End int64   // model.Time ticks; End == Start for a point
+	Value      float64 // model.Entry.Value
+	Code       uint32  // index into Frame.Codes; 0 = uncoded
 	Kind       model.Kind
 	Type       model.Type
 	Source     model.Source
@@ -81,8 +85,22 @@ func (f *Frame) Len() int { return len(f.rows) }
 
 // Row returns history i.
 func (f *Frame) Row(i int) Row {
+	return Row{Birth: f.Birth(i), Sex: f.Sex(i), Cells: f.Cells(i)}
+}
+
+// Birth, Sex and Cells read one column of history i. They are small
+// enough to inline, so a matcher testing one column per row pays for that
+// column and builds no Row.
+func (f *Frame) Birth(i int) int64 { return f.rows[i].birth }
+
+// Sex is history i's patient sex.
+func (f *Frame) Sex(i int) model.Sex { return f.rows[i].sex }
+
+// Cells is history i's cell run, in SortedEntries order; the caller must
+// not write it.
+func (f *Frame) Cells(i int) []Cell {
 	r := &f.rows[i]
-	return Row{Birth: r.birth, Sex: r.sex, Cells: f.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]}
+	return f.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
 }
 
 // frameDict interns codes. Only the build and, under the store's write
@@ -120,9 +138,9 @@ func (d *frameDict) appendCells(dst []Cell, h *model.History) []Cell {
 	entries := h.SortedEntries()
 	for i := range entries {
 		e := &entries[i]
-		c := Cell{Start: int64(e.Start), End: int64(e.Start), Code: d.id(e.Code),
+		c := Cell{Start: int64(e.Start), End: int64(e.Start), Value: e.Value, Code: d.id(e.Code),
 			Kind: e.Kind, Type: e.Type, Source: e.Source}
-		if e.Kind == model.Interval {
+		if e.Kind != model.Point {
 			c.End = int64(e.End)
 		}
 		if e.Type == model.TypeContact && e.Source == model.SourceGP &&

@@ -13,10 +13,11 @@ import (
 	"pastas/internal/synth"
 )
 
-// TestOnlyAnalysisBuildsTheFrame: counting, refining, listing, fetching
-// histories, drawing a timeline, appending and compacting leave the
-// revision's frame holder empty — the scan and ingest workloads never pay
-// for it; the first analysis builds it, and the next append carries it.
+// TestOnlyAnalysisBuildsTheFrame: index-answered counts and refines,
+// listing, fetching histories, drawing a timeline, appending and
+// compacting leave the revision's frame holder empty; the first analysis
+// builds it, and the next append carries it. A criterion only a scan
+// answers reads the frame, so the first such scan builds it too.
 func TestOnlyAnalysisBuildsTheFrame(t *testing.T) {
 	cfg := synth.DefaultConfig(400)
 	col, _, err := integrate.Build(synth.Generate(cfg), integrate.DefaultOptions())
@@ -81,5 +82,55 @@ func TestOnlyAnalysisBuildsTheFrame(t *testing.T) {
 	}
 	if !store.FrameBuilt(st) {
 		t.Error("the append after an analysis did not carry the frame forward")
+	}
+
+	fresh := store.New(col)
+	eng := engine.New(fresh, engine.Options{Shards: 2, Workers: 2, CacheSize: 16})
+	defer eng.Close()
+	if _, err := eng.Execute(query.AgeBetween{Lo: 40, Hi: 60, At: cfg.Window().Start}); err != nil {
+		t.Fatal(err)
+	}
+	if !store.FrameBuilt(fresh) {
+		t.Error("a scan left the frame holder empty")
+	}
+}
+
+// TestUnsortedHistoriesDoNotRace: a store built by hand from histories
+// whose entries were added newest first. A sequence scan used to sort each
+// shared history in place while a concurrent frame build read it through
+// SortedEntries — a data race -race reports. New now sorts every history
+// it adopts, once, so every reader finds them sorted.
+func TestUnsortedHistoriesDoNotRace(t *testing.T) {
+	seq := query.Sequence{Steps: []query.Step{{Pred: query.TypeIs(model.TypeDiagnosis)},
+		{Pred: query.TypeIs(model.TypeContact), MinGap: query.Days(5)}}}
+	for round := 0; round < 5; round++ {
+		hs, want := make([]*model.History, 200), 0
+		for i := range hs {
+			hs[i] = model.NewHistory(model.Patient{ID: model.PatientID(i + 1), Birth: model.Date(1950, 1, 1)})
+			for j := 6; j >= 1; j-- {
+				at := model.Date(2011, 1, 1).AddDays(3*j + i%7)
+				hs[i].Add(model.Entry{ID: uint64(10*i + j), Kind: model.Point, Start: at, End: at,
+					Type: []model.Type{model.TypeContact, model.TypeDiagnosis}[(i+j)%2]})
+			}
+			if seq.Eval(hs[i].Clone()) {
+				want++
+			}
+		}
+		st := store.New(model.MustCollection(hs...))
+		eng := engine.New(st, engine.Options{Shards: 4, Workers: 2})
+		done := make(chan struct{})
+		go func() { st.Pin().Frame(); close(done) }()
+		bits, err := eng.Execute(seq)
+		<-done
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits.Count() != want {
+			t.Fatalf("round %d: sequence matched %d histories, want %d", round, bits.Count(), want)
+		}
+		if !hs[round].Sorted() {
+			t.Fatal("New left an adopted history unsorted")
+		}
 	}
 }

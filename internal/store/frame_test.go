@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"pastas/internal/integrate"
 	"pastas/internal/model"
@@ -155,9 +156,18 @@ func TestPinnedFrameSurvivesAppend(t *testing.T) {
 	}
 }
 
+// TestCellLayout: a cell is 32 bytes — two times, the value, the code id
+// and four one-byte fields, with no padding. A field that breaks the
+// packing costs every framed entry in every store.
+func TestCellLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Cell{}); got != 32 {
+		t.Errorf("store.Cell is %d bytes, want 32", got)
+	}
+}
+
 // TestFrameCarryAllocatesByBatch: at 20,000 patients a 10-patient batch
 // carries the frame forward for the row table's copy plus the ten
-// histories' cells — never a slab copy (9.6 MB here).
+// histories' cells — never a slab copy (12 MB here).
 func TestFrameCarryAllocatesByBatch(t *testing.T) {
 	s := synthStore(t, 20000)
 	rng := rand.New(rand.NewSource(2))
@@ -175,7 +185,7 @@ func TestFrameCarryAllocatesByBatch(t *testing.T) {
 	appendBytes(1) // the delta maps' first growth
 	without := appendBytes(2)
 	f := s.Pin().Frame()
-	slab := len(f.chunks[0]) * 24
+	slab := len(f.chunks[0]) * int(unsafe.Sizeof(Cell{}))
 	with := appendBytes(3)
 	if !FrameBuilt(s) {
 		t.Fatal("the append dropped a built frame")

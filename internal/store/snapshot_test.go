@@ -432,14 +432,16 @@ func TestShardedEmptyCollection(t *testing.T) {
 
 func TestSaveIsReadOnly(t *testing.T) {
 	// Build a history whose entries are deliberately out of order and
-	// assert saving does not reorder the live slice.
+	// assert saving does not reorder the live slice. New sorts what it
+	// adopts, so no constructor publishes such a history: plant it.
 	h := model.NewHistory(model.Patient{ID: 7, Birth: model.Date(1950, 1, 1)})
 	for j := 5; j >= 1; j-- {
 		h.Add(model.Entry{ID: uint64(j), Kind: model.Point,
 			Start: model.Date(2011, 1, j), End: model.Date(2011, 1, j),
 			Source: model.SourceGP, Type: model.TypeContact})
 	}
-	st := New(model.MustCollection(h))
+	st := New(model.MustCollection(h.Clone()))
+	st.loadRev().hists[0] = h
 	wantIDs := func() []uint64 {
 		ids := make([]uint64, len(h.Entries))
 		for i := range h.Entries {

@@ -14,7 +14,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,10 +69,13 @@ type storeRev struct {
 	hists []*model.History
 	ids   []model.PatientID
 
-	// ordBase is the fold-time ordinal map, shared across revisions until
-	// the next compaction; ordDelta covers only patients appended since,
-	// and is small enough to copy per batch.
-	ordBase  map[model.PatientID]int
+	// ordBase is the fold-time ordinal index: the ordinals below the fold's
+	// population, sorted by patient ID and binary-searched through ids — 4
+	// bytes a patient where a map took ≈40. It is shared across revisions
+	// until the next compaction (appends only add ordinals past it);
+	// ordDelta covers only patients appended since, and is small enough to
+	// copy per batch.
+	ordBase  []int32
 	ordDelta map[model.PatientID]int
 
 	entries int
@@ -112,18 +117,16 @@ type codeKey struct {
 func (s *Store) loadRev() *storeRev { return s.rev.Load() }
 
 // collection lazily materializes the revision's histories as a Collection
-// (appends invalidate the previous revision's, and most revisions are
-// never asked for one).
+// (no revision keeps the one it was built from, and most are never asked
+// for one).
 func (r *storeRev) collection() *model.Collection {
 	r.colOnce.Do(func() {
-		if r.col == nil {
-			col, err := model.NewCollection(r.hists...)
-			if err != nil {
-				// Append validated ID uniqueness before publishing.
-				panic(fmt.Sprintf("store: corrupt revision: %v", err))
-			}
-			r.col = col
+		col, err := model.NewCollection(r.hists...)
+		if err != nil {
+			// New and Append validated ID uniqueness before publishing.
+			panic(fmt.Sprintf("store: corrupt revision: %v", err))
 		}
+		r.col = col
 	})
 	return r.col
 }
@@ -133,11 +136,28 @@ func (r *storeRev) ordinalOf(id model.PatientID) (int, bool) {
 	if o, ok := r.ordDelta[id]; ok {
 		return o, true
 	}
-	o, ok := r.ordBase[id]
-	return o, ok
+	k, ok := slices.BinarySearchFunc(r.ordBase, id, func(o int32, id model.PatientID) int {
+		return cmp.Compare(r.ids[o], id)
+	})
+	if !ok {
+		return 0, false
+	}
+	return int(r.ordBase[k]), true
 }
 
-// New indexes a collection. The collection must not be mutated afterwards.
+// ordinalIndex sorts the ordinals [0, len(ids)) by patient ID. The sort is
+// linear when the IDs already ascend, as integrated ones do.
+func ordinalIndex(ids []model.PatientID) []int32 {
+	ord := make([]int32, len(ids))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	return ord
+}
+
+// New indexes a collection, sorting each history's entries in place. The
+// collection must not be mutated afterwards.
 func New(col *model.Collection) *Store {
 	hists := col.Histories()
 	n := len(hists)
@@ -185,27 +205,30 @@ func New(col *model.Collection) *Store {
 }
 
 // finishStore builds a gen-0 revision around base postings that cover the
-// whole collection (shared by New and NewFromPostings).
+// whole collection (shared by New and NewFromPostings). It sorts every
+// history it adopts, once, so no reader that sorts a history (a sequence
+// search, the model.History helpers) ever writes one a concurrent reader
+// is framing. The collection itself, and its ID map, are not kept: the
+// ordinal index answers lookups, and Collection rebuilds one on demand.
 func finishStore(col *model.Collection, base *postings, codes []model.Code) *Store {
 	hists := col.Histories()
 	n := len(hists)
 	r := &storeRev{
 		hists:    hists,
 		ids:      make([]model.PatientID, n),
-		ordBase:  make(map[model.PatientID]int, n),
 		ordDelta: map[model.PatientID]int{},
 		entries:  col.TotalEntries(),
 		base:     base,
 		baseN:    n,
 		delta:    newPostings(),
 		codes:    codes,
-		col:      col,
 		frame:    new(frameHolder),
 	}
 	for i, h := range hists {
-		r.ordBase[h.Patient.ID] = i
+		h.Sort()
 		r.ids[i] = h.Patient.ID
 	}
+	r.ordBase = ordinalIndex(r.ids)
 	r.stats = collectStats(r)
 	s := &Store{}
 	s.rev.Store(r)
@@ -226,7 +249,8 @@ func sortCodes(codes []model.Code) {
 // than mutating this one).
 func (s *Store) Stats() *Stats { return s.loadRev().stats }
 
-// Collection returns the underlying collection of the current revision.
+// Collection returns the current revision's histories as a collection,
+// built (with its ID map) on the revision's first call.
 func (s *Store) Collection() *model.Collection { return s.loadRev().collection() }
 
 // Len returns the number of patients.

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -189,6 +191,54 @@ func TestOrdinalRoundTrip(t *testing.T) {
 	}
 	if _, ok := s.Ordinal(999); ok {
 		t.Error("unknown patient has ordinal")
+	}
+}
+
+// TestOrdinalExactAcrossAppendAndCompact: with patient IDs in no order at
+// all — the base, each appended batch, and interleaved between them — the
+// ordinal index resolves every present ID to its ordinal, on the store and
+// through pinned and sliced views, and reports every other ID absent,
+// before and after compaction folds the appended patients into the index.
+func TestOrdinalExactAcrossAppendAndCompact(t *testing.T) {
+	perm := rand.New(rand.NewSource(4)).Perm(2000)
+	idAt := func(k int) model.PatientID { return model.PatientID(3 + 5*perm[k]) } // gaps between IDs
+	histories := func(from, to int) (hs []*model.History) {
+		for k := from; k < to; k++ {
+			hs = append(hs, model.NewHistory(model.Patient{ID: idAt(k), Birth: model.Date(1950, 1, 1)}))
+		}
+		return hs
+	}
+	s, present := New(model.MustCollection(histories(0, 700)...)), 700
+	check := func(stage string) {
+		t.Helper()
+		pinned, slice := s.Pin(), s.Slice(100, 300)
+		for k := range perm { // appended IDs, then IDs not (yet) present
+			o, ok := s.Ordinal(idAt(k))
+			po, pok := pinned.Ordinal(idAt(k))
+			so, sok := slice.Ordinal(idAt(k))
+			in := k >= 100 && k < 300
+			if ok != (k < present) || ok && (o != k || s.PatientAt(o) != idAt(k)) || po != o || pok != ok || sok != in || in && so != k-100 {
+				t.Fatalf("%s: patient %d (appended %d of %d): Ordinal %d %v, pinned %d %v, slice [100, 300) %d %v",
+					stage, idAt(k), k, present, o, ok, po, pok, so, sok)
+			}
+		}
+		for _, id := range []model.PatientID{0, 1, 4, 3 + 5*2000, 1 << 62} {
+			if o, ok := s.Ordinal(id); ok {
+				t.Fatalf("%s: absent patient %d has ordinal %d", stage, id, o)
+			}
+		}
+	}
+	check("new")
+	for round, to := range []int{750, 1100, 1101, 1500} {
+		if _, err := s.Append(AppendBatch{NewHistories: histories(present, to)}); err != nil {
+			t.Fatal(err)
+		}
+		present = to
+		check(fmt.Sprintf("append %d", round))
+		if round%2 == 1 {
+			s.Compact()
+			check(fmt.Sprintf("compact after append %d", round))
+		}
 	}
 }
 

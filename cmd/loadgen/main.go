@@ -11,7 +11,9 @@
 //	loadgen -shards "h1:7070|h2:7070,h3:7070|h4:7070" -c 4 -d 8s
 //
 // Replica groups use the same "a|b" syntax as cohortctl -shards: the
-// members of a group serve the same shards and fail over transparently.
+// members of a group serve the same shards from the same snapshot, and
+// each group's one connection fails every call over between them
+// (engine.DialShards) — one RPC per group, however many shards it serves.
 package main
 
 import (

@@ -8,11 +8,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -172,12 +169,12 @@ func (wb *Workbench) IndicatorsStatus(bits *store.Bitset) (stats.Indicators, eng
 // cohortctl shard-server, every shard it serves becomes a backend, and
 // together they must tile the snapshot's population. An address element
 // may also be a replica group — "host-a:7070|host-b:7070" — naming
-// servers that serve the same shards from the same snapshot; each shard
-// then gets a replicated backend that health-checks its members, load-
-// balances reads and fails over between them mid-query. The workbench
-// has no local Store — queries, history fetches and indicator aggregation
-// all execute across the servers with bit-identical semantics to a local
-// workbench over the same snapshot.
+// servers that serve the same shards from the same snapshot; the group
+// health-checks its members, load-balances reads and fails over between
+// them mid-call (engine.DialShards). The workbench has no local Store —
+// queries, history fetches and indicator aggregation all execute across
+// the servers with bit-identical semantics to a local workbench over the
+// same snapshot.
 func Connect(addrs []string, ropts engine.RemoteOptions, opts engine.Options, window model.Period) (*Workbench, error) {
 	var backends []engine.ShardBackend
 	closeAll := func() {
@@ -186,41 +183,19 @@ func Connect(addrs []string, ropts engine.RemoteOptions, opts engine.Options, wi
 		}
 	}
 	total := -1
-	checkTotal := func(addr string, serverTotal int) error {
-		if total == -1 {
-			total = serverTotal
-			return nil
-		}
-		if serverTotal != total {
-			return fmt.Errorf("core: connect %s: server's snapshot has %d patients, others have %d (different snapshots?)",
-				addr, serverTotal, total)
-		}
-		return nil
-	}
 	for _, elem := range addrs {
-		members, err := splitReplicaGroup(elem)
+		bs, serverTotal, err := engine.DialShards(elem, ropts)
 		if err != nil {
 			closeAll()
-			return nil, err
-		}
-		if len(members) == 1 {
-			bs, serverTotal, err := engine.DialShards(members[0], ropts)
-			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("core: connect %s: %w", members[0], err)
-			}
-			backends = append(backends, bs...)
-			if err := checkTotal(members[0], serverTotal); err != nil {
-				closeAll()
-				return nil, err
-			}
-			continue
-		}
-		bs, err := connectGroup(elem, members, ropts, checkTotal, closeAll)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: connect %s: %w", elem, err)
 		}
 		backends = append(backends, bs...)
+		if total != -1 && serverTotal != total {
+			closeAll()
+			return nil, fmt.Errorf("core: connect %s: server's snapshot has %d patients, others have %d (different snapshots?)",
+				elem, serverTotal, total)
+		}
+		total = serverTotal
 	}
 	eng, err := engine.NewFromBackends(backends, opts)
 	if err != nil {
@@ -236,138 +211,6 @@ func Connect(addrs []string, ropts engine.RemoteOptions, opts engine.Options, wi
 			eng.Patients(), total)
 	}
 	return &Workbench{Engine: eng, Window: window}, nil
-}
-
-// splitReplicaGroup splits one address element into its replica-group
-// members: "a|b" names two servers serving the same shards. Whitespace
-// around members is ignored; an empty member ("a||b") is an error.
-func splitReplicaGroup(elem string) ([]string, error) {
-	parts := strings.Split(elem, "|")
-	members := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("core: replica group %q: empty member (want \"addr\" or \"addr|addr\")", elem)
-		}
-		members = append(members, p)
-	}
-	return members, nil
-}
-
-// connectGroup dials every member of one replica group and builds one
-// replicated backend per shard the group serves. All members must serve
-// identical shard sets with identical geometry — a group is N copies of
-// the same data, not a way to mix shards. A member that is simply
-// unreachable does NOT fail the group (replication exists precisely so
-// a down server is survivable): as long as at least one member answers,
-// the dead ones join their replica sets as deferred backends that
-// re-validate the server's identity when it comes back (see
-// engine.DeferredShards) — so a rolling restart or an outage at connect
-// time degrades to fewer live replicas, not a refused session. Only
-// answering-but-wrong members (identity validation, mixed snapshots,
-// mismatched shard sets) are hard errors. On error every connection the
-// group opened is closed, then closeAll releases the backends
-// accumulated before this group.
-func connectGroup(elem string, members []string, ropts engine.RemoteOptions,
-	checkTotal func(string, int) error, closeAll func()) ([]engine.ShardBackend, error) {
-	groups := make(map[int][]engine.ShardBackend)
-	var order []int // shard ids in first-live-member order
-	var refAddr string
-	var liveBackends []engine.ShardBackend
-	liveTotal := 0
-	var unreachable []string
-	var dialErrs []error
-	var dialed []engine.ShardBackend
-	closeDialed := func() {
-		for _, b := range dialed {
-			b.Close()
-		}
-	}
-	for _, addr := range members {
-		bs, serverTotal, err := engine.DialShards(addr, ropts)
-		if err != nil {
-			if engine.IsUnavailable(err) {
-				unreachable = append(unreachable, addr)
-				dialErrs = append(dialErrs, err)
-				continue
-			}
-			closeDialed()
-			closeAll()
-			return nil, fmt.Errorf("core: connect %s: %w", addr, err)
-		}
-		dialed = append(dialed, bs...)
-		if err := checkTotal(addr, serverTotal); err != nil {
-			closeDialed()
-			closeAll()
-			return nil, err
-		}
-		ids := shardIDs(bs)
-		if order == nil {
-			order, refAddr, liveBackends, liveTotal = ids, addr, bs, serverTotal
-		} else if !sameShardSet(order, ids) {
-			closeDialed()
-			closeAll()
-			return nil, fmt.Errorf("core: replica group %q: %s serves shards %v, %s serves %v (group members must serve identical shard sets)",
-				elem, refAddr, order, addr, ids)
-		}
-		for _, b := range bs {
-			groups[b.Meta().Shard] = append(groups[b.Meta().Shard], b)
-		}
-	}
-	if order == nil {
-		closeAll()
-		return nil, fmt.Errorf("core: replica group %q: no member reachable: %w", elem, errors.Join(dialErrs...))
-	}
-	for _, addr := range unreachable {
-		for _, b := range engine.DeferredShards(addr, ropts, liveBackends, liveTotal) {
-			dialed = append(dialed, b)
-			groups[b.Meta().Shard] = append(groups[b.Meta().Shard], b)
-		}
-	}
-	out := make([]engine.ShardBackend, 0, len(order))
-	for k, shard := range order {
-		rb, err := engine.NewReplicaBackend(groups[shard], engine.ReplicaOptions{})
-		if err != nil {
-			// Built replica backends own their members (Close stops their
-			// health loops too); the rest are still raw connections.
-			for _, b := range out {
-				b.Close()
-			}
-			for _, s := range order[k:] {
-				for _, m := range groups[s] {
-					m.Close()
-				}
-			}
-			closeAll()
-			return nil, fmt.Errorf("core: replica group %q: %w", elem, err)
-		}
-		out = append(out, rb)
-	}
-	return out, nil
-}
-
-func shardIDs(bs []engine.ShardBackend) []int {
-	ids := make([]int, len(bs))
-	for i, b := range bs {
-		ids[i] = b.Meta().Shard
-	}
-	return ids
-}
-
-func sameShardSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Close releases the engine's backends (remote connections; a no-op for

@@ -477,7 +477,7 @@ func (r *hostileRPC) Fetch(_ *FetchArgs, reply *FetchReply) error {
 // replies must name.
 func dialHostile(t *testing.T, r *hostileRPC) (b ShardBackend, addr string) {
 	t.Helper()
-	addr = serveRPCStub(t, r)
+	addr = serveRPCStub(t, r).Addr().String()
 	backends, _, err := DialShards(addr, RemoteOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -707,24 +707,14 @@ func TestAnalyzeDegradedAndStrict(t *testing.T) {
 	}
 }
 
-// TestAnalyzeReplicaFailover: a replica set whose primary is down serves
-// Analyze from the secondary with results identical to the reference.
+// TestAnalyzeReplicaFailover: a replicated group whose first member is
+// down serves Analyze from the other with results identical to the
+// reference.
 func TestAnalyzeReplicaFailover(t *testing.T) {
-	col, st, _ := parityEngines(t)
-	const shards = 4
-	var backends []ShardBackend
-	for i, m := range New(st, Options{Shards: shards, Workers: 2}).BackendInfo() {
-		slice := st.Slice(m.Offset, m.Offset+m.Patients)
-		primary := NewFaultBackend(NewLocalBackend(slice, i))
-		primary.Fail()
-		rb, err := NewReplicaBackend(
-			[]ShardBackend{primary, NewLocalBackend(slice, i)}, ReplicaOptions{ProbeInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, rb)
-	}
-	eng, err := NewFromBackends(backends, Options{Workers: 4})
+	col, _, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 4, 2, nil)
+	rs.gates[0].setFailed(true)
+	eng, err := NewFromBackends(rs.backends, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type ShardMeta struct {
 // deadline: a transport honors it per call (a slow shard cannot pin a
 // worker past the query budget), an in-process view may ignore it. All
 // operations are read-only and idempotent — the property that makes
-// retrying a call on another replica of the same shard safe.
+// retrying a call on another replica of the same server safe.
 //
 // EvalPlan runs a plan fragment — a single scan leaf or a whole plan
 // tree — over the shard's patients and returns the matches in shard-local
@@ -75,75 +75,11 @@ type ShardBackend interface {
 	Close() error
 }
 
-// Prober is an optional ShardBackend capability: a cheap liveness probe.
-// The replica set's health checker prefers it over Stats — a probe must
-// be O(1) on the far side (the remote transport answers it with the
-// Describe handshake, no payload). A backend without Probe is probed
-// with Stats instead.
+// Prober is an optional ShardBackend capability: a cheap liveness probe,
+// O(1) on the far side. RemoteBackend answers it with the Describe
+// handshake, no payload.
 type Prober interface {
 	Probe(ctx context.Context) error
-}
-
-// interceptor is the one decision a ShardBackend decorator makes: how a
-// call reaches the backends it wraps. It runs call against the backend of
-// its choosing — once behind a fault gate, once per failover attempt in a
-// replica set — and returns the outcome of the last run.
-type interceptor func(ctx context.Context, call func(ctx context.Context, b ShardBackend) error) error
-
-// forwarder implements every ShardBackend data operation once, over an
-// interceptor. A decorator embeds it and keeps only Meta, Probe, Close and
-// its own machinery: an operation added to ShardBackend is forwarded — and
-// intercepted — by every decorator or none compiles, and a further
-// cross-cutting concern (tracing, say) is one more interceptor, not one
-// more copy of the interface.
-type forwarder struct{ via interceptor }
-
-// forward runs one result-bearing operation through the interceptor,
-// keeping the result of the run whose outcome the interceptor returns.
-func forward[T any](ctx context.Context, via interceptor, op func(context.Context, ShardBackend) (T, error)) (out T, err error) {
-	err = via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
-		out, err = op(ctx, b)
-		return err
-	})
-	return out, err
-}
-
-func (f forwarder) Stats(ctx context.Context) (*store.Stats, error) {
-	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Stats, error) {
-		return b.Stats(ctx)
-	})
-}
-
-func (f forwarder) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
-	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Bitset, error) {
-		return b.EvalPlan(ctx, p, mask)
-	})
-}
-
-func (f forwarder) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
-	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]model.PatientID, error) {
-		return b.IDsOf(ctx, bits)
-	})
-}
-
-func (f forwarder) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
-	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]*model.History, error) {
-		return b.FetchHistories(ctx, ordinals)
-	})
-}
-
-func (f forwarder) LocateID(ctx context.Context, id model.PatientID) (ordinal int, found bool, err error) {
-	err = f.via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
-		ordinal, found, err = b.LocateID(ctx, id)
-		return err
-	})
-	return ordinal, found, err
-}
-
-func (f forwarder) Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error) {
-	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (Partial, error) {
-		return b.Analyze(ctx, args)
-	})
 }
 
 // validateOrdinals enforces the FetchHistories argument contract for both
@@ -228,9 +164,6 @@ func (b *LocalBackend) LocateID(_ context.Context, id model.PatientID) (int, boo
 func (b *LocalBackend) Analyze(_ context.Context, args AnalyzeArgs) (Partial, error) {
 	return tallyFrame(b.v.Frame(), args)
 }
-
-// Probe implements Prober; an in-process view is always alive.
-func (b *LocalBackend) Probe(context.Context) error { return nil }
 
 // Close implements ShardBackend; a view holds no resources.
 func (b *LocalBackend) Close() error { return nil }
@@ -338,7 +271,9 @@ func evalOnView(v *store.View, p Plan, mask *store.Bitset) (*store.Bitset, error
 	}
 }
 
-// evalIndexOnView answers an index leaf from the view's sliced postings.
+// evalIndexOnView answers an index leaf from the view's postings: a
+// shard's slice, or a local engine's whole pinned revision — with local
+// backends sharing that revision there is nothing to fan out.
 func evalIndexOnView(v *store.View, n IndexScan) (*store.Bitset, error) {
 	switch n.Op {
 	case OpType:

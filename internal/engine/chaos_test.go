@@ -1,7 +1,7 @@
 package engine
 
 // Chaos parity: the failure-semantics acceptance suite. A replicated
-// remote cluster under FaultBackend flap schedules stays bit-identical
+// server group with one member flapping stays bit-identical
 // to the reference interpreter at shard counts {1, 4, 16}; PolicyStrict
 // never returns a partial cohort no matter what dies; PolicyDegraded's
 // Incomplete mask names exactly the dead shards, and degraded answers
@@ -15,8 +15,6 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,109 +25,55 @@ import (
 	"pastas/internal/store"
 )
 
-// chaosCluster is a coordinator over a fully replicated remote topology:
-// every shard served by `replicas` independent shard servers, each
-// remote backend wrapped in a FaultBackend for sabotage.
-type chaosCluster struct {
-	eng       *Engine
-	servers   []*ShardServer
-	listeners []*trackingListener
-	// faults[r][s] wraps replica r's backend for shard s.
-	faults [][]*FaultBackend
-}
-
-// startChaosCluster snapshots the parity collection at the given shard
-// count and serves every shard from `replicas` servers, assembling a
-// coordinator whose per-shard backends are replica sets over
-// fault-injectable remote backends.
-func startChaosCluster(t testing.TB, col *model.Collection, shards, replicas int, opts Options) *chaosCluster {
+// startChaosCluster serves the parity collection at the given shard
+// count from `replicas` servers of every shard, dialed as one replicated
+// group probing every 20 ms, and returns a coordinator over it.
+func startChaosCluster(t testing.TB, col *model.Collection, shards, replicas int, opts Options) (*Engine, *replicaSet) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "chaos.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := store.Save(f, store.New(col), shards, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	allIDs := make([]int, info.Shards)
-	for i := range allIDs {
-		allIDs[i] = i
-	}
-	cl := &chaosCluster{}
-	for r := 0; r < replicas; r++ {
-		srv, err := NewShardServer(path, allIDs, Options{Shards: 2, Workers: 2, CacheSize: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tl := &trackingListener{Listener: lis}
-		cl.servers = append(cl.servers, srv)
-		cl.listeners = append(cl.listeners, tl)
-		go srv.Serve(tl)
-		bs, total, err := DialShards(lis.Addr().String(), RemoteOptions{Timeout: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != col.Len() {
-			t.Fatalf("replica %d reports %d total patients, snapshot has %d", r, total, col.Len())
-		}
-		row := make([]*FaultBackend, len(bs))
-		for s, b := range bs {
-			row[s] = NewFaultBackend(b)
-		}
-		cl.faults = append(cl.faults, row)
-	}
-	sets := make([]ShardBackend, info.Shards)
-	for s := 0; s < info.Shards; s++ {
-		members := make([]ShardBackend, replicas)
-		for r := 0; r < replicas; r++ {
-			members[r] = cl.faults[r][s]
-		}
-		rb, err := NewReplicaBackend(members, ReplicaOptions{
-			ProbeInterval: 20 * time.Millisecond,
-			ProbeTimeout:  time.Second,
-			BackoffBase:   time.Millisecond,
-			BackoffMax:    10 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets[s] = rb
-	}
-	eng, err := NewFromBackends(sets, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.eng = eng
-	t.Cleanup(func() {
-		eng.Close()
-		for _, l := range cl.listeners {
-			l.kill()
-		}
+	rs := serveReplicas(t, col, shards, replicas, func(c *remoteConn) {
+		c.probeInterval, c.backoffMax = 20*time.Millisecond, 10*time.Millisecond
 	})
-	return cl
+	eng, err := NewFromBackends(rs.backends, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng, rs
 }
 
-// TestChaosParityUnderFlap: with one replica of every shard flapping up
-// and down continuously, a strict coordinator still answers every parity
-// query bit-identically to the reference interpreter — failover absorbs
-// the outages completely, across shard counts {1, 4, 16}.
+// flap fails and recovers a server's gate on an up/down schedule until the
+// returned stop is called, which leaves it recovered.
+func flap(gate *trackingListener, up, down time.Duration) (stop func()) {
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for failed := false; ; failed = !failed {
+			gate.setFailed(failed)
+			wait := up
+			if failed {
+				wait = down
+			}
+			select {
+			case <-done:
+				gate.setFailed(false)
+				return
+			case <-time.After(wait):
+			}
+		}
+	}()
+	return func() { close(done); <-stopped }
+}
+
+// TestChaosParityUnderFlap: with one member of a replicated group flapping
+// up and down continuously, a strict coordinator still answers every
+// parity query bit-identically to the reference interpreter — failover
+// absorbs the outages completely, across shard counts {1, 4, 16}.
 func TestChaosParityUnderFlap(t *testing.T) {
 	col, st, _ := parityEngines(t)
 	for _, shards := range []int{1, 4, 16} {
 		// CacheSize 0: every Execute must re-fan out and face the chaos.
-		cl := startChaosCluster(t, col, shards, 2, Options{Workers: 4, CacheSize: 0})
-		for _, row := range cl.faults[0] {
-			row.StartFlap(7*time.Millisecond, 7*time.Millisecond)
-		}
+		eng, rs := startChaosCluster(t, col, shards, 2, Options{Workers: 4, CacheSize: 0})
+		stop := flap(rs.gates[0], 7*time.Millisecond, 7*time.Millisecond)
 		r := rand.New(rand.NewSource(int64(7000 + shards)))
 		exprs := []query.Expr{
 			query.TrueExpr{},
@@ -146,7 +90,7 @@ func TestChaosParityUnderFlap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EvalIndexed(%s): %v", e, err)
 			}
-			got, err := cl.eng.Execute(e)
+			got, err := eng.Execute(e)
 			if err != nil {
 				t.Fatalf("shards=%d: Execute(%s) under flap: %v", shards, e, err)
 			}
@@ -155,24 +99,18 @@ func TestChaosParityUnderFlap(t *testing.T) {
 					shards, e, got.Count(), want.Count())
 			}
 		}
-		// The flapping replica must actually absorb traffic and inject
-		// failures — otherwise this test proved nothing. A fast expr loop
-		// can land entirely inside "up" windows, so keep driving queries
-		// (still asserting parity) until an injection is observed; the
-		// 20ms health probes land in down windows too.
-		injected := func() uint64 {
-			total := uint64(0)
-			for _, row := range cl.faults[0] {
-				total += row.Failures()
-			}
-			return total
-		}
+		// The flapping member must actually absorb traffic and fail —
+		// otherwise this test proved nothing. A fast expr loop can land
+		// entirely inside "up" windows, so keep driving queries (still
+		// asserting parity) until a failure is observed; the 20ms health
+		// probes land in down windows too.
+		injected := func() uint64 { _, h := rs.conn.health(); return h[0].Failures }
 		want, err := query.EvalIndexed(st, exprs[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for deadline := time.Now().Add(5 * time.Second); injected() == 0 && time.Now().Before(deadline); {
-			got, err := cl.eng.Execute(exprs[1])
+			got, err := eng.Execute(exprs[1])
 			if err != nil {
 				t.Fatalf("shards=%d: Execute under flap: %v", shards, err)
 			}
@@ -181,11 +119,9 @@ func TestChaosParityUnderFlap(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		for _, row := range cl.faults[0] {
-			row.StopFlap()
-		}
+		stop()
 		if injected() == 0 {
-			t.Errorf("shards=%d: flap schedule never injected a failure", shards)
+			t.Errorf("shards=%d: the flapping member never failed a call", shards)
 		}
 	}
 }
@@ -323,32 +259,32 @@ func TestDegradedIndicators(t *testing.T) {
 // over to the surviving replica — a rolling restart is invisible.
 func TestDrainFailover(t *testing.T) {
 	col, st, _ := parityEngines(t)
-	cl := startChaosCluster(t, col, 4, 2, Options{Workers: 4, CacheSize: 0})
+	eng, rs := startChaosCluster(t, col, 4, 2, Options{Workers: 4, CacheSize: 0})
 	e := query.Expr(query.Has{Pred: query.TypeIs(model.TypeDiagnosis)})
 	want, err := query.EvalIndexed(st, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.eng.Execute(e); err != nil {
+	if _, err := eng.Execute(e); err != nil {
 		t.Fatalf("healthy cluster: %v", err)
 	}
 
-	// Drain replica 0. Its listener closes and every new RPC is refused
-	// with the draining marker; in-flight calls get to finish.
-	if err := cl.servers[0].Shutdown(5 * time.Second); err != nil {
+	// Drain replica 0: every new RPC is refused with the draining marker;
+	// in-flight calls get to finish.
+	if err := rs.servers[0].Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 
 	// The draining replica's direct error is the distinct ErrDraining,
 	// not a generic transport failure.
-	_, err = cl.faults[0][0].EvalPlan(context.Background(), parityPlan(t), nil)
+	_, _, err = DialShards(rs.gates[0].Addr().String(), RemoteOptions{Timeout: 5 * time.Second})
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining server answered %v, want ErrDraining", err)
 	}
 
 	// The coordinator fails over, repeatedly, with zero errors.
 	for i := 0; i < 4; i++ {
-		got, err := cl.eng.Execute(e)
+		got, err := eng.Execute(e)
 		if err != nil {
 			t.Fatalf("execute during drain: %v", err)
 		}
@@ -369,22 +305,23 @@ func (r *badDescribeRPC) Describe(_ *DescribeArgs, reply *DescribeReply) error {
 
 func serveBadDescribe(t *testing.T, reply DescribeReply) string {
 	t.Helper()
-	return serveRPCStub(t, &badDescribeRPC{reply: reply})
+	return serveRPCStub(t, &badDescribeRPC{reply: reply}).Addr().String()
 }
 
-// serveRPCStub serves a fake shard-server receiver on a loopback listener
-// and returns its address.
-func serveRPCStub(t *testing.T, rcvr any) string {
+// serveRPCStub serves a shard-server receiver — a fake, or a wrapped
+// ShardRPC — on a loopback listener and returns the listener.
+func serveRPCStub(t testing.TB, rcvr any) *trackingListener {
 	t.Helper()
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(rpcServiceName, rcvr); err != nil {
 		t.Fatal(err)
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { lis.Close() })
+	lis := &trackingListener{Listener: inner}
+	t.Cleanup(lis.kill)
 	go func() {
 		for {
 			conn, err := lis.Accept()
@@ -394,7 +331,7 @@ func serveRPCStub(t *testing.T, rcvr any) string {
 			go srv.ServeConn(conn)
 		}
 	}()
-	return lis.Addr().String()
+	return lis
 }
 
 // TestDialShardsValidatesIdentity: a server advertising duplicate ids,

@@ -1,9 +1,10 @@
 package engine
 
-// The decorator contract, checked over the interface itself: every data
-// operation ShardBackend declares — found by reflection, so one added
+// The interception contract, checked over the interface itself: every
+// data operation ShardBackend declares — found by reflection, so one added
 // later is covered the day it lands — goes through FaultBackend's gate
-// and ReplicaBackend's failover exactly once. And the one check every
+// once, and through a replicated group's failover exactly once per member
+// tried. And the one check every
 // cohort operation shares: a bitset that does not cover the population is
 // refused before any view or backend is indexed with it.
 
@@ -51,9 +52,9 @@ func (c *countingBackend) Analyze(context.Context, AnalyzeArgs) (Partial, error)
 }
 
 // callDataMethods invokes every ShardBackend method that takes a context —
-// the data operations — on b with zero arguments, calling check around
-// each.
-func callDataMethods(t *testing.T, b ShardBackend, check func(method string, call func() error)) {
+// the data operations — on b with the arguments args lists for it, zero
+// values otherwise, calling check around each.
+func callDataMethods(t *testing.T, b ShardBackend, args map[string][]any, check func(method string, call func() error)) {
 	t.Helper()
 	iface := reflect.TypeOf((*ShardBackend)(nil)).Elem()
 	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
@@ -64,12 +65,16 @@ func callDataMethods(t *testing.T, b ShardBackend, check func(method string, cal
 			continue // Meta, Close
 		}
 		seen++
-		args := []reflect.Value{reflect.ValueOf(context.Background())}
+		in := []reflect.Value{reflect.ValueOf(context.Background())}
 		for k := 1; k < m.Type.NumIn(); k++ {
-			args = append(args, reflect.Zero(m.Type.In(k)))
+			if given := args[m.Name]; given != nil {
+				in = append(in, reflect.ValueOf(given[k-1]))
+			} else {
+				in = append(in, reflect.Zero(m.Type.In(k)))
+			}
 		}
 		check(m.Name, func() error {
-			out := reflect.ValueOf(b).MethodByName(m.Name).Call(args)
+			out := reflect.ValueOf(b).MethodByName(m.Name).Call(in)
 			err, _ := out[len(out)-1].Interface().(error)
 			return err
 		})
@@ -83,7 +88,7 @@ func TestDecoratorsInterceptEveryOperation(t *testing.T) {
 	t.Run("fault gate", func(t *testing.T) {
 		inner := &countingBackend{}
 		f := NewFaultBackend(inner)
-		callDataMethods(t, f, func(method string, call func() error) {
+		callDataMethods(t, f, nil, func(method string, call func() error) {
 			gated, reached := f.Calls(), inner.calls.Load()
 			if err := call(); err != nil {
 				t.Errorf("%s through a healthy wrapper: %v", method, err)
@@ -105,29 +110,29 @@ func TestDecoratorsInterceptEveryOperation(t *testing.T) {
 	})
 
 	t.Run("replica failover", func(t *testing.T) {
-		dead, live := &countingBackend{}, &countingBackend{}
-		primary := NewFaultBackend(dead)
-		primary.Fail()
-		rb, err := NewReplicaBackend([]ShardBackend{primary, live},
-			ReplicaOptions{ProbeInterval: -1, BackoffBase: time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
+		col, _, _ := parityEngines(t)
+		rs := serveReplicas(t, col, 1, 2, func(c *remoteConn) { c.backoffBase = time.Microsecond })
+		rs.gates[0].setFailed(true)
+		b := rs.backends[0]
+		args := map[string][]any{
+			"EvalPlan": {parityPlan(t), (*store.Bitset)(nil)},
+			"IDsOf":    {store.NewBitset(b.Meta().Patients)},
+			"Analyze":  {AnalyzeArgs{Kind: AnalyzeSpan, Params: SpanRequest().params}},
 		}
-		defer rb.Close()
-		callDataMethods(t, rb, func(method string, call func() error) {
+		callDataMethods(t, b, args, func(method string, call func() error) {
 			// Only the failing member looks healthy, so it is tried first
 			// and the call must fail over to the other.
-			rb.replicas[0].healthy.Store(true)
-			rb.replicas[1].healthy.Store(false)
-			tried, served := primary.Failures(), live.calls.Load()
+			rs.conn.members[0].healthy.Store(true)
+			rs.conn.members[1].healthy.Store(false)
+			_, before := rs.conn.health()
 			if err := call(); err != nil {
-				t.Errorf("%s over a set with one live member: %v", method, err)
+				t.Errorf("%s over a group with one live member: %v", method, err)
 			}
-			if primary.Failures() != tried+1 || live.calls.Load() != served+1 || dead.calls.Load() != 0 {
-				t.Errorf("%s: failing member tried %d times, live member served %d times; want once each",
-					method, primary.Failures()-tried, live.calls.Load()-served)
+			_, after := rs.conn.health()
+			if tried, served := after[0].Failures-before[0].Failures, after[1].Calls-before[1].Calls; tried != 1 || served != 1 {
+				t.Errorf("%s: failing member tried %d times, live member served %d times; want once each", method, tried, served)
 			}
-			if rb.replicas[0].healthy.Load() {
+			if after[0].Healthy {
 				t.Errorf("%s: the failed attempt did not mark the member down", method)
 			}
 		})

@@ -46,14 +46,14 @@ func (p Policy) String() string {
 
 // ErrUnavailable marks transport-level failures: dial errors, call
 // timeouts, connection resets, exhausted failover attempts. Errors
-// wrapping it are safe to retry on another replica of the same shard
+// wrapping it are safe to retry on another replica of the same server
 // (every ShardBackend operation is read-only and idempotent), and they
 // are the only errors PolicyDegraded absorbs.
 var ErrUnavailable = errors.New("backend unavailable")
 
 // ErrDraining is the distinct refusal a shard server answers with once
 // Shutdown has begun: the server is alive but will not take new work.
-// A replica set treats it exactly like unavailability — fail over, do
+// A replicated group treats it exactly like unavailability — fail over, do
 // not error — so rolling restarts are invisible to queries.
 var ErrDraining = errors.New("shard server draining")
 

@@ -60,12 +60,12 @@ func (m *shardMetric) add(t0 time.Time, err error) {
 	}
 }
 
-// group is what one round trip reaches: the backends sharing one shard
-// server's connection (what DialShards hands out), or any other backend —
-// a local view, a replica set, a fault wrapper — alone. Grouping is
-// derived from the topology, never configured.
+// group is what one round trip reaches: the backends sharing one server
+// group's connection (what one DialShards address hands out, replicated
+// or not), or any other backend — a local view, a test's fault wrapper —
+// alone. Grouping is derived from the topology, never configured.
 type group struct {
-	conn       *remoteConn // nil unless the members are RemoteBackends on one connection
+	conn       *remoteConn // nil unless the members are RemoteBackends of one server group
 	members    []int       // backend indexes, ascending
 	roundTrips atomic.Uint64
 }
@@ -421,22 +421,22 @@ type ShardStat struct {
 	Patients int
 	Entries  int
 	// Backend names the transport ("local", "remote(addr)",
-	// "replicas(…)").
+	// "replicas(remote(a) | remote(b))").
 	Backend string
 	// Queries counts evaluations of this shard, Nanos the time the
 	// coordinator waited for them (shards answered by one round trip each
 	// count it whole).
 	Queries uint64
 	Nanos   uint64
-	// Group numbers the backend's server group — the shards of one shard
-	// server share one, any other backend is its own — and RoundTrips
+	// Group numbers the backend's server group — the shards of one
+	// DialShards address share one, any other backend is its own — and RoundTrips
 	// counts the calls actually sent to that group: sum it over distinct
 	// groups. For a group of one it is Queries, less the evaluations an
 	// empty mask slice answered without a call.
 	Group      int
 	RoundTrips uint64
 	// Failures counts calls to this backend that returned an error
-	// (after any replica-level failover).
+	// (after any failover within its group).
 	Failures uint64
 	// Skipped counts operations where PolicyDegraded absorbed this
 	// backend's unavailability — answers that were served without it.
@@ -469,9 +469,9 @@ func (e *Engine) ShardStats() []ShardStat {
 }
 
 // ShardHealth is one backend's live health as the engine sees it: for a
-// replica set, the per-member states the health checker maintains; for a
-// plain backend, a single synthetic member that is healthy as long as it
-// exists (plain backends have no checker — failures surface per call).
+// shard of a replicated server group, the group's per-member states the
+// health loop maintains; for any other backend, healthy as long as it
+// exists (it has no checker — failures surface per call).
 type ShardHealth struct {
 	Shard    int             `json:"shard"`
 	Backend  string          `json:"backend"`
@@ -486,9 +486,8 @@ func (e *Engine) Health() []ShardHealth {
 	for i, b := range t.backends {
 		m := b.Meta()
 		h := ShardHealth{Shard: m.Shard, Backend: m.Backend, Healthy: true}
-		if rb, ok := b.(*ReplicaBackend); ok {
-			h.Healthy = rb.Healthy()
-			h.Replicas = rb.Health()
+		if rb, ok := b.(*RemoteBackend); ok && len(rb.conn.members) > 1 {
+			h.Healthy, h.Replicas = rb.conn.health()
 		}
 		out[i] = h
 	}
@@ -672,7 +671,7 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	} else {
 		switch n := p.(type) {
 		case IndexScan:
-			out, err = e.evalIndex(t, n)
+			out, err = evalIndexOnView(t.view, n)
 		case Scan:
 			out, err = e.evalScan(ctx, t, n, nil)
 		case Not:
@@ -825,32 +824,6 @@ func (e *Engine) evalOr(ctx context.Context, t *topo, children []Plan, mask *sto
 		}
 	}
 	return acc, nil
-}
-
-// evalIndex answers an index leaf straight from the topology's pinned
-// postings — with local backends sharing the same revision there is
-// nothing to fan out. (A coordinator has no local postings; index leaves
-// reach its backends inside the pushed-down plan instead.)
-func (e *Engine) evalIndex(t *topo, n IndexScan) (*store.Bitset, error) {
-	switch n.Op {
-	case OpType:
-		return t.view.WithType(n.Type), nil
-	case OpSource:
-		return t.view.WithSource(n.Source), nil
-	default:
-		if len(n.Systems) == 0 {
-			return t.view.WithCodeRegex("", n.Pattern)
-		}
-		out := t.empty()
-		for _, sys := range n.Systems {
-			b, err := t.view.WithCodeRegex(sys, n.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			out.Or(b)
-		}
-		return out, nil
-	}
 }
 
 // evalScan runs the fallback evaluator over each backend's shard. The

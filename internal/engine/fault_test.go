@@ -1,58 +1,95 @@
 package engine
 
-// FaultBackend: a ShardBackend decorator that injects failures on a
-// schedule — hard errors, added latency, hangs, and up/down flapping.
-// It is how the chaos tests (and the chaos parity suite) exercise the
-// failover and degradation machinery deterministically, without real
-// processes to kill: wrap any backend, flip its mode, and every
-// operation misbehaves the way a crashed, overloaded or wedged shard
-// server would. Injected errors are ErrUnavailable-classified, exactly
-// like real transport failures, so replica sets fail over on them and
-// PolicyDegraded absorbs them.
+// FaultBackend: a ShardBackend decorator that fails every call while
+// failed. It is how the degradation tests exercise Strict and Degraded
+// over in-process backends, without servers to kill: wrap any backend,
+// Fail it, and every operation fails the way an unreachable shard server's
+// would — with an ErrUnavailable-classified error, exactly like a real
+// transport failure, so PolicyDegraded absorbs it. (Replicated groups are
+// exercised over real shard servers instead; see replica_test.go.)
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"pastas/internal/model"
+	"pastas/internal/store"
 )
 
-// FaultMode is the backend's current injected behavior.
-type FaultMode int32
+// interceptor is the one decision a ShardBackend decorator makes: how a
+// call reaches the backend it wraps. It runs call against the backend —
+// behind FaultBackend's gate — and returns the outcome.
+type interceptor func(ctx context.Context, call func(ctx context.Context, b ShardBackend) error) error
 
-const (
-	// FaultNone passes every call through untouched.
-	FaultNone FaultMode = iota
-	// FaultError fails every call with an ErrUnavailable-wrapped error.
-	FaultError
-	// FaultHang blocks every call until Release is called or the call's
-	// context expires — the wedged-server case that deadline threading
-	// exists for.
-	FaultHang
-)
+// forwarder implements every ShardBackend data operation once, over an
+// interceptor. A decorator embeds it and keeps only Meta, Close and its
+// own machinery: an operation added to ShardBackend is forwarded — and
+// intercepted — or nothing compiles.
+type forwarder struct{ via interceptor }
 
-// FaultBackend wraps a ShardBackend with a controllable fault schedule.
-// The data operations are the shared forwarder's, each run through
-// intercept.
+// forward runs one result-bearing operation through the interceptor,
+// keeping the result of the run whose outcome the interceptor returns.
+func forward[T any](ctx context.Context, via interceptor, op func(context.Context, ShardBackend) (T, error)) (out T, err error) {
+	err = via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
+		out, err = op(ctx, b)
+		return err
+	})
+	return out, err
+}
+
+func (f forwarder) Stats(ctx context.Context) (*store.Stats, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Stats, error) {
+		return b.Stats(ctx)
+	})
+}
+
+func (f forwarder) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (*store.Bitset, error) {
+		return b.EvalPlan(ctx, p, mask)
+	})
+}
+
+func (f forwarder) IDsOf(ctx context.Context, bits *store.Bitset) ([]model.PatientID, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]model.PatientID, error) {
+		return b.IDsOf(ctx, bits)
+	})
+}
+
+func (f forwarder) FetchHistories(ctx context.Context, ordinals []int) ([]*model.History, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) ([]*model.History, error) {
+		return b.FetchHistories(ctx, ordinals)
+	})
+}
+
+func (f forwarder) LocateID(ctx context.Context, id model.PatientID) (ordinal int, found bool, err error) {
+	err = f.via(ctx, func(ctx context.Context, b ShardBackend) (err error) {
+		ordinal, found, err = b.LocateID(ctx, id)
+		return err
+	})
+	return ordinal, found, err
+}
+
+func (f forwarder) Analyze(ctx context.Context, args AnalyzeArgs) (Partial, error) {
+	return forward(ctx, f.via, func(ctx context.Context, b ShardBackend) (Partial, error) {
+		return b.Analyze(ctx, args)
+	})
+}
+
+// FaultBackend wraps a ShardBackend with a fail switch. The data
+// operations are the forwarder's, each run through intercept.
 type FaultBackend struct {
 	forwarder
 	inner ShardBackend
 
-	mode     atomic.Int32
-	latency  atomic.Int64  // injected per-call latency, nanoseconds
-	failNext atomic.Int64  // one-shot failure budget, consumed per call
+	failing  atomic.Bool
 	calls    atomic.Uint64 // total calls gated (including failed ones)
 	failures atomic.Uint64 // calls failed by injection
-
-	mu      sync.Mutex
-	release chan struct{} // closed to release hanging calls
-	flap    chan struct{} // non-nil while a flap schedule runs
 }
 
 // NewFaultBackend wraps a backend, initially healthy.
 func NewFaultBackend(inner ShardBackend) *FaultBackend {
-	f := &FaultBackend{inner: inner, release: make(chan struct{})}
+	f := &FaultBackend{inner: inner}
 	f.forwarder.via = f.intercept
 	return f
 }
@@ -65,145 +102,25 @@ func (f *FaultBackend) Meta() ShardMeta {
 	return m
 }
 
-// SetMode switches the injected behavior. Leaving FaultHang releases the
-// calls currently blocked.
-func (f *FaultBackend) SetMode(mode FaultMode) {
-	old := FaultMode(f.mode.Swap(int32(mode)))
-	if old == FaultHang && mode != FaultHang {
-		f.Release()
-	}
-}
-
 // Fail starts failing every call; Recover restores pass-through.
-func (f *FaultBackend) Fail()    { f.SetMode(FaultError) }
-func (f *FaultBackend) Recover() { f.SetMode(FaultNone) }
-
-// FailNext injects failures into the next n calls (independent of the
-// mode), then passes through again — the transient-blip schedule.
-func (f *FaultBackend) FailNext(n int) { f.failNext.Store(int64(n)) }
-
-// SetLatency injects a fixed delay before every call (0 clears it). The
-// delay respects the call's context deadline.
-func (f *FaultBackend) SetLatency(d time.Duration) { f.latency.Store(int64(d)) }
-
-// Release unblocks every call currently parked by FaultHang.
-func (f *FaultBackend) Release() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	close(f.release)
-	f.release = make(chan struct{})
-}
-
-// StartFlap runs an up/down schedule: healthy for up, failing for down,
-// repeating until StopFlap or Close. Calling it again restarts the
-// schedule.
-func (f *FaultBackend) StartFlap(up, down time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.flap != nil {
-		close(f.flap)
-	}
-	stop := make(chan struct{})
-	f.flap = stop
-	go func() {
-		for {
-			f.SetMode(FaultNone)
-			select {
-			case <-stop:
-				return
-			case <-time.After(up):
-			}
-			f.SetMode(FaultError)
-			select {
-			case <-stop:
-				f.SetMode(FaultNone)
-				return
-			case <-time.After(down):
-			}
-		}
-	}()
-}
-
-// StopFlap halts the flap schedule and leaves the backend healthy.
-func (f *FaultBackend) StopFlap() {
-	f.mu.Lock()
-	if f.flap != nil {
-		close(f.flap)
-		f.flap = nil
-	}
-	f.mu.Unlock()
-	f.SetMode(FaultNone)
-}
+func (f *FaultBackend) Fail()    { f.failing.Store(true) }
+func (f *FaultBackend) Recover() { f.failing.Store(false) }
 
 // Calls and Failures report the cumulative gated and injected-failure
 // call counts — how tests assert traffic actually hit the wrapper.
 func (f *FaultBackend) Calls() uint64    { return f.calls.Load() }
 func (f *FaultBackend) Failures() uint64 { return f.failures.Load() }
 
-// gate applies the fault schedule to one call: count it, delay it, then
-// fail, hang or admit it.
-func (f *FaultBackend) gate(ctx context.Context) error {
-	f.calls.Add(1)
-	if d := time.Duration(f.latency.Load()); d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			f.failures.Add(1)
-			return fmt.Errorf("engine: fault(%s): %w: %w", f.inner.Meta().Backend, ErrUnavailable, ctx.Err())
-		}
-	}
-	if f.failNext.Load() > 0 && f.failNext.Add(-1) >= 0 {
-		f.failures.Add(1)
-		return fmt.Errorf("engine: fault(%s): injected failure: %w", f.inner.Meta().Backend, ErrUnavailable)
-	}
-	switch FaultMode(f.mode.Load()) {
-	case FaultError:
-		f.failures.Add(1)
-		return fmt.Errorf("engine: fault(%s): injected failure: %w", f.inner.Meta().Backend, ErrUnavailable)
-	case FaultHang:
-		f.mu.Lock()
-		release := f.release
-		f.mu.Unlock()
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			f.failures.Add(1)
-			return fmt.Errorf("engine: fault(%s): hung: %w: %w", f.inner.Meta().Backend, ErrUnavailable, ctx.Err())
-		}
-	default:
-		return nil
-	}
-}
-
-// intercept is the wrapper's interceptor: the fault schedule first, then
-// the wrapped backend.
+// intercept is the wrapper's interceptor: count the call, then fail it or
+// pass it to the wrapped backend.
 func (f *FaultBackend) intercept(ctx context.Context, call func(ctx context.Context, b ShardBackend) error) error {
-	if err := f.gate(ctx); err != nil {
-		return err
+	f.calls.Add(1)
+	if f.failing.Load() {
+		f.failures.Add(1)
+		return fmt.Errorf("engine: fault(%s): injected failure: %w", f.inner.Meta().Backend, ErrUnavailable)
 	}
 	return call(ctx, f.inner)
 }
 
-// Probe implements Prober, under the same fault schedule as real calls —
-// a health checker must see the injected outage.
-func (f *FaultBackend) Probe(ctx context.Context) error {
-	if err := f.gate(ctx); err != nil {
-		return err
-	}
-	if p, ok := f.inner.(Prober); ok {
-		return p.Probe(ctx)
-	}
-	_, err := f.inner.Stats(ctx)
-	return err
-}
-
-// Close implements ShardBackend: stops any flap schedule, releases any
-// hung calls and closes the wrapped backend.
-func (f *FaultBackend) Close() error {
-	f.StopFlap()
-	f.Release()
-	return f.inner.Close()
-}
+// Close implements ShardBackend by closing the wrapped backend.
+func (f *FaultBackend) Close() error { return f.inner.Close() }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
-	"net"
 	"net/rpc"
 	"reflect"
 	"strings"
@@ -60,18 +59,8 @@ func groupedLayouts(t *testing.T, opts Options) map[string]*Engine {
 		mixed[i] = NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), m.Shard)
 	}
 	layouts["local+remote"] = mixed
-	// Replica sets over two full servers: every shard a group of one.
-	pair := serveShards(t, col, 8, [][]int{seq(0, 8), seq(0, 8)}, ropts)
-	var sets []ShardBackend
-	for s := range pair.backends[0] {
-		rb, err := NewReplicaBackend([]ShardBackend{pair.backends[0][s], pair.backends[1][s]},
-			ReplicaOptions{ProbeInterval: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets = append(sets, rb)
-	}
-	layouts["replicas"] = sets
+	// Two servers of all eight shards, dialed as one replicated group.
+	layouts["replicas"] = serveReplicas(t, col, 8, 2, nil).backends
 
 	engines := make(map[string]*Engine, len(layouts))
 	for name, backends := range layouts {
@@ -272,7 +261,7 @@ func TestGroupedParity(t *testing.T) {
 }
 
 // listingRPC is a shard server's RPC surface that notes which shards each
-// cohort call lists before answering it.
+// Eval and cohort call lists before answering it.
 type listingRPC struct {
 	*ShardRPC
 	mu     sync.Mutex
@@ -287,6 +276,18 @@ func (r *listingRPC) note(method string, n int, shard func(k int) int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.listed[method] = append(r.listed[method], shards)
+}
+
+// calls counts the calls of one method noted so far.
+func (r *listingRPC) calls(method string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.listed[method])
+}
+
+func (r *listingRPC) Eval(args *EvalArgs, reply *EvalReply) error {
+	r.note("Eval", len(args.Items), func(k int) int { return args.Items[k].Shard })
+	return r.ShardRPC.Eval(args, reply)
 }
 
 func (r *listingRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
@@ -308,8 +309,10 @@ func (r *listingRPC) IDs(args *IDsArgs, reply *IDsReply) error {
 // evaluations in exactly 2 round trips, a refinement at most 2, a masked
 // evaluation whose candidates sit on one server 1, an analysis, a history
 // fetch and an ID listing 2 — 1 when the cohort sits on one server — and a
-// timeline 2 Locate + 1 Fetch. Replica sets stay groups of one. A cohort
-// call lists the shards holding a member, in shard order, and no other.
+// timeline 2 Locate + 1 Fetch. A cohort call lists the shards holding a
+// member, in shard order, and no other. A replicated pair of 8-shard
+// servers is one group: a count is 1 round trip, and one probe round 2
+// Describe calls, one per member.
 func TestGroupedRoundTrips(t *testing.T) {
 	col, st, _ := parityEngines(t)
 	ctx := context.Background()
@@ -383,7 +386,7 @@ func TestGroupedRoundTrips(t *testing.T) {
 	// them: each cohort call is one call listing exactly those three.
 	sv := serveShards(t, col, 8, [][]int{seq(0, 8)}, RemoteOptions{Timeout: 30 * time.Second})
 	rec := &listingRPC{ShardRPC: &ShardRPC{s: sv.servers[0]}, listed: map[string][][]int{}}
-	backends, _, err := DialShards(serveRPCStub(t, rec), RemoteOptions{Timeout: 30 * time.Second})
+	backends, _, err := DialShards(serveRPCStub(t, rec).Addr().String(), RemoteOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +428,27 @@ func TestGroupedRoundTrips(t *testing.T) {
 		t.Errorf("HistoryByID of an unknown patient = %v, want ErrNoPatient", err)
 	}
 
-	groups := map[int]bool{}
-	for _, s := range engines["replicas"].ShardStats() {
-		groups[s.Group] = true
+	eng = engines["replicas"] // delta now counts the replicated layout
+	trips, evals = delta(func() {
+		if _, err := eng.Execute(parent); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if trips != 1 || evals != 8 {
+		t.Errorf("replicated unmasked count: %d evaluations in %d round trips, want 8 in 1", evals, trips)
 	}
-	if len(groups) != 8 {
-		t.Errorf("8 replica sets form %d groups, want 8 groups of one", len(groups))
+	conn := eng.topoNow().backends[0].(*RemoteBackend).conn
+	sent := func() (n uint64) {
+		_, health := conn.health()
+		for _, h := range health {
+			n += h.Calls
+		}
+		return n
+	}
+	before := sent()
+	conn.probeAll()
+	if probes := sent() - before; probes != 2 {
+		t.Errorf("one probe round over a replicated pair of 8-shard servers sent %d Describe calls, want 2", probes)
 	}
 }
 
@@ -713,27 +731,11 @@ func TestCancelledCallKeepsConnection(t *testing.T) {
 	// entered is sized for the two calls plus the redial-retry a torn
 	// connection would cost, so a regression fails the test, not hangs it.
 	fake := &slowDescribe{entered: make(chan struct{}, 3), release: make(chan struct{})}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(rpcServiceName, fake); err != nil {
-		t.Fatal(err)
-	}
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	lis := serveRPCStub(t, fake)
+	conn, err := newRemoteConn(lis.Addr().String(), RemoteOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis := &trackingListener{Listener: inner}
-	defer lis.kill()
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	conn := &remoteConn{addr: lis.Addr().String(), opts: RemoteOptions{Timeout: 30 * time.Second}}
 	defer conn.close()
 	call := func(ctx context.Context) chan error {
 		done := make(chan error, 1)

@@ -7,7 +7,8 @@ package engine
 // complete workbench — timelines, details-on-demand and indicator panels
 // work without a local store — while keeping the wire cost proportional
 // to what the analyst actually looks at: fetches ship only the selected
-// histories, indicator aggregation ships a fixed-size tally per shard.
+// histories, indicator and profile aggregation ship a fixed-size tally per
+// shard.
 //
 // Failure semantics: Histories and HistoryByID are strict under either
 // policy — a timeline with silently absent patients or a "not found"
@@ -174,4 +175,17 @@ func (e *Engine) IndicatorsStatus(ctx context.Context, b *store.Bitset, window m
 		return stats.Indicators{}, QueryStatus{}, err
 	}
 	return counts.Finalize(window), status, nil
+}
+
+// Profile aggregates the dimension breakdown for the cohort a
+// global-ordinal bitset selects, over the window — the compare-cohorts half
+// of the workspace: the AnalyzeProfile kind, merged exactly like
+// Indicators. Under PolicyDegraded the aggregate may omit unreachable
+// shards.
+func (e *Engine) Profile(b *store.Bitset, window model.Period) (stats.CohortProfile, error) {
+	prof, _, err := analyzeWindow[stats.CohortProfile](context.Background(), e, b, AnalyzeProfile, window)
+	if err != nil {
+		return stats.CohortProfile{}, err
+	}
+	return *prof, nil
 }

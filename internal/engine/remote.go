@@ -6,10 +6,11 @@ package engine
 // store.OpenShards — only those segments are ever read — indexes each as
 // a dedicated store, and answers plan evaluations through a per-shard
 // engine, re-optimized against the shard's own statistics. The client
-// side wraps each served shard as a ShardBackend with per-call timeout
-// and bounded redial-retry; server-side evaluation errors are returned
-// verbatim and never retried (they are deterministic), while transport
-// errors reset the connection.
+// side wraps each served shard as a ShardBackend over its server group —
+// one server, or replicas of it — whose one attempt loop (rpcCall) bounds
+// every call by a per-call timeout and redials, retries or fails over;
+// server-side evaluation errors are returned verbatim and never retried
+// (they are deterministic), while transport errors reset the connection.
 //
 // There is one framing: plans (wire.go's tagged form), analyzer parameters
 // and partials are typed fields of the RPC structs on the connection's own
@@ -178,7 +179,7 @@ func (s *ShardServer) Serve(lis net.Listener) error {
 // their responses are flushed to the client. Returns an error if the
 // drain deadline passes with calls still running.
 func (s *ShardServer) Shutdown(timeout time.Duration) error {
-	// closing is flipped under the same mutex begin takes, so once this
+	// closing is flipped under the same mutex serve takes, so once this
 	// critical section ends no new inflight.Add can ever happen — the
 	// Wait below can never race an Add from a zero counter (the
 	// documented WaitGroup misuse).
@@ -202,13 +203,15 @@ func (s *ShardServer) Shutdown(timeout time.Duration) error {
 	}
 }
 
-// begin gates one RPC against shutdown; end must be deferred when it
-// returns nil. The check-and-Add runs under the mutex Shutdown flips
-// closing under, so every Add strictly precedes Shutdown's Wait.
-func (s *ShardServer) begin() error {
+// serve is every RPC's preamble. The call is refused once Shutdown began
+// and counted in flight until it returns: the check-and-Add runs under the
+// mutex Shutdown flips closing under, so every Add strictly precedes
+// Shutdown's Wait. A call that lists items (shard non-nil) is refused next
+// when malformed as a whole (checkItems), before any work.
+func (s *ShardServer) serve(op string, n int, shard func(k int) int, fn func() error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closing.Load() {
+		s.mu.Unlock()
 		// The distinct drain refusal: clients match drainingMarker in the
 		// flattened rpc.ServerError and fail over instead of erroring —
 		// an RPC racing Shutdown gets a clean redirect, not a torn
@@ -216,10 +219,15 @@ func (s *ShardServer) begin() error {
 		return fmt.Errorf("engine: shard %s (shutting down)", drainingMarker)
 	}
 	s.inflight.Add(1)
-	return nil
+	s.mu.Unlock()
+	defer s.inflight.Done()
+	if shard != nil {
+		if err := s.checkItems(op, n, shard); err != nil {
+			return err
+		}
+	}
+	return fn()
 }
-
-func (s *ShardServer) end() { s.inflight.Done() }
 
 func (s *ShardServer) shard(id int) (*servedShard, error) {
 	sh, ok := s.shards[id]
@@ -305,13 +313,11 @@ type DescribeReply struct {
 
 // Describe lists the shards this server answers for.
 func (r *ShardRPC) Describe(_ *DescribeArgs, reply *DescribeReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	reply.Shards = r.s.Metas()
-	reply.TotalPatients = r.s.totalPatients
-	return nil
+	return r.s.serve("describe", 0, nil, func() error {
+		reply.Shards = r.s.Metas()
+		reply.TotalPatients = r.s.totalPatients
+		return nil
+	})
 }
 
 // StatsArgs/StatsReply: per-shard planner statistics.
@@ -320,20 +326,14 @@ type StatsReply struct{ Stats []byte }
 
 // Stats returns one shard's marshaled exact cardinalities.
 func (r *ShardRPC) Stats(args *StatsArgs, reply *StatsReply) error {
-	if err := r.s.begin(); err != nil {
+	return r.s.serve("stats", 0, nil, func() error {
+		sh, err := r.s.shard(args.Shard)
+		if err != nil {
+			return err
+		}
+		reply.Stats, err = sh.eng.Stats().MarshalBinary()
 		return err
-	}
-	defer r.s.end()
-	sh, err := r.s.shard(args.Shard)
-	if err != nil {
-		return err
-	}
-	data, err := sh.eng.Stats().MarshalBinary()
-	if err != nil {
-		return err
-	}
-	reply.Stats = data
-	return nil
+	})
 }
 
 // EvalArgs/EvalReply: plan evaluation over some of the server's shards in
@@ -357,27 +357,22 @@ type EvalResult struct {
 // hostile mask, failed evaluation) is that item's error and leaves its
 // neighbours' results intact.
 func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	if err := r.s.checkItems("eval", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
-		return err
-	}
-	p, err := planFromWire(args.Plan)
-	if err != nil {
-		return err
-	}
-	reply.Results = make([]EvalResult, len(args.Items))
-	r.s.eachItem(len(args.Items), func(k int) {
-		bits, err := r.s.evalShard(p, args.Items[k])
+	return r.s.serve("eval", len(args.Items), func(k int) int { return args.Items[k].Shard }, func() error {
+		p, err := planFromWire(args.Plan)
 		if err != nil {
-			reply.Results[k].Err = err.Error()
-			return
+			return err
 		}
-		reply.Results[k].Bits = bits
+		reply.Results = make([]EvalResult, len(args.Items))
+		r.s.eachItem(len(args.Items), func(k int) {
+			bits, err := r.s.evalShard(p, args.Items[k])
+			if err != nil {
+				reply.Results[k].Err = err.Error()
+				return
+			}
+			reply.Results[k].Bits = bits
+		})
+		return nil
 	})
-	return nil
 }
 
 // evalShard re-optimizes the plan against one shard's own statistics and
@@ -414,25 +409,20 @@ type IDsReply struct{ IDs [][]model.PatientID }
 // order. Unlike Eval's, an item's fault fails the call, naming the shard: a
 // listing with a hole in it is no listing.
 func (r *ShardRPC) IDs(args *IDsArgs, reply *IDsReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	if err := r.s.checkItems("ids", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
-		return err
-	}
-	reply.IDs = make([][]model.PatientID, len(args.Items))
-	for k, it := range args.Items {
-		sh, mask, err := r.s.open(it)
-		if err != nil {
-			return err
+	return r.s.serve("ids", len(args.Items), func(k int) int { return args.Items[k].Shard }, func() error {
+		reply.IDs = make([][]model.PatientID, len(args.Items))
+		for k, it := range args.Items {
+			sh, mask, err := r.s.open(it)
+			if err != nil {
+				return err
+			}
+			if mask == nil {
+				return fmt.Errorf("engine: shard %d: ids item carries no mask", it.Shard)
+			}
+			reply.IDs[k] = sh.eng.Store().IDsOf(mask)
 		}
-		if mask == nil {
-			return fmt.Errorf("engine: shard %d: ids item carries no mask", it.Shard)
-		}
-		reply.IDs[k] = sh.eng.Store().IDsOf(mask)
-	}
-	return nil
+		return nil
+	})
 }
 
 // FetchArgs/FetchReply: history materialization over some of the server's
@@ -457,30 +447,25 @@ type FetchSegment struct {
 // work, and the histories are read off a pinned view by position: the
 // store's collection is an ID → history map rebuilt after every append.
 func (r *ShardRPC) Fetch(args *FetchArgs, reply *FetchReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	if err := r.s.checkItems("fetch", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
-		return err
-	}
-	reply.Segments = make([]FetchSegment, len(args.Items))
-	for k, it := range args.Items {
-		sh, err := r.s.shard(it.Shard)
-		if err != nil {
-			return err
+	return r.s.serve("fetch", len(args.Items), func(k int) int { return args.Items[k].Shard }, func() error {
+		reply.Segments = make([]FetchSegment, len(args.Items))
+		for k, it := range args.Items {
+			sh, err := r.s.shard(it.Shard)
+			if err != nil {
+				return err
+			}
+			if err := validateOrdinals(it.Ordinals, sh.meta.Patients); err != nil {
+				return fmt.Errorf("engine: shard %d: %w", it.Shard, err)
+			}
+			view := sh.eng.Store().Pin()
+			hs := make([]*model.History, len(it.Ordinals))
+			for i, o := range it.Ordinals {
+				hs[i] = view.HistoryAt(o)
+			}
+			reply.Segments[k].Histories, reply.Segments[k].Checksum = store.EncodeHistories(hs)
 		}
-		if err := validateOrdinals(it.Ordinals, sh.meta.Patients); err != nil {
-			return fmt.Errorf("engine: shard %d: %w", it.Shard, err)
-		}
-		view := sh.eng.Store().Pin()
-		hs := make([]*model.History, len(it.Ordinals))
-		for i, o := range it.Ordinals {
-			hs[i] = view.HistoryAt(o)
-		}
-		reply.Segments[k].Histories, reply.Segments[k].Checksum = store.EncodeHistories(hs)
-	}
-	return nil
+		return nil
+	})
 }
 
 // LocateArgs/LocateReply: patient ID → (shard, shard-local ordinal)
@@ -496,21 +481,19 @@ type LocateReply struct {
 // which local ordinal; a coordinator probes every server and fetches from
 // the shard that answers.
 func (r *ShardRPC) Locate(args *LocateArgs, reply *LocateReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	for _, m := range r.s.metas {
-		o, ok := r.s.shards[m.Shard].eng.Store().Ordinal(args.ID)
-		if !ok {
-			continue
+	return r.s.serve("locate", 0, nil, func() error {
+		for _, m := range r.s.metas {
+			o, ok := r.s.shards[m.Shard].eng.Store().Ordinal(args.ID)
+			if !ok {
+				continue
+			}
+			if reply.Found {
+				return fmt.Errorf("engine: patient %s claimed by shards %d and %d", args.ID, reply.Shard, m.Shard)
+			}
+			*reply = LocateReply{Shard: m.Shard, Ordinal: o, Found: true}
 		}
-		if reply.Found {
-			return fmt.Errorf("engine: patient %s claimed by shards %d and %d", args.ID, reply.Shard, m.Shard)
-		}
-		*reply = LocateReply{Shard: m.Shard, Ordinal: o, Found: true}
-	}
-	return nil
+		return nil
+	})
 }
 
 // AnalyzeRPCArgs/AnalyzeRPCReply: the generic map-reduce RPC — the one
@@ -534,47 +517,43 @@ type AnalyzeRPCReply struct{ Partial Partial }
 // request — unknown kind, another kind's params, corrupt mask — is refused
 // loudly, a faulty item naming its shard.
 func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
-	if err := r.s.begin(); err != nil {
-		return err
-	}
-	defer r.s.end()
-	if err := r.s.checkItems("analyze", len(args.Items), func(k int) int { return args.Items[k].Shard }); err != nil {
-		return err
-	}
-	spec, err := analyzerFor(args.Kind, args.Params)
-	if err != nil {
-		return err
-	}
-	parts := make([]Partial, len(args.Items))
-	errs := make([]error, len(args.Items))
-	r.s.eachItem(len(args.Items), func(k int) {
-		sh, mask, err := r.s.open(args.Items[k])
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		parts[k], errs[k] = spec.tally(sh.eng.Store().Pin().Frame(), args.Params, mask)
-	})
-	for k, err := range errs {
-		if err == nil && k > 0 {
-			err = spec.merge(parts[0], parts[k])
-		}
+	return r.s.serve("analyze", len(args.Items), func(k int) int { return args.Items[k].Shard }, func() error {
+		spec, err := analyzerFor(args.Kind, args.Params)
 		if err != nil {
 			return err
 		}
-	}
-	reply.Partial = parts[0]
-	return nil
+		parts := make([]Partial, len(args.Items))
+		errs := make([]error, len(args.Items))
+		r.s.eachItem(len(args.Items), func(k int) {
+			sh, mask, err := r.s.open(args.Items[k])
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			parts[k], errs[k] = spec.tally(sh.eng.Store().Pin().Frame(), args.Params, mask)
+		})
+		for k, err := range errs {
+			if err == nil && k > 0 {
+				err = spec.merge(parts[0], parts[k])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		reply.Partial = parts[0]
+		return nil
+	})
 }
 
-// RemoteOptions tunes the client side of the shard transport.
+// RemoteOptions tunes the client side of the shard transport. Replication
+// has no options: its timing is the named constants of health.go.
 type RemoteOptions struct {
 	// Timeout bounds each dial and each RPC round trip. 0 means
 	// DefaultRemoteTimeout.
 	Timeout time.Duration
-	// Retries is how many extra attempts a transport-failed call gets
-	// (each after a redial). Negative means none; 0 means
-	// DefaultRemoteRetries.
+	// Retries is how many extra attempts a transport-failed call to an
+	// unreplicated server gets (each after a redial). Negative means none;
+	// 0 means DefaultRemoteRetries.
 	Retries int
 }
 
@@ -601,58 +580,97 @@ func (o RemoteOptions) retries() int {
 	return o.Retries
 }
 
-// remoteConn is one client connection to a shard server, shared by every
-// RemoteBackend the server's shards map to. It lazily (re)dials and is
-// safe for concurrent calls — net/rpc multiplexes by sequence number.
+// remoteConn is one server group — what one DialShards address reaches —
+// shared by every RemoteBackend of the shards it serves. A plain address
+// is a group of one member; "a|b" names replicas, servers loading the same
+// snapshot and serving the same shards, between which every call fails
+// over (rpcCall). Each member is (re)dialed lazily and is safe for
+// concurrent calls — net/rpc multiplexes by sequence number.
 type remoteConn struct {
-	addr string
-	opts RemoteOptions
+	addr    string // the members' addresses, joined by "|"
+	label   string // the backends' transport label
+	opts    RemoteOptions
+	members []*member
+	// ident is, once a replicated group is assembled, the shard table a
+	// member must advertise on every fresh dial (verifyIdentity): a member
+	// that comes back serving a different snapshot is refused, not trusted.
+	ident *DescribeReply
 
-	// expect, when non-nil, is the shard table this server must
-	// advertise before any RPC is allowed through. It is set for
-	// connections built without a live handshake (DeferredShards):
-	// every fresh dial re-runs the Describe validation DialShards
-	// would have done, so a server that comes back serving a
-	// different snapshot is refused, not trusted.
-	expect      []ShardMeta
-	expectTotal int
+	// Failover timing: the constants of health.go, shortened by tests. A
+	// probe interval ≤ 0 starts no health loop.
+	probeInterval, backoffBase, backoffMax time.Duration
+
+	stopOnce sync.Once
+	stop     chan struct{}  // closed by close: ends the health loop
+	loop     sync.WaitGroup // the health loop, which close waits for
+}
+
+// member is one server of a group: its address, its client, and its
+// health record (health.go).
+type member struct {
+	replicaState
+	addr string
 
 	mu     sync.Mutex
 	client *rpc.Client
 	closed bool
 }
 
-func (c *remoteConn) get(budget time.Duration) (*rpc.Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("engine: connection to %s is closed: %w", c.addr, ErrUnavailable)
+// newRemoteConn parses a DialShards address — "addr" or "addr|addr|…",
+// whitespace around members ignored — into a group, nothing dialed yet.
+func newRemoteConn(addr string, opts RemoteOptions) (*remoteConn, error) {
+	c := &remoteConn{opts: opts, probeInterval: DefaultProbeInterval,
+		backoffBase: DefaultBackoffBase, backoffMax: DefaultBackoffMax, stop: make(chan struct{})}
+	var addrs, labels []string
+	for _, a := range strings.Split(addr, "|") {
+		a = strings.TrimSpace(a)
+		if a == "" {
+			return nil, fmt.Errorf("engine: replica group %q: empty member (want \"addr\" or \"addr|addr\")", addr)
+		}
+		m := &member{addr: a}
+		m.healthy.Store(true)
+		c.members = append(c.members, m)
+		addrs, labels = append(addrs, a), append(labels, "remote("+a+")")
 	}
-	if c.client != nil {
-		return c.client, nil
+	c.addr, c.label = strings.Join(addrs, "|"), labels[0]
+	if len(labels) > 1 {
+		c.label = "replicas(" + strings.Join(labels, " | ") + ")"
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, budget)
+	return c, nil
+}
+
+// dial returns the member's client, dialing it first if it has none.
+func (c *remoteConn) dial(m *member, budget time.Duration) (*rpc.Client, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, fmt.Errorf("engine: connection to %s is closed: %w", m.addr, ErrUnavailable)
+	}
+	if m.client != nil {
+		return m.client, nil
+	}
+	conn, err := net.DialTimeout("tcp", m.addr, budget)
 	if err != nil {
-		return nil, fmt.Errorf("engine: dial %s: %w: %w", c.addr, ErrUnavailable, err)
+		return nil, fmt.Errorf("engine: dial %s: %w: %w", m.addr, ErrUnavailable, err)
 	}
 	client := rpc.NewClient(conn)
-	if c.expect != nil {
-		if err := verifyIdentity(client, budget, c.addr, c.expect, c.expectTotal); err != nil {
+	if c.ident != nil {
+		if err := verifyIdentity(client, budget, m.addr, c.ident); err != nil {
 			client.Close()
 			return nil, err
 		}
 	}
-	c.client = client
-	return c.client, nil
+	m.client = client
+	return client, nil
 }
 
 // verifyIdentity performs the Describe handshake on a freshly dialed
 // connection and checks the server still advertises exactly the shard
-// geometry the replica set was assembled with. Mismatches are wrapped as
-// ErrUnavailable on purpose: to the replica set a wrong-snapshot member
-// is indistinguishable from a down one — fail over, keep probing, and
-// let it rejoin only once it advertises the right data again.
-func verifyIdentity(client *rpc.Client, budget time.Duration, addr string, expect []ShardMeta, total int) error {
+// table its group was assembled with. Mismatches are wrapped as
+// ErrUnavailable on purpose: to the group a wrong-snapshot member is
+// indistinguishable from a down one — fail over, keep probing, and let it
+// rejoin only once it advertises the right data again.
+func verifyIdentity(client *rpc.Client, budget time.Duration, addr string, want *DescribeReply) error {
 	var reply DescribeReply
 	call := client.Go(rpcServiceName+".Describe", &DescribeArgs{}, &reply, make(chan *rpc.Call, 1))
 	timer := time.NewTimer(budget)
@@ -665,53 +683,78 @@ func verifyIdentity(client *rpc.Client, budget time.Duration, addr string, expec
 	case <-timer.C:
 		return fmt.Errorf("engine: describe %s: %w: timeout after %s", addr, ErrUnavailable, budget)
 	}
-	if reply.TotalPatients != total {
-		return fmt.Errorf("engine: %s: %w: identity mismatch: server population %d, expected %d (different snapshot?)",
-			addr, ErrUnavailable, reply.TotalPatients, total)
+	if diff := identityDiff(&reply, want); diff != "" {
+		return fmt.Errorf("engine: %s: %w: identity mismatch: %s", addr, ErrUnavailable, diff)
 	}
-	byShard := make(map[int]ShardMeta, len(reply.Shards))
-	for _, m := range reply.Shards {
+	return nil
+}
+
+// identityDiff says how a server's advertised table differs from want, ""
+// when it is the same table: the same population, the same shards, each at
+// the same offset with the same patient and entry counts.
+func identityDiff(got, want *DescribeReply) string {
+	if got.TotalPatients != want.TotalPatients {
+		return fmt.Sprintf("server population %d, expected %d (different snapshot?)", got.TotalPatients, want.TotalPatients)
+	}
+	byShard := make(map[int]ShardMeta, len(got.Shards))
+	for _, m := range got.Shards {
 		byShard[m.Shard] = m
 	}
-	for _, want := range expect {
-		got, ok := byShard[want.Shard]
+	for _, w := range want.Shards {
+		g, ok := byShard[w.Shard]
 		if !ok {
-			return fmt.Errorf("engine: %s: %w: identity mismatch: server no longer serves shard %d",
-				addr, ErrUnavailable, want.Shard)
+			return fmt.Sprintf("server does not serve shard %d", w.Shard)
 		}
-		if got.Offset != want.Offset || got.Patients != want.Patients || got.Entries != want.Entries {
-			return fmt.Errorf("engine: %s: %w: identity mismatch: shard %d advertised as offset %d, %d patients, %d entries; expected offset %d, %d patients, %d entries",
-				addr, ErrUnavailable, want.Shard, got.Offset, got.Patients, got.Entries, want.Offset, want.Patients, want.Entries)
+		if g.Offset != w.Offset || g.Patients != w.Patients || g.Entries != w.Entries {
+			return fmt.Sprintf("shard %d advertised as offset %d, %d patients, %d entries; expected offset %d, %d patients, %d entries",
+				w.Shard, g.Offset, g.Patients, g.Entries, w.Offset, w.Patients, w.Entries)
 		}
 	}
-	return nil
+	if len(got.Shards) != len(want.Shards) {
+		return fmt.Sprintf("server serves %d shards, expected %d", len(got.Shards), len(want.Shards))
+	}
+	return ""
 }
 
-// reset discards a client after a transport failure so the next call
-// redials. Only the failed client is discarded: a concurrent call may
+// reset discards a member's client after a transport failure so the next
+// call redials. Only the failed client is discarded: a concurrent call may
 // already have replaced it.
-func (c *remoteConn) reset(failed *rpc.Client) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.client == failed && c.client != nil {
-		c.client.Close()
-		c.client = nil
+func (m *member) reset(failed *rpc.Client) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.client == failed && m.client != nil {
+		m.client.Close()
+		m.client = nil
 	}
 }
 
-func (c *remoteConn) close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+func (m *member) close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
 		return nil
 	}
-	c.closed = true
-	if c.client != nil {
-		err := c.client.Close()
-		c.client = nil
-		return err
+	m.closed = true
+	if m.client == nil {
+		return nil
 	}
-	return nil
+	err := m.client.Close()
+	m.client = nil
+	return err
+}
+
+// close stops the group's health loop and closes every member, returning
+// once the loop has exited (closed members fail a probe in flight fast).
+func (c *remoteConn) close() error {
+	c.stopOnce.Do(func() { close(c.stop) })
+	var errs []error
+	for _, m := range c.members {
+		if err := m.close(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	c.loop.Wait()
+	return errors.Join(errs...)
 }
 
 // attemptBudget bounds one attempt (dial or RPC round trip): the
@@ -730,136 +773,200 @@ func (c *remoteConn) attemptBudget(ctx context.Context) time.Duration {
 	return budget
 }
 
-// rpcCall performs one RPC under the caller's context deadline with
-// bounded redial-retry. The coordinator threads its query budget through
-// ctx, so a slow replica can never pin a worker past it: each attempt is
-// bounded by min(per-call timeout, remaining deadline), and an expired
-// context stops the retry loop outright. Server-side errors
-// (rpc.ServerError) are deterministic and returned immediately — except
-// the drain refusal, which comes back as ErrDraining so replica sets fail
-// over on it. Transport errors and per-attempt timeouts reset the
-// connection, are marked ErrUnavailable (safe to retry elsewhere: every
-// RPC is read-only and idempotent), and retry up to the budget; the
-// caller's own context ending abandons just this call and leaves the
-// shared connection alone. Each attempt decodes into its own fresh reply
-// value — an abandoned attempt's response may still be mid-decode when
-// the retry runs (or after the caller has gone), so sharing one reply
+// attempt sends one RPC to one member, dialing it first if needed, and
+// waits for the reply, the attempt budget or the caller's context. A
+// server-side error (rpc.ServerError) is deterministic and returned as is —
+// except the drain refusal, which comes back as ErrDraining. A transport
+// error or an expired budget resets the member's client and is marked
+// ErrUnavailable (safe to retry elsewhere: every RPC is read-only and
+// idempotent); the caller's own context ending abandons just this call and
+// leaves the shared client alone. Each attempt decodes into its own fresh
+// reply value — an abandoned attempt's response may still be mid-decode
+// when the retry runs (or after the caller has gone), so sharing one reply
 // across attempts would race (and gob's skip-zero-fields decoding could
-// blend stale bytes into the retried answer). The winning attempt's reply
-// is the one returned.
+// blend stale bytes into the retried answer).
+func attempt[R any](ctx context.Context, c *remoteConn, m *member, method string, args any) (*R, error) {
+	budget := c.attemptBudget(ctx)
+	client, err := c.dial(m, budget)
+	if err != nil {
+		return nil, err
+	}
+	reply := new(R)
+	call := client.Go(rpcServiceName+"."+method, args, reply, make(chan *rpc.Call, 1))
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
+	select {
+	case done := <-call.Done:
+		if done.Error == nil {
+			return reply, nil
+		}
+		var serverErr rpc.ServerError
+		if errors.As(done.Error, &serverErr) {
+			if strings.Contains(string(serverErr), drainingMarker) {
+				m.reset(client) // the listener is closing; force a redial next time
+				return nil, fmt.Errorf("engine: %s: %w", m.addr, ErrDraining)
+			}
+			return nil, fmt.Errorf("engine: %s: %s", m.addr, serverErr)
+		}
+		m.reset(client)
+		return nil, fmt.Errorf("engine: call %s: %w: %w", m.addr, ErrUnavailable, done.Error)
+	case <-timer.C:
+		m.reset(client)
+		return nil, fmt.Errorf("engine: call %s: %w: timeout after %s", m.addr, ErrUnavailable, budget)
+	case <-ctx.Done():
+		// Abandon this call only: the connection is healthy as far as
+		// anyone knows, and every other in-flight query to the server is
+		// multiplexed on it. The late response decodes into reply, which
+		// nobody reads.
+		return nil, fmt.Errorf("engine: call %s: %w: %w", m.addr, ErrUnavailable, ctx.Err())
+	}
+}
+
+// rpcCall is the one attempt loop every RPC goes through, bounded by the
+// caller's context: the coordinator threads its query budget through ctx,
+// so a slow server can never pin a caller past it, and an expired context
+// stops the loop outright. An unavailability error retries; any other
+// error is deterministic — every member would answer the same — and
+// returns at once.
+//
+// A group of one redials and retries its server up to RemoteOptions'
+// Retries, back to back, and returns a drain refusal as it is. A replicated
+// group fails over: each attempt picks a member by power-of-two-choices
+// over the latency EWMA (pick), an unavailable or draining member is marked
+// down, and the next attempt waits a full-jitter backoff, up to two
+// attempts per member; only when they all fail does the call, with "all N
+// replicas failed".
 func rpcCall[R any](ctx context.Context, c *remoteConn, method string, args any) (*R, error) {
+	n := len(c.members)
+	attempts, tried := c.opts.retries()+1, []bool(nil)
+	if n > 1 {
+		attempts, tried = 2*n, make([]bool, n)
+	}
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.retries(); attempt++ {
+	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, err)
+			lastErr = fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, err)
+			break
 		}
-		budget := c.attemptBudget(ctx)
-		client, err := c.get(budget)
-		if err != nil {
-			lastErr = err
-			continue
+		m := c.members[0]
+		if n > 1 {
+			m = c.pick(tried)
 		}
-		reply := new(R)
-		call := client.Go(rpcServiceName+"."+method, args, reply, make(chan *rpc.Call, 1))
-		timer := time.NewTimer(budget)
-		select {
-		case done := <-call.Done:
-			timer.Stop()
-			if done.Error == nil {
-				return reply, nil
+		t0 := time.Now()
+		reply, err := attempt[R](ctx, c, m, method, args)
+		if err == nil {
+			if n > 1 {
+				m.observe(time.Since(t0))
 			}
-			var serverErr rpc.ServerError
-			if errors.As(done.Error, &serverErr) {
-				if strings.Contains(string(serverErr), drainingMarker) {
-					c.reset(client) // the listener is closing; force a redial next time
-					return nil, fmt.Errorf("engine: %s: %w", c.addr, ErrDraining)
-				}
-				return nil, fmt.Errorf("engine: %s: %s", c.addr, serverErr)
-			}
-			lastErr = fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, done.Error)
-			c.reset(client)
-		case <-timer.C:
-			lastErr = fmt.Errorf("engine: call %s: %w: timeout after %s", c.addr, ErrUnavailable, budget)
-			c.reset(client)
-		case <-ctx.Done():
-			// Abandon this call only: the connection is healthy as far as
-			// anyone knows, and every other in-flight query to the server is
-			// multiplexed on it. The late response decodes into reply, which
-			// nobody reads.
-			timer.Stop()
-			return nil, fmt.Errorf("engine: call %s: %w: %w", c.addr, ErrUnavailable, ctx.Err())
+			return reply, nil
 		}
+		if !IsUnavailable(err) {
+			return nil, err
+		}
+		lastErr = err
+		if ctx.Err() != nil || n == 1 && errors.Is(err, ErrDraining) {
+			break
+		}
+		if n > 1 {
+			m.markFailed()
+			if a < attempts-1 && c.backoff(ctx, a) != nil {
+				break
+			}
+		}
+	}
+	if n > 1 {
+		return nil, fmt.Errorf("engine: %s: all %d replicas failed: %w", c.addr, n, lastErr)
 	}
 	return nil, lastErr
 }
 
-// RemoteBackend is the client stub for one shard on one shard server.
+// RemoteBackend is the client stub for one shard of a server group.
 type RemoteBackend struct {
 	conn *remoteConn
 	meta ShardMeta
 }
 
-// DialShards connects to a shard server and returns one backend per
-// shard it serves, all sharing the connection, plus the total population
-// of the snapshot the server loads from. The returned backends' metadata
-// carries the server's global ordinal offsets, so they plug straight
-// into NewFromBackends; the total lets a caller assembling several
-// servers verify the shards cover the whole population (see
-// core.Connect) rather than silently answering over a prefix of it.
+// DialShards connects to a shard server — or to a replica group, "a|b",
+// of servers serving the same shards from the same snapshot — and returns
+// one backend per shard it serves, all sharing the group's connections,
+// plus the total population of the snapshot the servers load from. The
+// returned backends' metadata carries the servers' global ordinal offsets,
+// so they plug straight into NewFromBackends; the total lets a caller
+// assembling several groups verify the shards cover the whole population
+// (see core.Connect) rather than silently answering over a prefix of it.
 //
 // The advertised shard identities are validated here, at dial time: a
 // server announcing duplicate shard ids, negative sizes, overlapping
 // ordinal ranges or shards outside the snapshot's population is a
 // misconfiguration (or a different snapshot), and the error names it now
-// instead of surfacing as a confusing per-query failure later.
+// instead of surfacing as a confusing per-query failure later. The
+// reachable members of a group must advertise identical tables; a member
+// that is merely unreachable joins deferred — replication exists so that a
+// down server is survivable — and proves its identity on its first dial.
+// Only a group with no reachable member is an error.
 func DialShards(addr string, opts RemoteOptions) ([]ShardBackend, int, error) {
-	conn := &remoteConn{addr: addr, opts: opts}
-	reply, err := rpcCall[DescribeReply](context.Background(), conn, "Describe", &DescribeArgs{})
+	c, err := newRemoteConn(addr, opts)
 	if err != nil {
-		conn.close() // the dial may have succeeded even though the call failed
 		return nil, 0, err
 	}
-	if len(reply.Shards) == 0 {
-		conn.close()
-		return nil, 0, fmt.Errorf("engine: %s serves no shards", addr)
-	}
-	if err := validateShardMetas(reply.Shards, reply.TotalPatients); err != nil {
-		conn.close()
-		return nil, 0, fmt.Errorf("engine: %s: %w", addr, err)
-	}
-	backends := make([]ShardBackend, len(reply.Shards))
-	for i, m := range reply.Shards {
-		m.Backend = fmt.Sprintf("remote(%s)", addr)
-		backends[i] = &RemoteBackend{conn: conn, meta: m}
-	}
-	return backends, reply.TotalPatients, nil
+	return c.connect()
 }
 
-// DeferredShards builds backends for a replica-group member that is
-// unreachable right now, cloning the already-validated shard table of a
-// live sibling (group members serve identical shard sets by contract).
-// Nothing is dialed here: the member joins its replica sets marked
-// healthy, fails fast on first contact, and rejoins via health probes
-// once it is back — at which point the first successful dial re-runs
-// the identity validation DialShards would have done (see verifyIdentity),
-// so a member resurrected with a different snapshot stays out.
-func DeferredShards(addr string, opts RemoteOptions, like []ShardBackend, total int) []ShardBackend {
-	expect := make([]ShardMeta, len(like))
-	for i, b := range like {
-		expect[i] = b.Meta()
+// connect runs DialShards over a parsed group. Each member dials as a
+// group of one, with its redial-retry; a replicated group then starts its
+// health loop.
+func (c *remoteConn) connect() ([]ShardBackend, int, error) {
+	var ref *DescribeReply
+	var refAddr string
+	var down []error
+	for _, m := range c.members {
+		solo := &remoteConn{addr: m.addr, opts: c.opts, members: []*member{m}}
+		reply, err := rpcCall[DescribeReply](context.Background(), solo, "Describe", &DescribeArgs{})
+		if err == nil {
+			if err = validateShardMetas(reply.Shards, reply.TotalPatients); err != nil {
+				err = fmt.Errorf("engine: %s: %w", m.addr, err)
+			}
+		}
+		switch {
+		case err != nil && len(c.members) > 1 && IsUnavailable(err):
+			down = append(down, err)
+		case err != nil:
+			c.close() // the dial may have succeeded even though the call failed
+			return nil, 0, err
+		case ref == nil:
+			ref, refAddr = reply, m.addr
+		default:
+			if diff := identityDiff(reply, ref); diff != "" {
+				c.close()
+				return nil, 0, fmt.Errorf("engine: replica group %q: %s: identity mismatch with %s: %s", c.addr, m.addr, refAddr, diff)
+			}
+		}
 	}
-	conn := &remoteConn{addr: addr, opts: opts, expect: expect, expectTotal: total}
-	out := make([]ShardBackend, len(expect))
-	for i, m := range expect {
-		m.Backend = fmt.Sprintf("remote(%s)", addr)
-		out[i] = &RemoteBackend{conn: conn, meta: m}
+	if ref == nil {
+		c.close()
+		return nil, 0, fmt.Errorf("engine: replica group %q: no member reachable: %w", c.addr, errors.Join(down...))
 	}
-	return out
+	if len(c.members) > 1 {
+		c.ident = ref
+		if c.probeInterval > 0 {
+			c.loop.Add(1)
+			go c.healthLoop()
+		}
+	}
+	backends := make([]ShardBackend, len(ref.Shards))
+	for i, m := range ref.Shards {
+		m.Backend = c.label
+		backends[i] = &RemoteBackend{conn: c, meta: m}
+	}
+	return backends, ref.TotalPatients, nil
 }
 
 // validateShardMetas sanity-checks one server's advertised shard table
 // against the snapshot total it reports.
 func validateShardMetas(metas []ShardMeta, total int) error {
+	if len(metas) == 0 {
+		return errors.New("serves no shards")
+	}
 	if total < 0 {
 		return fmt.Errorf("server reports negative population %d", total)
 	}
@@ -896,8 +1003,7 @@ func validateShardMetas(metas []ShardMeta, total int) error {
 func (b *RemoteBackend) Meta() ShardMeta { return b.meta }
 
 // Probe implements Prober with the Describe handshake — a payload-free
-// round trip the replica set's health checker can afford to send every
-// interval.
+// round trip through the group's attempt loop.
 func (b *RemoteBackend) Probe(ctx context.Context) error {
 	_, err := rpcCall[DescribeReply](ctx, b.conn, "Describe", &DescribeArgs{})
 	return err

@@ -23,31 +23,55 @@ import (
 )
 
 // trackingListener records accepted connections so a test can kill a
-// shard server the way a crashed process would: listener and every live
-// connection torn down at once.
+// shard server the way a crashed process would — listener and every live
+// connection torn down at once — or fail it and recover it: the member
+// fault seam the replicated-group tests flip.
 type trackingListener struct {
 	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
+	mu     sync.Mutex
+	conns  []net.Conn
+	failed bool
 }
 
+// Accept records the connection — or, while the listener is failed,
+// closes it at once and waits for the next.
 func (l *trackingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
 		l.mu.Lock()
-		l.conns = append(l.conns, c)
+		failed := l.failed
+		if !failed {
+			l.conns = append(l.conns, c)
+		}
 		l.mu.Unlock()
+		if !failed {
+			return c, nil
+		}
+		c.Close()
 	}
-	return c, err
+}
+
+// setFailed(true) severs every open connection and refuses new ones
+// until setFailed(false): to a client the server is down, though it
+// still listens.
+func (l *trackingListener) setFailed(failed bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.failed = failed
+	if failed {
+		for _, c := range l.conns {
+			c.Close()
+		}
+		l.conns = nil
+	}
 }
 
 func (l *trackingListener) kill() {
 	l.Listener.Close()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, c := range l.conns {
-		c.Close()
-	}
+	l.setFailed(true)
 }
 
 // remoteFixture is a coordinator over shard servers for the parity
@@ -66,7 +90,9 @@ type servedShards struct {
 	backends  [][]ShardBackend
 }
 
-func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]int, opts RemoteOptions) *servedShards {
+// saveSnapshot saves col as a snapshot of exactly the given shard count
+// and returns its path.
+func saveSnapshot(t testing.TB, col *model.Collection, shards int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "parity.snap")
 	f, err := os.Create(path)
@@ -83,6 +109,12 @@ func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]i
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]int, opts RemoteOptions) *servedShards {
+	t.Helper()
+	path := saveSnapshot(t, col, shards)
 	sv := &servedShards{}
 	t.Cleanup(func() {
 		for _, bs := range sv.backends {

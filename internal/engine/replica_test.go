@@ -1,50 +1,65 @@
 package engine
 
-// The replica-set contract: identical-meta validation at assembly,
-// failover on unavailability (and only on unavailability), health
-// tracking fed passively by calls and actively by the probe loop, and
-// a load balancer that keeps serving as long as any member lives.
+// The replicated server group's contract, over real in-process shard
+// servers: identical-table validation at assembly, failover on
+// unavailability (and only on unavailability), health tracking fed
+// passively by calls and actively by the probe loop, and a load balancer
+// that keeps serving as long as any member lives.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"pastas/internal/model"
 	"pastas/internal/query"
-	"pastas/internal/store"
 )
 
-// replicaFixture builds a replica set of n FaultBackend-wrapped local
-// views over the whole parity population (one shard), probing disabled
-// unless interval > 0.
-func replicaFixture(t *testing.T, n int, interval time.Duration) (*ReplicaBackend, []*FaultBackend, *store.Store) {
+// replicaSet is n shard servers that each serve every shard of one
+// snapshot, each behind a gate (the member fault seam) and a recorder,
+// dialed as one "a|b|…" group.
+type replicaSet struct {
+	servers  []*ShardServer
+	gates    []*trackingListener
+	recs     []*listingRPC
+	conn     *remoteConn
+	backends []ShardBackend
+}
+
+// serveReplicas serves col at the given shard count from n replicas. The
+// group probes nothing and backs off 1–5 ms unless tune, which sees the
+// group before it dials, says otherwise.
+func serveReplicas(t testing.TB, col *model.Collection, shards, n int, tune func(c *remoteConn)) *replicaSet {
 	t.Helper()
-	_, st, _ := parityEngines(t)
-	faults := make([]*FaultBackend, n)
-	members := make([]ShardBackend, n)
-	for i := range faults {
-		faults[i] = NewFaultBackend(NewLocalBackend(st.Slice(0, st.Len()), 0))
-		members[i] = faults[i]
+	path := saveSnapshot(t, col, shards)
+	rs := &replicaSet{}
+	var addrs []string
+	for range n {
+		srv, err := NewShardServer(path, nil, Options{Shards: 2, Workers: 2, CacheSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &listingRPC{ShardRPC: &ShardRPC{s: srv}, listed: map[string][][]int{}}
+		gate := serveRPCStub(t, rec)
+		rs.servers, rs.gates, rs.recs = append(rs.servers, srv), append(rs.gates, gate), append(rs.recs, rec)
+		addrs = append(addrs, gate.Addr().String())
 	}
-	probe := -time.Second
-	if interval > 0 {
-		probe = interval
-	}
-	rb, err := NewReplicaBackend(members, ReplicaOptions{
-		ProbeInterval: probe,
-		ProbeTimeout:  time.Second,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    5 * time.Millisecond,
-	})
+	c, err := newRemoteConn(strings.Join(addrs, "|"), RemoteOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rb.Close() })
-	return rb, faults, st
+	c.probeInterval, c.backoffBase, c.backoffMax = 0, time.Millisecond, 5*time.Millisecond
+	if tune != nil {
+		tune(c)
+	}
+	if rs.backends, _, err = c.connect(); err != nil {
+		t.Fatal(err)
+	}
+	rs.conn = c
+	t.Cleanup(func() { c.close() })
+	return rs
 }
 
 func parityPlan(t *testing.T) Plan {
@@ -56,24 +71,45 @@ func parityPlan(t *testing.T) Plan {
 	return Optimize(p)
 }
 
-// TestReplicaMetaMismatch: members advertising different shard
-// identities are rejected at assembly, with an error naming both sides.
+// TestReplicaMetaMismatch: members advertising different shard tables
+// are rejected at assembly, with an error naming both sides; so are an
+// empty member and a group none of whose members answers. A member down
+// at assembly joins deferred, and a server that comes back on its address
+// with another table is refused on its first dial.
 func TestReplicaMetaMismatch(t *testing.T) {
-	_, st, _ := parityEngines(t)
-	n := st.Len()
-	a := NewLocalBackend(st.Slice(0, n), 0)
-	b := NewLocalBackend(st.Slice(0, n/2), 0) // same shard id, different population
-	if _, err := NewReplicaBackend([]ShardBackend{a, b}, ReplicaOptions{ProbeInterval: -1}); err == nil {
-		t.Fatal("mismatched replica metas accepted")
-	} else if !strings.Contains(err.Error(), "mismatch") {
-		t.Errorf("error does not explain the mismatch: %v", err)
+	col, _, _ := parityEngines(t)
+	ropts := RemoteOptions{Timeout: 5 * time.Second}
+	four := serveShards(t, col, 4, [][]int{seq(0, 4), seq(0, 2)}, ropts)
+	eight := serveShards(t, col, 8, [][]int{seq(0, 4)}, ropts)
+	full, half, other := four.listeners[0].Addr().String(), four.listeners[1].Addr().String(), eight.listeners[0].Addr().String()
+	for name, pair := range map[string][2]string{"fewer shards": {full, half}, "another layout": {full, other}} {
+		_, _, err := DialShards(pair[0]+"|"+pair[1], ropts)
+		if err == nil || !strings.Contains(err.Error(), "mismatch") ||
+			!strings.Contains(err.Error(), pair[0]) || !strings.Contains(err.Error(), pair[1]) {
+			t.Errorf("%s: group dialed with %v, want an identity mismatch naming both members", name, err)
+		}
 	}
-	c := NewLocalBackend(st.Slice(0, n), 1) // different shard id
-	if _, err := NewReplicaBackend([]ShardBackend{a, c}, ReplicaOptions{ProbeInterval: -1}); err == nil {
-		t.Fatal("mismatched shard ids accepted")
+	if _, _, err := DialShards(full+"||"+full, ropts); err == nil {
+		t.Error("group with an empty member accepted")
 	}
-	if _, err := NewReplicaBackend(nil, ReplicaOptions{}); err == nil {
-		t.Fatal("empty replica set accepted")
+
+	eight.listeners[0].setFailed(true)
+	if _, _, err := DialShards(other+"|"+other, ropts); err == nil {
+		t.Error("group with no member reachable accepted")
+	}
+	c, err := newRemoteConn(full+"|"+other, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.probeInterval = 0
+	if _, _, err := c.connect(); err != nil {
+		t.Fatalf("group with one member down refused: %v", err)
+	}
+	defer c.close()
+	eight.listeners[0].setFailed(false)
+	_, err = attempt[DescribeReply](context.Background(), c, c.members[1], "Describe", &DescribeArgs{})
+	if !IsUnavailable(err) || !strings.Contains(err.Error(), "identity mismatch") {
+		t.Errorf("deferred member back with another table answered %v, want an unavailable identity mismatch", err)
 	}
 }
 
@@ -81,19 +117,20 @@ func TestReplicaMetaMismatch(t *testing.T) {
 // from the survivor — same bits — and the failure lands in the health
 // snapshot.
 func TestReplicaFailover(t *testing.T) {
-	rb, faults, st := replicaFixture(t, 2, 0)
-	p := parityPlan(t)
+	col, st, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 1, 2, nil)
+	b, p := rs.backends[0], parityPlan(t)
 	want, err := NewLocalBackend(st.Slice(0, st.Len()), 0).EvalPlan(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	faults[0].Fail()
+	rs.gates[0].setFailed(true)
 	// A few rounds: selection is randomized, but an untried member's EWMA
 	// of 0 sorts fastest, so the failed member is guaranteed a try (and a
 	// markdown) within the first two calls.
 	for i := 0; i < 4; i++ {
-		got, err := rb.EvalPlan(context.Background(), p, nil)
+		got, err := b.EvalPlan(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("failover eval: %v", err)
 		}
@@ -101,117 +138,87 @@ func TestReplicaFailover(t *testing.T) {
 			t.Fatalf("failover answer diverges: %d vs %d", got.Count(), want.Count())
 		}
 	}
-	if rb.Meta().Shard != 0 || !strings.HasPrefix(rb.Meta().Backend, "replicas(") {
-		t.Errorf("replica meta = %+v", rb.Meta())
+	if b.Meta().Shard != 0 || !strings.HasPrefix(b.Meta().Backend, "replicas(") {
+		t.Errorf("replica meta = %+v", b.Meta())
 	}
 
 	// The failed member is out of rotation and its failure is counted.
-	health := rb.Health()
+	up, health := rs.conn.health()
 	if len(health) != 2 {
 		t.Fatalf("got %d health entries, want 2", len(health))
 	}
-	if health[0].Healthy {
-		t.Error("failed replica still marked healthy")
-	}
-	if health[0].Failures == 0 {
-		t.Error("failure not counted")
+	if health[0].Healthy || health[0].Failures == 0 {
+		t.Errorf("failed member state = %+v", health[0])
 	}
 	if !health[1].Healthy || health[1].Calls == 0 {
 		t.Errorf("survivor state = %+v", health[1])
 	}
-	if !rb.Healthy() {
-		t.Error("set with a live member reported unhealthy")
+	if !up {
+		t.Error("group with a live member reported unhealthy")
 	}
 
 	// Every other operation fails over the same way.
-	if _, err := rb.Stats(context.Background()); err != nil {
+	if _, err := b.Stats(context.Background()); err != nil {
 		t.Errorf("Stats failover: %v", err)
 	}
-	if _, err := rb.IDsOf(context.Background(), want.SliceRange(0, st.Len())); err != nil {
+	if _, err := b.IDsOf(context.Background(), want); err != nil {
 		t.Errorf("IDsOf failover: %v", err)
 	}
-	if _, err := rb.FetchHistories(context.Background(), []int{0}); err != nil {
+	if _, err := b.FetchHistories(context.Background(), []int{0}); err != nil {
 		t.Errorf("FetchHistories failover: %v", err)
 	}
 }
 
 // TestReplicaAllDown: with every member failing, the call errors with an
-// unavailability the degradation layer recognizes, naming the shard and
-// the attempt count.
+// unavailability the degradation layer recognizes, naming the attempt
+// count — and succeeds again once they recover, without any probe loop.
 func TestReplicaAllDown(t *testing.T) {
-	rb, faults, _ := replicaFixture(t, 2, 0)
-	for _, f := range faults {
-		f.Fail()
+	col, _, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 1, 2, nil)
+	for _, g := range rs.gates {
+		g.setFailed(true)
 	}
-	_, err := rb.EvalPlan(context.Background(), parityPlan(t), nil)
+	_, err := rs.backends[0].EvalPlan(context.Background(), parityPlan(t), nil)
 	if err == nil {
-		t.Fatal("eval over an all-down replica set succeeded")
+		t.Fatal("eval over an all-down group succeeded")
 	}
 	if !IsUnavailable(err) {
 		t.Errorf("all-down error is not classified unavailable: %v", err)
 	}
 	if !strings.Contains(err.Error(), "all 2 replicas failed") {
-		t.Errorf("error does not report the exhausted set: %v", err)
+		t.Errorf("error does not report the exhausted group: %v", err)
 	}
-	if rb.Healthy() {
-		t.Error("all-down set reported healthy")
+	if up, _ := rs.conn.health(); up {
+		t.Error("all-down group reported healthy")
 	}
 
-	// Recovery: the next call succeeds again without any probe loop
-	// (desperation retry gives downed members a second chance).
-	for _, f := range faults {
-		f.Recover()
+	// Recovery: with no member healthy, the untried ones are tried anyway.
+	for _, g := range rs.gates {
+		g.setFailed(false)
 	}
-	if _, err := rb.EvalPlan(context.Background(), parityPlan(t), nil); err != nil {
+	if _, err := rs.backends[0].EvalPlan(context.Background(), parityPlan(t), nil); err != nil {
 		t.Fatalf("post-recovery eval: %v", err)
 	}
 }
 
-// deterministicBackend fails every call with a non-transport error.
-type deterministicBackend struct {
-	ShardBackend
-	calls int
-}
-
-func (d *deterministicBackend) EvalPlan(context.Context, Plan, *store.Bitset) (*store.Bitset, error) {
-	d.calls++
-	return nil, fmt.Errorf("engine: semantic refusal")
-}
-
-// TestReplicaDeterministicErrorNoFailover: a semantic error returns
-// immediately — no retries, no marking down — because every replica
-// would answer the same.
+// TestReplicaDeterministicErrorNoFailover: a semantic error — here the
+// server's refusal of an ID listing without a mask — returns immediately:
+// one RPC, no retries, nobody marked down, because every member would
+// answer the same.
 func TestReplicaDeterministicErrorNoFailover(t *testing.T) {
-	_, st, _ := parityEngines(t)
-	det := &deterministicBackend{ShardBackend: NewLocalBackend(st.Slice(0, st.Len()), 0)}
-	healthy := NewLocalBackend(st.Slice(0, st.Len()), 0)
-	rb, err := NewReplicaBackend([]ShardBackend{det, healthy}, ReplicaOptions{ProbeInterval: -1, MaxAttempts: 8})
-	if err != nil {
-		t.Fatal(err)
+	col, _, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 1, 2, nil)
+	_, err := rs.backends[0].IDsOf(context.Background(), nil)
+	if err == nil || IsUnavailable(err) || !strings.Contains(err.Error(), "carries no mask") {
+		t.Fatalf("IDsOf without a mask = %v, want the server's semantic refusal", err)
 	}
-	defer rb.Close()
-	sawDeterministic := false
-	for i := 0; i < 32 && !sawDeterministic; i++ {
-		_, err := rb.EvalPlan(context.Background(), parityPlan(t), nil)
-		sawDeterministic = err != nil
-		if err != nil {
-			if IsUnavailable(err) {
-				t.Fatalf("semantic error classified unavailable: %v", err)
-			}
-			if !strings.Contains(err.Error(), "semantic refusal") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-		}
+	if sent := rs.recs[0].calls("IDs") + rs.recs[1].calls("IDs"); sent != 1 {
+		t.Errorf("the refused call was sent %d times, want 1", sent)
 	}
-	if !sawDeterministic {
-		t.Fatal("selection never routed to the deterministic backend")
-	}
-	if det.calls != 1 {
-		t.Errorf("deterministic backend called %d times in the failing call, want 1", det.calls)
-	}
-	for _, h := range rb.Health() {
-		if !h.Healthy {
-			t.Errorf("semantic error marked %s down", h.Backend)
+	_, health := rs.conn.health()
+	for _, h := range health {
+		if !h.Healthy || h.Failures != 0 {
+			t.Errorf("semantic error marked %s down: %+v", h.Backend, h)
 		}
 	}
 }
@@ -219,14 +226,16 @@ func TestReplicaDeterministicErrorNoFailover(t *testing.T) {
 // TestReplicaContextDeadline: an expired caller budget stops the
 // failover loop instead of grinding through backoff rounds.
 func TestReplicaContextDeadline(t *testing.T) {
-	rb, faults, _ := replicaFixture(t, 2, 0)
-	for _, f := range faults {
-		f.Fail()
+	col, _, _ := parityEngines(t)
+	// A backoff of up to a minute: only the caller's budget can end it.
+	rs := serveReplicas(t, col, 1, 2, func(c *remoteConn) { c.backoffBase, c.backoffMax = time.Minute, time.Minute })
+	for _, g := range rs.gates {
+		g.setFailed(true)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := rb.EvalPlan(ctx, parityPlan(t), nil)
+	_, err := rs.backends[0].EvalPlan(ctx, parityPlan(t), nil)
 	if err == nil {
 		t.Fatal("eval under a dead budget succeeded")
 	}
@@ -238,32 +247,35 @@ func TestReplicaContextDeadline(t *testing.T) {
 	}
 }
 
-// TestReplicaHealthLoop: the active prober takes a dead member out of
-// rotation while the set is idle, and puts it back after recovery —
+// TestReplicaHealthLoop: the group's prober takes a dead member out of
+// rotation while the group is idle, and puts it back after recovery —
 // without any query traffic risking the dead member.
 func TestReplicaHealthLoop(t *testing.T) {
-	rb, faults, _ := replicaFixture(t, 2, 5*time.Millisecond)
-	faults[0].Fail()
-	waitFor(t, time.Second, func() bool { return !rb.Health()[0].Healthy })
-	if !rb.Healthy() {
-		t.Error("set with one live member reported unhealthy")
+	col, _, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 1, 2, func(c *remoteConn) { c.probeInterval = 5 * time.Millisecond })
+	member := func() ReplicaHealth { _, h := rs.conn.health(); return h[0] }
+	rs.gates[0].setFailed(true)
+	waitFor(t, 5*time.Second, func() bool { return !member().Healthy })
+	if up, _ := rs.conn.health(); !up {
+		t.Error("group with one live member reported unhealthy")
 	}
-	faults[0].Recover()
-	waitFor(t, time.Second, func() bool { return rb.Health()[0].Healthy })
+	rs.gates[0].setFailed(false)
+	waitFor(t, 5*time.Second, func() bool { return member().Healthy })
 }
 
 // TestReplicaBalancesLoad: with both members healthy, sustained traffic
 // reaches both (power-of-two-choices never pins a single member).
 func TestReplicaBalancesLoad(t *testing.T) {
-	rb, faults, _ := replicaFixture(t, 2, 0)
+	col, _, _ := parityEngines(t)
+	rs := serveReplicas(t, col, 1, 2, nil)
 	p := parityPlan(t)
 	for i := 0; i < 64; i++ {
-		if _, err := rb.EvalPlan(context.Background(), p, nil); err != nil {
+		if _, err := rs.backends[0].EvalPlan(context.Background(), p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if faults[0].Calls() == 0 || faults[1].Calls() == 0 {
-		t.Errorf("load not spread: member calls = %d, %d", faults[0].Calls(), faults[1].Calls())
+	if rs.recs[0].calls("Eval") == 0 || rs.recs[1].calls("Eval") == 0 {
+		t.Errorf("load not spread: member evaluations = %d, %d", rs.recs[0].calls("Eval"), rs.recs[1].calls("Eval"))
 	}
 }
 

@@ -43,7 +43,7 @@ func (s *Server) writeAPIError(w http.ResponseWriter, status int, code, message 
 	body := apiErrorBody{Code: code, Message: message}
 	if code == "unavailable" {
 		body.ShardsMissing = shards
-		// Fold in shards whose replica sets report no healthy member —
+		// Fold in shards whose replica groups report no healthy member —
 		// the outage may be wider than the one call that surfaced it.
 		for _, h := range s.wb.Engine.Health() {
 			if !h.Healthy && !slices.Contains(body.ShardsMissing, h.Shard) {

@@ -91,18 +91,24 @@ func EpisodesStable(h *model.History, gap model.Time) []Episode {
 // allocates nothing per history once it is warm). A scratch belongs to
 // one goroutine; the zero value is ready.
 type EpisodeScratch struct {
-	eps []Episode
-	ids []uint32 // one episode's diagnosis code ids, sorted
+	eps    []Episode
+	dom    []uint32 // each episode's dominant code id, 0 for none
+	counts []int32  // per code id: diagnoses in the episode at hand
+	ids    []uint32 // the code ids counts holds non-zero, first seen first
 }
+
+// Dominants is the dictionary id of each episode's dominant code (0: none)
+// from the last Episodes call, valid until the next.
+func (s *EpisodeScratch) Dominants() []uint32 { return s.dom }
 
 // Episodes derives the episodes of one framed history — the one
 // derivation loop every entry point runs. codes is the dictionary the
 // cells' code ids index. The result is valid until the next call.
 func (s *EpisodeScratch) Episodes(cells []store.Cell, codes []store.FrameCode, gap model.Time) []Episode {
+	s.eps, s.dom = s.eps[:0], s.dom[:0]
 	if len(cells) == 0 {
 		return nil
 	}
-	s.eps = s.eps[:0]
 	first, period := 0, model.Period{}
 	for i := range cells {
 		start, end := model.Time(cells[i].Start), model.Time(cells[i].Start)
@@ -131,37 +137,40 @@ func (s *EpisodeScratch) finish(period model.Period, cells []store.Cell, first, 
 		period.End = period.Start + model.Day
 	}
 	ep := Episode{Period: period, First: first, N: end - first}
-	if id := s.dominant(cells[first:end], codes); id != 0 {
+	id := s.dominant(cells[first:end], codes)
+	if id != 0 {
 		ep.Dominant, ep.Label = codes[id].Code, codes[id].Label()
 	}
-	s.eps = append(s.eps, ep)
+	s.eps, s.dom = append(s.eps, ep), append(s.dom, id)
 }
 
-// dominant sorts the episode's diagnosis code ids and takes the longest
-// run (0 when there is none). The order is total — count, then value,
+// dominant counts the episode's diagnosis code ids and takes the most
+// frequent (0 when there is none). The order is total — count, then value,
 // then system, compared as strings, never as ids — so two systems sharing
 // a code value (ICPC-2 and ICD-10 both have K80, R05, …) cannot make the
 // answer depend on anything but the entries.
 func (s *EpisodeScratch) dominant(cells []store.Cell, codes []store.FrameCode) uint32 {
+	if len(s.counts) < len(codes) {
+		s.counts = make([]int32, len(codes))
+	}
 	s.ids = s.ids[:0]
 	for i := range cells {
-		if cells[i].Type == model.TypeDiagnosis && cells[i].Code != 0 {
-			s.ids = append(s.ids, cells[i].Code)
+		if id := cells[i].Code; cells[i].Type == model.TypeDiagnosis && id != 0 {
+			if s.counts[id] == 0 {
+				s.ids = append(s.ids, id)
+			}
+			s.counts[id]++
 		}
 	}
-	slices.Sort(s.ids)
 	var best uint32
-	bestN := 0
-	for i := 0; i < len(s.ids); {
-		j := i + 1
-		for j < len(s.ids) && s.ids[j] == s.ids[i] {
-			j++
-		}
-		if a, b := &codes[s.ids[i]], &codes[best]; j-i > bestN || j-i == bestN &&
+	var bestN int32
+	for _, id := range s.ids {
+		n := s.counts[id]
+		if a, b := &codes[id], &codes[best]; n > bestN || n == bestN &&
 			(a.Value < b.Value || a.Value == b.Value && a.System < b.System) {
-			best, bestN = s.ids[i], j-i
+			best, bestN = id, n
 		}
-		i = j
+		s.counts[id] = 0
 	}
 	return best
 }
@@ -273,6 +282,19 @@ func (t *EpisodeTally) AddHistory(h *model.History, gap model.Time) {
 
 // AddEpisodes folds one history's derived episodes into the tally.
 func (t *EpisodeTally) AddEpisodes(eps []Episode) {
+	t.AddUnkeyed(eps)
+	for i := range eps {
+		key := "-"
+		if !eps[i].Dominant.IsZero() {
+			key = eps[i].Label
+		}
+		t.ByDominant[key]++
+	}
+}
+
+// AddUnkeyed is AddEpisodes but for ByDominant, for a caller that counts
+// dominants by id (EpisodeScratch.Dominants) and writes labels once.
+func (t *EpisodeTally) AddUnkeyed(eps []Episode) {
 	t.Histories++
 	if len(eps) == 0 {
 		return
@@ -282,11 +304,6 @@ func (t *EpisodeTally) AddEpisodes(eps []Episode) {
 	for i := range eps {
 		t.Entries += eps[i].N
 		t.SpanTotal += eps[i].Period.End - eps[i].Period.Start
-		key := "-"
-		if !eps[i].Dominant.IsZero() {
-			key = eps[i].Label
-		}
-		t.ByDominant[key]++
 	}
 }
 

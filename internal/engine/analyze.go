@@ -31,6 +31,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"pastas/internal/abstraction"
 	"pastas/internal/mining"
@@ -51,12 +52,10 @@ const (
 	// AnalyzeScenario matches an Allen-relation scenario against each
 	// history's episodes (partial: *temporal.ScenarioTally).
 	AnalyzeScenario = "scenario"
-	// AnalyzeIndicators tallies the utilization indicators over a window
-	// (params: the model.Period; partial: *stats.IndicatorCounts).
-	AnalyzeIndicators = "indicators"
-	// AnalyzeProfile tallies the cohort-characteristics dimensions over a
-	// window (params: the model.Period; partial: *stats.CohortProfile).
-	AnalyzeProfile = "profile"
+	// AnalyzeUtilization tallies utilization over a window — the one
+	// kernel the indicators and the cohort profile are both read off
+	// (params: the model.Period; partial: *stats.Utilization).
+	AnalyzeUtilization = "utilization"
 	// AnalyzeSpan finds the period the cohort's histories cover — the time
 	// axis of a population view (partial: *SpanTally).
 	AnalyzeSpan = "span"
@@ -83,7 +82,7 @@ type AnalyzeArgs struct {
 // AnalyzeRequest is a coordinator-level analysis: the kind plus its
 // validated parameters, built by MineRequest / EpisodesRequest /
 // ScenarioRequest / SpanRequest (Engine.Indicators and Engine.Profile
-// build their own).
+// build the utilization one).
 type AnalyzeRequest struct {
 	Kind   string
 	params any
@@ -232,7 +231,7 @@ type analyzer struct {
 	checkParams  func(params any) error
 	newPartial   func(params any) Partial
 	addRow       func(p Partial, params any, r store.Row, sc *mapScratch)
-	finish       func(p Partial, sc *mapScratch) // nil unless the tally lives in the scratch
+	finish       func(p Partial, sc *mapScratch) // nil unless the scratch holds part of the tally
 	merge        func(dst, src Partial) error
 	checkPartial func(Partial) error
 }
@@ -282,45 +281,51 @@ func init() {
 	}
 }
 
-// window is a window kind's parameter type: the period, as a type of the
-// kind's own (gob gives a type one wire name, and the names are per kind).
-type window[T any] struct{ model.Period }
-
-// utilization is the window-parameterized kinds' entry: both run the one
-// stats.Utilization kernel into the call's scratch, and read their own
-// partial off it when the call ends. Every window is meaningful (an empty
-// one tallies no entry and finalizes to zero rates).
-func utilization[T any, PT interface {
-	*T
-	Partial
-}](read func(*stats.Utilization) T, merge func(PT, T), check func(PT) error) analyzer {
-	k := newKind(func(window[T]) error { return nil },
-		func(*window[T]) PT { return new(T) },
-		func(_ PT, w *window[T], r store.Row, sc *mapScratch) { sc.util.Add(r, w.Period) },
-		func(dst, src PT) error { merge(dst, *src); return nil }, check)
-	k.finish = func(p Partial, sc *mapScratch) { *p.(PT) = read(&sc.util) }
+// withFinish sets a kind's finish step, typed like its map step.
+func withFinish[PT Partial](k analyzer, finish func(PT, *mapScratch)) analyzer {
+	k.finish = func(p Partial, sc *mapScratch) { finish(p.(PT), sc) }
 	return k
 }
+
+// window is the utilization kind's parameter type: the period, as a type
+// of the kind's own (gob gives a type one wire name, and the names are per
+// kind). Every window is meaningful: an empty one tallies no entry and
+// finalizes to zero rates.
+type window struct{ model.Period }
 
 // analyzers is the kind registry. Every map step reads the immutable
 // cells of a frame row: a shard server runs them concurrently over one
 // frame.
 var analyzers = map[string]analyzer{
-	AnalyzeMine: newKind(MineParams.validate,
+	AnalyzeMine: withFinish(newKind(MineParams.validate,
 		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
-		func(c *mining.Counts, p *MineParams, r store.Row, sc *mapScratch) {
-			if seq := mineSequence(r, p, sc); len(seq) > 0 {
-				c.Add(seq, &sc.mine)
-			}
-		},
+		func(c *mining.Counts, p *MineParams, r store.Row, sc *mapScratch) { sc.mine.add(c, p, r, sc.codes) },
 		(*mining.Counts).Merge, validateCounts),
-	AnalyzeEpisodes: newKind(EpisodeParams.validate,
+		func(c *mining.Counts, sc *mapScratch) { sc.mine.finish(c) }),
+	AnalyzeEpisodes: withFinish(newKind(EpisodeParams.validate,
 		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
 		func(t *abstraction.EpisodeTally, p *EpisodeParams, r store.Row, sc *mapScratch) {
-			t.AddEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
+			t.AddUnkeyed(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
+			if sc.dominant == nil {
+				sc.dominant = make([]int, len(sc.codes))
+			}
+			for _, id := range sc.episodes.Dominants() {
+				sc.dominant[id]++
+			}
 		},
 		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
 		validateEpisodeTally),
+		func(t *abstraction.EpisodeTally, sc *mapScratch) {
+			for id, n := range sc.dominant {
+				if n > 0 {
+					key := "-" // no dominant code
+					if id != 0 {
+						key = sc.codes[id].Label()
+					}
+					t.ByDominant[key] += n
+				}
+			}
+		}),
 	AnalyzeScenario: newKind(ScenarioParams.validate,
 		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
 		func(t *temporal.ScenarioTally, p *ScenarioParams, r store.Row, sc *mapScratch) {
@@ -335,27 +340,11 @@ var analyzers = map[string]analyzer{
 			}
 			return nil
 		}),
-	AnalyzeIndicators: utilization((*stats.Utilization).Indicators, (*stats.IndicatorCounts).Merge,
-		func(c *stats.IndicatorCounts) error {
-			if c.Patients < 0 || c.Females < 0 || c.Females > c.Patients ||
-				c.EmergencyGP < 0 || c.EmergencyGP > c.GPContacts {
-				return fmt.Errorf("engine: indicator tally is inconsistent (%d patients, %d female, %d/%d emergency contacts)",
-					c.Patients, c.Females, c.EmergencyGP, c.GPContacts)
-			}
-			return nil
-		}),
-	AnalyzeProfile: utilization((*stats.Utilization).Profile, (*stats.CohortProfile).Merge,
-		func(p *stats.CohortProfile) error {
-			banded := 0
-			for _, n := range p.AgeBands {
-				banded += n
-			}
-			if p.Patients < 0 || p.Females < 0 || p.Males < 0 || p.Females+p.Males > p.Patients || banded != p.Patients {
-				return fmt.Errorf("engine: profile tally is inconsistent (%d patients, %d female, %d male, %d in age bands)",
-					p.Patients, p.Females, p.Males, banded)
-			}
-			return nil
-		}),
+	AnalyzeUtilization: newKind(func(window) error { return nil },
+		func(*window) *stats.Utilization { return new(stats.Utilization) },
+		func(u *stats.Utilization, w *window, r store.Row, _ *mapScratch) { u.Add(r, w.Period) },
+		func(dst, src *stats.Utilization) error { dst.Merge(src); return nil },
+		validateUtilization),
 	AnalyzeSpan: newKind(SpanParams.validate,
 		func(*SpanParams) *SpanTally { return new(SpanTally) },
 		func(t *SpanTally, _ *SpanParams, r store.Row, _ *mapScratch) { t.addRow(r) },
@@ -376,31 +365,126 @@ var analyzers = map[string]analyzer{
 // package variable: a shard server runs map steps concurrently.
 type mapScratch struct {
 	codes    []store.FrameCode // the frame's dictionary
-	seq      []string
-	mine     mining.Scratch
+	mine     mineTally
 	episodes abstraction.EpisodeScratch
-	util     stats.Utilization
+	dominant []int // episodes per dominant code id (0: none)
 }
 
-// mineSequence extracts one history's code sequence for the mine map
-// step: chronological diagnosis codes, optionally filtered to one system
-// and abstracted to chapter level. The result lives in the scratch.
-func mineSequence(r store.Row, p *MineParams, sc *mapScratch) []string {
-	sc.seq = sc.seq[:0]
+// mineTally is the mine map step on dictionary ids: each code id maps once
+// per call to a label id (its value or chapter, or none when System drops
+// it), histories count distinct labels in a slice and pairs in a map of
+// packed label-id pairs under mining.Counts.Add's deduplication and MaxGap
+// rules, and finish writes labels into the *mining.Counts once per call.
+type mineTally struct {
+	label    []uint32 // code id → label id + 1; 0 = not mapped yet, noLabel = dropped
+	ids      map[string]uint32
+	labels   []mineLabel
+	pairs    map[uint64]int // a<<32 | b → histories
+	seq      []uint32       // one history's label ids, in cell order
+	distinct []uint32       // one history's distinct label ids
+	seen     []uint64       // len(distinct)² bits: ordered pairs already counted
+	n        int            // histories counted
+}
+
+type mineLabel struct {
+	s            string
+	single, last int   // histories holding the label; the last of them (1-based)
+	rank         int32 // its index in that history's distinct labels
+}
+
+const noLabel = ^uint32(0)
+
+// labelOf is a code's label id + 1, or noLabel.
+func (m *mineTally) labelOf(c *store.FrameCode, p *MineParams) uint32 {
+	s := c.Value
+	if p.Chapter {
+		s = c.Chapter
+	}
+	if p.System != "" && c.System != p.System || p.Chapter && s == "" {
+		return noLabel
+	}
+	l, ok := m.ids[s]
+	if !ok {
+		l = uint32(len(m.labels))
+		m.ids[s] = l
+		m.labels = append(m.labels, mineLabel{s: s})
+	}
+	return l + 1
+}
+
+// add tallies one history's chronological diagnosis codes, if it has one
+// (mining.Counts.N counts sequences).
+func (m *mineTally) add(c *mining.Counts, p *MineParams, r store.Row, codes []store.FrameCode) {
+	if m.label == nil {
+		m.label, m.ids, m.pairs = make([]uint32, len(codes)), make(map[string]uint32), make(map[uint64]int)
+	}
+	m.seq = m.seq[:0]
 	for i := range r.Cells {
-		if r.Cells[i].Type != model.TypeDiagnosis || r.Cells[i].Code == 0 {
-			continue
-		}
-		c := &sc.codes[r.Cells[i].Code]
-		switch {
-		case p.System != "" && c.System != p.System:
-		case !p.Chapter:
-			sc.seq = append(sc.seq, c.Value)
-		case c.Chapter != "":
-			sc.seq = append(sc.seq, c.Chapter)
+		if id := r.Cells[i].Code; r.Cells[i].Type == model.TypeDiagnosis && id != 0 {
+			if m.label[id] == 0 {
+				m.label[id] = m.labelOf(&codes[id], p)
+			}
+			if l := m.label[id]; l != noLabel {
+				m.seq = append(m.seq, l-1)
+			}
 		}
 	}
-	return sc.seq
+	if len(m.seq) == 0 {
+		return
+	}
+	c.N++
+	m.n++
+	m.distinct = m.distinct[:0]
+	for _, l := range m.seq {
+		if lb := &m.labels[l]; lb.last != m.n {
+			lb.last, lb.rank = m.n, int32(len(m.distinct))
+			lb.single++
+			m.distinct = append(m.distinct, l)
+		}
+	}
+	if !p.Sequential {
+		for i, a := range m.distinct {
+			for _, b := range m.distinct[i+1:] {
+				m.pairs[uint64(min(a, b))<<32|uint64(max(a, b))]++
+			}
+		}
+		return
+	}
+	// Ordered pairs: a pair counts once per history however often it
+	// recurs, marked in a bit matrix over the distinct labels' ranks.
+	k := len(m.distinct)
+	words := (k*k + 63) / 64
+	m.seen = slices.Grow(m.seen[:0], words)[:words]
+	clear(m.seen)
+	for i, a := range m.seq {
+		for j := i + 1; j < len(m.seq); j++ {
+			if p.MaxGap > 0 && j-i > p.MaxGap {
+				break
+			}
+			b := m.seq[j]
+			if bit := int(m.labels[a].rank)*k + int(m.labels[b].rank); a != b && m.seen[bit/64]&(1<<(bit%64)) == 0 {
+				m.seen[bit/64] |= 1 << (bit % 64)
+				m.pairs[uint64(a)<<32|uint64(b)]++
+			}
+		}
+	}
+}
+
+// finish writes the call's tallies into c, a fresh partial, under their
+// labels. An unordered pair is ordered by its labels, as mining.Counts
+// orders it, not by ids.
+func (m *mineTally) finish(c *mining.Counts) {
+	c.Single, c.Pair = make(map[string]int, len(m.labels)), make(map[[2]string]int, len(m.pairs))
+	for _, lb := range m.labels {
+		c.Single[lb.s] = lb.single
+	}
+	for key, n := range m.pairs {
+		a, b := m.labels[key>>32].s, m.labels[uint32(key)].s
+		if !c.Sequential && b < a {
+			a, b = b, a
+		}
+		c.Pair[[2]string{a, b}] += n
+	}
 }
 
 // validateCounts holds a hostile or corrupt mine partial to an error: the
@@ -418,6 +502,26 @@ func validateCounts(c *mining.Counts) error {
 		if n < 1 || n > c.N {
 			return fmt.Errorf("engine: mine tally: pair %v counted %d times over %d histories", p, n, c.N)
 		}
+	}
+	return nil
+}
+
+// validateUtilization holds a utilization partial to the checks its two
+// readings, the indicators and the profile, must each pass.
+func validateUtilization(u *stats.Utilization) error {
+	c, p := u.Indicators(), u.Profile()
+	if c.Patients < 0 || c.Females < 0 || c.Females > c.Patients ||
+		c.EmergencyGP < 0 || c.EmergencyGP > c.GPContacts {
+		return fmt.Errorf("engine: indicator tally is inconsistent (%d patients, %d female, %d/%d emergency contacts)",
+			c.Patients, c.Females, c.EmergencyGP, c.GPContacts)
+	}
+	banded := 0
+	for _, n := range p.AgeBands {
+		banded += n
+	}
+	if p.Males < 0 || p.Females+p.Males > p.Patients || banded != p.Patients {
+		return fmt.Errorf("engine: profile tally is inconsistent (%d patients, %d female, %d male, %d in age bands)",
+			p.Patients, p.Females, p.Males, banded)
 	}
 	return nil
 }
@@ -497,7 +601,8 @@ func (e *Engine) Analyze(b *store.Bitset, req AnalyzeRequest) (Partial, error) {
 // shard server merges its shards' partials before it answers — one round
 // trip and one partial per server (fanCohort) — and the partials merge in
 // fixed order: integer tallies, so grouping cannot change the result and
-// the reduce is exact.
+// the reduce is exact. An engine that caches results answers a repeated
+// analysis out of its analysis memo.
 func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req AnalyzeRequest) (Partial, QueryStatus, error) {
 	spec, err := analyzerFor(req.Kind, req.params)
 	if err != nil {
@@ -506,6 +611,15 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 	t, err := e.pinCohort(b)
 	if err != nil {
 		return nil, QueryStatus{}, err
+	}
+	var key analysisKey
+	if e.analyses != nil {
+		key = analysisKey{kind: req.Kind, params: fmt.Sprintf("%#v", req.params), count: b.Count(), digest: b.Digest()}
+		if hit, ok := e.analyses.get(t.gen, key); ok && hit.bits.Equal(b) {
+			if out, err := spec.clone(req.params, hit.part); err == nil {
+				return out, QueryStatus{}, nil
+			}
+		}
 	}
 	parts, status, err := fanCohort(ctx, e, t, e.policy, b,
 		func(ctx context.Context, c *remoteConn, metas []ShardMeta, masks []*store.Bitset) ([]Partial, error) {
@@ -529,15 +643,46 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 			return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, t.shardErr(i, err))
 		}
 	}
+	if e.analyses != nil && status.Complete() {
+		if kept, err := spec.clone(req.params, out); err == nil {
+			e.analyses.put(t.gen, key, analysisEntry{bits: b.Clone(), part: kept})
+		}
+	}
 	return out, status, nil
 }
 
-// analyzeWindow runs one of the window-parameterized kinds — the shape
-// Engine.Indicators and Engine.Profile wrap with their partial's type.
-func analyzeWindow[T any](ctx context.Context, e *Engine, b *store.Bitset, kind string, w model.Period) (*T, QueryStatus, error) {
-	part, status, err := e.AnalyzeStatus(ctx, b, AnalyzeRequest{Kind: kind, params: &window[T]{w}})
+// The analysis memo holds complete Analyze answers, epoched by the store
+// generation like every epochLRU, under the kind, the parameters' %#v
+// rendering (quoted strings, typed values: two parameter values never
+// render alike), the cohort's count and its digest. An entry keeps a clone
+// of the bits and a hit must be Equal to the asking cohort, so a digest
+// collision misses. Hits and stores copy the partial, so no caller holds
+// the memo's own; a degraded answer, which describes the shards that
+// answered and not the cohort, is never stored.
+type analysisKey struct {
+	kind, params string
+	count        int
+	digest       uint64
+}
+
+type analysisEntry struct {
+	bits *store.Bitset
+	part Partial
+}
+
+// clone copies a partial of the kind into a fresh one.
+func (spec analyzer) clone(params any, p Partial) (Partial, error) {
+	out := spec.newPartial(params)
+	return out, spec.merge(out, p)
+}
+
+// utilization runs the AnalyzeUtilization kind: the one walk
+// Engine.Indicators and Engine.Profile both read, so through the memo the
+// two over one cohort and window cost one.
+func (e *Engine) utilization(ctx context.Context, b *store.Bitset, w model.Period) (*stats.Utilization, QueryStatus, error) {
+	part, status, err := e.AnalyzeStatus(ctx, b, AnalyzeRequest{Kind: AnalyzeUtilization, params: &window{w}})
 	if err != nil {
 		return nil, QueryStatus{}, err
 	}
-	return any(part).(*T), status, nil
+	return part.(*stats.Utilization), status, nil
 }

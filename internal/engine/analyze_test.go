@@ -2,7 +2,7 @@ package engine
 
 // The distributed-analytics contract, as one table over every registered
 // analyzer kind (analyzeCases): the merged answer equals a sequential
-// reference — stats.ComputeIndicators, stats.ComputeCohortProfile, a
+// reference — stats.ComputeIndicators and stats.ComputeCohortProfile, a
 // single-threaded pass of the mining/episode/scenario map step — at shard
 // counts {1, 4, 16}, over remote shard servers and in-process local
 // backends alike, with the cohort mask pushed down; a partial survives
@@ -50,8 +50,8 @@ var caseWindow = model.Period{Start: model.Date(2005, 1, 1), End: model.Date(201
 
 // analyzeCases sweeps every registered kind: plain and sequential mining,
 // episode tallies, a scenario over chapter labels the synthetic population
-// actually emits, and the two window tallies. A kind registered without a
-// row here fails the sweep.
+// actually emits, the utilization tally read both ways, and the span. A
+// kind registered without a row here fails the sweep.
 func analyzeCases(t testing.TB) []analyzeCase {
 	t.Helper()
 	var cases []analyzeCase
@@ -79,15 +79,14 @@ func analyzeCases(t testing.TB) []analyzeCase {
 	}})
 	mapStep("scenario", req, err)
 
-	window := func(kind string, want func(*model.Collection) any, view func(Partial) any) {
-		cases = append(cases, analyzeCase{name: kind, req: windowRequest(t, kind, caseWindow), want: want, view: view})
-	}
-	window(AnalyzeIndicators,
-		func(cohort *model.Collection) any { return stats.ComputeIndicators(cohort, caseWindow) },
-		func(p Partial) any { return p.(*stats.IndicatorCounts).Finalize(caseWindow) })
-	window(AnalyzeProfile,
-		func(cohort *model.Collection) any { return stats.ComputeCohortProfile(cohort, caseWindow) },
-		func(p Partial) any { return *p.(*stats.CohortProfile) })
+	cases = append(cases, analyzeCase{name: AnalyzeUtilization, req: utilizationRequest(caseWindow),
+		want: func(cohort *model.Collection) any {
+			return [2]any{stats.ComputeIndicators(cohort, caseWindow), stats.ComputeCohortProfile(cohort, caseWindow)}
+		},
+		view: func(p Partial) any {
+			u := p.(*stats.Utilization)
+			return [2]any{u.Indicators().Finalize(caseWindow), u.Profile()}
+		}})
 	cases = append(cases, analyzeCase{name: AnalyzeSpan, req: SpanRequest(),
 		want: func(cohort *model.Collection) any { return refSpan(cohort.Histories()) },
 		view: func(p Partial) any { return *p.(*SpanTally) }})
@@ -104,18 +103,10 @@ func analyzeCases(t testing.TB) []analyzeCase {
 	return cases
 }
 
-// windowRequest builds a window kind's request, as Engine.Indicators and
-// Engine.Profile do.
-func windowRequest(t testing.TB, kind string, w model.Period) AnalyzeRequest {
-	t.Helper()
-	switch kind {
-	case AnalyzeIndicators:
-		return AnalyzeRequest{Kind: kind, params: &window[stats.IndicatorCounts]{w}}
-	case AnalyzeProfile:
-		return AnalyzeRequest{Kind: kind, params: &window[stats.CohortProfile]{w}}
-	}
-	t.Fatalf("%q is not a window kind", kind)
-	return AnalyzeRequest{}
+// utilizationRequest builds the utilization kind's request, as
+// Engine.Indicators and Engine.Profile do.
+func utilizationRequest(w model.Period) AnalyzeRequest {
+	return AnalyzeRequest{Kind: AnalyzeUtilization, params: &window{w}}
 }
 
 // refSpan is the span reference: model.Collection.Span's walk over
@@ -334,7 +325,7 @@ func otherKind(cases []analyzeCase, kind string) analyzeCase {
 
 // invalidParams are parameter values no request builder lets through, in
 // each kind's own registered type: what only a hostile peer can send. The
-// window kinds have none — every window is meaningful.
+// utilization kind has none — every window is meaningful.
 func invalidParams() map[string]any {
 	one := SpanParams(1)
 	return map[string]any{
@@ -493,12 +484,11 @@ func dialHostile(t *testing.T, r *hostileRPC) (b ShardBackend, addr string) {
 // an honest partial from an honest-sized shard is accepted.
 func TestAnalyzeHostilePartial(t *testing.T) {
 	inconsistent := map[string]Partial{
-		AnalyzeMine:       &mining.Counts{N: 1, Single: map[string]int{"T90": 2}},
-		AnalyzeEpisodes:   &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2},
-		AnalyzeScenario:   &temporal.ScenarioTally{Histories: 1, Bound: 2},
-		AnalyzeIndicators: &stats.IndicatorCounts{Patients: 1, Females: 2},
-		AnalyzeProfile:    &stats.CohortProfile{Patients: 1}, // nobody in an age band
-		AnalyzeSpan:       &SpanTally{Histories: 1, Spanned: 2},
+		AnalyzeMine:        &mining.Counts{N: 1, Single: map[string]int{"T90": 2}},
+		AnalyzeEpisodes:    &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2},
+		AnalyzeScenario:    &temporal.ScenarioTally{Histories: 1, Bound: 2},
+		AnalyzeUtilization: &stats.Utilization{Patients: 1, Females: 2},
+		AnalyzeSpan:        &SpanTally{Histories: 1, Spanned: 2},
 	}
 	col, _, _ := parityEngines(t)
 	cases := analyzeCases(t)
@@ -687,6 +677,7 @@ func TestAnalyzeDegradedAndStrict(t *testing.T) {
 		t.Fatalf("healthy degraded run: tallied %d of %d, status %+v", part.HistoryCount(), col.Len(), status)
 	}
 
+	deg.ResetCache() // the memo would answer the outage with the complete tally
 	faults[1].Fail()
 	part, status, err = deg.AnalyzeStatus(context.Background(), bits, req)
 	if err != nil {
@@ -857,10 +848,10 @@ func TestAnalyzeConcurrentCalls(t *testing.T) {
 }
 
 // TestTallyAnalyzeAllocationBudget holds the map steps to what a call may
-// allocate over a fixed 2,000-history frame: the window tallies and the
+// allocate over a fixed 2,000-history frame: the utilization tally and the
 // span nothing per history, the scratch-reusing kinds at most one
-// allocation per twenty histories (the partial's maps and the scratch
-// growing to the largest history).
+// allocation per twenty histories (the partial's maps, the id tallies and
+// the scratch growing to the largest history).
 func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 	col, _, err := integrate.Build(synth.Generate(synth.DefaultConfig(2000)), integrate.DefaultOptions())
 	if err != nil {
@@ -876,7 +867,7 @@ func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 		})
 		budget := 0.05 * float64(col.Len())
 		switch tc.req.Kind {
-		case AnalyzeIndicators, AnalyzeProfile, AnalyzeSpan:
+		case AnalyzeUtilization, AnalyzeSpan:
 			budget = 4 // the partial, not the histories
 		}
 		t.Logf("%s: %.0f allocations per call", tc.name, got)

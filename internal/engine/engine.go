@@ -101,6 +101,10 @@ const (
 	// pure functions of one store generation (the cache is epoched by it),
 	// so a small fixed cache is safe.
 	boundCacheSize = 64
+	// analysisMemoSize caps the analysis memo (analyze.go): complete
+	// answers by kind, parameters and cohort. A session characterises a
+	// handful of cohorts, each a few kinds.
+	analysisMemoSize = 32
 	// workspaceSize caps the materialized cohorts held in memory; the
 	// least recently saved or read is evicted first (loadgen-style
 	// workloads mint unique names forever, and an unbounded map of
@@ -155,9 +159,9 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 // A local engine follows its store's live-ingest generation: every
 // operation pins the current topology first, and everything derived from
 // store contents — result cache, scan-bound cache, planner feedback, plan
-// memo, cohort workspace — is an epochLRU keyed under that generation,
-// discarded on advance rather than ever answering for a population it no
-// longer describes.
+// memo, analysis memo, cohort workspace — is an epochLRU keyed under that
+// generation, discarded on advance rather than ever answering for a
+// population it no longer describes.
 type Engine struct {
 	st     *store.Store // nil for a coordinator over remote backends
 	shards int          // configured shard count (local engines re-shard on rebuild)
@@ -182,6 +186,9 @@ type Engine struct {
 	fb *feedback
 	// plans memoizes optimized plans by (feedback epoch, expression).
 	plans *epochLRU[planKey, Plan]
+	// analyses memoizes complete Analyze answers by kind, parameters and
+	// cohort (analyze.go); nil when Options.CacheSize is 0.
+	analyses *epochLRU[analysisKey, analysisEntry]
 	// ws holds the materialized cohorts by name (cohorts.go) — but is NOT
 	// cleared by ResetCache: a saved cohort is user state, not derived
 	// state, and benchmark cold arms must be able to drop the caches
@@ -203,6 +210,7 @@ func newEngine(opts Options) *Engine {
 	}
 	if opts.CacheSize > 0 {
 		e.cache = newEpochLRU[string, *store.Bitset](opts.CacheSize)
+		e.analyses = newEpochLRU[analysisKey, analysisEntry](analysisMemoSize)
 	}
 	return e
 }
@@ -396,12 +404,13 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats(e.topoNow().gen)
 }
 
-// ResetCache empties the result cache, the scan-bound cache, the recorded
-// execution feedback and the plan memo (benchmarks use this to measure
-// cold executions — cold statistics included).
+// ResetCache empties the result cache, the analysis memo, the scan-bound
+// cache, the recorded execution feedback and the plan memo (benchmarks use
+// this to measure cold executions — cold statistics included).
 func (e *Engine) ResetCache() {
 	if e.cache != nil {
 		e.cache.reset()
+		e.analyses.reset()
 	}
 	e.boundCache.reset()
 	e.fb.reset()

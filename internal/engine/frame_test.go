@@ -38,8 +38,8 @@ func tallyAnalyze(history func(int) *model.History, patients int, args AnalyzeAr
 	return tallyFrame(*store.BuildFrame(hs), args)
 }
 
-// inWindow is the test both window kinds always shared, and the clamped
-// period it measures durations over.
+// inWindow is the test the indicators and the profile always shared, and
+// the clamped period it measures durations over.
 func inWindow(e *model.Entry, window model.Period) (model.Period, bool) {
 	p := e.Period().Clamp(window)
 	return p, e.Kind == model.Interval && !p.Empty() || e.Kind == model.Point && window.Contains(e.Start)
@@ -160,12 +160,13 @@ func refEpisodes(h *model.History, gap model.Time) []abstraction.Episode {
 	return eps
 }
 
-// refTally is the sequential *model.History reference for one request.
-func refTally(t testing.TB, req AnalyzeRequest, hs []*model.History) Partial {
+// refTally is the sequential *model.History reference for one request, in
+// the form tallyView renders a partial in.
+func refTally(t testing.TB, req AnalyzeRequest, hs []*model.History) any {
 	t.Helper()
 	switch p := req.params.(type) {
 	case *MineParams:
-		return refAnalyze(t, model.MustCollection(hs...), req)
+		return normalizePartial(refAnalyze(t, model.MustCollection(hs...), req))
 	case *EpisodeParams:
 		tally := abstraction.NewEpisodeTally()
 		for _, h := range hs {
@@ -178,24 +179,29 @@ func refTally(t testing.TB, req AnalyzeRequest, hs []*model.History) Partial {
 			tally.Add(p.Scenario.MatchEpisodes(refEpisodes(h, p.Gap)))
 		}
 		return tally
-	case *window[stats.IndicatorCounts]:
-		c := new(stats.IndicatorCounts)
+	case *window:
+		var c stats.IndicatorCounts
+		var prof stats.CohortProfile
 		for _, h := range hs {
-			refIndicators(c, h, p.Period)
+			refIndicators(&c, h, p.Period)
+			refProfile(&prof, h, p.Period)
 		}
-		return c
-	case *window[stats.CohortProfile]:
-		prof := new(stats.CohortProfile)
-		for _, h := range hs {
-			refProfile(prof, h, p.Period)
-		}
-		return prof
+		return [2]any{c, prof}
 	case *SpanParams:
 		span := refSpan(hs)
 		return &span
 	}
 	t.Fatalf("refTally: no reference for kind %q", req.Kind)
 	return nil
+}
+
+// tallyView renders a partial for comparison with refTally: a utilization
+// tally as its two readings, anything else normalized.
+func tallyView(p Partial) any {
+	if u, ok := p.(*stats.Utilization); ok {
+		return [2]any{u.Indicators(), u.Profile()}
+	}
+	return normalizePartial(p)
 }
 
 // byteSource draws the checker's choices from fuzz input; an exhausted
@@ -227,7 +233,7 @@ var (
 		{}, {}, {System: "ICPC2", Value: "T90"}, {System: "ICPC2", Value: "K80"}, {System: "ICD10", Value: "K80"},
 		{System: "ICPC2", Value: "R05"}, {System: "ICD10", Value: "R05"}, {System: "ICD10", Value: "E11.9"},
 		{System: "ICPC2", Value: "K86"}, {System: "ATC", Value: "C07AB02"}, {System: "LOCAL", Value: "x1"},
-		{System: "LOCAL"}, {Value: "bare"},
+		{System: "LOCAL"}, {Value: "bare"}, {System: "ICPC2", Value: "T89"}, {System: "LOCAL", Value: "T90"},
 	}
 	frameTexts  = []string{"", "kontroll", "legevakt", "time akutt", "Legevakt"}
 	frameValues = []float64{0, 0, 1, -1, 120, 140.5, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
@@ -284,7 +290,8 @@ func drawWindow(src *byteSource) model.Period {
 	}
 }
 
-// drawRequests draws one request per registered kind.
+// drawRequests draws a request per registered kind, and a mine request in
+// each of the four sequential × chapter modes, MaxGap and System drawn.
 func drawRequests(t testing.TB, src *byteSource) []AnalyzeRequest {
 	t.Helper()
 	window := drawWindow(src)
@@ -297,20 +304,26 @@ func drawRequests(t testing.TB, src *byteSource) []AnalyzeRequest {
 		}
 		return req
 	}
-	reqs := []AnalyzeRequest{
-		built(MineRequest(MineParams{Sequential: src.next()%2 == 0, MaxGap: src.next() % 4,
-			System: []string{"", "ICPC2", "ICD10"}[src.next()%3], Chapter: src.next()%2 == 0})),
+	var reqs []AnalyzeRequest
+	for _, mode := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		reqs = append(reqs, built(MineRequest(MineParams{Sequential: mode[0], Chapter: mode[1], MaxGap: src.next() % 4,
+			System: []string{"", "ICPC2", "ICD10", "LOCAL"}[src.next()%4]})))
+	}
+	reqs = append(reqs,
 		built(EpisodesRequest(EpisodeParams{Gap: gap})),
 		built(ScenarioRequest(ScenarioParams{Gap: gap, Scenario: temporal.Scenario{
 			Steps:     []string{step(), step()},
 			Relations: []temporal.StepRel{{I: 0, J: 1, Rel: 1 + temporal.Rel(src.next()*31)%temporal.Full}},
 		}})),
-		windowRequest(t, AnalyzeIndicators, window),
-		windowRequest(t, AnalyzeProfile, window),
+		utilizationRequest(window),
 		SpanRequest(),
+	)
+	drawn := map[string]bool{}
+	for _, req := range reqs {
+		drawn[req.Kind] = true
 	}
-	if len(reqs) != len(analyzers) {
-		t.Fatalf("%d analyzer kinds are registered, drawRequests draws %d", len(analyzers), len(reqs))
+	if len(drawn) != len(analyzers) {
+		t.Fatalf("%d analyzer kinds are registered, drawRequests draws %d", len(analyzers), len(drawn))
 	}
 	return reqs
 }
@@ -340,7 +353,7 @@ func checkFrameAgainstHistories(t testing.TB, data []byte) {
 				cohort = nil
 				m.Range(func(i int) bool { cohort = append(cohort, hs[i]); return true })
 			}
-			want := normalizePartial(refTally(t, req, cohort))
+			want := refTally(t, req, cohort)
 			whole, err := tallyFrame(st.Pin().Frame(), AnalyzeArgs{Kind: req.Kind, Params: req.params, Mask: m})
 			if err != nil {
 				t.Fatalf("%s: %v", req.Kind, err)
@@ -360,7 +373,7 @@ func checkFrameAgainstHistories(t testing.TB, data []byte) {
 				}
 			}
 			for how, got := range map[string]Partial{"whole": whole, "two views merged": merged} {
-				if !reflect.DeepEqual(normalizePartial(got), want) {
+				if !reflect.DeepEqual(tallyView(got), want) {
 					t.Fatalf("%s (mask %v), %s: the frame tally differs from the *History reference\n got %+v\nwant %+v\nparams %+v",
 						req.Kind, m != nil, how, got, want, req.params)
 				}
@@ -472,14 +485,14 @@ func tenOf(patients int) *store.Bitset {
 // not for the shard. It used to ask the store for a model.Collection,
 // which every new revision rebuilds: an ID → history map over the shard.
 func TestShardAnalyzeAllocatesByCohort(t *testing.T) {
-	req := windowRequest(t, AnalyzeProfile, caseWindow)
+	req := utilizationRequest(caseWindow)
 	shardAfterAppends(t, "Analyze", 24<<10, func(rpc *ShardRPC, patients int) {
 		data, crc, err := encodeMask(tenOf(patients))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var reply AnalyzeRPCReply
-		err = rpc.Analyze(&AnalyzeRPCArgs{Kind: AnalyzeProfile, Params: req.params,
+		err = rpc.Analyze(&AnalyzeRPCArgs{Kind: AnalyzeUtilization, Params: req.params,
 			Items: []ShardItem{{Mask: data, MaskCRC: crc}}}, &reply)
 		if err != nil || reply.Partial.HistoryCount() != 10 {
 			t.Fatalf("partial tallies %v histories (%v), want the mask's 10", reply.Partial, err)

@@ -154,8 +154,8 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 }
 
 // Indicators aggregates the utilization indicators for the cohort a
-// global-ordinal bitset selects, over the window: the AnalyzeIndicators
-// kind, finalized. Every backend tallies its slice server-side (a
+// global-ordinal bitset selects, over the window: the AnalyzeUtilization
+// kind, read as indicators. Every backend tallies its slice server-side (a
 // fixed-size integral partial, whatever the cohort size) and the partials
 // merge exactly, so the result is bit-identical to a sequential pass over
 // the same cohort on a single store, at shard counts 1 through N and over
@@ -170,22 +170,22 @@ func (e *Engine) Indicators(b *store.Bitset, window model.Period) (stats.Indicat
 // the completeness report: under PolicyDegraded the QueryStatus names the
 // shards whose tallies are absent from the aggregate.
 func (e *Engine) IndicatorsStatus(ctx context.Context, b *store.Bitset, window model.Period) (stats.Indicators, QueryStatus, error) {
-	counts, status, err := analyzeWindow[stats.IndicatorCounts](ctx, e, b, AnalyzeIndicators, window)
+	u, status, err := e.utilization(ctx, b, window)
 	if err != nil {
 		return stats.Indicators{}, QueryStatus{}, err
 	}
-	return counts.Finalize(window), status, nil
+	return u.Indicators().Finalize(window), status, nil
 }
 
 // Profile aggregates the dimension breakdown for the cohort a
 // global-ordinal bitset selects, over the window — the compare-cohorts half
-// of the workspace: the AnalyzeProfile kind, merged exactly like
-// Indicators. Under PolicyDegraded the aggregate may omit unreachable
+// of the workspace: the AnalyzeUtilization kind Indicators reads, read as
+// a profile. Under PolicyDegraded the aggregate may omit unreachable
 // shards.
 func (e *Engine) Profile(b *store.Bitset, window model.Period) (stats.CohortProfile, error) {
-	prof, _, err := analyzeWindow[stats.CohortProfile](context.Background(), e, b, AnalyzeProfile, window)
+	u, _, err := e.utilization(context.Background(), b, window)
 	if err != nil {
 		return stats.CohortProfile{}, err
 	}
-	return *prof, nil
+	return u.Profile(), nil
 }

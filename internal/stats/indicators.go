@@ -94,10 +94,6 @@ func (c *IndicatorCounts) Merge(o IndicatorCounts) {
 	c.Females += o.Females
 }
 
-// HistoryCount is the number of histories tallied — the bound a transport
-// checks a shard's partial against (engine.Partial).
-func (c IndicatorCounts) HistoryCount() int { return c.Patients }
-
 // Finalize converts the tallies into per-100-patient-year rates. The only
 // floating-point arithmetic in the whole aggregation happens here, once,
 // over exact integer sums.

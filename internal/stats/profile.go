@@ -14,7 +14,8 @@ import (
 // disjoint patients, so per-shard partials merged in any grouping equal a
 // sequential pass over the whole cohort bit for bit, and comparing two
 // cohorts never ships a single history to the coordinator — each shard
-// returns one fixed-size struct per cohort.
+// returns one fixed-size Utilization per cohort, and the profile is read
+// off the merged one.
 
 // profileAgeBands is the number of 15-year age bands (the last is open).
 const profileAgeBands = 7
@@ -73,10 +74,6 @@ func (p *CohortProfile) Merge(o CohortProfile) {
 		p.ByType[i] += o.ByType[i]
 	}
 }
-
-// HistoryCount is the number of histories tallied — the bound a transport
-// checks a shard's partial against (engine.Partial).
-func (p CohortProfile) HistoryCount() int { return p.Patients }
 
 // MeanAge returns the mean whole-year age at window start.
 func (p CohortProfile) MeanAge() float64 {

@@ -9,15 +9,17 @@ import (
 // profile: per history the demographic head, per in-window cell one
 // increment of a (type, source) count matrix and of the matching
 // clamped-duration matrix. IndicatorCounts and CohortProfile are read off
-// the matrices at the end of a call, so the two kinds cannot disagree on
-// what is in the window or how old a patient is. The zero value is ready.
+// the matrices, so the two cannot disagree on what is in the window or how
+// old a patient is. It is also the mergeable partial a shard returns for
+// both: integer sums over disjoint patients, exact in any grouping. The
+// zero value is ready.
 type Utilization struct {
-	patients, females, males int
-	ageYears                 int64
-	ageBands                 [profileAgeBands]int
-	emergency                int
-	count                    [utilSlots * utilSlots]int
-	ticks                    [utilSlots * utilSlots]int64
+	Patients, Females, Males int
+	AgeYears                 int64
+	AgeBands                 [profileAgeBands]int
+	Emergency                int // in-window cells flagged emergency
+	Count                    [utilSlots * utilSlots]int
+	Ticks                    [utilSlots * utilSlots]int64
 }
 
 // utilSlots is the matrix side: every model.Type and model.Source has its
@@ -43,20 +45,20 @@ func b2i(b bool) int {
 }
 
 // Add tallies one history over the window. The in-window test is the one
-// both kinds always shared: an interval counts when its clamped period is
-// non-empty, a point when the window contains it.
+// the indicators and the profile always shared: an interval counts when
+// its clamped period is non-empty, a point when the window contains it.
 func (u *Utilization) Add(r store.Row, window model.Period) {
-	u.patients++
+	u.Patients++
 	switch r.Sex {
 	case model.SexFemale:
-		u.females++
+		u.Females++
 	case model.SexMale:
-		u.males++
+		u.Males++
 	}
 	p := model.Patient{Birth: model.Time(r.Birth)}
 	age := max(p.AgeAt(window.Start), 0)
-	u.ageYears += int64(age)
-	u.ageBands[min(age/15, profileAgeBands-1)]++
+	u.AgeYears += int64(age)
+	u.AgeBands[min(age/15, profileAgeBands-1)]++
 
 	ws, we := int64(window.Start), int64(window.End)
 	for i := range r.Cells {
@@ -65,11 +67,31 @@ func (u *Utilization) Add(r store.Row, window model.Period) {
 		n := b2i(c.Kind == model.Interval)&b2i(start < end) |
 			b2i(c.Kind == model.Point)&b2i(c.Start >= ws)&b2i(c.Start < we)
 		k := slot(uint8(c.Type), profileTypes)*utilSlots + slot(uint8(c.Source), profileSources)
-		u.count[k] += n
-		u.ticks[k] += (end - start) * int64(n) // an in-window point spans 0
-		u.emergency += n & int(c.Flags&store.CellEmergency)
+		u.Count[k] += n
+		u.Ticks[k] += (end - start) * int64(n) // an in-window point spans 0
+		u.Emergency += n & int(c.Flags&store.CellEmergency)
 	}
 }
+
+// Merge folds another partial into the receiver.
+func (u *Utilization) Merge(o *Utilization) {
+	u.Patients += o.Patients
+	u.Females += o.Females
+	u.Males += o.Males
+	u.AgeYears += o.AgeYears
+	u.Emergency += o.Emergency
+	for i := range u.AgeBands {
+		u.AgeBands[i] += o.AgeBands[i]
+	}
+	for i := range u.Count {
+		u.Count[i] += o.Count[i]
+		u.Ticks[i] += o.Ticks[i]
+	}
+}
+
+// HistoryCount is the number of histories tallied — the bound a transport
+// checks a shard's partial against (engine.Partial).
+func (u *Utilization) HistoryCount() int { return u.Patients }
 
 // at is the matrix index of a declared type and source.
 func at(t model.Type, s model.Source) int { return int(t)*utilSlots + int(s) }
@@ -77,30 +99,30 @@ func at(t model.Type, s model.Source) int { return int(t)*utilSlots + int(s) }
 // Indicators reads the indicator tallies off the matrices.
 func (u *Utilization) Indicators() IndicatorCounts {
 	c := IndicatorCounts{
-		Patients: u.patients, Females: u.females, AgeYears: u.ageYears,
-		GPContacts:         u.count[at(model.TypeContact, model.SourceGP)],
-		EmergencyGP:        u.emergency,
-		OutpatientVisits:   u.count[at(model.TypeContact, model.SourceHospital)],
-		SpecialistContacts: u.count[at(model.TypeContact, model.SourceSpecialist)],
-		PhysioContacts:     u.count[at(model.TypeContact, model.SourcePhysio)],
-		Admissions:         u.count[at(model.TypeStay, model.SourceHospital)],
-		AdmissionTicks:     u.ticks[at(model.TypeStay, model.SourceHospital)],
-		NursingTicks:       u.ticks[at(model.TypeStay, model.SourceMunicipal)],
+		Patients: u.Patients, Females: u.Females, AgeYears: u.AgeYears,
+		GPContacts:         u.Count[at(model.TypeContact, model.SourceGP)],
+		EmergencyGP:        u.Emergency,
+		OutpatientVisits:   u.Count[at(model.TypeContact, model.SourceHospital)],
+		SpecialistContacts: u.Count[at(model.TypeContact, model.SourceSpecialist)],
+		PhysioContacts:     u.Count[at(model.TypeContact, model.SourcePhysio)],
+		Admissions:         u.Count[at(model.TypeStay, model.SourceHospital)],
+		AdmissionTicks:     u.Ticks[at(model.TypeStay, model.SourceHospital)],
+		NursingTicks:       u.Ticks[at(model.TypeStay, model.SourceMunicipal)],
 	}
 	for s := 0; s < utilSlots; s++ { // whatever the source
-		c.HomeCareTicks += u.ticks[int(model.TypeService)*utilSlots+s]
-		c.Prescriptions += u.count[int(model.TypeMedication)*utilSlots+s]
+		c.HomeCareTicks += u.Ticks[int(model.TypeService)*utilSlots+s]
+		c.Prescriptions += u.Count[int(model.TypeMedication)*utilSlots+s]
 	}
 	return c
 }
 
 // Profile reads the dimension breakdown off the count matrix.
 func (u *Utilization) Profile() CohortProfile {
-	p := CohortProfile{Patients: u.patients, Females: u.females, Males: u.males,
-		AgeYears: u.ageYears, AgeBands: u.ageBands}
+	p := CohortProfile{Patients: u.Patients, Females: u.Females, Males: u.Males,
+		AgeYears: u.AgeYears, AgeBands: u.AgeBands}
 	for t := 0; t < utilSlots; t++ {
 		for s := 0; s < utilSlots; s++ {
-			n := u.count[t*utilSlots+s]
+			n := u.Count[t*utilSlots+s]
 			p.Entries += n
 			if t < profileTypes {
 				p.ByType[t] += n

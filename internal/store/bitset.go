@@ -372,6 +372,20 @@ func (b *Bitset) Equal(other *Bitset) bool {
 	return true
 }
 
+// Digest hashes the capacity and the set bits to 64 bits, whatever form
+// the containers hold them in: equal bitsets digest equally. Unequal ones
+// can collide, so a caller keying by the digest confirms with Equal.
+func (b *Bitset) Digest() uint64 {
+	h := uint64(b.n)
+	var scratch [containerWords]uint64
+	for ci := range b.cs {
+		for _, w := range b.cs[ci].words(scratch[:]) {
+			h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 27)
+		}
+	}
+	return h
+}
+
 // AnyInRange reports whether any bit in [lo, hi) is set; used to skip whole
 // shards whose candidate mask is empty.
 func (b *Bitset) AnyInRange(lo, hi int) bool {

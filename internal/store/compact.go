@@ -15,8 +15,8 @@ type CompactionStats struct {
 	LastDuration time.Duration `json:"last_duration_ns"`
 }
 
-// Compact folds the delta postings into a fresh base layer sized to the
-// current population and publishes the result. Queries keep running
+// Compact folds the delta postings into a new base layer — copying only
+// the keys the delta touched — and publishes the result. Queries keep running
 // against the previous revision throughout — the fold happens entirely on
 // the side, then lands with one atomic pointer store.
 //
@@ -42,9 +42,9 @@ func (s *Store) Compact() CompactionStats {
 
 	ordBase := ordinalIndex(cur.ids)
 	folded := &postings{
-		byCodeValue: foldLayer(cur.base.byCodeValue, cur.delta.byCodeValue, cur.baseN, n),
-		byType:      foldLayer(cur.base.byType, cur.delta.byType, cur.baseN, n),
-		bySource:    foldLayer(cur.base.bySource, cur.delta.bySource, cur.baseN, n),
+		byCodeValue: foldLayer(cur.base.byCodeValue, cur.delta.byCodeValue, n),
+		byType:      foldLayer(cur.base.byType, cur.delta.byType, n),
+		bySource:    foldLayer(cur.base.bySource, cur.delta.bySource, n),
 	}
 
 	comp.LastDuration = time.Since(t0)
@@ -56,7 +56,6 @@ func (s *Store) Compact() CompactionStats {
 		ordDelta:   map[model.PatientID]int{},
 		entries:    cur.entries,
 		base:       folded,
-		baseN:      n,
 		delta:      newPostings(),
 		codes:      cur.codes,
 		stats:      cur.stats,
@@ -73,25 +72,19 @@ func (s *Store) Compact() CompactionStats {
 	return comp
 }
 
-// foldLayer merges base and delta posting maps into one layer at capacity
-// n. Keys untouched by the delta keep sharing the base bitset when it is
-// already at full capacity; everything else is materialized fresh.
-func foldLayer[K comparable](base, delta map[K]*Bitset, baseN, n int) map[K]*Bitset {
+// foldLayer merges base and delta posting maps into one layer. A key the
+// delta never touched keeps sharing its base bitset, however short (every
+// layered read clamps to a bitset's own length); a touched one becomes its
+// base bitset cloned at capacity n with the delta ORed in.
+func foldLayer[K comparable](base, delta map[K]*Bitset, n int) map[K]*Bitset {
 	out := make(map[K]*Bitset, len(base)+len(delta))
 	for k, bs := range base {
-		if delta[k] == nil && baseN == n {
-			out[k] = bs
-			continue
-		}
-		nb := growClone(bs, n)
-		layerOrInto(nb, delta[k])
-		out[k] = nb
+		out[k] = bs
 	}
 	for k, bs := range delta {
-		if _, ok := out[k]; ok {
-			continue
-		}
-		out[k] = growClone(bs, n)
+		nb := growClone(out[k], n)
+		layerOrInto(nb, bs)
+		out[k] = nb
 	}
 	return out
 }

@@ -166,11 +166,14 @@ func layerOrSlice(out, bs *Bitset, lo, hi int) {
 	}
 }
 
-// growClone returns a copy of bs with capacity n (bs may be nil or short).
+// growClone returns a copy of bs with capacity n (bs may be nil or short):
+// its containers cloned whole, the ones past its length empty.
 func growClone(bs *Bitset, n int) *Bitset {
 	out := NewBitset(n)
 	if bs != nil {
-		out.OrAt(bs, 0)
+		for i := range bs.cs {
+			out.cs[i] = bs.cs[i].clone()
+		}
 	}
 	return out
 }
@@ -358,7 +361,6 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		ordDelta:      ordDelta2,
 		entries:       cur.entries + added,
 		base:          cur.base,
-		baseN:         cur.baseN,
 		delta:         &postings{byCodeValue: codeCOW.m, byType: typeCOW.m, bySource: sourceCOW.m},
 		deltaEntries:  cur.deltaEntries + added,
 		deltaPatients: cur.deltaPatients + len(b.NewHistories),

@@ -151,6 +151,49 @@ func TestCompactPreservesAnswersAndGeneration(t *testing.T) {
 	}
 }
 
+// TestCompactFoldsOnlyTouchedKeys: an append that adds a patient with one
+// coded entry touches one code, one type and one source. Compact copies
+// those three keys' bitsets and shares every other base bitset as it was,
+// though the population grew past their length — and the folded layer
+// still answers exactly what postings rebuilt from the histories do.
+func TestCompactFoldsOnlyTouchedKeys(t *testing.T) {
+	s := New(testCollection(t))
+	h := model.NewHistory(model.Patient{ID: 6, Birth: model.Date(1960, time.January, 1)})
+	h.Add(deltaEntry(9001, model.Code{System: "ICPC2", Value: "T90"}))
+	if _, err := s.Append(AppendBatch{NewHistories: []*model.History{h}}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.loadRev().base
+	s.Compact()
+	r := s.loadRev()
+	rebuilt := New(model.MustCollection(r.hists...)).loadRev().base
+	checkFold(t, before.byCodeValue, r.base.byCodeValue, rebuilt.byCodeValue, codeKey{"ICPC2", "T90"}, len(r.hists))
+	checkFold(t, before.byType, r.base.byType, rebuilt.byType, model.TypeDiagnosis, len(r.hists))
+	checkFold(t, before.bySource, r.base.bySource, rebuilt.bySource, model.SourceGP, len(r.hists))
+}
+
+// checkFold holds one folded posting map to the fold's contract: touched
+// is the only key whose bitset was copied, and every key answers what the
+// rebuilt map answers.
+func checkFold[K comparable](t *testing.T, before, after, rebuilt map[K]*Bitset, touched K, n int) {
+	t.Helper()
+	if len(after) != len(rebuilt) {
+		t.Errorf("folded layer holds %d keys, rebuilt postings %d", len(after), len(rebuilt))
+	}
+	for k, bs := range before {
+		if (after[k] == bs) == (k == touched) {
+			t.Errorf("key %v: shared %v, want shared only when the delta left it alone", k, after[k] == bs)
+		}
+	}
+	for k, want := range rebuilt {
+		got := NewBitset(n)
+		layerOrInto(got, after[k])
+		if !got.Equal(want) {
+			t.Errorf("key %v: folded %v, rebuilt %v", k, got.Ones(), want.Ones())
+		}
+	}
+}
+
 func TestPinAndFreezeIsolateAppends(t *testing.T) {
 	s := New(testCollection(t))
 	frozen := s.Freeze()

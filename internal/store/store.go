@@ -80,12 +80,12 @@ type storeRev struct {
 
 	entries int
 
-	// base holds the compacted postings (capacity baseN); delta absorbs
-	// appends since the last compaction. A patient bit lives in exactly
-	// one layer (the append path checks base ∪ delta before setting), so
-	// per-key cardinalities are additive across layers.
+	// base holds the compacted postings; delta absorbs appends since the
+	// last compaction. A patient bit lives in exactly one layer (the
+	// append path checks base ∪ delta before setting), so per-key
+	// cardinalities are additive across layers. Either layer's bitsets may
+	// be shorter than the population: every read clamps to their length.
 	base  *postings
-	baseN int
 	delta *postings
 
 	deltaEntries  int // entries absorbed into delta since last compaction
@@ -219,7 +219,6 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 		ordDelta: map[model.PatientID]int{},
 		entries:  col.TotalEntries(),
 		base:     base,
-		baseN:    n,
 		delta:    newPostings(),
 		codes:    codes,
 		frame:    new(frameHolder),

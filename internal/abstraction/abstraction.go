@@ -92,23 +92,18 @@ func EpisodesStable(h *model.History, gap model.Time) []Episode {
 // one goroutine; the zero value is ready.
 type EpisodeScratch struct {
 	eps    []Episode
-	dom    []uint32 // each episode's dominant code id, 0 for none
 	counts []int32  // per code id: diagnoses in the episode at hand
 	ids    []uint32 // the code ids counts holds non-zero, first seen first
 }
-
-// Dominants is the dictionary id of each episode's dominant code (0: none)
-// from the last Episodes call, valid until the next.
-func (s *EpisodeScratch) Dominants() []uint32 { return s.dom }
 
 // Episodes derives the episodes of one framed history — the one
 // derivation loop every entry point runs. codes is the dictionary the
 // cells' code ids index. The result is valid until the next call.
 func (s *EpisodeScratch) Episodes(cells []store.Cell, codes []store.FrameCode, gap model.Time) []Episode {
-	s.eps, s.dom = s.eps[:0], s.dom[:0]
 	if len(cells) == 0 {
 		return nil
 	}
+	s.eps = s.eps[:0]
 	first, period := 0, model.Period{}
 	for i := range cells {
 		start, end := model.Time(cells[i].Start), model.Time(cells[i].Start)
@@ -137,11 +132,10 @@ func (s *EpisodeScratch) finish(period model.Period, cells []store.Cell, first, 
 		period.End = period.Start + model.Day
 	}
 	ep := Episode{Period: period, First: first, N: end - first}
-	id := s.dominant(cells[first:end], codes)
-	if id != 0 {
+	if id := s.dominant(cells[first:end], codes); id != 0 {
 		ep.Dominant, ep.Label = codes[id].Code, codes[id].Label()
 	}
-	s.eps, s.dom = append(s.eps, ep), append(s.dom, id)
+	s.eps = append(s.eps, ep)
 }
 
 // dominant counts the episode's diagnosis code ids and takes the most
@@ -282,19 +276,6 @@ func (t *EpisodeTally) AddHistory(h *model.History, gap model.Time) {
 
 // AddEpisodes folds one history's derived episodes into the tally.
 func (t *EpisodeTally) AddEpisodes(eps []Episode) {
-	t.AddUnkeyed(eps)
-	for i := range eps {
-		key := "-"
-		if !eps[i].Dominant.IsZero() {
-			key = eps[i].Label
-		}
-		t.ByDominant[key]++
-	}
-}
-
-// AddUnkeyed is AddEpisodes but for ByDominant, for a caller that counts
-// dominants by id (EpisodeScratch.Dominants) and writes labels once.
-func (t *EpisodeTally) AddUnkeyed(eps []Episode) {
 	t.Histories++
 	if len(eps) == 0 {
 		return
@@ -304,6 +285,11 @@ func (t *EpisodeTally) AddUnkeyed(eps []Episode) {
 	for i := range eps {
 		t.Entries += eps[i].N
 		t.SpanTotal += eps[i].Period.End - eps[i].Period.Start
+		key := "-"
+		if !eps[i].Dominant.IsZero() {
+			key = eps[i].Label
+		}
+		t.ByDominant[key]++
 	}
 }
 

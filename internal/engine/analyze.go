@@ -231,7 +231,7 @@ type analyzer struct {
 	checkParams  func(params any) error
 	newPartial   func(params any) Partial
 	addRow       func(p Partial, params any, r store.Row, sc *mapScratch)
-	finish       func(p Partial, sc *mapScratch) // nil unless the scratch holds part of the tally
+	finish       func(p Partial, sc *mapScratch) // nil unless the scratch holds part of the tally (mine: set in init)
 	merge        func(dst, src Partial) error
 	checkPartial func(Partial) error
 }
@@ -276,15 +276,13 @@ func newKind[P, T any, PT interface {
 }
 
 func init() {
+	// The mine map step tallies ids in the scratch; finish labels them.
+	mine := analyzers[AnalyzeMine]
+	mine.finish = func(p Partial, sc *mapScratch) { sc.mine.finish(p.(*mining.Counts)) }
+	analyzers[AnalyzeMine] = mine
 	for kind, spec := range analyzers {
 		spec.register(kind)
 	}
-}
-
-// withFinish sets a kind's finish step, typed like its map step.
-func withFinish[PT Partial](k analyzer, finish func(PT, *mapScratch)) analyzer {
-	k.finish = func(p Partial, sc *mapScratch) { finish(p.(PT), sc) }
-	return k
 }
 
 // window is the utilization kind's parameter type: the period, as a type
@@ -297,35 +295,17 @@ type window struct{ model.Period }
 // cells of a frame row: a shard server runs them concurrently over one
 // frame.
 var analyzers = map[string]analyzer{
-	AnalyzeMine: withFinish(newKind(MineParams.validate,
+	AnalyzeMine: newKind(MineParams.validate,
 		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
 		func(c *mining.Counts, p *MineParams, r store.Row, sc *mapScratch) { sc.mine.add(c, p, r, sc.codes) },
 		(*mining.Counts).Merge, validateCounts),
-		func(c *mining.Counts, sc *mapScratch) { sc.mine.finish(c) }),
-	AnalyzeEpisodes: withFinish(newKind(EpisodeParams.validate,
+	AnalyzeEpisodes: newKind(EpisodeParams.validate,
 		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
 		func(t *abstraction.EpisodeTally, p *EpisodeParams, r store.Row, sc *mapScratch) {
-			t.AddUnkeyed(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
-			if sc.dominant == nil {
-				sc.dominant = make([]int, len(sc.codes))
-			}
-			for _, id := range sc.episodes.Dominants() {
-				sc.dominant[id]++
-			}
+			t.AddEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
 		},
 		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
 		validateEpisodeTally),
-		func(t *abstraction.EpisodeTally, sc *mapScratch) {
-			for id, n := range sc.dominant {
-				if n > 0 {
-					key := "-" // no dominant code
-					if id != 0 {
-						key = sc.codes[id].Label()
-					}
-					t.ByDominant[key] += n
-				}
-			}
-		}),
 	AnalyzeScenario: newKind(ScenarioParams.validate,
 		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
 		func(t *temporal.ScenarioTally, p *ScenarioParams, r store.Row, sc *mapScratch) {
@@ -367,7 +347,6 @@ type mapScratch struct {
 	codes    []store.FrameCode // the frame's dictionary
 	mine     mineTally
 	episodes abstraction.EpisodeScratch
-	dominant []int // episodes per dominant code id (0: none)
 }
 
 // mineTally is the mine map step on dictionary ids: each code id maps once
@@ -614,7 +593,7 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 	}
 	var key analysisKey
 	if e.analyses != nil {
-		key = analysisKey{kind: req.Kind, params: fmt.Sprintf("%#v", req.params), count: b.Count(), digest: b.Digest()}
+		key = analysisKey{kind: req.Kind, params: fmt.Sprintf("%#v", req.params), digest: b.Digest()}
 		if hit, ok := e.analyses.get(t.gen, key); ok && hit.bits.Equal(b) {
 			if out, err := spec.clone(req.params, hit.part); err == nil {
 				return out, QueryStatus{}, nil
@@ -654,14 +633,13 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 // The analysis memo holds complete Analyze answers, epoched by the store
 // generation like every epochLRU, under the kind, the parameters' %#v
 // rendering (quoted strings, typed values: two parameter values never
-// render alike), the cohort's count and its digest. An entry keeps a clone
-// of the bits and a hit must be Equal to the asking cohort, so a digest
-// collision misses. Hits and stores copy the partial, so no caller holds
+// render alike) and the cohort's digest. An entry keeps a clone of the
+// bits and a hit must be Equal to the asking cohort, so a digest collision
+// misses. Hits and stores copy the partial, so no caller holds
 // the memo's own; a degraded answer, which describes the shards that
 // answered and not the cohort, is never stored.
 type analysisKey struct {
 	kind, params string
-	count        int
 	digest       uint64
 }
 

@@ -483,12 +483,15 @@ func dialHostile(t *testing.T, r *hostileRPC) (b ShardBackend, addr string) {
 // histories than the shards asked hold; the connection survives each, and
 // an honest partial from an honest-sized shard is accepted.
 func TestAnalyzeHostilePartial(t *testing.T) {
-	inconsistent := map[string]Partial{
-		AnalyzeMine:        &mining.Counts{N: 1, Single: map[string]int{"T90": 2}},
-		AnalyzeEpisodes:    &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2},
-		AnalyzeScenario:    &temporal.ScenarioTally{Histories: 1, Bound: 2},
-		AnalyzeUtilization: &stats.Utilization{Patients: 1, Females: 2},
-		AnalyzeSpan:        &SpanTally{Histories: 1, Spanned: 2},
+	inconsistent := map[string][]Partial{
+		AnalyzeMine:     {&mining.Counts{N: 1, Single: map[string]int{"T90": 2}}},
+		AnalyzeEpisodes: {&abstraction.EpisodeTally{Histories: 1, WithEpisodes: 2, Episodes: 2}},
+		AnalyzeScenario: {&temporal.ScenarioTally{Histories: 1, Bound: 2}},
+		// One partial per reading it fails: the indicators, then the
+		// profile twice (nobody in an age band; more sexed than patients).
+		AnalyzeUtilization: {&stats.Utilization{Patients: 1, Females: 2}, &stats.Utilization{Patients: 1},
+			&stats.Utilization{Patients: 1, Females: 1, Males: 1, AgeBands: [7]int{1}}},
+		AnalyzeSpan: {&SpanTally{Histories: 1, Spanned: 2}},
 	}
 	col, _, _ := parityEngines(t)
 	cases := analyzeCases(t)
@@ -500,8 +503,8 @@ func TestAnalyzeHostilePartial(t *testing.T) {
 		return part
 	}
 	for _, tc := range cases {
-		bad, ok := inconsistent[tc.req.Kind]
-		if !ok {
+		bad := inconsistent[tc.req.Kind]
+		if len(bad) == 0 {
 			t.Fatalf("analyzer kind %q has no inconsistent partial here", tc.req.Kind)
 		}
 		srv := &hostileRPC{meta: ShardMeta{Patients: 1, Entries: 1}}
@@ -515,7 +518,6 @@ func TestAnalyzeHostilePartial(t *testing.T) {
 		}{
 			"no partial":             {nil, "partial is <nil>"},
 			"another kind's partial": {honest(otherKind(cases, tc.req.Kind)), "partial is"},
-			"inconsistent partial":   {bad, "tally"},
 			// An honest tally over the whole population, from a server whose
 			// one shard advertises a single patient.
 			"more histories than the shard holds": {honest(tc), "hold 1"},
@@ -523,6 +525,10 @@ func TestAnalyzeHostilePartial(t *testing.T) {
 			srv.partial = row.partial
 			_, err := analyze()
 			wantErr(t, tc.name+": "+name, err, addr, row.mentions)
+		}
+		for _, srv.partial = range bad {
+			_, err := analyze()
+			wantErr(t, tc.name+": inconsistent partial", err, addr, "tally")
 		}
 		srv.partial = analyzers[tc.req.Kind].newPartial(tc.req.params)
 		if _, err := analyze(); err != nil {

@@ -274,12 +274,13 @@ func TestCohortProfileMergeParity(t *testing.T) {
 	}
 	for _, q := range exprs {
 		bits := scanBits(col, st, q)
-		var want stats.CohortProfile
+		var cohort []*model.History
 		for i, h := range col.Histories() {
 			if bits.Get(i) {
-				want.AddHistory(h, window)
+				cohort = append(cohort, h)
 			}
 		}
+		want := stats.ComputeCohortProfile(model.MustCollection(cohort...), window)
 		for _, e := range engines {
 			got, err := e.Profile(bits, window)
 			if err != nil {

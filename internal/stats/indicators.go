@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pastas/internal/model"
-	"pastas/internal/store"
 )
 
 // Utilization indicators — the paper's introduction lists "statistical
@@ -37,13 +36,14 @@ type Indicators struct {
 	FemaleShare float64
 }
 
-// IndicatorCounts is the mergeable form of the indicator aggregation: raw
-// event tallies and duration sums in integral units (events counted,
-// durations in Time ticks, ages in whole years). Integer sums are exactly
-// associative, so partial counts accumulated per shard and merged in any
-// grouping finalize to bit-identical Indicators — the property that lets
-// shard servers aggregate their slice of a cohort server-side and a
-// coordinator combine the partials without shipping a single history.
+// IndicatorCounts is the integral form of the indicator aggregation, read
+// off a Utilization tally: raw event tallies and duration sums in integral
+// units (events counted, durations in Time ticks, ages in whole years).
+// Integer sums are exactly associative, so partial tallies accumulated per
+// shard and merged in any grouping finalize to bit-identical Indicators —
+// the property that lets shard servers aggregate their slice of a cohort
+// server-side and a coordinator combine the partials without shipping a
+// single history.
 type IndicatorCounts struct {
 	Patients int
 
@@ -63,35 +63,6 @@ type IndicatorCounts struct {
 	// Demographics: sum of whole-year ages at window start, female count.
 	AgeYears int64
 	Females  int
-}
-
-// AddHistory tallies one patient's history over the window: the history
-// is framed and goes through the Utilization kernel the engine's map step
-// runs over a store's frame.
-func (c *IndicatorCounts) AddHistory(h *model.History, window model.Period) {
-	var u Utilization
-	row, _ := store.FrameHistory(h)
-	u.Add(row, window)
-	c.Merge(u.Indicators())
-}
-
-// Merge folds another partial tally into the receiver. Every field is an
-// integer sum over disjoint patients, so merging is exact and
-// order-independent.
-func (c *IndicatorCounts) Merge(o IndicatorCounts) {
-	c.Patients += o.Patients
-	c.GPContacts += o.GPContacts
-	c.EmergencyGP += o.EmergencyGP
-	c.Admissions += o.Admissions
-	c.OutpatientVisits += o.OutpatientVisits
-	c.SpecialistContacts += o.SpecialistContacts
-	c.PhysioContacts += o.PhysioContacts
-	c.Prescriptions += o.Prescriptions
-	c.AdmissionTicks += o.AdmissionTicks
-	c.HomeCareTicks += o.HomeCareTicks
-	c.NursingTicks += o.NursingTicks
-	c.AgeYears += o.AgeYears
-	c.Females += o.Females
 }
 
 // Finalize converts the tallies into per-100-patient-year rates. The only
@@ -128,11 +99,7 @@ func ComputeIndicators(col *model.Collection, window model.Period) Indicators {
 	if col.Len() == 0 || window.Empty() {
 		return Indicators{Patients: col.Len()}
 	}
-	var counts IndicatorCounts
-	for _, h := range col.Histories() {
-		counts.AddHistory(h, window)
-	}
-	return counts.Finalize(window)
+	return Tally(col, window).Indicators().Finalize(window)
 }
 
 // Table renders the indicator report (rates per 100 patient-years).

@@ -57,19 +57,11 @@ func TestIndicatorCountsMergeParity(t *testing.T) {
 
 	for _, parts := range []int{1, 2, 4, 16, 157} {
 		chunk := (len(hs) + parts - 1) / parts
-		var merged IndicatorCounts
+		var merged Utilization
 		for lo := 0; lo < len(hs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(hs) {
-				hi = len(hs)
-			}
-			var partial IndicatorCounts
-			for _, h := range hs[lo:hi] {
-				partial.AddHistory(h, window)
-			}
-			merged.Merge(partial)
+			merged.Merge(Tally(model.MustCollection(hs[lo:min(lo+chunk, len(hs))]...), window))
 		}
-		if got := merged.Finalize(window); got != want {
+		if got := merged.Indicators().Finalize(window); got != want {
 			t.Fatalf("parts=%d: merged indicators diverge:\ngot  %+v\nwant %+v", parts, got, want)
 		}
 	}
@@ -80,10 +72,7 @@ func TestIndicatorCountsEmptyAndZeroWindow(t *testing.T) {
 	if got := c.Finalize(model.Period{}); got.Patients != 0 || got.PatientYears != 0 {
 		t.Errorf("empty finalize = %+v", got)
 	}
-	hs := mergeFixture(3, 7)
-	for _, h := range hs {
-		c.AddHistory(h, model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2011, 1, 1)})
-	}
+	c = Tally(model.MustCollection(mergeFixture(3, 7)...), model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2011, 1, 1)}).Indicators()
 	if got := c.Finalize(model.Period{}); got.PatientYears != 0 {
 		t.Errorf("zero-window finalize has patient-years: %+v", got)
 	}

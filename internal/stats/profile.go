@@ -5,17 +5,15 @@ import (
 	"strings"
 
 	"pastas/internal/model"
-	"pastas/internal/store"
 )
 
-// Cohort characteristics as mergeable dimension breakdowns — the
-// compare-cohorts half of the explore loop. Like IndicatorCounts, a
-// CohortProfile is an integral tally: every field is an integer sum over
-// disjoint patients, so per-shard partials merged in any grouping equal a
-// sequential pass over the whole cohort bit for bit, and comparing two
-// cohorts never ships a single history to the coordinator — each shard
-// returns one fixed-size Utilization per cohort, and the profile is read
-// off the merged one.
+// Cohort characteristics as dimension breakdowns — the compare-cohorts
+// half of the explore loop. Like IndicatorCounts, a CohortProfile is read
+// off a Utilization tally: integer sums over disjoint patients, so
+// per-shard partials merged in any grouping equal a sequential pass over
+// the whole cohort bit for bit, and comparing two cohorts never ships a
+// single history to the coordinator — each shard returns one fixed-size
+// Utilization per cohort, and the profile is read off the merged one.
 
 // profileAgeBands is the number of 15-year age bands (the last is open).
 const profileAgeBands = 7
@@ -46,35 +44,6 @@ type CohortProfile struct {
 	ByType   [profileTypes]int   // indexed by model.Type
 }
 
-// AddHistory tallies one patient into the profile, through the same
-// framing and kernel as IndicatorCounts.AddHistory.
-func (p *CohortProfile) AddHistory(h *model.History, window model.Period) {
-	var u Utilization
-	row, _ := store.FrameHistory(h)
-	u.Add(row, window)
-	p.Merge(u.Profile())
-}
-
-// Merge folds another partial profile into the receiver. Integer sums
-// over disjoint patients are exactly associative, so merge order and
-// grouping can never change the result.
-func (p *CohortProfile) Merge(o CohortProfile) {
-	p.Patients += o.Patients
-	p.Females += o.Females
-	p.Males += o.Males
-	p.AgeYears += o.AgeYears
-	for i := range p.AgeBands {
-		p.AgeBands[i] += o.AgeBands[i]
-	}
-	p.Entries += o.Entries
-	for i := range p.BySource {
-		p.BySource[i] += o.BySource[i]
-	}
-	for i := range p.ByType {
-		p.ByType[i] += o.ByType[i]
-	}
-}
-
 // MeanAge returns the mean whole-year age at window start.
 func (p CohortProfile) MeanAge() float64 {
 	if p.Patients == 0 {
@@ -94,11 +63,7 @@ func AgeBandLabel(i int) string {
 // ComputeCohortProfile tallies a whole collection sequentially — the
 // reference the sharded aggregation is parity-tested against.
 func ComputeCohortProfile(col *model.Collection, window model.Period) CohortProfile {
-	var p CohortProfile
-	for _, h := range col.Histories() {
-		p.AddHistory(h, window)
-	}
-	return p
+	return Tally(col, window).Profile()
 }
 
 // Table renders the profile for terminal display.

@@ -89,6 +89,19 @@ func (u *Utilization) Merge(o *Utilization) {
 	}
 }
 
+// Tally runs the kernel over a whole collection sequentially, each history
+// framed on its own: the reference the sharded aggregation is
+// parity-tested against, and what ComputeIndicators and
+// ComputeCohortProfile read.
+func Tally(col *model.Collection, window model.Period) *Utilization {
+	u := new(Utilization)
+	for _, h := range col.Histories() {
+		row, _ := store.FrameHistory(h)
+		u.Add(row, window)
+	}
+	return u
+}
+
 // HistoryCount is the number of histories tallied — the bound a transport
 // checks a shard's partial against (engine.Partial).
 func (u *Utilization) HistoryCount() int { return u.Patients }

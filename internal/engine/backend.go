@@ -204,28 +204,14 @@ func evalOnView(v *store.View, p Plan, mask *store.Bitset) (*store.Bitset, error
 		f := v.Frame()
 		match, ok := compileScan(n.Expr, &f)
 		if !ok {
-			match = func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) }
+			match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
 		}
-		out := v.Empty()
-		if mask != nil {
-			// Iterate the mask's set bits instead of probing it per
-			// history: with containerized bitsets a sparse mask makes
-			// this a handful of array-container walks, and whole
-			// 65k-patient chunks of non-candidates are skipped outright.
-			mask.Range(func(i int) bool {
-				if match(i) {
-					out.Set(i)
-				}
-				return true
-			})
-			return out, nil
+		if mask == nil {
+			mask = v.Empty().Not()
 		}
-		for i := range v.Len() {
-			if match(i) {
-				out.Set(i)
-			}
-		}
-		return out, nil
+		// A word of candidates at a time, container by container: a sparse
+		// mask is a few array walks, and empty 65k-row chunks are skipped.
+		return mask.MapWords(match), nil
 	case Not:
 		inner, err := evalOnView(v, n.Child, nil)
 		if err != nil {

@@ -6,91 +6,116 @@ package engine
 // *model.History values is a pointer chase per history and per 96-byte
 // entry; compileScan turns the expression into one closure tree over the
 // frame's pointer-free columns instead, built once per shard per scan.
+// It runs a word of 64 candidate rows at a time, so a boolean operator
+// costs one call per word, and a predicate loads only the column it tests.
 // query.Expr.Eval stays the reference every parity suite holds it to.
 
 import (
+	"math/bits"
+
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/store"
 )
 
-// cellPred is a compiled event predicate.
-type cellPred func(c *store.Cell) bool
+// wordMatch is a compiled scan over one word of rows: bit k of the result
+// is set iff bit k of cand is and row base+k matches.
+type wordMatch func(base int, cand uint64) uint64
 
-// compileScan compiles a scanned expression into a matcher over the rows
-// of f: match(i) == expr.Eval(h) for the history h that row i frames. It
-// builds no store.Row and allocates only while compiling. ok is false when
-// the expression holds something the frame cannot answer — a TextMatch
-// (the frame keeps no text), a MatchFunc, a type this package does not
-// know — and the caller then ignores match and evaluates the histories.
-func compileScan(expr query.Expr, f *store.Frame) (match func(i int) bool, ok bool) {
+// cellPred is a compiled event predicate over a cell and its value; it
+// dereferences only what it tests, so it loads one column, not both.
+type cellPred func(c *store.Cell, v *float64) bool
+
+// perRow lifts a per-row test to a word matcher, one call per candidate.
+func perRow(match func(i int) bool) wordMatch {
+	return func(base int, cand uint64) uint64 {
+		for w := cand; w != 0; w &= w - 1 {
+			if k := bits.TrailingZeros64(w); !match(base + k) {
+				cand &^= 1 << k
+			}
+		}
+		return cand
+	}
+}
+
+// compileScan compiles a scanned expression into a word matcher over the
+// rows of f: bit k of match(base, cand) is cand's bit k ∧ expr.Eval(h)
+// for the history h that row base+k frames. It builds no store.Row and
+// allocates only while compiling. ok is false when the expression holds
+// something the frame cannot answer — a TextMatch (the frame keeps no
+// text), a MatchFunc, a type this package does not know — and the caller
+// then ignores match and evaluates the histories.
+func compileScan(expr query.Expr, f *store.Frame) (match wordMatch, ok bool) {
 	switch q := expr.(type) {
 	case query.TrueExpr:
-		return func(int) bool { return true }, true
+		return func(_ int, cand uint64) uint64 { return cand }, true
 	case query.And:
 		ms, ok := compileEach(q, f, compileScan)
-		return func(i int) bool {
+		return func(base int, cand uint64) uint64 {
 			for _, m := range ms {
-				if !m(i) {
-					return false
+				if cand == 0 {
+					break
 				}
+				cand = m(base, cand)
 			}
-			return true
+			return cand
 		}, ok
 	case query.Or:
 		ms, ok := compileEach(q, f, compileScan)
-		return func(i int) bool {
+		return func(base int, cand uint64) uint64 {
+			var hit uint64
 			for _, m := range ms {
-				if m(i) {
-					return true
+				if rest := cand &^ hit; rest != 0 {
+					hit |= m(base, rest)
 				}
 			}
-			return false
+			return hit
 		}, ok
 	case query.Not:
 		m, ok := compileScan(q.E, f)
-		return func(i int) bool { return !m(i) }, ok
+		return func(base int, cand uint64) uint64 { return cand &^ m(base, cand) }, ok
 	case query.AgeBetween:
-		return func(i int) bool {
+		return perRow(func(i int) bool {
 			p := model.Patient{Birth: model.Time(f.Birth(i))}
 			age := p.AgeAt(q.At)
 			return age >= q.Lo && age <= q.Hi
-		}, true
+		}), true
 	case query.SexIs:
-		return func(i int) bool { return f.Sex(i) == model.Sex(q) }, true
+		return perRow(func(i int) bool { return f.Sex(i) == model.Sex(q) }), true
 	case query.Has:
-		p, ok := compilePred(q.Pred, f)
 		need := max(q.MinCount, 1)
-		return func(i int) bool {
-			cells, seen := f.Cells(i), 0
-			for k := range cells {
-				if p(&cells[k]) {
-					if seen++; seen >= need {
-						return true
-					}
+		if band, isBand := q.Pred.(query.ValueBetween); isBand { // no call per value
+			return func(base int, cand uint64) uint64 { return f.ValueBand(base, cand, need, band.Lo, band.Hi) }, true
+		}
+		p, ok := compilePred(q.Pred, f)
+		return perRow(func(i int) bool {
+			cells, vals, seen := f.Cells(i), f.Values(i), 0
+			for j := 0; j < len(cells) && seen < need; j++ {
+				if p(&cells[j], &vals[j]) {
+					seen++
 				}
 			}
-			return false
-		}, ok
+			return seen >= need
+		}), ok
 	case query.During:
 		iv, ok := compilePred(q.Interval, f)
 		ev, ok2 := compilePred(q.Event, f)
-		return func(i int) bool {
-			cells := f.Cells(i)
+		return perRow(func(i int) bool {
+			cells, vals := f.Cells(i), f.Values(i)
 			for a := range cells {
 				in := &cells[a]
-				if in.Kind != model.Interval || !iv(in) {
+				if in.Kind != model.Interval || !iv(in, &vals[a]) {
 					continue
 				}
 				for b := range cells {
 					e := &cells[b]
-					if e.Kind == model.Point && ev(e) && in.Start <= e.Start && e.Start < in.End {
+					if e.Kind == model.Point && ev(e, &vals[b]) && in.Start <= e.Start && e.Start < in.End {
 						return true
 					}
 				}
 			}
 			return false
-		}, ok && ok2
+		}), ok && ok2
 	case query.Sequence:
 		return compileSequence(q, f)
 	}
@@ -100,7 +125,7 @@ func compileScan(expr query.Expr, f *store.Frame) (match func(i int) bool, ok bo
 // compileSequence is Sequence.FirstMatch's backtracking search over a
 // row's cells, which are in the order Sort gives its entries: the same
 // gap rules, and the witness reduced to the previous step's start.
-func compileSequence(q query.Sequence, f *store.Frame) (func(i int) bool, bool) {
+func compileSequence(q query.Sequence, f *store.Frame) (wordMatch, bool) {
 	preds := make([]cellPred, len(q.Steps))
 	for k, st := range q.Steps {
 		p, ok := compilePred(st.Pred, f)
@@ -109,8 +134,8 @@ func compileSequence(q query.Sequence, f *store.Frame) (func(i int) bool, bool) 
 		}
 		preds[k] = p
 	}
-	var search func(cells []store.Cell, step, from int, prev int64) bool
-	search = func(cells []store.Cell, step, from int, prev int64) bool {
+	var search func(cells []store.Cell, vals []float64, step, from int, prev int64) bool
+	search = func(cells []store.Cell, vals []float64, step, from int, prev int64) bool {
 		if step == len(preds) {
 			return true
 		}
@@ -126,30 +151,30 @@ func compileSequence(q query.Sequence, f *store.Frame) (func(i int) bool, bool) 
 					return false // the cells are time-sorted: later gaps only grow
 				}
 			}
-			if preds[step](c) && search(cells, step+1, k+1, c.Start) {
+			if preds[step](c, &vals[k]) && search(cells, vals, step+1, k+1, c.Start) {
 				return true
 			}
 		}
 		return false
 	}
-	return func(i int) bool { return len(preds) > 0 && search(f.Cells(i), 0, 0, 0) }, true
+	return perRow(func(i int) bool { return len(preds) > 0 && search(f.Cells(i), f.Values(i), 0, 0, 0) }), true
 }
 
-// compilePred compiles an event predicate over cells, or reports that the
-// frame cannot answer it.
+// compilePred compiles an event predicate, or reports that the frame
+// cannot answer it.
 func compilePred(p query.EventPred, f *store.Frame) (cellPred, bool) {
 	switch q := p.(type) {
 	case query.TypeIs:
-		return func(c *store.Cell) bool { return c.Type == model.Type(q) }, true
+		return func(c *store.Cell, _ *float64) bool { return c.Type == model.Type(q) }, true
 	case query.SourceIs:
-		return func(c *store.Cell) bool { return c.Source == model.Source(q) }, true
+		return func(c *store.Cell, _ *float64) bool { return c.Source == model.Source(q) }, true
 	case query.KindIs:
-		return func(c *store.Cell) bool { return c.Kind == model.Kind(q) }, true
+		return func(c *store.Cell, _ *float64) bool { return c.Kind == model.Kind(q) }, true
 	case query.ValueBetween:
-		return func(c *store.Cell) bool { return c.Value >= q.Lo && c.Value <= q.Hi }, true
+		return func(_ *store.Cell, v *float64) bool { return *v >= q.Lo && *v <= q.Hi }, true
 	case query.InPeriod:
 		period := model.Period(q)
-		return func(c *store.Cell) bool {
+		return func(c *store.Cell, _ *float64) bool {
 			if c.Kind == model.Point {
 				return period.Contains(model.Time(c.Start))
 			}
@@ -157,9 +182,9 @@ func compilePred(p query.EventPred, f *store.Frame) (cellPred, bool) {
 		}, true
 	case query.AllOf:
 		ps, ok := compileEach(q, f, compilePred)
-		return func(c *store.Cell) bool {
+		return func(c *store.Cell, v *float64) bool {
 			for _, p := range ps {
-				if !p(c) {
+				if !p(c, v) {
 					return false
 				}
 			}
@@ -167,9 +192,9 @@ func compilePred(p query.EventPred, f *store.Frame) (cellPred, bool) {
 		}, ok
 	case query.AnyOf:
 		ps, ok := compileEach(q, f, compilePred)
-		return func(c *store.Cell) bool {
+		return func(c *store.Cell, v *float64) bool {
 			for _, p := range ps {
-				if p(c) {
+				if p(c, v) {
 					return true
 				}
 			}
@@ -177,12 +202,12 @@ func compilePred(p query.EventPred, f *store.Frame) (cellPred, bool) {
 		}, ok
 	case query.NotEv:
 		inner, ok := compilePred(q.P, f)
-		return func(c *store.Cell) bool { return !inner(c) }, ok
+		return func(c *store.Cell, v *float64) bool { return !inner(c, v) }, ok
 	case *query.Code:
 		// Each dictionary slot is matched by the regex the first time a
 		// cell carries it: 0 untested, 1 no, 2 yes.
 		memo := make([]uint8, len(f.Codes))
-		return func(c *store.Cell) bool {
+		return func(c *store.Cell, _ *float64) bool {
 			m := memo[c.Code]
 			if m == 0 {
 				m = 1

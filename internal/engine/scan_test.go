@@ -126,9 +126,28 @@ func checkScanAgainstHistories(t testing.TB, data []byte) {
 		if ok == strings.Contains(e.String(), "text~") {
 			t.Fatalf("compileScan(%s): ok = %v", e, ok)
 		}
-		for i := range hs {
-			if ok && match(i) != want.Get(i) {
-				t.Fatalf("%s on history %d: compiled %v, Eval %v\nentries %+v", e, i, match(i), want.Get(i), hs[i].Entries)
+		// One drawn candidate word per 64 rows, empty and full among them:
+		// the matcher keeps exactly the candidates that match, so a kernel
+		// that ignores cand, or an Or or Not that leaks bits outside it,
+		// fails here.
+		for base := 0; ok && base < len(hs); base += 64 {
+			var cand, wantWord uint64
+			switch k := src.next(); k % 4 {
+			case 1:
+				cand = ^uint64(0)
+			case 2, 3:
+				cand = uint64(k<<8|src.next()) * 0x9e3779b97f4a7c15
+			}
+			if n := len(hs) - base; n < 64 {
+				cand &= 1<<n - 1
+			}
+			for k := 0; k < 64 && base+k < len(hs); k++ {
+				if want.Get(base + k) {
+					wantWord |= 1 << k
+				}
+			}
+			if got := match(base, cand); got != cand&wantWord {
+				t.Fatalf("%s on rows %d+ under candidates %b: compiled %b, Eval %b", e, base, cand, got, cand&wantWord)
 			}
 		}
 		checkScanSite(t, st, 1+src.next()%3, e, want)

@@ -407,6 +407,50 @@ func (b *Bitset) AnyInRange(lo, hi int) bool {
 	return false
 }
 
+// MapWords returns the set fn maps the receiver into word by word: for
+// each nonzero 64-bit word w, whose bit 0 is bit base, the result holds
+// fn(base, w) ∩ w. Each output container is written once — an array
+// walked by member, a bitmap or run word by word — so a scan pays one
+// call per candidate word, not a closure call and a Set per bit.
+func (b *Bitset) MapWords(fn func(base int, w uint64) uint64) *Bitset {
+	out := NewBitset(b.n)
+	var scratch []uint64 // on the heap: an 8 KB frame would grow every fan-out goroutine's stack
+	for ci := range b.cs {
+		c, o, base := &b.cs[ci], &out.cs[ci], ci<<16
+		if c.typ == ctArray {
+			o.arr = make([]uint16, 0, c.card)
+			for i := 0; i < len(c.arr); {
+				wi, w := c.arr[i]>>6, uint64(0)
+				for ; i < len(c.arr) && c.arr[i]>>6 == wi; i++ {
+					w |= 1 << (c.arr[i] & 63)
+				}
+				for m := fn(base+int(wi)<<6, w) & w; m != 0; m &= m - 1 {
+					o.arr = append(o.arr, wi<<6|uint16(bits.TrailingZeros64(m)))
+				}
+			}
+			o.card = len(o.arr)
+		} else {
+			if scratch == nil {
+				scratch = make([]uint64, containerWords)
+			}
+			for wi, w := range c.words(scratch) {
+				if w == 0 {
+					continue
+				}
+				if m := fn(base+wi<<6, w) & w; m != 0 {
+					if o.bmp == nil {
+						o.typ, o.bmp = ctBitmap, make([]uint64, containerWords)
+					}
+					o.bmp[wi] = m
+					o.card += bits.OnesCount64(m)
+				}
+			}
+		}
+		o.optimize()
+	}
+	return out
+}
+
 // Range calls fn for every set bit in ascending order; fn returning false
 // stops the iteration.
 func (b *Bitset) Range(fn func(i int) bool) {

@@ -436,10 +436,12 @@ func TestContainerWireHostilePayloads(t *testing.T) {
 
 // FuzzContainerOps drives random operation sequences through the
 // containerized Bitset and the flat-word oracle in lockstep; any
-// divergence in counts, membership, slicing, merging, or wire round
-// trips is a kernel bug.
+// divergence in counts, membership, slicing, merging, word mapping or
+// wire round trips is a kernel bug.
 func FuzzContainerOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03}, uint32(100))
+	f.Add([]byte{0x00, 0x0A, 0x07, 0x0A}, uint32(2*containerBits+77))         // arrays, then runs, with a tail
+	f.Add(append(make([]byte, 100), 0x0A, 0x07, 0x0A), uint32(containerBits)) // bitmaps
 	f.Add([]byte{0x05, 0x04, 0x03, 0x02, 0x01, 0x00, 0xFF, 0xFE}, uint32(containerBits))
 	f.Add([]byte{0xAA, 0x55, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60}, uint32(2*containerBits+77))
 	f.Fuzz(func(t *testing.T, ops []byte, seed uint32) {
@@ -448,7 +450,7 @@ func FuzzContainerOps(f *testing.F) {
 		a, fa := NewBitset(n), newFlat(n)
 		b, fb := NewBitset(n), newFlat(n)
 		for _, op := range ops {
-			switch op % 10 {
+			switch op % 11 {
 			case 0, 1: // grow a (two weights: sets dominate)
 				for k := 0; k < 50; k++ {
 					v := r.Intn(n)
@@ -504,10 +506,32 @@ func FuzzContainerOps(f *testing.F) {
 						t.Fatalf("OrAt off=%d bit %d diverges", off, i)
 					}
 				}
+			case 10: // map a word by word: some words to 0, some to bits outside them
+				salt := r.Uint64()
+				fn := func(base int, w uint64) uint64 {
+					if base&63 != 0 || w != fa.words[base>>6] {
+						t.Fatalf("MapWords passed word %b at bit %d; the set holds %b there", w, base, fa.words[base>>6])
+					}
+					switch x := uint64(base)*0x9e3779b97f4a7c15 ^ salt; x >> 62 {
+					case 0:
+						return 0
+					case 1:
+						return ^uint64(0)
+					default:
+						return x
+					}
+				}
+				a = a.MapWords(fn)
+				for wi, w := range fa.words {
+					if w != 0 {
+						fa.words[wi] = fn(wi<<6, w) & w
+					}
+				}
+				mustEqual(t, "MapWords", a, fa)
 			}
 			if a.Count() != fa.count() || b.Count() != fb.count() {
 				t.Fatalf("count diverged after op %d: a=%d/%d b=%d/%d",
-					op%10, a.Count(), fa.count(), b.Count(), fb.count())
+					op%11, a.Count(), fa.count(), b.Count(), fb.count())
 			}
 		}
 		mustEqual(t, "final a", a, fa)

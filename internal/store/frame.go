@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -14,20 +15,21 @@ import (
 // kinds read them. A model.Entry is 96 bytes behind two pointers, and a
 // cohort is a percent of the population, so a pass over histories is one
 // cold pointer chase per patient and another per entry slice. The frame
-// holds the same entries as 32-byte pointer-free cells in one slab, in
+// holds the same entries as 24-byte pointer-free cells in one slab, in
 // SortedEntries order, with the codes interned into a dictionary that
-// resolves each code's chapter once. It is derived state: built lazily by
-// the first scan or analysis of a revision, carried forward by Append,
+// resolves each code's chapter once. Only a value band reads the values,
+// so they are a column beside the cells. It is derived state: built lazily
+// by the first scan or analysis of a revision, carried forward by Append,
 // never saved. Index-answered counts and refines never build it.
 
 // Cell is one history entry in the form scans and analyses read: every
 // field a criterion or an analyzer tests except the text, which only the
-// emergency flag summarizes. Sixteen bytes of times, the value, then the
-// code id and four one-byte fields fill 32 bytes with no padding.
+// emergency flag summarizes, and the value, which is a column of its own
+// (Frame.Values). Sixteen bytes of times, then the code id and four
+// one-byte fields fill 24 bytes with no padding.
 type Cell struct {
-	Start, End int64   // model.Time ticks; End == Start for a point
-	Value      float64 // model.Entry.Value
-	Code       uint32  // index into Frame.Codes; 0 = uncoded
+	Start, End int64  // model.Time ticks; End == Start for a point
+	Code       uint32 // index into Frame.Codes; 0 = uncoded
 	Kind       model.Kind
 	Type       model.Type
 	Source     model.Source
@@ -66,10 +68,11 @@ type Frame struct {
 	Codes []FrameCode
 
 	rows   []frameRow
-	chunks [][]Cell   // chunks[0] is the build's slab; Append adds one per batch
-	dict   *frameDict // shared by the frames one carries into the next
-	cells  int        // cells in all chunks, superseded runs included
-	dead   int        // cells of runs an update superseded
+	chunks [][]Cell    // chunks[0] is the build's slab; Append adds one per batch
+	values [][]float64 // values[k][j] is the model.Entry.Value of chunks[k][j]
+	dict   *frameDict  // shared by the frames one carries into the next
+	cells  int         // cells in all chunks, superseded runs included
+	dead   int         // cells of runs an update superseded
 }
 
 // frameRow locates a history's cell run without a pointer, so the row
@@ -103,6 +106,35 @@ func (f *Frame) Cells(i int) []Cell {
 	return f.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
 }
 
+// Values is history i's value column, parallel to Cells(i); the caller
+// must not write it.
+func (f *Frame) Values(i int) []float64 {
+	r := &f.rows[i]
+	return f.values[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// ValueBand is the word kernel of a scan's value band: bit k of the result
+// is set iff it is set in cand and row base+k holds at least need values
+// in [lo, hi]. It reads the row table and the value column, nothing else.
+func (f *Frame) ValueBand(base int, cand uint64, need int, lo, hi float64) uint64 {
+	rows, vals := f.rows[base:], f.values
+	for w := cand; w != 0; w &= w - 1 {
+		k, seen := bits.TrailingZeros64(w), 0
+		r := &rows[k]
+		for _, v := range vals[r.chunk][r.off : r.off+r.n] {
+			if v >= lo && v <= hi {
+				if seen++; seen >= need {
+					break
+				}
+			}
+		}
+		if seen < need {
+			cand &^= 1 << k
+		}
+	}
+	return cand
+}
+
 // frameDict interns codes. Only the build and, under the store's write
 // lock, Append's carry-forward touch it; a published frame reads the
 // prefix of codes its Codes slice header covers, which later insertions
@@ -133,12 +165,12 @@ func (d *frameDict) id(c model.Code) uint32 {
 	return id
 }
 
-// appendCells frames one history onto dst, in SortedEntries order.
-func (d *frameDict) appendCells(dst []Cell, h *model.History) []Cell {
+// appendCells frames one history onto dst and vals, in SortedEntries order.
+func (d *frameDict) appendCells(dst []Cell, vals []float64, h *model.History) ([]Cell, []float64) {
 	entries := h.SortedEntries()
 	for i := range entries {
 		e := &entries[i]
-		c := Cell{Start: int64(e.Start), End: int64(e.Start), Value: e.Value, Code: d.id(e.Code),
+		c := Cell{Start: int64(e.Start), End: int64(e.Start), Code: d.id(e.Code),
 			Kind: e.Kind, Type: e.Type, Source: e.Source}
 		if e.Kind != model.Point {
 			c.End = int64(e.End)
@@ -147,9 +179,9 @@ func (d *frameDict) appendCells(dst []Cell, h *model.History) []Cell {
 			(strings.Contains(e.Text, "legevakt") || strings.Contains(e.Text, "akutt")) {
 			c.Flags = CellEmergency
 		}
-		dst = append(dst, c)
+		dst, vals = append(dst, c), append(vals, e.Value)
 	}
-	return dst
+	return dst, vals
 }
 
 // frameInto frames h at the end of the frame's newest chunk, which the
@@ -157,7 +189,7 @@ func (d *frameDict) appendCells(dst []Cell, h *model.History) []Cell {
 func (f *Frame) frameInto(h *model.History) frameRow {
 	k := len(f.chunks) - 1
 	off := len(f.chunks[k])
-	f.chunks[k] = f.dict.appendCells(f.chunks[k], h)
+	f.chunks[k], f.values[k] = f.dict.appendCells(f.chunks[k], f.values[k], h)
 	return frameRow{birth: int64(h.Patient.Birth), sex: h.Patient.Sex,
 		chunk: uint32(k), off: uint32(off), n: uint32(len(f.chunks[k]) - off)}
 }
@@ -169,7 +201,7 @@ func BuildFrame(hists []*model.History) *Frame {
 		total += len(h.Entries)
 	}
 	f := &Frame{rows: make([]frameRow, len(hists)), chunks: [][]Cell{make([]Cell, 0, total)},
-		dict: newFrameDict(), cells: total}
+		values: [][]float64{make([]float64, 0, total)}, dict: newFrameDict(), cells: total}
 	for i, h := range hists {
 		f.rows[i] = f.frameInto(h)
 	}
@@ -186,9 +218,9 @@ func FrameHistory(h *model.History) (Row, []FrameCode) {
 
 // carry is the frame of the revision an Append publishes: the row table
 // is copied, as hists is, only the touched ordinals (updated or new) are
-// framed again, into one new chunk, and every other cell run is shared. It
-// returns nil once superseded runs outweigh the live ones, so a store
-// under sustained updates pays one rebuild per doubling, not a leak.
+// framed again, into one new chunk per column, and every other run is
+// shared. It returns nil once superseded runs outweigh the live ones, so a
+// store under sustained updates pays one rebuild per doubling, not a leak.
 func (f *Frame) carry(hists []*model.History, touched []int) *Frame {
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
@@ -203,7 +235,8 @@ func (f *Frame) carry(hists []*model.History, touched []int) *Frame {
 		return nil
 	}
 	next := &Frame{rows: make([]frameRow, len(hists)), dict: f.dict, cells: f.cells + fresh, dead: dead,
-		chunks: append(f.chunks[:len(f.chunks):len(f.chunks)], make([]Cell, 0, fresh))}
+		chunks: append(f.chunks[:len(f.chunks):len(f.chunks)], make([]Cell, 0, fresh)),
+		values: append(f.values[:len(f.values):len(f.values)], make([]float64, 0, fresh))}
 	copy(next.rows, f.rows)
 	for _, i := range touched {
 		next.rows[i] = next.frameInto(hists[i])

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,12 +16,14 @@ import (
 
 // framedRow is a frame row with its code ids resolved: two frames hold the
 // same content when these are equal, whatever order their dictionaries
-// grew in and whichever chunk a run lives in.
+// grew in and whichever chunk a run lives in. Values are compared by
+// their bits, so NaN equals itself and -0 differs from 0.
 type framedRow struct {
-	Birth int64
-	Sex   model.Sex
-	Cells []Cell
-	Codes []FrameCode // Codes[i] is Cells[i]'s dictionary slot
+	Birth  int64
+	Sex    model.Sex
+	Cells  []Cell
+	Codes  []FrameCode // Codes[i] is Cells[i]'s dictionary slot
+	Values []uint64    // Values[i] is the bits of Cells[i]'s value
 }
 
 func frameContent(f Frame) []framedRow {
@@ -31,6 +34,9 @@ func frameContent(f Frame) []framedRow {
 		for k := range out[i].Cells {
 			out[i].Codes = append(out[i].Codes, f.Codes[r.Cells[k].Code])
 			out[i].Cells[k].Code = 0
+		}
+		for _, v := range f.Values(i) {
+			out[i].Values = append(out[i].Values, math.Float64bits(v))
 		}
 	}
 	return out
@@ -47,7 +53,8 @@ func synthStore(t testing.TB, patients int) *Store {
 
 // randomBatch updates `updates` existing patients (a GP contact with an
 // emergency text, a diagnosis under a code the store may not know yet, an
-// interval) and adds `fresh` new ones.
+// interval, a measurement whose value may be NaN or -0) and adds `fresh`
+// new ones.
 func randomBatch(rng *rand.Rand, s *Store, round, updates, fresh int, nextEntry *uint64) AppendBatch {
 	entries := func() []model.Entry {
 		out := make([]model.Entry, 1+rng.Intn(4))
@@ -56,12 +63,14 @@ func randomBatch(rng *rand.Rand, s *Store, round, updates, fresh int, nextEntry 
 			start := model.Date(2009, 1, 1).AddDays(rng.Intn(1500)) // lands mid-history: the merge re-sorts
 			e := model.Entry{ID: *nextEntry, Kind: model.Point, Start: start, End: start,
 				Source: model.SourceGP, Type: model.TypeContact, Text: []string{"", "legevakt", "time"}[rng.Intn(3)]}
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				e.Type = model.TypeDiagnosis
 				e.Code = model.Code{System: "ICPC2", Value: fmt.Sprintf("Z%02d", round+rng.Intn(3))}
 			case 1:
 				e.Kind, e.End, e.Type, e.Source = model.Interval, start.AddDays(rng.Intn(60)), model.TypeStay, model.SourceHospital
+			case 2:
+				e.Type, e.Value = model.TypeMeasurement, []float64{rng.Float64() * 200, math.NaN(), math.Copysign(0, -1), -3.5}[rng.Intn(4)]
 			}
 			out[k] = e
 		}
@@ -156,12 +165,14 @@ func TestPinnedFrameSurvivesAppend(t *testing.T) {
 	}
 }
 
-// TestCellLayout: a cell is 32 bytes — two times, the value, the code id
-// and four one-byte fields, with no padding. A field that breaks the
-// packing costs every framed entry in every store.
+// TestCellLayout: a cell is 24 bytes — two times, the code id and four
+// one-byte fields, with no padding. The value is not in it: it is a
+// column of its own, read only by value bands, so a frame costs 32 bytes
+// per entry and a scan or analyzer that reads no value never loads one. A
+// field that breaks the packing costs every framed entry in every store.
 func TestCellLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Cell{}); got != 32 {
-		t.Errorf("store.Cell is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(Cell{}); got != 24 {
+		t.Errorf("store.Cell is %d bytes, want 24", got)
 	}
 }
 

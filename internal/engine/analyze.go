@@ -164,15 +164,15 @@ type SpanTally struct {
 // HistoryCount implements Partial.
 func (t *SpanTally) HistoryCount() int { return t.Histories }
 
-// addRow reads the cells exactly as model.History.Span reads entries.
-func (t *SpanTally) addRow(r store.Row) {
+// addCells reads the cells exactly as model.History.Span reads entries.
+func (t *SpanTally) addCells(cells []store.Cell) {
 	one := SpanTally{Histories: 1}
-	if len(r.Cells) > 0 {
-		start, end := r.Cells[0].Start, r.Cells[0].Start
-		for i := range r.Cells {
-			end = max(end, r.Cells[i].Start)
-			if r.Cells[i].Kind == model.Interval {
-				end = max(end, r.Cells[i].End)
+	if len(cells) > 0 {
+		start, end := cells[0].Start, cells[0].Start
+		for i := range cells {
+			end = max(end, cells[i].Start)
+			if cells[i].Kind == model.Interval {
+				end = max(end, cells[i].End)
 			}
 		}
 		one.Spanned, one.Period = 1, model.Period{Start: model.Time(start), End: model.Time(end)}
@@ -230,7 +230,7 @@ type analyzer struct {
 	register     func(kind string) // names the kind's two types for the wire
 	checkParams  func(params any) error
 	newPartial   func(params any) Partial
-	addRow       func(p Partial, params any, r store.Row, sc *mapScratch)
+	addRow       func(p Partial, params any, f *store.Frame, i int, sc *mapScratch)
 	finish       func(p Partial, sc *mapScratch) // nil unless the scratch holds part of the tally (mine: set in init)
 	merge        func(dst, src Partial) error
 	checkPartial func(Partial) error
@@ -246,7 +246,7 @@ type analyzer struct {
 func newKind[P, T any, PT interface {
 	*T
 	Partial
-}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, store.Row, *mapScratch),
+}](validate func(P) error, newPartial func(*P) PT, add func(PT, *P, *store.Frame, int, *mapScratch),
 	merge func(dst, src PT) error, check func(PT) error) analyzer {
 	return analyzer{
 		register: func(kind string) {
@@ -261,8 +261,8 @@ func newKind[P, T any, PT interface {
 			return validate(*p)
 		},
 		newPartial: func(params any) Partial { return newPartial(params.(*P)) },
-		addRow: func(part Partial, params any, r store.Row, sc *mapScratch) {
-			add(part.(PT), params.(*P), r, sc)
+		addRow: func(part Partial, params any, f *store.Frame, i int, sc *mapScratch) {
+			add(part.(PT), params.(*P), f, i, sc)
 		},
 		merge: func(dst, src Partial) error { return merge(dst.(PT), src.(PT)) },
 		checkPartial: func(part Partial) error {
@@ -292,24 +292,27 @@ func init() {
 type window struct{ model.Period }
 
 // analyzers is the kind registry. Every map step reads the immutable
-// cells of a frame row: a shard server runs them concurrently over one
+// columns of frame row i, and only the ones it tests (the demographics
+// only for utilization): a shard server runs them concurrently over one
 // frame.
 var analyzers = map[string]analyzer{
 	AnalyzeMine: newKind(MineParams.validate,
 		func(p *MineParams) *mining.Counts { return mining.NewCounts(p.Sequential, p.MaxGap) },
-		func(c *mining.Counts, p *MineParams, r store.Row, sc *mapScratch) { sc.mine.add(c, p, r, sc.codes) },
+		func(c *mining.Counts, p *MineParams, f *store.Frame, i int, sc *mapScratch) {
+			sc.mine.add(c, p, f.Cells(i), sc.codes)
+		},
 		(*mining.Counts).Merge, validateCounts),
 	AnalyzeEpisodes: newKind(EpisodeParams.validate,
 		func(*EpisodeParams) *abstraction.EpisodeTally { return abstraction.NewEpisodeTally() },
-		func(t *abstraction.EpisodeTally, p *EpisodeParams, r store.Row, sc *mapScratch) {
-			t.AddEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap))
+		func(t *abstraction.EpisodeTally, p *EpisodeParams, f *store.Frame, i int, sc *mapScratch) {
+			t.AddEpisodes(sc.episodes.Episodes(f.Cells(i), sc.codes, p.Gap))
 		},
 		func(dst, src *abstraction.EpisodeTally) error { dst.Merge(src); return nil },
 		validateEpisodeTally),
 	AnalyzeScenario: newKind(ScenarioParams.validate,
 		func(*ScenarioParams) *temporal.ScenarioTally { return new(temporal.ScenarioTally) },
-		func(t *temporal.ScenarioTally, p *ScenarioParams, r store.Row, sc *mapScratch) {
-			t.Add(p.Scenario.MatchEpisodes(sc.episodes.Episodes(r.Cells, sc.codes, p.Gap)))
+		func(t *temporal.ScenarioTally, p *ScenarioParams, f *store.Frame, i int, sc *mapScratch) {
+			t.Add(p.Scenario.MatchEpisodes(sc.episodes.Episodes(f.Cells(i), sc.codes, p.Gap)))
 		},
 		func(dst, src *temporal.ScenarioTally) error { dst.Merge(src); return nil },
 		func(t *temporal.ScenarioTally) error {
@@ -322,12 +325,12 @@ var analyzers = map[string]analyzer{
 		}),
 	AnalyzeUtilization: newKind(func(window) error { return nil },
 		func(*window) *stats.Utilization { return new(stats.Utilization) },
-		func(u *stats.Utilization, w *window, r store.Row, _ *mapScratch) { u.Add(r, w.Period) },
+		func(u *stats.Utilization, w *window, f *store.Frame, i int, _ *mapScratch) { u.Add(f.Row(i), w.Period) },
 		func(dst, src *stats.Utilization) error { dst.Merge(src); return nil },
 		validateUtilization),
 	AnalyzeSpan: newKind(SpanParams.validate,
 		func(*SpanParams) *SpanTally { return new(SpanTally) },
-		func(t *SpanTally, _ *SpanParams, r store.Row, _ *mapScratch) { t.addRow(r) },
+		func(t *SpanTally, _ *SpanParams, f *store.Frame, i int, _ *mapScratch) { t.addCells(f.Cells(i)) },
 		func(dst, src *SpanTally) error { dst.merge(src); return nil },
 		func(t *SpanTally) error {
 			if t.Spanned < 0 || t.Spanned > t.Histories || t.Period.End < t.Period.Start ||
@@ -393,13 +396,13 @@ func (m *mineTally) labelOf(c *store.FrameCode, p *MineParams) uint32 {
 
 // add tallies one history's chronological diagnosis codes, if it has one
 // (mining.Counts.N counts sequences).
-func (m *mineTally) add(c *mining.Counts, p *MineParams, r store.Row, codes []store.FrameCode) {
+func (m *mineTally) add(c *mining.Counts, p *MineParams, cells []store.Cell, codes []store.FrameCode) {
 	if m.label == nil {
 		m.label, m.ids, m.pairs = make([]uint32, len(codes)), make(map[string]uint32), make(map[uint64]int)
 	}
 	m.seq = m.seq[:0]
-	for i := range r.Cells {
-		if id := r.Cells[i].Code; r.Cells[i].Type == model.TypeDiagnosis && id != 0 {
+	for i := range cells {
+		if id := cells[i].Code; cells[i].Type == model.TypeDiagnosis && id != 0 {
 			if m.label[id] == 0 {
 				m.label[id] = m.labelOf(&codes[id], p)
 			}
@@ -551,12 +554,12 @@ func (spec analyzer) tally(f store.Frame, params any, mask *store.Bitset) (Parti
 	sc := mapScratch{codes: f.Codes}
 	if mask != nil {
 		mask.Range(func(i int) bool {
-			spec.addRow(part, params, f.Row(i), &sc)
+			spec.addRow(part, params, &f, i, &sc)
 			return true
 		})
 	} else {
 		for i := 0; i < f.Len(); i++ {
-			spec.addRow(part, params, f.Row(i), &sc)
+			spec.addRow(part, params, &f, i, &sc)
 		}
 	}
 	if spec.finish != nil {

@@ -233,8 +233,9 @@ func (m *costModel) exprSel(e query.Expr) float64 {
 	case query.SexIs:
 		return 0.5
 	case query.AgeBetween:
-		// Uniform prior over a ~90-year demographic span.
-		sel := float64(q.Hi-q.Lo+1) / 90
+		// Uniform prior over a ~90-year demographic span; in float64, as
+		// Hi−Lo+1 wraps for bounds the Query Builder accepts.
+		sel := (float64(q.Hi) - float64(q.Lo) + 1) / 90
 		return clampSel(sel)
 	case query.Sequence:
 		sel := 1.0

@@ -117,6 +117,10 @@ func TestEstimateSelectivities(t *testing.T) {
 	if got := est(query.SexIs(model.SexFemale)).Rows; !approx(got, 10) {
 		t.Errorf("rows(sex=female) = %f, want 10", got)
 	}
+	// An age band over every age matches everyone, even where Hi−Lo+1 wraps.
+	if got := est(query.AgeBetween{Lo: 0, Hi: math.MaxInt64}).Rows; !approx(got, 20) {
+		t.Errorf("rows(age in [0, MaxInt64]) = %f, want 20", got)
+	}
 }
 
 // TestOptimizeWithStatsOrdersAnd: And children come out most-selective

@@ -7,16 +7,22 @@ package engine
 // entry; compileScan turns the expression into one closure tree over the
 // frame's pointer-free columns instead, built once per shard per scan.
 // It runs a word of 64 candidate rows at a time, so a boolean operator
-// costs one call per word, and a predicate loads only the column it tests.
+// costs one call per word, and a predicate loads only the column it tests;
+// an age or sex criterion and a bare value band are store word kernels
+// (Frame.AgeBand, SexIs, ValueBand) with no call per row.
 // query.Expr.Eval stays the reference every parity suite holds it to.
 
 import (
+	"math"
 	"math/bits"
 
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/store"
 )
+
+// maxYears is the largest age a model.Time difference holds (least: −maxYears−1).
+const maxYears = math.MaxInt64 / int(model.Year)
 
 // wordMatch is a compiled scan over one word of rows: bit k of the result
 // is set iff bit k of cand is and row base+k matches.
@@ -75,13 +81,25 @@ func compileScan(expr query.Expr, f *store.Frame) (match wordMatch, ok bool) {
 		m, ok := compileScan(q.E, f)
 		return func(base int, cand uint64) uint64 { return cand &^ m(base, cand) }, ok
 	case query.AgeBetween:
-		return perRow(func(i int) bool {
-			p := model.Patient{Birth: model.Time(f.Birth(i))}
-			age := p.AgeAt(q.At)
-			return age >= q.Lo && age <= q.Hi
-		}), true
+		// AgeAt floors: age ∈ [Lo, Hi] ⇔ Lo·Year ≤ d ≤ (Hi+1)·Year − 1, and a
+		// bound past every age a model.Time difference has is no bound.
+		if q.Lo > q.Hi || q.Lo > maxYears || q.Hi < -maxYears-1 {
+			return func(int, uint64) uint64 { return 0 }, true
+		}
+		lo, last := int64(math.MinInt64), int64(math.MaxInt64)
+		if q.Lo >= -maxYears {
+			lo = int64(q.Lo) * int64(model.Year)
+		}
+		if q.Hi < maxYears {
+			last = int64(q.Hi+1)*int64(model.Year) - 1
+		}
+		if span := uint64(last) - uint64(lo) + 1; span != 0 {
+			at := int64(q.At)
+			return func(base int, cand uint64) uint64 { return f.AgeBand(base, cand, at, lo, span) }, true
+		}
+		return func(_ int, cand uint64) uint64 { return cand }, true // every age
 	case query.SexIs:
-		return perRow(func(i int) bool { return f.Sex(i) == model.Sex(q) }), true
+		return func(base int, cand uint64) uint64 { return f.SexIs(base, cand, model.Sex(q)) }, true
 	case query.Has:
 		need := max(q.MinCount, 1)
 		if band, isBand := q.Pred.(query.ValueBetween); isBand { // no call per value

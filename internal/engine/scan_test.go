@@ -20,6 +20,14 @@ import (
 
 var scanText, _ = query.NewTextMatch("legevakt|akutt")
 
+// edgeYears and edgeTimes are where age arithmetic wraps or its products
+// stop fitting a model.Time: ±MaxInt64/Year, one either side, the ends.
+var (
+	edgeYears = []int{math.MinInt, -maxYears - 1, -maxYears, -maxYears + 1, -1, 0, maxYears - 1, maxYears, maxYears + 1, math.MaxInt}
+	edgeTimes = []model.Time{math.MinInt64, math.MinInt64 + 1, -model.Time(maxYears) * model.Year, -1, 0,
+		model.Time(maxYears)*model.Year - 1, model.Time(maxYears) * model.Year, math.MaxInt64}
+)
+
 // drawExpr draws an expression: every predicate the matcher compiles, and
 // TextMatch, which it must refuse. Its times are the drawn entries' starts
 // and ends and the patients' births, a minute either side or exact, so
@@ -83,10 +91,20 @@ func drawExpr(src *byteSource, hs []*model.History) query.Expr {
 			return query.TrueExpr{}
 		case k%6 == 1: // MinCount -1 to 3
 			return query.Has{Pred: pred(2), MinCount: src.next()%5 - 1}
-		case k%6 == 2: // k years after a drawn time, the band about k
+		case k%6 == 2: // k years after a drawn time, the band about k; or the edges
 			years := src.next()%90 - 10
 			lo := years + src.next()%3 - 1
-			return query.AgeBetween{Lo: lo, Hi: lo + src.next()%4 - 1, At: at() + model.Year*model.Time(years)}
+			e := query.AgeBetween{Lo: lo, Hi: lo + src.next()%4 - 1, At: at() + model.Year*model.Time(years)}
+			if k := src.next(); k%3 == 0 {
+				e.At = edgeTimes[k/3%len(edgeTimes)] + model.Time(src.next()%3-1)
+			}
+			if k := src.next(); k%3 == 0 {
+				e.Lo = edgeYears[k/3%len(edgeYears)]
+			}
+			if k := src.next(); k%3 == 0 {
+				e.Hi = edgeYears[k/3%len(edgeYears)]
+			}
+			return e
 		case k%6 == 3:
 			return query.SexIs(src.next() % 4)
 		case k%6 == 4:
@@ -108,6 +126,11 @@ func checkScanAgainstHistories(t testing.TB, data []byte) {
 	t.Helper()
 	src := &byteSource{data: data}
 	hs := drawHistories(src)
+	for _, h := range hs { // some born where At − birth wraps
+		if k := src.next(); k%4 == 0 {
+			h.Patient.Birth = edgeTimes[k/4%len(edgeTimes)] + model.Time(src.next()%3-1)
+		}
+	}
 	adopted := make([]*model.History, len(hs)) // the store sorts what it adopts; hs stay as drawn
 	for i, h := range hs {
 		adopted[i] = h.Clone()
@@ -126,31 +149,39 @@ func checkScanAgainstHistories(t testing.TB, data []byte) {
 		if ok == strings.Contains(e.String(), "text~") {
 			t.Fatalf("compileScan(%s): ok = %v", e, ok)
 		}
-		// One drawn candidate word per 64 rows, empty and full among them:
-		// the matcher keeps exactly the candidates that match, so a kernel
-		// that ignores cand, or an Or or Not that leaks bits outside it,
-		// fails here.
+		// One drawn candidate word per 64 rows, empty and full among them.
 		for base := 0; ok && base < len(hs); base += 64 {
-			var cand, wantWord uint64
+			var cand uint64
 			switch k := src.next(); k % 4 {
 			case 1:
 				cand = ^uint64(0)
 			case 2, 3:
 				cand = uint64(k<<8|src.next()) * 0x9e3779b97f4a7c15
 			}
-			if n := len(hs) - base; n < 64 {
-				cand &= 1<<n - 1
-			}
-			for k := 0; k < 64 && base+k < len(hs); k++ {
-				if want.Get(base + k) {
-					wantWord |= 1 << k
-				}
-			}
-			if got := match(base, cand); got != cand&wantWord {
-				t.Fatalf("%s on rows %d+ under candidates %b: compiled %b, Eval %b", e, base, cand, got, cand&wantWord)
-			}
+			checkWord(t, e, match, want, base, cand)
 		}
 		checkScanSite(t, st, 1+src.next()%3, e, want)
+	}
+}
+
+// checkWord holds a compiled matcher to the reference on the word of rows
+// from base under cand, cut to the rows there are: it keeps exactly the
+// candidates that match, so a kernel that ignores cand, or an Or or Not
+// that leaks bits outside it, fails here.
+func checkWord(t testing.TB, e query.Expr, match wordMatch, want *store.Bitset, base int, cand uint64) {
+	t.Helper()
+	var wantWord uint64
+	for k := 0; k < 64; k++ {
+		if base+k >= want.Len() {
+			cand &= 1<<k - 1
+			break
+		}
+		if want.Get(base + k) {
+			wantWord |= 1 << k
+		}
+	}
+	if got := match(base, cand); got != cand&wantWord {
+		t.Fatalf("%s on rows %d+ under candidates %b: compiled %b, Eval %b", e, base, cand, got, cand&wantWord)
 	}
 }
 
@@ -243,6 +274,51 @@ func TestScanParityEdgeCases(t *testing.T) {
 		query.Or{query.SexIs(model.SexUnknown), has(query.AnyOf{}, 1), has(query.AllOf{}, 3)},
 	} {
 		checkParityOn(t, col, st, engines, e)
+	}
+
+	// Age arithmetic at its edges, over more than a word of patients: births
+	// k·Year, k·Year ± 1 before each reference, so At − birth lands on the
+	// floor boundaries and, across references, wraps; bands at and past
+	// ±MaxInt64/Year, negative ages and Lo > Hi. Each band is held to Eval
+	// word by word — empty, full, dense and sparse candidates, the tail
+	// word included — and then through every engine.
+	ats := []model.Time{horizon, math.MinInt64, math.MaxInt64}
+	var ageHs []*model.History
+	for _, at := range ats {
+		for _, k := range []int{0, 1, -1, 60, 81, maxYears, -maxYears, maxYears - 1} {
+			for d := -1; d <= 1; d++ {
+				birth := at - model.Time(k)*model.Year + model.Time(d)
+				ageHs = append(ageHs, model.NewHistory(model.Patient{ID: model.PatientID(len(ageHs) + 1), Birth: birth, Sex: model.Sex(len(ageHs) % 4)}))
+			}
+		}
+	}
+	ageCol := model.MustCollection(ageHs...)
+	ageSt := store.New(ageCol)
+	f := ageSt.Pin().Frame()
+	engines = engines[:0]
+	for _, shards := range []int{1, 4, 16, len(ageHs) + 7} {
+		engines = append(engines, New(ageSt, Options{Shards: shards, Workers: 2}))
+		defer engines[len(engines)-1].Close()
+	}
+	bands := [][2]int{{60, 80}, {0, 0}, {-1, -1}, {-3, 0}, {81, 60}, {0, math.MaxInt}, {math.MinInt, math.MaxInt}, {math.MinInt, -maxYears - 2}}
+	for _, lo := range edgeYears[1:9] {
+		bands = append(bands, [2]int{lo, lo}, [2]int{lo, maxYears - 1}, [2]int{-maxYears, lo})
+	}
+	exprs := []query.Expr{query.SexIs(0), query.SexIs(1), query.SexIs(2), query.SexIs(3)} // the sex kernel's two shapes too
+	for _, at := range ats {
+		for _, b := range bands {
+			exprs = append(exprs, query.AgeBetween{Lo: b[0], Hi: b[1], At: at})
+		}
+	}
+	for _, e := range exprs {
+		want := scanBits(ageCol, ageSt, e)
+		match, _ := compileScan(e, &f)
+		for base := 0; base < f.Len(); base += 64 {
+			for _, cand := range []uint64{0, ^uint64(0), 0x9e3779b97f4a7c15, 1<<3 | 1<<40} {
+				checkWord(t, e, match, want, base, cand)
+			}
+		}
+		checkParityOn(t, ageCol, ageSt, engines, e)
 	}
 }
 

@@ -17,10 +17,12 @@ import (
 // cold pointer chase per patient and another per entry slice. The frame
 // holds the same entries as 24-byte pointer-free cells in one slab, in
 // SortedEntries order, with the codes interned into a dictionary that
-// resolves each code's chapter once. Only a value band reads the values,
-// so they are a column beside the cells. It is derived state: built lazily
-// by the first scan or analysis of a revision, carried forward by Append,
-// never saved. Index-answered counts and refines never build it.
+// resolves each code's chapter once. A field only some readers test is a
+// column of its own — the values beside the cells, births and sexes beside
+// the 12-byte run locators — so an age band streams 8 bytes a patient. It
+// is derived state: built lazily by the first scan or analysis of a
+// revision, carried forward by Append, never saved. Index-answered counts
+// and refines never build it.
 
 // Cell is one history entry in the form scans and analyses read: every
 // field a criterion or an analyzer tests except the text, which only the
@@ -67,7 +69,9 @@ type Row struct {
 type Frame struct {
 	Codes []FrameCode
 
-	rows   []frameRow
+	rows   []frameRow  // rows[i] locates history i's cell run
+	births []int64     // births[i] is history i's model.Patient.Birth
+	sexes  []model.Sex // sexes[i] is history i's model.Patient.Sex
 	chunks [][]Cell    // chunks[0] is the build's slab; Append adds one per batch
 	values [][]float64 // values[k][j] is the model.Entry.Value of chunks[k][j]
 	dict   *frameDict  // shared by the frames one carries into the next
@@ -77,27 +81,23 @@ type Frame struct {
 
 // frameRow locates a history's cell run without a pointer, so the row
 // table costs the garbage collector nothing to hold.
-type frameRow struct {
-	birth         int64
-	chunk, off, n uint32
-	sex           model.Sex
-}
+type frameRow struct{ chunk, off, n uint32 }
 
 // Len is the number of histories framed.
 func (f *Frame) Len() int { return len(f.rows) }
 
-// Row returns history i.
+// Row returns history i; a reader of one column calls its accessor.
 func (f *Frame) Row(i int) Row {
 	return Row{Birth: f.Birth(i), Sex: f.Sex(i), Cells: f.Cells(i)}
 }
 
-// Birth, Sex and Cells read one column of history i. They are small
-// enough to inline, so a matcher testing one column per row pays for that
-// column and builds no Row.
-func (f *Frame) Birth(i int) int64 { return f.rows[i].birth }
+// Birth, Sex and Cells each read one column of history i. They are small
+// enough to inline, so a reader pays for the columns it tests and builds
+// no Row.
+func (f *Frame) Birth(i int) int64 { return f.births[i] }
 
 // Sex is history i's patient sex.
-func (f *Frame) Sex(i int) model.Sex { return f.rows[i].sex }
+func (f *Frame) Sex(i int) model.Sex { return f.sexes[i] }
 
 // Cells is history i's cell run, in SortedEntries order; the caller must
 // not write it.
@@ -115,7 +115,7 @@ func (f *Frame) Values(i int) []float64 {
 
 // ValueBand is the word kernel of a scan's value band: bit k of the result
 // is set iff it is set in cand and row base+k holds at least need values
-// in [lo, hi]. It reads the row table and the value column, nothing else.
+// in [lo, hi]. It reads the run locators and the value column, nothing else.
 func (f *Frame) ValueBand(base int, cand uint64, need int, lo, hi float64) uint64 {
 	rows, vals := f.rows[base:], f.values
 	for w := cand; w != 0; w &= w - 1 {
@@ -129,6 +129,55 @@ func (f *Frame) ValueBand(base int, cand uint64, need int, lo, hi float64) uint6
 			}
 		}
 		if seen < need {
+			cand &^= 1 << k
+		}
+	}
+	return cand
+}
+
+// denseWord is the candidate count from which a demographic kernel tests
+// all 64 rows of a word without a branch rather than walk its members: at
+// about half a word (a 50 % match rate) the two cost the same.
+const denseWord = 32
+
+// AgeBand is the word kernel of an age band: bit k of the result is set
+// iff it is set in cand and d = at − birth, wrapping as Patient.AgeAt
+// subtracts, lies in [lo, lo+span−1] for row base+k — one unsigned
+// compare, uint64(d − lo) < span. An age band [Lo, Hi] is lo = Lo·Year,
+// span = (Hi−Lo+1)·Year: floor(d/Year) ≥ Lo ⇔ d ≥ Lo·Year. It reads the
+// births, nothing else.
+func (f *Frame) AgeBand(base int, cand uint64, at, lo int64, span uint64) uint64 {
+	births, ref := f.births[base:], at-lo // at−b−lo is ref−b, wrapping alike
+	if len(births) >= 64 && bits.OnesCount64(cand) >= denseWord {
+		var in uint64
+		for k, b := range births[:64] {
+			_, below := bits.Sub64(uint64(ref-b), span, 0)
+			in |= below << k
+		}
+		return cand & in
+	}
+	for w := cand; w != 0; w &= w - 1 {
+		if k := bits.TrailingZeros64(w); uint64(ref-births[k]) >= span {
+			cand &^= 1 << k
+		}
+	}
+	return cand
+}
+
+// SexIs is the word kernel of a sex criterion, AgeBand's shape over the
+// sex column: bit k of the result is set iff it is set in cand and row
+// base+k's sex is sex.
+func (f *Frame) SexIs(base int, cand uint64, sex model.Sex) uint64 {
+	sexes := f.sexes[base:]
+	if len(sexes) >= 64 && bits.OnesCount64(cand) >= denseWord {
+		var in uint64
+		for k, s := range sexes[:64] {
+			in |= (uint64(s^sex) - 1) >> 63 << k // 1 iff s == sex
+		}
+		return cand & in
+	}
+	for w := cand; w != 0; w &= w - 1 {
+		if k := bits.TrailingZeros64(w); sexes[k] != sex {
 			cand &^= 1 << k
 		}
 	}
@@ -184,14 +233,19 @@ func (d *frameDict) appendCells(dst []Cell, vals []float64, h *model.History) ([
 	return dst, vals
 }
 
-// frameInto frames h at the end of the frame's newest chunk, which the
-// caller sized for it.
-func (f *Frame) frameInto(h *model.History) frameRow {
+// frameInto frames h as row i, its cells at the end of the frame's newest
+// chunk, which the caller sized for it.
+func (f *Frame) frameInto(i int, h *model.History) {
 	k := len(f.chunks) - 1
 	off := len(f.chunks[k])
 	f.chunks[k], f.values[k] = f.dict.appendCells(f.chunks[k], f.values[k], h)
-	return frameRow{birth: int64(h.Patient.Birth), sex: h.Patient.Sex,
-		chunk: uint32(k), off: uint32(off), n: uint32(len(f.chunks[k]) - off)}
+	f.rows[i] = frameRow{chunk: uint32(k), off: uint32(off), n: uint32(len(f.chunks[k]) - off)}
+	f.births[i], f.sexes[i] = int64(h.Patient.Birth), h.Patient.Sex
+}
+
+// newRows sizes a frame's three per-row arrays for n histories.
+func (f *Frame) newRows(n int) {
+	f.rows, f.births, f.sexes = make([]frameRow, n), make([]int64, n), make([]model.Sex, n)
 }
 
 // BuildFrame frames the histories into one exactly-sized slab.
@@ -200,10 +254,11 @@ func BuildFrame(hists []*model.History) *Frame {
 	for _, h := range hists {
 		total += len(h.Entries)
 	}
-	f := &Frame{rows: make([]frameRow, len(hists)), chunks: [][]Cell{make([]Cell, 0, total)},
+	f := &Frame{chunks: [][]Cell{make([]Cell, 0, total)},
 		values: [][]float64{make([]float64, 0, total)}, dict: newFrameDict(), cells: total}
+	f.newRows(len(hists))
 	for i, h := range hists {
-		f.rows[i] = f.frameInto(h)
+		f.frameInto(i, h)
 	}
 	f.Codes = f.dict.codes
 	return f
@@ -216,8 +271,8 @@ func FrameHistory(h *model.History) (Row, []FrameCode) {
 	return f.Row(0), f.Codes
 }
 
-// carry is the frame of the revision an Append publishes: the row table
-// is copied, as hists is, only the touched ordinals (updated or new) are
+// carry is the frame of the revision an Append publishes: the per-row
+// arrays are copied, as hists is, only the touched ordinals (updated or new) are
 // framed again, into one new chunk per column, and every other run is
 // shared. It returns nil once superseded runs outweigh the live ones, so a
 // store under sustained updates pays one rebuild per doubling, not a leak.
@@ -234,12 +289,15 @@ func (f *Frame) carry(hists []*model.History, touched []int) *Frame {
 	if 2*dead > f.cells+fresh {
 		return nil
 	}
-	next := &Frame{rows: make([]frameRow, len(hists)), dict: f.dict, cells: f.cells + fresh, dead: dead,
+	next := &Frame{dict: f.dict, cells: f.cells + fresh, dead: dead,
 		chunks: append(f.chunks[:len(f.chunks):len(f.chunks)], make([]Cell, 0, fresh)),
 		values: append(f.values[:len(f.values):len(f.values)], make([]float64, 0, fresh))}
+	next.newRows(len(hists))
 	copy(next.rows, f.rows)
+	copy(next.births, f.births)
+	copy(next.sexes, f.sexes)
 	for _, i := range touched {
-		next.rows[i] = next.frameInto(hists[i])
+		next.frameInto(i, hists[i])
 	}
 	next.Codes = f.dict.codes
 	return next
@@ -281,6 +339,6 @@ func (h *frameHolder) carry(hists []*model.History, touched []int) *frameHolder 
 // revision's on first use.
 func (v *View) Frame() Frame {
 	f := *v.r.frame.get(v.r.hists)
-	f.rows = f.rows[v.lo:v.hi]
+	f.rows, f.births, f.sexes = f.rows[v.lo:v.hi], f.births[v.lo:v.hi], f.sexes[v.lo:v.hi]
 	return f
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -54,7 +55,8 @@ func synthStore(t testing.TB, patients int) *Store {
 // randomBatch updates `updates` existing patients (a GP contact with an
 // emergency text, a diagnosis under a code the store may not know yet, an
 // interval, a measurement whose value may be NaN or -0) and adds `fresh`
-// new ones.
+// new ones, born either side of the 2000 epoch (negative and positive
+// times) with any sex byte 0–3.
 func randomBatch(rng *rand.Rand, s *Store, round, updates, fresh int, nextEntry *uint64) AppendBatch {
 	entries := func() []model.Entry {
 		out := make([]model.Entry, 1+rng.Intn(4))
@@ -82,7 +84,7 @@ func randomBatch(rng *rand.Rand, s *Store, round, updates, fresh int, nextEntry 
 	}
 	for k := 0; k < fresh; k++ {
 		h := model.NewHistory(model.Patient{ID: model.PatientID(1_000_000 + round*100 + k),
-			Birth: model.Date(1930+rng.Intn(80), 1, 1), Sex: model.Sex(rng.Intn(3))})
+			Birth: model.Date(1930+rng.Intn(140), 1, 1).AddDays(rng.Intn(365)), Sex: model.Sex(rng.Intn(4))})
 		for _, e := range entries() {
 			h.Add(e)
 		}
@@ -128,8 +130,12 @@ func TestFrameCarriedForwardEqualsRebuild(t *testing.T) {
 		if got.dead > got.cells/2 {
 			t.Fatalf("round %d: %d of %d cells are superseded runs", round, got.dead, got.cells)
 		}
-		if want := frameContent(*BuildFrame(s.Pin().Histories())); !reflect.DeepEqual(frameContent(got), want) {
+		rebuild := BuildFrame(s.Pin().Histories())
+		if !reflect.DeepEqual(frameContent(got), frameContent(*rebuild)) {
 			t.Fatalf("round %d: the carried-forward frame differs from one built from scratch", round)
+		}
+		if !slices.Equal(got.births, rebuild.births) || !slices.Equal(got.sexes, rebuild.sexes) {
+			t.Fatalf("round %d: the carried-forward births or sexes column differs from a rebuild's", round)
 		}
 	}
 	t.Logf("carried %d times, rebuilt %d", carried, rebuilt)
@@ -170,14 +176,19 @@ func TestPinnedFrameSurvivesAppend(t *testing.T) {
 // column of its own, read only by value bands, so a frame costs 32 bytes
 // per entry and a scan or analyzer that reads no value never loads one. A
 // field that breaks the packing costs every framed entry in every store.
+// Likewise a run locator is 12 bytes: birth and sex are columns beside it.
 func TestCellLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Cell{}); got != 24 {
 		t.Errorf("store.Cell is %d bytes, want 24", got)
 	}
+	if got := unsafe.Sizeof(frameRow{}); got != 12 {
+		t.Errorf("store.frameRow is %d bytes, want 12", got)
+	}
 }
 
 // TestFrameCarryAllocatesByBatch: at 20,000 patients a 10-patient batch
-// carries the frame forward for the row table's copy plus the ten
+// carries the frame forward for the per-row arrays' copy (a 12-byte
+// locator, an 8-byte birth and a sex byte per row) plus the ten
 // histories' cells — never a slab copy (12 MB here).
 func TestFrameCarryAllocatesByBatch(t *testing.T) {
 	s := synthStore(t, 20000)
@@ -201,10 +212,10 @@ func TestFrameCarryAllocatesByBatch(t *testing.T) {
 	if !FrameBuilt(s) {
 		t.Fatal("the append dropped a built frame")
 	}
-	rows := uint64(s.Len() * 24)
-	t.Logf("append of 10 patients: %d bytes without a frame, %d carrying one (row table %d, slab %d)", without, with, rows, slab)
+	rows := uint64(s.Len() * (12 + 8 + 1))
+	t.Logf("append of 10 patients: %d bytes without a frame, %d carrying one (per-row arrays %d, slab %d)", without, with, rows, slab)
 	if extra := with - without; with < without || extra > rows+128<<10 {
-		t.Errorf("carrying the frame cost %d bytes; budget is the row table (%d) + 128 KB", extra, rows)
+		t.Errorf("carrying the frame cost %d bytes; budget is the per-row arrays (%d) + 128 KB", extra, rows)
 	}
 	if next := s.Pin().Frame(); len(next.chunks) != 2 || &next.chunks[0][0] != &f.chunks[0][0] || len(next.chunks[1]) > 10*200 {
 		t.Errorf("carried frame: %d chunks, newest %d cells: want the old slab shared and one small chunk", len(next.chunks), len(next.chunks[len(next.chunks)-1]))

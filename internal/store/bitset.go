@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Bitset is a fixed-capacity bit vector over patient ordinals. Cohort
@@ -16,7 +15,10 @@ import (
 // words, or run list depending on density. Sparse postings cost 2 bytes
 // per patient instead of n/8, set operations dispatch to kernels matched
 // to the operand densities, and Count reads cached per-container
-// cardinalities. The public API is unchanged from the flat-word version.
+// cardinalities. The offset unions (OrAt, OrSliceOf, SliceRange) share
+// one kernel, orShifted, which merges whole containers at an aligned
+// offset and otherwise gathers each destination's members once. No
+// mutation writes outside [0, Len()): it panics instead, as Set does.
 type Bitset struct {
 	cs []container
 	n  int // capacity in bits
@@ -115,149 +117,6 @@ func (b *Bitset) Not() *Bitset {
 	return b
 }
 
-// orWord ORs a 64-bit word into the receiver at word index wi (bit
-// 64*wi), updating the touched container in whatever form it holds.
-func (b *Bitset) orWord(wi int, w uint64) {
-	if w == 0 {
-		return
-	}
-	c := &b.cs[wi>>10]
-	lw := wi & (containerWords - 1)
-	switch c.typ {
-	case ctBitmap:
-		old := c.bmp[lw]
-		if nw := old | w; nw != old {
-			c.bmp[lw] = nw
-			c.card += bits.OnesCount64(nw &^ old)
-		}
-	case ctArray:
-		if c.card+bits.OnesCount64(w) > arrayMaxCard {
-			c.toBitmap()
-			b.orWord(wi, w)
-			return
-		}
-		base := uint16(lw << 6)
-		for w != 0 {
-			c.set(base + uint16(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	default: // run: mutate only if the word adds anything
-		if missing := w &^ c.wordAt(lw); missing == 0 {
-			return
-		}
-		c.toBitmap()
-		b.orWord(wi, w)
-	}
-}
-
-// wordAt materializes the container's 64-bit word at local word index lw.
-func (c *container) wordAt(lw int) uint64 {
-	switch c.typ {
-	case ctBitmap:
-		return c.bmp[lw]
-	case ctArray:
-		lo := uint16(lw << 6)
-		var w uint64
-		i := sort.Search(len(c.arr), func(i int) bool { return c.arr[i] >= lo })
-		for ; i < len(c.arr) && c.arr[i]>>6 == uint16(lw); i++ {
-			w |= 1 << (c.arr[i] & 63)
-		}
-		return w
-	default:
-		lo, hi := lw<<6, lw<<6+63
-		var w uint64
-		i := sort.Search(len(c.runs), func(i int) bool { return int(c.runs[i].hi) >= lo })
-		for ; i < len(c.runs) && int(c.runs[i].lo) <= hi; i++ {
-			s, e := int(c.runs[i].lo), int(c.runs[i].hi)
-			if s < lo {
-				s = lo
-			}
-			if e > hi {
-				e = hi
-			}
-			w |= (^uint64(0) >> (63 - uint(e-lo))) &^ ((1 << uint(s-lo)) - 1)
-		}
-		return w
-	}
-}
-
-// setRange sets bits [lo, hi) of the receiver.
-func (b *Bitset) setRange(lo, hi int) {
-	for lo < hi {
-		ci := lo >> 16
-		cEnd := (ci + 1) << 16
-		if cEnd > hi {
-			cEnd = hi
-		}
-		c := &b.cs[ci]
-		rLo, rHi := lo-ci<<16, cEnd-ci<<16
-		switch {
-		case c.card == 0:
-			c.typ = ctRun
-			c.arr, c.bmp = nil, nil
-			c.runs = []interval16{{uint16(rLo), uint16(rHi - 1)}}
-			c.card = rHi - rLo
-		case c.typ == ctRun:
-			c.runs = mergeRuns(c.runs, []interval16{{uint16(rLo), uint16(rHi - 1)}})
-			card := 0
-			for _, r := range c.runs {
-				card += int(r.hi) - int(r.lo) + 1
-			}
-			c.card = card
-		default:
-			c.toBitmap()
-			c.card += zeroFill(c.bmp, rLo, rHi)
-		}
-		lo = cEnd
-	}
-}
-
-// OrAt unions other into the receiver with other's bit 0 mapped to bit off
-// of the receiver, and returns the receiver. This is how per-shard results
-// merge into a global cohort bitset: each shard owns a contiguous ordinal
-// range starting at its offset.
-func (b *Bitset) OrAt(other *Bitset, off int) *Bitset {
-	if other.n == 0 {
-		return b
-	}
-	baseWord, shift := off>>6, uint(off&63)
-	srcWords := (other.n + 63) / 64
-	var scratch []uint64
-	for ci := range other.cs {
-		c := &other.cs[ci]
-		if c.card == 0 {
-			continue
-		}
-		var ws []uint64
-		if c.typ == ctBitmap {
-			ws = c.bmp
-		} else {
-			if scratch == nil {
-				scratch = make([]uint64, containerWords)
-			}
-			ws = c.words(scratch)
-		}
-		nw := srcWords - ci*containerWords
-		if nw > containerWords {
-			nw = containerWords
-		}
-		cwBase := baseWord + ci*containerWords
-		for wi := 0; wi < nw; wi++ {
-			w := ws[wi]
-			if w == 0 {
-				continue
-			}
-			b.orWord(cwBase+wi, w<<shift)
-			if shift != 0 {
-				if hw := w >> (64 - shift); hw != 0 {
-					b.orWord(cwBase+wi+1, hw)
-				}
-			}
-		}
-	}
-	return b
-}
-
 // CountRange returns the number of set bits in [lo, hi).
 func (b *Bitset) CountRange(lo, hi int) int {
 	if lo >= hi {
@@ -277,85 +136,102 @@ func (b *Bitset) CountRange(lo, hi int) int {
 	return c
 }
 
+// OrAt unions other into the receiver with other's bit 0 mapped to bit off
+// of the receiver, and returns the receiver. This is how per-shard results
+// merge into a global cohort bitset: each shard owns a contiguous ordinal
+// range starting at its offset. other's capacity, shifted by off, must fit
+// inside the receiver's; OrAt panics otherwise, like Set.
+func (b *Bitset) OrAt(other *Bitset, off int) *Bitset { return b.orShifted(other, 0, other.n, off) }
+
 // OrSliceOf ORs src's bit range [lo, hi) into the receiver, src's bit lo
 // mapped to the receiver's bit 0 — the inverse of OrAt. This is how a
 // shard view answers index lookups from its parent's postings without
-// duplicating them: the parent's bitset is sliced on the fly.
-func (b *Bitset) OrSliceOf(src *Bitset, lo, hi int) *Bitset {
-	if hi-lo <= 0 {
+// duplicating them: the parent's bitset is sliced on the fly. [lo, hi)
+// must lie inside src's capacity and hi-lo must not exceed the receiver's;
+// OrSliceOf panics otherwise, like Set.
+func (b *Bitset) OrSliceOf(src *Bitset, lo, hi int) *Bitset { return b.orShifted(src, lo, hi, -lo) }
+
+// SliceRange extracts the bit range [lo, hi) as a new bitset of capacity
+// hi-lo.
+func (b *Bitset) SliceRange(lo, hi int) *Bitset {
+	hi = max(hi, lo)
+	return NewBitset(hi-lo).OrSliceOf(b, lo, hi)
+}
+
+// orShifted ORs src's bits [lo, hi) into the receiver, src's bit i landing
+// on the receiver's bit i+d, and returns the receiver: the one union path
+// behind OrAt, OrSliceOf and SliceRange. Each destination container is
+// written once. A source container that lands whole on an aligned
+// destination merges as it stands; otherwise the members of the (at most
+// two) source containers feeding the destination are gathered into one
+// container first.
+func (b *Bitset) orShifted(src *Bitset, lo, hi, d int) *Bitset {
+	if lo >= hi {
 		return b
 	}
-	for ci := lo >> 16; ci <= (hi-1)>>16; ci++ {
-		c := &src.cs[ci]
-		if c.card == 0 {
+	if lo < 0 || hi > src.n || lo+d < 0 || hi+d > b.n {
+		panic(fmt.Sprintf("store: bitset: OR of [%d,%d) shifted by %d out of range: source [0,%d), receiver [0,%d)",
+			lo, hi, d, src.n, b.n))
+	}
+	var scratch []uint64 // on the heap, as in MapWords
+	for dc := (lo + d) >> 16; dc <= (hi+d-1)>>16; dc++ {
+		sLo, sHi := max(lo, dc<<16-d), min(hi, (dc+1)<<16-d) // source bits landing in dc
+		if sc := sLo >> 16; d&containerMask == 0 && sLo == sc<<16 && sHi >= min(sLo+containerBits, src.n) {
+			if src.cs[sc].card != 0 {
+				b.cs[dc] = orContainers(&b.cs[dc], &src.cs[sc])
+			}
 			continue
 		}
-		cBase := ci << 16
-		rLo, rHi := 0, containerBits
-		if cBase < lo {
-			rLo = lo - cBase
-		}
-		if cBase+containerBits > hi {
-			rHi = hi - cBase
-		}
-		switch c.typ {
-		case ctArray:
-			i := sort.Search(len(c.arr), func(i int) bool { return int(c.arr[i]) >= rLo })
-			for ; i < len(c.arr) && int(c.arr[i]) < rHi; i++ {
-				b.Set(cBase + int(c.arr[i]) - lo)
-			}
-		case ctRun:
-			for _, r := range c.runs {
-				s, e := int(r.lo), int(r.hi)+1
-				if s < rLo {
-					s = rLo
-				}
-				if e > rHi {
-					e = rHi
-				}
-				if s < e {
-					b.setRange(cBase+s-lo, cBase+e-lo)
-				}
-			}
-		default: // bitmap: shift whole words into place
-			for wi := rLo >> 6; wi <= (rHi-1)>>6; wi++ {
-				w := c.bmp[wi]
-				if wi == rLo>>6 {
-					w &= ^uint64(0) << (uint(rLo) & 63)
-				}
-				if wi == (rHi-1)>>6 {
-					if rem := uint(rHi) & 63; rem != 0 {
-						w &= (1 << rem) - 1
-					}
-				}
-				if w == 0 {
-					continue
-				}
-				dBit := cBase + wi<<6 - lo
-				if dBit < 0 {
-					b.orWord(0, w>>uint(-dBit))
-					continue
-				}
-				sh := uint(dBit & 63)
-				b.orWord(dBit>>6, w<<sh)
-				if sh != 0 {
-					if hw := w >> (64 - sh); hw != 0 {
-						b.orWord(dBit>>6+1, hw)
-					}
-				}
-			}
+		g := src.gather(sLo, sHi, d-dc<<16, &scratch)
+		switch {
+		case g.card == 0:
+		case b.cs[dc].card == 0:
+			b.cs[dc] = g
+		default:
+			b.cs[dc] = orContainers(&b.cs[dc], &g)
 		}
 	}
 	return b
 }
 
-// SliceRange extracts the bit range [lo, hi) as a new bitset of capacity
-// hi-lo.
-func (b *Bitset) SliceRange(lo, hi int) *Bitset {
-	if hi < lo {
-		hi = lo
+// gather returns the receiver's bits [lo, hi), bit i moved to position
+// i+s, as one fresh container; [lo, hi) spans at most two containers and
+// lands inside one. Array members that fit one array are shifted into it
+// in order, with no sort. Anything else is ORed into the 1,024-word
+// scratch and takes the smallest form, the one MarshalBinary picks, so a
+// sliced run stays a run.
+func (b *Bitset) gather(lo, hi, s int, scratch *[]uint64) container {
+	first, last := lo>>16, (hi-1)>>16
+	var parts [2][]uint16
+	arrays, card := true, 0
+	for sc := first; sc <= last && arrays; sc++ {
+		if c := &b.cs[sc]; c.card != 0 {
+			if arrays = c.typ == ctArray; arrays {
+				parts[sc-first] = c.arrRange(lo-sc<<16, hi-sc<<16)
+				card += len(parts[sc-first])
+			}
+		}
 	}
-	return NewBitset(hi-lo).OrSliceOf(b, lo, hi)
+	if arrays && card <= arrayMaxCard {
+		out := make([]uint16, 0, card)
+		for k, p := range parts {
+			sh := (first+k)<<16 + s
+			for _, v := range p {
+				out = append(out, uint16(int(v)+sh))
+			}
+		}
+		return container{typ: ctArray, card: card, arr: out}
+	}
+	if *scratch == nil {
+		*scratch = make([]uint64, containerWords)
+	}
+	ws := *scratch
+	clear(ws)
+	for sc := first; sc <= last; sc++ {
+		base := sc << 16
+		b.cs[sc].orShiftedInto(ws, max(lo-base, 0), min(hi-base, containerBits), base+s)
+	}
+	return fromWords(ws)
 }
 
 // Equal reports whether two bitsets have the same capacity and identical

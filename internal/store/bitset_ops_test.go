@@ -1,32 +1,81 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func TestOrAtMatchesManualMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(300)
-		global := NewBitset(n)
-		want := NewBitset(n)
-		// Split [0, n) into contiguous chunks at arbitrary (non-aligned)
-		// offsets, as the engine's shards do.
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(3*containerBits+300)
+		global, want := mixedBitset(r, n) // array, bitmap and run containers
+		// Split [0, n) into contiguous chunks, as the engine's shards do,
+		// ending on a container boundary half the time.
 		for off := 0; off < n; {
-			size := 1 + r.Intn(n-off)
-			local := NewBitset(size)
-			for i := 0; i < size; i++ {
-				if r.Intn(3) == 0 {
-					local.Set(i)
-					want.Set(off + i)
+			end := off + 1 + r.Intn(n-off)
+			if al := end &^ containerMask; al > off && r.Intn(2) == 0 {
+				end = al
+			}
+			local, _ := mixedBitset(r, end-off)
+			for i := 0; i < end-off; i++ {
+				if local.Get(i) {
+					want.set(off + i)
 				}
 			}
 			global.OrAt(local, off)
-			off += size
+			off = end
 		}
-		if !global.Equal(want) {
-			t.Fatalf("trial %d: OrAt merge diverges from per-bit merge", trial)
+		mustEqual(t, fmt.Sprintf("trial %d: OrAt merge vs per-bit merge", trial), global, want)
+	}
+}
+
+// TestShiftedOrRefusesOverflow: an OR whose mapped range leaves the
+// receiver panics, whatever form the source holds, rather than storing
+// bits past the receiver's capacity.
+func TestShiftedOrRefusesOverflow(t *testing.T) {
+	array, bitmap := NewBitset(containerBits), NewBitset(containerBits)
+	array.Set(40)
+	array.Set(150)
+	for i := 0; i < containerBits; i += 2 {
+		bitmap.Set(i)
+	}
+	sources := map[string]*Bitset{"array": array, "bitmap": bitmap, "run": NewBitset(containerBits).Not()}
+	for name, src := range sources {
+		for _, tc := range []struct {
+			op   string
+			fits int
+			or   func(dst *Bitset) *Bitset
+			want int
+		}{
+			{"OrAt", containerBits + 70, func(dst *Bitset) *Bitset { return dst.OrAt(src, 70) }, src.Count()},
+			{"OrSliceOf", 100, func(dst *Bitset) *Bitset { return dst.OrSliceOf(src, 100, 200) }, src.CountRange(100, 200)},
+		} {
+			if got := tc.or(NewBitset(tc.fits)); got.Count() != tc.want {
+				t.Errorf("%s %s into a receiver that fits: count %d, want %d", name, tc.op, got.Count(), tc.want)
+			}
+			for _, short := range []int{tc.fits - 1, 10} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s %s into capacity %d: no panic", name, tc.op, short)
+						}
+					}()
+					tc.or(NewBitset(short))
+				}()
+			}
+		}
+	}
+}
+
+// TestSlicedRunsStayRuns: an unaligned slice of an all-ones mask keeps
+// run containers rather than growing an 8 KB bitmap per container.
+func TestSlicedRunsStayRuns(t *testing.T) {
+	s := NewBitset(3*containerBits).Not().SliceRange(100, 2*containerBits+100)
+	for ci := range s.cs {
+		if c := &s.cs[ci]; c.typ != ctRun || !c.isFull() {
+			t.Errorf("container %d: type %d, card %d; want one full run", ci, c.typ, c.card)
 		}
 	}
 }

@@ -73,22 +73,33 @@ func (b *Bitset) ContainerStats() ContainerStats {
 			st.WireBytes++
 			continue
 		}
-		arrBytes := 2 * c.card
-		nr := c.numRuns()
-		runBytes := 4 * nr
-		switch {
-		case runBytes < arrBytes && runBytes < bitmapWireBytes:
+		switch typ, nr := c.smallestForm(); typ {
+		case ctRun:
 			st.Runs++
-			st.WireBytes += 1 + uvarintLen(uint64(nr)) + runBytes
-		case arrBytes <= bitmapWireBytes:
+			st.WireBytes += 1 + uvarintLen(uint64(nr)) + 4*nr
+		case ctArray:
 			st.Arrays++
-			st.WireBytes += 1 + uvarintLen(uint64(c.card)) + arrBytes
+			st.WireBytes += 1 + uvarintLen(uint64(c.card)) + 2*c.card
 		default:
 			st.Bitmaps++
 			st.WireBytes += 1 + bitmapWireBytes
 		}
 	}
 	return st
+}
+
+// smallestForm returns the form whose encoding is smallest for the
+// non-empty container c — run, array or bitmap — and c's run count: the
+// form MarshalBinary writes and a gathered container takes.
+func (c *container) smallestForm() (typ uint8, runs int) {
+	nr := c.numRuns()
+	switch {
+	case 4*nr < 2*c.card && 4*nr < bitmapWireBytes:
+		return ctRun, nr
+	case 2*c.card <= bitmapWireBytes:
+		return ctArray, nr
+	}
+	return ctBitmap, nr
 }
 
 // uvarintLen returns the encoded size of x as a uvarint.
@@ -114,10 +125,8 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 			out = append(out, wireEmpty)
 			continue
 		}
-		arrBytes := 2 * c.card
-		runBytes := 4 * c.numRuns()
-		switch {
-		case runBytes < arrBytes && runBytes < bitmapWireBytes:
+		switch typ, _ := c.smallestForm(); typ {
+		case ctRun:
 			runs := c.toRuns()
 			out = append(out, wireRun)
 			out = binary.AppendUvarint(out, uint64(len(runs)))
@@ -125,7 +134,7 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 				out = binary.LittleEndian.AppendUint16(out, r.lo)
 				out = binary.LittleEndian.AppendUint16(out, r.hi)
 			}
-		case arrBytes <= bitmapWireBytes:
+		case ctArray:
 			out = append(out, wireArray)
 			out = binary.AppendUvarint(out, uint64(c.card))
 			if c.typ == ctArray {

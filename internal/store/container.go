@@ -291,6 +291,75 @@ func (c *container) words(scratch []uint64) []uint64 {
 	return scratch
 }
 
+// arrRange returns an array container's members in [lo, hi).
+func (c *container) arrRange(lo, hi int) []uint16 {
+	i := sort.Search(len(c.arr), func(i int) bool { return int(c.arr[i]) >= lo })
+	j := i + sort.Search(len(c.arr)-i, func(j int) bool { return int(c.arr[i+j]) >= hi })
+	return c.arr[i:j]
+}
+
+// wordIn returns word wi of bmp with its bits outside [lo, hi) cleared.
+func wordIn(bmp []uint64, wi, lo, hi int) uint64 {
+	w := bmp[wi]
+	if wi == lo>>6 {
+		w &= ^uint64(0) << (uint(lo) & 63)
+	}
+	if rem := uint(hi) & 63; wi == (hi-1)>>6 && rem != 0 {
+		w &= (1 << rem) - 1
+	}
+	return w
+}
+
+// orShiftedInto ORs the container's positions [lo, hi), position p moved to
+// p+s, into the 1,024 words ws; every moved position must fall inside them.
+func (c *container) orShiftedInto(ws []uint64, lo, hi, s int) {
+	switch c.typ {
+	case ctArray:
+		for _, v := range c.arrRange(lo, hi) {
+			p := int(v) + s
+			ws[p>>6] |= 1 << (p & 63)
+		}
+	case ctRun:
+		for _, r := range c.runs {
+			fillWords(ws, max(int(r.lo), lo)+s, min(int(r.hi)+1, hi)+s)
+		}
+	default:
+		for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+			w := wordIn(c.bmp, wi, lo, hi)
+			// w's bit 0 moves to p; below 0 (lw = -1) only masked-off bits land.
+			p := wi<<6 + s
+			lw, sh := p>>6, uint(p&63)
+			if lw >= 0 {
+				ws[lw] |= w << sh
+			}
+			if hw := w >> (64 - sh); hw != 0 { // 0 when sh is 0
+				ws[lw+1] |= hw
+			}
+		}
+	}
+}
+
+// fromWords returns the set held in the 1,024 words ws as a fresh
+// container, sharing nothing with ws, in its smallest form.
+func fromWords(ws []uint64) container {
+	c := container{typ: ctBitmap, bmp: ws}
+	for _, w := range ws {
+		c.card += bits.OnesCount64(w)
+	}
+	if c.card == 0 {
+		return container{}
+	}
+	switch typ, _ := c.smallestForm(); typ {
+	case ctRun:
+		return container{typ: ctRun, card: c.card, runs: c.toRuns()}
+	case ctArray:
+		c.toArray()
+	default:
+		c.bmp = append([]uint64(nil), ws...)
+	}
+	return c
+}
+
 // iterate calls fn(base+position) for every set position in ascending
 // order; a false return stops the walk and propagates.
 func (c *container) iterate(base int, fn func(int) bool) bool {
@@ -332,23 +401,11 @@ func (c *container) countRange(lo, hi int) int {
 	}
 	switch c.typ {
 	case ctArray:
-		i := sort.Search(len(c.arr), func(i int) bool { return int(c.arr[i]) >= lo })
-		j := sort.Search(len(c.arr), func(j int) bool { return int(c.arr[j]) >= hi })
-		return j - i
+		return len(c.arrRange(lo, hi))
 	case ctBitmap:
 		n := 0
-		loW, hiW := lo>>6, (hi-1)>>6
-		for wi := loW; wi <= hiW; wi++ {
-			w := c.bmp[wi]
-			if wi == loW {
-				w &= ^uint64(0) << (uint(lo) & 63)
-			}
-			if wi == hiW {
-				if rem := uint(hi) & 63; rem != 0 {
-					w &= (1 << rem) - 1
-				}
-			}
-			n += bits.OnesCount64(w)
+		for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+			n += bits.OnesCount64(wordIn(c.bmp, wi, lo, hi))
 		}
 		return n
 	default:
@@ -379,21 +436,10 @@ func (c *container) anyInRange(lo, hi int) bool {
 	}
 	switch c.typ {
 	case ctArray:
-		i := sort.Search(len(c.arr), func(i int) bool { return int(c.arr[i]) >= lo })
-		return i < len(c.arr) && int(c.arr[i]) < hi
+		return len(c.arrRange(lo, hi)) > 0
 	case ctBitmap:
-		loW, hiW := lo>>6, (hi-1)>>6
-		for wi := loW; wi <= hiW; wi++ {
-			w := c.bmp[wi]
-			if wi == loW {
-				w &= ^uint64(0) << (uint(lo) & 63)
-			}
-			if wi == hiW {
-				if rem := uint(hi) & 63; rem != 0 {
-					w &= (1 << rem) - 1
-				}
-			}
-			if w != 0 {
+		for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+			if wordIn(c.bmp, wi, lo, hi) != 0 {
 				return true
 			}
 		}
@@ -463,18 +509,8 @@ func andContainers(a, b *container) container {
 		card := 0
 		for _, r := range b.runs {
 			lo, hi := int(r.lo), int(r.hi)+1
-			loW, hiW := lo>>6, (hi-1)>>6
-			for wi := loW; wi <= hiW; wi++ {
-				w := a.bmp[wi]
-				if wi == loW {
-					w &= ^uint64(0) << (uint(lo) & 63)
-				}
-				if wi == hiW {
-					if rem := uint(hi) & 63; rem != 0 {
-						w &= (1 << rem) - 1
-					}
-				}
-				if w != 0 {
+			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+				if w := wordIn(a.bmp, wi, lo, hi); w != 0 {
 					prev := out[wi]
 					out[wi] = prev | w
 					card += bits.OnesCount64(w &^ prev)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -22,10 +24,8 @@ func (f *flatBits) get(i int) bool { return f.words[i>>6]&(1<<(uint(i)&63)) != 0
 
 func (f *flatBits) count() int {
 	c := 0
-	for i := 0; i < f.n; i++ {
-		if f.get(i) {
-			c++
-		}
+	for _, w := range f.words {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -63,7 +63,8 @@ func (f *flatBits) clone() *flatBits {
 	return c
 }
 
-// mustEqual fails unless b and f hold exactly the same set.
+// mustEqual fails unless b and f hold exactly the same set. It compares
+// whole words, so a fuzz step can afford it, and probes Get on a stride.
 func mustEqual(t *testing.T, label string, b *Bitset, f *flatBits) {
 	t.Helper()
 	if b.Len() != f.n {
@@ -72,12 +73,50 @@ func mustEqual(t *testing.T, label string, b *Bitset, f *flatBits) {
 	if got, want := b.Count(), f.count(); got != want {
 		t.Fatalf("%s: Count=%d, oracle %d", label, got, want)
 	}
-	for i := 0; i < f.n; i++ {
+	var scratch [containerWords]uint64
+	for ci := range b.cs {
+		ws := b.cs[ci].words(scratch[:])
+		for wi, w := range f.words[ci*containerWords : min(len(f.words), (ci+1)*containerWords)] {
+			if ws[wi] != w {
+				t.Fatalf("%s: word %d: containerized=%x oracle=%x", label, ci*containerWords+wi, ws[wi], w)
+			}
+		}
+	}
+	for i := 0; i < f.n; i += 1 + f.n/97 {
 		if b.Get(i) != f.get(i) {
 			t.Fatalf("%s: bit %d: containerized=%v oracle=%v", label, i, b.Get(i), f.get(i))
 		}
 	}
 	checkInvariants(t, label, b)
+}
+
+// mixedBitset returns a bitset of capacity n whose containers are drawn
+// empty, array, bitmap or run, and a flat oracle holding the same bits.
+func mixedBitset(r *rand.Rand, n int) (*Bitset, *flatBits) {
+	b, f := NewBitset(n), newFlat(n)
+	for ci := range b.cs {
+		ws := make([]uint64, containerWords)
+		switch r.Intn(4) {
+		case 1:
+			for k := 0; k < 100; k++ {
+				p := r.Intn(containerBits)
+				ws[p>>6] |= 1 << (p & 63)
+			}
+		case 2:
+			for i := range ws {
+				ws[i] = r.Uint64()
+			}
+		case 3:
+			for k := 0; k < 5; k++ {
+				lo := r.Intn(containerBits)
+				fillWords(ws, lo, min(lo+r.Intn(20000), containerBits))
+			}
+		}
+		maskTailWords(ws, b.containerSpan(ci))
+		copy(f.words[ci*containerWords:], ws)
+		b.cs[ci] = fromWords(ws)
+	}
+	return b, f
 }
 
 // checkInvariants verifies the container bookkeeping the public API
@@ -330,7 +369,7 @@ func TestContainerWireFormats(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				b.Set(i * 11)
 			}
-			b.setRange(containerBits, 2*containerBits)
+			b.OrAt(NewBitset(containerBits).Not(), containerBits)
 			r := rand.New(rand.NewSource(13))
 			for i := 0; i < 400; i++ {
 				b.Set(2*containerBits + r.Intn(500))
@@ -448,7 +487,7 @@ func FuzzContainerOps(f *testing.F) {
 		n := int(seed)%(2*containerBits+1000) + 1
 		r := rand.New(rand.NewSource(int64(seed)))
 		a, fa := NewBitset(n), newFlat(n)
-		b, fb := NewBitset(n), newFlat(n)
+		b, fb := mixedBitset(r, n)
 		for _, op := range ops {
 			switch op % 11 {
 			case 0, 1: // grow a (two weights: sets dominate)
@@ -492,20 +531,25 @@ func FuzzContainerOps(f *testing.F) {
 					t.Fatal("wire round trip changed contents")
 				}
 				a = &back
-			case 9: // slice out of a, merge back at an offset
+			case 9: // slice out of a, OR it into b at an offset, container-aligned half the time
 				lo := r.Intn(n)
 				hi := lo + r.Intn(n-lo) + 1
 				s := a.SliceRange(lo, hi)
+				checkInvariants(t, "SliceRange", s)
 				off := r.Intn(n - (hi - lo) + 1)
-				merged := NewBitset(n).OrAt(s, off)
+				if r.Intn(2) == 0 {
+					off &^= containerMask
+				}
+				b.OrAt(s, off)
 				for i := 0; i < hi-lo; i++ {
 					if s.Get(i) != fa.get(lo+i) {
 						t.Fatalf("slice [%d,%d) bit %d diverges", lo, hi, i)
 					}
-					if merged.Get(off+i) != fa.get(lo+i) {
-						t.Fatalf("OrAt off=%d bit %d diverges", off, i)
+					if fa.get(lo + i) {
+						fb.set(off + i)
 					}
 				}
+				mustEqual(t, fmt.Sprintf("OrAt(SliceRange(%d,%d), %d)", lo, hi, off), b, fb)
 			case 10: // map a word by word: some words to 0, some to bits outside them
 				salt := r.Uint64()
 				fn := func(base int, w uint64) uint64 {

@@ -17,8 +17,9 @@ import (
 // to the operand densities, and Count reads cached per-container
 // cardinalities. The offset unions (OrAt, OrSliceOf, SliceRange) share
 // one kernel, orShifted, which merges whole containers at an aligned
-// offset and otherwise gathers each destination's members once. No
-// mutation writes outside [0, Len()): it panics instead, as Set does.
+// offset and otherwise gathers each destination's members once. An offset
+// union whose mapped range does not fit the receiver panics, as Set does,
+// rather than write outside [0, Len()).
 type Bitset struct {
 	cs []container
 	n  int // capacity in bits

@@ -26,32 +26,6 @@ func ChapterOf(c model.Code) string {
 	return cs.Chapter(c.Value)
 }
 
-// GroupOf abstracts a code one level up its hierarchy (the parent), falling
-// back to the code itself at the top.
-func GroupOf(c model.Code) string {
-	cs := terminology.For(terminology.System(c.System))
-	if cs == nil {
-		return c.Value
-	}
-	if p := cs.Parent(c.Value); p != "" {
-		return p
-	}
-	return c.Value
-}
-
-// AbstractCodes maps a code sequence to chapter level, dropping unknowns.
-// This is the abstraction NSEPter's merging benefits from: T89 and T90
-// both become T, so near-miss histories merge.
-func AbstractCodes(codes []model.Code) []string {
-	out := make([]string, 0, len(codes))
-	for _, c := range codes {
-		if ch := ChapterOf(c); ch != "" {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
 // Episode is a burst of care activity: entries whose starts are separated
 // by no more than the gap parameter, summarized by period and dominant
 // diagnosis code.

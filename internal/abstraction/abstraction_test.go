@@ -27,37 +27,6 @@ func TestChapterOf(t *testing.T) {
 	}
 }
 
-func TestGroupOf(t *testing.T) {
-	if got := GroupOf(model.Code{System: "ICD10", Value: "E11.9"}); got != "E11" {
-		t.Errorf("GroupOf(E11.9) = %q", got)
-	}
-	if got := GroupOf(model.Code{System: "ICPC2", Value: "T"}); got != "T" {
-		t.Errorf("GroupOf(chapter) = %q", got)
-	}
-	if got := GroupOf(model.Code{System: "BOGUS", Value: "X1"}); got != "X1" {
-		t.Errorf("GroupOf(unknown system) = %q", got)
-	}
-}
-
-func TestAbstractCodes(t *testing.T) {
-	in := []model.Code{
-		{System: "ICPC2", Value: "T89"},
-		{System: "ICPC2", Value: "T90"},
-		{System: "ICPC2", Value: "K86"},
-		{System: "ICPC2", Value: "???"},
-	}
-	got := AbstractCodes(in)
-	want := []string{"T", "T", "K"}
-	if len(got) != len(want) {
-		t.Fatalf("AbstractCodes = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("AbstractCodes[%d] = %q", i, got[i])
-		}
-	}
-}
-
 func newHistory(t *testing.T) *model.History {
 	t.Helper()
 	h := model.NewHistory(model.Patient{ID: 1, Birth: model.Date(1950, time.June, 1)})

@@ -23,12 +23,6 @@ type Anchor struct {
 // First anchors at the first entry matching pred.
 func First(pred query.EventPred) Anchor { return Anchor{Pred: pred, Occurrence: 1} }
 
-// Last anchors at the last entry matching pred.
-func Last(pred query.EventPred) Anchor { return Anchor{Pred: pred, Occurrence: -1} }
-
-// Nth anchors at the n-th (1-based) entry matching pred.
-func Nth(pred query.EventPred, n int) Anchor { return Anchor{Pred: pred, Occurrence: n} }
-
 // Time returns the anchor time within the history, ok=false if the history
 // has no such event.
 func (a Anchor) Time(h *model.History) (model.Time, bool) {
@@ -94,12 +88,6 @@ func (r *Result) Rel(id model.PatientID, t model.Time) model.Time {
 	return t - r.Offsets[id]
 }
 
-// RelMonths expresses an absolute time as months before/after the anchor,
-// the unit of the aligned horizontal axis.
-func (r *Result) RelMonths(id model.PatientID, t model.Time) float64 {
-	return t.Months(r.Offsets[id])
-}
-
 // Span returns the covering period in relative time: [min rel start,
 // max rel end) over all kept histories.
 func (r *Result) Span() model.Period {
@@ -129,29 +117,9 @@ func (r *Result) Span() model.Period {
 // Less is a display-order comparator over histories.
 type Less func(a, b *model.History) bool
 
-// ByID orders by patient ID (the default vertical axis).
-func ByID() Less {
-	return func(a, b *model.History) bool { return a.Patient.ID < b.Patient.ID }
-}
-
 // ByEntryCount orders densest history first.
 func ByEntryCount() Less {
 	return func(a, b *model.History) bool { return a.Len() > b.Len() }
-}
-
-// BySpanLength orders longest observation span first.
-func BySpanLength() Less {
-	return func(a, b *model.History) bool {
-		return a.Span().Duration() > b.Span().Duration()
-	}
-}
-
-// ByFirst orders by time of first entry.
-func ByFirst() Less {
-	return func(a, b *model.History) bool {
-		as, bs := a.Span(), b.Span()
-		return as.Start < bs.Start
-	}
 }
 
 // ByAnchor orders by the (absolute) anchor time, so aligned views stack

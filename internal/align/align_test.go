@@ -31,13 +31,13 @@ func TestAnchorOccurrences(t *testing.T) {
 	if at, ok := First(t90).Time(h); !ok || at != day(10) {
 		t.Errorf("First = %v %v", at, ok)
 	}
-	if at, ok := Last(t90).Time(h); !ok || at != day(30) {
-		t.Errorf("Last = %v %v", at, ok)
+	if at, ok := (Anchor{Pred: t90, Occurrence: -1}).Time(h); !ok || at != day(30) {
+		t.Errorf("last = %v %v", at, ok)
 	}
-	if at, ok := Nth(t90, 2).Time(h); !ok || at != day(30) {
+	if at, ok := (Anchor{Pred: t90, Occurrence: 2}).Time(h); !ok || at != day(30) {
 		t.Errorf("Nth(2) = %v %v", at, ok)
 	}
-	if _, ok := Nth(t90, 3).Time(h); ok {
+	if _, ok := (Anchor{Pred: t90, Occurrence: 3}).Time(h); ok {
 		t.Error("Nth(3) should miss")
 	}
 	if _, ok := First(query.MustCode("", "Z99")).Time(h); ok {
@@ -74,9 +74,6 @@ func TestRelativeTime(t *testing.T) {
 	if got := r.Rel(1, day(0)); got != -100*model.Day {
 		t.Errorf("rel = %v", got)
 	}
-	if got := r.RelMonths(1, day(130)); got != 1 {
-		t.Errorf("rel months = %v", got)
-	}
 }
 
 func TestAlignedSpan(t *testing.T) {
@@ -103,18 +100,6 @@ func TestOrderings(t *testing.T) {
 	if col.At(0).Patient.ID != 1 {
 		t.Error("ByEntryCount wrong")
 	}
-	col.SortBy(ByFirst())
-	if col.At(0).Patient.ID != 2 {
-		t.Error("ByFirst wrong")
-	}
-	col.SortBy(BySpanLength())
-	if col.At(0).Patient.ID != 2 {
-		t.Error("BySpanLength wrong")
-	}
-	col.SortBy(ByID())
-	if col.At(0).Patient.ID != 1 {
-		t.Error("ByID wrong")
-	}
 }
 
 func TestSortByAnchor(t *testing.T) {
@@ -131,7 +116,7 @@ func TestSortByAnchor(t *testing.T) {
 
 func TestAnchorStringer(t *testing.T) {
 	p := query.MustCode("", "T90")
-	if First(p).String() == "" || Last(p).String() == "" || Nth(p, 2).String() == "" {
+	if First(p).String() == "" || (Anchor{Pred: p, Occurrence: -1}).String() == "" || (Anchor{Pred: p, Occurrence: 2}).String() == "" {
 		t.Error("stringers empty")
 	}
 }

@@ -93,12 +93,3 @@ func StudyCriteria(window model.Period) query.Expr {
 		},
 	}
 }
-
-// ChronicDiagnosis returns the chronic-condition predicate alone (both
-// systems), reusable for per-condition breakdowns.
-func ChronicDiagnosis() query.Expr {
-	return query.Or{
-		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", chronicICPC)}},
-		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICD10", chronicICD)}},
-	}
-}

@@ -39,7 +39,10 @@ func TestStudyCriteriaSelectsChronicallyIll(t *testing.T) {
 	}
 
 	// Members must actually be chronically ill with ≥6 GP contacts.
-	chronic := ChronicDiagnosis()
+	chronic := query.Or{
+		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", chronicICPC)}},
+		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICD10", chronicICD)}},
+	}
 	for _, id := range ids[:min(20, len(ids))] {
 		h := wb.Store.Collection().Get(id)
 		if !chronic.Eval(h) {

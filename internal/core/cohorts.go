@@ -48,15 +48,6 @@ func (wb *Workbench) Cohorts() []engine.CohortInfo { return wb.Engine.Cohorts() 
 // DropCohort removes a materialized cohort; reports whether it existed.
 func (wb *Workbench) DropCohort(name string) bool { return wb.Engine.DropCohort(name) }
 
-// CohortBits returns a caller-owned copy of a saved cohort's bitset.
-func (wb *Workbench) CohortBits(name string) (*store.Bitset, engine.CohortInfo, error) {
-	bits, info, err := wb.Engine.CohortBits(name)
-	if err != nil {
-		return nil, engine.CohortInfo{}, fmt.Errorf("core: %w", err)
-	}
-	return bits, info, nil
-}
-
 // CohortProfile aggregates the dimension breakdown (sex, age bands,
 // entries by source and type) for a saved cohort over the workbench
 // window. Each shard tallies its slice server-side and the integral

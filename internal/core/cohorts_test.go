@@ -29,7 +29,7 @@ func TestCohortSaveReopenAdoption(t *testing.T) {
 	} else if ref.Mode != "narrow" {
 		t.Fatalf("refine mode %q, want narrow", ref.Mode)
 	}
-	wantBits, _, err := wb.CohortBits("women")
+	wantBits, _, err := wb.Engine.CohortBits("women")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCohortSaveReopenAdoption(t *testing.T) {
 	if len(cs) != 2 {
 		t.Fatalf("reopened workbench has %d cohorts, want 2: %+v", len(cs), cs)
 	}
-	gotBits, gotInfo, err := re.CohortBits("women")
+	gotBits, gotInfo, err := re.Engine.CohortBits("women")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCohortSaveReopenAdoption(t *testing.T) {
 	if ref.Mode == "scratch" {
 		t.Fatal("refinement after reopen fell back to scratch")
 	}
-	b2, _, err := re.CohortBits("women2")
+	b2, _, err := re.Engine.CohortBits("women2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestCohortCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, _, _ := wb.CohortBits("women")
-	bb, _, _ := wb.CohortBits("diag")
+	ba, _, _ := wb.Engine.CohortBits("women")
+	bb, _, _ := wb.Engine.CohortBits("diag")
 	inter := ba.Clone()
 	inter.And(bb)
 	if cmp.Both != inter.Count() {

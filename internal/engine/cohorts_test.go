@@ -350,7 +350,7 @@ func TestCohortValidation(t *testing.T) {
 		}
 	}
 
-	opaque := query.Has{Pred: query.MatchFunc{Name: "f", Fn: func(*model.Entry) bool { return true }}}
+	opaque := query.Has{Pred: opaquePred{name: "f", fn: func(*model.Entry) bool { return true }}}
 	if _, err := e.Materialize(ctx, "f", opaque); err == nil {
 		t.Error("Materialize accepted an opaque expression")
 	}

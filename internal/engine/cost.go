@@ -277,7 +277,9 @@ func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 			keep *= 1 - m.predSel(c, unknown)
 		}
 		return 1 - keep
-	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch, MatchFunc…
+	// NotEv, KindIs, ValueBetween, InPeriod, TextMatch, or a predicate
+	// type this package does not know.
+	default:
 		return unknown
 	}
 }

@@ -546,20 +546,15 @@ func (e *Engine) FeedbackEpoch() uint64 { return e.fb.epoch.Load() }
 // PolicyDegraded the result may be partial; use ExecuteStatus to learn
 // which shards contributed.
 func (e *Engine) Execute(q query.Expr) (*store.Bitset, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute under a caller-supplied context: its deadline
-// bounds the whole evaluation, threaded down to every backend call.
-func (e *Engine) ExecuteContext(ctx context.Context, q query.Expr) (*store.Bitset, error) {
-	b, _, err := e.ExecuteStatus(ctx, q)
+	b, _, err := e.ExecuteStatus(context.Background(), q)
 	return b, err
 }
 
-// ExecuteStatus is ExecuteContext plus the completeness report: under
-// PolicyDegraded the QueryStatus names the shards that did not
-// contribute (under PolicyStrict it is always complete — incompleteness
-// is an error).
+// ExecuteStatus is Execute under a caller-supplied context, plus the
+// completeness report. The context's deadline bounds the whole
+// evaluation, threaded down to every backend call. Under PolicyDegraded
+// the QueryStatus names the shards that did not contribute (under
+// PolicyStrict it is always complete — incompleteness is an error).
 func (e *Engine) ExecuteStatus(ctx context.Context, q query.Expr) (*store.Bitset, QueryStatus, error) {
 	p, err := Compile(q)
 	if err != nil {
@@ -571,14 +566,8 @@ func (e *Engine) ExecuteStatus(ctx context.Context, q query.Expr) (*store.Bitset
 
 // ExecutePlan runs an already-built plan.
 func (e *Engine) ExecutePlan(p Plan) (*store.Bitset, error) {
-	b, _, err := e.ExecutePlanStatus(context.Background(), p)
+	b, _, err := e.executePlanStatus(context.Background(), e.topoNow(), p)
 	return b, err
-}
-
-// ExecutePlanStatus runs an already-built plan under a context, reporting
-// completeness like ExecuteStatus.
-func (e *Engine) ExecutePlanStatus(ctx context.Context, p Plan) (*store.Bitset, QueryStatus, error) {
-	return e.executePlanStatus(ctx, e.topoNow(), p)
 }
 
 func (e *Engine) executePlanStatus(ctx context.Context, t *topo, p Plan) (*store.Bitset, QueryStatus, error) {
@@ -955,7 +944,9 @@ func (e *Engine) predBound(t *topo, p query.EventPred) *store.Bitset {
 			bounds = append(bounds, b)
 		}
 		return unionBounds(bounds)
-	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch, MatchFunc…
+	// NotEv, KindIs, ValueBetween, InPeriod, TextMatch, or a predicate
+	// type this package does not know.
+	default:
 		return nil
 	}
 }

@@ -192,16 +192,16 @@ func TestPlanMemoKeepsColdEntry(t *testing.T) {
 func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
 	st := store.New(fbCollection(200))
 	e := New(st, Options{Shards: 1, CacheSize: 0})
-	opaque := query.Has{Pred: query.MatchFunc{
-		Name: "custom",
-		Fn:   func(en *model.Entry) bool { return en.Value < 10 },
+	opaque := query.Has{Pred: opaquePred{
+		name: "custom",
+		fn:   func(en *model.Entry) bool { return en.Value < 10 },
 	}}
 	p, err := Compile(query.And{valueScan(0, 89), opaque})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cacheable(p) {
-		t.Fatal("plan with MatchFunc classified cacheable")
+		t.Fatal("plan with an opaque predicate classified cacheable")
 	}
 	memoBefore := e.plans.stats(0).Entries
 	bits1, err := e.ExecutePlan(e.plan(e.topoNow(), p))

@@ -40,11 +40,6 @@ var ErrNoPatient = errors.New("no such patient")
 // fails the whole call under either policy: a partial history set is
 // never returned.
 func (e *Engine) Histories(b *store.Bitset) ([]*model.History, error) {
-	return e.HistoriesContext(context.Background(), b)
-}
-
-// HistoriesContext is Histories under a caller-supplied context.
-func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*model.History, error) {
 	t, err := e.pinCohort(b)
 	if err != nil {
 		return nil, err
@@ -57,7 +52,7 @@ func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*mode
 		})
 		return out, nil
 	}
-	parts, _, err := fanCohort(ctx, e, t, PolicyStrict, b,
+	parts, _, err := fanCohort(context.Background(), e, t, PolicyStrict, b,
 		func(ctx context.Context, c *remoteConn, metas []ShardMeta, slices []*store.Bitset) ([][]*model.History, error) {
 			ordinals := make([][]int, len(slices))
 			for k, slice := range slices {
@@ -87,11 +82,6 @@ func (e *Engine) HistoriesContext(ctx context.Context, b *store.Bitset) ([]*mode
 // masquerade as a missing patient. Absence is reported as an error
 // wrapping ErrNoPatient.
 func (e *Engine) HistoryByID(id model.PatientID) (*model.History, error) {
-	return e.HistoryByIDContext(context.Background(), id)
-}
-
-// HistoryByIDContext is HistoryByID under a caller-supplied context.
-func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*model.History, error) {
 	t := e.topoNow()
 	if t.view != nil {
 		if o, ok := t.view.Ordinal(id); ok {
@@ -99,7 +89,7 @@ func (e *Engine) HistoryByIDContext(ctx context.Context, id model.PatientID) (*m
 		}
 		return nil, fmt.Errorf("engine: %s: %w", id, ErrNoPatient)
 	}
-	ctx, cancel := e.opCtx(ctx)
+	ctx, cancel := e.opCtx(context.Background())
 	defer cancel()
 	// One probe per server group; ordinals[i] ≥ 0 where backend i holds
 	// the patient.

@@ -55,11 +55,11 @@ func TestAnalysisMemoHitsOnlyTheSameQuestion(t *testing.T) {
 	}
 
 	// Each differs from an answered question in one respect.
-	short := bits.Clone()
-	short.Clear(st.Len() - 1)
-	oneOff := short.Clone()
-	oneOff.Clear(0)
-	oneOff.Set(st.Len() - 1)
+	head, tail := store.NewBitset(st.Len()), store.NewBitset(st.Len())
+	head.Set(0)
+	tail.Set(st.Len() - 1)
+	short := bits.Clone().AndNot(tail)
+	oneOff := short.Clone().AndNot(head).Or(tail)
 	seq, _ := MineRequest(MineParams{System: "ICPC2", Chapter: true, Sequential: true})
 	for _, q := range []struct {
 		name string

@@ -99,12 +99,12 @@ func (p IndexScan) String() string {
 type Scan struct {
 	Expr query.Expr
 	// opaqueID is nonzero when the expression contains predicates whose
-	// String() does not canonically identify them (MatchFunc closures,
-	// or expression/predicate types this package does not know). It
-	// makes the key unique per compilation, so neither the plan cache
-	// nor the optimizer's sibling dedupe can ever conflate two distinct
-	// scans that merely render alike. Build Scan leaves through Compile
-	// to get this classification.
+	// String() does not canonically identify them (an expression or
+	// predicate type this package does not know). It makes the key
+	// unique per compilation, so neither the plan cache nor the
+	// optimizer's sibling dedupe can ever conflate two distinct scans
+	// that merely render alike. Build Scan leaves through Compile to get
+	// this classification.
 	opaqueID uint64
 }
 
@@ -225,8 +225,8 @@ func Compile(e query.Expr) (Plan, error) {
 
 // canonicalExpr reports whether an expression's String() identifies it
 // structurally: true only for the expression and predicate types this
-// package knows render injectively. MatchFunc (a closure with a free-text
-// name) and unknown user-defined types are opaque.
+// package knows render injectively. An expression type this package does
+// not know is opaque.
 func canonicalExpr(e query.Expr) bool {
 	switch q := e.(type) {
 	case query.TrueExpr, query.AgeBetween, query.SexIs:
@@ -284,7 +284,7 @@ func canonicalPred(p query.EventPred) bool {
 		return true
 	case query.NotEv:
 		return canonicalPred(q.P)
-	default: // MatchFunc and anything user-defined
+	default: // a predicate type this package does not know
 		return false
 	}
 }

@@ -145,7 +145,22 @@ func TestKeyIsOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestOpaquePredicatesNeverConflate: MatchFunc closures stringify by name
+// opaquePred is an event predicate type the engine does not know: a
+// closure that stringifies by name only, "fn" when it has none.
+type opaquePred struct {
+	name string
+	fn   func(*model.Entry) bool
+}
+
+func (p opaquePred) Match(e *model.Entry) bool { return p.fn(e) }
+func (p opaquePred) String() string {
+	if p.name != "" {
+		return p.name
+	}
+	return "fn"
+}
+
+// TestOpaquePredicatesNeverConflate: opaque closures stringify by name
 // only, so two different functions can render identically. Neither the
 // plan cache nor the optimizer's sibling dedupe may treat them as equal.
 func TestOpaquePredicatesNeverConflate(t *testing.T) {
@@ -158,8 +173,8 @@ func TestOpaquePredicatesNeverConflate(t *testing.T) {
 	st := store.New(model.MustCollection(hs...))
 	eng := New(st, Options{Shards: 2, CacheSize: 16})
 
-	low := query.Has{Pred: query.MatchFunc{Fn: func(e *model.Entry) bool { return e.Value < 4 }}}
-	high := query.Has{Pred: query.MatchFunc{Fn: func(e *model.Entry) bool { return e.Value >= 4 }}}
+	low := query.Has{Pred: opaquePred{fn: func(e *model.Entry) bool { return e.Value < 4 }}}
+	high := query.Has{Pred: opaquePred{fn: func(e *model.Entry) bool { return e.Value >= 4 }}}
 
 	// Same rendered string, different semantics: the cache must not serve
 	// the first result for the second query.

@@ -289,9 +289,9 @@ func TestRemoteFailureInjection(t *testing.T) {
 func TestRemoteRejectsOpaqueQueries(t *testing.T) {
 	col, _, _ := parityEngines(t)
 	fix := startShardServers(t, col, 4, 2, RemoteOptions{Timeout: 10 * time.Second})
-	_, err := fix.eng.Execute(query.Has{Pred: query.MatchFunc{
-		Fn:   func(e *model.Entry) bool { return e.Value > 0 },
-		Name: "positive",
+	_, err := fix.eng.Execute(query.Has{Pred: opaquePred{
+		fn:   func(e *model.Entry) bool { return e.Value > 0 },
+		name: "positive",
 	}})
 	if err == nil {
 		t.Fatal("opaque query executed remotely")

@@ -5,8 +5,8 @@ package engine
 // node, expression and event predicate gets an explicit tagged wire form
 // (gob-encoded; no interface registration, no closures on the wire).
 //
-// Opaque scans — MatchFunc closures and expression types this package does
-// not know — are exactly the plans whose Key() is per-compilation
+// Opaque scans — those holding an expression type this package does not
+// know — are exactly the plans whose Key() is per-compilation
 // (Scan.opaqueID != 0); they cannot be represented on the wire and encode
 // to a clear error instead of a silently wrong query. This is the same
 // classification the plan cache uses, so "cacheable" and "shippable"

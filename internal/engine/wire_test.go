@@ -96,9 +96,9 @@ func TestWireRoundTripRandom(t *testing.T) {
 // encoder must say so instead of shipping a plan that silently matches
 // nothing.
 func TestWireRejectsOpaque(t *testing.T) {
-	opaque := query.Has{Pred: query.MatchFunc{
-		Fn:   func(e *model.Entry) bool { return e.Value > 10 },
-		Name: "high-value",
+	opaque := query.Has{Pred: opaquePred{
+		fn:   func(e *model.Entry) bool { return e.Value > 10 },
+		name: "high-value",
 	}}
 	p, err := Compile(opaque)
 	if err != nil {

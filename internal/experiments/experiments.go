@@ -34,11 +34,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig is the full paper-scale run.
-func DefaultConfig() Config {
-	return Config{Population: 168000, Seed: 42}
-}
-
 // Result is one experiment's outcome.
 type Result struct {
 	ID       string

@@ -52,15 +52,6 @@ type Graph struct {
 	nodeOf map[Occurrence]int
 }
 
-// Seqs returns the underlying sequences.
-func (g *Graph) Seqs() [][]string { return g.seqs }
-
-// NodeOf returns the node ID an occurrence was merged into.
-func (g *Graph) NodeOf(o Occurrence) (int, bool) {
-	id, ok := g.nodeOf[o]
-	return id, ok
-}
-
 // newGraph prepares an empty graph over sequences.
 func newGraph(seqs [][]string) *Graph {
 	return &Graph{seqs: seqs, nodeOf: make(map[Occurrence]int)}
@@ -109,15 +100,6 @@ func (g *Graph) finish() {
 	for _, k := range keys {
 		g.Edges = append(g.Edges, &Edge{From: k[0], To: k[1], Weight: weights[k]})
 	}
-}
-
-// FromSequences builds the unmerged graph: one node per code occurrence,
-// chains per history — NSEPter's raw view ("each history was laid out on a
-// horizontal line").
-func FromSequences(seqs [][]string) *Graph {
-	g := newGraph(seqs)
-	g.finish()
-	return g
 }
 
 // Validate checks structural invariants.
@@ -172,15 +154,6 @@ func (g *Graph) MaxEdgeWeight() int {
 		}
 	}
 	return max
-}
-
-// Density is edges over possible directed edges.
-func (g *Graph) Density() float64 {
-	n := len(g.Nodes)
-	if n <= 1 {
-		return 0
-	}
-	return float64(len(g.Edges)) / float64(n*(n-1))
 }
 
 // LargestMerge returns the maximum number of distinct histories merged into

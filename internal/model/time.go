@@ -81,13 +81,6 @@ func (t Time) DayFloor() Time {
 // AddDays returns the time n whole days later (or earlier if negative).
 func (t Time) AddDays(n int) Time { return t + Time(n)*Day }
 
-// Sub returns the difference t-u in minutes.
-func (t Time) Sub(u Time) Time { return t - u }
-
-// Months expresses the duration since u in fixed 30-day months, as used on
-// the aligned horizontal axis.
-func (t Time) Months(u Time) float64 { return float64(t-u) / float64(Month) }
-
 // Before reports whether t is strictly earlier than u.
 func (t Time) Before(u Time) bool { return t < u }
 

@@ -80,16 +80,6 @@ func TestParseDate(t *testing.T) {
 	}
 }
 
-func TestMonths(t *testing.T) {
-	base := Date(2010, time.January, 1)
-	if got := base.AddDays(60).Months(base); got != 2 {
-		t.Errorf("Months = %v, want 2", got)
-	}
-	if got := base.AddDays(-30).Months(base); got != -1 {
-		t.Errorf("Months = %v, want -1", got)
-	}
-}
-
 func TestPeriod(t *testing.T) {
 	p := Period{Start: 0, End: 100}
 	if !p.Contains(0) || p.Contains(100) || !p.Contains(99) {

@@ -235,19 +235,9 @@ func (b *Builder) MinContacts(source string, n int) *Builder {
 	return b.add(&Spec{Op: "has", Type: "contact", Source: source, MinCount: n})
 }
 
-// HasAny adds "at least one entry of type from any source".
-func (b *Builder) HasAny(entryType string) *Builder {
-	return b.add(&Spec{Op: "has", Type: entryType})
-}
-
 // AgeBetween adds an age criterion at the given date.
 func (b *Builder) AgeBetween(lo, hi int, atISO string) *Builder {
 	return b.add(&Spec{Op: "age", LoAge: lo, HiAge: hi, AtISO: atISO})
-}
-
-// Exclude wraps a spec in NOT and adds it.
-func (b *Builder) Exclude(s *Spec) *Builder {
-	return b.add(&Spec{Op: "not", Children: []*Spec{s}})
 }
 
 // Add appends an arbitrary sub-spec.

@@ -90,7 +90,7 @@ func TestBuilderSemantics(t *testing.T) {
 
 	// Exclusion.
 	exSpec := &Spec{Op: "has", Pattern: "F92", Type: "diagnosis"}
-	exExpr, err := NewBuilder().HasCode(`F.*`).Exclude(exSpec).Compile()
+	exExpr, err := NewBuilder().HasCode(`F.*`).Add(&Spec{Op: "not", Children: []*Spec{exSpec}}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,11 @@ func TestIndexedMatchesScan(t *testing.T) {
 	}
 	for _, e := range exprs {
 		want := Select(col, e)
-		got, err := SelectIndexed(st, e)
+		bits, err := EvalIndexed(st, e)
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
+		got := st.IDsOf(bits)
 		if len(want) == 0 && len(got) == 0 {
 			continue
 		}

@@ -193,12 +193,3 @@ func hasFromIndex(s *store.Store, q Has) (*store.Bitset, bool) {
 		return out, true
 	}
 }
-
-// SelectIndexed is EvalIndexed materialized as patient IDs.
-func SelectIndexed(s *store.Store, e Expr) ([]model.PatientID, error) {
-	b, err := EvalIndexed(s, e)
-	if err != nil {
-		return nil, err
-	}
-	return s.IDsOf(b), nil
-}

@@ -168,27 +168,3 @@ func joinPreds(ps []EventPred, sep string) string {
 	}
 	return strings.Join(parts, sep)
 }
-
-// MatchFunc adapts a function to EventPred, for ad-hoc predicates.
-type MatchFunc struct {
-	Fn   func(*model.Entry) bool
-	Name string
-}
-
-func (m MatchFunc) Match(e *model.Entry) bool { return m.Fn(e) }
-func (m MatchFunc) String() string {
-	if m.Name != "" {
-		return m.Name
-	}
-	return "fn"
-}
-
-// Diagnosis is shorthand for a coded-diagnosis predicate over a pattern in
-// any system.
-func Diagnosis(pattern string) (EventPred, error) {
-	c, err := NewCode("", pattern)
-	if err != nil {
-		return nil, err
-	}
-	return AllOf{TypeIs(model.TypeDiagnosis), c}, nil
-}

@@ -105,10 +105,6 @@ func TestEventPreds(t *testing.T) {
 	if (NotEv{comb}).Match(&e) {
 		t.Error("NotEv broken")
 	}
-	mf := MatchFunc{Fn: func(e *model.Entry) bool { return e.ID == 1 }, Name: "id=1"}
-	if !mf.Match(&e) || mf.String() != "id=1" {
-		t.Error("MatchFunc broken")
-	}
 }
 
 func dxAt(d int) model.Entry { return dx(99, d, "ICPC2", "A04") }

@@ -159,14 +159,6 @@ func insertGaps(row []string, inserts []int) []string {
 	return out
 }
 
-// Columns returns the alignment width (0 when empty).
-func (m *MSA) Columns() int {
-	if len(m.Rows) == 0 {
-		return 0
-	}
-	return len(m.Rows[0])
-}
-
 // ColumnOf returns the column of the pos-th (0-based) code of sequence
 // seq, or -1 when out of range.
 func (m *MSA) ColumnOf(seq, pos int) int {
@@ -186,15 +178,13 @@ func (m *MSA) ColumnOf(seq, pos int) int {
 }
 
 // Consistent verifies structural invariants: equal row lengths and that
-// stripping gaps recovers the inputs. Used by tests and as a cheap runtime
-// guard in experiments.
+// stripping gaps recovers the inputs. Tests use it as the reference check.
 func (m *MSA) Consistent() bool {
 	if len(m.Rows) != len(m.Seqs) {
 		return false
 	}
-	w := m.Columns()
 	for i, row := range m.Rows {
-		if len(row) != w {
+		if len(row) != len(m.Rows[0]) {
 			return false
 		}
 		orig := stripGaps(row)

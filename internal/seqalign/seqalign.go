@@ -1,6 +1,6 @@
 // Package seqalign implements sequence alignment over diagnosis-code
-// sequences: global (Needleman-Wunsch), local (Smith-Waterman) and
-// progressive multiple alignment (center-star). The second predecessor
+// sequences: global (Needleman-Wunsch) and progressive multiple alignment
+// (center-star). The second predecessor
 // project [7] "employed alignment methods and different measures to reduce
 // the amount of noise" in NSEPter's merging; this package provides those
 // methods, with terminology-aware substitution costs (same chapter =
@@ -119,76 +119,12 @@ func Distance(a, b []string, c Cost) float64 {
 	return d
 }
 
-// Local computes the best Smith-Waterman local alignment under a similarity
-// scoring derived from the cost model (match +2, near-match +0.5, mismatch
-// -1, gap -1), returning the aligned region and its score (0 if no positive-
-// scoring region exists).
-func Local(a, b []string, c Cost) (Alignment, float64) {
-	n, m := len(a), len(b)
-	sim := func(x, y string) float64 { return 2 - 3*c.Sub(x, y) }
-	gap := -c.Gap()
-
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, m+1)
-	}
-	best, bi, bj := 0.0, 0, 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			v := max4(0,
-				dp[i-1][j-1]+sim(a[i-1], b[j-1]),
-				dp[i-1][j]+gap,
-				dp[i][j-1]+gap)
-			dp[i][j] = v
-			if v > best {
-				best, bi, bj = v, i, j
-			}
-		}
-	}
-	if best == 0 {
-		return nil, 0
-	}
-	var rev Alignment
-	i, j := bi, bj
-	for i > 0 && j > 0 && dp[i][j] > 0 {
-		switch {
-		case dp[i][j] == dp[i-1][j-1]+sim(a[i-1], b[j-1]):
-			rev = append(rev, Pair{i - 1, j - 1})
-			i--
-			j--
-		case dp[i][j] == dp[i-1][j]+gap:
-			rev = append(rev, Pair{i - 1, -1})
-			i--
-		default:
-			rev = append(rev, Pair{-1, j - 1})
-			j--
-		}
-	}
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
-	}
-	return rev, best
-}
-
 func min3(a, b, c float64) float64 {
 	if b < a {
 		a = b
 	}
 	if c < a {
 		a = c
-	}
-	return a
-}
-
-func max4(a, b, c, d float64) float64 {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	if d > a {
-		a = d
 	}
 	return a
 }

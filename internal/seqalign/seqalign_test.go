@@ -132,34 +132,12 @@ func TestChapterCost(t *testing.T) {
 	}
 }
 
-func TestLocalFindsCommonCore(t *testing.T) {
-	a := []string{"X75", "T90", "K86", "K74", "X87"}
-	b := []string{"L03", "T90", "K86", "K74", "U71", "R74"}
-	aln, score := Local(a, b, UnitCost{})
-	if score < 6 { // three matches at +2
-		t.Errorf("score = %f", score)
-	}
-	if len(aln) != 3 {
-		t.Fatalf("local alignment = %v", aln)
-	}
-	if a[aln[0].I] != "T90" || b[aln[0].J] != "T90" {
-		t.Errorf("local start = %v", aln[0])
-	}
-}
-
-func TestLocalNoCommonContent(t *testing.T) {
-	aln, score := Local([]string{"A01"}, []string{"B02"}, UnitCost{})
-	if aln != nil || score != 0 {
-		t.Errorf("expected empty local alignment, got %v %f", aln, score)
-	}
-}
-
 func TestMSATrivialCases(t *testing.T) {
-	if m := Align(nil, UnitCost{}); m.Columns() != 0 || !m.Consistent() {
+	if m := Align(nil, UnitCost{}); len(m.Rows) != 0 || !m.Consistent() {
 		t.Error("empty MSA broken")
 	}
 	m := Align([][]string{{"T90", "K86"}}, UnitCost{})
-	if m.Columns() != 2 || !m.Consistent() {
+	if len(m.Rows[0]) != 2 || !m.Consistent() {
 		t.Error("single-sequence MSA broken")
 	}
 }
@@ -170,8 +148,8 @@ func TestMSAIdenticalSequences(t *testing.T) {
 	if !m.Consistent() {
 		t.Fatal("inconsistent MSA")
 	}
-	if m.Columns() != 3 {
-		t.Errorf("columns = %d", m.Columns())
+	if len(m.Rows[0]) != 3 {
+		t.Errorf("columns = %d", len(m.Rows[0]))
 	}
 	// All rows identical, no gaps.
 	for _, row := range m.Rows {

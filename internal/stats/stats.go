@@ -1,38 +1,9 @@
-// Package stats provides the descriptive statistics the experiment harness
-// reports and the recognition-survey model behind experiment E2.
+// Package stats provides the quantiles the experiment harness reports, the
+// utilization tallies behind indicators and cohort profiles, and the
+// recognition-survey model behind experiment E2.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
+import "sort"
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation.
 func Quantile(xs []float64, q float64) float64 {
@@ -58,49 +29,3 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median is the 0.5 quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Bucket is one histogram bin [Lo, Hi).
-type Bucket struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram bins values into n equal-width buckets over [min, max].
-func Histogram(xs []float64, n int) []Bucket {
-	if len(xs) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		return []Bucket{{Lo: lo, Hi: hi, Count: len(xs)}}
-	}
-	width := (hi - lo) / float64(n)
-	out := make([]Bucket, n)
-	for i := range out {
-		out[i] = Bucket{Lo: lo + float64(i)*width, Hi: lo + float64(i+1)*width}
-	}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		out[idx].Count++
-	}
-	return out
-}
-
-// Proportion formats k/n as a percentage string.
-func Proportion(k, n int) string {
-	if n == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(k)/float64(n))
-}

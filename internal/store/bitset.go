@@ -17,9 +17,10 @@ import (
 // to the operand densities, and Count reads cached per-container
 // cardinalities. The offset unions (OrAt, OrSliceOf, SliceRange) share
 // one kernel, orShifted, which merges whole containers at an aligned
-// offset and otherwise gathers each destination's members once. An offset
-// union whose mapped range does not fit the receiver panics, as Set does,
-// rather than write outside [0, Len()).
+// offset and otherwise gathers each destination's members once. No
+// mutation writes outside [0, Len()): an offset union whose mapped range
+// does not fit the receiver, and an And, Or or AndNot whose operand has
+// another capacity, panic instead, as Set does.
 type Bitset struct {
 	cs []container
 	n  int // capacity in bits
@@ -51,14 +52,6 @@ func (b *Bitset) Set(i int) {
 	b.cs[i>>16].set(uint16(i & containerMask))
 }
 
-// Clear unmarks bit i.
-func (b *Bitset) Clear(i int) {
-	if uint(i) >= uint(b.n) {
-		panic(fmt.Sprintf("store: bitset: Clear(%d) out of range [0,%d)", i, b.n))
-	}
-	b.cs[i>>16].clear(uint16(i & containerMask))
-}
-
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool {
 	if uint(i) >= uint(b.n) {
@@ -86,8 +79,18 @@ func (b *Bitset) Clone() *Bitset {
 	return c
 }
 
+// sameLen panics unless other has the receiver's capacity: And, Or and
+// AndNot pair containers by index, so a longer operand would carry bits
+// past Len() into the receiver's tail container.
+func (b *Bitset) sameLen(op string, other *Bitset) {
+	if other.n != b.n {
+		panic(fmt.Sprintf("store: bitset: %s of a %d-bit set with a %d-bit set", op, b.n, other.n))
+	}
+}
+
 // And intersects in place (receiver ∩= other) and returns the receiver.
 func (b *Bitset) And(other *Bitset) *Bitset {
+	b.sameLen("And", other)
 	for i := range b.cs {
 		b.cs[i] = andContainers(&b.cs[i], &other.cs[i])
 	}
@@ -96,6 +99,7 @@ func (b *Bitset) And(other *Bitset) *Bitset {
 
 // Or unions in place and returns the receiver.
 func (b *Bitset) Or(other *Bitset) *Bitset {
+	b.sameLen("Or", other)
 	for i := range b.cs {
 		b.cs[i] = orContainers(&b.cs[i], &other.cs[i])
 	}
@@ -104,6 +108,7 @@ func (b *Bitset) Or(other *Bitset) *Bitset {
 
 // AndNot removes other's bits in place and returns the receiver.
 func (b *Bitset) AndNot(other *Bitset) *Bitset {
+	b.sameLen("AndNot", other)
 	for i := range b.cs {
 		b.cs[i] = andNotContainers(&b.cs[i], &other.cs[i])
 	}

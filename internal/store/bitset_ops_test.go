@@ -69,6 +69,34 @@ func TestShiftedOrRefusesOverflow(t *testing.T) {
 	}
 }
 
+// TestSetOpsRefuseMismatchedCapacity: And, Or and AndNot pair containers
+// by index, so an operand of another capacity panics rather than carry
+// bits past the receiver's Len() or drop its own.
+func TestSetOpsRefuseMismatchedCapacity(t *testing.T) {
+	ops := map[string]func(b, other *Bitset) *Bitset{
+		"And":    (*Bitset).And,
+		"Or":     (*Bitset).Or,
+		"AndNot": (*Bitset).AndNot,
+	}
+	for name, op := range ops {
+		for _, tc := range []struct{ recv, other int }{{100, 200}, {200, 100}, {containerBits, containerBits + 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s of a %d-bit set with a %d-bit set: no panic", name, tc.recv, tc.other)
+					}
+				}()
+				other := NewBitset(tc.other)
+				other.Set(tc.other - 1)
+				op(NewBitset(tc.recv), other)
+			}()
+		}
+		other := NewBitset(100)
+		other.Set(99)
+		op(NewBitset(100), other) // equal capacities: no panic
+	}
+}
+
 // TestSlicedRunsStayRuns: an unaligned slice of an all-ones mask keeps
 // run containers rather than growing an 8 KB bitmap per container.
 func TestSlicedRunsStayRuns(t *testing.T) {

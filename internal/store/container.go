@@ -133,39 +133,6 @@ func (c *container) set(x uint16) {
 	}
 }
 
-// clear unmarks position x, demoting bitmap→array when the cardinality
-// falls back to the array range.
-func (c *container) clear(x uint16) {
-	switch c.typ {
-	case ctArray:
-		i := sort.Search(len(c.arr), func(i int) bool { return c.arr[i] >= x })
-		if i >= len(c.arr) || c.arr[i] != x {
-			return
-		}
-		c.arr = append(c.arr[:i], c.arr[i+1:]...)
-		c.card--
-	case ctBitmap:
-		w := &c.bmp[x>>6]
-		bit := uint64(1) << (x & 63)
-		if *w&bit == 0 {
-			return
-		}
-		*w &^= bit
-		c.card--
-		if c.card <= arrayMaxCard {
-			c.toArray()
-		}
-	default:
-		if !c.get(x) {
-			return
-		}
-		c.toBitmap()
-		c.clear(x)
-		// toBitmap + clear may leave card == arrayMaxCard; the bitmap
-		// branch above already demoted in that case.
-	}
-}
-
 // toBitmap converts any container to bitmap form in place.
 func (c *container) toBitmap() {
 	if c.typ == ctBitmap {

@@ -57,6 +57,13 @@ func (f *flatBits) not() {
 	}
 }
 
+// oneBit returns an n-bit set holding only bit i.
+func oneBit(n, i int) *Bitset {
+	b := NewBitset(n)
+	b.Set(i)
+	return b
+}
+
 func (f *flatBits) clone() *flatBits {
 	c := newFlat(f.n)
 	copy(c.words, f.words)
@@ -186,8 +193,8 @@ func TestContainerPromotionDemotion(t *testing.T) {
 	if b.Count() != arrayMaxCard+1 {
 		t.Fatalf("count after promote: %d", b.Count())
 	}
-	// Clearing back to the threshold demotes to array.
-	b.Clear(arrayMaxCard * 2)
+	// Removing a bit back to the threshold demotes to array.
+	b.AndNot(oneBit(containerBits, arrayMaxCard*2))
 	if b.cs[0].typ != ctArray {
 		t.Fatalf("after demote: typ=%d, want array", b.cs[0].typ)
 	}
@@ -202,7 +209,7 @@ func TestContainerPromotionDemotion(t *testing.T) {
 	if full.cs[0].typ != ctRun || !full.cs[0].isFull() {
 		t.Fatalf("Not() of empty: typ=%d card=%d, want full run", full.cs[0].typ, full.cs[0].card)
 	}
-	full.Clear(12345)
+	full.AndNot(oneBit(containerBits, 12345))
 	if full.cs[0].typ != ctBitmap {
 		t.Fatalf("mutated run: typ=%d, want bitmap", full.cs[0].typ)
 	}
@@ -511,7 +518,7 @@ func FuzzContainerOps(f *testing.F) {
 				}
 			case 3:
 				v := r.Intn(n)
-				a.Clear(v)
+				a.AndNot(oneBit(n, v))
 				fa.clear(v)
 			case 4:
 				a.And(b)

@@ -272,9 +272,9 @@ func TestBitsetTailMasking(t *testing.T) {
 	if ones[len(ones)-1] != 69 {
 		t.Errorf("tail bit leaked: %v", ones[len(ones)-5:])
 	}
-	b.Clear(69)
+	b.AndNot(oneBit(70, 69))
 	if b.Get(69) || b.Count() != 69 {
-		t.Error("Clear broken")
+		t.Error("AndNot of the tail bit broken")
 	}
 }
 

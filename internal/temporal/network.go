@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pastas/internal/abstraction"
-	"pastas/internal/model"
 )
 
 // Network is a qualitative constraint network: variables are intervals,
@@ -35,9 +34,6 @@ func NewNetwork(names ...string) *Network {
 
 // Size returns the number of intervals.
 func (net *Network) Size() int { return len(net.names) }
-
-// Name returns the i-th interval's name.
-func (net *Network) Name(i int) string { return net.names[i] }
 
 // Constrain intersects the (i,j) edge with r (and (j,i) with its converse).
 // It returns false if the edge becomes empty (direct inconsistency).
@@ -95,20 +91,6 @@ func (net *Network) PathConsistency() bool {
 	return true
 }
 
-// InferredBasics counts edges that path consistency reduced to a single
-// basic relation (excluding the diagonal), a measure of inferential yield.
-func (net *Network) InferredBasics() int {
-	n := 0
-	for i := range net.c {
-		for j := range net.c[i] {
-			if i < j && net.c[i][j].IsBasic() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // FromEpisodes builds the fully-specified network of a history's episodes:
 // every pairwise edge carries the exact basic relation observed. This is
 // the "ground truth" network; reasoning experiments erase edges and measure
@@ -132,27 +114,6 @@ func FromEpisodes(eps []abstraction.Episode) *Network {
 		}
 	}
 	return net
-}
-
-// FromPeriods builds the exact network over named concrete periods.
-func FromPeriods(names []string, periods []model.Period) (*Network, error) {
-	if len(names) != len(periods) {
-		return nil, fmt.Errorf("temporal: %d names for %d periods", len(names), len(periods))
-	}
-	for i, p := range periods {
-		if p.Empty() {
-			return nil, fmt.Errorf("temporal: period %d (%s) is empty", i, names[i])
-		}
-	}
-	net := NewNetwork(names...)
-	for i := range periods {
-		for j := range periods {
-			if i != j {
-				net.Constrain(i, j, Between(periods[i], periods[j]))
-			}
-		}
-	}
-	return net, nil
 }
 
 // Erase replaces the (i,j) edge (and converse) with Full — "forget" what we

@@ -4,8 +4,7 @@ package temporal
 // investigating the use of constraint logic programming to handle interval
 // reasoning." A scenario is a consistent assignment of one basic relation
 // to every edge; Solve finds one by backtracking with path-consistency
-// propagation (the standard CLP labeling loop), and Scenarios enumerates
-// up to a cap.
+// propagation (the standard CLP labeling loop).
 
 // Solve returns a consistent scenario of the network as a new network with
 // every edge basic, or nil when the network is unsatisfiable. The input is
@@ -56,48 +55,6 @@ func (net *Network) firstAmbiguous() (int, int, bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// Scenarios enumerates up to max consistent scenarios (distinct basic
-// labelings). max <= 0 means just test satisfiability (returns at most 1).
-func (net *Network) Scenarios(max int) []*Network {
-	if max <= 0 {
-		max = 1
-	}
-	work := net.Clone()
-	if !work.PathConsistency() {
-		return nil
-	}
-	var out []*Network
-	work.enumerate(&out, max)
-	return out
-}
-
-func (net *Network) enumerate(out *[]*Network, max int) {
-	if len(*out) >= max {
-		return
-	}
-	i, j, found := net.firstAmbiguous()
-	if !found {
-		*out = append(*out, net.Clone())
-		return
-	}
-	rel := net.c[i][j]
-	for _, b := range Basics() {
-		if rel&b == 0 {
-			continue
-		}
-		trial := net.Clone()
-		trial.c[i][j] = b
-		trial.c[j][i] = Converse(b)
-		if !trial.PathConsistency() {
-			continue
-		}
-		trial.enumerate(out, max)
-		if len(*out) >= max {
-			return
-		}
-	}
 }
 
 // Satisfiable reports whether at least one scenario exists. Path

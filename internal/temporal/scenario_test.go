@@ -7,10 +7,7 @@ import (
 )
 
 func TestSolveAlreadyBasic(t *testing.T) {
-	net, err := FromPeriods([]string{"a", "b"}, []model.Period{p(0, 10), p(20, 30)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := exactNetwork([]string{"a", "b"}, []model.Period{p(0, 10), p(20, 30)})
 	s := net.Solve()
 	if s == nil {
 		t.Fatal("exact network unsolvable")
@@ -78,40 +75,6 @@ func TestSolveRequiresSearchBeyondPC(t *testing.T) {
 	}
 }
 
-func TestScenariosEnumeration(t *testing.T) {
-	net := NewNetwork("A", "B")
-	net.Constrain(0, 1, Before|Meets|Overlaps)
-	ss := net.Scenarios(10)
-	if len(ss) != 3 {
-		t.Fatalf("scenarios = %d, want 3", len(ss))
-	}
-	seen := map[Rel]bool{}
-	for _, s := range ss {
-		seen[s.Relation(0, 1)] = true
-	}
-	if !seen[Before] || !seen[Meets] || !seen[Overlaps] {
-		t.Errorf("scenario set = %v", seen)
-	}
-	// Cap respected.
-	if got := net.Scenarios(2); len(got) != 2 {
-		t.Errorf("capped scenarios = %d", len(got))
-	}
-	// Satisfiability-only mode.
-	if got := net.Scenarios(0); len(got) != 1 {
-		t.Errorf("max<=0 scenarios = %d", len(got))
-	}
-}
-
-func TestScenariosOfUnsatisfiable(t *testing.T) {
-	net := NewNetwork("A", "B", "C")
-	net.Constrain(0, 1, Before)
-	net.Constrain(1, 2, Before)
-	net.Constrain(2, 0, Before)
-	if got := net.Scenarios(5); got != nil {
-		t.Errorf("scenarios of unsat = %v", got)
-	}
-}
-
 func TestSolveDoesNotMutateInput(t *testing.T) {
 	net := NewNetwork("A", "B")
 	net.Constrain(0, 1, Before|After)
@@ -131,10 +94,7 @@ func TestSolveEpisodeScale(t *testing.T) {
 		periods[i] = model.Period{Start: start, End: start + 150} // overlapping chain
 		names[i] = string(rune('A' + i))
 	}
-	net, err := FromPeriods(names, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := exactNetwork(names, periods)
 	for i := 0; i < 8; i++ {
 		for j := i + 2; j < 8; j++ {
 			net.Erase(i, j)

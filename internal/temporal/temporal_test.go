@@ -157,9 +157,6 @@ func TestNetworkConsistentChain(t *testing.T) {
 	if got := net.Relation(0, 2); got != Before {
 		t.Errorf("inferred A?C = %v, want b", got)
 	}
-	if net.InferredBasics() != 3 {
-		t.Errorf("InferredBasics = %d", net.InferredBasics())
-	}
 }
 
 func TestNetworkInconsistency(t *testing.T) {
@@ -186,10 +183,7 @@ func TestConstrainDirectConflict(t *testing.T) {
 func TestFromPeriodsAndErase(t *testing.T) {
 	names := []string{"admission", "homecare", "rehab"}
 	periods := []model.Period{p(0, 10), p(10, 100), p(20, 50)}
-	net, err := FromPeriods(names, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := exactNetwork(names, periods)
 	if net.Relation(0, 1) != Meets {
 		t.Errorf("admission vs homecare = %v", net.Relation(0, 1))
 	}
@@ -214,14 +208,19 @@ func TestFromPeriodsAndErase(t *testing.T) {
 	if net.Relation(0, 2) == Full {
 		t.Error("propagation inferred nothing")
 	}
+}
 
-	// Error paths.
-	if _, err := FromPeriods([]string{"x"}, nil); err == nil {
-		t.Error("length mismatch accepted")
+// exactNetwork builds the fully specified network over named periods.
+func exactNetwork(names []string, periods []model.Period) *Network {
+	net := NewNetwork(names...)
+	for i := range periods {
+		for j := range periods {
+			if i != j {
+				net.Constrain(i, j, Between(periods[i], periods[j]))
+			}
+		}
 	}
-	if _, err := FromPeriods([]string{"x"}, []model.Period{p(5, 5)}); err == nil {
-		t.Error("empty period accepted")
-	}
+	return net
 }
 
 func TestFromEpisodes(t *testing.T) {
@@ -254,7 +253,7 @@ func TestNetworkClone(t *testing.T) {
 	if net.Relation(0, 1) != Before {
 		t.Error("clone shares storage")
 	}
-	if c.Name(0) != "A" {
+	if c.names[0] != "A" {
 		t.Error("clone lost names")
 	}
 }

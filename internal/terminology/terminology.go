@@ -1,7 +1,6 @@
 // Package terminology embeds the clinical code systems the workbench reasons
 // over: ICPC-2 (primary care diagnoses), ICD-10 (specialist diagnoses) and
-// ATC (medication classes), each with its hierarchy, plus the ICPC-2↔ICD-10
-// cross-mapping used when aggregating primary- and specialist-care records.
+// ATC (medication classes), each with its hierarchy.
 //
 // The paper's data is "coded in a standard way ... mainly using ICPC-2
 // and/or ICD-10", and its regular-expression queries address "any branch of
@@ -14,7 +13,6 @@ package terminology
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -69,15 +67,12 @@ type Concept struct {
 type CodeSystem struct {
 	System   System
 	concepts map[string]*Concept
-	children map[string][]string
-	ordered  []string // all codes in table order
 }
 
 func newCodeSystem(sys System, concepts []Concept) *CodeSystem {
 	cs := &CodeSystem{
 		System:   sys,
 		concepts: make(map[string]*Concept, len(concepts)),
-		children: make(map[string][]string),
 	}
 	for i := range concepts {
 		c := &concepts[i]
@@ -85,8 +80,6 @@ func newCodeSystem(sys System, concepts []Concept) *CodeSystem {
 			panic(fmt.Sprintf("terminology: duplicate %s code %s", sys, c.Code))
 		}
 		cs.concepts[c.Code] = c
-		cs.ordered = append(cs.ordered, c.Code)
-		cs.children[c.Parent] = append(cs.children[c.Parent], c.Code)
 	}
 	// Validate parent links.
 	for _, c := range cs.concepts {
@@ -100,9 +93,6 @@ func newCodeSystem(sys System, concepts []Concept) *CodeSystem {
 	return cs
 }
 
-// Lookup returns the concept for a code, or nil if unknown.
-func (cs *CodeSystem) Lookup(code string) *Concept { return cs.concepts[code] }
-
 // Known reports whether the code exists in the system.
 func (cs *CodeSystem) Known(code string) bool { return cs.concepts[code] != nil }
 
@@ -112,46 +102,6 @@ func (cs *CodeSystem) Title(code string) string {
 		return c.Title
 	}
 	return ""
-}
-
-// Parent returns the parent code, or "" at the top.
-func (cs *CodeSystem) Parent(code string) string {
-	if c := cs.concepts[code]; c != nil {
-		return c.Parent
-	}
-	return ""
-}
-
-// Children returns the direct children of a code, in table order. Pass ""
-// for the chapters.
-func (cs *CodeSystem) Children(code string) []string {
-	kids := cs.children[code]
-	out := make([]string, len(kids))
-	copy(out, kids)
-	return out
-}
-
-// Ancestors returns the chain of parents from the code's parent up to the
-// chapter, nearest first.
-func (cs *CodeSystem) Ancestors(code string) []string {
-	var out []string
-	for c := cs.concepts[code]; c != nil && c.Parent != ""; c = cs.concepts[c.Parent] {
-		out = append(out, c.Parent)
-	}
-	return out
-}
-
-// IsA reports whether code equals ancestor or descends from it.
-func (cs *CodeSystem) IsA(code, ancestor string) bool {
-	if code == ancestor {
-		return cs.Known(code)
-	}
-	for c := cs.concepts[code]; c != nil && c.Parent != ""; c = cs.concepts[c.Parent] {
-		if c.Parent == ancestor {
-			return true
-		}
-	}
-	return false
 }
 
 // Chapter returns the chapter-level ancestor of a code (or the code itself
@@ -166,55 +116,6 @@ func (cs *CodeSystem) Chapter(code string) string {
 	}
 	return ""
 }
-
-// All returns every code in table order.
-func (cs *CodeSystem) All() []string {
-	out := make([]string, len(cs.ordered))
-	copy(out, cs.ordered)
-	return out
-}
-
-// Leaves returns codes with no children, in table order.
-func (cs *CodeSystem) Leaves() []string {
-	var out []string
-	for _, code := range cs.ordered {
-		if len(cs.children[code]) == 0 {
-			out = append(out, code)
-		}
-	}
-	return out
-}
-
-// AtLevel returns all codes at the given level, in table order.
-func (cs *CodeSystem) AtLevel(l Level) []string {
-	var out []string
-	for _, code := range cs.ordered {
-		if cs.concepts[code].Level == l {
-			out = append(out, code)
-		}
-	}
-	return out
-}
-
-// Expand returns the codes matching an anchored regular expression over the
-// code strings — the paper's querying device ("F.*|H.*" addresses the eye
-// and ear chapters). The pattern is implicitly anchored to the whole code.
-func (cs *CodeSystem) Expand(pattern string) ([]string, error) {
-	re, err := CompileCodePattern(pattern)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, code := range cs.ordered {
-		if re.MatchString(code) {
-			out = append(out, code)
-		}
-	}
-	return out, nil
-}
-
-// Len returns the number of concepts.
-func (cs *CodeSystem) Len() int { return len(cs.ordered) }
 
 // patternCache memoizes compiled anchored code patterns; the workbench
 // evaluates the same user-entered pattern against hundreds of thousands of
@@ -280,14 +181,4 @@ func For(sys System) *CodeSystem {
 	default:
 		return nil
 	}
-}
-
-// Systems lists the available systems.
-func Systems() []System { return []System{ICPC2, ICD10, ATC} }
-
-// SortCodes sorts codes lexicographically in place and returns them;
-// convenient for deterministic output in reports.
-func SortCodes(codes []string) []string {
-	sort.Strings(codes)
-	return codes
 }

@@ -230,12 +230,9 @@ func (e *Engine) Refine(ctx context.Context, name string, q query.Expr) (CohortI
 		return CohortInfo{}, Refinement{}, fmt.Errorf("engine: refine %q: %w", name, err)
 	}
 	// The refined result is the complete answer for p; share it with the
-	// plan cache and the planner feedback like any full execution.
-	if cacheable(p) {
-		e.fb.observe(t.gen, p.Key(), bits.Count())
-		if e.cache != nil {
-			e.cache.put(t.gen, p.Key(), bits.Clone())
-		}
+	// result cache like any full execution.
+	if e.cache != nil && cacheable(p) {
+		e.cache.put(t.gen, p.Key(), bits.Clone())
 	}
 	return e.saveCohort(t, name, q, p, bits), ref, nil
 }

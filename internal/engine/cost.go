@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-	"math/bits"
 	"sort"
 
 	"pastas/internal/model"
@@ -16,9 +14,10 @@ import (
 // estimated from their posting-list counts; Not/And/Or compose children
 // under the usual independence assumption; Scan nodes cost a calibrated
 // per-history constant times the candidates they will actually visit.
-// OptimizeWithStats uses the estimates to reorder And children
-// most-selective-cheapest-first and Or children largest-first, replacing
-// PR 1's static index-before-scan hoist.
+// OptimizeWithStats uses the estimates to order And scans by rank (see
+// order) and Or children largest-first, after the scan-free children in
+// both. The model plans from the statistics alone: nothing an execution
+// observes feeds back into it.
 
 // Estimate is the planner's guess at a plan node's output size and
 // evaluation cost.
@@ -53,12 +52,6 @@ type costModel struct {
 	// order. The optimizer re-estimates subtrees at every ancestor
 	// level; with leaves memoized those re-walks are pure arithmetic.
 	leafMemo map[string]Estimate
-	// fb holds executor-observed true cardinalities; when non-nil,
-	// observations override the model's row estimates (see feedback.go).
-	fb *epochLRU[string, int]
-	// gen is the store generation the model plans for; feedback from any
-	// other generation is ignored.
-	gen uint64
 }
 
 // newCostModel returns nil (meaning: fall back to the static optimizer)
@@ -75,43 +68,12 @@ func newCostModel(st *store.Stats) *costModel {
 	}
 }
 
-// newFeedbackCostModel is newCostModel with execution feedback attached,
-// scoped to the store generation being planned for. An empty feedback
-// store contributes nothing, so the model skips the per-node key
-// rendering entirely until the first observation lands.
-func newFeedbackCostModel(st *store.Stats, fb *feedback, gen uint64) *costModel {
-	m := newCostModel(st)
-	if m != nil && fb.obs.stats(gen).Entries > 0 {
-		m.fb = fb.obs
-		m.gen = gen
-	}
-	return m
-}
-
 // words is the cost of one full-population bitset operation.
 func (m *costModel) words() float64 { return m.n/64 + 1 }
 
 // estimate returns the node's estimate; children of And/Or are costed in
 // the order given (the optimizer orders them before estimating parents).
-// When execution feedback exists for the node's canonical key, the
-// observed true cardinality replaces the modeled row count — this is how
-// the independence assumption gets corrected for correlated predicates.
 func (m *costModel) estimate(p Plan) Estimate {
-	est := m.estimateModel(p)
-	if m.fb != nil {
-		switch p.(type) {
-		case All, None:
-		default:
-			if rows, ok := m.fb.get(m.gen, p.Key()); ok {
-				est.Rows = float64(rows)
-			}
-		}
-	}
-	return est
-}
-
-// estimateModel is the pure statistics-derived estimate.
-func (m *costModel) estimateModel(p Plan) Estimate {
 	switch n := p.(type) {
 	case All:
 		return Estimate{Rows: m.n, Cost: m.words()}
@@ -332,140 +294,52 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// order arranges children for execution: a greedy sort (below), then —
-// for And nodes with few enough children — an exact join-order search
-// that replaces the greedy order whenever its modeled cost is strictly
-// lower. The DP matters most once feedback exists: true conjunction
-// cardinalities break the independence assumption the greedy sort ranks
-// by, and only a search over orders can exploit them.
+// order arranges children for execution, in place and stably. In both
+// And and Or, scan-free children (index leaves and boolean combinations of
+// them — near-free bitset algebra) come first: under And they narrow the
+// candidate mask before any history is visited, and they cost the same
+// wherever they run; under Or they grow the set of patients later scans may
+// skip. Or children then run largest-first.
+//
+// And scans run in rank order. evalAnd masks each scan by the candidates
+// still standing, so an And costs Σ cost_i × Π_{j<i} sel_j over its scans,
+// and that sum is least when they run in ascending cost_i / (1 − sel_i):
+// swapping two neighbours a, b pays off exactly when
+// cost_b × (1 − sel_a) < cost_a × (1 − sel_b). The comparison is made in
+// that cross-multiplied form, so a scan that keeps everyone (sel = 1)
+// ranks last. Ties — and every scan-free pair — go most-selective first,
+// then cheapest first.
 func (m *costModel) order(children []Plan, conj bool) {
-	m.orderGreedy(children, conj)
-	if conj && len(children) >= 2 && len(children) <= maxDPAndChildren {
-		m.refineAndOrder(children)
+	type ranked struct {
+		p    Plan
+		scan bool
+		est  Estimate
+		sel  float64
 	}
-}
-
-// orderGreedy sorts And children most-selective-cheapest-first and Or
-// children largest-first, in place and stably. In both cases scan-free
-// children (index leaves and boolean combinations of them — near-free
-// bitset algebra) stay ahead of scan-bearing ones: under And they narrow
-// the candidate mask before any history is visited, under Or they grow
-// the set of patients later scans may skip.
-func (m *costModel) orderGreedy(children []Plan, conj bool) {
-	ests := make([]Estimate, len(children))
+	rs := make([]ranked, len(children))
 	for i, c := range children {
-		ests[i] = m.estimate(c)
+		est := m.estimate(c)
+		rs[i] = ranked{p: c, scan: hasScan(c), est: est, sel: clampSel(est.Rows / m.n)}
 	}
-	idx := make([]int, len(children))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		si, sj := hasScan(children[i]), hasScan(children[j])
-		if si != sj {
-			return !si // scan-free first
+	sort.SliceStable(rs, func(a, b int) bool {
+		x, y := rs[a], rs[b]
+		if x.scan != y.scan {
+			return !x.scan // scan-free first
 		}
-		if ests[i].Rows != ests[j].Rows {
+		if conj && x.scan {
+			if rx, ry := x.est.Cost*(1-y.sel), y.est.Cost*(1-x.sel); rx != ry {
+				return rx < ry // And scans: ascending rank
+			}
+		}
+		if x.est.Rows != y.est.Rows {
 			if conj {
-				return ests[i].Rows < ests[j].Rows // And: most selective first
+				return x.est.Rows < y.est.Rows // And: most selective first
 			}
-			return ests[i].Rows > ests[j].Rows // Or: largest first
+			return x.est.Rows > y.est.Rows // Or: largest first
 		}
-		return ests[i].Cost < ests[j].Cost // ties: cheapest first
+		return x.est.Cost < y.est.Cost // ties: cheapest first
 	})
-	ordered := make([]Plan, len(children))
-	for a, i := range idx {
-		ordered[a] = children[i]
+	for i, r := range rs {
+		children[i] = r.p
 	}
-	copy(children, ordered)
-}
-
-// maxDPAndChildren bounds the exact join-order search: 2^8 subset states
-// × 8 transitions is a few thousand float ops, negligible next to one
-// scan; beyond that the greedy order stands.
-const maxDPAndChildren = 8
-
-// refineAndOrder runs a Selinger-style subset DP over the And children:
-// dp[S] is the cheapest cost of evaluating the member set S in some
-// order, where a scan-bearing child added after S costs its estimate
-// scaled by S's selectivity (evalAnd masks scans by the accumulated
-// candidates) and a scan-free child costs the same wherever it runs.
-// Subset selectivities come from observed conjunction cardinalities when
-// feedback has them (evalAnd records every prefix it materializes, under
-// the order-insensitive canonical And key), independence otherwise. The
-// DP order replaces the greedy one only when strictly cheaper, so a
-// fresh engine plans exactly as the greedy sort always has.
-func (m *costModel) refineAndOrder(children []Plan) {
-	k := len(children)
-	ests := make([]Estimate, k)
-	scans := make([]bool, k)
-	for i, c := range children {
-		ests[i] = m.estimate(c)
-		scans[i] = hasScan(c)
-	}
-
-	full := 1<<k - 1
-	sel := make([]float64, full+1)
-	sel[0] = 1
-	for S := 1; S <= full; S++ {
-		low := S & (-S)
-		i := bits.TrailingZeros64(uint64(low))
-		sel[S] = sel[S&^low] * clampSel(ests[i].Rows/m.n)
-		if m.fb != nil && S != low { // ≥2 members: a true conjunction count may exist
-			members := make([]Plan, 0, k)
-			for j := 0; j < k; j++ {
-				if S&(1<<j) != 0 {
-					members = append(members, children[j])
-				}
-			}
-			if rows, ok := m.fb.get(m.gen, And{Children: members}.Key()); ok {
-				sel[S] = clampSel(float64(rows) / m.n)
-			}
-		}
-	}
-
-	childCost := func(i int, prefix int) float64 {
-		if scans[i] {
-			return ests[i].Cost * sel[prefix]
-		}
-		return ests[i].Cost
-	}
-
-	dp := make([]float64, full+1)
-	last := make([]int, full+1)
-	for S := 1; S <= full; S++ {
-		dp[S] = math.Inf(1)
-		for i := 0; i < k; i++ {
-			bit := 1 << i
-			if S&bit == 0 {
-				continue
-			}
-			if c := dp[S&^bit] + childCost(i, S&^bit); c < dp[S] {
-				dp[S] = c
-				last[S] = i
-			}
-		}
-	}
-
-	// Cost of the greedy order under the same selectivity table; replace
-	// it only when the search found something strictly cheaper.
-	greedy := 0.0
-	for i := 0; i < k; i++ {
-		prefix := 0
-		for j := 0; j < i; j++ {
-			prefix |= 1 << j
-		}
-		greedy += childCost(i, prefix)
-	}
-	if dp[full] >= greedy*(1-1e-9) {
-		return
-	}
-	ordered := make([]Plan, k)
-	for S, a := full, k-1; S != 0; a-- {
-		i := last[S]
-		ordered[a] = children[i]
-		S &^= 1 << i
-	}
-	copy(children, ordered)
 }

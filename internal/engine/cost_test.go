@@ -185,6 +185,68 @@ func TestOptimizeWithStatsOrdersOrLargestFirst(t *testing.T) {
 	}
 }
 
+// TestAndRankOrderIsOptimal: for random conjunctions of 2–6 children,
+// scan-bearing and scan-free, the modeled cost of order's result is the
+// least over every permutation of the children. The brute force over all
+// orders is the oracle.
+func TestAndRankOrderIsOptimal(t *testing.T) {
+	at := model.Date(2010, 1, 1)
+	code := func(sys, pat string, min int) query.Expr {
+		return query.Has{Pred: query.MustCode(sys, pat), MinCount: min}
+	}
+	has := func(p query.EventPred) query.Expr { return query.Has{Pred: p} }
+	pool := []query.Expr{
+		// Scan-free.
+		code("ICPC2", "A01", 1), code("ICPC2", "B02", 1), has(query.TypeIs(model.TypeMeasurement)),
+		has(query.SourceIs(model.SourceGP)), query.Not{E: code("ICD10", "C03", 1)},
+		query.Or{code("ICPC2", "A01", 1), has(query.TypeIs(model.TypeMeasurement))},
+		// Scan-bearing: bounded, unbounded, keeping everyone (sel = 1) and
+		// nested under Not, Or and And.
+		code("ICPC2", "B02", 2), code("ICPC2", "A01", 2),
+		query.AgeBetween{Lo: 40, Hi: 70, At: at}, query.AgeBetween{Lo: 0, Hi: 200, At: at},
+		query.SexIs(model.SexFemale), valueScan(0, 49),
+		has(query.AllOf{query.TypeIs(model.TypeMeasurement), query.ValueBetween{Lo: 0, Hi: 50}}),
+		query.Not{E: code("ICPC2", "B02", 2)},
+		query.Sequence{Steps: []query.Step{{Pred: query.TypeIs(model.TypeContact)}, {Pred: query.TypeIs(model.TypeMeasurement)}}},
+		query.Or{code("ICD10", "C03", 1), code("ICPC2", "A01", 2)},
+		query.And{code("ICPC2", "B02", 1), query.AgeBetween{Lo: 20, Hi: 50, At: at}},
+	}
+	plans := make([]Plan, len(pool))
+	for i, e := range pool {
+		plans[i] = mustPlan(t, e)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, st := range []*store.Store{store.New(fbCollection(400)), costStore(t)} {
+		m := newCostModel(st.Stats())
+		cost := func(children []Plan) float64 { return m.estimate(And{Children: children}).Cost }
+		for trial := 0; trial < 150; trial++ {
+			children := make([]Plan, 2+rng.Intn(5))
+			for i, j := range rng.Perm(len(plans))[:len(children)] {
+				children[i] = plans[j]
+			}
+			best := math.Inf(1)
+			permute(append([]Plan(nil), children...), 0, func(p []Plan) { best = math.Min(best, cost(p)) })
+			m.order(children, true)
+			if got := cost(children); got > best*(1+1e-9) {
+				t.Errorf("order %v costs %g, the best permutation %g", children, got, best)
+			}
+		}
+	}
+}
+
+// permute calls visit with every ordering of ps[k:] behind ps[:k].
+func permute(ps []Plan, k int, visit func([]Plan)) {
+	if k == len(ps) {
+		visit(ps)
+		return
+	}
+	for i := k; i < len(ps); i++ {
+		ps[k], ps[i] = ps[i], ps[k]
+		permute(ps, k+1, visit)
+		ps[k], ps[i] = ps[i], ps[k]
+	}
+}
+
 // TestOptimizeWithStatsKeepsCanonicalKeys: cost-based reordering must not
 // change the canonical cache key (And/Or keys are order-insensitive).
 func TestOptimizeWithStatsKeepsCanonicalKeys(t *testing.T) {

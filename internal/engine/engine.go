@@ -110,6 +110,8 @@ const (
 	// workloads mint unique names forever, and an unbounded map of
 	// 1M-patient bitsets is a leak, not a cache).
 	workspaceSize = 1024
+	// plansSize caps the plan memo: optimized plans by expression.
+	plansSize = 256
 )
 
 // topo is the engine's execution topology pinned to one store generation:
@@ -158,8 +160,8 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 //
 // A local engine follows its store's live-ingest generation: every
 // operation pins the current topology first, and everything derived from
-// store contents — result cache, scan-bound cache, planner feedback, plan
-// memo, analysis memo, cohort workspace — is an epochLRU keyed under that
+// store contents — result cache, scan-bound cache, plan memo, analysis
+// memo, cohort workspace — is an epochLRU keyed under that
 // generation, discarded on advance rather than ever answering for a
 // population it no longer describes.
 type Engine struct {
@@ -180,12 +182,8 @@ type Engine struct {
 	// of re-walking the code vocabulary on every repeated scan. A nil
 	// value records that no index bounds the scan.
 	boundCache *epochLRU[string, *store.Bitset]
-	// fb records the true cardinality of every evaluated plan node; the
-	// optimizer's cost model reads it back on later planning passes
-	// (adaptive feedback planning, see feedback.go).
-	fb *feedback
-	// plans memoizes optimized plans by (feedback epoch, expression).
-	plans *epochLRU[planKey, Plan]
+	// plans memoizes optimized plans by canonical expression key.
+	plans *epochLRU[string, Plan]
 	// analyses memoizes complete Analyze answers by kind, parameters and
 	// cohort (analyze.go); nil when Options.CacheSize is 0.
 	analyses *epochLRU[analysisKey, analysisEntry]
@@ -204,8 +202,7 @@ func newEngine(opts Options) *Engine {
 		timeout:    opts.QueryTimeout,
 		workers:    normalizeWorkers(opts.Workers),
 		boundCache: newEpochLRU[string, *store.Bitset](boundCacheSize),
-		fb:         newFeedback(feedbackSize),
-		plans:      newEpochLRU[planKey, Plan](plansSize),
+		plans:      newEpochLRU[string, Plan](plansSize),
 		ws:         newEpochLRU[string, *cohortEntry](workspaceSize),
 	}
 	if opts.CacheSize > 0 {
@@ -405,15 +402,14 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // ResetCache empties the result cache, the analysis memo, the scan-bound
-// cache, the recorded execution feedback and the plan memo (benchmarks use
-// this to measure cold executions — cold statistics included).
+// cache and the plan memo (benchmarks use this to measure cold executions,
+// planning included).
 func (e *Engine) ResetCache() {
 	if e.cache != nil {
 		e.cache.reset()
 		e.analyses.reset()
 	}
 	e.boundCache.reset()
-	e.fb.reset()
 	e.plans.reset()
 }
 
@@ -503,43 +499,23 @@ func (e *Engine) Health() []ShardHealth {
 	return out
 }
 
-// optimize runs the cost-based optimizer (estimates corrected by
-// execution feedback from the same generation) when statistics exist, the
-// static one otherwise (empty store).
-func (e *Engine) optimize(t *topo, p Plan) Plan {
-	if t.stats != nil && t.stats.Patients > 0 {
-		return optimizeNode(p, newFeedbackCostModel(t.stats, e.fb, t.gen))
-	}
-	return Optimize(p)
-}
-
-// plan returns the optimized form of p, memoized by (feedback epoch,
-// canonical expression key) within the topology's generation. When
-// execution feedback advances the epoch the expression is re-planned under
-// the corrected estimates; the re-plan lands under the new epoch's key,
-// never evicting the plan the previous epoch produced — an in-flight
-// execution may still hold it, and reverting feedback restores it for
-// free. When an append advances the store generation the memo drops every
-// plan: a plan chosen for a previous population never answers for the new
-// one. Opaque plans (per-compile keys) are planned fresh every time.
+// plan returns the optimized form of p, memoized by canonical expression
+// key within the topology's generation. When an append advances the store
+// generation the memo drops every plan: a plan chosen for a previous
+// population never answers for the new one. Opaque plans (per-compile
+// keys) are planned fresh every time.
 func (e *Engine) plan(t *topo, p Plan) Plan {
 	if !cacheable(p) {
-		return e.optimize(t, p)
+		return OptimizeWithStats(p, t.stats)
 	}
-	key := planKey{epoch: e.fb.epoch.Load(), expr: p.Key()}
+	key := p.Key()
 	if op, ok := e.plans.get(t.gen, key); ok {
 		return op
 	}
-	op := e.optimize(t, p)
+	op := OptimizeWithStats(p, t.stats)
 	e.plans.put(t.gen, key, op)
 	return op
 }
-
-// FeedbackEpoch reports the planner's statistics epoch: it advances
-// whenever execution observes a cardinality the cost model did not
-// already know, and re-planning any expression under a new epoch may
-// produce a different (better-informed) plan.
-func (e *Engine) FeedbackEpoch() uint64 { return e.fb.epoch.Load() }
 
 // Execute compiles, optimizes and runs a query expression, returning the
 // matching patients as a bitset in global ordinal space. Under
@@ -640,9 +616,8 @@ func (e *Engine) IDsOf(b *store.Bitset) ([]model.PatientID, error) {
 // of non-trivial nodes land in the LRU keyed by canonical sub-plan under
 // the topology's generation, so a refined query re-uses the unchanged
 // parts of its predecessor — but only complete results: a degraded answer
-// is never cached and never feeds the planner's cardinality feedback,
-// both would poison later complete executions. The returned bitset is
-// owned by the caller.
+// is never cached, as it would poison later complete executions. The
+// returned bitset is owned by the caller.
 func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []int, error) {
 	switch p.(type) {
 	case All:
@@ -650,9 +625,10 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	case None:
 		return t.empty(), nil, nil
 	}
-	key := p.Key()
+	var key string
 	useCache := e.cache != nil && cacheable(p)
 	if useCache {
+		key = p.Key()
 		if b, ok := e.cache.get(t.gen, key); ok {
 			return b.Clone(), nil, nil
 		}
@@ -693,7 +669,6 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	if len(missing) > 0 {
 		return out, missing, nil
 	}
-	e.fb.observe(t.gen, key, out.Count())
 	if useCache {
 		e.cache.put(t.gen, key, out.Clone())
 	}
@@ -738,10 +713,10 @@ func (e *Engine) evalMasked(ctx context.Context, t *topo, p Plan, mask *store.Bi
 	}
 }
 
-// evalAnd intersects children left to right (the optimizer ordered them
-// most-selective-cheapest-first); scan-bearing children only visit
-// patients still in the accumulated candidate set, and an empty
-// accumulator short-circuits the remaining children entirely.
+// evalAnd intersects children left to right (the optimizer put the
+// scan-free ones first and the scans in rank order); scan-bearing
+// children only visit patients still in the accumulated candidate set,
+// and an empty accumulator short-circuits the remaining children entirely.
 func (e *Engine) evalAnd(ctx context.Context, t *topo, children []Plan, mask *store.Bitset) (*store.Bitset, error) {
 	var acc *store.Bitset
 	if mask != nil {
@@ -749,7 +724,7 @@ func (e *Engine) evalAnd(ctx context.Context, t *topo, children []Plan, mask *st
 	} else {
 		acc = t.all()
 	}
-	for i, c := range children {
+	for _, c := range children {
 		if acc.Count() == 0 {
 			return acc, nil
 		}
@@ -765,20 +740,6 @@ func (e *Engine) evalAnd(ctx context.Context, t *topo, children []Plan, mask *st
 				return nil, err
 			}
 			acc.And(b)
-		}
-		// Unmasked, the accumulator after child i is the true cardinality
-		// of the conjunction prefix — for i = 0, of the child itself.
-		// Record every prefix (eval records the full node): these
-		// observations are what lets the join-order DP see through
-		// correlated predicates, and the canonical And key is
-		// order-insensitive, so a prefix recorded under one order is
-		// found again whatever order is tried next.
-		if mask == nil && i < len(children)-1 {
-			if i == 0 {
-				e.fb.observe(t.gen, c.Key(), acc.Count())
-			} else {
-				e.fb.observe(t.gen, And{Children: children[:i+1]}.Key(), acc.Count())
-			}
 		}
 	}
 	return acc, nil

@@ -71,8 +71,7 @@ func (e *Engine) Explain(q query.Expr) (*Explained, error) {
 	}
 	t := e.topoNow()
 	p = e.plan(t, p)
-	m := newFeedbackCostModel(t.stats, e.fb, t.gen)
-	x := &Explained{Plan: p, Root: annotate(p, m), Patients: t.n, Backends: e.BackendInfo(), Policy: e.policy}
+	x := &Explained{Plan: p, Root: annotate(p, newCostModel(t.stats)), Patients: t.n, Backends: e.BackendInfo(), Policy: e.policy}
 	for _, h := range e.Health() {
 		if !h.Healthy {
 			x.Unhealthy = append(x.Unhealthy, h.Shard)

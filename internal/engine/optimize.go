@@ -25,12 +25,13 @@ import (
 func Optimize(p Plan) Plan { return optimizeNode(p, nil) }
 
 // OptimizeWithStats is Optimize with the static hoist replaced by
-// cost-based child ordering: And children run most-selective-cheapest
-// first, Or children largest first, both estimated from the store's
-// exact index cardinalities (see the cost model in cost.go). Falls back
-// to the static ordering when st is nil or the population is empty.
-// Reordering never changes plan cache keys: And/Or keys are canonical
-// (order-insensitive) by construction.
+// cost-based child ordering, estimated from the store's exact index
+// cardinalities alone (see the cost model in cost.go): And scans run in
+// rank order, Or children largest first, scan-free children ahead of
+// scans in both. The same expression and statistics always give the same
+// plan. Falls back to the static ordering when st is nil or the
+// population is empty. Reordering never changes plan cache keys: And/Or
+// keys are canonical (order-insensitive) by construction.
 func OptimizeWithStats(p Plan, st *store.Stats) Plan {
 	return optimizeNode(p, newCostModel(st))
 }
@@ -110,9 +111,9 @@ func optimizeNary(children []Plan, conj bool, m *costModel) Plan {
 	}
 
 	if m != nil {
-		// Cost-based: most-selective-cheapest-first under And,
-		// largest-first under Or, index-answerable children still ahead
-		// of scans in both.
+		// Cost-based: scans in rank order under And, largest-first
+		// under Or, index-answerable children still ahead of scans in
+		// both.
 		m.order(deduped, conj)
 	} else {
 		// Static hoist: index-answerable children ahead of scan-bearing

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -227,6 +228,83 @@ func TestSequenceGapsKeyAtFullResolution(t *testing.T) {
 	if c.Key() == d.Key() {
 		t.Fatalf("whole-day gap difference lost in key: %s", c.Key())
 	}
+}
+
+// FuzzEqualKeysEqualAnswers: the result cache and the plan memo hand one
+// key's entry to every expression that renders to that key, so two leaves
+// whose compiled keys are equal must select the same patients. The leaves
+// cover every criterion with a rendered argument — sex, age, value band,
+// period, type, source and kind — at out-of-range enum bytes, NaN and
+// infinite bounds and times beyond the calendar's range.
+func FuzzEqualKeysEqualAnswers(f *testing.F) {
+	f.Add(uint8(0), int64(3), int64(0), int64(0), uint8(0), int64(0), int64(0), int64(0))                  // SexIs(3) vs SexIs(0)
+	f.Add(uint8(1), int64(60), int64(80), int64(math.MaxInt64), uint8(1), int64(60), int64(80), int64(-1)) // At wraps to 1999-12-31T23:59
+	f.Add(uint8(3), int64(0), int64(math.MaxInt64), int64(0), uint8(3), int64(0), int64(-1), int64(0))     // End wraps likewise
+	f.Add(uint8(2), int64(math.Float64bits(math.NaN())), int64(math.Float64bits(1)), int64(0),
+		uint8(2), int64(math.Float64bits(math.Copysign(0, -1))), int64(math.Float64bits(math.Inf(1))), int64(0))
+	f.Add(uint8(4), int64(9), int64(0), int64(0), uint8(5), int64(9), int64(0), int64(0))
+	f.Add(uint8(6), int64(2), int64(0), int64(0), uint8(6), int64(258), int64(0), int64(0)) // 258 is kind 2 as a byte
+	probe := keyProbe()
+	f.Fuzz(func(t *testing.T, ka uint8, a0, a1, a2 int64, kb uint8, b0, b1, b2 int64) {
+		ea, eb := fuzzLeaf(ka, a0, a1, a2), fuzzLeaf(kb, b0, b1, b2)
+		key := mustPlan(t, ea).Key()
+		if key != mustPlan(t, eb).Key() {
+			return
+		}
+		for _, h := range probe {
+			if ea.Eval(h) != eb.Eval(h) {
+				t.Fatalf("%#v and %#v share key %q but differ on %s", ea, eb, key, h.Patient.ID)
+			}
+		}
+	})
+}
+
+// fuzzLeaf builds one leaf criterion from a selector and three raw
+// arguments; enum arguments keep only their low byte.
+func fuzzLeaf(kind uint8, x, y, z int64) query.Expr {
+	has := func(p query.EventPred) query.Expr { return query.Has{Pred: p} }
+	switch kind % 7 {
+	case 0:
+		return query.SexIs(uint8(x))
+	case 1:
+		return query.AgeBetween{Lo: int(x), Hi: int(y), At: model.Time(z)}
+	case 2:
+		return has(query.ValueBetween{Lo: math.Float64frombits(uint64(x)), Hi: math.Float64frombits(uint64(y))})
+	case 3:
+		return has(query.InPeriod(model.Period{Start: model.Time(x), End: model.Time(y)}))
+	case 4:
+		return has(query.TypeIs(uint8(x)))
+	case 5:
+		return has(query.SourceIs(uint8(x)))
+	default:
+		return has(query.KindIs(uint8(x)))
+	}
+}
+
+// keyProbe is a fixed population on which distinct leaves tell apart: every
+// sex byte 0–3, births from 1930 on, and entries of every type, source and
+// kind byte the model names plus one past it, with values and times at the
+// extremes as well as ordinary ones.
+func keyProbe() []*model.History {
+	times := []model.Time{model.Time(math.MinInt64), model.NoTime, -model.Year, -1, 0,
+		model.Date(2010, 3, 1), model.Date(2010, 3, 1) + 7*model.Hour, model.Time(math.MaxInt64 / 61), model.Time(math.MaxInt64)}
+	values := []float64{math.NaN(), math.Inf(-1), -1e300, -1, math.Copysign(0, -1), 0.5, 120, math.Inf(1)}
+	var hs []*model.History
+	for i := 0; i < 24; i++ {
+		h := model.NewHistory(model.Patient{ID: model.PatientID(i + 1), Sex: model.Sex(i % 4), Birth: model.Date(1930+3*i, 1, 1)})
+		for j := 0; j < 3; j++ {
+			k := 3*i + j
+			start := times[k%len(times)]
+			end := start
+			if k%2 == 1 && start < math.MaxInt64-model.Month {
+				end = start + model.Month
+			}
+			h.Add(model.Entry{ID: uint64(k), Kind: model.Kind(k % 3), Start: start, End: end,
+				Type: model.Type(k % 8), Source: model.Source(k % 7), Value: values[k%len(values)]})
+		}
+		hs = append(hs, h)
+	}
+	return hs
 }
 
 func TestNewClampsShards(t *testing.T) {

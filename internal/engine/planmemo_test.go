@@ -1,0 +1,127 @@
+package engine
+
+// The plan memo (Engine.plan) holds optimized plans by canonical
+// expression key; executing a plan never changes the next one.
+
+import (
+	"testing"
+
+	"pastas/internal/model"
+	"pastas/internal/query"
+	"pastas/internal/store"
+)
+
+// fbCollection builds a population where every patient carries two
+// measurements: one drawn from [0,100) (patient i gets i%100) and one
+// from [1000,1100) on a decorrelated cycle — so ValueBetween predicates
+// over the two bands give precisely controlled, independently tunable
+// selectivities that the cost model's uniform prior (defaultSel = 0.5)
+// knows nothing about.
+func fbCollection(n int) *model.Collection {
+	base := model.Date(2012, 1, 1)
+	hs := make([]*model.History, n)
+	for i := range hs {
+		h := model.NewHistory(model.Patient{ID: model.PatientID(i + 1), Birth: model.Date(1960, 1, 1)})
+		h.Add(model.Entry{
+			ID: uint64(2 * i), Kind: model.Point, Start: base, End: base,
+			Type: model.TypeMeasurement, Source: model.Source(1), Value: float64(i % 100),
+		})
+		h.Add(model.Entry{
+			ID: uint64(2*i + 1), Kind: model.Point, Start: base, End: base,
+			Type: model.TypeMeasurement, Source: model.Source(1), Value: 1000 + float64((i*37)%100),
+		})
+		hs[i] = h
+	}
+	return model.MustCollection(hs...)
+}
+
+func valueScan(lo, hi float64) query.Expr {
+	return query.Has{Pred: query.ValueBetween{Lo: lo, Hi: hi}}
+}
+
+// TestFeedbackEpochSettles: re-running one query plans it once; every
+// repeat is a memo hit on the one entry.
+func TestFeedbackEpochSettles(t *testing.T) {
+	st := store.New(fbCollection(300))
+	e := New(st, Options{Shards: 2, CacheSize: 8})
+	q := query.And{valueScan(0, 59), valueScan(30, 89)}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := e.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.plans.stats(0); s.Entries != 1 || s.Hits != n-1 {
+		t.Errorf("plan memo after %d runs: %d entries, %d hits; want 1 and %d", n, s.Entries, s.Hits, n-1)
+	}
+}
+
+// TestPlanMemoKeepsColdEntry: executing a plan leaves its memo entry as
+// it was.
+func TestPlanMemoKeepsColdEntry(t *testing.T) {
+	st := store.New(fbCollection(200))
+	e := New(st, Options{Shards: 1, CacheSize: 0})
+	q := query.And{valueScan(0, 89), valueScan(95, 99)}
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold := e.plan(e.topoNow(), p)
+	if _, err := e.ExecutePlan(cold); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := e.plans.get(0, p.Key()); !ok || got.String() != cold.String() {
+		t.Errorf("memoized plan evicted or replaced (ok=%v)", ok)
+	}
+}
+
+// TestFeedbackOpaqueScansStayFresh: opaque scans (per-compile keys) are
+// never memoized, and re-planning one compiled plan answers the same.
+func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
+	st := store.New(fbCollection(200))
+	e := New(st, Options{Shards: 1, CacheSize: 0})
+	opaque := query.Has{Pred: opaquePred{
+		name: "custom",
+		fn:   func(en *model.Entry) bool { return en.Value < 10 },
+	}}
+	p, err := Compile(query.And{valueScan(0, 89), opaque})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cacheable(p) {
+		t.Fatal("plan with an opaque predicate classified cacheable")
+	}
+	memoBefore := e.plans.stats(0).Entries
+	bits1, err := e.ExecutePlan(e.plan(e.topoNow(), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.plans.stats(0).Entries != memoBefore {
+		t.Error("opaque plan was memoized")
+	}
+	bits2, err := e.ExecutePlan(e.plan(e.topoNow(), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bits1.Equal(bits2) {
+		t.Error("opaque re-plan changed the cohort")
+	}
+}
+
+// TestFeedbackResetWithCache: ResetCache empties the plan memo and the
+// result cache.
+func TestFeedbackResetWithCache(t *testing.T) {
+	st := store.New(fbCollection(200))
+	e := New(st, Options{Shards: 1, CacheSize: 8})
+	if _, err := e.Execute(query.And{valueScan(0, 89), valueScan(95, 99)}); err != nil {
+		t.Fatal(err)
+	}
+	if e.plans.stats(0).Entries == 0 || e.CacheStats().Entries == 0 {
+		t.Fatal("execution memoized no plan or cached no result")
+	}
+	e.ResetCache()
+	if plans, results := e.plans.stats(0).Entries, e.CacheStats().Entries; plans != 0 || results != 0 {
+		t.Errorf("ResetCache left state: plans=%d results=%d", plans, results)
+	}
+}

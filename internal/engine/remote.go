@@ -387,7 +387,7 @@ func (s *ShardServer) evalShard(p Plan, it ShardItem) ([]byte, error) {
 		return nil, err
 	}
 	t := sh.eng.topoNow()
-	p = sh.eng.optimize(t, p)
+	p = OptimizeWithStats(p, t.stats)
 	var bits *store.Bitset
 	if mask != nil {
 		bits, err = sh.eng.evalMasked(context.Background(), t, p, mask)

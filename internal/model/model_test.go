@@ -245,7 +245,7 @@ func TestStringers(t *testing.T) {
 	if PatientID(42).String() != "P0000042" {
 		t.Errorf("patient id stringer: %s", PatientID(42))
 	}
-	if SexFemale.String() != "F" || SexMale.String() != "M" || SexUnknown.String() != "?" {
+	if SexFemale.String() != "F" || SexMale.String() != "M" || SexUnknown.String() != "?" || Sex(3).String() != "Sex(3)" {
 		t.Error("sex stringer broken")
 	}
 	if len(Sources()) != 5 || len(Types()) != 6 {

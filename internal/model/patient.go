@@ -24,8 +24,10 @@ func (s Sex) String() string {
 		return "F"
 	case SexMale:
 		return "M"
-	default:
+	case SexUnknown:
 		return "?"
+	default:
+		return fmt.Sprintf("Sex(%d)", uint8(s))
 	}
 }
 

@@ -90,12 +90,18 @@ func (t Time) After(u Time) bool { return t > u }
 // Valid reports whether t carries a real timestamp.
 func (t Time) Valid() bool { return t != NoTime }
 
-// String renders day-resolution times as dates and finer times as RFC 3339.
+// String renders day-resolution times as dates and finer times as RFC 3339;
+// a time beyond AsTime's range renders as Time(<minutes>).
 func (t Time) String() string {
 	if t == NoTime {
 		return "-"
 	}
 	tt := t.AsTime()
+	if FromTime(tt) != t {
+		// The minutes wrapped: a calendar rendering would alias an
+		// in-range time, and plan keys are renderings.
+		return fmt.Sprintf("Time(%d)", int64(t))
+	}
 	if t%Day == 0 {
 		return tt.Format("2006-01-02")
 	}

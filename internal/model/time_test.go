@@ -138,6 +138,11 @@ func TestNoTime(t *testing.T) {
 	if NoTime.String() != "-" {
 		t.Errorf("NoTime string = %q", NoTime.String())
 	}
+	// Past AsTime's range the minutes wrap; the rendering must not alias
+	// the in-range time they wrap to.
+	if got := Time(1<<63 - 1).String(); got != "Time(9223372036854775807)" {
+		t.Errorf("out-of-range time renders %q", got)
+	}
 	if !Time(0).Valid() {
 		t.Error("epoch must be valid")
 	}

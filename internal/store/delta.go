@@ -43,7 +43,7 @@ type IngestStats struct {
 // Generation returns the store's generation counter. It advances on every
 // Append (compaction is semantically invisible and does not advance it);
 // everything derived from store contents — plan caches, scan bounds,
-// planner feedback, memoized stats — is epoched by this value.
+// memoized stats — is epoched by this value.
 func (s *Store) Generation() uint64 { return s.loadRev().gen }
 
 // Ingest returns cumulative ingest counters for the current revision.

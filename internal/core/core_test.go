@@ -228,25 +228,21 @@ func TestSessionHistoryAndBudget(t *testing.T) {
 	}
 }
 
+// TestExtractErrorLeavesStateIntact: an extract the engine refuses — a
+// code pattern that does not compile, caught by engine.Compile's pattern
+// check — changes neither the view, the operation log nor the undo stack.
 func TestExtractErrorLeavesStateIntact(t *testing.T) {
 	wb := testWorkbench(t, 50)
 	s := mustSession(t, wb)
-	before := s.View()
-	// A Has with a predicate whose regex was pre-compiled can't fail; use
-	// EvalIndexed failure via bad pattern in Code built by hand.
-	bad := query.Has{Pred: &failingPred{}}
-	_ = bad
-	// Instead: failing path via RenderGraph covered elsewhere; here verify
-	// that Undo stack is untouched after a successful no-op extract.
-	if err := s.Extract(query.TrueExpr{}); err != nil {
-		t.Fatal(err)
+	view, log := s.View(), len(s.History())
+	if err := s.Extract(query.Has{Pred: &query.Code{Pattern: "("}}); err == nil {
+		t.Fatal("extract with pattern \"(\" succeeded")
 	}
-	if s.View().Len() != before.Len() {
-		t.Error("true extract changed view size")
+	if s.View() != view || len(s.History()) != log {
+		t.Errorf("failed extract changed the session: view %d → %d patients, log %d → %d entries",
+			view.Len(), s.View().Len(), log, len(s.History()))
+	}
+	if s.Undo() {
+		t.Error("failed extract left a state to undo")
 	}
 }
-
-type failingPred struct{}
-
-func (f *failingPred) Match(e *model.Entry) bool { return false }
-func (f *failingPred) String() string            { return "failing" }

@@ -168,99 +168,45 @@ func (b *LocalBackend) Analyze(_ context.Context, args AnalyzeArgs) (Partial, er
 // Close implements ShardBackend; a view holds no resources.
 func (b *LocalBackend) Close() error { return nil }
 
-// EvalPlan implements ShardBackend: a straightforward recursive evaluator
-// in shard-local ordinal space. The coordinating executor keeps the
-// clever parts — candidate masking, bound derivation, sub-plan caching —
-// for itself and sends leaves here; whole trees are handled too, so a
+// EvalPlan implements ShardBackend in shard-local ordinal space. The
+// coordinating executor keeps bound derivation and sub-plan caching for
+// itself and mostly sends scan leaves here; whole trees walk the same
+// evaluator a local engine does, masks and absorption included, so a
 // backend set is a complete execution target on its own.
 func (b *LocalBackend) EvalPlan(_ context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
 	if mask != nil && mask.Len() != b.v.Len() {
 		return nil, fmt.Errorf("engine: shard %d: mask capacity %d, shard has %d patients",
 			b.meta.Shard, mask.Len(), b.v.Len())
 	}
-	return evalOnView(b.v, p, mask)
+	return viewTree(b.v).eval(p, mask)
 }
 
-// evalOnView evaluates eval(p) ∩ mask over a view (nil mask = all).
-func evalOnView(v *store.View, p Plan, mask *store.Bitset) (*store.Bitset, error) {
-	switch n := p.(type) {
-	case All:
-		if mask != nil {
-			return mask.Clone(), nil
-		}
-		return v.Empty().Not(), nil
-	case None:
-		return v.Empty(), nil
-	case IndexScan:
-		out, err := evalIndexOnView(v, n)
-		if err != nil {
-			return nil, err
-		}
-		if mask != nil {
-			out.And(mask)
-		}
-		return out, nil
-	case Scan:
-		f := v.Frame()
-		match, ok := compileScan(n.Expr, &f)
-		if !ok {
-			match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
-		}
-		if mask == nil {
-			mask = v.Empty().Not()
-		}
-		// A word of candidates at a time, container by container: a sparse
-		// mask is a few array walks, and empty 65k-row chunks are skipped.
-		return mask.MapWords(match), nil
-	case Not:
-		inner, err := evalOnView(v, n.Child, nil)
-		if err != nil {
-			return nil, err
-		}
-		inner.Not()
-		if mask != nil {
-			inner.And(mask)
-		}
-		return inner, nil
-	case And:
-		// Thread the accumulator as the next child's mask, so each child
-		// only considers the candidates still alive.
-		var acc *store.Bitset
-		if mask != nil {
-			acc = mask.Clone()
-		} else {
-			acc = v.Empty().Not()
-		}
-		for _, c := range n.Children {
-			if acc.Count() == 0 {
-				return acc, nil
-			}
-			next, err := evalOnView(v, c, acc)
-			if err != nil {
-				return nil, err
-			}
-			acc = next
-		}
-		return acc, nil
-	case Or:
-		acc := v.Empty()
-		for _, c := range n.Children {
-			b, err := evalOnView(v, c, mask)
-			if err != nil {
-				return nil, err
-			}
-			acc.Or(b)
-		}
-		return acc, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown plan node %T", p)
+// viewTree evaluates plans over a view with no result cache, scanning the
+// view's own rows (scanView).
+func viewTree(v *store.View) tree {
+	return tree{view: v, scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return scanView(v, n, mask), nil }}
+}
+
+// scanView runs a scan leaf over the view's rows in mask (nil = all): the
+// compiled frame matcher, or Expr.Eval per history for a scan holding a
+// TextMatch. A word of candidates at a time, container by container: a
+// sparse mask is a few array walks, and empty 65k-row chunks are skipped.
+func scanView(v *store.View, n Scan, mask *store.Bitset) *store.Bitset {
+	f := v.Frame()
+	match, ok := compileScan(n.Expr, &f)
+	if !ok {
+		match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
 	}
+	if mask == nil {
+		mask = v.Empty().Not()
+	}
+	return mask.MapWords(match)
 }
 
-// evalIndexOnView answers an index leaf from the view's postings: a
+// evalIndex answers an index leaf from the view's postings: a
 // shard's slice, or a local engine's whole pinned revision — with local
 // backends sharing that revision there is nothing to fan out.
-func evalIndexOnView(v *store.View, n IndexScan) (*store.Bitset, error) {
+func evalIndex(v *store.View, n IndexScan) (*store.Bitset, error) {
 	switch n.Op {
 	case OpType:
 		return v.WithType(n.Type), nil

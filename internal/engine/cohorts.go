@@ -11,8 +11,8 @@ package engine
 // Refine is where the O(delta) win lives: when a new expression is
 // parent ∧ delta (or parent ∨ delta, parent ∧ ¬delta — Not is just
 // another conjunct), only the delta is executed, masked by the cached
-// parent bitset. On a local engine that rides the existing evalMasked
-// path; on a coordinator the parent mask itself is pushed down —
+// parent bitset. On a local engine the evaluator walks the delta under the
+// mask; on a coordinator the parent mask itself is pushed down —
 // container-encoded and crc-checked — so each remote shard evaluates the
 // delta over its candidates and ships back one shard-local bitset,
 // instead of the coordinator pulling whole leaves over the wire.
@@ -48,8 +48,7 @@ const (
 type cohortEntry struct {
 	name string
 	expr query.Expr
-	// key is the optimized plan's canonical key; "" for entries whose key
-	// cannot identify them across compilations (never seeds a refinement).
+	// key is the optimized plan's canonical key.
 	key string
 	// op/subKeys describe the plan's top-level shape for subset matching:
 	// op is "and" or "or" with subKeys the sorted child keys, or "leaf".
@@ -137,15 +136,10 @@ func validateCohortName(name string) error {
 // as a named cohort at the current store generation. Materialization is
 // complete-only whatever the engine's policy: a degraded answer is an
 // error, never a saved cohort (it would silently poison every later
-// refinement). The expression must be canonical (serializable): opaque
-// predicates cannot be persisted or re-validated, so they cannot name a
-// cohort.
+// refinement).
 func (e *Engine) Materialize(ctx context.Context, name string, q query.Expr) (CohortInfo, error) {
 	if err := validateCohortName(name); err != nil {
 		return CohortInfo{}, err
-	}
-	if !canonicalExpr(q) {
-		return CohortInfo{}, fmt.Errorf("engine: materialize %q: expression contains opaque predicates and cannot be saved", name)
 	}
 	p, err := Compile(q)
 	if err != nil {
@@ -176,9 +170,6 @@ func (e *Engine) Materialize(ctx context.Context, name string, q query.Expr) (Co
 func (e *Engine) Refine(ctx context.Context, name string, q query.Expr) (CohortInfo, Refinement, error) {
 	if err := validateCohortName(name); err != nil {
 		return CohortInfo{}, Refinement{}, err
-	}
-	if !canonicalExpr(q) {
-		return CohortInfo{}, Refinement{}, fmt.Errorf("engine: refine %q: expression contains opaque predicates and cannot be saved", name)
 	}
 	p, err := Compile(q)
 	if err != nil {
@@ -231,7 +222,7 @@ func (e *Engine) Refine(ctx context.Context, name string, q query.Expr) (CohortI
 	}
 	// The refined result is the complete answer for p; share it with the
 	// result cache like any full execution.
-	if e.cache != nil && cacheable(p) {
+	if e.cache != nil {
 		e.cache.put(t.gen, p.Key(), bits.Clone())
 	}
 	return e.saveCohort(t, name, q, p, bits), ref, nil
@@ -247,9 +238,7 @@ func (e *Engine) saveCohort(t *topo, name string, q query.Expr, p Plan, bits *st
 		count: bits.Count(),
 		bits:  bits,
 		op:    "leaf",
-	}
-	if cacheable(p) {
-		en.key = p.Key()
+		key:   p.Key(),
 	}
 	switch n := p.(type) {
 	case And:
@@ -319,15 +308,12 @@ func (e *Engine) ExportCohorts() []CohortExport {
 
 // AdoptCohort installs an externally materialized cohort — the snapshot
 // load path — binding it to the current store generation. The bitset
-// must cover the population exactly and the expression must be
-// canonical; the caller is trusted to pass the bits the expression
-// evaluates to (snapshots are crc-validated on decode).
+// must cover the population exactly; the caller is trusted to pass the
+// bits the expression evaluates to (snapshots are crc-validated on
+// decode).
 func (e *Engine) AdoptCohort(name string, q query.Expr, bits *store.Bitset) error {
 	if err := validateCohortName(name); err != nil {
 		return err
-	}
-	if !canonicalExpr(q) {
-		return fmt.Errorf("engine: adopt cohort %q: expression contains opaque predicates", name)
 	}
 	t := e.topoNow()
 	if bits.Len() != t.n {
@@ -349,16 +335,13 @@ func (e *Engine) AdoptCohort(name string, q query.Expr, bits *store.Bitset) erro
 // to execute, and the refinement mode; (nil, nil, "") when nothing
 // seeds.
 func (e *Engine) refineSeed(t *topo, p Plan) (*cohortEntry, []Plan, string) {
-	if !cacheable(p) {
-		return nil, nil, ""
-	}
 	entries := e.cohortsAt(t.gen)
 	if len(entries) == 0 {
 		return nil, nil, ""
 	}
 	pKey := p.Key()
 	for _, en := range entries {
-		if en.key != "" && en.key == pKey {
+		if en.key == pKey {
 			return en, nil, RefineExact
 		}
 	}
@@ -384,9 +367,6 @@ func bestCover(entries []*cohortEntry, op string, children []Plan, preferLargest
 	var bestUsed []bool
 	bestCovered := 0
 	for _, en := range entries {
-		if en.key == "" {
-			continue
-		}
 		var need []string
 		if containsKey(ordered, en.key) {
 			need = []string{en.key}
@@ -489,7 +469,7 @@ func orOf(children []Plan) Plan {
 }
 
 // evalMaskedAll computes eval(p) ∩ mask over the whole population. A
-// local engine rides the in-process masked path; a coordinator fans the
+// local engine walks the plan under the mask; a coordinator fans the
 // plan out with each shard's slice of the mask — the masked push-down
 // that keeps a refinement from pulling whole index leaves back over the
 // wire, one call per server. Backends whose mask slice is empty are never
@@ -502,7 +482,7 @@ func (e *Engine) evalMaskedAll(ctx context.Context, t *topo, p Plan, mask *store
 		return t.empty(), false, nil
 	}
 	if t.view != nil {
-		b, err := e.evalMasked(ctx, t, p, mask)
+		b, err := e.localTree(ctx, t).eval(p, mask)
 		return b, false, err
 	}
 	out, _, err := e.evalAll(ctx, t, PolicyStrict, p, mask)

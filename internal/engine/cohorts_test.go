@@ -335,8 +335,8 @@ func TestExplainSeedAnnotation(t *testing.T) {
 	}
 }
 
-// TestCohortValidation: hostile names and opaque expressions are loud
-// errors, never saved cohorts.
+// TestCohortValidation: hostile names are loud errors, never saved
+// cohorts.
 func TestCohortValidation(t *testing.T) {
 	_, st, _ := cohortEngines(t)
 	e := New(st, Options{Shards: 2, CacheSize: 0})
@@ -350,13 +350,6 @@ func TestCohortValidation(t *testing.T) {
 		}
 	}
 
-	opaque := query.Has{Pred: opaquePred{name: "f", fn: func(*model.Entry) bool { return true }}}
-	if _, err := e.Materialize(ctx, "f", opaque); err == nil {
-		t.Error("Materialize accepted an opaque expression")
-	}
-	if _, _, err := e.Refine(ctx, "f", opaque); err == nil {
-		t.Error("Refine accepted an opaque expression")
-	}
 	if _, ok := e.workspaceEntries(); ok {
 		t.Error("rejected cohorts leaked into the workspace")
 	}

@@ -37,7 +37,7 @@ const (
 	costPerEntry   = 16.0 // predicate probe of one entry, in word ops
 	costPerHistory = 32.0 // fixed per-history scan overhead
 	costPerCode    = 8.0  // regex probe of one vocabulary code
-	defaultSel     = 0.5  // selectivity prior for opaque predicates
+	defaultSel     = 0.5  // selectivity prior for criteria no index counts
 )
 
 // costModel estimates plans over one store's statistics.
@@ -168,7 +168,7 @@ func (m *costModel) estimateIndex(p IndexScan) Estimate {
 
 // exprSel estimates the fraction of patients a scanned expression
 // matches. Index-derivable parts use exact cardinalities (as upper
-// bounds); demographics use uniform priors; anything opaque gets
+// bounds); demographics use uniform priors; anything else gets
 // defaultSel. Composition assumes independence.
 func (m *costModel) exprSel(e query.Expr) float64 {
 	switch q := e.(type) {
@@ -214,7 +214,7 @@ func (m *costModel) exprSel(e query.Expr) float64 {
 
 // predSel estimates the fraction of patients with at least one entry
 // matching an event predicate; unknown reports the given prior for
-// predicate types the indexes know nothing about.
+// predicates the indexes know nothing about.
 func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 	switch q := p.(type) {
 	case *query.Code:
@@ -239,9 +239,7 @@ func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 			keep *= 1 - m.predSel(c, unknown)
 		}
 		return 1 - keep
-	// NotEv, KindIs, ValueBetween, InPeriod, TextMatch, or a predicate
-	// type this package does not know.
-	default:
+	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch
 		return unknown
 	}
 }
@@ -301,7 +299,7 @@ func clampSel(s float64) float64 {
 // wherever they run; under Or they grow the set of patients later scans may
 // skip. Or children then run largest-first.
 //
-// And scans run in rank order. evalAnd masks each scan by the candidates
+// And scans run in rank order. tree.eval masks each scan by the candidates
 // still standing, so an And costs Σ cost_i × Π_{j<i} sel_j over its scans,
 // and that sum is least when they run in ascending cost_i / (1 − sel_i):
 // swapping two neighbours a, b pays off exactly when

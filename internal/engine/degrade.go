@@ -8,8 +8,8 @@ package engine
 // can render "cohort over 14 of 16 shards" instead of an error page
 // while the hospital's aggregation backends flap. Degradation only ever
 // applies to transport-level unavailability (IsUnavailable); semantic
-// errors — a wrong-sized mask, an opaque plan, a corrupt reply — stay
-// loud under either policy, because they signal bugs, not outages.
+// errors — a wrong-sized mask, a plan with no wire form, a corrupt reply —
+// stay loud under either policy, because they signal bugs, not outages.
 
 import (
 	"errors"

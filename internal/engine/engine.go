@@ -502,12 +502,8 @@ func (e *Engine) Health() []ShardHealth {
 // plan returns the optimized form of p, memoized by canonical expression
 // key within the topology's generation. When an append advances the store
 // generation the memo drops every plan: a plan chosen for a previous
-// population never answers for the new one. Opaque plans (per-compile
-// keys) are planned fresh every time.
+// population never answers for the new one.
 func (e *Engine) plan(t *topo, p Plan) Plan {
-	if !cacheable(p) {
-		return OptimizeWithStats(p, t.stats)
-	}
 	key := p.Key()
 	if op, ok := e.plans.get(t.gen, key); ok {
 		return op
@@ -612,13 +608,18 @@ func (e *Engine) IDsOf(b *store.Bitset) ([]model.PatientID, error) {
 
 // eval computes the exact result of p over the topology's population,
 // plus the indexes of any backends PolicyDegraded absorbed (always empty
-// under PolicyStrict — their errors fail the evaluation instead). Results
-// of non-trivial nodes land in the LRU keyed by canonical sub-plan under
-// the topology's generation, so a refined query re-uses the unchanged
-// parts of its predecessor — but only complete results: a degraded answer
-// is never cached, as it would poison later complete executions. The
-// returned bitset is owned by the caller.
+// under PolicyStrict — their errors fail the evaluation instead). A local
+// engine walks the plan itself (localTree). A coordinator distributes the
+// whole plan — every expression is per-history — in one fan-out round,
+// one call per server, each shard evaluating (and locally re-optimizing)
+// it over its slice, merged in fixed shard order. Either way only complete
+// results land in the result cache: a degraded answer would poison later
+// complete executions. The returned bitset is owned by the caller.
 func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []int, error) {
+	if t.view != nil {
+		b, err := e.localTree(ctx, t).eval(p, nil)
+		return b, nil, err
+	}
 	switch p.(type) {
 	case All:
 		return t.all(), nil, nil
@@ -626,163 +627,154 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 		return t.empty(), nil, nil
 	}
 	var key string
-	useCache := e.cache != nil && cacheable(p)
-	if useCache {
+	if e.cache != nil {
 		key = p.Key()
 		if b, ok := e.cache.get(t.gen, key); ok {
 			return b.Clone(), nil, nil
 		}
 	}
-	var out *store.Bitset
-	var missing []int
-	var err error
-	if t.view == nil {
-		// Coordinator: every expression is per-history, so a whole plan
-		// distributes over the shards — one fan-out round, one call per
-		// server, each shard evaluating (and locally re-optimizing) the
-		// full plan over its slice, merged in fixed shard order.
-		out, missing, err = e.evalAll(ctx, t, e.policy, p, nil)
-	} else {
-		switch n := p.(type) {
-		case IndexScan:
-			out, err = evalIndexOnView(t.view, n)
-		case Scan:
-			out, err = e.evalScan(ctx, t, n, nil)
-		case Not:
-			out, _, err = e.eval(ctx, t, n.Child)
-			if err == nil {
-				out.Not()
-			}
-		case And:
-			out, err = e.evalAnd(ctx, t, n.Children, nil)
-		case Or:
-			out, err = e.evalOr(ctx, t, n.Children, nil)
-		default:
-			// Plan is an open interface; fail loudly rather than returning
-			// (nil, nil) for a node type this executor does not know.
-			return nil, nil, fmt.Errorf("engine: unknown plan node %T", p)
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(missing) > 0 {
-		return out, missing, nil
-	}
-	if useCache {
+	out, missing, err := e.evalAll(ctx, t, e.policy, p, nil)
+	if err == nil && len(missing) == 0 && e.cache != nil {
 		e.cache.put(t.gen, key, out.Clone())
 	}
-	return out, nil, nil
+	return out, missing, err
 }
 
-// evalMasked computes eval(p) ∩ mask, exploiting the mask to skip scan
-// work. Masked results are not cached (they are mask-specific), but a
-// cached unmasked result for any node — leaf or boolean subtree — is
-// consulted first and intersected with the mask.
-func (e *Engine) evalMasked(ctx context.Context, t *topo, p Plan, mask *store.Bitset) (*store.Bitset, error) {
+// localTree is a local engine's evaluator over t: its scans take their
+// index bound and fan out over the backends (evalScan), and its results
+// are shared through the engine's result cache.
+func (e *Engine) localTree(ctx context.Context, t *topo) tree {
+	return tree{view: t.view, cache: e.cache, gen: t.gen,
+		scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return e.evalScan(ctx, t, n, mask) }}
+}
+
+// tree is the one plan evaluator: a local engine, a shard server and a
+// LocalBackend all walk plans with it, over their own view and scan.
+type tree struct {
+	view *store.View
+	scan func(n Scan, mask *store.Bitset) (*store.Bitset, error)
+	// cache, when set, holds complete results by canonical sub-plan key
+	// under generation gen.
+	cache *epochLRU[string, *store.Bitset]
+	gen   uint64
+}
+
+// eval returns p's matches within mask (nil = every row) as a new bitset.
+// An index leaf under a mask, and a scan-free child of And or Or, is
+// answered whole and then intersected (within); any other node walks
+// under the mask, so its scans skip non-candidates. Only unmasked results
+// are cached (masked ones are mask-specific), but a cached result for any
+// node, leaf or boolean subtree, answers first.
+func (r tree) eval(p Plan, mask *store.Bitset) (*store.Bitset, error) {
 	switch p.(type) {
 	case All:
-		return mask.Clone(), nil
+		if mask != nil {
+			return mask.Clone(), nil
+		}
+		return r.view.Empty().Not(), nil
 	case None:
-		return t.empty(), nil
-	}
-	if e.cache != nil && cacheable(p) {
-		if b, ok := e.cache.get(t.gen, p.Key()); ok {
-			return b.Clone().And(mask), nil
+		return r.view.Empty(), nil
+	case IndexScan:
+		if mask != nil {
+			return r.within(p, mask)
 		}
 	}
+	var key string
+	if r.cache != nil {
+		key = p.Key()
+		if b, ok := r.cache.get(r.gen, key); ok {
+			if mask != nil {
+				return b.Clone().And(mask), nil
+			}
+			return b.Clone(), nil
+		}
+	}
+	var out *store.Bitset
+	var err error
 	switch n := p.(type) {
+	case IndexScan:
+		out, err = evalIndex(r.view, n)
 	case Scan:
-		return e.evalScan(ctx, t, n, mask)
+		out, err = r.scan(n, mask)
 	case Not:
-		b, err := e.evalMasked(ctx, t, n.Child, mask)
-		if err != nil {
-			return nil, err
-		}
-		return mask.Clone().AndNot(b), nil
-	case And:
-		return e.evalAnd(ctx, t, n.Children, mask)
-	case Or:
-		return e.evalOr(ctx, t, n.Children, mask)
-	default: // IndexScan: full evaluation is cheap and cache-friendly.
-		b, _, err := e.eval(ctx, t, p)
-		if err != nil {
-			return nil, err
-		}
-		return b.And(mask), nil
-	}
-}
-
-// evalAnd intersects children left to right (the optimizer put the
-// scan-free ones first and the scans in rank order); scan-bearing
-// children only visit patients still in the accumulated candidate set,
-// and an empty accumulator short-circuits the remaining children entirely.
-func (e *Engine) evalAnd(ctx context.Context, t *topo, children []Plan, mask *store.Bitset) (*store.Bitset, error) {
-	var acc *store.Bitset
-	if mask != nil {
-		acc = mask.Clone()
-	} else {
-		acc = t.all()
-	}
-	for _, c := range children {
-		if acc.Count() == 0 {
-			return acc, nil
-		}
-		if hasScan(c) {
-			b, err := e.evalMasked(ctx, t, c, acc)
-			if err != nil {
-				return nil, err
-			}
-			acc = b
-		} else {
-			b, _, err := e.eval(ctx, t, c)
-			if err != nil {
-				return nil, err
-			}
-			acc.And(b)
-		}
-	}
-	return acc, nil
-}
-
-// evalOr unions children (the optimizer ordered them largest-first);
-// scan-bearing children only visit patients not already known to match
-// (and, under a mask, inside the mask), and the union short-circuits by
-// absorption the moment it covers every candidate.
-func (e *Engine) evalOr(ctx context.Context, t *topo, children []Plan, mask *store.Bitset) (*store.Bitset, error) {
-	acc := t.empty()
-	target := t.n
-	if mask != nil {
-		target = mask.Count()
-	}
-	for _, c := range children {
-		if acc.Count() >= target {
-			return acc, nil // absorption: every candidate already matches
-		}
-		if hasScan(c) {
-			var rem *store.Bitset
+		if out, err = r.eval(n.Child, mask); err == nil {
 			if mask != nil {
-				rem = mask.Clone().AndNot(acc)
+				out = mask.Clone().AndNot(out)
 			} else {
-				rem = acc.Clone().Not()
+				out.Not()
 			}
-			b, err := e.evalMasked(ctx, t, c, rem)
-			if err != nil {
-				return nil, err
-			}
-			acc.Or(b)
-		} else {
-			b, _, err := e.eval(ctx, t, c)
-			if err != nil {
-				return nil, err
-			}
-			if mask != nil {
-				b.And(mask)
-			}
-			acc.Or(b)
 		}
+	case And:
+		// The optimizer put the scan-free children first and the scans in
+		// rank order; the accumulator masks each next child, so a scan only
+		// visits the candidates still alive, and an empty accumulator
+		// skips the remaining children.
+		if out = mask; out != nil {
+			out = out.Clone()
+		} else {
+			out = r.view.Empty().Not()
+		}
+		for _, c := range n.Children {
+			if out.Count() == 0 {
+				break
+			}
+			if out, err = r.within(c, out); err != nil {
+				break
+			}
+		}
+	case Or:
+		// Children run largest-first; a scan-bearing child only visits the
+		// candidates not already known to match, and the union stops by
+		// absorption the moment it covers every candidate.
+		out = r.view.Empty()
+		target := r.view.Len()
+		if mask != nil {
+			target = mask.Count()
+		}
+		for _, c := range n.Children {
+			if out.Count() >= target {
+				break
+			}
+			m := mask
+			if hasScan(c) {
+				if mask != nil {
+					m = mask.Clone().AndNot(out)
+				} else {
+					m = out.Clone().Not()
+				}
+			}
+			var b *store.Bitset
+			if b, err = r.within(c, m); err != nil {
+				break
+			}
+			out.Or(b)
+		}
+	default:
+		// Plan is an open interface; fail loudly rather than returning
+		// (nil, nil) for a node type this evaluator does not know.
+		return nil, fmt.Errorf("engine: unknown plan node %T", p)
 	}
-	return acc, nil
+	if err != nil {
+		return nil, err
+	}
+	if mask == nil && r.cache != nil {
+		r.cache.put(r.gen, key, out.Clone())
+	}
+	return out, nil
+}
+
+// within returns c's matches within mask (nil = every row). A scan-free c
+// is bitset algebra over postings: it is evaluated whole, which the cache
+// can share, and then intersected. A scan-bearing c walks under the mask.
+func (r tree) within(c Plan, mask *store.Bitset) (*store.Bitset, error) {
+	if hasScan(c) {
+		return r.eval(c, mask)
+	}
+	b, err := r.eval(c, nil)
+	if err != nil || mask == nil {
+		return b, err
+	}
+	return b.And(mask), nil
 }
 
 // evalScan runs the fallback evaluator over each backend's shard. The
@@ -810,9 +802,8 @@ func (e *Engine) evalScan(ctx context.Context, t *topo, n Scan, mask *store.Bits
 }
 
 // cachedBound returns a caller-owned copy of the scan's index-derived
-// candidate bound, memoized by Scan key under the topology's generation
-// (opaque scans have per-compile keys, and the bound only depends on the
-// typed predicate structure, so sharing by key is sound). Bound-less
+// candidate bound, memoized by Scan key under the topology's generation.
+// Bound-less
 // outcomes are memoized too, as nil, because deriving "no bound" can still
 // walk the code vocabulary (e.g. a Code branch discarded by an unbounded
 // sibling under Or).
@@ -865,7 +856,7 @@ func (e *Engine) scanBound(t *topo, x query.Expr) *store.Bitset {
 			bounds = append(bounds, b)
 		}
 		return intersectBounds(bounds)
-	default: // TrueExpr, Not, demographics, opaque expressions
+	default: // TrueExpr, Not, demographics
 		return nil
 	}
 }
@@ -905,9 +896,7 @@ func (e *Engine) predBound(t *topo, p query.EventPred) *store.Bitset {
 			bounds = append(bounds, b)
 		}
 		return unionBounds(bounds)
-	// NotEv, KindIs, ValueBetween, InPeriod, TextMatch, or a predicate
-	// type this package does not know.
-	default:
+	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch
 		return nil
 	}
 }

@@ -211,7 +211,7 @@ func checkScanSite(t testing.TB, st *store.Store, shards int, e query.Expr, want
 			if m != nil {
 				ref.And(m)
 			}
-			got, err := evalOnView(st.Slice(lo, hi), newScan(e), m)
+			got, err := viewTree(st.Slice(lo, hi)).eval(Scan{Expr: e}, m)
 			if err != nil {
 				t.Fatalf("scan site [%d, %d) of %s: %v", lo, hi, e, err)
 			}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"pastas/internal/model"
 	"pastas/internal/query"
@@ -26,11 +25,11 @@ import (
 
 // Plan is a node of the compiled query plan.
 //
-// Adding a node kind means extending every evaluator and codec switch in
-// step: Engine.eval and Engine.evalMasked (engine.go), evalOnView
-// (backend.go), planToWire/planFromWire (wire.go), and the cost model
-// (cost.go). Each switch fails loudly on an unknown node, so a missed
-// site surfaces as an execution error, not a wrong cohort.
+// Three switches know every node kind: the one evaluator, tree.eval
+// (engine.go), which runs plans on a local engine, a shard server and a
+// LocalBackend alike; the codec, planToWire/planFromWire (wire.go); and
+// the cost model (cost.go). Each fails loudly on an unknown node, so a
+// missed site surfaces as an error, not a wrong cohort.
 type Plan interface {
 	// Key is the canonical cache key: structurally equivalent plans share
 	// keys (And/Or keys are order-insensitive, since execution order is an
@@ -88,7 +87,11 @@ func (p IndexScan) String() string {
 		if len(p.Systems) == 0 {
 			return fmt.Sprintf("index:code~%q", p.Pattern)
 		}
-		return fmt.Sprintf("index:%s~%q", strings.Join(p.Systems, "|"), p.Pattern)
+		systems := make([]string, len(p.Systems))
+		for i, sys := range p.Systems {
+			systems[i] = query.QuoteSystem(sys)
+		}
+		return fmt.Sprintf("index:%s~%q", strings.Join(systems, "|"), p.Pattern)
 	}
 }
 
@@ -96,35 +99,10 @@ func (p IndexScan) String() string {
 // candidate history. Under And/Or the executor narrows the candidates to
 // the patients still in play, so a scan behind a selective index leaf
 // touches a fraction of the population.
-type Scan struct {
-	Expr query.Expr
-	// opaqueID is nonzero when the expression contains predicates whose
-	// String() does not canonically identify them (an expression or
-	// predicate type this package does not know). It makes the key
-	// unique per compilation, so neither the plan cache nor the
-	// optimizer's sibling dedupe can ever conflate two distinct scans
-	// that merely render alike. Build Scan leaves through Compile to get
-	// this classification.
-	opaqueID uint64
-}
+type Scan struct{ Expr query.Expr }
 
-func (p Scan) Key() string {
-	if p.opaqueID != 0 {
-		return fmt.Sprintf("scan#%d{%s}", p.opaqueID, p.Expr.String())
-	}
-	return "scan{" + p.Expr.String() + "}"
-}
+func (p Scan) Key() string    { return "scan{" + p.Expr.String() + "}" }
 func (p Scan) String() string { return p.Key() }
-
-var opaqueSeq atomic.Uint64
-
-func newScan(e query.Expr) Scan {
-	s := Scan{Expr: e}
-	if !canonicalExpr(e) {
-		s.opaqueID = opaqueSeq.Add(1)
-	}
-	return s
-}
 
 // And intersects its children; execution evaluates them left to right and
 // masks scan-bearing children by the accumulated candidates.
@@ -220,100 +198,7 @@ func Compile(e query.Expr) (Plan, error) {
 			return p, nil
 		}
 	}
-	return newScan(e), nil
-}
-
-// canonicalExpr reports whether an expression's String() identifies it
-// structurally: true only for the expression and predicate types this
-// package knows render injectively. An expression type this package does
-// not know is opaque.
-func canonicalExpr(e query.Expr) bool {
-	switch q := e.(type) {
-	case query.TrueExpr, query.AgeBetween, query.SexIs:
-		return true
-	case query.And:
-		for _, c := range q {
-			if !canonicalExpr(c) {
-				return false
-			}
-		}
-		return true
-	case query.Or:
-		for _, c := range q {
-			if !canonicalExpr(c) {
-				return false
-			}
-		}
-		return true
-	case query.Not:
-		return canonicalExpr(q.E)
-	case query.Has:
-		return canonicalPred(q.Pred)
-	case query.During:
-		return canonicalPred(q.Interval) && canonicalPred(q.Event)
-	case query.Sequence:
-		for _, st := range q.Steps {
-			if !canonicalPred(st.Pred) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func canonicalPred(p query.EventPred) bool {
-	switch q := p.(type) {
-	case *query.Code, query.TypeIs, query.SourceIs, query.KindIs,
-		query.ValueBetween, query.InPeriod, *query.TextMatch:
-		return true
-	case query.AllOf:
-		for _, c := range q {
-			if !canonicalPred(c) {
-				return false
-			}
-		}
-		return true
-	case query.AnyOf:
-		for _, c := range q {
-			if !canonicalPred(c) {
-				return false
-			}
-		}
-		return true
-	case query.NotEv:
-		return canonicalPred(q.P)
-	default: // a predicate type this package does not know
-		return false
-	}
-}
-
-// cacheable reports whether a plan's key identifies it across
-// compilations; opaque scans are executed fresh every time.
-func cacheable(p Plan) bool {
-	switch n := p.(type) {
-	case Scan:
-		return n.opaqueID == 0
-	case Not:
-		return cacheable(n.Child)
-	case And:
-		for _, c := range n.Children {
-			if !cacheable(c) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, c := range n.Children {
-			if !cacheable(c) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
+	return Scan{Expr: e}, nil
 }
 
 func compileAll(es []query.Expr) ([]Plan, error) {

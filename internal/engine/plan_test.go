@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -146,65 +147,57 @@ func TestKeyIsOrderInsensitive(t *testing.T) {
 	}
 }
 
-// opaquePred is an event predicate type the engine does not know: a
-// closure that stringifies by name only, "fn" when it has none.
-type opaquePred struct {
-	name string
-	fn   func(*model.Entry) bool
-}
-
-func (p opaquePred) Match(e *model.Entry) bool { return p.fn(e) }
-func (p opaquePred) String() string {
-	if p.name != "" {
-		return p.name
+// aliasPairs are criteria that once shared a plan key and answer
+// differently: a bare system "code" printed like any system, a system
+// holding '|' like the ICPC2|ICD10 pair a typed diagnosis reaches, a
+// system "text" like a text criterion, and both empty lists as "()".
+func aliasPairs() [][2]query.Expr {
+	text, err := query.NewTextMatch("T90")
+	if err != nil {
+		panic(err)
 	}
-	return "fn"
+	has := func(p query.EventPred) query.Has { return query.Has{Pred: p} }
+	return [][2]query.Expr{
+		{has(query.MustCode("", "T90")), has(query.MustCode("code", "T90"))},
+		{has(query.AllOf{query.MustCode("", "T90"), query.TypeIs(model.TypeDiagnosis)}), has(query.MustCode("ICPC2|ICD10", "T90"))},
+		{query.Has{Pred: text, MinCount: 2}, query.Has{Pred: query.MustCode("text", "T90"), MinCount: 2}},
+		{has(query.AllOf{}), has(query.AnyOf{})},
+	}
 }
 
-// TestOpaquePredicatesNeverConflate: opaque closures stringify by name
-// only, so two different functions can render identically. Neither the
-// plan cache nor the optimizer's sibling dedupe may treat them as equal.
+// TestOpaquePredicatesNeverConflate: neither the result cache, the plan
+// memo nor the optimizer's sibling dedupe may treat two criteria that
+// once rendered alike as one — each answers what Eval answers, whichever
+// ran first.
 func TestOpaquePredicatesNeverConflate(t *testing.T) {
-	hs := make([]*model.History, 8)
+	hs := make([]*model.History, 4)
 	for i := range hs {
 		hs[i] = model.NewHistory(model.Patient{ID: model.PatientID(i + 1), Birth: model.Date(1950, 1, 1)})
-		hs[i].Add(model.Entry{ID: 1, Kind: model.Point, Start: model.Date(2010, 1, 1), End: model.Date(2010, 1, 1),
-			Type: model.TypeContact, Value: float64(i)})
+		for j := 0; j < 2; j++ {
+			hs[i].Add(model.Entry{ID: uint64(2*i + j), Kind: model.Point, Start: model.Date(2010, 1, 1), End: model.Date(2010, 1, 1),
+				Type: model.TypeDiagnosis, Code: model.Code{System: "ICPC2", Value: "T90"}, Text: "T90"})
+		}
 	}
 	st := store.New(model.MustCollection(hs...))
 	eng := New(st, Options{Shards: 2, CacheSize: 16})
-
-	low := query.Has{Pred: opaquePred{fn: func(e *model.Entry) bool { return e.Value < 4 }}}
-	high := query.Has{Pred: opaquePred{fn: func(e *model.Entry) bool { return e.Value >= 4 }}}
-
-	// Same rendered string, different semantics: the cache must not serve
-	// the first result for the second query.
-	b1, err := eng.Execute(low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := eng.Execute(high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1.Count() != 4 || b2.Count() != 4 || b1.Equal(b2) {
-		t.Fatalf("opaque predicates conflated: low=%d high=%d", b1.Count(), b2.Count())
-	}
-
-	// Dedupe must not collapse distinct opaque siblings either.
-	both, err := eng.Execute(query.And{low, high})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.Count() != 0 {
-		t.Fatalf("And of disjoint opaque predicates = %d, want 0", both.Count())
-	}
-	p, err := Explain(query.And{low, high})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if and, ok := p.(And); !ok || len(and.Children) != 2 {
-		t.Fatalf("distinct opaque siblings deduped: %s", p)
+	for _, pair := range aliasPairs() {
+		a, b := pair[0], pair[1]
+		for _, e := range []query.Expr{a, b, query.And{a, b}, query.Or{b, a}} {
+			got, err := eng.Execute(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := st.Where(e.Eval); !got.Equal(want) {
+				t.Errorf("%s: %d patients, Eval says %d", e, got.Count(), want.Count())
+			}
+		}
+		p, err := Explain(query.And{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if and, ok := p.(And); !ok || len(and.Children) != 2 {
+			t.Errorf("distinct siblings deduped: %s", p)
+		}
 	}
 }
 
@@ -235,7 +228,11 @@ func TestSequenceGapsKeyAtFullResolution(t *testing.T) {
 // whose compiled keys are equal must select the same patients. The leaves
 // cover every criterion with a rendered argument — sex, age, value band,
 // period, type, source and kind — at out-of-range enum bytes, NaN and
-// infinite bounds and times beyond the calendar's range.
+// infinite bounds and times beyond the calendar's range, plus code
+// criteria over every code system the synthetic sources use, the words
+// "code" and "text", a system holding '|' and one made of fuzz bytes
+// (alone, counted, and typed onto the index route), and AllOf, AnyOf and
+// NotEv lists of zero to two leaves.
 func FuzzEqualKeysEqualAnswers(f *testing.F) {
 	f.Add(uint8(0), int64(3), int64(0), int64(0), uint8(0), int64(0), int64(0), int64(0))                  // SexIs(3) vs SexIs(0)
 	f.Add(uint8(1), int64(60), int64(80), int64(math.MaxInt64), uint8(1), int64(60), int64(80), int64(-1)) // At wraps to 1999-12-31T23:59
@@ -244,6 +241,13 @@ func FuzzEqualKeysEqualAnswers(f *testing.F) {
 		uint8(2), int64(math.Float64bits(math.Copysign(0, -1))), int64(math.Float64bits(math.Inf(1))), int64(0))
 	f.Add(uint8(4), int64(9), int64(0), int64(0), uint8(5), int64(9), int64(0), int64(0))
 	f.Add(uint8(6), int64(2), int64(0), int64(0), uint8(6), int64(258), int64(0), int64(0)) // 258 is kind 2 as a byte
+	// The aliasing pairs aliasPairs names: any system vs "code", typed
+	// any-system diagnosis vs a system "ICPC2|ICD10", counted text vs a
+	// counted system "text", and AllOf{} vs AnyOf{}.
+	f.Add(uint8(7), int64(0), int64(0), int64(0), uint8(7), int64(4), int64(0), int64(0))
+	f.Add(uint8(8), int64(0), int64(model.TypeDiagnosis), int64(0), uint8(7), int64(5), int64(0), int64(0))
+	f.Add(uint8(7), int64(8), int64(0), int64(2), uint8(7), int64(6), int64(0), int64(2))
+	f.Add(uint8(9), int64(0), int64(0), int64(0), uint8(9), int64(1), int64(0), int64(0))
 	probe := keyProbe()
 	f.Fuzz(func(t *testing.T, ka uint8, a0, a1, a2 int64, kb uint8, b0, b1, b2 int64) {
 		ea, eb := fuzzLeaf(ka, a0, a1, a2), fuzzLeaf(kb, b0, b1, b2)
@@ -253,7 +257,7 @@ func FuzzEqualKeysEqualAnswers(f *testing.F) {
 		}
 		for _, h := range probe {
 			if ea.Eval(h) != eb.Eval(h) {
-				t.Fatalf("%#v and %#v share key %q but differ on %s", ea, eb, key, h.Patient.ID)
+				t.Fatalf("%s and %s (%#v, %#v) share key %q but differ on %s", ea, eb, ea, eb, key, h.Patient.ID)
 			}
 		}
 	})
@@ -263,7 +267,7 @@ func FuzzEqualKeysEqualAnswers(f *testing.F) {
 // arguments; enum arguments keep only their low byte.
 func fuzzLeaf(kind uint8, x, y, z int64) query.Expr {
 	has := func(p query.EventPred) query.Expr { return query.Has{Pred: p} }
-	switch kind % 7 {
+	switch kind % 10 {
 	case 0:
 		return query.SexIs(uint8(x))
 	case 1:
@@ -276,19 +280,65 @@ func fuzzLeaf(kind uint8, x, y, z int64) query.Expr {
 		return has(query.TypeIs(uint8(x)))
 	case 5:
 		return has(query.SourceIs(uint8(x)))
-	default:
+	case 6:
 		return has(query.KindIs(uint8(x)))
+	case 7: // a code in system x (or, past the systems, text), counted z
+		p := query.EventPred(fuzzCode(x, y))
+		if uint64(x)%9 == 8 {
+			text, err := query.NewTextMatch("T90")
+			if err != nil {
+				panic(err)
+			}
+			p = text
+		}
+		return query.Has{Pred: p, MinCount: int(uint64(z) % 3)}
+	case 8: // a typed code: the index route for diagnoses and medications
+		return has(query.AllOf{fuzzCode(x, z), query.TypeIs(uint8(y))})
+	default: // AllOf, AnyOf or NotEv over y%3 leaves drawn from z's bytes
+		leaves := make([]query.EventPred, uint64(y)%3)
+		for i := range leaves {
+			b := uint8(z >> (8 * i))
+			switch b % 3 {
+			case 0:
+				leaves[i] = fuzzCode(int64(b/3), z>>16)
+			case 1:
+				leaves[i] = query.TypeIs(b / 3 % 9)
+			default:
+				leaves[i] = query.KindIs(b / 3 % 3)
+			}
+		}
+		switch uint64(x) % 3 {
+		case 0:
+			return has(query.AllOf(leaves))
+		case 1:
+			return has(query.AnyOf(leaves))
+		}
+		if len(leaves) == 1 {
+			return has(query.NotEv{P: leaves[0]})
+		}
+		return has(query.NotEv{P: query.AnyOf(leaves)})
 	}
+}
+
+// fuzzCode is Code(system, "T90") over the systems keyProbe codes in, with
+// the eighth system spelled by raw's bytes.
+func fuzzCode(sel, raw int64) *query.Code {
+	systems := []string{"", "ICPC2", "ICD10", "ATC", "code", "ICPC2|ICD10", "text",
+		strings.TrimRight(string(binary.LittleEndian.AppendUint64(nil, uint64(raw))), "\x00")}
+	return query.MustCode(systems[uint64(sel)%8], "T90")
 }
 
 // keyProbe is a fixed population on which distinct leaves tell apart: every
 // sex byte 0–3, births from 1930 on, and entries of every type, source and
 // kind byte the model names plus one past it, with values and times at the
-// extremes as well as ordinary ones.
+// extremes as well as ordinary ones, a code T90 in every system fuzzCode
+// names (or none) — on every type, but for the systems integration keeps
+// to diagnoses or medications — and the text "T90" on every other entry.
 func keyProbe() []*model.History {
 	times := []model.Time{model.Time(math.MinInt64), model.NoTime, -model.Year, -1, 0,
 		model.Date(2010, 3, 1), model.Date(2010, 3, 1) + 7*model.Hour, model.Time(math.MaxInt64 / 61), model.Time(math.MaxInt64)}
 	values := []float64{math.NaN(), math.Inf(-1), -1e300, -1, math.Copysign(0, -1), 0.5, 120, math.Inf(1)}
+	systems := []string{"", "ICPC2", "ICD10", "ATC", "code", "ICPC2|ICD10", "text"}
 	var hs []*model.History
 	for i := 0; i < 24; i++ {
 		h := model.NewHistory(model.Patient{ID: model.PatientID(i + 1), Sex: model.Sex(i % 4), Birth: model.Date(1930+3*i, 1, 1)})
@@ -299,8 +349,21 @@ func keyProbe() []*model.History {
 			if k%2 == 1 && start < math.MaxInt64-model.Month {
 				end = start + model.Month
 			}
-			h.Add(model.Entry{ID: uint64(k), Kind: model.Kind(k % 3), Start: start, End: end,
-				Type: model.Type(k % 8), Source: model.Source(k % 7), Value: values[k%len(values)]})
+			en := model.Entry{ID: uint64(k), Kind: model.Kind(k % 3), Start: start, End: end,
+				Type: model.Type(k % 8), Source: model.Source(k % 7), Value: values[k%len(values)]}
+			if sys := systems[k%len(systems)]; sys != "" {
+				en.Code = model.Code{System: sys, Value: "T90"}
+			}
+			switch en.Code.System { // ClassifyHas's typed route relies on integration's confinement
+			case "ICPC2", "ICD10":
+				en.Type = model.TypeDiagnosis
+			case "ATC":
+				en.Type = model.TypeMedication
+			}
+			if k%2 == 0 {
+				en.Text = "T90"
+			}
+			h.Add(en)
 		}
 		hs = append(hs, h)
 	}

@@ -76,36 +76,40 @@ func TestPlanMemoKeepsColdEntry(t *testing.T) {
 	}
 }
 
-// TestFeedbackOpaqueScansStayFresh: opaque scans (per-compile keys) are
-// never memoized, and re-planning one compiled plan answers the same.
+// TestFeedbackOpaqueScansStayFresh: a plan holding a TextMatch — the one
+// scan that reads histories, not the frame — is memoized like any other,
+// and re-planning it answers the same as Eval.
 func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
 	st := store.New(fbCollection(200))
 	e := New(st, Options{Shards: 1, CacheSize: 0})
-	opaque := query.Has{Pred: opaquePred{
-		name: "custom",
-		fn:   func(en *model.Entry) bool { return en.Value < 10 },
-	}}
-	p, err := Compile(query.And{valueScan(0, 89), opaque})
+	text, err := query.NewTextMatch("^$")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cacheable(p) {
-		t.Fatal("plan with an opaque predicate classified cacheable")
+	q := query.And{valueScan(0, 89), query.Has{Pred: text}}
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
 	}
 	memoBefore := e.plans.stats(0).Entries
-	bits1, err := e.ExecutePlan(e.plan(e.topoNow(), p))
+	first := e.plan(e.topoNow(), p)
+	bits1, err := e.ExecutePlan(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.plans.stats(0).Entries != memoBefore {
-		t.Error("opaque plan was memoized")
+	if e.plans.stats(0).Entries != memoBefore+1 {
+		t.Error("text plan was not memoized")
 	}
-	bits2, err := e.ExecutePlan(e.plan(e.topoNow(), p))
+	again := e.plan(e.topoNow(), p)
+	if again.String() != first.String() || e.plans.stats(0).Hits != 1 {
+		t.Errorf("re-plan missed the memo: %s after %s", again, first)
+	}
+	bits2, err := e.ExecutePlan(again)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bits1.Equal(bits2) {
-		t.Error("opaque re-plan changed the cohort")
+	if want := st.Where(q.Eval); !bits1.Equal(want) || !bits2.Equal(want) {
+		t.Errorf("text plan answered %d then %d, Eval says %d", bits1.Count(), bits2.Count(), want.Count())
 	}
 }
 

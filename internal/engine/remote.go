@@ -376,24 +376,18 @@ func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 }
 
 // evalShard re-optimizes the plan against one shard's own statistics and
-// executes it over the shard's engine, returning the encoded matches in
+// walks it over the shard's engine, returning the encoded matches in
 // shard-local ordinal space. A shipped candidate mask is validated before
-// any evaluation work and fed through the engine's masked path, so the
-// server exploits it to skip non-candidates (the ShardBackend contract)
-// instead of paying for the full shard and intersecting after.
+// any evaluation work and walked with the plan, so the server exploits it
+// to skip non-candidates (the ShardBackend contract) instead of paying
+// for the full shard and intersecting after.
 func (s *ShardServer) evalShard(p Plan, it ShardItem) ([]byte, error) {
 	sh, mask, err := s.open(it)
 	if err != nil {
 		return nil, err
 	}
 	t := sh.eng.topoNow()
-	p = OptimizeWithStats(p, t.stats)
-	var bits *store.Bitset
-	if mask != nil {
-		bits, err = sh.eng.evalMasked(context.Background(), t, p, mask)
-	} else {
-		bits, err = sh.eng.ExecutePlan(p)
-	}
+	bits, err := sh.eng.localTree(context.Background(), t).eval(OptimizeWithStats(p, t.stats), mask)
 	if err != nil {
 		return nil, err
 	}

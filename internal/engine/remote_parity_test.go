@@ -284,20 +284,23 @@ func TestRemoteFailureInjection(t *testing.T) {
 	}
 }
 
-// TestRemoteRejectsOpaqueQueries: a closure-bearing query cannot be
-// shipped; the coordinator must error loudly.
+// TestRemoteRejectsOpaqueQueries: a query with no wire form (a nil
+// predicate) cannot be shipped; the coordinator errors loudly — also when
+// it is nested — and never as an outage a degraded policy would absorb.
 func TestRemoteRejectsOpaqueQueries(t *testing.T) {
 	col, _, _ := parityEngines(t)
 	fix := startShardServers(t, col, 4, 2, RemoteOptions{Timeout: 10 * time.Second})
-	_, err := fix.eng.Execute(query.Has{Pred: opaquePred{
-		fn:   func(e *model.Entry) bool { return e.Value > 0 },
-		name: "positive",
-	}})
-	if err == nil {
-		t.Fatal("opaque query executed remotely")
-	}
-	if !strings.Contains(err.Error(), "opaque") {
-		t.Errorf("error does not explain the opacity: %v", err)
+	for _, q := range []query.Expr{
+		query.Has{},
+		query.And{query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}, query.Not{E: query.Has{}}},
+	} {
+		_, err := fix.eng.Execute(q)
+		if err == nil {
+			t.Fatalf("%s executed remotely", q)
+		}
+		if !strings.Contains(err.Error(), "no wire form") || IsUnavailable(err) {
+			t.Errorf("%s: error does not name the missing wire form, or reads as an outage: %v", q, err)
+		}
 	}
 }
 

@@ -48,9 +48,8 @@ func perRow(match func(i int) bool) wordMatch {
 // rows of f: bit k of match(base, cand) is cand's bit k ∧ expr.Eval(h)
 // for the history h that row base+k frames. It builds no store.Row and
 // allocates only while compiling. ok is false when the expression holds
-// something the frame cannot answer — a TextMatch (the frame keeps no
-// text) or an expression type this package does not know — and the caller
-// then ignores match and evaluates the histories.
+// a TextMatch (the frame keeps no text), and the caller then ignores match
+// and evaluates the histories.
 func compileScan(expr query.Expr, f *store.Frame) (match wordMatch, ok bool) {
 	switch q := expr.(type) {
 	case query.TrueExpr:

@@ -2,9 +2,9 @@ package engine
 
 // The scan ≡ histories property: compileScan's matcher over a store's
 // frame answers what query.Expr.Eval answers over the histories the store
-// adopted, and the scan site (evalOnView) agrees sliced and masked, for
-// histories and expressions drawn from bytes — one checker for the seeded
-// test and the fuzz target. The fixed cases pin the boundaries random
+// adopted, and the scan site (scanView, under viewTree) agrees sliced and
+// masked, for histories and expressions drawn from bytes — one checker for
+// the seeded test and the fuzz target. The fixed cases pin the boundaries random
 // draws rarely land on; the budget pins allocation per call.
 
 import (
@@ -351,7 +351,7 @@ func TestScanAllocatesPerCallNotPerRow(t *testing.T) {
 	} {
 		for _, m := range []*store.Bitset{nil, mask} {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := evalOnView(v, newScan(e), m); err != nil {
+				if _, err := viewTree(v).eval(Scan{Expr: e}, m); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,16 +1,11 @@
 package engine
 
 // Plan serialization for the shard wire protocol. A coordinating engine
-// ships compiled plans to remote shard backends, so every canonical plan
-// node, expression and event predicate gets an explicit tagged wire form
-// (gob-encoded; no interface registration, no closures on the wire).
-//
-// Opaque scans — those holding an expression type this package does not
-// know — are exactly the plans whose Key() is per-compilation
-// (Scan.opaqueID != 0); they cannot be represented on the wire and encode
-// to a clear error instead of a silently wrong query. This is the same
-// classification the plan cache uses, so "cacheable" and "shippable"
-// can never drift apart.
+// ships compiled plans to remote shard backends, so every plan node and
+// every type of the closed query language gets an explicit tagged wire
+// form (gob-encoded; no interface registration, no closures on the wire).
+// A value with no wire form — a nil predicate, say — encodes to an error
+// naming it, never to a silently different query.
 
 import (
 	"bytes"
@@ -108,9 +103,9 @@ type wirePred struct {
 	Period          model.Period
 }
 
-// EncodePlan serializes a plan for a remote shard backend. Plans holding
-// opaque scans (closures, unknown expression types) cannot cross a
-// process boundary and return an error naming the offending node.
+// EncodePlan serializes a plan for a remote shard backend. A plan holding
+// a value with no wire form (a nil expression or predicate) returns an
+// error naming it.
 func EncodePlan(p Plan) ([]byte, error) {
 	w, err := planToWire(p)
 	if err != nil {
@@ -137,8 +132,8 @@ func DecodePlan(data []byte) (Plan, error) {
 // EncodeExpr serializes a query expression in the same tagged wire form
 // plans use. The store's cohort segment persists expressions through this
 // codec without importing the query package's types: the bytes are opaque
-// to the snapshot format and re-validated on decode. Opaque expressions
-// (closures, unknown types) error like EncodePlan does.
+// to the snapshot format and re-validated on decode. An expression with
+// no wire form errors like EncodePlan does.
 func EncodeExpr(e query.Expr) ([]byte, error) {
 	w, err := exprToWire(e)
 	if err != nil {
@@ -174,9 +169,6 @@ func planToWire(p Plan) (wirePlan, error) {
 			Pattern: n.Pattern, Type: n.Type, Source: n.Source,
 		}, nil
 	case Scan:
-		if n.opaqueID != 0 {
-			return wirePlan{}, fmt.Errorf("engine: plan %s is opaque (closure or unknown expression type) and cannot be sent to a remote shard", n)
-		}
 		e, err := exprToWire(n.Expr)
 		if err != nil {
 			return wirePlan{}, err
@@ -233,7 +225,7 @@ func planFromWire(w wirePlan) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newScan(e), nil
+		return Scan{Expr: e}, nil
 	case wireAnd, wireOr:
 		kids := make([]Plan, len(w.Kids))
 		for i, k := range w.Kids {

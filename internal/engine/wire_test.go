@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pastas/internal/model"
@@ -92,28 +93,21 @@ func TestWireRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestWireRejectsOpaque: closures cannot cross a process boundary; the
-// encoder must say so instead of shipping a plan that silently matches
-// nothing.
+// TestWireRejectsOpaque: a plan holding a value with no wire form — a
+// nil predicate — must not encode to some other query; the encoder says
+// so, wherever in the tree the value sits.
 func TestWireRejectsOpaque(t *testing.T) {
-	opaque := query.Has{Pred: opaquePred{
-		fn:   func(e *model.Entry) bool { return e.Value > 10 },
-		name: "high-value",
-	}}
-	p, err := Compile(opaque)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EncodePlan(p); err == nil {
-		t.Error("opaque plan encoded without error")
-	}
-	// Opaque anywhere in the tree poisons the whole plan.
-	nested, err := Compile(query.And{query.TrueExpr{}, opaque})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EncodePlan(nested); err == nil {
-		t.Error("nested opaque plan encoded without error")
+	for _, e := range []query.Expr{
+		query.Has{},
+		query.And{query.TrueExpr{}, query.Has{}},
+		query.Not{E: query.During{Interval: query.TypeIs(model.TypeStay)}},
+	} {
+		if _, err := EncodePlan(mustPlan(t, e)); err == nil || !strings.Contains(err.Error(), "no wire form") {
+			t.Errorf("EncodePlan(%s) = %v, want a no-wire-form error", e, err)
+		}
+		if _, err := EncodeExpr(e); err == nil {
+			t.Errorf("EncodeExpr(%s) encoded without error", e)
+		}
 	}
 }
 

@@ -7,11 +7,24 @@ import (
 	"pastas/internal/model"
 )
 
-// Expr decides whether a whole history belongs to a cohort.
+// Expr decides whether a whole history belongs to a cohort. The language is
+// closed — only this package's nine types implement it — so String can key
+// every cache; a new criterion is a type here and a wire tag in the engine.
 type Expr interface {
 	Eval(h *model.History) bool
 	String() string
+	isExpr()
 }
+
+func (Has) isExpr()        {}
+func (And) isExpr()        {}
+func (Or) isExpr()         {}
+func (Not) isExpr()        {}
+func (AgeBetween) isExpr() {}
+func (SexIs) isExpr()      {}
+func (TrueExpr) isExpr()   {}
+func (During) isExpr()     {}
+func (Sequence) isExpr()   {}
 
 // Has matches histories with at least MinCount entries satisfying Pred
 // (MinCount 0 is treated as 1).

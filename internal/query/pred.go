@@ -9,17 +9,31 @@ package query
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"pastas/internal/model"
 	"pastas/internal/terminology"
 )
 
-// EventPred decides whether a single entry matches.
+// EventPred decides whether a single entry matches. Like Expr, it is
+// closed: only this package's ten predicate types implement it.
 type EventPred interface {
 	Match(e *model.Entry) bool
 	String() string
+	isPred()
 }
+
+func (*Code) isPred()        {}
+func (TypeIs) isPred()       {}
+func (SourceIs) isPred()     {}
+func (KindIs) isPred()       {}
+func (ValueBetween) isPred() {}
+func (InPeriod) isPred()     {}
+func (*TextMatch) isPred()   {}
+func (AllOf) isPred()        {}
+func (AnyOf) isPred()        {}
+func (NotEv) isPred()        {}
 
 // Code matches entries whose code (in System; "" = any system) matches the
 // anchored regular expression.
@@ -65,7 +79,19 @@ func (c *Code) String() string {
 	if c.System == "" {
 		return fmt.Sprintf("code~%q", c.Pattern)
 	}
-	return fmt.Sprintf("%s~%q", c.System, c.Pattern)
+	return fmt.Sprintf("%s~%q", QuoteSystem(c.System), c.Pattern)
+}
+
+// QuoteSystem renders a code system as criteria print it: bare when it is
+// ASCII letters and digits other than "code" (any system) and "text" (free
+// text), Go-quoted otherwise — so no system renders like another criterion.
+func QuoteSystem(system string) string {
+	if system == "" || system == "code" || system == "text" || strings.ContainsFunc(system, func(r rune) bool {
+		return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9')
+	}) {
+		return strconv.Quote(system)
+	}
+	return system
 }
 
 // TypeIs matches entries of one type.
@@ -161,7 +187,12 @@ type NotEv struct{ P EventPred }
 func (n NotEv) Match(e *model.Entry) bool { return !n.P.Match(e) }
 func (n NotEv) String() string            { return "!" + n.P.String() }
 
+// joinPreds renders an empty list as its bare operator, so AllOf{} and
+// AnyOf{} print apart.
 func joinPreds(ps []EventPred, sep string) string {
+	if len(ps) == 0 {
+		return strings.TrimSpace(sep)
+	}
 	parts := make([]string, len(ps))
 	for i, p := range ps {
 		parts[i] = p.String()

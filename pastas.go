@@ -84,7 +84,9 @@ func NewSession(wb *Workbench) (*Session, error) { return core.NewSession(wb) }
 // --- querying -------------------------------------------------------------
 
 type (
-	// Query is a history-level cohort expression.
+	// Query is a history-level cohort expression. The language is closed:
+	// queries come from a QuerySpec, a QueryBuilder or StudyCriteria, and
+	// no type outside this module can implement it.
 	Query = query.Expr
 	// QuerySpec is the serializable Query-Builder tree (Fig. 4).
 	QuerySpec = query.Spec

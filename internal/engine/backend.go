@@ -169,8 +169,8 @@ func (b *LocalBackend) Analyze(_ context.Context, args AnalyzeArgs) (Partial, er
 func (b *LocalBackend) Close() error { return nil }
 
 // EvalPlan implements ShardBackend in shard-local ordinal space. The
-// coordinating executor keeps bound derivation and sub-plan caching for
-// itself and mostly sends scan leaves here; whole trees walk the same
+// coordinating executor keeps sub-plan caching for itself and mostly
+// sends scan leaves here; whole trees walk the same
 // evaluator a local engine does, masks and absorption included, so a
 // backend set is a complete execution target on its own.
 func (b *LocalBackend) EvalPlan(_ context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {

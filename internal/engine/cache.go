@@ -6,8 +6,8 @@ import (
 )
 
 // epochLRU is the engine's one bounded map for state derived from a store
-// generation — the result cache, the scan-bound cache, the plan memo, the
-// analysis memo and the cohort workspace are each one instance. It is a
+// generation — the result cache, the plan memo, the analysis memo and the
+// cohort workspace are each one instance. It is a
 // mutex-guarded LRU epoched by the store generation: every call carries
 // the generation its caller pinned, the first access at a newer generation
 // drops every entry wholesale (invalidate-on-advance — nothing is swept or

@@ -106,8 +106,8 @@ func TestEpochLRU(t *testing.T) {
 
 // TestPlanCacheCloneIsolation: every bitset the engine hands out is the
 // caller's — mutating what Execute, CohortBits and a refinement return,
-// and the scan bound evalScan narrows by its mask, never corrupts what the
-// result cache, the workspace or the bound cache answer next.
+// and the cached bound an And narrows to a scan's candidates, never
+// corrupts what the result cache or the workspace answer next.
 func TestPlanCacheCloneIsolation(t *testing.T) {
 	_, st, _ := parityEngines(t)
 	e := New(st, Options{Shards: 4, Workers: 4, CacheSize: 32})
@@ -146,8 +146,8 @@ func TestPlanCacheCloneIsolation(t *testing.T) {
 	}
 	check(narrow, "n")
 	check(narrow, "")
-	// The first mask narrows the scan's cached bound; the second, once
-	// bounded is cached, intersects the cached result.
+	// Every check from here narrows a copy of the scan's bound, cached at
+	// the first, and the next reads it again.
 	check(query.And{query.Has{Pred: query.TypeIs(model.TypeStay)}, bounded}, "")
 	check(bounded, "")
 	check(query.And{query.Has{Pred: query.TypeIs(model.TypeMedication)}, bounded}, "")

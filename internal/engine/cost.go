@@ -13,7 +13,10 @@ import (
 // the exact cardinalities the store collects at New time. Index leaves are
 // estimated from their posting-list counts; Not/And/Or compose children
 // under the usual independence assumption; Scan nodes cost a calibrated
-// per-history constant times the candidates they will actually visit.
+// per-history constant times the population, which an enclosing And
+// scales down to the candidates its earlier children leave — a bounded
+// scan's own bound among them (see bound), so a Scan's rows are
+// conditional on that bound.
 // OptimizeWithStats uses the estimates to order And scans by rank (see
 // order) and Or children largest-first, after the scan-free children in
 // both. The model plans from the statistics alone: nothing an execution
@@ -82,13 +85,18 @@ func (m *costModel) estimate(p Plan) Estimate {
 	case IndexScan:
 		return m.leaf(n, func() Estimate { return m.estimateIndex(n) })
 	case Scan:
-		// The executor prefilters a scan by its index-derived bound, so
-		// cost scales with the bound's selectivity, not the population.
+		// A bounded scan runs under the And Compile lowered it to, after
+		// its bound: that And scales the cost by the candidates left and
+		// multiplies the rows by the bound's selectivity, so the scan's
+		// own rows are conditional on its bound — counted once, not twice.
 		return m.leaf(n, func() Estimate {
-			return Estimate{
-				Rows: m.exprSel(n.Expr) * m.n,
-				Cost: m.boundSel(n.Expr)*m.n*m.perHistory + m.words(),
+			sel := m.exprSel(n.Expr)
+			if b, ok, _ := bound(n.Expr); ok {
+				if bsel := m.estimate(b).Rows / m.n; bsel > 0 {
+					sel = clampSel(sel / bsel)
+				}
 			}
+			return Estimate{Rows: sel * m.n, Cost: m.n*m.perHistory + m.words()}
 		})
 	case Not:
 		c := m.estimate(n.Child)
@@ -241,44 +249,6 @@ func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 		return 1 - keep
 	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch
 		return unknown
-	}
-}
-
-// boundSel estimates the fraction of the population the executor will
-// actually visit for a scan: the selectivity of the scan's index-derived
-// candidate bound (see scanBound), or 1 when no bound exists. It mirrors
-// scanBound's structure exactly, with unknown predicates contributing no
-// restriction (selectivity 1) instead of a prior.
-func (m *costModel) boundSel(e query.Expr) float64 {
-	switch q := e.(type) {
-	case query.Has:
-		return m.predSel(q.Pred, 1)
-	case query.And:
-		sel := 1.0
-		for _, c := range q {
-			sel *= m.boundSel(c)
-		}
-		return sel
-	case query.Or:
-		total := 0.0
-		for _, c := range q {
-			cs := m.boundSel(c)
-			if cs >= 1 {
-				return 1 // one unbounded child unbounds the union
-			}
-			total += cs
-		}
-		return clampSel(total)
-	case query.Sequence:
-		sel := 1.0
-		for _, st := range q.Steps {
-			sel *= m.predSel(st.Pred, 1)
-		}
-		return sel
-	case query.During:
-		return m.predSel(q.Interval, 1) * m.predSel(q.Event, 1)
-	default:
-		return 1
 	}
 }
 

@@ -124,15 +124,17 @@ func TestEstimateSelectivities(t *testing.T) {
 }
 
 // TestOptimizeWithStatsOrdersAnd: And children come out most-selective
-// first (scan-free tier), with scan-bearing children after, themselves
-// selectivity-ordered — not in compile order.
+// first in the scan-free tier, which holds the scans' bounds too, with
+// the scans after, themselves ordered by their selectivity given their
+// bound — not in compile order.
 func TestOptimizeWithStatsOrdersAnd(t *testing.T) {
 	st := costStore(t)
 	// Compile order: common index, common scan, rare scan, rare index.
+	pointA01 := query.AllOf{query.MustCode("ICPC2", "A01"), query.KindIs(model.Point)}
 	e := query.And{
 		query.Has{Pred: query.MustCode("ICPC2", "B02")},              // index, card 10
-		query.Has{Pred: query.MustCode("ICPC2", "B02"), MinCount: 2}, // scan, bound 10
-		query.Has{Pred: query.MustCode("ICPC2", "A01"), MinCount: 2}, // scan, bound 4
+		query.Has{Pred: query.MustCode("ICPC2", "B02"), MinCount: 2}, // scan, bound B02 (deduped), keeps it all
+		query.Has{Pred: pointA01, MinCount: 2},                       // scan, bound A01, keeps half
 		query.Has{Pred: query.MustCode("ICD10", "C03")},              // index, card 1
 	}
 	p, err := Compile(e)
@@ -140,19 +142,22 @@ func TestOptimizeWithStatsOrdersAnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	and, ok := OptimizeWithStats(p, st.Stats()).(And)
-	if !ok || len(and.Children) != 4 {
+	if !ok || len(and.Children) != 5 {
 		t.Fatalf("got %v", OptimizeWithStats(p, st.Stats()))
 	}
-	order := make([]string, 4)
+	order := make([]string, 5)
 	for i, c := range and.Children {
 		order[i] = c.String()
 	}
-	// Tier 1: index leaves, most selective (C03, card 1) first.
-	if !strings.Contains(order[0], "C03") || !strings.Contains(order[1], "B02") || hasScan(and.Children[0]) || hasScan(and.Children[1]) {
-		t.Errorf("index tier misordered: %v", order)
+	// Tier 1: index leaves and bounds, most selective (C03, card 1) first.
+	for i, want := range []string{`index:ICD10~"C03"`, `index:ICPC2~"A01"`, `index:ICPC2~"B02"`} {
+		if order[i] != want {
+			t.Errorf("index tier misordered: %v", order)
+			break
+		}
 	}
-	// Tier 2: scans, most selective (A01 bound 4) first.
-	if !strings.Contains(order[2], "A01") || !strings.Contains(order[3], "B02") || !hasScan(and.Children[2]) {
+	// Tier 2: scans, the one its bound narrows (A01, kind=point) first.
+	if !strings.HasPrefix(order[3], "scan{") || !strings.Contains(order[3], "A01") || !strings.Contains(order[4], "B02") {
 		t.Errorf("scan tier misordered: %v", order)
 	}
 }
@@ -281,8 +286,9 @@ func TestEmptyStoreFallsBackToStatic(t *testing.T) {
 	}
 }
 
-// TestExplainAnnotatesPlan: the annotated plan mirrors the executed tree
-// and carries non-zero estimates in execution order.
+// TestExplainAnnotatesPlan: the annotated plan mirrors the executed tree,
+// a bounded scan's index bound included, and carries non-zero estimates
+// in execution order.
 func TestExplainAnnotatesPlan(t *testing.T) {
 	eng := New(costStore(t), Options{Shards: 2, CacheSize: 8})
 	e := query.And{
@@ -296,7 +302,7 @@ func TestExplainAnnotatesPlan(t *testing.T) {
 	if ex.Patients != 20 {
 		t.Errorf("patients = %d", ex.Patients)
 	}
-	if ex.Root.Label != "and" || len(ex.Root.Children) != 2 {
+	if ex.Root.Label != "and" || len(ex.Root.Children) != 3 {
 		t.Fatalf("root = %+v", ex.Root)
 	}
 	// Execution order: the selective index leaf (C03) drives.
@@ -308,6 +314,13 @@ func TestExplainAnnotatesPlan(t *testing.T) {
 	}
 	if ex.Root.Children[0].Est.Rows != 1 {
 		t.Errorf("C03 leaf rows = %f, want exact 1", ex.Root.Children[0].Est.Rows)
+	}
+	// The scan's bound is a node of its own, then the scan.
+	if b := ex.Root.Children[1]; b.Label != `index:ICPC2~"B02"` || b.Est.Rows != 10 {
+		t.Errorf("bound = %+v, want index:ICPC2~\"B02\" with exact rows 10", b)
+	}
+	if !strings.HasPrefix(ex.Root.Children[2].Label, "scan{") {
+		t.Errorf("scan not last: %+v", ex.Root.Children)
 	}
 	s := ex.String()
 	if !strings.Contains(s, "est_rows") || !strings.Contains(s, "  index:") {

@@ -97,10 +97,6 @@ func groupBackends(backends []ShardBackend) ([]*group, []int) {
 }
 
 const (
-	// boundCacheSize caps the LRU of index-derived scan bounds; bounds are
-	// pure functions of one store generation (the cache is epoched by it),
-	// so a small fixed cache is safe.
-	boundCacheSize = 64
 	// analysisMemoSize caps the analysis memo (analyze.go): complete
 	// answers by kind, parameters and cohort. A session characterises a
 	// handful of cohorts, each a few kinds.
@@ -150,20 +146,20 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 // Engine executes compiled plans over a set of shard backends.
 //
 // Built with New, the backends are in-process views over one global store
-// and the executor exploits that locality: index leaves are answered
-// straight from the pinned postings, scan candidates are bounded by them,
-// and only scan evaluation fans out. Built with NewFromBackends, the
-// engine is a coordinator over arbitrary (typically remote) backends: it
-// plans from the backends' merged statistics, pushes whole plans down to
-// every shard in one round, and merges the shard-local results in fixed
-// shard order.
+// and the executor exploits that locality: index leaves — a scan's
+// candidate bound among them (Compile lowers it to plan nodes) — are
+// answered straight from the pinned postings, and only scan evaluation
+// fans out. Built with NewFromBackends, the engine is a coordinator over
+// arbitrary (typically remote) backends: it plans from the backends'
+// merged statistics, pushes whole plans down to every shard in one round,
+// and merges the shard-local results in fixed shard order.
 //
 // A local engine follows its store's live-ingest generation: every
 // operation pins the current topology first, and everything derived from
-// store contents — result cache, scan-bound cache, plan memo, analysis
-// memo, cohort workspace — is an epochLRU keyed under that
-// generation, discarded on advance rather than ever answering for a
-// population it no longer describes.
+// store contents — result cache, plan memo, analysis memo, cohort
+// workspace — is an epochLRU keyed under that generation, discarded on
+// advance rather than ever answering for a population it no longer
+// describes.
 type Engine struct {
 	st     *store.Store // nil for a coordinator over remote backends
 	shards int          // configured shard count (local engines re-shard on rebuild)
@@ -177,11 +173,6 @@ type Engine struct {
 	// cache holds complete results by canonical sub-plan key; nil when
 	// Options.CacheSize is 0.
 	cache *epochLRU[string, *store.Bitset]
-	// boundCache memoizes scanBound results by Scan key, so the
-	// interactive refinement loop re-intersects a cached bound instead
-	// of re-walking the code vocabulary on every repeated scan. A nil
-	// value records that no index bounds the scan.
-	boundCache *epochLRU[string, *store.Bitset]
 	// plans memoizes optimized plans by canonical expression key.
 	plans *epochLRU[string, Plan]
 	// analyses memoizes complete Analyze answers by kind, parameters and
@@ -198,12 +189,11 @@ type Engine struct {
 // the caller installs the topology.
 func newEngine(opts Options) *Engine {
 	e := &Engine{
-		policy:     opts.Policy,
-		timeout:    opts.QueryTimeout,
-		workers:    normalizeWorkers(opts.Workers),
-		boundCache: newEpochLRU[string, *store.Bitset](boundCacheSize),
-		plans:      newEpochLRU[string, Plan](plansSize),
-		ws:         newEpochLRU[string, *cohortEntry](workspaceSize),
+		policy:  opts.Policy,
+		timeout: opts.QueryTimeout,
+		workers: normalizeWorkers(opts.Workers),
+		plans:   newEpochLRU[string, Plan](plansSize),
+		ws:      newEpochLRU[string, *cohortEntry](workspaceSize),
 	}
 	if opts.CacheSize > 0 {
 		e.cache = newEpochLRU[string, *store.Bitset](opts.CacheSize)
@@ -401,15 +391,14 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats(e.topoNow().gen)
 }
 
-// ResetCache empties the result cache, the analysis memo, the scan-bound
-// cache and the plan memo (benchmarks use this to measure cold executions,
-// planning included).
+// ResetCache empties the result cache (and with it every scan's cached
+// candidate bound), the analysis memo and the plan memo (benchmarks use
+// this to measure cold executions, planning included).
 func (e *Engine) ResetCache() {
 	if e.cache != nil {
 		e.cache.reset()
 		e.analyses.reset()
 	}
-	e.boundCache.reset()
 	e.plans.reset()
 }
 
@@ -640,9 +629,9 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	return out, missing, err
 }
 
-// localTree is a local engine's evaluator over t: its scans take their
-// index bound and fan out over the backends (evalScan), and its results
-// are shared through the engine's result cache.
+// localTree is a local engine's evaluator over t: its scans fan out over
+// the backends (evalScan), and its results are shared through the
+// engine's result cache.
 func (e *Engine) localTree(ctx context.Context, t *topo) tree {
 	return tree{view: t.view, cache: e.cache, gen: t.gen,
 		scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return e.evalScan(ctx, t, n, mask) }}
@@ -777,160 +766,20 @@ func (r tree) within(c Plan, mask *store.Bitset) (*store.Bitset, error) {
 	return b.And(mask), nil
 }
 
-// evalScan runs the fallback evaluator over each backend's shard. The
-// candidate set is the given mask intersected with the scan's
-// index-derived bound (scanBound) — the driving predicate's postings —
-// so whole shards whose per-shard cardinality for the driving predicate
-// is zero are skipped without a backend call, and an empty candidate set
-// short-circuits before any fan-out. Each backend receives its slice of
-// the candidates in shard-local ordinal space.
+// evalScan runs the fallback evaluator over each backend's shard, within
+// mask (nil = everyone). A bounded scan runs under the And Compile lowered
+// it to, so mask already holds its candidate bound: an empty candidate
+// set short-circuits before any fan-out, and evalAll skips every shard
+// whose slice of the candidates is empty. Each backend receives its
+// slice in shard-local ordinal space.
 func (e *Engine) evalScan(ctx context.Context, t *topo, n Scan, mask *store.Bitset) (*store.Bitset, error) {
-	eff := mask
-	if bound := e.cachedBound(t, n); bound != nil {
-		if mask != nil {
-			bound.And(mask)
-		}
-		eff = bound
-	}
-	if eff != nil && eff.Count() == 0 {
+	if mask != nil && mask.Count() == 0 {
 		return t.empty(), nil
 	}
 	// Local scan fan-out is strict regardless of policy: these backends
 	// are in-process views, an error here is a bug, not an outage.
-	out, _, err := e.evalAll(ctx, t, PolicyStrict, n, eff)
+	out, _, err := e.evalAll(ctx, t, PolicyStrict, n, mask)
 	return out, err
-}
-
-// cachedBound returns a caller-owned copy of the scan's index-derived
-// candidate bound, memoized by Scan key under the topology's generation.
-// Bound-less
-// outcomes are memoized too, as nil, because deriving "no bound" can still
-// walk the code vocabulary (e.g. a Code branch discarded by an unbounded
-// sibling under Or).
-func (e *Engine) cachedBound(t *topo, n Scan) *store.Bitset {
-	key := n.Key()
-	bound, ok := e.boundCache.get(t.gen, key)
-	if !ok {
-		bound = e.scanBound(t, n.Expr)
-		e.boundCache.put(t.gen, key, bound)
-	}
-	if bound == nil {
-		return nil
-	}
-	return bound.Clone()
-}
-
-// scanBound derives a candidate superset for a scanned expression from
-// the inverted indexes: any patient the expression can match must carry
-// at least one entry per index-answerable predicate it requires. Returns
-// nil when no index bounds the expression. Soundness mirrors the
-// evaluators exactly: Has needs ≥1 entry matching Pred; And/Sequence/
-// During need every part satisfied; Or is bounded only when every branch
-// is.
-func (e *Engine) scanBound(t *topo, x query.Expr) *store.Bitset {
-	switch q := x.(type) {
-	case query.Has:
-		return e.predBound(t, q.Pred)
-	case query.And:
-		return intersectBounds(collectBounds(e, t, []query.Expr(q)))
-	case query.Or:
-		bounds := collectBounds(e, t, []query.Expr(q))
-		if len(bounds) != len(q) {
-			return nil // an unbounded branch unbounds the union
-		}
-		return unionBounds(bounds)
-	case query.Sequence:
-		var bounds []*store.Bitset
-		for _, st := range q.Steps {
-			if b := e.predBound(t, st.Pred); b != nil {
-				bounds = append(bounds, b)
-			}
-		}
-		return intersectBounds(bounds)
-	case query.During:
-		var bounds []*store.Bitset
-		if b := e.predBound(t, q.Interval); b != nil {
-			bounds = append(bounds, b)
-		}
-		if b := e.predBound(t, q.Event); b != nil {
-			bounds = append(bounds, b)
-		}
-		return intersectBounds(bounds)
-	default: // TrueExpr, Not, demographics
-		return nil
-	}
-}
-
-// predBound returns the patients with ≥1 entry that could match the
-// event predicate, from the inverted indexes; nil when un-indexable. An
-// entry matching Code necessarily carries a non-zero code matching the
-// pattern (Code.Match rejects code-less entries), so the code postings
-// are a sound superset.
-func (e *Engine) predBound(t *topo, p query.EventPred) *store.Bitset {
-	switch q := p.(type) {
-	case *query.Code:
-		b, err := t.view.WithCodeRegex(q.System, q.Pattern)
-		if err != nil {
-			return nil
-		}
-		return b
-	case query.TypeIs:
-		return t.view.WithType(model.Type(q))
-	case query.SourceIs:
-		return t.view.WithSource(model.Source(q))
-	case query.AllOf:
-		var bounds []*store.Bitset
-		for _, c := range q {
-			if b := e.predBound(t, c); b != nil {
-				bounds = append(bounds, b)
-			}
-		}
-		return intersectBounds(bounds)
-	case query.AnyOf:
-		var bounds []*store.Bitset
-		for _, c := range q {
-			b := e.predBound(t, c)
-			if b == nil {
-				return nil
-			}
-			bounds = append(bounds, b)
-		}
-		return unionBounds(bounds)
-	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch
-		return nil
-	}
-}
-
-func collectBounds(e *Engine, t *topo, exprs []query.Expr) []*store.Bitset {
-	var bounds []*store.Bitset
-	for _, c := range exprs {
-		if b := e.scanBound(t, c); b != nil {
-			bounds = append(bounds, b)
-		}
-	}
-	return bounds
-}
-
-func intersectBounds(bounds []*store.Bitset) *store.Bitset {
-	if len(bounds) == 0 {
-		return nil
-	}
-	out := bounds[0]
-	for _, b := range bounds[1:] {
-		out.And(b)
-	}
-	return out
-}
-
-func unionBounds(bounds []*store.Bitset) *store.Bitset {
-	if len(bounds) == 0 {
-		return nil
-	}
-	out := bounds[0]
-	for _, b := range bounds[1:] {
-		out.Or(b)
-	}
-	return out
 }
 
 // evalAll computes eval(p) ∩ mask (nil = everyone) over every backend —

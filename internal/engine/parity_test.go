@@ -67,7 +67,11 @@ func randScanLeaf(r *rand.Rand, pat string) query.Expr {
 		case 3:
 			return query.NotEv{P: query.TypeIs(model.Type(1 + r.Intn(6)))}
 		case 4:
-			return query.AnyOf{query.SourceIs(model.Source(1 + r.Intn(5))), query.MustCode(paritySystems[r.Intn(len(paritySystems))], pat)}
+			union := query.AnyOf{query.SourceIs(model.Source(1 + r.Intn(5))), query.MustCode(paritySystems[r.Intn(len(paritySystems))], pat)}
+			if r.Intn(2) == 0 { // an unbounded branch leaves the union unbounded
+				union = append(union, query.KindIs(model.Kind(r.Intn(2))))
+			}
+			return union
 		case 5:
 			return scanText
 		case 6:
@@ -236,7 +240,9 @@ func TestEngineParityRandomExprs(t *testing.T) {
 }
 
 // TestEngineParityFixedExprs pins the corner cases random generation may
-// miss: empty results, full results, deep nesting, scans under Not.
+// miss: empty results, full results, deep nesting, scans under Not, and
+// scans whose candidate bound must keep every match — an AnyOf, Sequence
+// or During with a part no index answers.
 func TestEngineParityFixedExprs(t *testing.T) {
 	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
 	exprs := []query.Expr{
@@ -268,6 +274,18 @@ func TestEngineParityFixedExprs(t *testing.T) {
 			Event:    query.TypeIs(model.TypeDiagnosis),
 		},
 	}
+	code, interval := query.MustCode("", `T90|I2.`), query.KindIs(model.Interval)
+	for _, p := range []query.EventPred{
+		query.AnyOf{code, interval},
+		query.AllOf{code, query.NotEv{P: query.TypeIs(model.TypeStay)}},
+		query.AnyOf{},
+		query.AllOf{},
+	} {
+		exprs = append(exprs, query.Has{Pred: p}, query.Has{Pred: p, MinCount: 2})
+	}
+	exprs = append(exprs,
+		query.Sequence{Steps: []query.Step{{Pred: code}, {Pred: interval}}},
+		query.During{Interval: query.AnyOf{query.TypeIs(model.TypeStay), interval}, Event: code})
 	for _, e := range exprs {
 		checkParity(t, e)
 	}

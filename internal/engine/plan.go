@@ -167,8 +167,11 @@ func hasScan(p Plan) bool {
 // Compile lowers a query expression into an unoptimized plan tree. The
 // boolean skeleton maps 1:1; Has leaves become IndexScans when the
 // inverted indexes answer them exactly (same classification as the legacy
-// query.EvalIndexed), everything else becomes a Scan fallback. Code
-// patterns are validated here so execution cannot fail on a bad regex.
+// query.EvalIndexed), everything else becomes a Scan fallback — under an
+// And with its candidate bound (see bound) when the indexes bound it, so
+// the bound's index work is plan nodes the optimizer orders, the caches
+// share and Explain prints. Every code pattern an index node reads is
+// validated here, so execution cannot fail on a bad regex.
 func Compile(e query.Expr) (Plan, error) {
 	switch q := e.(type) {
 	case query.TrueExpr:
@@ -198,7 +201,75 @@ func Compile(e query.Expr) (Plan, error) {
 			return p, nil
 		}
 	}
+	b, ok, err := bound(e)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return And{Children: []Plan{b, Scan{Expr: e}}}, nil
+	}
 	return Scan{Expr: e}, nil
+}
+
+// bound returns a scan-free plan — IndexScans under And/Or — selecting a
+// superset of the patients the scanned expression e can match, or
+// ok=false when no index bounds e. A patient Has matches carries ≥1 entry
+// matching its predicate; a Sequence, every step; a During, both parts.
+// A code, type or source predicate is bounded by its own index leaf (an
+// entry matching a Code carries a code matching the pattern), AllOf by
+// the And of its bounded parts, AnyOf by the Or of its branches only when
+// every branch is bounded. Everything else — demographics, NotEv, KindIs,
+// ValueBetween, InPeriod, TextMatch, empty lists — has no bound. Compile
+// lowers with it and the cost model conditions a scan's rows on it, so
+// both read the one rule.
+func bound(e query.Expr) (Plan, bool, error) {
+	var parts []query.Expr // conjuncts; e's bound is the And of theirs
+	switch q := e.(type) {
+	case query.Has:
+		switch p := q.Pred.(type) {
+		case *query.Code, query.TypeIs, query.SourceIs:
+			return indexable(query.Has{Pred: p})
+		case query.AllOf:
+			for _, c := range p {
+				parts = append(parts, query.Has{Pred: c})
+			}
+		case query.AnyOf:
+			var branches []Plan
+			for _, c := range p {
+				b, ok, err := bound(query.Has{Pred: c})
+				if err != nil {
+					return nil, false, err
+				}
+				if ok {
+					branches = append(branches, b)
+				}
+			}
+			if len(p) == 0 || len(branches) < len(p) {
+				return nil, false, nil // an unbounded branch unbounds the union
+			}
+			return orOf(branches), true, nil
+		}
+	case query.Sequence:
+		for _, st := range q.Steps {
+			parts = append(parts, query.Has{Pred: st.Pred})
+		}
+	case query.During:
+		parts = []query.Expr{query.Has{Pred: q.Interval}, query.Has{Pred: q.Event}}
+	}
+	var bounds []Plan
+	for _, c := range parts {
+		b, ok, err := bound(c)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			bounds = append(bounds, b)
+		}
+	}
+	if len(bounds) == 0 {
+		return nil, false, nil
+	}
+	return andOf(bounds), true, nil
 }
 
 func compileAll(es []query.Expr) ([]Plan, error) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func mustPlan(t *testing.T, e query.Expr) Plan {
 var (
 	idxDiag  = query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("ICPC2", "T90")}}
 	idxStay  = query.Has{Pred: query.TypeIs(model.TypeStay)}
-	scanOnly = query.Has{Pred: query.MustCode("", "T90"), MinCount: 3}
+	scanOnly = query.Has{Pred: query.KindIs(model.Interval), MinCount: 3} // no index bounds it
 )
 
 func TestCompileClassification(t *testing.T) {
@@ -51,14 +52,70 @@ func TestCompileClassification(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsBadPattern: an invalid pattern fails at Compile
+// whether an index leaf or a scan's bound reads it.
 func TestCompileRejectsBadPattern(t *testing.T) {
-	bad := query.Has{Pred: &query.Code{System: "ICPC2", Pattern: "("}}
-	if _, err := Compile(bad); err == nil {
-		t.Error("Compile accepted an invalid regex")
-	}
 	eng := New(store.New(model.MustCollection()), Options{})
-	if _, err := eng.Execute(bad); err == nil {
-		t.Error("Execute accepted an invalid regex")
+	bad := &query.Code{System: "ICPC2", Pattern: "("}
+	for _, e := range []query.Expr{query.Has{Pred: bad}, query.Has{Pred: bad, MinCount: 2}} {
+		if _, err := Compile(e); err == nil {
+			t.Errorf("Compile(%s) accepted an invalid regex", e)
+		}
+		if _, err := eng.Execute(e); err == nil {
+			t.Errorf("Execute(%s) accepted an invalid regex", e)
+		}
+	}
+}
+
+// TestCompileLowersScanBounds: Compile puts a scan behind its bound
+// exactly where an index bounds it, and on the parity population every
+// bound — of these shapes and of random scan leaves — is scan-free and
+// keeps every patient Eval matches.
+func TestCompileLowersScanBounds(t *testing.T) {
+	code, interval := query.MustCode("ICPC2", "T90"), query.KindIs(model.Interval)
+	stay := query.TypeIs(model.TypeStay)
+	cases := []struct {
+		expr query.Expr
+		want string
+	}{
+		{query.Has{Pred: code, MinCount: 2}, `and(index:ICPC2~"T90",scan{has>=2(ICPC2~"T90")})`},
+		{query.Has{Pred: query.AnyOf{code, query.SourceIs(model.SourceGP)}, MinCount: 2},
+			`and(or(index:ICPC2~"T90",index:source=gp),scan{has>=2((ICPC2~"T90" | source=gp))})`},
+		{query.Has{Pred: query.AnyOf{code, interval}}, `scan{has((ICPC2~"T90" | kind=interval))}`},
+		{query.Has{Pred: query.AllOf{code, query.NotEv{P: stay}}}, `and(index:ICPC2~"T90",scan{has((ICPC2~"T90" & !type=stay))})`},
+		{query.Has{Pred: query.AllOf{stay, code}}, `and(and(index:type=stay,index:ICPC2~"T90"),scan{has((type=stay & ICPC2~"T90"))})`},
+		{query.Has{Pred: query.AnyOf{}}, `scan{has((|))}`},
+		{query.Has{Pred: query.AllOf{}, MinCount: 2}, `scan{has>=2((&))}`},
+		{query.Sequence{Steps: []query.Step{{Pred: code}, {Pred: interval}}}, `and(index:ICPC2~"T90",scan{seq(ICPC2~"T90" -> kind=interval)})`},
+		{query.During{Interval: query.AnyOf{stay, interval}, Event: code}, `and(index:ICPC2~"T90",scan{during((type=stay | kind=interval), ICPC2~"T90")})`},
+		{query.During{Interval: stay, Event: code}, `and(and(index:type=stay,index:ICPC2~"T90"),scan{during(type=stay, ICPC2~"T90")})`},
+		{query.SexIs(model.SexFemale), `scan{sex=F}`},
+		{query.Has{Pred: query.NotEv{P: stay}}, `scan{has(!type=stay)}`},
+	}
+	exprs := make([]query.Expr, 0, len(cases)+200)
+	for _, c := range cases {
+		if got := mustPlan(t, c.expr).String(); got != c.want {
+			t.Errorf("Compile(%s) = %s, want %s", c.expr, got, c.want)
+		}
+		exprs = append(exprs, c.expr)
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		exprs = append(exprs, randScanLeaf(r, parityPatterns[r.Intn(len(parityPatterns))]))
+	}
+	col, st, _ := parityEngines(t)
+	for _, e := range exprs {
+		and, bounded := mustPlan(t, e).(And)
+		if !bounded {
+			continue
+		}
+		if b := and.Children[0]; hasScan(b) {
+			t.Errorf("bound of %s scans: %s", e, b)
+		} else if got, err := viewTree(st.Slice(0, st.Len())).eval(b, nil); err != nil {
+			t.Fatal(err)
+		} else if lost := scanBits(col, st, e).AndNot(got); lost.Count() > 0 {
+			t.Errorf("bound %s of %s drops %d matches", b, e, lost.Count())
+		}
 	}
 }
 
@@ -195,8 +252,20 @@ func TestOpaquePredicatesNeverConflate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if and, ok := p.(And); !ok || len(and.Children) != 2 {
-			t.Errorf("distinct siblings deduped: %s", p)
+		kept := map[string]bool{}
+		if and, ok := p.(And); ok {
+			for _, c := range and.Children {
+				kept[c.Key()] = true
+			}
+		}
+		for _, x := range pair {
+			leaf := mustPlan(t, x)
+			if lowered, bounded := leaf.(And); bounded {
+				leaf = lowered.Children[1] // the scan under its bound
+			}
+			if !kept[leaf.Key()] {
+				t.Errorf("distinct siblings deduped: %s lost from %s", leaf, p)
+			}
 		}
 	}
 }

@@ -42,8 +42,8 @@ type IngestStats struct {
 
 // Generation returns the store's generation counter. It advances on every
 // Append (compaction is semantically invisible and does not advance it);
-// everything derived from store contents — plan caches, scan bounds,
-// memoized stats — is epoched by this value.
+// everything derived from store contents — plan caches, memoized stats —
+// is epoched by this value.
 func (s *Store) Generation() uint64 { return s.loadRev().gen }
 
 // Ingest returns cumulative ingest counters for the current revision.

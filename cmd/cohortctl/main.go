@@ -461,7 +461,7 @@ func runIngest(args []string) {
 	feed := fs.String("feed", "", "comma-separated bundle directories to append, in order")
 	compact := fs.Bool("compact", false, "fold the delta into containerized postings after the feed")
 	out := fs.String("out", "", "save the post-ingest workbench as a sharded snapshot")
-	shards := fs.Int("shards", 0, "shard count for -out (0 = match the engine)")
+	shards := fs.Int("shards", 0, "shard count for -out (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *feed == "" {
 		log.Fatal("need -feed DIR[,DIR...]")
@@ -839,7 +839,7 @@ func runSnapshotCmd(args []string) {
 		fs := flag.NewFlagSet("cohortctl snapshot save", flag.ExitOnError)
 		load := sourceFlags(fs, false)
 		out := fs.String("out", "wb.snap", "output snapshot file")
-		shards := fs.Int("shards", 0, "shard count (0 = engine default)")
+		shards := fs.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
 		fs.Parse(args[1:])
 		wb, _, err := load()
 		if err != nil {

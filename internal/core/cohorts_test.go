@@ -17,7 +17,7 @@ import (
 func TestCohortSaveReopenAdoption(t *testing.T) {
 	cfg := synth.DefaultConfig(150)
 	window := cfg.Window()
-	wb := wbAtShards(t, synth.Generate(cfg), integrate.DefaultOptions(), window, 4)
+	wb := wbAtShards(t, synth.Generate(cfg), integrate.DefaultOptions(), window, 0)
 
 	parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
 	narrow := query.And{parent, query.SexIs(model.SexFemale)}
@@ -91,7 +91,7 @@ func TestCohortSaveReopenAdoption(t *testing.T) {
 func TestCohortCompare(t *testing.T) {
 	cfg := synth.DefaultConfig(120)
 	window := cfg.Window()
-	wb := wbAtShards(t, synth.Generate(cfg), integrate.DefaultOptions(), window, 4)
+	wb := wbAtShards(t, synth.Generate(cfg), integrate.DefaultOptions(), window, 0)
 
 	if _, err := wb.SaveCohort("women", query.SexIs(model.SexFemale)); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestCohortSaveAfterAppendDropsStale(t *testing.T) {
 	window := cfg.Window()
 	opts := integrate.DefaultOptions()
 	opts.OpenIntervalEnd = window.End.AddDays(30)
-	wb := wbAtShards(t, synth.Generate(cfg), opts, window, 4)
+	wb := wbAtShards(t, synth.Generate(cfg), opts, window, 0)
 
 	parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
 	if _, err := wb.SaveCohort("diag", parent); err != nil {

@@ -51,7 +51,7 @@ func startCluster(t testing.TB, wb *Workbench, shards int) []string {
 		if len(ids) == 0 {
 			continue
 		}
-		srv, err := engine.NewShardServer(path, ids, engine.Options{Shards: 2, Workers: 2})
+		srv, err := engine.NewShardServer(path, ids, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestConnectToleratesDeadReplicaMember(t *testing.T) {
 	}
 	serve := func(path, addr string) string {
 		t.Helper()
-		srv, err := engine.NewShardServer(path, []int{0, 1, 2, 3}, engine.Options{Shards: 2, Workers: 2})
+		srv, err := engine.NewShardServer(path, []int{0, 1, 2, 3}, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

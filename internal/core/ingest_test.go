@@ -31,8 +31,9 @@ func mergeBundles(parts ...*sources.Bundle) *sources.Bundle {
 	return out
 }
 
-// wbAtShards builds a store-backed workbench with an explicit engine
-// shard count and pinned ingest options.
+// wbAtShards builds a store-backed workbench with pinned ingest options:
+// at shards 0 over a local engine, which follows appends, and otherwise
+// over a coordinator of that many local shards of the store as built.
 func wbAtShards(t testing.TB, b *sources.Bundle, opts integrate.Options, window model.Period, shards int) *Workbench {
 	t.Helper()
 	col, _, err := integrate.Build(b, opts)
@@ -40,13 +41,15 @@ func wbAtShards(t testing.TB, b *sources.Bundle, opts integrate.Options, window 
 		t.Fatal(err)
 	}
 	st := store.New(col)
-	o := opts
-	return &Workbench{
-		Store:         st,
-		Engine:        engine.New(st, engine.Options{Shards: shards, Workers: 4, CacheSize: 64}),
-		Window:        window,
-		IngestOptions: &o,
+	eopts := engine.Options{Workers: 4, CacheSize: 64}
+	eng := engine.New(st, eopts)
+	if shards > 0 {
+		if eng, err = engine.NewFromBackends(engine.LocalShards(st.Pin(), shards), eopts); err != nil {
+			t.Fatal(err)
+		}
 	}
+	o := opts
+	return &Workbench{Store: st, Engine: eng, Window: window, IngestOptions: &o}
 }
 
 func ingestQueries(window model.Period) []query.Expr {
@@ -63,8 +66,9 @@ func ingestQueries(window model.Period) []query.Expr {
 
 // TestIncrementalMatchesBatch: a workbench that loads the base extract
 // and then Appends two follow-on rounds must be query- and
-// indicator-identical to one batch-built from the concatenation — at
-// shard counts 1, 4 and 16, both before and after compaction.
+// indicator-identical to one batch-built from the concatenation — over a
+// local engine and over 1, 4 and 16 local shards, both before and after
+// compaction.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	const basePop = 150
 	cfg := synth.DefaultConfig(basePop)
@@ -80,9 +84,9 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	combined := mergeBundles(base, r1, r2)
 	queries := ingestQueries(window)
 
-	for _, shards := range []int{1, 4, 16} {
+	for _, shards := range []int{0, 1, 4, 16} {
 		batch := wbAtShards(t, combined, opts, window, shards)
-		incr := wbAtShards(t, base, opts, window, shards)
+		incr := wbAtShards(t, base, opts, window, 0)
 		for _, round := range []*sources.Bundle{r1, r2} {
 			if err := incr.Append(round); err != nil {
 				t.Fatal(err)
@@ -149,7 +153,7 @@ func TestNoStaleAnswersUnderConcurrentIngest(t *testing.T) {
 	window := cfg.Window()
 	opts := integrate.DefaultOptions()
 	opts.OpenIntervalEnd = window.End.AddDays(30)
-	wb := wbAtShards(t, synth.Generate(cfg), opts, window, 4)
+	wb := wbAtShards(t, synth.Generate(cfg), opts, window, 0)
 
 	q := query.Has{Pred: query.MustCode("ICPC2", "T90|K86")}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -78,6 +79,26 @@ func TestSnapshotShardedEngineParity(t *testing.T) {
 		}
 		if !bits.Equal(want) {
 			t.Errorf("shards=%d: cohort drifted: %d patients, want %d", shards, bits.Count(), want.Count())
+		}
+	}
+}
+
+// TestSaveDefaultsToGOMAXPROCS: Save with Shards 0 over a local engine,
+// which is one backend, writes min(GOMAXPROCS, patients) segments, so
+// Open still decodes in parallel.
+func TestSaveDefaultsToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{2, 400} {
+		wb := testWorkbench(t, n)
+		for _, procs := range []int{1, 3, 4} {
+			runtime.GOMAXPROCS(procs)
+			info, err := wb.Save(io.Discard, SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(procs, n); info.Shards != want {
+				t.Errorf("%d patients, GOMAXPROCS %d: %d segments, want %d", n, procs, info.Shards, want)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -228,7 +229,7 @@ func Synthesize(cfg synth.Config) (*Workbench, error) {
 type SnapshotOptions struct {
 	// Shards is the number of independently decodable segments the
 	// snapshot is split into (the parallelism available to Open). 0
-	// means match the engine's shard count.
+	// means GOMAXPROCS; store.Save clamps it to [1, patients].
 	Shards int
 }
 
@@ -243,7 +244,7 @@ func (wb *Workbench) Save(w io.Writer, opts SnapshotOptions) (*store.SnapshotInf
 	}
 	shards := opts.Shards
 	if shards <= 0 {
-		shards = wb.Engine.NumShards()
+		shards = runtime.GOMAXPROCS(0)
 	}
 	cohorts, err := cohortRecords(wb.Engine.ExportCohorts())
 	if err != nil {

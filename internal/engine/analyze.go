@@ -31,7 +31,9 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"slices"
+	"time"
 
 	"pastas/internal/abstraction"
 	"pastas/internal/mining"
@@ -342,10 +344,10 @@ var analyzers = map[string]analyzer{
 		}),
 }
 
-// mapScratch is the working memory one tallyFrame call reuses from
+// mapScratch is the working memory one tally goroutine reuses from
 // history to history, so a warm map step allocates nothing per history.
-// It belongs to that call alone — never to the engine, a backend or a
-// package variable: a shard server runs map steps concurrently.
+// It belongs to that goroutine alone — never to the engine, a backend or a
+// package variable: tallies and shard server items map concurrently.
 type mapScratch struct {
 	codes    []store.FrameCode // the frame's dictionary
 	mine     mineTally
@@ -534,38 +536,79 @@ func analyzerFor(kind string, params any) (analyzer, error) {
 	return spec, nil
 }
 
-// tallyFrame is a backend's map step over its frame.
+// tallyFrame is a LocalBackend's map step over its frame, on the calling
+// goroutine.
 func tallyFrame(f store.Frame, args AnalyzeArgs) (Partial, error) {
 	spec, err := analyzerFor(args.Kind, args.Params)
 	if err != nil {
 		return nil, err
 	}
-	return spec.tally(f, args.Params, args.Mask)
+	return spec.tally(context.Background(), f, args.Params, args.Mask, 1)
 }
 
-// tally is the one map loop both transports run — a shard server item by
-// item, kind and parameters checked once — so the mask contract and the
-// per-history map step can never diverge. params passed checkParams.
-func (spec analyzer) tally(f store.Frame, params any, mask *store.Bitset) (Partial, error) {
+// tally is the one map loop every transport runs — a local engine, a
+// shard server item by item, a LocalBackend — so the mask contract and the
+// per-history map step can never diverge. The rows mask holds (nil = all)
+// map in blocks of spreadRows spread over at most workers goroutines, each
+// into a partial and scratch of its own, and the partials merge exactly; a
+// single block maps on the calling goroutine. A done ctx stops it between
+// blocks, with ctx's error. params passed checkParams.
+func (spec analyzer) tally(ctx context.Context, f store.Frame, params any, mask *store.Bitset, workers int) (Partial, error) {
 	if mask != nil && mask.Len() != f.Len() {
 		return nil, fmt.Errorf("engine: analyze mask covers %d patients, shard has %d", mask.Len(), f.Len())
 	}
-	part := spec.newPartial(params)
-	sc := mapScratch{codes: f.Codes}
-	if mask != nil {
-		mask.Range(func(i int) bool {
-			spec.addRow(part, params, &f, i, &sc)
-			return true
-		})
-	} else {
-		for i := 0; i < f.Len(); i++ {
-			spec.addRow(part, params, &f, i, &sc)
+	blocks := (f.Len() + spreadRows - 1) / spreadRows
+	if blocks <= 1 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		part, sc := spec.newPartial(params), mapScratch{codes: f.Codes}
+		spec.mapRows(part, params, &f, mask, 0, f.Len(), &sc)
+		spec.finishInto(part, &sc)
+		return part, nil
+	}
+	parts, scs := make([]Partial, workers), make([]mapScratch, workers)
+	if err := spread(ctx, workers, blocks, func(w int) func(int) {
+		parts[w], scs[w] = spec.newPartial(params), mapScratch{codes: f.Codes}
+		return func(k int) {
+			spec.mapRows(parts[w], params, &f, mask, k*spreadRows, min((k+1)*spreadRows, f.Len()), &scs[w])
+		}
+	}); err != nil {
+		return nil, err
+	}
+	out := spec.newPartial(params)
+	for w, part := range parts {
+		if part == nil {
+			continue // the goroutine found every block taken
+		}
+		spec.finishInto(part, &scs[w])
+		if err := spec.merge(out, part); err != nil {
+			return nil, err
 		}
 	}
-	if spec.finish != nil {
-		spec.finish(part, &sc)
+	return out, nil
+}
+
+// mapRows maps the rows in [lo, hi) that mask holds (nil = all) into part.
+func (spec analyzer) mapRows(part Partial, params any, f *store.Frame, mask *store.Bitset, lo, hi int, sc *mapScratch) {
+	if mask == nil {
+		for i := lo; i < hi; i++ {
+			spec.addRow(part, params, f, i, sc)
+		}
+		return
 	}
-	return part, nil
+	mask.EachWord(lo, hi, func(base int, w uint64) {
+		for ; w != 0; w &= w - 1 {
+			spec.addRow(part, params, f, base+bits.TrailingZeros64(w), sc)
+		}
+	})
+}
+
+// finishInto writes what the scratch holds of part into it.
+func (spec analyzer) finishInto(part Partial, sc *mapScratch) {
+	if spec.finish != nil {
+		spec.finish(part, sc)
+	}
 }
 
 // Analyze runs a registered map step over the cohort a global-ordinal
@@ -578,13 +621,15 @@ func (e *Engine) Analyze(b *store.Bitset, req AnalyzeRequest) (Partial, error) {
 }
 
 // AnalyzeStatus is Analyze under a caller-supplied context, plus the
-// completeness report. Shards without a cohort member are never
-// contacted, each contacted shard maps over only its slice of the mask, a
-// shard server merges its shards' partials before it answers — one round
-// trip and one partial per server (fanCohort) — and the partials merge in
-// fixed order: integer tallies, so grouping cannot change the result and
-// the reduce is exact. An engine that caches results answers a repeated
-// analysis out of its analysis memo.
+// completeness report. A local engine tallies its pinned frame under the
+// mask (tally, on at most Workers goroutines). A coordinator never
+// contacts a shard without a cohort member, each contacted shard maps
+// over only its slice of the mask, a shard server merges its shards'
+// partials before it answers — one round trip and one partial per server
+// (fanCohort) — and the partials merge in fixed order: integer tallies,
+// so grouping cannot change the result and the reduce is exact. An engine
+// that caches results answers a repeated analysis out of its analysis
+// memo.
 func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req AnalyzeRequest) (Partial, QueryStatus, error) {
 	spec, err := analyzerFor(req.Kind, req.params)
 	if err != nil {
@@ -603,6 +648,28 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 			}
 		}
 	}
+	out, status, err := e.analyze(ctx, t, spec, req, b)
+	if err != nil {
+		return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, err)
+	}
+	if e.analyses != nil && status.Complete() {
+		if kept, err := spec.clone(req.params, out); err == nil {
+			e.analyses.put(t.gen, key, analysisEntry{bits: b.Clone(), part: kept})
+		}
+	}
+	return out, status, nil
+}
+
+// analyze runs req over t's cohort b, uncached.
+func (e *Engine) analyze(ctx context.Context, t *topo, spec analyzer, req AnalyzeRequest, b *store.Bitset) (Partial, QueryStatus, error) {
+	if t.view != nil {
+		ctx, cancel := e.opCtx(ctx)
+		defer cancel()
+		t0 := time.Now()
+		out, err := spec.tally(ctx, t.view.Frame(), req.params, b, e.workers)
+		t.local(t0, err)
+		return out, QueryStatus{}, err
+	}
 	parts, status, err := fanCohort(ctx, e, t, e.policy, b,
 		func(ctx context.Context, c *remoteConn, metas []ShardMeta, masks []*store.Bitset) ([]Partial, error) {
 			parts := make([]Partial, len(metas)) // the server's one partial stands first
@@ -614,7 +681,7 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 			return bk.Analyze(ctx, AnalyzeArgs{Kind: req.Kind, Params: req.params, Mask: mask})
 		})
 	if err != nil {
-		return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, err)
+		return nil, QueryStatus{}, err
 	}
 	out := spec.newPartial(req.params)
 	for i, part := range parts {
@@ -622,12 +689,7 @@ func (e *Engine) AnalyzeStatus(ctx context.Context, b *store.Bitset, req Analyze
 			continue // no cohort member on the shard, covered by its server's partial, or degraded away
 		}
 		if err := spec.merge(out, part); err != nil {
-			return nil, QueryStatus{}, fmt.Errorf("engine: analyze %q: %w", req.Kind, t.shardErr(i, err))
-		}
-	}
-	if e.analyses != nil && status.Complete() {
-		if kept, err := spec.clone(req.params, out); err == nil {
-			e.analyses.put(t.gen, key, analysisEntry{bits: b.Clone(), part: kept})
+			return nil, QueryStatus{}, t.shardErr(i, err)
 		}
 	}
 	return out, status, nil

@@ -198,14 +198,7 @@ func TestAnalyzeParity(t *testing.T) {
 		query.TypeIs(model.TypeDiagnosis), query.MustCode("", `T90|E11(\..*)?`)}})
 	for _, shards := range []int{1, 4, 16} {
 		fix := startShardServers(t, col, shards, 2, RemoteOptions{Timeout: 30 * time.Second})
-		var locals []ShardBackend
-		for i, m := range New(st, Options{Shards: shards, Workers: 2}).BackendInfo() {
-			locals = append(locals, NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), i))
-		}
-		localDist, err := NewFromBackends(locals, Options{Workers: 4, CacheSize: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
+		localDist := shardedEngine(t, st, shards, Options{Workers: 4, CacheSize: 32})
 		for _, expr := range []query.Expr{query.TrueExpr{}, cohortExpr} {
 			bits, err := fix.eng.Execute(expr)
 			if err != nil {
@@ -603,7 +596,7 @@ func TestRemoteIDsOfEnforcesCount(t *testing.T) {
 // builders refuse invalid values.
 func TestAnalyzeBadRequest(t *testing.T) {
 	_, st, engines := parityEngines(t)
-	eng := engines[1]
+	eng := engines[0]
 	bits, err := eng.Execute(query.TrueExpr{})
 	if err != nil {
 		t.Fatal(err)
@@ -653,8 +646,8 @@ func TestAnalyzeDegradedAndStrict(t *testing.T) {
 	build := func(policy Policy) (*Engine, []*FaultBackend) {
 		var faults []*FaultBackend
 		var backends []ShardBackend
-		for i, m := range New(st, Options{Shards: shards, Workers: 2}).BackendInfo() {
-			f := NewFaultBackend(NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), i))
+		for _, local := range LocalShards(st.Pin(), shards) {
+			f := NewFaultBackend(local)
 			faults = append(faults, f)
 			backends = append(backends, f)
 		}
@@ -812,7 +805,7 @@ func TestAnalyzeConcurrentCalls(t *testing.T) {
 	col, _, engines := parityEngines(t)
 	cases := analyzeCases(t)
 	remote := startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 30 * time.Second})
-	for name, eng := range map[string]*Engine{"local": engines[1], "loopback": remote.eng} {
+	for name, eng := range map[string]*Engine{"local": engines[0], "loopback": remote.eng} {
 		bits, err := eng.Execute(query.TrueExpr{})
 		if err != nil {
 			t.Fatal(err)

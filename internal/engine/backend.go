@@ -101,8 +101,10 @@ func validateOrdinals(ordinals []int, patients int) error {
 
 // LocalBackend serves a shard from an in-process store view: index
 // lookups slice the parent store's postings, scans and analyses read the
-// revision's analysis frame. It is the transport the single-process engine
-// fans out over.
+// revision's analysis frame. A local engine is one LocalBackend over its
+// whole pinned revision, which it scans and tallies itself; through
+// EvalPlan and Analyze a LocalBackend answers on the calling goroutine
+// alone, since a coordinator already runs its backends side by side.
 type LocalBackend struct {
 	v    *store.View
 	meta ShardMeta
@@ -159,8 +161,8 @@ func (b *LocalBackend) LocateID(_ context.Context, id model.PatientID) (int, boo
 }
 
 // Analyze implements ShardBackend: the registered map step runs over the
-// view's masked-in histories through the same shared loop the shard
-// server uses (tallyFrame), so the two transports cannot diverge.
+// view's masked-in histories through the same shared loop a local engine
+// and the shard server use (tallyFrame), so the transports cannot diverge.
 func (b *LocalBackend) Analyze(_ context.Context, args AnalyzeArgs) (Partial, error) {
 	return tallyFrame(b.v.Frame(), args)
 }
@@ -173,34 +175,60 @@ func (b *LocalBackend) Close() error { return nil }
 // sends scan leaves here; whole trees walk the same
 // evaluator a local engine does, masks and absorption included, so a
 // backend set is a complete execution target on its own.
-func (b *LocalBackend) EvalPlan(_ context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
+func (b *LocalBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset) (*store.Bitset, error) {
 	if mask != nil && mask.Len() != b.v.Len() {
 		return nil, fmt.Errorf("engine: shard %d: mask capacity %d, shard has %d patients",
 			b.meta.Shard, mask.Len(), b.v.Len())
 	}
-	return viewTree(b.v).eval(p, mask)
+	return viewTree(ctx, b.v).eval(p, mask)
 }
 
 // viewTree evaluates plans over a view with no result cache, scanning the
-// view's own rows (scanView).
-func viewTree(v *store.View) tree {
-	return tree{view: v, scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return scanView(v, n, mask), nil }}
+// view's own rows on the calling goroutine (scanView).
+func viewTree(ctx context.Context, v *store.View) tree {
+	return tree{view: v, scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return scanView(ctx, v, n, mask, 1) }}
+}
+
+// LocalShards cuts a pinned view into contiguous LocalBackends of ⌈n/k⌉
+// patients each, the layout store.Save writes for k shards:
+// NewFromBackends over them splits and merges in process as a coordinator
+// does over shard servers.
+func LocalShards(v *store.View, k int) []ShardBackend {
+	n := v.Len()
+	chunk := max((n+k-1)/max(k, 1), 1)
+	out := []ShardBackend{NewLocalBackend(v.Sub(0, min(chunk, n)), 0)}
+	for off := chunk; off < n; off += chunk {
+		out = append(out, NewLocalBackend(v.Sub(off, min(off+chunk, n)), len(out)))
+	}
+	return out
 }
 
 // scanView runs a scan leaf over the view's rows in mask (nil = all): the
 // compiled frame matcher, or Expr.Eval per history for a scan holding a
-// TextMatch. A word of candidates at a time, container by container: a
-// sparse mask is a few array walks, and empty 65k-row chunks are skipped.
-func scanView(v *store.View, n Scan, mask *store.Bitset) *store.Bitset {
-	f := v.Frame()
-	match, ok := compileScan(n.Expr, &f)
-	if !ok {
-		match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
-	}
+// TextMatch. A word of candidates at a time (Bitset.EachWord), in blocks
+// of spreadRows spread over at most workers goroutines that each compile
+// their own matcher and write their own words of the one result: a sparse
+// mask is a few array walks. A done ctx stops it between blocks, with
+// ctx's error.
+func scanView(ctx context.Context, v *store.View, n Scan, mask *store.Bitset, workers int) (*store.Bitset, error) {
+	f, rows := v.Frame(), v.Len()
 	if mask == nil {
 		mask = v.Empty().Not()
 	}
-	return mask.MapWords(match)
+	words := make([]uint64, (rows+63)/64)
+	err := spread(ctx, workers, (rows+spreadRows-1)/spreadRows, func(int) func(int) {
+		match, ok := compileScan(n.Expr, &f)
+		if !ok {
+			match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
+		}
+		return func(k int) {
+			mask.EachWord(k*spreadRows, min((k+1)*spreadRows, rows), func(base int, w uint64) { words[base>>6] = match(base, w) & w })
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return store.FromWords(words, rows), nil
 }
 
 // evalIndex answers an index leaf from the view's postings: a

@@ -110,7 +110,7 @@ func TestEpochLRU(t *testing.T) {
 // corrupts what the result cache or the workspace answer next.
 func TestPlanCacheCloneIsolation(t *testing.T) {
 	_, st, _ := parityEngines(t)
-	e := New(st, Options{Shards: 4, Workers: 4, CacheSize: 32})
+	e := New(st, Options{Workers: 4, CacheSize: 32})
 	parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
 	narrow := query.And{parent, query.Has{Pred: query.MustCode("", `K8.`), MinCount: 2}}
 	bounded := query.Has{Pred: query.MustCode("", `T90|K86`), MinCount: 2}
@@ -161,7 +161,7 @@ func TestPlanCacheCloneIsolation(t *testing.T) {
 // behind cloning outside the mutex: cached bitsets are never written again.
 func TestPlanCacheConcurrentGetPut(t *testing.T) {
 	_, st, _ := parityEngines(t)
-	e := New(st, Options{Shards: 4, Workers: 4, CacheSize: 4})
+	e := New(st, Options{Workers: 4, CacheSize: 4})
 	exprs := make([]query.Expr, len(parityPatterns))
 	counts := make([]int, len(parityPatterns))
 	for i, pat := range parityPatterns {

@@ -131,11 +131,10 @@ func TestChaosParityUnderFlap(t *testing.T) {
 func degradedFixture(t *testing.T, policy Policy, cacheSize int) (*Engine, []*FaultBackend, *store.Store) {
 	t.Helper()
 	_, st, _ := parityEngines(t)
-	metas := New(st, Options{Shards: 4, Workers: 2}).BackendInfo()
-	faults := make([]*FaultBackend, len(metas))
-	backends := make([]ShardBackend, len(metas))
-	for i, m := range metas {
-		faults[i] = NewFaultBackend(NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), i))
+	backends := LocalShards(st.Pin(), 4)
+	faults := make([]*FaultBackend, len(backends))
+	for i, local := range backends {
+		faults[i] = NewFaultBackend(local)
 		backends[i] = faults[i]
 	}
 	eng, err := NewFromBackends(backends, Options{Workers: 4, CacheSize: cacheSize, Policy: policy})

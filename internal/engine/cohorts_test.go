@@ -20,9 +20,9 @@ import (
 func cohortEngines(t testing.TB) (*model.Collection, *store.Store, []*Engine) {
 	t.Helper()
 	col, st, _ := parityEngines(t)
-	var engines []*Engine
+	engines := []*Engine{New(st, Options{Workers: 4, CacheSize: 32})}
 	for _, shards := range []int{1, 4, 16} {
-		engines = append(engines, New(st, Options{Shards: shards, Workers: 4, CacheSize: 32}))
+		engines = append(engines, shardedEngine(t, st, shards, Options{Workers: 4, CacheSize: 32}))
 	}
 	return col, st, engines
 }
@@ -70,8 +70,8 @@ func TestCohortRefineParityFixed(t *testing.T) {
 			if tc.mode != RefineScratch && ref.Seed != "diag" {
 				t.Errorf("shards=%d Refine(%s): seed %q, want \"diag\"", e.NumShards(), tc.name, ref.Seed)
 			}
-			if ref.Pushed {
-				t.Errorf("shards=%d Refine(%s): Pushed=true on a local engine", e.NumShards(), tc.name)
+			if local := e.Store() != nil; tc.mode != RefineExact && tc.mode != RefineScratch && ref.Pushed == local {
+				t.Errorf("shards=%d Refine(%s): Pushed=%v, local engine %v: only a coordinator pushes its seed", e.NumShards(), tc.name, ref.Pushed, local)
 			}
 			bits, _, err := e.CohortBits("r-" + tc.name)
 			if err != nil {
@@ -146,7 +146,7 @@ func TestCohortRefineParityRandom(t *testing.T) {
 // over no longer exists.
 func TestCohortInvalidationAcrossGenerations(t *testing.T) {
 	st := store.New(fbCollection(300))
-	e := New(st, Options{Shards: 4, CacheSize: 32})
+	e := New(st, Options{CacheSize: 32})
 	ctx := context.Background()
 
 	parent := valueScan(0, 94)
@@ -193,7 +193,7 @@ func TestCohortInvalidationAcrossGenerations(t *testing.T) {
 // workspaceSize cohorts; saving one more evicts the least recently saved
 // or read.
 func TestWorkspaceEvictsLeastRecentlyUsed(t *testing.T) {
-	e := New(store.New(fbCollection(50)), Options{Shards: 1})
+	e := New(store.New(fbCollection(50)), Options{})
 	name := func(i int) string { return fmt.Sprintf("c%04d", i) }
 	for i := 0; i <= workspaceSize; i++ {
 		if i == workspaceSize {
@@ -219,7 +219,7 @@ func TestWorkspaceEvictsLeastRecentlyUsed(t *testing.T) {
 func TestCohortRefineAfterAppendParity(t *testing.T) {
 	col := fbCollection(300)
 	st := store.New(col)
-	e := New(st, Options{Shards: 4, CacheSize: 32})
+	e := New(st, Options{CacheSize: 32})
 	ctx := context.Background()
 
 	parent := valueScan(0, 94)
@@ -299,7 +299,7 @@ func TestCohortProfileMergeParity(t *testing.T) {
 // whether the mask is applied locally or pushed down.
 func TestExplainSeedAnnotation(t *testing.T) {
 	_, st, _ := cohortEngines(t)
-	e := New(st, Options{Shards: 4, CacheSize: 32})
+	e := New(st, Options{CacheSize: 32})
 	parent := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
 	if _, err := e.Materialize(context.Background(), "diag", parent); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestExplainSeedAnnotation(t *testing.T) {
 // cohorts.
 func TestCohortValidation(t *testing.T) {
 	_, st, _ := cohortEngines(t)
-	e := New(st, Options{Shards: 2, CacheSize: 0})
+	e := New(st, Options{CacheSize: 0})
 	ctx := context.Background()
 	ok := query.TrueExpr{}
 

@@ -279,7 +279,7 @@ func TestEmptyStoreFallsBackToStatic(t *testing.T) {
 	if m := newCostModel(store.New(model.MustCollection()).Stats()); m != nil {
 		t.Error("cost model over an empty store")
 	}
-	eng := New(store.New(model.MustCollection()), Options{Shards: 4})
+	eng := New(store.New(model.MustCollection()), Options{})
 	b, err := eng.Execute(query.Has{Pred: query.MustCode("", "T90")})
 	if err != nil || b.Count() != 0 {
 		t.Errorf("empty store execute = %v, %v", b, err)
@@ -290,7 +290,7 @@ func TestEmptyStoreFallsBackToStatic(t *testing.T) {
 // a bounded scan's index bound included, and carries non-zero estimates
 // in execution order.
 func TestExplainAnnotatesPlan(t *testing.T) {
-	eng := New(costStore(t), Options{Shards: 2, CacheSize: 8})
+	eng := New(costStore(t), Options{CacheSize: 8})
 	e := query.And{
 		query.Has{Pred: query.MustCode("ICPC2", "B02"), MinCount: 2},
 		query.Has{Pred: query.MustCode("ICD10", "C03")},
@@ -334,7 +334,7 @@ func TestExplainAnnotatesPlan(t *testing.T) {
 
 // TestShardStatsAccumulate: scan fan-out records per-shard timings.
 func TestShardStatsAccumulate(t *testing.T) {
-	eng := New(costStore(t), Options{Shards: 4, Workers: 2, CacheSize: 0})
+	eng := New(costStore(t), Options{Workers: 2, CacheSize: 0})
 	if _, err := eng.Execute(query.Has{Pred: query.KindIs(model.Point)}); err != nil {
 		t.Fatal(err)
 	}

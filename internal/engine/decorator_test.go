@@ -151,7 +151,7 @@ func TestCohortOpsCheckPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, eng := range map[string]*Engine{"local": engines[1], "coordinator": fix.eng} {
+	for name, eng := range map[string]*Engine{"local": engines[0], "coordinator": fix.eng} {
 		for _, n := range []int{st.Len() - 1, st.Len() + 70_000} {
 			b := store.NewBitset(n)
 			b.Set(n - 1)

@@ -17,11 +17,13 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// Shards is the number of store shards; clamped to [1, patients].
-	// Ignored by NewFromBackends, where the backends fix the topology.
+	// Shards is ignored: New and NewShardServer build one local backend
+	// over the whole store, and NewFromBackends takes its topology from the
+	// backends. It stays for the benchmark module, which still sets it.
 	Shards int
-	// Workers bounds concurrent per-shard evaluation. Defaults to
-	// GOMAXPROCS.
+	// Workers bounds the goroutines one in-process scan or analysis runs
+	// on (spread), and the local backends a coordinator calls at once.
+	// Defaults to GOMAXPROCS.
 	Workers int
 	// CacheSize is the LRU capacity in cached sub-plan bitsets; 0
 	// disables caching.
@@ -39,8 +41,7 @@ type Options struct {
 
 // DefaultOptions sizes the engine to the machine.
 func DefaultOptions() Options {
-	n := runtime.GOMAXPROCS(0)
-	return Options{Shards: n, Workers: n, CacheSize: 128}
+	return Options{Workers: runtime.GOMAXPROCS(0), CacheSize: 128}
 }
 
 // shardMetric accumulates one backend's evaluation load for the /stats
@@ -111,11 +112,12 @@ const (
 )
 
 // topo is the engine's execution topology pinned to one store generation:
-// the shard views, backends and statistics every evaluation of that
-// generation runs against. It is immutable once published; when the store
-// generation advances, topoNow builds a fresh topo on the side and swaps
-// it in, so one query always runs — start to finish — against a single
-// consistent generation while appends keep landing.
+// the view, backends and statistics every evaluation of that generation
+// runs against (a local engine's one backend is a LocalBackend over the
+// pinned view). It is immutable once published; when the store generation
+// advances, topoNow builds a fresh topo on the side and swaps it in, so
+// one query always runs — start to finish — against a single consistent
+// generation while appends keep landing.
 type topo struct {
 	gen      uint64
 	n        int // total population
@@ -145,14 +147,14 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 
 // Engine executes compiled plans over a set of shard backends.
 //
-// Built with New, the backends are in-process views over one global store
-// and the executor exploits that locality: index leaves — a scan's
-// candidate bound among them (Compile lowers it to plan nodes) — are
-// answered straight from the pinned postings, and only scan evaluation
-// fans out. Built with NewFromBackends, the engine is a coordinator over
-// arbitrary (typically remote) backends: it plans from the backends'
-// merged statistics, pushes whole plans down to every shard in one round,
-// and merges the shard-local results in fixed shard order.
+// Built with New, the engine is one in-process view over one global store:
+// index leaves — a scan's candidate bound among them (Compile lowers it to
+// plan nodes) — are answered straight from the pinned postings, and scans
+// and analyses walk the pinned frame in blocks of rows spread over at most
+// Workers goroutines (spread). Built with NewFromBackends, the engine is a
+// coordinator over arbitrary (typically remote) backends: it plans from
+// the backends' merged statistics, pushes whole plans down to every shard
+// in one round, and merges the shard-local results in fixed shard order.
 //
 // A local engine follows its store's live-ingest generation: every
 // operation pins the current topology first, and everything derived from
@@ -161,8 +163,7 @@ func (t *topo) all() *store.Bitset { return t.empty().Not() }
 // advance rather than ever answering for a population it no longer
 // describes.
 type Engine struct {
-	st     *store.Store // nil for a coordinator over remote backends
-	shards int          // configured shard count (local engines re-shard on rebuild)
+	st *store.Store // nil for a coordinator over remote backends
 
 	topo   atomic.Pointer[topo]
 	topoMu sync.Mutex // serializes topology rebuilds on generation advance
@@ -202,45 +203,38 @@ func newEngine(opts Options) *Engine {
 	return e
 }
 
-// New builds an engine over an already-indexed global store. With more
-// than one shard the population is split into contiguous chunks; each is
-// a local backend viewing the store's pinned postings, so scan evaluation
-// fans out across a worker pool and merges per-shard bitsets by ordinal
-// offset without duplicating any index memory.
+// New builds an engine over an already-indexed global store: one local
+// backend over the store's pinned revision, whose scans and analyses
+// spread over at most Workers goroutines. Options.Shards is not read.
 func New(st *store.Store, opts Options) *Engine {
 	e := newEngine(opts)
-	e.st, e.shards = st, opts.Shards
-	e.topo.Store(e.buildTopo(st.Pin()))
+	e.st = st
+	e.topo.Store(buildTopo(st.Pin()))
 	return e
 }
 
-// buildTopo carves the configured shard layout out of one pinned store
-// revision. Per-backend metrics start fresh with each topology.
-func (e *Engine) buildTopo(pin *store.View) *topo {
-	n := pin.Len()
+// buildTopo is a local engine's topology over one pinned store revision.
+// Its backend's metrics start fresh with each topology.
+func buildTopo(pin *store.View) *topo {
+	backends := []ShardBackend{NewLocalBackend(pin, 0)}
 	t := &topo{
-		gen:     pin.Generation(),
-		n:       n,
-		entries: pin.Entries(),
-		stats:   pin.Stats(),
-		view:    pin,
+		gen:      pin.Generation(),
+		n:        pin.Len(),
+		entries:  pin.Entries(),
+		stats:    pin.Stats(),
+		view:     pin,
+		backends: backends,
+		metrics:  make([]shardMetric, 1),
 	}
-	shards := e.shards
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		t.backends = []ShardBackend{NewLocalBackend(pin.Sub(0, n), 0)}
-	} else {
-		chunk := (n + shards - 1) / shards
-		for off := 0; off < n; off += chunk {
-			t.backends = append(t.backends,
-				NewLocalBackend(pin.Sub(off, min(off+chunk, n)), len(t.backends)))
-		}
-	}
-	t.metrics = make([]shardMetric, len(t.backends))
-	t.groups, t.groupOf = groupBackends(t.backends)
+	t.groups, t.groupOf = groupBackends(backends)
 	return t
+}
+
+// local records one in-process scan or map step of a local engine against
+// its one backend, as eachGroup records a call.
+func (t *topo) local(t0 time.Time, err error) {
+	t.groups[0].roundTrips.Add(1)
+	t.metrics[0].add(t0, err)
 }
 
 // topoNow returns the execution topology for the store's current
@@ -257,7 +251,7 @@ func (e *Engine) topoNow() *topo {
 	defer e.topoMu.Unlock()
 	t = e.topo.Load()
 	if t.gen != e.st.Generation() {
-		t = e.buildTopo(e.st.Pin())
+		t = buildTopo(e.st.Pin())
 		e.topo.Store(t)
 	}
 	return t
@@ -405,10 +399,10 @@ func (e *Engine) ResetCache() {
 // ShardStat reports one backend's cumulative evaluation load since the
 // current topology was built: every plan fragment the executor fanned out
 // to the backend, timed uniformly at the call site, whatever the
-// transport. For a locally built engine index leaves are answered from
-// the pinned postings without touching a backend and do not appear here.
-// Counters restart when an append advances the generation (the topology
-// — and possibly the shard layout — is rebuilt).
+// transport. A locally built engine has one backend, which counts every
+// scan and every analysis it runs; its index leaves are answered from the
+// pinned postings and do not appear here. Counters restart when an append
+// advances the generation (the topology is rebuilt).
 type ShardStat struct {
 	Shard    int
 	Offset   int
@@ -513,7 +507,8 @@ func (e *Engine) Execute(q query.Expr) (*store.Bitset, error) {
 
 // ExecuteStatus is Execute under a caller-supplied context, plus the
 // completeness report. The context's deadline bounds the whole
-// evaluation, threaded down to every backend call. Under PolicyDegraded
+// evaluation, threaded down to every backend call and, locally, checked
+// before every block of rows a scan walks (spread). Under PolicyDegraded
 // the QueryStatus names the shards that did not contribute (under
 // PolicyStrict it is always complete — incompleteness is an error).
 func (e *Engine) ExecuteStatus(ctx context.Context, q query.Expr) (*store.Bitset, QueryStatus, error) {
@@ -534,6 +529,9 @@ func (e *Engine) ExecutePlan(p Plan) (*store.Bitset, error) {
 func (e *Engine) executePlanStatus(ctx context.Context, t *topo, p Plan) (*store.Bitset, QueryStatus, error) {
 	ctx, cancel := e.opCtx(ctx)
 	defer cancel()
+	if err := ctx.Err(); err != nil {
+		return nil, QueryStatus{}, err // before any leaf, cached or not, is evaluated
+	}
 	b, missing, err := e.eval(ctx, t, p)
 	if err != nil {
 		return nil, QueryStatus{}, err
@@ -629,12 +627,18 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 	return out, missing, err
 }
 
-// localTree is a local engine's evaluator over t: its scans fan out over
-// the backends (evalScan), and its results are shared through the
+// localTree is a local engine's evaluator over t: its scans walk the
+// pinned view on at most Workers goroutines (scanView), each counted
+// against the one backend, and its results are shared through the
 // engine's result cache.
 func (e *Engine) localTree(ctx context.Context, t *topo) tree {
 	return tree{view: t.view, cache: e.cache, gen: t.gen,
-		scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return e.evalScan(ctx, t, n, mask) }}
+		scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) {
+			t0 := time.Now()
+			out, err := scanView(ctx, t.view, n, mask, e.workers)
+			t.local(t0, err)
+			return out, err
+		}}
 }
 
 // tree is the one plan evaluator: a local engine, a shard server and a
@@ -764,22 +768,6 @@ func (r tree) within(c Plan, mask *store.Bitset) (*store.Bitset, error) {
 		return b, err
 	}
 	return b.And(mask), nil
-}
-
-// evalScan runs the fallback evaluator over each backend's shard, within
-// mask (nil = everyone). A bounded scan runs under the And Compile lowered
-// it to, so mask already holds its candidate bound: an empty candidate
-// set short-circuits before any fan-out, and evalAll skips every shard
-// whose slice of the candidates is empty. Each backend receives its
-// slice in shard-local ordinal space.
-func (e *Engine) evalScan(ctx context.Context, t *topo, n Scan, mask *store.Bitset) (*store.Bitset, error) {
-	if mask != nil && mask.Count() == 0 {
-		return t.empty(), nil
-	}
-	// Local scan fan-out is strict regardless of policy: these backends
-	// are in-process views, an error here is a bug, not an outage.
-	out, _, err := e.evalAll(ctx, t, PolicyStrict, n, mask)
-	return out, err
 }
 
 // evalAll computes eval(p) ∩ mask (nil = everyone) over every backend —
@@ -1016,6 +1004,52 @@ func (e *Engine) eachGroup(ctx context.Context, t *topo, want []bool,
 	}
 	wg.Wait()
 	return errs
+}
+
+// spreadRows is the rows of one unit of an in-process scan or tally: a
+// quarter container, so that a 168k population's eleven units balance on
+// two goroutines where its three containers would not.
+const spreadRows = 1 << 14
+
+// spread runs units [0, n) of one in-process job — a scan's or a tally's
+// blocks of rows, a shard server call's items — on at most workers
+// goroutines, the calling one among them. Each goroutine takes the next
+// unit off one atomic counter until none is left or ctx is done, so a fast
+// goroutine steals what a slow one has not reached. start runs on a
+// goroutine before its first unit, with w < min(workers, n) its index, and
+// returns what it runs each unit with: per-goroutine state (a compiled
+// matcher, whose code memo is not goroutine-safe, or a partial) lives in
+// that closure. spread returns when every goroutine has, with ctx's error
+// when a unit was left unrun.
+func spread(ctx context.Context, workers, n int, start func(w int) func(unit int)) error {
+	var next atomic.Int64
+	run := func(w int) {
+		var do func(int)
+		for ctx.Err() == nil {
+			k := int(next.Add(1)) - 1
+			if k >= n {
+				return
+			}
+			if do == nil {
+				do = start(w)
+			}
+			do(k)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	if int(next.Load()) < n {
+		return ctx.Err()
+	}
+	return nil
 }
 
 func repeatErr(err error, n int) []error {

@@ -360,7 +360,7 @@ func checkFrameAgainstHistories(t testing.TB, data []byte) {
 				if m != nil {
 					args.Mask = m.SliceRange(r[0], r[1])
 				}
-				part, err := tallyFrame(st.Slice(r[0], r[1]).Frame(), args)
+				part, err := tallyFrame(st.Pin().Sub(r[0], r[1]).Frame(), args)
 				if err != nil {
 					t.Fatalf("%s over [%d, %d): %v", req.Kind, r[0], r[1], err)
 				}
@@ -412,7 +412,7 @@ func TestProfileAndIndicatorsShareOneMeanAge(t *testing.T) {
 		hs = append(hs, h)
 	}
 	col := model.MustCollection(hs...)
-	eng := New(store.New(col), Options{Shards: 2, Workers: 2})
+	eng := New(store.New(col), Options{Workers: 2})
 	defer eng.Close()
 	bits, err := eng.Execute(query.TrueExpr{})
 	if err != nil {

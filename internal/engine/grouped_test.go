@@ -56,7 +56,7 @@ func groupedLayouts(t *testing.T, opts Options) map[string]*Engine {
 	mixed := flat(serveShards(t, col, 8, [][]int{seq(0, 8)}, ropts))
 	for i := 1; i < len(mixed); i += 2 {
 		m := mixed[i].Meta()
-		mixed[i] = NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), m.Shard)
+		mixed[i] = NewLocalBackend(st.Pin().Sub(m.Offset, m.Offset+m.Patients), m.Shard)
 	}
 	layouts["local+remote"] = mixed
 	// Two servers of all eight shards, dialed as one replicated group.

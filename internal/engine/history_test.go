@@ -46,7 +46,7 @@ func sameHistory(t *testing.T, got, want *model.History) {
 func TestRemoteHistoryParity(t *testing.T) {
 	col, st, _ := parityEngines(t)
 	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
-	local := New(st, Options{Shards: 4, Workers: 4, CacheSize: 32})
+	local := New(st, Options{Workers: 4, CacheSize: 32})
 
 	cohortExpr := query.Has{Pred: query.AllOf{
 		query.TypeIs(model.TypeDiagnosis), query.MustCode("", `T90|E11(\..*)?`)}}
@@ -141,7 +141,7 @@ func TestFetchOrdinalValidation(t *testing.T) {
 			t.Errorf("shard %d: empty fetch refused: %v", m.Shard, err)
 		}
 	}
-	lb := NewLocalBackend(st.Slice(0, st.Len()), 0)
+	lb := NewLocalBackend(st.Pin().Sub(0, st.Len()), 0)
 	if _, err := lb.FetchHistories(context.Background(), []int{st.Len()}); err == nil {
 		t.Error("local backend: out-of-range ordinal accepted")
 	}
@@ -199,7 +199,7 @@ func TestShardServerGracefulShutdown(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewShardServer(path, nil, Options{Shards: 2, Workers: 2})
+	srv, err := NewShardServer(path, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func appendPatient(t *testing.T, st *store.Store, id model.PatientID, values ...
 // through timing.
 func TestPlanMemoEpochedByGeneration(t *testing.T) {
 	st := store.New(fbCollection(200))
-	e := New(st, Options{Shards: 2, CacheSize: 8})
+	e := New(st, Options{CacheSize: 8})
 	q := query.And{valueScan(0, 50), valueScan(1000, 1040)}
 
 	before, err := e.Execute(q)
@@ -73,7 +73,7 @@ func TestPlanMemoEpochedByGeneration(t *testing.T) {
 // and CacheStats must count only the entries that can still answer.
 func TestResultCacheEpochedByGeneration(t *testing.T) {
 	st := store.New(fbCollection(100))
-	e := New(st, Options{Shards: 1, CacheSize: 8})
+	e := New(st, Options{CacheSize: 8})
 	q := valueScan(0, 30)
 
 	first, err := e.Execute(q)

@@ -116,7 +116,7 @@ func TestAnalysisMemoStoresOnlyComplete(t *testing.T) {
 // memo still must not answer for the old generation.
 func TestAnalysisMemoEpochedByGeneration(t *testing.T) {
 	st := store.New(fbCollection(200))
-	e := New(st, Options{Shards: 2, CacheSize: 8})
+	e := New(st, Options{CacheSize: 8})
 	window := model.Period{Start: model.Date(2000, 1, 1), End: model.Date(2020, 1, 1)}
 	profile := func() stats.CohortProfile {
 		t.Helper()

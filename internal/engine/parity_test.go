@@ -6,6 +6,7 @@ package engine
 // shard counts — including one shard and more shards than patients.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,7 +25,19 @@ const parityPop = 600
 var parityFixture struct {
 	col     *model.Collection
 	st      *store.Store
-	engines []*Engine // shard counts 1, 4, 16, parityPop+7
+	engines []*Engine // a local engine, then coordinators over 1, 4, 16 and parityPop+7 LocalShards
+}
+
+// shardedEngine is a coordinator over k contiguous LocalBackends of st
+// (LocalShards): what a local engine answers, through the slice-and-merge
+// path a coordinator runs over shard servers.
+func shardedEngine(t testing.TB, st *store.Store, k int, opts Options) *Engine {
+	t.Helper()
+	e, err := NewFromBackends(LocalShards(st.Pin(), k), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func parityEngines(t testing.TB) (*model.Collection, *store.Store, []*Engine) {
@@ -37,9 +50,10 @@ func parityEngines(t testing.TB) (*model.Collection, *store.Store, []*Engine) {
 		st := store.New(col)
 		parityFixture.col = col
 		parityFixture.st = st
+		opts := Options{Workers: 4, CacheSize: 32}
+		parityFixture.engines = []*Engine{New(st, opts)}
 		for _, shards := range []int{1, 4, 16, parityPop + 7} {
-			parityFixture.engines = append(parityFixture.engines,
-				New(st, Options{Shards: shards, Workers: 4, CacheSize: 32}))
+			parityFixture.engines = append(parityFixture.engines, shardedEngine(t, st, shards, opts))
 		}
 	}
 	return parityFixture.col, parityFixture.st, parityFixture.engines
@@ -215,7 +229,7 @@ func checkScanSite(t testing.TB, st *store.Store, shards int, e query.Expr, want
 			if m != nil {
 				ref.And(m)
 			}
-			got, err := viewTree(st.Slice(lo, hi)).eval(Scan{Expr: e}, m)
+			got, err := viewTree(context.Background(), st.Pin().Sub(lo, hi)).eval(Scan{Expr: e}, m)
 			if err != nil {
 				t.Fatalf("scan site [%d, %d) of %s: %v", lo, hi, e, err)
 			}
@@ -244,6 +258,13 @@ func TestEngineParityRandomExprs(t *testing.T) {
 // scans whose candidate bound must keep every match — an AnyOf, Sequence
 // or During with a part no index answers.
 func TestEngineParityFixedExprs(t *testing.T) {
+	for _, e := range fixedParityExprs() {
+		checkParity(t, e)
+	}
+}
+
+// fixedParityExprs are TestEngineParityFixedExprs' corner cases.
+func fixedParityExprs() []query.Expr {
 	window := model.Period{Start: model.Date(2010, 1, 1), End: model.Date(2012, 1, 1)}
 	exprs := []query.Expr{
 		query.TrueExpr{},
@@ -286,9 +307,7 @@ func TestEngineParityFixedExprs(t *testing.T) {
 	exprs = append(exprs,
 		query.Sequence{Steps: []query.Step{{Pred: code}, {Pred: interval}}},
 		query.During{Interval: query.AnyOf{query.TypeIs(model.TypeStay), interval}, Event: code})
-	for _, e := range exprs {
-		checkParity(t, e)
-	}
+	return exprs
 }
 
 // FuzzEngineParity drives the same parity check from fuzzed seeds.
@@ -307,7 +326,7 @@ func FuzzEngineParity(f *testing.F) {
 // corrupt later answers.
 func TestEngineCacheCorrectness(t *testing.T) {
 	_, st, _ := parityEngines(t)
-	eng := New(st, Options{Shards: 4, Workers: 4, CacheSize: 16})
+	eng := New(st, Options{Workers: 4, CacheSize: 16})
 	e := query.And{
 		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("", "T90")}},
 		query.Has{Pred: query.MustCode("", `K8.`), MinCount: 2},

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -111,7 +112,7 @@ func TestCompileLowersScanBounds(t *testing.T) {
 		}
 		if b := and.Children[0]; hasScan(b) {
 			t.Errorf("bound of %s scans: %s", e, b)
-		} else if got, err := viewTree(st.Slice(0, st.Len())).eval(b, nil); err != nil {
+		} else if got, err := viewTree(context.Background(), st.Pin().Sub(0, st.Len())).eval(b, nil); err != nil {
 			t.Fatal(err)
 		} else if lost := scanBits(col, st, e).AndNot(got); lost.Count() > 0 {
 			t.Errorf("bound %s of %s drops %d matches", b, e, lost.Count())
@@ -236,7 +237,7 @@ func TestOpaquePredicatesNeverConflate(t *testing.T) {
 		}
 	}
 	st := store.New(model.MustCollection(hs...))
-	eng := New(st, Options{Shards: 2, CacheSize: 16})
+	eng := New(st, Options{CacheSize: 16})
 	for _, pair := range aliasPairs() {
 		a, b := pair[0], pair[1]
 		for _, e := range []query.Expr{a, b, query.And{a, b}, query.Or{b, a}} {

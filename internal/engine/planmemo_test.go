@@ -43,7 +43,7 @@ func valueScan(lo, hi float64) query.Expr {
 // repeat is a memo hit on the one entry.
 func TestFeedbackEpochSettles(t *testing.T) {
 	st := store.New(fbCollection(300))
-	e := New(st, Options{Shards: 2, CacheSize: 8})
+	e := New(st, Options{CacheSize: 8})
 	q := query.And{valueScan(0, 59), valueScan(30, 89)}
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func TestFeedbackEpochSettles(t *testing.T) {
 // it was.
 func TestPlanMemoKeepsColdEntry(t *testing.T) {
 	st := store.New(fbCollection(200))
-	e := New(st, Options{Shards: 1, CacheSize: 0})
+	e := New(st, Options{CacheSize: 0})
 	q := query.And{valueScan(0, 89), valueScan(95, 99)}
 	p, err := Compile(q)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestPlanMemoKeepsColdEntry(t *testing.T) {
 // and re-planning it answers the same as Eval.
 func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
 	st := store.New(fbCollection(200))
-	e := New(st, Options{Shards: 1, CacheSize: 0})
+	e := New(st, Options{CacheSize: 0})
 	text, err := query.NewTextMatch("^$")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestFeedbackOpaqueScansStayFresh(t *testing.T) {
 // result cache.
 func TestFeedbackResetWithCache(t *testing.T) {
 	st := store.New(fbCollection(200))
-	e := New(st, Options{Shards: 1, CacheSize: 8})
+	e := New(st, Options{CacheSize: 8})
 	if _, err := e.Execute(query.And{valueScan(0, 89), valueScan(95, 99)}); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,8 @@ type ShardServer struct {
 	// server of the same snapshot reports, so a client can verify its
 	// assembled topology covers the whole ordinal space.
 	totalPatients int
-	// workers bounds how many items of one Eval call run at once.
+	// workers bounds how many items of one call run at once (spread), and
+	// the goroutines each item's scan or tally runs on.
 	workers int
 
 	// Graceful-shutdown state: Shutdown flips closing, closes the
@@ -277,27 +278,6 @@ func (s *ShardServer) open(it ShardItem) (*servedShard, *store.Bitset, error) {
 	return sh, mask, nil
 }
 
-// eachItem runs fn over a call's n items, at most Workers at a time, item
-// 0 on the handler's own goroutine: a one-shard call spawns nothing.
-func (s *ShardServer) eachItem(n int, fn func(k int)) {
-	sem := make(chan struct{}, s.workers)
-	run := func(k int) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		fn(k)
-	}
-	var wg sync.WaitGroup
-	for k := 1; k < n; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(k)
-		}()
-	}
-	run(0)
-	wg.Wait()
-}
-
 // ShardRPC is the net/rpc service surface of a ShardServer.
 type ShardRPC struct{ s *ShardServer }
 
@@ -363,13 +343,15 @@ func (r *ShardRPC) Eval(args *EvalArgs, reply *EvalReply) error {
 			return err
 		}
 		reply.Results = make([]EvalResult, len(args.Items))
-		r.s.eachItem(len(args.Items), func(k int) {
-			bits, err := r.s.evalShard(p, args.Items[k])
-			if err != nil {
-				reply.Results[k].Err = err.Error()
-				return
+		spread(context.Background(), r.s.workers, len(args.Items), func(int) func(int) {
+			return func(k int) {
+				bits, err := r.s.evalShard(p, args.Items[k])
+				if err != nil {
+					reply.Results[k].Err = err.Error()
+					return
+				}
+				reply.Results[k].Bits = bits
 			}
-			reply.Results[k].Bits = bits
 		})
 		return nil
 	})
@@ -518,13 +500,16 @@ func (r *ShardRPC) Analyze(args *AnalyzeRPCArgs, reply *AnalyzeRPCReply) error {
 		}
 		parts := make([]Partial, len(args.Items))
 		errs := make([]error, len(args.Items))
-		r.s.eachItem(len(args.Items), func(k int) {
-			sh, mask, err := r.s.open(args.Items[k])
-			if err != nil {
-				errs[k] = err
-				return
+		ctx := context.Background()
+		spread(ctx, r.s.workers, len(args.Items), func(int) func(int) {
+			return func(k int) {
+				sh, mask, err := r.s.open(args.Items[k])
+				if err != nil {
+					errs[k] = err
+					return
+				}
+				parts[k], errs[k] = spec.tally(ctx, sh.eng.Store().Pin().Frame(), args.Params, mask, r.s.workers)
 			}
-			parts[k], errs[k] = spec.tally(sh.eng.Store().Pin().Frame(), args.Params, mask)
 		})
 		for k, err := range errs {
 			if err == nil && k > 0 {

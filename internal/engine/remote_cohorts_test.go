@@ -74,7 +74,7 @@ func TestRemoteCohortRefineParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d remote Profile: %v", shards, err)
 		}
-		localProf, err := New(st, Options{Shards: 4, Workers: 2}).Profile(bits, window)
+		localProf, err := New(st, Options{Workers: 2}).Profile(bits, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestCohortRefineUnderConcurrentIngest(t *testing.T) {
 	const basePop = 200
 	const rounds = 10
 	st := store.New(fbCollection(basePop))
-	e := New(st, Options{Shards: 4, Workers: 4, CacheSize: 32})
+	e := New(st, Options{Workers: 4, CacheSize: 32})
 
 	parent := valueScan(0, 94)
 	narrow := query.And{parent, valueScan(40, 60)}

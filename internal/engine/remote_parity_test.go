@@ -125,7 +125,7 @@ func serveShards(t testing.TB, col *model.Collection, shards int, assigned [][]i
 		}
 	})
 	for _, ids := range assigned {
-		srv, err := NewShardServer(path, ids, Options{Shards: 2, Workers: 2, CacheSize: 16})
+		srv, err := NewShardServer(path, ids, Options{Workers: 2, CacheSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,14 +185,7 @@ func TestRemoteParity(t *testing.T) {
 		}
 		// Distributed engine over in-process local backends: the third
 		// implementation of the same contract.
-		var locals []ShardBackend
-		for i, m := range New(st, Options{Shards: shards, Workers: 2}).BackendInfo() {
-			locals = append(locals, NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), i))
-		}
-		localDist, err := NewFromBackends(locals, Options{Workers: 4, CacheSize: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
+		localDist := shardedEngine(t, st, shards, Options{Workers: 4, CacheSize: 32})
 
 		r := rand.New(rand.NewSource(int64(1000 + shards)))
 		exprs := []query.Expr{
@@ -236,7 +229,7 @@ func TestRemoteParity(t *testing.T) {
 		}
 		// IDs resolve across the wire in collection order.
 		e := query.Has{Pred: query.TypeIs(model.TypeDiagnosis)}
-		wantIDs, err := New(st, Options{Shards: shards}).Select(e)
+		wantIDs, err := New(st, Options{}).Select(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +321,7 @@ func TestRemoteMaskedEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d masked eval: %v", m.Shard, err)
 		}
-		want, err := NewLocalBackend(st.Slice(m.Offset, m.Offset+m.Patients), m.Shard).EvalPlan(context.Background(), p, mask)
+		want, err := NewLocalBackend(st.Pin().Sub(m.Offset, m.Offset+m.Patients), m.Shard).EvalPlan(context.Background(), p, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,22 +340,22 @@ func TestNewFromBackendsValidatesTiling(t *testing.T) {
 	_, st, _ := parityEngines(t)
 	n := st.Len()
 	ok := []ShardBackend{
-		NewLocalBackend(st.Slice(0, n/2), 0),
-		NewLocalBackend(st.Slice(n/2, n), 1),
+		NewLocalBackend(st.Pin().Sub(0, n/2), 0),
+		NewLocalBackend(st.Pin().Sub(n/2, n), 1),
 	}
 	if _, err := NewFromBackends(ok, Options{}); err != nil {
 		t.Fatalf("contiguous backends refused: %v", err)
 	}
 	gap := []ShardBackend{
-		NewLocalBackend(st.Slice(0, n/2-1), 0),
-		NewLocalBackend(st.Slice(n/2, n), 1),
+		NewLocalBackend(st.Pin().Sub(0, n/2-1), 0),
+		NewLocalBackend(st.Pin().Sub(n/2, n), 1),
 	}
 	if _, err := NewFromBackends(gap, Options{}); err == nil {
 		t.Error("gapped backends accepted")
 	}
 	overlap := []ShardBackend{
-		NewLocalBackend(st.Slice(0, n/2+1), 0),
-		NewLocalBackend(st.Slice(n/2, n), 1),
+		NewLocalBackend(st.Pin().Sub(0, n/2+1), 0),
+		NewLocalBackend(st.Pin().Sub(n/2, n), 1),
 	}
 	if _, err := NewFromBackends(overlap, Options{}); err == nil {
 		t.Error("overlapping backends accepted")
@@ -398,7 +391,7 @@ func TestRemoteShardStatsRecorded(t *testing.T) {
 	}
 	// The local path records through the same counters on its scan
 	// fan-outs, and reports its transport.
-	local := New(st, Options{Shards: 4, Workers: 2, CacheSize: 0})
+	local := New(st, Options{Workers: 2, CacheSize: 0})
 	if _, err := local.Execute(query.Has{Pred: query.MustCode("", "T90"), MinCount: 2}); err != nil {
 		t.Fatal(err)
 	}

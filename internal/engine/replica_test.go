@@ -37,7 +37,7 @@ func serveReplicas(t testing.TB, col *model.Collection, shards, n int, tune func
 	rs := &replicaSet{}
 	var addrs []string
 	for range n {
-		srv, err := NewShardServer(path, nil, Options{Shards: 2, Workers: 2, CacheSize: 16})
+		srv, err := NewShardServer(path, nil, Options{Workers: 2, CacheSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestReplicaFailover(t *testing.T) {
 	col, st, _ := parityEngines(t)
 	rs := serveReplicas(t, col, 1, 2, nil)
 	b, p := rs.backends[0], parityPlan(t)
-	want, err := NewLocalBackend(st.Slice(0, st.Len()), 0).EvalPlan(context.Background(), p, nil)
+	want, err := NewLocalBackend(st.Pin().Sub(0, st.Len()), 0).EvalPlan(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

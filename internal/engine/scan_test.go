@@ -8,6 +8,7 @@ package engine
 // draws rarely land on; the budget pins allocation per call.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -237,9 +238,9 @@ func TestScanParityEdgeCases(t *testing.T) {
 	}
 	col := model.MustCollection(hs...)
 	st := store.New(col)
-	var engines []*Engine
+	engines := []*Engine{New(st, Options{Workers: 2, CacheSize: 16})}
 	for _, shards := range []int{1, 4, 16, n + 7} {
-		engines = append(engines, New(st, Options{Shards: shards, Workers: 2, CacheSize: 16}))
+		engines = append(engines, shardedEngine(t, st, shards, Options{Workers: 2, CacheSize: 16}))
 		defer engines[len(engines)-1].Close()
 	}
 	has := func(p query.EventPred, min int) query.Expr { return query.Has{Pred: p, MinCount: min} }
@@ -295,9 +296,9 @@ func TestScanParityEdgeCases(t *testing.T) {
 	ageCol := model.MustCollection(ageHs...)
 	ageSt := store.New(ageCol)
 	f := ageSt.Pin().Frame()
-	engines = engines[:0]
+	engines = []*Engine{New(ageSt, Options{Workers: 2})}
 	for _, shards := range []int{1, 4, 16, len(ageHs) + 7} {
-		engines = append(engines, New(ageSt, Options{Shards: shards, Workers: 2}))
+		engines = append(engines, shardedEngine(t, ageSt, shards, Options{Workers: 2}))
 		defer engines[len(engines)-1].Close()
 	}
 	bands := [][2]int{{60, 80}, {0, 0}, {-1, -1}, {-3, 0}, {81, 60}, {0, math.MaxInt}, {math.MinInt, math.MaxInt}, {math.MinInt, -maxYears - 2}}
@@ -351,7 +352,7 @@ func TestScanAllocatesPerCallNotPerRow(t *testing.T) {
 	} {
 		for _, m := range []*store.Bitset{nil, mask} {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := viewTree(v).eval(Scan{Expr: e}, m); err != nil {
+				if _, err := viewTree(context.Background(), v).eval(Scan{Expr: e}, m); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -123,25 +123,6 @@ func (b *Bitset) Not() *Bitset {
 	return b
 }
 
-// CountRange returns the number of set bits in [lo, hi).
-func (b *Bitset) CountRange(lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	c := 0
-	for ci := lo >> 16; ci <= (hi-1)>>16; ci++ {
-		rLo, rHi := 0, containerBits
-		if base := ci << 16; base < lo {
-			rLo = lo - base
-		}
-		if base := ci << 16; base+containerBits > hi {
-			rHi = hi - base
-		}
-		c += b.cs[ci].countRange(rLo, rHi)
-	}
-	return c
-}
-
 // OrAt unions other into the receiver with other's bit 0 mapped to bit off
 // of the receiver, and returns the receiver. This is how per-shard results
 // merge into a global cohort bitset: each shard owns a contiguous ordinal
@@ -179,7 +160,7 @@ func (b *Bitset) orShifted(src *Bitset, lo, hi, d int) *Bitset {
 		panic(fmt.Sprintf("store: bitset: OR of [%d,%d) shifted by %d out of range: source [0,%d), receiver [0,%d)",
 			lo, hi, d, src.n, b.n))
 	}
-	var scratch []uint64 // on the heap, as in MapWords
+	var scratch []uint64 // on the heap: an 8 KB frame would grow every worker's stack
 	for dc := (lo + d) >> 16; dc <= (hi+d-1)>>16; dc++ {
 		sLo, sHi := max(lo, dc<<16-d), min(hi, (dc+1)<<16-d) // source bits landing in dc
 		if sc := sLo >> 16; d&containerMask == 0 && sLo == sc<<16 && sHi >= min(sLo+containerBits, src.n) {
@@ -289,48 +270,51 @@ func (b *Bitset) AnyInRange(lo, hi int) bool {
 	return false
 }
 
-// MapWords returns the set fn maps the receiver into word by word: for
-// each nonzero 64-bit word w, whose bit 0 is bit base, the result holds
-// fn(base, w) ∩ w. Each output container is written once — an array
-// walked by member, a bitmap or run word by word — so a scan pays one
-// call per candidate word, not a closure call and a Set per bit.
-func (b *Bitset) MapWords(fn func(base int, w uint64) uint64) *Bitset {
-	out := NewBitset(b.n)
-	var scratch []uint64 // on the heap: an 8 KB frame would grow every fan-out goroutine's stack
-	for ci := range b.cs {
-		c, o, base := &b.cs[ci], &out.cs[ci], ci<<16
+// EachWord calls fn(base, w) for every nonzero 64-bit word w of the set
+// within bits [lo, hi), lo a multiple of 64, in ascending order: bit 0 of
+// w is bit base, and w holds no bit at or past hi. An array container is
+// walked by member, any other 4,096 bits at a time, so a scan pays one
+// call per candidate word, not a closure call per bit. It only reads the
+// set: goroutines may walk disjoint ranges of one set at once.
+func (b *Bitset) EachWord(lo, hi int, fn func(base int, w uint64)) {
+	var ws [64]uint64
+	for lo < hi {
+		c, base := &b.cs[lo>>16], lo&^containerMask
+		end := min(hi, base+containerBits)
 		if c.typ == ctArray {
-			o.arr = make([]uint16, 0, c.card)
-			for i := 0; i < len(c.arr); {
-				wi, w := c.arr[i]>>6, uint64(0)
-				for ; i < len(c.arr) && c.arr[i]>>6 == wi; i++ {
-					w |= 1 << (c.arr[i] & 63)
+			arr := c.arrRange(lo-base, end-base)
+			for i := 0; i < len(arr); {
+				wi, w := arr[i]>>6, uint64(0)
+				for ; i < len(arr) && arr[i]>>6 == wi; i++ {
+					w |= 1 << (arr[i] & 63)
 				}
-				for m := fn(base+int(wi)<<6, w) & w; m != 0; m &= m - 1 {
-					o.arr = append(o.arr, wi<<6|uint16(bits.TrailingZeros64(m)))
-				}
+				fn(base+int(wi)<<6, w)
 			}
-			o.card = len(o.arr)
 		} else {
-			if scratch == nil {
-				scratch = make([]uint64, containerWords)
-			}
-			for wi, w := range c.words(scratch) {
-				if w == 0 {
-					continue
-				}
-				if m := fn(base+wi<<6, w) & w; m != 0 {
-					if o.bmp == nil {
-						o.typ, o.bmp = ctBitmap, make([]uint64, containerWords)
-					}
-					o.bmp[wi] = m
-					o.card += bits.OnesCount64(m)
+			end = min(end, lo+len(ws)<<6)
+			clear(ws[:])
+			c.orShiftedInto(ws[:], lo-base, end-base, base-lo)
+			for k, w := range ws[:(end-lo+63)>>6] {
+				if w != 0 {
+					fn(lo+k<<6, w)
 				}
 			}
 		}
-		o.optimize()
+		lo = end
 	}
-	return out
+}
+
+// FromWords returns the set of capacity n holding bit i%64 of words[i/64]
+// for every i < n: ⌈n/64⌉ words, no bit set at or past n. Each container
+// takes its smallest form.
+func FromWords(words []uint64, n int) *Bitset {
+	b, ws := NewBitset(n), make([]uint64, containerWords)
+	for ci := range b.cs {
+		clear(ws)
+		copy(ws, words[ci*containerWords:])
+		b.cs[ci] = fromWords(ws)
+	}
+	return b
 }
 
 // Range calls fn for every set bit in ascending order; fn returning false

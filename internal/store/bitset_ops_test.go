@@ -50,7 +50,7 @@ func TestShiftedOrRefusesOverflow(t *testing.T) {
 			want int
 		}{
 			{"OrAt", containerBits + 70, func(dst *Bitset) *Bitset { return dst.OrAt(src, 70) }, src.Count()},
-			{"OrSliceOf", 100, func(dst *Bitset) *Bitset { return dst.OrSliceOf(src, 100, 200) }, src.CountRange(100, 200)},
+			{"OrSliceOf", 100, func(dst *Bitset) *Bitset { return dst.OrSliceOf(src, 100, 200) }, src.SliceRange(100, 200).Count()},
 		} {
 			if got := tc.or(NewBitset(tc.fits)); got.Count() != tc.want {
 				t.Errorf("%s %s into a receiver that fits: count %d, want %d", name, tc.op, got.Count(), tc.want)

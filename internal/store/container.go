@@ -358,41 +358,6 @@ func (c *container) iterate(base int, fn func(int) bool) bool {
 	return true
 }
 
-// countRange counts set positions in [lo, hi), 0 ≤ lo ≤ hi ≤ containerBits.
-func (c *container) countRange(lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	if lo == 0 && hi == containerBits {
-		return c.card
-	}
-	switch c.typ {
-	case ctArray:
-		return len(c.arrRange(lo, hi))
-	case ctBitmap:
-		n := 0
-		for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-			n += bits.OnesCount64(wordIn(c.bmp, wi, lo, hi))
-		}
-		return n
-	default:
-		n := 0
-		for _, r := range c.runs {
-			rLo, rHi := int(r.lo), int(r.hi)+1 // half-open
-			if rLo < lo {
-				rLo = lo
-			}
-			if rHi > hi {
-				rHi = hi
-			}
-			if rLo < rHi {
-				n += rHi - rLo
-			}
-		}
-		return n
-	}
-}
-
 // anyInRange reports whether any position in [lo, hi) is set.
 func (c *container) anyInRange(lo, hi int) bool {
 	if lo >= hi || c.card == 0 {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -231,8 +233,8 @@ func TestContainerEmptyAndFullRange(t *testing.T) {
 		if n > 0 && (!b.Get(0) || !b.Get(n-1)) {
 			t.Fatalf("n=%d: full bitset missing endpoints", n)
 		}
-		if b.CountRange(0, n) != n {
-			t.Fatalf("n=%d: CountRange over full = %d", n, b.CountRange(0, n))
+		if got := b.SliceRange(0, n).Count(); got != n {
+			t.Fatalf("n=%d: SliceRange over full counts %d", n, got)
 		}
 		checkInvariants(t, "full", b)
 		b.Not()
@@ -269,8 +271,8 @@ func TestContainerWordAndChunkBoundaries(t *testing.T) {
 					any = true
 				}
 			}
-			if got := b.CountRange(lo, hi); got != want {
-				t.Fatalf("CountRange(%d,%d)=%d, want %d", lo, hi, got, want)
+			if got := b.SliceRange(lo, hi).Count(); got != want {
+				t.Fatalf("SliceRange(%d,%d) counts %d, want %d", lo, hi, got, want)
 			}
 			if got := b.AnyInRange(lo, hi); got != any {
 				t.Fatalf("AnyInRange(%d,%d)=%v, want %v", lo, hi, got, any)
@@ -567,11 +569,11 @@ func FuzzContainerOps(f *testing.F) {
 					}
 				}
 				mustEqualWords(t, fmt.Sprintf("OrAt(SliceRange(%d,%d), %d)", lo, hi, off), b, fb)
-			case 10: // map a word by word: some words to 0, some to bits outside them
-				salt := r.Uint64()
+			case 10: // map a word by word, as a scan does, in blocks of 64–32,768 bits spread over 1–3 workers: some words to 0, some to bits outside them
+				salt, block := r.Uint64(), 64*(1+r.Intn(512))
 				fn := func(base int, w uint64) uint64 {
 					if base&63 != 0 || w != fa.words[base>>6] {
-						t.Fatalf("MapWords passed word %b at bit %d; the set holds %b there", w, base, fa.words[base>>6])
+						t.Errorf("EachWord passed word %b at bit %d; the set holds %b there", w, base, fa.words[base>>6])
 					}
 					switch x := uint64(base)*0x9e3779b97f4a7c15 ^ salt; x >> 62 {
 					case 0:
@@ -582,13 +584,28 @@ func FuzzContainerOps(f *testing.F) {
 						return x
 					}
 				}
-				a = a.MapWords(fn)
+				words, next := make([]uint64, (n+63)/64), new(atomic.Int64)
+				var wg sync.WaitGroup
+				for range 1 + r.Intn(3) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for lo := int(next.Add(int64(block))) - block; lo < n; lo = int(next.Add(int64(block))) - block {
+							a.EachWord(lo, min(lo+block, n), func(base int, w uint64) { words[base>>6] = fn(base, w) & w })
+						}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					t.FailNow()
+				}
+				a = FromWords(words, n)
 				for wi, w := range fa.words {
 					if w != 0 {
 						fa.words[wi] = fn(wi<<6, w) & w
 					}
 				}
-				mustEqual(t, "MapWords", a, fa)
+				mustEqual(t, "EachWord+FromWords", a, fa)
 			}
 			if a.Count() != fa.count() || b.Count() != fb.count() {
 				t.Fatalf("count diverged after op %d: a=%d/%d b=%d/%d",

@@ -127,20 +127,6 @@ func layeredHas(base, delta *Bitset, i int) bool {
 	return layerGet(base, i) || layerGet(delta, i)
 }
 
-// layerCountRange counts set bits in [lo, hi) of one layer bitset.
-func layerCountRange(bs *Bitset, lo, hi int) int {
-	if bs == nil {
-		return 0
-	}
-	if n := bs.Len(); hi > n {
-		hi = n
-	}
-	if lo >= hi {
-		return 0
-	}
-	return bs.CountRange(lo, hi)
-}
-
 // layerAnyInRange reports whether any bit in [lo, hi) is set in one layer.
 func layerAnyInRange(bs *Bitset, lo, hi int) bool {
 	if bs == nil {

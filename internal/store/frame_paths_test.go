@@ -25,7 +25,7 @@ func TestOnlyAnalysisBuildsTheFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.New(col)
-	wb := &core.Workbench{Store: st, Engine: engine.New(st, engine.Options{Shards: 4, Workers: 2, CacheSize: 16}), Window: cfg.Window()}
+	wb := &core.Workbench{Store: st, Engine: engine.New(st, engine.Options{Workers: 2, CacheSize: 16}), Window: cfg.Window()}
 	defer wb.Close()
 
 	diabetes := query.Has{Pred: query.MustCode("ICPC2", "T90")}
@@ -85,7 +85,7 @@ func TestOnlyAnalysisBuildsTheFrame(t *testing.T) {
 	}
 
 	fresh := store.New(col)
-	eng := engine.New(fresh, engine.Options{Shards: 2, Workers: 2, CacheSize: 16})
+	eng := engine.New(fresh, engine.Options{Workers: 2, CacheSize: 16})
 	defer eng.Close()
 	if _, err := eng.Execute(query.AgeBetween{Lo: 40, Hi: 60, At: cfg.Window().Start}); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestUnsortedHistoriesDoNotRace(t *testing.T) {
 			}
 		}
 		st := store.New(model.MustCollection(hs...))
-		eng := engine.New(st, engine.Options{Shards: 4, Workers: 2})
+		eng := engine.New(st, engine.Options{Workers: 2})
 		done := make(chan struct{})
 		go func() { st.Pin().Frame(); close(done) }()
 		bits, err := eng.Execute(seq)

@@ -165,7 +165,7 @@ func TestPinnedFrameSurvivesAppend(t *testing.T) {
 	if now := s.Pin().Frame(); now.Len() != 215 || len(now.Codes) <= codes {
 		t.Errorf("current frame: %d rows, %d codes (pinned: 200 rows, %d codes)", now.Len(), len(now.Codes), codes)
 	}
-	sub := s.Slice(50, 60).Frame()
+	sub := s.Pin().Sub(50, 60).Frame()
 	if sub.Len() != 10 || !reflect.DeepEqual(frameContent(sub), frameContent(s.Pin().Frame())[50:60]) {
 		t.Error("a sliced view's frame is not the revision's rows [50, 60)")
 	}

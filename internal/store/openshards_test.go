@@ -34,7 +34,7 @@ func TestOpenShardsSubsetRoundTrip(t *testing.T) {
 		t.Fatalf("opened %d of %d shards, info %+v", len(opened), shards, info)
 	}
 	for _, sh := range opened {
-		view := full.Slice(sh.Offset, sh.Offset+sh.Col.Len())
+		view := full.Pin().Sub(sh.Offset, sh.Offset+sh.Col.Len())
 		// Per-history identity against the full store's slice.
 		want := view.Histories()
 		got := sh.Col.Histories()
@@ -234,7 +234,7 @@ func TestStatsWireAndMerge(t *testing.T) {
 
 	var parts []*Stats
 	for _, b := range [][2]int{{0, 20}, {20, 55}, {55, 83}} {
-		st := full.Slice(b[0], b[1]).Stats()
+		st := full.Pin().Sub(b[0], b[1]).Stats()
 		data, err := st.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

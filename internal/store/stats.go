@@ -255,30 +255,14 @@ type View struct {
 	lo, hi int
 }
 
-// Slice returns a view over ordinals [lo, hi) of the current revision;
-// bounds are clamped to the population.
-func (s *Store) Slice(lo, hi int) *View {
-	r := s.loadRev()
-	return sliceRev(r, lo, hi)
-}
-
-func sliceRev(r *storeRev, lo, hi int) *View {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(r.hists) {
-		hi = len(r.hists)
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return &View{r: r, lo: lo, hi: hi}
-}
-
 // Sub returns a view over ordinals [lo, hi) of the same revision as v
-// (absolute ordinals, independent of v's own range) — how the engine
-// carves shard views out of one pinned full-population view.
-func (v *View) Sub(lo, hi int) *View { return sliceRev(v.r, lo, hi) }
+// (absolute ordinals, independent of v's own range, clamped to the
+// population): a shard of it, as LocalBackend serves one.
+func (v *View) Sub(lo, hi int) *View {
+	n := len(v.r.hists)
+	lo = min(max(lo, 0), n)
+	return &View{r: v.r, lo: lo, hi: min(max(hi, lo), n)}
+}
 
 // Generation returns the generation of the revision the view is pinned to.
 func (v *View) Generation() uint64 { return v.r.gen }
@@ -328,59 +312,14 @@ func (v *View) HistoryAt(local int) *model.History {
 	return v.r.hists[v.lo+local]
 }
 
-// Stats collects the view's exact cardinalities by popcounting the
-// revision's layered postings over the view's ordinal range — the
-// per-shard statistics a shard backend reports without owning dedicated
-// indexes. The full-population view returns the revision's precomputed
-// statistics directly.
+// Stats returns the view's exact cardinalities: the revision's own for
+// the full population, and for a slice those a store built from its
+// histories — a shard server's store — collects.
 func (v *View) Stats() *Stats {
 	if v.lo == 0 && v.hi == len(v.r.hists) {
 		return v.r.stats
 	}
-	st := &Stats{
-		Patients:   v.Len(),
-		Entries:    v.Entries(),
-		codeCard:   make(map[codeKey]int),
-		typeCard:   make(map[model.Type]int),
-		sourceCard: make(map[model.Source]int),
-	}
-	for _, c := range v.r.codes {
-		k := codeKey{c.System, c.Value}
-		base, delta := v.r.codeBits(k)
-		n := layerCountRange(base, v.lo, v.hi) + layerCountRange(delta, v.lo, v.hi)
-		if n > 0 {
-			st.codeCard[k] = n
-			st.codes = append(st.codes, c) // revision vocabulary is sorted
-		}
-	}
-	st.DistinctCodes = len(st.codes)
-	for t := range layerKeys(v.r.base.byType, v.r.delta.byType) {
-		n := layerCountRange(v.r.base.byType[t], v.lo, v.hi) +
-			layerCountRange(v.r.delta.byType[t], v.lo, v.hi)
-		if n > 0 {
-			st.typeCard[t] = n
-		}
-	}
-	for src := range layerKeys(v.r.base.bySource, v.r.delta.bySource) {
-		n := layerCountRange(v.r.base.bySource[src], v.lo, v.hi) +
-			layerCountRange(v.r.delta.bySource[src], v.lo, v.hi)
-		if n > 0 {
-			st.sourceCard[src] = n
-		}
-	}
-	return st
-}
-
-// layerKeys returns the union of both layers' key sets.
-func layerKeys[K comparable](base, delta map[K]*Bitset) map[K]struct{} {
-	out := make(map[K]struct{}, len(base)+len(delta))
-	for k := range base {
-		out[k] = struct{}{}
-	}
-	for k := range delta {
-		out[k] = struct{}{}
-	}
-	return out
+	return New(model.MustCollection(v.Histories()...)).Stats()
 }
 
 // slice extracts a layered posting into local ordinal space, fast-pathing

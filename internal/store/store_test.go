@@ -211,7 +211,7 @@ func TestOrdinalExactAcrossAppendAndCompact(t *testing.T) {
 	s, present := New(model.MustCollection(histories(0, 700)...)), 700
 	check := func(stage string) {
 		t.Helper()
-		pinned, slice := s.Pin(), s.Slice(100, 300)
+		pinned, slice := s.Pin(), s.Pin().Sub(100, 300)
 		for k := range perm { // appended IDs, then IDs not (yet) present
 			o, ok := s.Ordinal(idAt(k))
 			po, pok := pinned.Ordinal(idAt(k))

@@ -76,7 +76,7 @@ func distributedServer(t *testing.T, patients int) (*Server, *core.Workbench, *c
 	var addrs []string
 	var listeners []*killableListener
 	for _, ids := range [][]int{{0, 1}, {2, 3}} {
-		srv, err := engine.NewShardServer(path, ids, engine.Options{Shards: 2, Workers: 2})
+		srv, err := engine.NewShardServer(path, ids, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,7 +178,7 @@ func TestCohortViewShipsWhatItDraws(t *testing.T) {
 	var fetched atomic.Int64
 	var counting []engine.ShardBackend
 	for i, m := range wb.Engine.BackendInfo() {
-		counting = append(counting, fetchCounter{engine.NewLocalBackend(wb.Store.Slice(m.Offset, m.Offset+m.Patients), i), &fetched})
+		counting = append(counting, fetchCounter{engine.NewLocalBackend(wb.Store.Pin().Sub(m.Offset, m.Offset+m.Patients), i), &fetched})
 	}
 	eng, err := engine.NewFromBackends(counting, engine.Options{Workers: 2})
 	if err != nil {

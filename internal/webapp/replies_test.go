@@ -18,8 +18,8 @@ import (
 // TestAnalysisReplyGoldenBytes pins the characterise and analytics replies
 // — profile, compare, indicators, mine in every mode, episodes — to the
 // digests they had before the analyzers tallied on dictionary ids and the
-// engine memoized analyses: at one shard and at four, asked once and asked
-// again (the second answer comes out of the analysis memo), not one byte
+// engine memoized analyses: over a local engine and over one and four
+// local shards, asked once and asked again (the second answer comes out of the analysis memo), not one byte
 // may differ.
 func TestAnalysisReplyGoldenBytes(t *testing.T) {
 	cfg := synth.DefaultConfig(1500)
@@ -37,9 +37,15 @@ func TestAnalysisReplyGoldenBytes(t *testing.T) {
 		{"POST", "/api/analytics/mine", `{"cohort":"diag","sequential":true,"max_gap":3,"min_count":3}`, "f98c7c9688ffeeb5f9bfa1e25680a4a96321eb5c0697313937ffdc7d589f8d44"},
 		{"POST", "/api/analytics/episodes", `{"cohort":"diag","gap_days":90}`, "a5fb7746589a26b7dfe0386e4a62689d4f4850f8aebdabadd069daab2fee3c61"},
 	}
-	for _, shards := range []int{1, 4} {
-		wb := &core.Workbench{Store: st, Window: cfg.Window(),
-			Engine: engine.New(st, engine.Options{Shards: shards, Workers: 2, CacheSize: 16})}
+	for _, shards := range []int{0, 1, 4} { // 0: a local engine; k: a coordinator over k local shards
+		opts := engine.Options{Workers: 2, CacheSize: 16}
+		eng := engine.New(st, opts)
+		if shards > 0 {
+			if eng, err = engine.NewFromBackends(engine.LocalShards(st.Pin(), shards), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wb := &core.Workbench{Store: st, Window: cfg.Window(), Engine: eng}
 		for name, spec := range map[string]string{"diag": `{"op":"has","type":"diagnosis"}`,
 			"t90": `{"op":"has","system":"ICPC2","pattern":"T90","type":"diagnosis"}`} {
 			if _, err := wb.SaveCohort(name, mustExpr(t, spec)); err != nil {

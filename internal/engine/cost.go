@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"pastas/internal/model"
@@ -11,7 +12,8 @@ import (
 // Cost model. The planner estimates, for every plan node, how many
 // patients it will match (Rows) and what evaluating it costs (Cost), from
 // the exact cardinalities the store collects at New time. Index leaves are
-// estimated from their posting-list counts; Not/And/Or compose children
+// estimated from their posting-list counts, value bands and age bands from
+// the store's value and birth buckets; Not/And/Or compose children
 // under the usual independence assumption; Scan nodes cost a calibrated
 // per-history constant times the population, which an enclosing And
 // scales down to the candidates its earlier children leave — a bounded
@@ -40,7 +42,7 @@ const (
 	costPerEntry   = 16.0 // predicate probe of one entry, in word ops
 	costPerHistory = 32.0 // fixed per-history scan overhead
 	costPerCode    = 8.0  // regex probe of one vocabulary code
-	defaultSel     = 0.5  // selectivity prior for criteria no index counts
+	defaultSel     = 0.5  // selectivity prior for KindIs, InPeriod, NotEv and TextMatch
 )
 
 // costModel estimates plans over one store's statistics.
@@ -175,9 +177,9 @@ func (m *costModel) estimateIndex(p IndexScan) Estimate {
 }
 
 // exprSel estimates the fraction of patients a scanned expression
-// matches. Index-derivable parts use exact cardinalities (as upper
-// bounds); demographics use uniform priors; anything else gets
-// defaultSel. Composition assumes independence.
+// matches. Index-derivable parts and value bands use the store's counts
+// (as upper bounds), age bands its birth buckets, sex an even split; what
+// no statistic counts gets defaultSel. Composition assumes independence.
 func (m *costModel) exprSel(e query.Expr) float64 {
 	switch q := e.(type) {
 	case query.TrueExpr:
@@ -203,10 +205,7 @@ func (m *costModel) exprSel(e query.Expr) float64 {
 	case query.SexIs:
 		return 0.5
 	case query.AgeBetween:
-		// Uniform prior over a ~90-year demographic span; in float64, as
-		// Hi−Lo+1 wraps for bounds the Query Builder accepts.
-		sel := (float64(q.Hi) - float64(q.Lo) + 1) / 90
-		return clampSel(sel)
+		return float64(m.st.BirthCard(ageBirths(q))) / m.n
 	case query.Sequence:
 		sel := 1.0
 		for _, st := range q.Steps {
@@ -221,8 +220,9 @@ func (m *costModel) exprSel(e query.Expr) float64 {
 }
 
 // predSel estimates the fraction of patients with at least one entry
-// matching an event predicate; unknown reports the given prior for
-// predicates the indexes know nothing about.
+// matching an event predicate, from the index counts and, for a value
+// band, the value buckets; unknown reports the given prior for predicates
+// no statistic counts.
 func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 	switch q := p.(type) {
 	case *query.Code:
@@ -235,6 +235,8 @@ func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 		return float64(m.st.TypeCard(model.Type(q))) / m.n
 	case query.SourceIs:
 		return float64(m.st.SourceCard(model.Source(q))) / m.n
+	case query.ValueBetween:
+		return float64(m.st.ValueBandCard(q.Lo, q.Hi)) / m.n
 	case query.AllOf:
 		sel := 1.0
 		for _, c := range q {
@@ -247,9 +249,28 @@ func (m *costModel) predSel(p query.EventPred, unknown float64) float64 {
 			keep *= 1 - m.predSel(c, unknown)
 		}
 		return 1 - keep
-	default: // NotEv, KindIs, ValueBetween, InPeriod, TextMatch
+	default: // NotEv, KindIs, InPeriod, TextMatch
 		return unknown
 	}
+}
+
+// ageBirths returns the birth-year buckets (Stats.BirthCard's) that hold
+// an age band at q.At: AgeAt floors, so age ∈ [Lo, Hi] ⇔ At − (Hi+1)·Year
+// < birth ≤ At − Lo·Year, computed in years, where nothing overflows. The
+// guards are compileScan's: a bound past maxYears is no bound.
+func ageBirths(q query.AgeBetween) (first, last int64) {
+	if q.Lo > q.Hi || q.Lo > maxYears || q.Hi < -maxYears-1 {
+		return 1, 0
+	}
+	at, rem := store.YearOf(q.At)
+	first, last = math.MinInt64, math.MaxInt64
+	if q.Hi < maxYears { // the bucket of At − (Hi+1)·Year + 1
+		first = at - int64(q.Hi) - 1 + (rem+1)/int64(model.Year)
+	}
+	if q.Lo >= -maxYears {
+		last = at - int64(q.Lo)
+	}
+	return first, last
 }
 
 func clampSel(s float64) float64 {

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pastas/internal/integrate"
 	"pastas/internal/model"
 	"pastas/internal/query"
 	"pastas/internal/store"
+	"pastas/internal/synth"
 )
 
 // costStore hand-builds a 20-patient collection with known cardinalities:
@@ -113,13 +115,47 @@ func TestEstimateSelectivities(t *testing.T) {
 	if bc, oc := est(counted).Cost, est(opaque).Cost; bc >= oc/2 {
 		t.Errorf("bounded scan cost %f not clearly below unbounded %f", bc, oc)
 	}
-	// Demographics: uniform priors.
+	// Sex: an even split.
 	if got := est(query.SexIs(model.SexFemale)).Rows; !approx(got, 10) {
 		t.Errorf("rows(sex=female) = %f, want 10", got)
 	}
-	// An age band over every age matches everyone, even where Hi−Lo+1 wraps.
+	// An age band over every age holds every birth bucket, even where
+	// Hi−Lo+1 wraps.
 	if got := est(query.AgeBetween{Lo: 0, Hi: math.MaxInt64}).Rows; !approx(got, 20) {
 		t.Errorf("rows(age in [0, MaxInt64]) = %f, want 20", got)
+	}
+}
+
+// TestAgeBandsFromBirths: the birth buckets bound an age band's patients
+// from above on 20k synth patients, within a q-error of 2 on the old-age
+// tail and 1.5 on broad bands, and keep compileScan's guards.
+func TestAgeBandsFromBirths(t *testing.T) {
+	cfg := synth.DefaultConfig(20000)
+	col, _, err := integrate.Build(synth.Generate(cfg), integrate.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(col)
+	m := newCostModel(st.Stats())
+	for _, c := range []struct {
+		lo, hi int
+		qmax   float64
+	}{{90, 120, 2}, {60, 80, 1.5}, {0, 17, 1.5}} {
+		q := query.AgeBetween{Lo: c.lo, Hi: c.hi, At: cfg.WindowStart}
+		est, truth := m.exprSel(q)*m.n, float64(st.Where(q.Eval).Count())
+		if truth == 0 || est < truth || est > c.qmax*truth {
+			t.Errorf("%s: estimated %.0f patients, %.0f match (q-error bound %.1f)", q, est, truth, c.qmax)
+		}
+	}
+	for _, q := range []query.AgeBetween{
+		{Lo: 5, Hi: 4}, {Lo: maxYears + 1, Hi: math.MaxInt}, {Lo: math.MinInt, Hi: -maxYears - 2},
+	} {
+		if got := m.exprSel(q); got != 0 {
+			t.Errorf("%s: selectivity %v, want 0 (matches nobody)", q, got)
+		}
+	}
+	if got := m.exprSel(query.AgeBetween{Lo: math.MinInt, Hi: math.MaxInt, At: math.MaxInt64}); got != 1 {
+		t.Errorf("every age: selectivity %v, want 1", got)
 	}
 }
 

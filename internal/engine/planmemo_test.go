@@ -4,7 +4,10 @@ package engine
 // expression key; executing a plan never changes the next one.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"pastas/internal/model"
 	"pastas/internal/query"
@@ -15,8 +18,8 @@ import (
 // measurements: one drawn from [0,100) (patient i gets i%100) and one
 // from [1000,1100) on a decorrelated cycle — so ValueBetween predicates
 // over the two bands give precisely controlled, independently tunable
-// selectivities that the cost model's uniform prior (defaultSel = 0.5)
-// knows nothing about.
+// selectivities, which the cost model reads off the store's value buckets
+// to within a bucket's width.
 func fbCollection(n int) *model.Collection {
 	base := model.Date(2012, 1, 1)
 	hs := make([]*model.History, n)
@@ -127,5 +130,55 @@ func TestFeedbackResetWithCache(t *testing.T) {
 	e.ResetCache()
 	if plans, results := e.plans.stats(0).Entries, e.CacheStats().Entries; plans != 0 || results != 0 {
 		t.Errorf("ResetCache left state: plans=%d results=%d", plans, results)
+	}
+}
+
+// TestValueBandsPlanNarrowFirst: the value buckets put the narrow band of
+// {0,90} ∧ {60,65} first on a local engine, on coordinators over 1, 4 and
+// 16 local shards, and on a coordinator over a shard server (its stats
+// cross the Stats RPC); all print one plan tree and answer EvalIndexed's
+// cohort.
+func TestValueBandsPlanNarrowFirst(t *testing.T) {
+	col := fbCollection(3000)
+	st := store.New(col)
+	q := query.And{valueScan(0, 90), valueScan(60, 65)}
+	want, err := query.EvalIndexed(st, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]*Engine{"local": New(st, Options{Workers: 2})}
+	for _, k := range []int{1, 4, 16} {
+		e, err := NewFromBackends(LocalShards(st.Pin(), k), Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[fmt.Sprintf("%d local shards", k)] = e
+	}
+	engines["shard server"] = startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 30 * time.Second}).eng
+
+	narrow := Scan{Expr: valueScan(60, 65)}.String()
+	var tree string
+	for name, e := range engines {
+		x, err := e.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		and, ok := x.Plan.(And)
+		if !ok || len(and.Children) != 2 || and.Children[0].String() != narrow {
+			t.Errorf("%s: planned %s, want %s first", name, x.Plan, narrow)
+		}
+		_, body, _ := strings.Cut(x.String(), "\n")
+		if tree == "" {
+			tree = body
+		} else if body != tree {
+			t.Errorf("%s: explains\n%s\nwant\n%s", name, body, tree)
+		}
+		got, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: %d patients, EvalIndexed says %d", name, got.Count(), want.Count())
+		}
 	}
 }

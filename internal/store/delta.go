@@ -254,6 +254,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 	sourceCOW := newMapCOW(cur.delta.bySource, n2)
 
 	stats2 := cur.stats.clone()
+	bt := &bucketTally{birth: stats2.birthCard}
 	codes2 := cur.codes
 	codesGrown := false
 	maxID := cur.computeMaxEntryID()
@@ -307,6 +308,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		for j := range u.Entries {
 			mark(i, &u.Entries[j])
 		}
+		bt.update(old.Entries, u.Entries)
 		merged.Sort()
 		hists2[i] = merged
 		touched = append(touched, i)
@@ -323,12 +325,14 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		for j := range h.Entries {
 			mark(i, &h.Entries[j])
 		}
+		bt.add(h)
 		added += len(h.Entries)
 	}
 
 	if codesGrown {
 		sortCodes(codes2)
 	}
+	bt.into(stats2.valueCard)
 	stats2.Patients = n2
 	stats2.Entries = cur.entries + added
 	stats2.codes = codes2

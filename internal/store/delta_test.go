@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -216,5 +217,58 @@ func TestPinAndFreezeIsolateAppends(t *testing.T) {
 	}
 	if _, ok := v.Ordinal(6); ok {
 		t.Error("pinned view resolves a patient appended after the pin")
+	}
+}
+
+// TestAppendedStatsEqualBatchBuild: the statistics Append maintains equal
+// those a batch build of the same histories collects — posting counts,
+// births and value buckets alike — across new patients and updates that
+// bring a new code, type, source and value bucket (and updates that bring
+// nothing new, or touch one patient twice in a batch).
+func TestAppendedStatsEqualBatchBuild(t *testing.T) {
+	s := New(testCollection(t))
+	valued := func(id uint64, v float64) model.Entry {
+		e := deltaEntry(id, model.Code{})
+		e.Type, e.Value = model.TypeMeasurement, v
+		return e
+	}
+	fresh := func(id model.PatientID, birth model.Time, vs ...float64) *model.History {
+		h := model.NewHistory(model.Patient{ID: id, Birth: birth})
+		for i, v := range vs {
+			h.Add(valued(uint64(id)*1000+uint64(i), v))
+		}
+		return h
+	}
+	stay := deltaEntry(9101, model.Code{System: "ICD10", Value: "Z99"}) // new code, type and source
+	stay.Type, stay.Source, stay.Kind, stay.End = model.TypeStay, model.SourceHospital, model.Interval, stay.Start+model.Day
+	batches := []AppendBatch{{
+		NewHistories: []*model.History{
+			fresh(6, model.Date(1931, time.May, 2), 0, math.Copysign(0, -1), math.NaN(), 7.5),
+			fresh(7, model.Date(2009, time.December, 31), math.Inf(1), 1e300, 5e-324),
+		},
+		Updates: []HistoryUpdate{
+			{ID: 2, Entries: []model.Entry{stay, valued(9102, 7.5)}},
+			{ID: 2, Entries: []model.Entry{valued(9103, 7.9), valued(9104, -120)}}, // 7.9 shares 7.5's bucket
+			{ID: 3, Entries: []model.Entry{valued(9105, 0)}},                       // nothing new
+		},
+	}, {
+		NewHistories: []*model.History{fresh(8, model.Date(1931, time.June, 1), 1e300)},
+		Updates:      []HistoryUpdate{{ID: 6, Entries: []model.Entry{valued(9106, -120), valued(9107, 7.5)}}},
+	}}
+	for i, b := range batches {
+		if _, err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		got, want := s.Stats(), New(model.MustCollection(s.Pin().Histories()...)).Stats()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after batch %d: appended stats\n %+v\nbatch build\n %+v", i, got, want)
+		}
+	}
+	st := s.Stats()
+	if got := st.ValueBandCard(7, 8); got != 2 {
+		t.Errorf("ValueBandCard(7, 8) = %d, want 2 (patients 2 and 6)", got)
+	}
+	if got := st.CodeCard("ICD10", "Z99"); got != 1 {
+		t.Errorf("CodeCard(Z99) = %d, want 1", got)
 	}
 }

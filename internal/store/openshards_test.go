@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,7 +244,7 @@ func TestStatsWireAndMerge(t *testing.T) {
 		if err := rt.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if rt.Patients != st.Patients || rt.Entries != st.Entries || rt.DistinctCodes != st.DistinctCodes {
+		if !reflect.DeepEqual(&rt, st) {
 			t.Fatalf("stats round-trip differs: %+v vs %+v", rt, st)
 		}
 		parts = append(parts, &rt)
@@ -282,5 +283,19 @@ func TestStatsWireAndMerge(t *testing.T) {
 		if got != want {
 			t.Errorf("pattern %q: merged %d, global %d", pattern, got, want)
 		}
+	}
+	// So must value and birth buckets: the bands and years of the rows.
+	for _, band := range [][2]float64{{0, 0}, {120, 123}, {126, 126}, {-1, 1e9}, {200, 100}} {
+		if got, want := merged.ValueBandCard(band[0], band[1]), global.ValueBandCard(band[0], band[1]); got != want {
+			t.Errorf("value band %v: merged %d, global %d", band, got, want)
+		}
+	}
+	for _, years := range [][2]int64{{-60, -50}, {-45, -45}, {math.MinInt64, math.MaxInt64}, {1, 0}} {
+		if got, want := merged.BirthCard(years[0], years[1]), global.BirthCard(years[0], years[1]); got != want {
+			t.Errorf("birth years %v: merged %d, global %d", years, got, want)
+		}
+	}
+	if !reflect.DeepEqual(merged.valueCard, global.valueCard) || !reflect.DeepEqual(merged.birthCard, global.birthCard) {
+		t.Errorf("merged buckets differ from the global store's")
 	}
 }

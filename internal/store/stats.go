@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
 
 	"pastas/internal/model"
 )
@@ -22,7 +23,9 @@ import (
 
 // Stats holds exact cardinalities over one store's population. All counts
 // are patient-level (a patient with five T90 entries counts once), which
-// is exactly the selectivity a cohort planner wants.
+// is exactly the selectivity a cohort planner wants, and so are its counts
+// per fixed value bucket and birth-year bucket (YearOf). A value's bucket
+// is its sign, exponent and top three mantissa bits: at most 12.5 % wide.
 type Stats struct {
 	// Patients is the population size.
 	Patients int
@@ -34,12 +37,15 @@ type Stats struct {
 	codeCard   map[codeKey]int
 	typeCard   map[model.Type]int
 	sourceCard map[model.Source]int
-	codes      []model.Code // shared with the owning revision; do not mutate
+	valueCard  map[uint16]int // patients with ≥ 1 entry value in the bucket
+	birthCard  map[int64]int  // patients born in the year bucket
+	codes      []model.Code   // shared with the owning revision; do not mutate
 }
 
 // collectStats popcounts every posting list of a revision once, summing
-// the base and delta layers (additive by the disjointness invariant).
-func collectStats(r *storeRev) *Stats {
+// the base and delta layers (additive by the disjointness invariant), and
+// adopts the value and birth buckets its caller tallied.
+func collectStats(r *storeRev, bt *bucketTally) *Stats {
 	st := &Stats{
 		Patients:      len(r.hists),
 		Entries:       r.entries,
@@ -47,6 +53,8 @@ func collectStats(r *storeRev) *Stats {
 		codeCard:      make(map[codeKey]int, len(r.base.byCodeValue)),
 		typeCard:      make(map[model.Type]int, len(r.base.byType)),
 		sourceCard:    make(map[model.Source]int, len(r.base.bySource)),
+		valueCard:     bt.into(map[uint16]int{}),
+		birthCard:     bt.birth,
 		codes:         r.codes,
 	}
 	addCounts(st.codeCard, r.base.byCodeValue)
@@ -56,6 +64,56 @@ func collectStats(r *storeRev) *Stats {
 	addCounts(st.sourceCard, r.base.bySource)
 	addCounts(st.sourceCard, r.delta.bySource)
 	return st
+}
+
+// YearOf splits t into its year bucket, ⌊t / Year⌋ (the unit of
+// BirthCard), and the minutes past the bucket's start.
+func YearOf(t model.Time) (year, rem int64) {
+	year, rem = int64(t/model.Year), int64(t%model.Year)
+	if rem < 0 {
+		year, rem = year-1, rem+int64(model.Year)
+	}
+	return year, rem
+}
+
+// bucketTally counts value and birth buckets as its caller walks the
+// histories; a patient counts once in each value bucket it has a value in.
+type bucketTally struct {
+	birth map[int64]int
+	value [1 << 15]int32 // patients per value bucket
+	last  [1 << 15]int32 // per value bucket, the stamp of the last patient counted in it
+	stamp int32
+}
+
+// add counts a new patient's birth and value buckets.
+func (t *bucketTally) add(h *model.History) {
+	year, _ := YearOf(h.Patient.Birth)
+	t.birth[year]++
+	t.update(nil, h.Entries)
+}
+
+// update counts the value buckets added brings to a patient whose history
+// was old, and only those old lacked.
+func (t *bucketTally) update(old, added []model.Entry) {
+	t.stamp++
+	for i, es := range [2][]model.Entry{old, added} {
+		for j := range es {
+			if k := math.Float64bits(es[j].Value) >> 49; t.last[k] != t.stamp {
+				t.last[k] = t.stamp
+				t.value[k] += int32(i) // old's buckets count 0
+			}
+		}
+	}
+}
+
+// into adds the tallied value buckets to m and returns it.
+func (t *bucketTally) into(m map[uint16]int) map[uint16]int {
+	for k, n := range t.value {
+		if n > 0 {
+			m[uint16(k)] += int(n)
+		}
+	}
+	return m
 }
 
 func addCounts[K comparable](dst map[K]int, layer map[K]*Bitset) {
@@ -69,25 +127,10 @@ func addCounts[K comparable](dst map[K]int, layer map[K]*Bitset) {
 // clone deep-copies the cardinality maps so an append can increment them
 // without mutating the Stats published with the previous revision.
 func (st *Stats) clone() *Stats {
-	out := &Stats{
-		Patients:      st.Patients,
-		Entries:       st.Entries,
-		DistinctCodes: st.DistinctCodes,
-		codeCard:      make(map[codeKey]int, len(st.codeCard)+8),
-		typeCard:      make(map[model.Type]int, len(st.typeCard)),
-		sourceCard:    make(map[model.Source]int, len(st.sourceCard)),
-		codes:         st.codes,
-	}
-	for k, v := range st.codeCard {
-		out.codeCard[k] = v
-	}
-	for k, v := range st.typeCard {
-		out.typeCard[k] = v
-	}
-	for k, v := range st.sourceCard {
-		out.sourceCard[k] = v
-	}
-	return out
+	out := *st
+	out.codeCard, out.typeCard, out.sourceCard = maps.Clone(st.codeCard), maps.Clone(st.typeCard), maps.Clone(st.sourceCard)
+	out.valueCard, out.birthCard = maps.Clone(st.valueCard), maps.Clone(st.birthCard)
+	return &out
 }
 
 // AvgEntries returns the mean entries per history — the calibration input
@@ -139,6 +182,38 @@ func (st *Stats) CodePatternCard(system, pattern string) (int, error) {
 	return n, nil
 }
 
+// ValueBandCard returns an upper bound on how many patients have an entry
+// value in [lo, hi]: the sum over the value buckets that overlap the band,
+// capped at the population. It is 0 when lo > hi or either bound is NaN.
+func (st *Stats) ValueBandCard(lo, hi float64) int {
+	n := 0
+	if lo <= hi {
+		for k, c := range st.valueCard {
+			a := math.Float64frombits(uint64(k) << 49)
+			b := math.Float64frombits(uint64(k)<<49 | (1<<49 - 1))
+			if math.IsNaN(b) { // ±Inf's bucket: the rest are NaNs
+				b = a
+			}
+			if min(a, b) <= hi && max(a, b) >= lo {
+				n += c
+			}
+		}
+	}
+	return min(n, st.Patients)
+}
+
+// BirthCard returns how many patients were born in the year buckets
+// [first, last] (see YearOf), capped at the population.
+func (st *Stats) BirthCard(first, last int64) int {
+	n := 0
+	for k, c := range st.birthCard {
+		if first <= k && k <= last {
+			n += c
+		}
+	}
+	return min(n, st.Patients)
+}
+
 // statsWire is the gob wire form of Stats: cardinalities keyed by the
 // sorted code vocabulary so encode/decode is deterministic.
 type statsWire struct {
@@ -147,6 +222,8 @@ type statsWire struct {
 	CodeCard          []int // parallel to Codes
 	TypeCard          map[model.Type]int
 	SourceCard        map[model.Source]int
+	ValueCard         map[uint16]int
+	BirthCard         map[int64]int
 }
 
 // MarshalBinary encodes the statistics for the shard wire protocol, so a
@@ -160,6 +237,8 @@ func (st *Stats) MarshalBinary() ([]byte, error) {
 		CodeCard:   make([]int, len(st.codes)),
 		TypeCard:   st.typeCard,
 		SourceCard: st.sourceCard,
+		ValueCard:  st.valueCard,
+		BirthCard:  st.birthCard,
 	}
 	for i, c := range st.codes {
 		w.CodeCard[i] = st.codeCard[codeKey{c.System, c.Value}]
@@ -171,31 +250,41 @@ func (st *Stats) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary decodes statistics written by MarshalBinary.
+// UnmarshalBinary decodes statistics written by MarshalBinary. A count
+// below zero or above the population is an error, not a plan: a shard
+// server's counts go straight into the coordinator's rank sort.
 func (st *Stats) UnmarshalBinary(data []byte) error {
-	var w statsWire
+	// The maps exist before decoding: gob sizes a nil map by the length the
+	// bytes declare, before any element arrives.
+	w := statsWire{TypeCard: map[model.Type]int{}, SourceCard: map[model.Source]int{}, ValueCard: map[uint16]int{}, BirthCard: map[int64]int{}}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("store: unmarshal stats: %w", err)
 	}
 	if len(w.CodeCard) != len(w.Codes) {
 		return fmt.Errorf("store: unmarshal stats: %d cardinalities for %d codes", len(w.CodeCard), len(w.Codes))
 	}
-	st.Patients, st.Entries = w.Patients, w.Entries
-	st.DistinctCodes = len(w.Codes)
-	st.codes = w.Codes
-	st.codeCard = make(map[codeKey]int, len(w.Codes))
+	codeCard := make(map[codeKey]int, len(w.Codes))
 	for i, c := range w.Codes {
-		st.codeCard[codeKey{c.System, c.Value}] = w.CodeCard[i]
+		codeCard[codeKey{c.System, c.Value}] = w.CodeCard[i]
 	}
-	st.typeCard = w.TypeCard
-	if st.typeCard == nil {
-		st.typeCard = map[model.Type]int{}
+	if n := w.Patients; n < 0 || w.Entries < 0 || !inRange(codeCard, n) || !inRange(w.TypeCard, n) ||
+		!inRange(w.SourceCard, n) || !inRange(w.ValueCard, n) || !inRange(w.BirthCard, n) {
+		return fmt.Errorf("store: unmarshal stats: a count outside [0, %d patients], or %d entries", n, w.Entries)
 	}
-	st.sourceCard = w.SourceCard
-	if st.sourceCard == nil {
-		st.sourceCard = map[model.Source]int{}
-	}
+	*st = Stats{Patients: w.Patients, Entries: w.Entries, DistinctCodes: len(w.Codes), codeCard: codeCard,
+		typeCard: w.TypeCard, sourceCard: w.SourceCard, valueCard: w.ValueCard, birthCard: w.BirthCard,
+		codes: append([]model.Code{}, w.Codes...)}
 	return nil
+}
+
+// inRange reports whether every count in m lies in [0, n].
+func inRange[K comparable](m map[K]int, n int) bool {
+	for _, c := range m {
+		if c < 0 || c > n {
+			return false
+		}
+	}
+	return true
 }
 
 // MergeStats combines statistics over disjoint populations (the shards of
@@ -208,6 +297,8 @@ func MergeStats(parts ...*Stats) *Stats {
 		codeCard:   make(map[codeKey]int),
 		typeCard:   make(map[model.Type]int),
 		sourceCard: make(map[model.Source]int),
+		valueCard:  make(map[uint16]int),
+		birthCard:  make(map[int64]int),
 	}
 	for _, p := range parts {
 		if p == nil {
@@ -218,25 +309,24 @@ func MergeStats(parts ...*Stats) *Stats {
 		for _, c := range p.codes {
 			out.codeCard[codeKey{c.System, c.Value}] += p.codeCard[codeKey{c.System, c.Value}]
 		}
-		for t, n := range p.typeCard {
-			out.typeCard[t] += n
-		}
-		for s, n := range p.sourceCard {
-			out.sourceCard[s] += n
-		}
+		sumInto(out.typeCard, p.typeCard)
+		sumInto(out.sourceCard, p.sourceCard)
+		sumInto(out.valueCard, p.valueCard)
+		sumInto(out.birthCard, p.birthCard)
 	}
 	out.codes = make([]model.Code, 0, len(out.codeCard))
 	for k := range out.codeCard {
 		out.codes = append(out.codes, model.Code{System: k.system, Value: k.value})
 	}
-	sort.Slice(out.codes, func(i, j int) bool {
-		if out.codes[i].System != out.codes[j].System {
-			return out.codes[i].System < out.codes[j].System
-		}
-		return out.codes[i].Value < out.codes[j].Value
-	})
+	sortCodes(out.codes)
 	out.DistinctCodes = len(out.codes)
 	return out
+}
+
+func sumInto[K comparable](dst, src map[K]int) {
+	for k, n := range src {
+		dst[k] += n
+	}
 }
 
 // View is a contiguous ordinal slice [Lo, Hi) of one store revision. It

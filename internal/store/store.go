@@ -223,12 +223,14 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 		codes:    codes,
 		frame:    new(frameHolder),
 	}
+	bt := &bucketTally{birth: map[int64]int{}}
 	for i, h := range hists {
 		h.Sort()
 		r.ids[i] = h.Patient.ID
+		bt.add(h)
 	}
 	r.ordBase = ordinalIndex(r.ids)
-	r.stats = collectStats(r)
+	r.stats = collectStats(r, bt)
 	s := &Store{}
 	s.rev.Store(r)
 	return s

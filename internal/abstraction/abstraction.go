@@ -7,7 +7,10 @@
 package abstraction
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/gob"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -240,6 +243,31 @@ type EpisodeTally struct {
 // NewEpisodeTally creates an empty tally.
 func NewEpisodeTally() *EpisodeTally {
 	return &EpisodeTally{ByDominant: make(map[string]int)}
+}
+
+// episodeTallyWire is EpisodeTally as gob carries it: the same fields,
+// without the GobEncode and GobDecode methods.
+type episodeTallyWire EpisodeTally
+
+// GobEncode implements gob.GobEncoder, so that gob decodes EpisodeTally
+// through GobDecode.
+func (t *EpisodeTally) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode((*episodeTallyWire)(t))
+	return buf.Bytes(), err
+}
+
+// GobDecode implements gob.GobDecoder. The map exists before decoding:
+// gob sizes a nil map by the length the bytes declare, before any element
+// arrives, so a corrupt or hostile partial could otherwise make its
+// reader allocate whatever it claims.
+func (t *EpisodeTally) GobDecode(data []byte) error {
+	w := episodeTallyWire{ByDominant: map[string]int{}}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return fmt.Errorf("abstraction: decode episode tally: %w", err)
+	}
+	*t = EpisodeTally(w)
+	return nil
 }
 
 // AddHistory derives one history's episodes (without mutating it) and

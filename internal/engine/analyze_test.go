@@ -19,6 +19,8 @@ import (
 	"encoding/gob"
 	"net/rpc"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -874,4 +876,93 @@ func TestTallyAnalyzeAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per call over %d histories, budget %.0f", tc.name, got, col.Len(), budget)
 		}
 	}
+}
+
+// TestAnalyzePartialMapLengthAllocatesNothing: a map length declared in a
+// mine or episodes partial — what a shard server's Analyze reply carries —
+// sizes nothing before its elements arrive. Each hostile message is a
+// valid encoding of a partial whose map claims 1<<20 entries and holds
+// one; gob would size a nil map by the claim (a 75-byte mine reply
+// claiming 1<<20 codes made its reader allocate 55.9 MB, a 157-byte
+// episodes reply as much). Untampered partials round-trip whole through an
+// Analyze reply.
+func TestAnalyzePartialMapLengthAllocatesNothing(t *testing.T) {
+	counts := &mining.Counts{Sequential: true, MaxGap: 3, N: 1,
+		Single: map[string]int{"q": 1}, Pair: map[[2]string]int{{"q", "r"}: 1}}
+	episodes := &abstraction.EpisodeTally{Histories: 1, WithEpisodes: 1, Episodes: 1, Entries: 2,
+		SpanTotal: model.Day, ByDominant: map[string]int{"q": 1}}
+	for _, tc := range []struct {
+		name  string
+		part  Partial
+		fresh func() gob.GobDecoder
+		entry []byte // the map's encoding: length 1, then its one entry
+	}{
+		{"mine codes", counts, func() gob.GobDecoder { return new(mining.Counts) }, []byte{1, 1, 'q', 2}},
+		{"mine pairs", counts, func() gob.GobDecoder { return new(mining.Counts) }, []byte{1, 2, 1, 'q', 1, 'r', 2}},
+		{"episode chapters", episodes, func() gob.GobDecoder { return new(abstraction.EpisodeTally) }, []byte{1, 1, 'q', 2}},
+	} {
+		var buf bytes.Buffer
+		var reply AnalyzeRPCReply
+		if err := gob.NewEncoder(&buf).Encode(&AnalyzeRPCReply{Partial: tc.part}); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&reply); err != nil || !reflect.DeepEqual(reply.Partial, tc.part) {
+			t.Fatalf("%s: round trip: %v, %+v, want %+v", tc.name, err, reply.Partial, tc.part)
+		}
+		data, err := tc.part.(gob.GobEncoder).GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostile := claimMapLength(t, data, tc.entry, 1<<20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = tc.fresh().GobDecode(hostile)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a map shorter than its declared length decoded", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", tc.name, len(hostile), grew)
+		}
+	}
+}
+
+// claimMapLength returns the gob stream data with the map whose encoding
+// starts the given bytes of its last message claiming n entries instead of
+// the one it holds. gob's unsigned integers: < 128 is one byte, else minus
+// the byte count and the big-endian bytes; a stream is [length][message]….
+func claimMapLength(t *testing.T, data, entry []byte, n uint64) []byte {
+	t.Helper()
+	encUint := func(x uint64) []byte {
+		if x < 128 {
+			return []byte{byte(x)}
+		}
+		var b []byte
+		for ; x > 0; x >>= 8 {
+			b = append([]byte{byte(x)}, b...)
+		}
+		return append([]byte{byte(-len(b))}, b...)
+	}
+	var msgs [][]byte
+	for r := data; len(r) > 0; {
+		l, k := uint64(r[0]), 1
+		if l >= 128 {
+			k, l = 1+int(-int8(r[0])), 0
+			for _, c := range r[1:k] {
+				l = l<<8 | uint64(c)
+			}
+		}
+		msgs, r = append(msgs, r[k:k+int(l)]), r[k+int(l):]
+	}
+	last := msgs[len(msgs)-1]
+	i := bytes.Index(last, entry)
+	if i < 0 {
+		t.Fatalf("map %v not found in the encoding", entry)
+	}
+	msgs[len(msgs)-1] = slices.Concat(last[:i], encUint(n), last[i+1:])
+	var out []byte
+	for _, m := range msgs {
+		out = append(append(out, encUint(uint64(len(m)))...), m...)
+	}
+	return out
 }

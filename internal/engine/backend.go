@@ -240,6 +240,8 @@ func evalIndex(v *store.View, n IndexScan) (*store.Bitset, error) {
 		return v.WithType(n.Type), nil
 	case OpSource:
 		return v.WithSource(n.Source), nil
+	case OpValue:
+		return v.WithValueBuckets(n.Buckets[0], n.Buckets[1]), nil
 	default:
 		if len(n.Systems) == 0 {
 			return v.WithCodeRegex("", n.Pattern)

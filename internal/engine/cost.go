@@ -157,6 +157,8 @@ func (m *costModel) estimateIndex(p IndexScan) Estimate {
 		rows = m.st.TypeCard(p.Type)
 	case OpSource:
 		rows = m.st.SourceCard(p.Source)
+	case OpValue:
+		rows = m.st.ValueBucketCard(p.Buckets[0], p.Buckets[1])
 	default:
 		cost += float64(m.st.DistinctCodes) * costPerCode
 		systems := p.Systems

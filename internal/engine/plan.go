@@ -1,12 +1,12 @@
 // Package engine is the query planner/executor behind interactive cohort
-// identification. It compiles a query.Expr into a typed plan tree, runs
-// rewrite passes over it (flattening, constant folding, hoisting
-// index-answerable leaves ahead of scan-only predicates, deduplication),
-// and executes the plan against a sharded store with worker-pool fan-out
-// and an LRU bitset cache keyed by canonicalized sub-plans — so the
-// paper's filter/zoom refinement loop ("all content ... pre-loaded to
-// speed up drawing") repeatedly hits cached sub-results instead of
-// re-scanning 168k histories.
+// identification. It compiles a query.Expr into a typed plan tree (a
+// bounded scan under an And with its bound), optimizes it (flattening,
+// constant folding, deduplication, cost-based ordering), and executes it
+// over one pinned view of a local store, its rows spread over worker
+// goroutines, or over the shard backends a coordinator fans out to, with
+// an LRU bitset cache keyed by canonicalized sub-plans — so the paper's
+// filter/zoom refinement loop ("all content ... pre-loaded to speed up
+// drawing") re-hits cached sub-results instead of re-scanning histories.
 //
 // The legacy single-store interpreter (query.EvalIndexed) is retained as
 // the reference implementation; the parity tests in this package hold the
@@ -20,6 +20,7 @@ import (
 
 	"pastas/internal/model"
 	"pastas/internal/query"
+	"pastas/internal/store"
 	"pastas/internal/terminology"
 )
 
@@ -61,6 +62,8 @@ const (
 	OpType
 	// OpSource answers Has(source=s) from the source index.
 	OpSource
+	// OpValue answers a value band's bound from the value buckets.
+	OpValue
 )
 
 // IndexScan is a leaf answered entirely from each shard's inverted
@@ -73,12 +76,15 @@ type IndexScan struct {
 	Pattern string
 	Type    model.Type
 	Source  model.Source
+	Buckets [2]uint16 // OpValue: first and last store.ValueBucket keys, one sign
 }
 
 func (p IndexScan) Key() string { return p.String() }
 
 func (p IndexScan) String() string {
 	switch p.Op {
+	case OpValue:
+		return fmt.Sprintf("index:value#%d-%d", p.Buckets[0], p.Buckets[1])
 	case OpType:
 		return "index:type=" + p.Type.String()
 	case OpSource:
@@ -216,12 +222,13 @@ func Compile(e query.Expr) (Plan, error) {
 // ok=false when no index bounds e. A patient Has matches carries ≥1 entry
 // matching its predicate; a Sequence, every step; a During, both parts.
 // A code, type or source predicate is bounded by its own index leaf (an
-// entry matching a Code carries a code matching the pattern), AllOf by
-// the And of its bounded parts, AnyOf by the Or of its branches only when
-// every branch is bounded. Everything else — demographics, NotEv, KindIs,
-// ValueBetween, InPeriod, TextMatch, empty lists — has no bound. Compile
-// lowers with it and the cost model conditions a scan's rows on it, so
-// both read the one rule.
+// entry matching a Code carries a code matching the pattern), a narrow
+// value band by its value buckets (valueBound), AllOf by the And of its
+// bounded parts, AnyOf by the Or of its branches only when every branch
+// is bounded. Everything else — demographics, NotEv, KindIs, InPeriod,
+// TextMatch, wide value bands, empty lists — has no bound. Compile lowers
+// with it and the cost model conditions a scan's rows on it, so both read
+// the one rule.
 func bound(e query.Expr) (Plan, bool, error) {
 	var parts []query.Expr // conjuncts; e's bound is the And of theirs
 	switch q := e.(type) {
@@ -229,6 +236,8 @@ func bound(e query.Expr) (Plan, bool, error) {
 		switch p := q.Pred.(type) {
 		case *query.Code, query.TypeIs, query.SourceIs:
 			return indexable(query.Has{Pred: p})
+		case query.ValueBetween:
+			return valueBound(p)
 		case query.AllOf:
 			for _, c := range p {
 				parts = append(parts, query.Has{Pred: c})
@@ -270,6 +279,25 @@ func bound(e query.Expr) (Plan, bool, error) {
 		return nil, false, nil
 	}
 	return andOf(bounds), true, nil
+}
+
+// maxBoundBuckets is the most value buckets a band's bound unions: the
+// union of a wider band's postings costs about what the scan it spares.
+const maxBoundBuckets = 4
+
+// valueBound bounds a value band on one side of zero by the run of at
+// most maxBoundBuckets value buckets holding it. A band touching zero (±0
+// share no bucket), an empty band and a NaN bound get none. The rule
+// reads no statistics.
+func valueBound(q query.ValueBetween) (Plan, bool, error) {
+	first, last := store.ValueBucket(q.Lo), store.ValueBucket(q.Hi)
+	if q.Hi < 0 {
+		first, last = last, first
+	}
+	if !(q.Lo <= q.Hi) || q.Lo <= 0 && q.Hi >= 0 || last-first >= maxBoundBuckets {
+		return nil, false, nil
+	}
+	return IndexScan{Op: OpValue, Buckets: [2]uint16{first, last}}, true, nil
 }
 
 func compileAll(es []query.Expr) ([]Plan, error) {

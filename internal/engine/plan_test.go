@@ -301,8 +301,11 @@ func TestSequenceGapsKeyAtFullResolution(t *testing.T) {
 // infinite bounds and times beyond the calendar's range, plus code
 // criteria over every code system the synthetic sources use, the words
 // "code" and "text", a system holding '|' and one made of fuzz bytes
-// (alone, counted, and typed onto the index route), and AllOf, AnyOf and
-// NotEv lists of zero to two leaves.
+// (alone, counted, and typed onto the index route), AllOf, AnyOf and
+// NotEv lists of zero to two leaves, and narrow value bands on either
+// side of zero. Two leaves whose candidate bounds share a key must also
+// have bounds that select the same patients: bands on the same value
+// buckets share one cached bound.
 func FuzzEqualKeysEqualAnswers(f *testing.F) {
 	f.Add(uint8(0), int64(3), int64(0), int64(0), uint8(0), int64(0), int64(0), int64(0))                  // SexIs(3) vs SexIs(0)
 	f.Add(uint8(1), int64(60), int64(80), int64(math.MaxInt64), uint8(1), int64(60), int64(80), int64(-1)) // At wraps to 1999-12-31T23:59
@@ -318,9 +321,27 @@ func FuzzEqualKeysEqualAnswers(f *testing.F) {
 	f.Add(uint8(8), int64(0), int64(model.TypeDiagnosis), int64(0), uint8(7), int64(5), int64(0), int64(0))
 	f.Add(uint8(7), int64(8), int64(0), int64(2), uint8(7), int64(6), int64(0), int64(2))
 	f.Add(uint8(9), int64(0), int64(0), int64(0), uint8(9), int64(1), int64(0), int64(0))
+	// Bands on the value buckets of 60–72 and of −72…−60, one pair each,
+	// and two that share only their first bucket.
+	bits := func(v float64) int64 { return int64(math.Float64bits(v)) }
+	f.Add(uint8(2), bits(60), bits(65), int64(0), uint8(2), bits(61), bits(70), int64(0))
+	f.Add(uint8(2), bits(60), bits(63), int64(0), uint8(2), bits(60), bits(65), int64(0))
+	f.Add(uint8(2), bits(-65), bits(-60), int64(0), uint8(2), bits(-70), bits(-61), int64(0))
+	f.Add(uint8(10), int64(60), int64(20), int64(0), uint8(10), int64(61), int64(36), int64(0))
 	probe := keyProbe()
+	view := store.New(model.MustCollection(probe...)).Pin()
 	f.Fuzz(func(t *testing.T, ka uint8, a0, a1, a2 int64, kb uint8, b0, b1, b2 int64) {
 		ea, eb := fuzzLeaf(ka, a0, a1, a2), fuzzLeaf(kb, b0, b1, b2)
+		ba, okA, _ := bound(ea)
+		bb, okB, _ := bound(eb)
+		if okA && okB && ba.Key() == bb.Key() {
+			ga, errA := viewTree(context.Background(), view).eval(ba, nil)
+			gb, errB := viewTree(context.Background(), view).eval(bb, nil)
+			if errA != nil || errB != nil || !ga.Equal(gb) {
+				t.Fatalf("the bounds of %s and %s share key %q but select %v and %v (%v, %v)",
+					ea, eb, ba.Key(), ga.Ones(), gb.Ones(), errA, errB)
+			}
+		}
 		key := mustPlan(t, ea).Key()
 		if key != mustPlan(t, eb).Key() {
 			return
@@ -337,7 +358,7 @@ func FuzzEqualKeysEqualAnswers(f *testing.F) {
 // arguments; enum arguments keep only their low byte.
 func fuzzLeaf(kind uint8, x, y, z int64) query.Expr {
 	has := func(p query.EventPred) query.Expr { return query.Has{Pred: p} }
-	switch kind % 10 {
+	switch kind % 11 {
 	case 0:
 		return query.SexIs(uint8(x))
 	case 1:
@@ -364,6 +385,9 @@ func fuzzLeaf(kind uint8, x, y, z int64) query.Expr {
 		return query.Has{Pred: p, MinCount: int(uint64(z) % 3)}
 	case 8: // a typed code: the index route for diagnoses and medications
 		return has(query.AllOf{fuzzCode(x, z), query.TypeIs(uint8(y))})
+	case 10: // a band up to 4 wide, in quarters, from ±x: mostly bounded
+		lo := float64(x%200) / 2
+		return has(query.ValueBetween{Lo: lo, Hi: lo + float64(uint64(y)%17)/4})
 	default: // AllOf, AnyOf or NotEv over y%3 leaves drawn from z's bytes
 		leaves := make([]query.EventPred, uint64(y)%3)
 		for i := range leaves {
@@ -407,7 +431,7 @@ func fuzzCode(sel, raw int64) *query.Code {
 func keyProbe() []*model.History {
 	times := []model.Time{model.Time(math.MinInt64), model.NoTime, -model.Year, -1, 0,
 		model.Date(2010, 3, 1), model.Date(2010, 3, 1) + 7*model.Hour, model.Time(math.MaxInt64 / 61), model.Time(math.MaxInt64)}
-	values := []float64{math.NaN(), math.Inf(-1), -1e300, -1, math.Copysign(0, -1), 0.5, 120, math.Inf(1)}
+	values := []float64{math.NaN(), math.Inf(-1), -1e300, -1, math.Copysign(0, -1), 0.5, 120, math.Inf(1), 61.5, 66, -63, 70.25}
 	systems := []string{"", "ICPC2", "ICD10", "ATC", "code", "ICPC2|ICD10", "text"}
 	var hs []*model.History
 	for i := 0; i < 24; i++ {

@@ -133,11 +133,11 @@ func TestFeedbackResetWithCache(t *testing.T) {
 	}
 }
 
-// TestValueBandsPlanNarrowFirst: the value buckets put the narrow band of
-// {0,90} ∧ {60,65} first on a local engine, on coordinators over 1, 4 and
-// 16 local shards, and on a coordinator over a shard server (its stats
-// cross the Stats RPC); all print one plan tree and answer EvalIndexed's
-// cohort.
+// TestValueBandsPlanNarrowFirst: in {0,90} ∧ {60,65}, the narrow band's
+// value-bucket bound runs first and the wide band gets none, on a local
+// engine, on coordinators over 1, 4 and 16 local shards, and on a
+// coordinator over a shard server (its stats cross the Stats RPC); all
+// print one plan tree and answer EvalIndexed's cohort.
 func TestValueBandsPlanNarrowFirst(t *testing.T) {
 	col := fbCollection(3000)
 	st := store.New(col)
@@ -156,7 +156,13 @@ func TestValueBandsPlanNarrowFirst(t *testing.T) {
 	}
 	engines["shard server"] = startShardServers(t, col, 4, 1, RemoteOptions{Timeout: 30 * time.Second}).eng
 
-	narrow := Scan{Expr: valueScan(60, 65)}.String()
+	narrow, ok, err := bound(valueScan(60, 65))
+	if err != nil || !ok || !strings.HasPrefix(narrow.String(), "index:value") {
+		t.Fatalf("the narrow band's bound is %v (%v, %v), want a value-bucket lookup", narrow, ok, err)
+	}
+	if b, ok, _ := bound(valueScan(0, 90)); ok {
+		t.Fatalf("the wide band got the bound %s", b)
+	}
 	var tree string
 	for name, e := range engines {
 		x, err := e.Explain(q)
@@ -164,8 +170,9 @@ func TestValueBandsPlanNarrowFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		and, ok := x.Plan.(And)
-		if !ok || len(and.Children) != 2 || and.Children[0].String() != narrow {
-			t.Errorf("%s: planned %s, want %s first", name, x.Plan, narrow)
+		if !ok || len(and.Children) != 3 || and.Children[0].Key() != narrow.Key() ||
+			strings.Count(x.Plan.Key(), "index:value") != 1 {
+			t.Errorf("%s: planned %s, want %s first and no other bound", name, x.Plan, narrow)
 		}
 		_, body, _ := strings.Cut(x.String(), "\n")
 		if tree == "" {

@@ -60,6 +60,7 @@ type wirePlan struct {
 	Pattern string
 	Type    model.Type
 	Source  model.Source
+	Buckets [2]uint16
 
 	// scan leaves
 	Expr *wireExpr
@@ -166,7 +167,7 @@ func planToWire(p Plan) (wirePlan, error) {
 	case IndexScan:
 		return wirePlan{
 			Kind: wireIndex, Op: int(n.Op), Systems: n.Systems,
-			Pattern: n.Pattern, Type: n.Type, Source: n.Source,
+			Pattern: n.Pattern, Type: n.Type, Source: n.Source, Buckets: n.Buckets,
 		}, nil
 	case Scan:
 		e, err := exprToWire(n.Expr)
@@ -207,10 +208,14 @@ func planFromWire(w wirePlan) (Plan, error) {
 	case wireNone:
 		return None{}, nil
 	case wireIndex:
-		if op := IndexOp(w.Op); op != OpCode && op != OpType && op != OpSource {
+		if op := IndexOp(w.Op); op < OpCode || op > OpValue {
 			return nil, fmt.Errorf("engine: decode plan: unknown index op %d", w.Op)
 		}
-		p := IndexScan{Op: IndexOp(w.Op), Systems: w.Systems, Pattern: w.Pattern, Type: w.Type, Source: w.Source}
+		p := IndexScan{Op: IndexOp(w.Op), Systems: w.Systems, Pattern: w.Pattern, Type: w.Type, Source: w.Source, Buckets: w.Buckets}
+		// A value lookup reads one run of bucket keys below 1<<15, of one sign.
+		if b := p.Buckets; p.Op == OpValue && (b[0] > b[1] || b[1] >= 1<<15 || b[0]>>14 != b[1]>>14) {
+			return nil, fmt.Errorf("engine: decode plan: value buckets %d-%d are not one run of one sign", b[0], b[1])
+		}
 		if p.Op == OpCode {
 			if err := checkPattern(p.Pattern); err != nil {
 				return nil, err

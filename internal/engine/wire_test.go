@@ -30,6 +30,8 @@ func TestWireRoundTripFixed(t *testing.T) {
 		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeDiagnosis), query.MustCode("", `K8.`)}},
 		query.Has{Pred: query.AnyOf{query.SourceIs(model.SourceGP), query.KindIs(model.Interval)}},
 		query.Has{Pred: query.NotEv{P: query.ValueBetween{Lo: 1.5, Hi: 9.75}}},
+		query.Has{Pred: query.ValueBetween{Lo: 60, Hi: 65}},
+		query.Has{Pred: query.AllOf{query.TypeIs(model.TypeMeasurement), query.ValueBetween{Lo: -65, Hi: -60}}},
 		query.Has{Pred: query.InPeriod(window)},
 		query.Has{Pred: mustText(t, "infarct.*")},
 		query.And{
@@ -138,5 +140,34 @@ func TestWireRejectsHostilePayloads(t *testing.T) {
 	}
 	if _, err := DecodePlan(bad); err == nil {
 		t.Error("unknown node kind decoded")
+	}
+}
+
+// TestWireRejectsValueBuckets: a value lookup decodes only over one run
+// of bucket keys of one sign, below 1<<15 — the runs valueBound makes.
+func TestWireRejectsValueBuckets(t *testing.T) {
+	decode := func(b [2]uint16) error {
+		data, err := encodeWire(wirePlan{Kind: wireIndex, Op: int(OpValue), Buckets: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodePlan(data)
+		return err
+	}
+	for _, b := range [][2]uint16{{0, 0}, {8231, 8234}, {1<<14 - 1, 1<<14 - 1}, {1 << 14, 1<<15 - 1}} {
+		if err := decode(b); err != nil {
+			t.Errorf("buckets %v refused: %v", b, err)
+		}
+	}
+	for name, b := range map[string][2]uint16{
+		"a key of 1<<15":   {1 << 15, 1 << 15},
+		"a key past 1<<15": {1 << 14, 1<<16 - 1},
+		"a reversed range": {8234, 8231},
+		"a range across 0": {1<<14 - 1, 1 << 14},
+		"every key":        {0, 1<<15 - 1},
+	} {
+		if err := decode(b); err == nil {
+			t.Errorf("%s (%v) decoded", name, b)
+		}
 	}
 }

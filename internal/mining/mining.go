@@ -6,6 +6,8 @@
 package mining
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"slices"
 	"sort"
@@ -172,6 +174,31 @@ func (c *Counts) Merge(o *Counts) error {
 	for p, n := range o.Pair {
 		c.Pair[p] += n
 	}
+	return nil
+}
+
+// countsWire is Counts as gob carries it: the same fields, without the
+// GobEncode and GobDecode methods.
+type countsWire Counts
+
+// GobEncode implements gob.GobEncoder, so that gob decodes Counts through
+// GobDecode.
+func (c *Counts) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode((*countsWire)(c))
+	return buf.Bytes(), err
+}
+
+// GobDecode implements gob.GobDecoder. The maps exist before decoding:
+// gob sizes a nil map by the length the bytes declare, before any element
+// arrives, so a corrupt or hostile partial could otherwise make its
+// reader allocate whatever it claims.
+func (c *Counts) GobDecode(data []byte) error {
+	w := countsWire{Single: map[string]int{}, Pair: map[[2]string]int{}}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return fmt.Errorf("mining: decode counts: %w", err)
+	}
+	*c = Counts(w)
 	return nil
 }
 

@@ -88,11 +88,14 @@ func (b *Bitset) sameLen(op string, other *Bitset) {
 	}
 }
 
-// And intersects in place (receiver ∩= other) and returns the receiver.
+// And intersects in place (receiver ∩= other; a container facing a full
+// one is kept as it stands) and returns the receiver.
 func (b *Bitset) And(other *Bitset) *Bitset {
 	b.sameLen("And", other)
 	for i := range b.cs {
-		b.cs[i] = andContainers(&b.cs[i], &other.cs[i])
+		if !other.cs[i].isFull() {
+			b.cs[i] = andContainers(&b.cs[i], &other.cs[i])
+		}
 	}
 	return b
 }
@@ -179,6 +182,35 @@ func (b *Bitset) orShifted(src *Bitset, lo, hi, d int) *Bitset {
 		}
 	}
 	return b
+}
+
+// unionSlices returns the union of bits [lo, hi) of the non-nil sets in
+// srcs (each clamped to its capacity), bit lo landing on bit 0. Every
+// source feeding one result container is ORed into one scratch, which then
+// becomes that container in its smallest form: nothing is cloned or merged.
+func unionSlices(srcs []*Bitset, lo, hi int) *Bitset {
+	out := NewBitset(hi - lo)
+	ws := make([]uint64, containerWords)
+	for dc := range out.cs {
+		dLo, dHi, hit := lo+dc<<16, min(hi, lo+(dc+1)<<16), false
+		for _, src := range srcs {
+			if src == nil {
+				continue
+			}
+			sHi := min(dHi, src.n)
+			for sc := dLo >> 16; dLo < sHi && sc <= (sHi-1)>>16; sc++ {
+				if base := sc << 16; src.cs[sc].card != 0 {
+					src.cs[sc].orShiftedInto(ws, max(dLo-base, 0), min(sHi-base, containerBits), base-dLo)
+					hit = true
+				}
+			}
+		}
+		if hit {
+			out.cs[dc] = fromWords(ws)
+			clear(ws)
+		}
+	}
+	return out
 }
 
 // gather returns the receiver's bits [lo, hi), bit i moved to position

@@ -125,9 +125,9 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 			out = append(out, wireEmpty)
 			continue
 		}
-		switch typ, _ := c.smallestForm(); typ {
+		switch typ, nr := c.smallestForm(); typ {
 		case ctRun:
-			runs := c.toRuns()
+			runs := c.toRuns(nr)
 			out = append(out, wireRun)
 			out = binary.AppendUvarint(out, uint64(len(runs)))
 			for _, r := range runs {

@@ -45,6 +45,7 @@ func (s *Store) Compact() CompactionStats {
 		byCodeValue: foldLayer(cur.base.byCodeValue, cur.delta.byCodeValue, n),
 		byType:      foldLayer(cur.base.byType, cur.delta.byType, n),
 		bySource:    foldLayer(cur.base.bySource, cur.delta.bySource, n),
+		byValue:     foldLayer(cur.base.byValue, cur.delta.byValue, n),
 	}
 
 	comp.LastDuration = time.Since(t0)

@@ -102,6 +102,9 @@ func (c *container) set(x uint16) {
 		n := len(c.arr)
 		// Fast path: ascending insertion (index builds walk ordinals in
 		// order), which keeps posting construction O(1) amortized.
+		if n > 0 && c.arr[n-1] == x {
+			return
+		}
 		if n == 0 || c.arr[n-1] < x {
 			c.arr = append(c.arr, x)
 		} else {
@@ -291,6 +294,12 @@ func (c *container) orShiftedInto(ws []uint64, lo, hi, s int) {
 			fillWords(ws, max(int(r.lo), lo)+s, min(int(r.hi)+1, hi)+s)
 		}
 	default:
+		if s&63 == 0 { // word-aligned: no word straddles two
+			for wi, d := lo>>6, s>>6; wi <= (hi-1)>>6; wi++ {
+				ws[wi+d] |= wordIn(c.bmp, wi, lo, hi)
+			}
+			return
+		}
 		for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
 			w := wordIn(c.bmp, wi, lo, hi)
 			// w's bit 0 moves to p; below 0 (lw = -1) only masked-off bits land.
@@ -316,9 +325,9 @@ func fromWords(ws []uint64) container {
 	if c.card == 0 {
 		return container{}
 	}
-	switch typ, _ := c.smallestForm(); typ {
+	switch typ, nr := c.smallestForm(); typ {
 	case ctRun:
-		return container{typ: ctRun, card: c.card, runs: c.toRuns()}
+		return container{typ: ctRun, card: c.card, runs: c.toRuns(nr)}
 	case ctArray:
 		c.toArray()
 	default:
@@ -807,13 +816,15 @@ func (c *container) numRuns() int {
 	}
 }
 
-// toRuns renders the container as a canonical run list.
-func (c *container) toRuns() []interval16 {
-	switch c.typ {
-	case ctRun:
+// toRuns renders the container as a canonical run list of its nr runs
+// (numRuns), allocated at that length.
+func (c *container) toRuns(nr int) []interval16 {
+	if c.typ == ctRun {
 		return c.runs
+	}
+	out := make([]interval16, 0, nr)
+	switch c.typ {
 	case ctArray:
-		var out []interval16
 		for _, v := range c.arr {
 			if n := len(out); n > 0 && out[n-1].hi+1 == v {
 				out[n-1].hi = v
@@ -823,7 +834,6 @@ func (c *container) toRuns() []interval16 {
 		}
 		return out
 	default:
-		var out []interval16
 		open := -1
 		// One trailing zero word acts as a sentinel closing a run that
 		// reaches position 65535.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"pastas/internal/model"
 )
@@ -166,31 +167,48 @@ func growClone(bs *Bitset, n int) *Bitset {
 
 // --- append ---------------------------------------------------------------
 
-// deltaWriter copy-on-writes one posting map for an append batch: the map
-// itself is cloned up front (shallow — bitset pointers shared with the
+// mapCOW copy-on-writes one delta posting map for an append batch: the
+// map itself is cloned up front (shallow — bitset pointers shared with the
 // previous revision), and each key's bitset is cloned-with-growth the
 // first time the batch touches it.
 type mapCOW[K comparable] struct {
+	base   map[K]*Bitset // the revision's base layer, read only
 	m      map[K]*Bitset
+	card   map[K]int // the new revision's counts
 	cloned map[K]bool
 	n      int // capacity for grown bitsets
+	at     int // the ordinal last marked, and the keys marked for it
+	seen   []K
 }
 
-func newMapCOW[K comparable](src map[K]*Bitset, n int) *mapCOW[K] {
-	m := make(map[K]*Bitset, len(src)+8)
-	for k, v := range src {
+func newMapCOW[K comparable](base, delta map[K]*Bitset, card map[K]int, n int) *mapCOW[K] {
+	m := make(map[K]*Bitset, len(delta)+8)
+	for k, v := range delta {
 		m[k] = v
 	}
-	return &mapCOW[K]{m: m, cloned: make(map[K]bool), n: n}
+	return &mapCOW[K]{base: base, m: m, card: card, cloned: make(map[K]bool), n: n, at: -1}
 }
 
-// set sets bit i for key k, cloning the key's bitset on first touch.
-func (c *mapCOW[K]) set(k K, i int) {
+// mark sets bit i for key k, cloning the key's bitset on first touch, and
+// counts the patient — unless base ∪ delta holds it already. That keeps
+// the disjointness invariant (a patient bit lives in one layer), which
+// also makes the counts exact.
+func (c *mapCOW[K]) mark(k K, i int) {
+	if i != c.at { // a history's entries repeat their keys: look each up once
+		c.at, c.seen = i, c.seen[:0]
+	} else if slices.Contains(c.seen, k) {
+		return
+	}
+	c.seen = append(c.seen, k)
+	if layeredHas(c.base[k], c.m[k], i) {
+		return
+	}
 	if !c.cloned[k] {
 		c.m[k] = growClone(c.m[k], c.n)
 		c.cloned[k] = true
 	}
 	c.m[k].Set(i)
+	c.card[k]++
 }
 
 // Append applies one batch and publishes a new revision with the
@@ -249,49 +267,39 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		ordDelta2[k] = v
 	}
 
-	codeCOW := newMapCOW(cur.delta.byCodeValue, n2)
-	typeCOW := newMapCOW(cur.delta.byType, n2)
-	sourceCOW := newMapCOW(cur.delta.bySource, n2)
-
 	stats2 := cur.stats.clone()
-	bt := &bucketTally{birth: stats2.birthCard}
+	codeCOW := newMapCOW(cur.base.byCodeValue, cur.delta.byCodeValue, stats2.codeCard, n2)
+	typeCOW := newMapCOW(cur.base.byType, cur.delta.byType, stats2.typeCard, n2)
+	sourceCOW := newMapCOW(cur.base.bySource, cur.delta.bySource, stats2.sourceCard, n2)
+	valueCOW := newMapCOW(cur.base.byValue, cur.delta.byValue, stats2.valueCard, n2)
+
 	codes2 := cur.codes
 	codesGrown := false
 	maxID := cur.computeMaxEntryID()
 
 	added := 0
 	var touched []int // ordinals whose history this batch replaces or adds
-	// mark indexes one entry at ordinal i, honoring the disjointness
-	// invariant: a delta bit is set only when the patient is absent from
-	// base ∪ delta for that key, which also makes stats increments exact.
+	// mark indexes one entry at ordinal i, and grows the vocabulary by a
+	// code neither layer knows.
 	mark := func(i int, e *model.Entry) {
 		if e.ID > maxID {
 			maxID = e.ID
 		}
 		if !e.Code.IsZero() {
 			k := codeKey{e.Code.System, e.Code.Value}
-			if !layeredHas(cur.base.byCodeValue[k], codeCOW.m[k], i) {
-				if _, known := codeCOW.m[k]; !known {
-					if _, inBase := cur.base.byCodeValue[k]; !inBase {
-						if !codesGrown {
-							codes2 = append([]model.Code(nil), cur.codes...)
-							codesGrown = true
-						}
-						codes2 = append(codes2, model.Code{System: k.system, Value: k.value})
-					}
+			_, inDelta := codeCOW.m[k]
+			if _, inBase := cur.base.byCodeValue[k]; !inDelta && !inBase {
+				if !codesGrown {
+					codes2 = append([]model.Code(nil), cur.codes...)
+					codesGrown = true
 				}
-				codeCOW.set(k, i)
-				stats2.codeCard[k]++
+				codes2 = append(codes2, model.Code{System: k.system, Value: k.value})
 			}
+			codeCOW.mark(k, i)
 		}
-		if !layeredHas(cur.base.byType[e.Type], typeCOW.m[e.Type], i) {
-			typeCOW.set(e.Type, i)
-			stats2.typeCard[e.Type]++
-		}
-		if !layeredHas(cur.base.bySource[e.Source], sourceCOW.m[e.Source], i) {
-			sourceCOW.set(e.Source, i)
-			stats2.sourceCard[e.Source]++
-		}
+		typeCOW.mark(e.Type, i)
+		sourceCOW.mark(e.Source, i)
+		valueCOW.mark(ValueBucket(e.Value), i)
 	}
 
 	for _, u := range b.Updates {
@@ -308,7 +316,6 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		for j := range u.Entries {
 			mark(i, &u.Entries[j])
 		}
-		bt.update(old.Entries, u.Entries)
 		merged.Sort()
 		hists2[i] = merged
 		touched = append(touched, i)
@@ -325,14 +332,14 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		for j := range h.Entries {
 			mark(i, &h.Entries[j])
 		}
-		bt.add(h)
+		year, _ := YearOf(h.Patient.Birth)
+		stats2.birthCard[year]++
 		added += len(h.Entries)
 	}
 
 	if codesGrown {
 		sortCodes(codes2)
 	}
-	bt.into(stats2.valueCard)
 	stats2.Patients = n2
 	stats2.Entries = cur.entries + added
 	stats2.codes = codes2
@@ -351,7 +358,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		ordDelta:      ordDelta2,
 		entries:       cur.entries + added,
 		base:          cur.base,
-		delta:         &postings{byCodeValue: codeCOW.m, byType: typeCOW.m, bySource: sourceCOW.m},
+		delta:         &postings{byCodeValue: codeCOW.m, byType: typeCOW.m, bySource: sourceCOW.m, byValue: valueCOW.m},
 		deltaEntries:  cur.deltaEntries + added,
 		deltaPatients: cur.deltaPatients + len(b.NewHistories),
 		codes:         codes2,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -222,7 +223,8 @@ func TestPinAndFreezeIsolateAppends(t *testing.T) {
 
 // TestAppendedStatsEqualBatchBuild: the statistics Append maintains equal
 // those a batch build of the same histories collects — posting counts,
-// births and value buckets alike — across new patients and updates that
+// births and value buckets alike — and so does every value bucket's
+// posting, before and after Compact, across new patients and updates that
 // bring a new code, type, source and value bucket (and updates that bring
 // nothing new, or touch one patient twice in a batch).
 func TestAppendedStatsEqualBatchBuild(t *testing.T) {
@@ -255,15 +257,25 @@ func TestAppendedStatsEqualBatchBuild(t *testing.T) {
 		NewHistories: []*model.History{fresh(8, model.Date(1931, time.June, 1), 1e300)},
 		Updates:      []HistoryUpdate{{ID: 6, Entries: []model.Entry{valued(9106, -120), valued(9107, 7.5)}}},
 	}}
+	sameBuckets := func(when string) {
+		batch := New(model.MustCollection(s.Pin().Histories()...))
+		if got, want := s.Stats(), batch.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: appended stats\n %+v\nbatch build\n %+v", when, got, want)
+		}
+		for k := range batch.Stats().valueCard {
+			if got, want := s.Pin().WithValueBuckets(k, k), batch.Pin().WithValueBuckets(k, k); !got.Equal(want) {
+				t.Errorf("%s: bucket %#x holds %v, batch build %v", when, k, got.Ones(), want.Ones())
+			}
+		}
+	}
 	for i, b := range batches {
 		if _, err := s.Append(b); err != nil {
 			t.Fatal(err)
 		}
-		got, want := s.Stats(), New(model.MustCollection(s.Pin().Histories()...)).Stats()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("after batch %d: appended stats\n %+v\nbatch build\n %+v", i, got, want)
-		}
+		sameBuckets(fmt.Sprintf("after batch %d", i))
 	}
+	s.Compact()
+	sameBuckets("after Compact")
 	st := s.Stats()
 	if got := st.ValueBandCard(7, 8); got != 2 {
 		t.Errorf("ValueBandCard(7, 8) = %d, want 2 (patients 2 and 6)", got)

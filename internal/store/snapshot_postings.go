@@ -84,26 +84,10 @@ func buildShardPostings(hs []*model.History) *ShardPostings {
 		for j := range h.Entries {
 			e := &h.Entries[j]
 			if !e.Code.IsZero() {
-				k := codeKey{e.Code.System, e.Code.Value}
-				bs := byCode[k]
-				if bs == nil {
-					bs = NewBitset(n)
-					byCode[k] = bs
-				}
-				bs.Set(i)
+				setIn(byCode, codeKey{e.Code.System, e.Code.Value}, n, i)
 			}
-			tb := sp.Types[e.Type]
-			if tb == nil {
-				tb = NewBitset(n)
-				sp.Types[e.Type] = tb
-			}
-			tb.Set(i)
-			sb := sp.Sources[e.Source]
-			if sb == nil {
-				sb = NewBitset(n)
-				sp.Sources[e.Source] = sb
-			}
-			sb.Set(i)
+			setIn(sp.Types, e.Type, n, i)
+			setIn(sp.Sources, e.Source, n, i)
 		}
 	}
 	sp.Codes = make([]CodePosting, 0, len(byCode))

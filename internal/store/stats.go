@@ -24,8 +24,8 @@ import (
 // Stats holds exact cardinalities over one store's population. All counts
 // are patient-level (a patient with five T90 entries counts once), which
 // is exactly the selectivity a cohort planner wants, and so are its counts
-// per fixed value bucket and birth-year bucket (YearOf). A value's bucket
-// is its sign, exponent and top three mantissa bits: at most 12.5 % wide.
+// per value bucket (ValueBucket) — the popcounts of the value postings —
+// and per birth-year bucket (YearOf).
 type Stats struct {
 	// Patients is the population size.
 	Patients int
@@ -44,8 +44,8 @@ type Stats struct {
 
 // collectStats popcounts every posting list of a revision once, summing
 // the base and delta layers (additive by the disjointness invariant), and
-// adopts the value and birth buckets its caller tallied.
-func collectStats(r *storeRev, bt *bucketTally) *Stats {
+// adopts the birth buckets its caller counted.
+func collectStats(r *storeRev, births map[int64]int) *Stats {
 	st := &Stats{
 		Patients:      len(r.hists),
 		Entries:       r.entries,
@@ -53,8 +53,8 @@ func collectStats(r *storeRev, bt *bucketTally) *Stats {
 		codeCard:      make(map[codeKey]int, len(r.base.byCodeValue)),
 		typeCard:      make(map[model.Type]int, len(r.base.byType)),
 		sourceCard:    make(map[model.Source]int, len(r.base.bySource)),
-		valueCard:     bt.into(map[uint16]int{}),
-		birthCard:     bt.birth,
+		valueCard:     make(map[uint16]int, len(r.base.byValue)),
+		birthCard:     births,
 		codes:         r.codes,
 	}
 	addCounts(st.codeCard, r.base.byCodeValue)
@@ -63,8 +63,16 @@ func collectStats(r *storeRev, bt *bucketTally) *Stats {
 	addCounts(st.typeCard, r.delta.byType)
 	addCounts(st.sourceCard, r.base.bySource)
 	addCounts(st.sourceCard, r.delta.bySource)
+	addCounts(st.valueCard, r.base.byValue)
+	addCounts(st.valueCard, r.delta.byValue)
 	return st
 }
+
+// ValueBucket returns value v's bucket key, below 1<<15: its sign, exponent
+// and top three mantissa bits, so a bucket is at most 12.5 % wide. Keys of
+// one sign order buckets by magnitude: a band [lo, hi] with 0 < lo lies in
+// buckets ValueBucket(lo) … ValueBucket(hi); +0 and -0 share no bucket.
+func ValueBucket(v float64) uint16 { return uint16(math.Float64bits(v) >> 49) }
 
 // YearOf splits t into its year bucket, ⌊t / Year⌋ (the unit of
 // BirthCard), and the minutes past the bucket's start.
@@ -74,46 +82,6 @@ func YearOf(t model.Time) (year, rem int64) {
 		year, rem = year-1, rem+int64(model.Year)
 	}
 	return year, rem
-}
-
-// bucketTally counts value and birth buckets as its caller walks the
-// histories; a patient counts once in each value bucket it has a value in.
-type bucketTally struct {
-	birth map[int64]int
-	value [1 << 15]int32 // patients per value bucket
-	last  [1 << 15]int32 // per value bucket, the stamp of the last patient counted in it
-	stamp int32
-}
-
-// add counts a new patient's birth and value buckets.
-func (t *bucketTally) add(h *model.History) {
-	year, _ := YearOf(h.Patient.Birth)
-	t.birth[year]++
-	t.update(nil, h.Entries)
-}
-
-// update counts the value buckets added brings to a patient whose history
-// was old, and only those old lacked.
-func (t *bucketTally) update(old, added []model.Entry) {
-	t.stamp++
-	for i, es := range [2][]model.Entry{old, added} {
-		for j := range es {
-			if k := math.Float64bits(es[j].Value) >> 49; t.last[k] != t.stamp {
-				t.last[k] = t.stamp
-				t.value[k] += int32(i) // old's buckets count 0
-			}
-		}
-	}
-}
-
-// into adds the tallied value buckets to m and returns it.
-func (t *bucketTally) into(m map[uint16]int) map[uint16]int {
-	for k, n := range t.value {
-		if n > 0 {
-			m[uint16(k)] += int(n)
-		}
-	}
-	return m
 }
 
 func addCounts[K comparable](dst map[K]int, layer map[K]*Bitset) {
@@ -197,6 +165,19 @@ func (st *Stats) ValueBandCard(lo, hi float64) int {
 			if min(a, b) <= hi && max(a, b) >= lo {
 				n += c
 			}
+		}
+	}
+	return min(n, st.Patients)
+}
+
+// ValueBucketCard returns how many patients have an entry value in the
+// buckets [first, last] (see ValueBucket), capped at the population: the
+// rows of a bound that unions those buckets' postings.
+func (st *Stats) ValueBucketCard(first, last uint16) int {
+	n := 0
+	for k, c := range st.valueCard {
+		if first <= k && k <= last {
+			n += c
 		}
 	}
 	return min(n, st.Patients)
@@ -440,6 +421,18 @@ func (v *View) WithType(t model.Type) *Bitset {
 // the source, in local ordinal space.
 func (v *View) WithSource(src model.Source) *Bitset {
 	return v.slice(v.r.base.bySource[src], v.r.delta.bySource[src])
+}
+
+// WithValueBuckets returns the view's patients with an entry value in the
+// buckets [first, last] (see ValueBucket), in local ordinal space: the
+// union of those buckets' base and delta postings, each result container
+// built once from all of them.
+func (v *View) WithValueBuckets(first, last uint16) *Bitset {
+	var srcs []*Bitset
+	for k := int(first); k <= int(last); k++ {
+		srcs = append(srcs, v.r.base.byValue[uint16(k)], v.r.delta.byValue[uint16(k)])
+	}
+	return unionSlices(srcs, v.lo, v.hi)
 }
 
 // WithCodeRegex returns the view's patients with a code (in the system;

@@ -2,8 +2,9 @@
 // interactive workbench needs. The paper pre-loads "all content to be
 // visualized or queried ... into a data structure" precisely "to speed up
 // drawing and to become more independent of the database schema"; Store is
-// that structure plus code/type/source inverted indexes over patients, and
-// snapshot persistence so a 168k-patient load survives process restarts.
+// that structure plus code/type/source/value-bucket inverted indexes over
+// patients, and snapshot persistence so a 168k-patient load survives
+// process restarts.
 //
 // Since the live-ingest refactor the store is appendable: every batch of
 // new entries/patients publishes a fresh immutable revision (see delta.go)
@@ -37,14 +38,16 @@ type Store struct {
 	rev atomic.Pointer[storeRev]
 }
 
-// postings is one layer of inverted indexes. Bitsets in a layer may have a
-// smaller capacity than the current population (they were built when the
-// population was smaller); bits past a bitset's capacity are implicitly
-// zero, and every layered read clamps accordingly.
+// postings is one layer of inverted indexes: the patients with an entry
+// of each code, type, source and value bucket (ValueBucket). Bitsets in a
+// layer may have a smaller capacity than the current population (they
+// were built when the population was smaller); bits past a bitset's
+// capacity are implicitly zero, and every layered read clamps accordingly.
 type postings struct {
 	byCodeValue map[codeKey]*Bitset
 	byType      map[model.Type]*Bitset
 	bySource    map[model.Source]*Bitset
+	byValue     map[uint16]*Bitset
 }
 
 func newPostings() *postings {
@@ -52,12 +55,47 @@ func newPostings() *postings {
 		byCodeValue: make(map[codeKey]*Bitset),
 		byType:      make(map[model.Type]*Bitset),
 		bySource:    make(map[model.Source]*Bitset),
+		byValue:     make(map[uint16]*Bitset),
 	}
 }
 
 // lists returns the number of posting lists in the layer.
 func (p *postings) lists() int {
-	return len(p.byCodeValue) + len(p.byType) + len(p.bySource)
+	return len(p.byCodeValue) + len(p.byType) + len(p.bySource) + len(p.byValue)
+}
+
+// setIn marks patient i (of n) in key k's posting, made on first use.
+func setIn[K comparable](m map[K]*Bitset, k K, n, i int) {
+	bs := m[k]
+	if bs == nil {
+		bs = NewBitset(n)
+		m[k] = bs
+	}
+	bs.Set(i)
+}
+
+// valueBuild collects value-bucket postings while a store is built: a
+// slot per bucket key, so an entry costs no map lookup.
+type valueBuild [1 << 15]*Bitset
+
+// set marks patient i (of n) in the bucket of value v.
+func (vb *valueBuild) set(v float64, n, i int) {
+	k := ValueBucket(v)
+	if vb[k] == nil {
+		vb[k] = NewBitset(n)
+	}
+	vb[k].Set(i)
+}
+
+// postings returns the collected postings by bucket key.
+func (vb *valueBuild) postings() map[uint16]*Bitset {
+	m := make(map[uint16]*Bitset)
+	for k, bs := range vb {
+		if bs != nil {
+			m[uint16(k)] = bs
+		}
+	}
+	return m
 }
 
 // storeRev is one immutable published revision of the store. Everything a
@@ -162,36 +200,21 @@ func New(col *model.Collection) *Store {
 	hists := col.Histories()
 	n := len(hists)
 	p := newPostings()
+	vb := new(valueBuild)
 	var maxID uint64
 	for i, h := range hists {
 		for j := range h.Entries {
 			e := &h.Entries[j]
-			if e.ID > maxID {
-				maxID = e.ID
-			}
+			maxID = max(maxID, e.ID)
 			if !e.Code.IsZero() {
-				k := codeKey{e.Code.System, e.Code.Value}
-				bs := p.byCodeValue[k]
-				if bs == nil {
-					bs = NewBitset(n)
-					p.byCodeValue[k] = bs
-				}
-				bs.Set(i)
+				setIn(p.byCodeValue, codeKey{e.Code.System, e.Code.Value}, n, i)
 			}
-			tb := p.byType[e.Type]
-			if tb == nil {
-				tb = NewBitset(n)
-				p.byType[e.Type] = tb
-			}
-			tb.Set(i)
-			sb := p.bySource[e.Source]
-			if sb == nil {
-				sb = NewBitset(n)
-				p.bySource[e.Source] = sb
-			}
-			sb.Set(i)
+			setIn(p.byType, e.Type, n, i)
+			setIn(p.bySource, e.Source, n, i)
+			vb.set(e.Value, n, i)
 		}
 	}
+	p.byValue = vb.postings()
 	codes := make([]model.Code, 0, len(p.byCodeValue))
 	for k := range p.byCodeValue {
 		codes = append(codes, model.Code{System: k.system, Value: k.value})
@@ -205,7 +228,8 @@ func New(col *model.Collection) *Store {
 }
 
 // finishStore builds a gen-0 revision around base postings that cover the
-// whole collection (shared by New and NewFromPostings). It sorts every
+// whole collection (shared by New and NewFromPostings), counting births and
+// building the value postings a snapshot does not carry. It sorts every
 // history it adopts, once, so no reader that sorts a history (a sequence
 // search, the model.History helpers) ever writes one a concurrent reader
 // is framing. The collection itself, and its ID map, are not kept: the
@@ -223,14 +247,25 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 		codes:    codes,
 		frame:    new(frameHolder),
 	}
-	bt := &bucketTally{birth: map[int64]int{}}
+	var vb *valueBuild
+	if base.byValue == nil {
+		vb = new(valueBuild)
+	}
+	births := map[int64]int{}
 	for i, h := range hists {
 		h.Sort()
 		r.ids[i] = h.Patient.ID
-		bt.add(h)
+		year, _ := YearOf(h.Patient.Birth)
+		births[year]++
+		for j := 0; vb != nil && j < len(h.Entries); j++ {
+			vb.set(h.Entries[j].Value, n, i)
+		}
+	}
+	if vb != nil {
+		base.byValue = vb.postings()
 	}
 	r.ordBase = ordinalIndex(r.ids)
-	r.stats = collectStats(r, bt)
+	r.stats = collectStats(r, births)
 	s := &Store{}
 	s.rev.Store(r)
 	return s

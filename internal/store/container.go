@@ -294,7 +294,7 @@ func (c *container) orShiftedInto(ws []uint64, lo, hi, s int) {
 			fillWords(ws, max(int(r.lo), lo)+s, min(int(r.hi)+1, hi)+s)
 		}
 	default:
-		if s&63 == 0 { // word-aligned: no word straddles two
+		if s&63 == 0 { // word-aligned (a view from ordinal 0): the loop below, minus a shift per word
 			for wi, d := lo>>6, s>>6; wi <= (hi-1)>>6; wi++ {
 				ws[wi+d] |= wordIn(c.bmp, wi, lo, hi)
 			}

@@ -177,7 +177,7 @@ type mapCOW[K comparable] struct {
 	card   map[K]int // the new revision's counts
 	cloned map[K]bool
 	n      int // capacity for grown bitsets
-	at     int // the ordinal last marked, and the keys marked for it
+	at     int // the ordinal last marked, and up to 16 keys marked for it
 	seen   []K
 }
 
@@ -199,7 +199,9 @@ func (c *mapCOW[K]) mark(k K, i int) {
 	} else if slices.Contains(c.seen, k) {
 		return
 	}
-	c.seen = append(c.seen, k)
+	if len(c.seen) < 16 { // bounded: a history may hold thousands of codes
+		c.seen = append(c.seen, k)
+	}
 	if layeredHas(c.base[k], c.m[k], i) {
 		return
 	}

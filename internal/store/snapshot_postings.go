@@ -280,12 +280,12 @@ func decodePostings(data []byte, patients int) (*ShardPostings, error) {
 	return sp, nil
 }
 
-// NewFromPostings indexes a collection using pre-built postings (a
-// snapshot's postings block) instead of re-walking every entry; the
-// entry walk is the dominant cost of New on a loaded shard. The postings
-// must cover exactly this collection — decodePostings has already
-// enforced capacity; cardinality statistics are read off the container
-// metadata.
+// NewFromPostings indexes a collection using a snapshot's code, type and
+// source postings, so a loaded shard skips New's per-entry index work
+// except the value buckets, which a snapshot does not carry (finishStore
+// walks the entries once for them). The postings must cover exactly this
+// collection — decodePostings has already enforced capacity; cardinality
+// statistics are read off the container metadata.
 func NewFromPostings(col *model.Collection, sp *ShardPostings) (*Store, error) {
 	n := col.Len()
 	if sp.Patients != n {

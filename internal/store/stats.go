@@ -425,8 +425,7 @@ func (v *View) WithSource(src model.Source) *Bitset {
 
 // WithValueBuckets returns the view's patients with an entry value in the
 // buckets [first, last] (see ValueBucket), in local ordinal space: the
-// union of those buckets' base and delta postings, each result container
-// built once from all of them.
+// union of those buckets' base and delta postings (unionSlices).
 func (v *View) WithValueBuckets(first, last uint16) *Bitset {
 	var srcs []*Bitset
 	for k := int(first); k <= int(last); k++ {

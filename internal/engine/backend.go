@@ -186,7 +186,7 @@ func (b *LocalBackend) EvalPlan(ctx context.Context, p Plan, mask *store.Bitset)
 // viewTree evaluates plans over a view with no result cache, scanning the
 // view's own rows on the calling goroutine (scanView).
 func viewTree(ctx context.Context, v *store.View) tree {
-	return tree{view: v, scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) { return scanView(ctx, v, n, mask, 1) }}
+	return tree{view: v, scan: func(run []Scan, mask *store.Bitset) (*store.Bitset, error) { return scanView(ctx, v, run, mask, 1) }}
 }
 
 // LocalShards cuts a pinned view into contiguous LocalBackends of ⌈n/k⌉
@@ -203,24 +203,28 @@ func LocalShards(v *store.View, k int) []ShardBackend {
 	return out
 }
 
-// scanView runs a scan leaf over the view's rows in mask (nil = all): the
-// compiled frame matcher, or Expr.Eval per history for a scan holding a
-// TextMatch. A word of candidates at a time (Bitset.EachWord), in blocks
+// scanView runs a run of scan leaves as one pass over the view's rows in
+// mask (nil = all), answering their conjunction: each leaf's compiled
+// frame matcher, or Expr.Eval per history for one holding a TextMatch,
+// chained on each word of candidates (Bitset.EachWord, chain), in blocks
 // of spreadRows spread over at most workers goroutines that each compile
-// their own matcher and write their own words of the one result: a sparse
-// mask is a few array walks. A done ctx stops it between blocks, with
-// ctx's error.
-func scanView(ctx context.Context, v *store.View, n Scan, mask *store.Bitset, workers int) (*store.Bitset, error) {
+// their own matchers and write their own words of the one result. A done
+// ctx stops it between blocks, with ctx's error.
+func scanView(ctx context.Context, v *store.View, run []Scan, mask *store.Bitset, workers int) (*store.Bitset, error) {
 	f, rows := v.Frame(), v.Len()
 	if mask == nil {
 		mask = v.Empty().Not()
 	}
 	words := make([]uint64, (rows+63)/64)
 	err := spread(ctx, workers, (rows+spreadRows-1)/spreadRows, func(int) func(int) {
-		match, ok := compileScan(n.Expr, &f)
-		if !ok {
-			match = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
+		ms := make([]wordMatch, len(run))
+		for k, n := range run {
+			var ok bool
+			if ms[k], ok = compileScan(n.Expr, &f); !ok {
+				ms[k] = perRow(func(i int) bool { return n.Expr.Eval(v.HistoryAt(i)) })
+			}
 		}
+		match := chain(ms)
 		return func(k int) {
 			mask.EachWord(k*spreadRows, min((k+1)*spreadRows, rows), func(base int, w uint64) { words[base>>6] = match(base, w) & w })
 		}

@@ -633,9 +633,9 @@ func (e *Engine) eval(ctx context.Context, t *topo, p Plan) (*store.Bitset, []in
 // engine's result cache.
 func (e *Engine) localTree(ctx context.Context, t *topo) tree {
 	return tree{view: t.view, cache: e.cache, gen: t.gen,
-		scan: func(n Scan, mask *store.Bitset) (*store.Bitset, error) {
+		scan: func(run []Scan, mask *store.Bitset) (*store.Bitset, error) {
 			t0 := time.Now()
-			out, err := scanView(ctx, t.view, n, mask, e.workers)
+			out, err := scanView(ctx, t.view, run, mask, e.workers)
 			t.local(t0, err)
 			return out, err
 		}}
@@ -645,7 +645,7 @@ func (e *Engine) localTree(ctx context.Context, t *topo) tree {
 // LocalBackend all walk plans with it, over their own view and scan.
 type tree struct {
 	view *store.View
-	scan func(n Scan, mask *store.Bitset) (*store.Bitset, error)
+	scan func(run []Scan, mask *store.Bitset) (*store.Bitset, error) // one pass for the run's conjunction
 	// cache, when set, holds complete results by canonical sub-plan key
 	// under generation gen.
 	cache *epochLRU[string, *store.Bitset]
@@ -672,15 +672,12 @@ func (r tree) eval(p Plan, mask *store.Bitset) (*store.Bitset, error) {
 			return r.within(p, mask)
 		}
 	}
-	var key string
-	if r.cache != nil {
-		key = p.Key()
-		if b, ok := r.cache.get(r.gen, key); ok {
-			if mask != nil {
-				return b.Clone().And(mask), nil
-			}
-			return b.Clone(), nil
+	key, b, ok := r.cached(p)
+	if ok {
+		if mask != nil {
+			return b.Clone().And(mask), nil
 		}
+		return b.Clone(), nil
 	}
 	var out *store.Bitset
 	var err error
@@ -688,7 +685,7 @@ func (r tree) eval(p Plan, mask *store.Bitset) (*store.Bitset, error) {
 	case IndexScan:
 		out, err = evalIndex(r.view, n)
 	case Scan:
-		out, err = r.scan(n, mask)
+		out, err = r.scan([]Scan{n}, mask)
 	case Not:
 		if out, err = r.eval(n.Child, mask); err == nil {
 			if mask != nil {
@@ -701,18 +698,20 @@ func (r tree) eval(p Plan, mask *store.Bitset) (*store.Bitset, error) {
 		// The optimizer put the scan-free children first and the scans in
 		// rank order; the accumulator masks each next child, so a scan only
 		// visits the candidates still alive, and an empty accumulator
-		// skips the remaining children.
+		// skips the remaining children. A run of adjacent Scan children is
+		// one pass (scanRun, scanView): each candidate row is read once.
 		if out = mask; out != nil {
 			out = out.Clone()
 		} else {
 			out = r.view.Empty().Not()
 		}
-		for _, c := range n.Children {
-			if out.Count() == 0 {
-				break
-			}
-			if out, err = r.within(c, out); err != nil {
-				break
+		for cs := n.Children; len(cs) > 0 && err == nil && out.Count() > 0; {
+			var run []Scan
+			if run, cs = r.scanRun(cs, out); len(run) > 0 {
+				out, err = r.scan(run, out)
+			} else if len(cs) > 0 {
+				out, err = r.within(cs[0], out)
+				cs = cs[1:]
 			}
 		}
 	case Or:
@@ -754,6 +753,33 @@ func (r tree) eval(p Plan, mask *store.Bitset) (*store.Bitset, error) {
 		r.cache.put(r.gen, key, out.Clone())
 	}
 	return out, nil
+}
+
+// cached returns p's key ("" with no cache) and its cached result, read only.
+func (r tree) cached(p Plan) (string, *store.Bitset, bool) {
+	if r.cache == nil {
+		return "", nil, false
+	}
+	key := p.Key()
+	b, ok := r.cache.get(r.gen, key)
+	return key, b, ok
+}
+
+// scanRun splits the Scan children leading cs off the rest. A scan the
+// cache answers whole is intersected into acc instead of joining the run.
+func (r tree) scanRun(cs []Plan, acc *store.Bitset) (run []Scan, rest []Plan) {
+	for ; len(cs) > 0; cs = cs[1:] {
+		s, ok := cs[0].(Scan)
+		if !ok {
+			break
+		}
+		if _, b, hit := r.cached(s); hit {
+			acc.And(b)
+		} else {
+			run = append(run, s)
+		}
+	}
+	return run, cs
 }
 
 // within returns c's matches within mask (nil = every row). A scan-free c

@@ -310,14 +310,25 @@ func fixedParityExprs() []query.Expr {
 	return exprs
 }
 
-// FuzzEngineParity drives the same parity check from fuzzed seeds.
+// FuzzEngineParity drives the same parity check from fuzzed seeds: with
+// no picks, a randExpr; with picks, an And of the scan leaves they name
+// (scanRunLeaf), which the optimizer leaves one run of scans — the fused
+// pass randExpr reaches only by chance.
 func FuzzEngineParity(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99999} {
-		f.Add(seed)
+		f.Add(seed, []byte{})
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	const band, age, sex, sequence, text = 0, 1, 2, 4, 5
+	for _, picks := range [][]byte{{band, band}, {band, age, sex}, {band, text}, {band, sequence}} {
+		f.Add(int64(len(picks)), picks)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, picks []byte) {
 		r := rand.New(rand.NewSource(seed))
-		checkParity(t, randExpr(r, 1+r.Intn(3)))
+		if len(picks) == 0 {
+			checkParity(t, randExpr(r, 1+r.Intn(3)))
+			return
+		}
+		checkParity(t, scanRunExpr(r, picks[:min(len(picks), 6)]))
 	})
 }
 

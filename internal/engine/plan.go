@@ -111,7 +111,8 @@ func (p Scan) Key() string    { return "scan{" + p.Expr.String() + "}" }
 func (p Scan) String() string { return p.Key() }
 
 // And intersects its children; execution evaluates them left to right and
-// masks scan-bearing children by the accumulated candidates.
+// masks scan-bearing children by the accumulated candidates, each run of
+// adjacent Scan children in one pass over them.
 type And struct{ Children []Plan }
 
 func (p And) Key() string    { return "and(" + joinKeys(p.Children, true) + ")" }

@@ -44,6 +44,23 @@ func perRow(match func(i int) bool) wordMatch {
 	}
 }
 
+// chain is the conjunction of ms: each tests only the candidates the ones
+// before it kept, and an emptied word stops it.
+func chain(ms []wordMatch) wordMatch {
+	if len(ms) == 1 {
+		return ms[0]
+	}
+	return func(base int, cand uint64) uint64 {
+		for _, m := range ms {
+			if cand == 0 {
+				break
+			}
+			cand = m(base, cand)
+		}
+		return cand
+	}
+}
+
 // compileScan compiles a scanned expression into a word matcher over the
 // rows of f: bit k of match(base, cand) is cand's bit k ∧ expr.Eval(h)
 // for the history h that row base+k frames. It builds no store.Row and
@@ -56,15 +73,7 @@ func compileScan(expr query.Expr, f *store.Frame) (match wordMatch, ok bool) {
 		return func(_ int, cand uint64) uint64 { return cand }, true
 	case query.And:
 		ms, ok := compileEach(q, f, compileScan)
-		return func(base int, cand uint64) uint64 {
-			for _, m := range ms {
-				if cand == 0 {
-					break
-				}
-				cand = m(base, cand)
-			}
-			return cand
-		}, ok
+		return chain(ms), ok
 	case query.Or:
 		ms, ok := compileEach(q, f, compileScan)
 		return func(base int, cand uint64) uint64 {
@@ -115,20 +124,26 @@ func compileScan(expr query.Expr, f *store.Frame) (match wordMatch, ok bool) {
 			return seen >= need
 		}), ok
 	case query.During:
+		// The cells are sorted by start, so one sweep answers it: a point
+		// lies in a matching interval iff the latest end among the matching
+		// intervals starting at or before it lies past it.
 		iv, ok := compilePred(q.Interval, f)
 		ev, ok2 := compilePred(q.Event, f)
 		return perRow(func(i int) bool {
 			cells, vals := f.Cells(i), f.Values(i)
-			for a := range cells {
-				in := &cells[a]
-				if in.Kind != model.Interval || !iv(in, &vals[a]) {
+			end, a := int64(math.MinInt64), 0
+			for b := range cells {
+				e := &cells[b]
+				if e.Kind != model.Point || !ev(e, &vals[b]) {
 					continue
 				}
-				for b := range cells {
-					e := &cells[b]
-					if e.Kind == model.Point && ev(e, &vals[b]) && in.Start <= e.Start && e.Start < in.End {
-						return true
+				for ; a < len(cells) && cells[a].Start <= e.Start; a++ {
+					if in := &cells[a]; in.Kind == model.Interval && in.End > end && iv(in, &vals[a]) {
+						end = in.End
 					}
+				}
+				if e.Start < end {
+					return true
 				}
 			}
 			return false

@@ -121,17 +121,24 @@ func drawExpr(src *byteSource, hs []*model.History) query.Expr {
 	return expr(3)
 }
 
+// drawScanHistories draws the histories the property runs over, some
+// born where At − birth wraps.
+func drawScanHistories(src *byteSource) []*model.History {
+	hs := drawHistories(src)
+	for _, h := range hs {
+		if k := src.next(); k%4 == 0 {
+			h.Patient.Birth = edgeTimes[k/4%len(edgeTimes)] + model.Time(src.next()%3-1)
+		}
+	}
+	return hs
+}
+
 // checkScanAgainstHistories is the property on one input: up to eight
 // expressions over one drawn store.
 func checkScanAgainstHistories(t testing.TB, data []byte) {
 	t.Helper()
 	src := &byteSource{data: data}
-	hs := drawHistories(src)
-	for _, h := range hs { // some born where At − birth wraps
-		if k := src.next(); k%4 == 0 {
-			h.Patient.Birth = edgeTimes[k/4%len(edgeTimes)] + model.Time(src.next()%3-1)
-		}
-	}
+	hs := drawScanHistories(src)
 	adopted := make([]*model.History, len(hs)) // the store sorts what it adopts; hs stay as drawn
 	for i, h := range hs {
 		adopted[i] = h.Clone()
@@ -203,7 +210,75 @@ func FuzzFrameScanMatchesHistories(f *testing.F) {
 		rng.Read(data)
 		f.Add(data)
 	}
+	// During seeds: drawn bytes whose first expression is a During over
+	// histories holding both points and intervals.
+	for seeds := 0; seeds < 4; {
+		data := make([]byte, 200+rng.Intn(800))
+		rng.Read(data)
+		src := &byteSource{data: data}
+		hs := drawScanHistories(src)
+		src.next() // the expression count
+		kinds := map[model.Kind]bool{}
+		for _, h := range hs {
+			for _, e := range h.Entries {
+				kinds[e.Kind] = true
+			}
+		}
+		if _, during := drawExpr(src, hs).(query.During); during && kinds[model.Point] && kinds[model.Interval] {
+			f.Add(data)
+			seeds++
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkScanAgainstHistories(t, data) })
+}
+
+// TestDuringMatchesEval: the one sweep During compiles to answers what
+// query.During.Eval's test of every interval against every point answers,
+// on histories of up to eight entries over five days: equal starts,
+// intervals empty, inverted or open-ended, and points on an interval's
+// exclusive end.
+func TestDuringMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	day, horizon := model.Date(2010, 1, 1), model.Date(2012, 1, 1)
+	hs := make([]*model.History, 5000)
+	for i := range hs {
+		h := model.NewHistory(model.Patient{ID: model.PatientID(i + 1)})
+		for j := r.Intn(9); j > 0; j-- {
+			start := day.AddDays(r.Intn(5))
+			e := model.Entry{ID: uint64(10*i + j), Kind: model.Point, Start: start, End: start,
+				Type: model.Type(1 + r.Intn(2)), Source: model.SourceGP, Value: float64(r.Intn(3))}
+			switch r.Intn(4) {
+			case 0:
+				e.Kind, e.End, e.OpenEnd = model.Interval, horizon, true
+			case 1:
+				e.Kind, e.End = model.Interval, start.AddDays(r.Intn(4)-1)
+			}
+			h.Add(e)
+		}
+		hs[i] = h
+	}
+	col := model.MustCollection(hs...)
+	st := store.New(col)
+	f := st.Pin().Frame()
+	one, two := query.TypeIs(1), query.TypeIs(2)
+	for _, e := range []query.Expr{
+		query.During{Interval: one, Event: two},
+		query.During{Interval: two, Event: one},
+		query.During{Interval: one, Event: one},
+		query.During{Interval: query.KindIs(model.Interval), Event: query.ValueBetween{Lo: 1, Hi: 2}},
+	} {
+		want := scanBits(col, st, e)
+		if want.Count() == 0 || want.Count() == len(hs) {
+			t.Fatalf("%s matches %d of %d histories: the draw tests nothing", e, want.Count(), len(hs))
+		}
+		match, ok := compileScan(e, &f)
+		if !ok {
+			t.Fatalf("%s does not compile", e)
+		}
+		for base := 0; base < f.Len(); base += 64 {
+			checkWord(t, e, match, want, base, ^uint64(0))
+		}
+	}
 }
 
 // TestScanParityEdgeCases: engine ≡ scan ≡ EvalIndexed at shard counts

@@ -123,8 +123,9 @@ func TestContainerSplitParity(t *testing.T) {
 }
 
 // TestLocalScansStopAtContext: under a cancelled or an expired context, a
-// local ExecuteStatus — a bare scan, or one under its index bound — and a
-// local AnalyzeStatus return the context's error, not a full answer; the
+// local ExecuteStatus — a bare scan, one under its index bound, or a run
+// of scans fused into one pass — and a local AnalyzeStatus return the
+// context's error, not a full answer; the
 // result cache and the analysis memo stay empty, and no goroutine is
 // left behind.
 func TestLocalScansStopAtContext(t *testing.T) {
@@ -138,6 +139,8 @@ func TestLocalScansStopAtContext(t *testing.T) {
 	scans := []query.Expr{
 		query.Has{Pred: query.ValueBetween{Lo: 120, Hi: 140}},
 		query.Has{Pred: query.MustCode("", "T90"), MinCount: 2},
+		query.And{query.Has{Pred: query.ValueBetween{Lo: 120, Hi: 140}}, query.AgeBetween{Lo: 20, Hi: 70, At: model.Date(2011, 1, 1)},
+			query.SexIs(model.SexFemale), query.Has{Pred: scanText}},
 	}
 	for name, ctx := range map[string]context.Context{"cancelled": cancelled, "expired": expired} {
 		for _, e := range scans {

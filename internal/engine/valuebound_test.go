@@ -169,7 +169,7 @@ func TestValueBoundAllocationBudget(t *testing.T) {
 		t.Errorf("the union of buckets %v allocates %d B for a %d B set; budget %d B", buckets, union, held, budget)
 	}
 	scan := bytesPerRun(func() {
-		if _, err := scanView(context.Background(), v, Scan{Expr: band}, candidates, 1); err != nil {
+		if _, err := scanView(context.Background(), v, []Scan{{Expr: band}}, candidates, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

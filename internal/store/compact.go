@@ -75,17 +75,15 @@ func (s *Store) Compact() CompactionStats {
 
 // foldLayer merges base and delta posting maps into one layer. A key the
 // delta never touched keeps sharing its base bitset, however short (every
-// layered read clamps to a bitset's own length); a touched one becomes its
-// base bitset cloned at capacity n with the delta ORed in.
+// layered read clamps to a bitset's own length); a touched one becomes
+// the union of its base and delta bitsets at capacity n.
 func foldLayer[K comparable](base, delta map[K]*Bitset, n int) map[K]*Bitset {
 	out := make(map[K]*Bitset, len(base)+len(delta))
 	for k, bs := range base {
 		out[k] = bs
 	}
 	for k, bs := range delta {
-		nb := growClone(out[k], n)
-		layerOrInto(nb, bs)
-		out[k] = nb
+		out[k] = growUnion(out[k], bs, n)
 	}
 	return out
 }

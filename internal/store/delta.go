@@ -153,14 +153,19 @@ func layerOrSlice(out, bs *Bitset, lo, hi int) {
 	}
 }
 
-// growClone returns a copy of bs with capacity n (bs may be nil or short):
-// its containers cloned whole, the ones past its length empty.
-func growClone(bs *Bitset, n int) *Bitset {
+// growUnion returns a ∪ b at capacity n (either may be nil or short),
+// each container allocated once; b nil makes it a growing clone of a.
+func growUnion(a, b *Bitset, n int) *Bitset {
 	out := NewBitset(n)
-	if bs != nil {
-		for i := range bs.cs {
-			out.cs[i] = bs.cs[i].clone()
+	for i := range out.cs {
+		var x, y container
+		if a != nil && i < len(a.cs) {
+			x = a.cs[i]
 		}
+		if b != nil && i < len(b.cs) {
+			y = b.cs[i]
+		}
+		out.cs[i] = orContainers(&x, &y)
 	}
 	return out
 }
@@ -206,7 +211,7 @@ func (c *mapCOW[K]) mark(k K, i int) {
 		return
 	}
 	if !c.cloned[k] {
-		c.m[k] = growClone(c.m[k], c.n)
+		c.m[k] = growUnion(c.m[k], nil, c.n)
 		c.cloned[k] = true
 	}
 	c.m[k].Set(i)

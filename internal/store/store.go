@@ -419,19 +419,13 @@ func (s *Store) WithCodeRegexScan(system, pattern string) (*Bitset, error) {
 // WithType returns the patients having at least one entry of the type.
 func (s *Store) WithType(t model.Type) *Bitset {
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
-	layerOrInto(out, r.base.byType[t])
-	layerOrInto(out, r.delta.byType[t])
-	return out
+	return growUnion(r.base.byType[t], r.delta.byType[t], len(r.hists))
 }
 
 // WithSource returns the patients having at least one entry from the source.
 func (s *Store) WithSource(src model.Source) *Bitset {
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
-	layerOrInto(out, r.base.bySource[src])
-	layerOrInto(out, r.delta.bySource[src])
-	return out
+	return growUnion(r.base.bySource[src], r.delta.bySource[src], len(r.hists))
 }
 
 // Where returns the patients whose history satisfies pred; the general

@@ -164,22 +164,31 @@ func TestLocalScansStopAtContext(t *testing.T) {
 
 // TestSpreadStopsAtContext: a context cancelled while units run stops
 // every goroutine before its next unit; spread returns its error, having
-// waited for all of them.
+// waited for all of them. Until cancel returns, the other goroutines keep
+// taking units (as many as a slow cancel lets them), so the bound counts
+// the units started after it returned: at most one a goroutine, the one
+// it had taken before its check could see the cancel.
 func TestSpreadStopsAtContext(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
+		var ran, late atomic.Int64
+		var cancelled atomic.Bool
 		err := spread(ctx, workers, 1000, func(int) func(int) {
 			return func(int) {
+				if cancelled.Load() {
+					late.Add(1)
+				}
 				if ran.Add(1) == 3 {
 					cancel()
+					cancelled.Store(true)
 				}
 			}
 		})
 		cancel()
-		if !errors.Is(err, context.Canceled) || ran.Load() >= 1000 || ran.Load() > int64(2+workers) {
-			t.Errorf("workers=%d: spread ran %d of 1000 units after a cancel at the third, err %v", workers, ran.Load(), err)
+		if !errors.Is(err, context.Canceled) || ran.Load() >= 1000 || late.Load() > int64(workers) {
+			t.Errorf("workers=%d: spread ran %d of 1000 units, %d of them started after the cancel at the third returned, err %v",
+				workers, ran.Load(), late.Load(), err)
 		}
 		if err := spread(context.Background(), workers, 1000, func(int) func(int) { return func(int) { ran.Add(1) } }); err != nil {
 			t.Errorf("workers=%d: a live context: %v", workers, err)

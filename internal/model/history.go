@@ -76,6 +76,26 @@ func (h *History) Sort() {
 	h.sorted = true
 }
 
+// Merged returns a new, sorted history of h's patient holding h's entries
+// and add's, in exactly the order Sort gives h's followed by add's: add is
+// stable-sorted in place, then merged with h's sorted entries in one
+// linear pass, h's entry first on a tie. h is not modified; the result
+// does not share add.
+func (h *History) Merged(add []Entry) *History {
+	old := h.SortedEntries()
+	sortEntries(add)
+	out := make([]Entry, 0, len(old)+len(add))
+	for len(old) > 0 && len(add) > 0 {
+		if entryCompare(&add[0], &old[0]) < 0 {
+			out, add = append(out, add[0]), add[1:]
+		} else {
+			out, old = append(out, old[0]), old[1:]
+		}
+	}
+	out = append(append(out, old...), add...)
+	return &History{Patient: h.Patient, Entries: out, sorted: true}
+}
+
 // SortedEntries returns the entries in chronological order without
 // mutating the history: the live slice when already sorted, otherwise a
 // sorted copy. Readers that must not reorder a shared history (snapshot

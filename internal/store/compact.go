@@ -32,7 +32,7 @@ func (s *Store) Compact() CompactionStats {
 		return cur.compaction
 	}
 	t0 := time.Now()
-	n := len(cur.hists)
+	n := cur.hists.n
 
 	comp := cur.compaction
 	comp.Runs++
@@ -40,7 +40,7 @@ func (s *Store) Compact() CompactionStats {
 	comp.LastPatients = cur.deltaPatients
 	comp.LastLists = cur.delta.lists()
 
-	ordBase := ordinalIndex(cur.ids)
+	ordBase := ordinalIndex(&cur.ids)
 	folded := &postings{
 		byCodeValue: foldLayer(cur.base.byCodeValue, cur.delta.byCodeValue, n),
 		byType:      foldLayer(cur.base.byType, cur.delta.byType, n),

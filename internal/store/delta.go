@@ -21,7 +21,8 @@ type HistoryUpdate struct {
 
 // AppendBatch is one unit of ingest: brand-new patients plus new entries
 // for patients already in the store. Append takes ownership of the
-// histories and entry slices; callers must not retain or mutate them.
+// histories and entry slices (it sorts an update's entries in place);
+// callers must not retain or mutate them.
 type AppendBatch struct {
 	NewHistories []*model.History
 	Updates      []HistoryUpdate
@@ -67,14 +68,16 @@ func (s *Store) LastCompaction() CompactionStats { return s.loadRev().compaction
 // answers from the same generation.
 func (s *Store) Pin() *View {
 	r := s.loadRev()
-	return &View{r: r, lo: 0, hi: len(r.hists)}
+	return &View{r: r, lo: 0, hi: r.hists.n}
 }
 
-// Freeze returns a read-only Store pinned to the current revision —
-// appends to the original are invisible to it. Used where an API needs a
-// *Store but the caller needs generation consistency across calls (the
-// reference interpreter under concurrent ingest). Appending to a frozen
-// store diverges it from the original; don't.
+// Freeze returns a Store pinned to the current revision — appends to the
+// original are invisible to it. Used where an API needs a *Store but the
+// caller needs generation consistency across calls (the reference
+// interpreter under concurrent ingest). Appending to a frozen store forks
+// it: an append writes only pages it copied, so neither store's appends
+// change what the other's pins read. The two share the frame's code
+// dictionary, so their appends must not run at the same time.
 func (s *Store) Freeze() *Store {
 	out := &Store{}
 	out.rev.Store(s.loadRev())
@@ -93,7 +96,8 @@ func (s *Store) MaxEntryID() uint64 { return s.loadRev().computeMaxEntryID() }
 func (r *storeRev) computeMaxEntryID() uint64 {
 	r.maxIDOnce.Do(func() {
 		var max uint64
-		for _, h := range r.hists {
+		for i := range r.hists.n {
+			h := r.hists.at(i)
 			for j := range h.Entries {
 				if h.Entries[j].ID > max {
 					max = h.Entries[j].ID
@@ -223,26 +227,19 @@ func (c *mapCOW[K]) mark(k K, i int) {
 // store and unique within the batch; update IDs must be present. The
 // batch is validated before anything is published, so a failed Append
 // leaves the store untouched. Readers are never blocked: they keep
-// answering from the previous revision until the atomic publish.
+// answering from the previous revision until the atomic publish. The new
+// revision forks the per-patient arrays and copies only the pages it
+// writes — the updated patients' and the tail — and an update merges its
+// entries into the history, which is already sorted.
 func (s *Store) Append(b AppendBatch) (uint64, error) {
-	if len(b.NewHistories) == 0 {
-		empty := true
-		for _, u := range b.Updates {
-			if len(u.Entries) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			return s.Generation(), nil
-		}
+	if len(b.NewHistories) == 0 && !slices.ContainsFunc(b.Updates, func(u HistoryUpdate) bool { return len(u.Entries) > 0 }) {
+		return s.Generation(), nil
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.loadRev()
-	n := len(cur.hists)
-	n2 := n + len(b.NewHistories)
+	n2 := cur.hists.n + len(b.NewHistories)
 
 	// Validate the whole batch before building anything.
 	seen := make(map[model.PatientID]bool, len(b.NewHistories))
@@ -265,10 +262,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		}
 	}
 
-	hists2 := make([]*model.History, n, n2)
-	copy(hists2, cur.hists)
-	ids2 := make([]model.PatientID, n, n2)
-	copy(ids2, cur.ids)
+	hists2, ids2 := cur.hists.fork(), cur.ids.fork()
 	ordDelta2 := make(map[model.PatientID]int, len(cur.ordDelta)+len(b.NewHistories))
 	for k, v := range cur.ordDelta {
 		ordDelta2[k] = v
@@ -314,26 +308,21 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 			continue
 		}
 		i, _ := cur.ordinalOf(u.ID)
-		old := hists2[i]
-		// Build the merged history at its exact size and sort before
-		// publishing: a published history must have its sorted flag set,
-		// or concurrent readers calling Sort would race.
-		es := make([]model.Entry, 0, len(old.Entries)+len(u.Entries))
-		merged := model.RestoreHistory(old.Patient, append(append(es, old.Entries...), u.Entries...))
+		// A published history has its sorted flag set, or concurrent
+		// readers calling Sort would race: Merged returns one.
+		hists2.set(i, hists2.at(i).Merged(u.Entries))
 		for j := range u.Entries {
 			mark(i, &u.Entries[j])
 		}
-		merged.Sort()
-		hists2[i] = merged
 		touched = append(touched, i)
 		added += len(u.Entries)
 	}
 
 	for _, h := range b.NewHistories {
-		i := len(hists2)
+		i := hists2.n
 		h.Sort()
-		hists2 = append(hists2, h)
-		ids2 = append(ids2, h.Patient.ID)
+		hists2.push(h)
+		ids2.push(h.Patient.ID)
 		ordDelta2[h.Patient.ID] = i
 		touched = append(touched, i)
 		for j := range h.Entries {
@@ -373,7 +362,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		ingest:        ingest2,
 		compaction:    cur.compaction,
 		maxEntryID:    maxID,
-		frame:         cur.frame.carry(hists2, touched),
+		frame:         cur.frame.carry(&hists2, touched),
 	}
 	next.maxIDOnce.Do(func() {})
 	s.rev.Store(next)

@@ -168,10 +168,10 @@ func TestCompactFoldsOnlyTouchedKeys(t *testing.T) {
 	before := s.loadRev().base
 	s.Compact()
 	r := s.loadRev()
-	rebuilt := New(model.MustCollection(r.hists...)).loadRev().base
-	checkFold(t, before.byCodeValue, r.base.byCodeValue, rebuilt.byCodeValue, codeKey{"ICPC2", "T90"}, len(r.hists))
-	checkFold(t, before.byType, r.base.byType, rebuilt.byType, model.TypeDiagnosis, len(r.hists))
-	checkFold(t, before.bySource, r.base.bySource, rebuilt.bySource, model.SourceGP, len(r.hists))
+	rebuilt := New(model.MustCollection(s.Pin().Histories()...)).loadRev().base
+	checkFold(t, before.byCodeValue, r.base.byCodeValue, rebuilt.byCodeValue, codeKey{"ICPC2", "T90"}, r.hists.n)
+	checkFold(t, before.byType, r.base.byType, rebuilt.byType, model.TypeDiagnosis, r.hists.n)
+	checkFold(t, before.bySource, r.base.bySource, rebuilt.bySource, model.SourceGP, r.hists.n)
 }
 
 // checkFold holds one folded posting map to the fold's contract: touched

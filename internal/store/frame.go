@@ -65,13 +65,15 @@ type Row struct {
 }
 
 // Frame is the analysis form of a run of histories. Codes[0] is the zero
-// code. A Frame value is immutable once published.
+// code. Its per-row arrays are paged, and a view's frame reads the rows
+// [off, off+n) of its revision's. A Frame value is immutable once published.
 type Frame struct {
 	Codes []FrameCode
 
-	rows   []frameRow  // rows[i] locates history i's cell run
-	births []int64     // births[i] is history i's model.Patient.Birth
-	sexes  []model.Sex // sexes[i] is history i's model.Patient.Sex
+	rows   paged[frameRow]  // rows.at(off+i) locates history i's cell run
+	births paged[int64]     // history off+i's model.Patient.Birth
+	sexes  paged[model.Sex] // history off+i's model.Patient.Sex
+	off, n int
 	chunks [][]Cell    // chunks[0] is the build's slab; Append adds one per batch
 	values [][]float64 // values[k][j] is the model.Entry.Value of chunks[k][j]
 	dict   *frameDict  // shared by the frames one carries into the next
@@ -84,7 +86,7 @@ type Frame struct {
 type frameRow struct{ chunk, off, n uint32 }
 
 // Len is the number of histories framed.
-func (f *Frame) Len() int { return len(f.rows) }
+func (f *Frame) Len() int { return f.n }
 
 // Row returns history i; a reader of one column calls its accessor.
 func (f *Frame) Row(i int) Row {
@@ -94,45 +96,52 @@ func (f *Frame) Row(i int) Row {
 // Birth, Sex and Cells each read one column of history i. They are small
 // enough to inline, so a reader pays for the columns it tests and builds
 // no Row.
-func (f *Frame) Birth(i int) int64 { return f.births[i] }
+func (f *Frame) Birth(i int) int64 { return f.births.at(f.off + i) }
 
 // Sex is history i's patient sex.
-func (f *Frame) Sex(i int) model.Sex { return f.sexes[i] }
+func (f *Frame) Sex(i int) model.Sex { return f.sexes.at(f.off + i) }
 
 // Cells is history i's cell run, in SortedEntries order; the caller must
 // not write it.
 func (f *Frame) Cells(i int) []Cell {
-	r := &f.rows[i]
+	r := f.rows.at(f.off + i)
 	return f.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
 }
 
 // Values is history i's value column, parallel to Cells(i); the caller
 // must not write it.
 func (f *Frame) Values(i int) []float64 {
-	r := &f.rows[i]
+	r := f.rows.at(f.off + i)
 	return f.values[r.chunk][r.off : r.off+r.n : r.off+r.n]
 }
 
 // ValueBand is the word kernel of a scan's value band: bit k of the result
 // is set iff it is set in cand and row base+k holds at least need values
-// in [lo, hi]. It reads the run locators and the value column, nothing else.
+// in [lo, hi]. It reads the run locators and the value column, nothing
+// else. Each kernel reads a word's rows in one page (paged.from), and
+// splits a word that crosses a page boundary — one word a page, at a view
+// offset that is not a multiple of 64 — into a call per page.
 func (f *Frame) ValueBand(base int, cand uint64, need int, lo, hi float64) uint64 {
-	rows, vals := f.rows[base:], f.values
-	for w := cand; w != 0; w &= w - 1 {
-		k, seen := bits.TrailingZeros64(w), 0
-		r := &rows[k]
-		for _, v := range vals[r.chunk][r.off : r.off+r.n] {
-			if v >= lo && v <= hi {
-				if seen++; seen >= need {
-					break
+	rows, vals := f.rows.from(f.off+base), f.values
+	if n := len(rows); n >= 64 || cand>>n == 0 {
+		for w := cand; w != 0; w &= w - 1 {
+			k, seen := bits.TrailingZeros64(w), 0
+			r := &rows[k]
+			for _, v := range vals[r.chunk][r.off : r.off+r.n] {
+				if v >= lo && v <= hi {
+					if seen++; seen >= need {
+						break
+					}
 				}
 			}
+			if seen < need {
+				cand &^= 1 << k
+			}
 		}
-		if seen < need {
-			cand &^= 1 << k
-		}
+		return cand
 	}
-	return cand
+	n := len(rows) // the word crosses a page boundary
+	return f.ValueBand(base, cand&(1<<n-1), need, lo, hi) | f.ValueBand(base+n, cand>>n, need, lo, hi)<<n
 }
 
 // denseWord is the candidate count from which a demographic kernel tests
@@ -147,41 +156,49 @@ const denseWord = 32
 // span = (Hi−Lo+1)·Year: floor(d/Year) ≥ Lo ⇔ d ≥ Lo·Year. It reads the
 // births, nothing else.
 func (f *Frame) AgeBand(base int, cand uint64, at, lo int64, span uint64) uint64 {
-	births, ref := f.births[base:], at-lo // at−b−lo is ref−b, wrapping alike
-	if len(births) >= 64 && bits.OnesCount64(cand) >= denseWord {
-		var in uint64
-		for k, b := range births[:64] {
-			_, below := bits.Sub64(uint64(ref-b), span, 0)
-			in |= below << k
+	births, ref := f.births.from(f.off+base), at-lo // at−b−lo is ref−b, wrapping alike
+	if n := len(births); n >= 64 || cand>>n == 0 {
+		if n >= 64 && bits.OnesCount64(cand) >= denseWord {
+			var in uint64
+			for k, b := range births[:64] {
+				_, below := bits.Sub64(uint64(ref-b), span, 0)
+				in |= below << k
+			}
+			return cand & in
 		}
-		return cand & in
-	}
-	for w := cand; w != 0; w &= w - 1 {
-		if k := bits.TrailingZeros64(w); uint64(ref-births[k]) >= span {
-			cand &^= 1 << k
+		for w := cand; w != 0; w &= w - 1 {
+			if k := bits.TrailingZeros64(w); uint64(ref-births[k]) >= span {
+				cand &^= 1 << k
+			}
 		}
+		return cand
 	}
-	return cand
+	n := len(births) // the word crosses a page boundary
+	return f.AgeBand(base, cand&(1<<n-1), at, lo, span) | f.AgeBand(base+n, cand>>n, at, lo, span)<<n
 }
 
 // SexIs is the word kernel of a sex criterion, AgeBand's shape over the
 // sex column: bit k of the result is set iff it is set in cand and row
 // base+k's sex is sex.
 func (f *Frame) SexIs(base int, cand uint64, sex model.Sex) uint64 {
-	sexes := f.sexes[base:]
-	if len(sexes) >= 64 && bits.OnesCount64(cand) >= denseWord {
-		var in uint64
-		for k, s := range sexes[:64] {
-			in |= (uint64(s^sex) - 1) >> 63 << k // 1 iff s == sex
+	sexes := f.sexes.from(f.off + base)
+	if n := len(sexes); n >= 64 || cand>>n == 0 {
+		if n >= 64 && bits.OnesCount64(cand) >= denseWord {
+			var in uint64
+			for k, s := range sexes[:64] {
+				in |= (uint64(s^sex) - 1) >> 63 << k // 1 iff s == sex
+			}
+			return cand & in
 		}
-		return cand & in
-	}
-	for w := cand; w != 0; w &= w - 1 {
-		if k := bits.TrailingZeros64(w); sexes[k] != sex {
-			cand &^= 1 << k
+		for w := cand; w != 0; w &= w - 1 {
+			if k := bits.TrailingZeros64(w); sexes[k] != sex {
+				cand &^= 1 << k
+			}
 		}
+		return cand
 	}
-	return cand
+	n := len(sexes) // the word crosses a page boundary
+	return f.SexIs(base, cand&(1<<n-1), sex) | f.SexIs(base+n, cand>>n, sex)<<n
 }
 
 // frameDict interns codes. Only the build and, under the store's write
@@ -233,19 +250,15 @@ func (d *frameDict) appendCells(dst []Cell, vals []float64, h *model.History) ([
 	return dst, vals
 }
 
-// frameInto frames h as row i, its cells at the end of the frame's newest
-// chunk, which the caller sized for it.
+// frameInto frames h as row i ≤ Len, its cells at the end of the frame's
+// newest chunk, which the caller sized for it.
 func (f *Frame) frameInto(i int, h *model.History) {
 	k := len(f.chunks) - 1
 	off := len(f.chunks[k])
 	f.chunks[k], f.values[k] = f.dict.appendCells(f.chunks[k], f.values[k], h)
-	f.rows[i] = frameRow{chunk: uint32(k), off: uint32(off), n: uint32(len(f.chunks[k]) - off)}
-	f.births[i], f.sexes[i] = int64(h.Patient.Birth), h.Patient.Sex
-}
-
-// newRows sizes a frame's three per-row arrays for n histories.
-func (f *Frame) newRows(n int) {
-	f.rows, f.births, f.sexes = make([]frameRow, n), make([]int64, n), make([]model.Sex, n)
+	f.rows.set(i, frameRow{chunk: uint32(k), off: uint32(off), n: uint32(len(f.chunks[k]) - off)})
+	f.births.set(i, int64(h.Patient.Birth))
+	f.sexes.set(i, h.Patient.Sex)
 }
 
 // BuildFrame frames the histories into one exactly-sized slab.
@@ -255,8 +268,7 @@ func BuildFrame(hists []*model.History) *Frame {
 		total += len(h.Entries)
 	}
 	f := &Frame{chunks: [][]Cell{make([]Cell, 0, total)},
-		values: [][]float64{make([]float64, 0, total)}, dict: newFrameDict(), cells: total}
-	f.newRows(len(hists))
+		values: [][]float64{make([]float64, 0, total)}, dict: newFrameDict(), cells: total, n: len(hists)}
 	for i, h := range hists {
 		f.frameInto(i, h)
 	}
@@ -272,32 +284,30 @@ func FrameHistory(h *model.History) (Row, []FrameCode) {
 }
 
 // carry is the frame of the revision an Append publishes: the per-row
-// arrays are copied, as hists is, only the touched ordinals (updated or new) are
-// framed again, into one new chunk per column, and every other run is
-// shared. It returns nil once superseded runs outweigh the live ones, so a
-// store under sustained updates pays one rebuild per doubling, not a leak.
-func (f *Frame) carry(hists []*model.History, touched []int) *Frame {
+// arrays are forked, as hists is, so only the pages of the touched
+// ordinals (updated or new) are copied; those ordinals are framed again,
+// into one new chunk per column, and every other run is shared. It returns
+// nil once superseded runs outweigh the live ones, so a store under
+// sustained updates pays one rebuild per doubling, not a leak.
+func (f *Frame) carry(hists *paged[*model.History], touched []int) *Frame {
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
 	fresh, dead := 0, f.dead
 	for _, i := range touched {
-		fresh += len(hists[i].Entries)
-		if i < len(f.rows) {
-			dead += int(f.rows[i].n)
+		fresh += len(hists.at(i).Entries)
+		if i < f.n {
+			dead += int(f.rows.at(i).n)
 		}
 	}
 	if 2*dead > f.cells+fresh {
 		return nil
 	}
-	next := &Frame{dict: f.dict, cells: f.cells + fresh, dead: dead,
+	next := &Frame{dict: f.dict, cells: f.cells + fresh, dead: dead, n: hists.n,
+		rows: f.rows.fork(), births: f.births.fork(), sexes: f.sexes.fork(),
 		chunks: append(f.chunks[:len(f.chunks):len(f.chunks)], make([]Cell, 0, fresh)),
 		values: append(f.values[:len(f.values):len(f.values)], make([]float64, 0, fresh))}
-	next.newRows(len(hists))
-	copy(next.rows, f.rows)
-	copy(next.births, f.births)
-	copy(next.sexes, f.sexes)
 	for _, i := range touched {
-		next.frameInto(i, hists[i])
+		next.frameInto(i, hists.at(i))
 	}
 	next.Codes = f.dict.codes
 	return next
@@ -311,7 +321,7 @@ type frameHolder struct {
 	f  atomic.Pointer[Frame]
 }
 
-func (h *frameHolder) get(hists []*model.History) *Frame {
+func (h *frameHolder) get(hists *paged[*model.History]) *Frame {
 	if f := h.f.Load(); f != nil {
 		return f
 	}
@@ -319,7 +329,7 @@ func (h *frameHolder) get(hists []*model.History) *Frame {
 	defer h.mu.Unlock()
 	f := h.f.Load()
 	if f == nil {
-		f = BuildFrame(hists)
+		f = BuildFrame(hists.slice(0, hists.n))
 		h.f.Store(f)
 	}
 	return f
@@ -327,7 +337,7 @@ func (h *frameHolder) get(hists []*model.History) *Frame {
 
 // carry is the holder of the next revision: holding the carried frame when
 // this one is built, empty (build on first use) when it is not.
-func (h *frameHolder) carry(hists []*model.History, touched []int) *frameHolder {
+func (h *frameHolder) carry(hists *paged[*model.History], touched []int) *frameHolder {
 	next := new(frameHolder)
 	if f := h.f.Load(); f != nil {
 		next.f.Store(f.carry(hists, touched))
@@ -338,7 +348,7 @@ func (h *frameHolder) carry(hists []*model.History, touched []int) *frameHolder 
 // Frame returns the analysis frame of the view's histories, building the
 // revision's on first use.
 func (v *View) Frame() Frame {
-	f := *v.r.frame.get(v.r.hists)
-	f.rows, f.births, f.sexes = f.rows[v.lo:v.hi], f.births[v.lo:v.hi], f.sexes[v.lo:v.hi]
+	f := *v.r.frame.get(&v.r.hists)
+	f.off, f.n = v.lo, v.hi-v.lo
 	return f
 }

@@ -441,7 +441,7 @@ func TestSaveIsReadOnly(t *testing.T) {
 			Source: model.SourceGP, Type: model.TypeContact})
 	}
 	st := New(model.MustCollection(h.Clone()))
-	st.loadRev().hists[0] = h
+	st.loadRev().hists.set(0, h)
 	wantIDs := func() []uint64 {
 		ids := make([]uint64, len(h.Entries))
 		for i := range h.Entries {

@@ -47,7 +47,7 @@ type Stats struct {
 // adopts the birth buckets its caller counted.
 func collectStats(r *storeRev, births map[int64]int) *Stats {
 	st := &Stats{
-		Patients:      len(r.hists),
+		Patients:      r.hists.n,
 		Entries:       r.entries,
 		DistinctCodes: len(r.codes),
 		codeCard:      make(map[codeKey]int, len(r.base.byCodeValue)),
@@ -330,7 +330,7 @@ type View struct {
 // (absolute ordinals, independent of v's own range, clamped to the
 // population): a shard of it, as LocalBackend serves one.
 func (v *View) Sub(lo, hi int) *View {
-	n := len(v.r.hists)
+	n := v.r.hists.n
 	lo = min(max(lo, 0), n)
 	return &View{r: v.r, lo: lo, hi: min(max(hi, lo), n)}
 }
@@ -344,20 +344,20 @@ func (v *View) Len() int { return v.hi - v.lo }
 // Offset returns the view's first global ordinal.
 func (v *View) Offset() int { return v.lo }
 
-// Histories returns the view's histories in display order. Like
-// Collection.Histories, the slice must not be structurally mutated.
+// Histories returns the view's histories in display order, in a slice of
+// the caller's own; the histories themselves must not be mutated.
 func (v *View) Histories() []*model.History {
-	return v.r.hists[v.lo:v.hi]
+	return v.r.hists.slice(v.lo, v.hi)
 }
 
 // Entries returns the total entry count inside the view.
 func (v *View) Entries() int {
-	if v.lo == 0 && v.hi == len(v.r.hists) {
+	if v.lo == 0 && v.hi == v.r.hists.n {
 		return v.r.entries
 	}
 	n := 0
-	for _, h := range v.Histories() {
-		n += len(h.Entries)
+	for i := v.lo; i < v.hi; i++ {
+		n += len(v.r.hists.at(i).Entries)
 	}
 	return n
 }
@@ -366,7 +366,7 @@ func (v *View) Entries() int {
 func (v *View) Empty() *Bitset { return NewBitset(v.Len()) }
 
 // PatientAt returns the patient ID at a local bit position.
-func (v *View) PatientAt(local int) model.PatientID { return v.r.ids[v.lo+local] }
+func (v *View) PatientAt(local int) model.PatientID { return v.r.ids.at(v.lo + local) }
 
 // Ordinal returns the local bit position of a patient within the view;
 // ok=false when the patient is absent or lives outside the view's range.
@@ -380,14 +380,14 @@ func (v *View) Ordinal(id model.PatientID) (int, bool) {
 
 // HistoryAt returns the history at a local bit position.
 func (v *View) HistoryAt(local int) *model.History {
-	return v.r.hists[v.lo+local]
+	return v.r.hists.at(v.lo + local)
 }
 
 // Stats returns the view's exact cardinalities: the revision's own for
 // the full population, and for a slice those a store built from its
 // histories — a shard server's store — collects.
 func (v *View) Stats() *Stats {
-	if v.lo == 0 && v.hi == len(v.r.hists) {
+	if v.lo == 0 && v.hi == v.r.hists.n {
 		return v.r.stats
 	}
 	return New(model.MustCollection(v.Histories()...)).Stats()

@@ -101,11 +101,12 @@ func (vb *valueBuild) postings() map[uint16]*Bitset {
 // storeRev is one immutable published revision of the store. Everything a
 // read needs hangs off the revision, so a reader that loaded it once can
 // never see torn state — an in-flight append builds the next revision on
-// the side and publishes it with a single pointer store.
+// the side and publishes it with a single pointer store. The per-patient
+// arrays are paged: a revision shares every page its append did not write.
 type storeRev struct {
 	gen   uint64
-	hists []*model.History
-	ids   []model.PatientID
+	hists paged[*model.History]
+	ids   paged[model.PatientID]
 
 	// ordBase is the fold-time ordinal index: the ordinals below the fold's
 	// population, sorted by patient ID and binary-searched through ids — 4
@@ -159,7 +160,7 @@ func (s *Store) loadRev() *storeRev { return s.rev.Load() }
 // for one).
 func (r *storeRev) collection() *model.Collection {
 	r.colOnce.Do(func() {
-		col, err := model.NewCollection(r.hists...)
+		col, err := model.NewCollection(r.hists.slice(0, r.hists.n)...)
 		if err != nil {
 			// New and Append validated ID uniqueness before publishing.
 			panic(fmt.Sprintf("store: corrupt revision: %v", err))
@@ -175,7 +176,7 @@ func (r *storeRev) ordinalOf(id model.PatientID) (int, bool) {
 		return o, true
 	}
 	k, ok := slices.BinarySearchFunc(r.ordBase, id, func(o int32, id model.PatientID) int {
-		return cmp.Compare(r.ids[o], id)
+		return cmp.Compare(r.ids.at(int(o)), id)
 	})
 	if !ok {
 		return 0, false
@@ -183,14 +184,14 @@ func (r *storeRev) ordinalOf(id model.PatientID) (int, bool) {
 	return int(r.ordBase[k]), true
 }
 
-// ordinalIndex sorts the ordinals [0, len(ids)) by patient ID. The sort is
+// ordinalIndex sorts the ordinals [0, ids.n) by patient ID. The sort is
 // linear when the IDs already ascend, as integrated ones do.
-func ordinalIndex(ids []model.PatientID) []int32 {
-	ord := make([]int32, len(ids))
+func ordinalIndex(ids *paged[model.PatientID]) []int32 {
+	ord := make([]int32, ids.n)
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(ids.at(int(a)), ids.at(int(b))) })
 	return ord
 }
 
@@ -238,8 +239,6 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 	hists := col.Histories()
 	n := len(hists)
 	r := &storeRev{
-		hists:    hists,
-		ids:      make([]model.PatientID, n),
 		ordDelta: map[model.PatientID]int{},
 		entries:  col.TotalEntries(),
 		base:     base,
@@ -254,7 +253,8 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 	births := map[int64]int{}
 	for i, h := range hists {
 		h.Sort()
-		r.ids[i] = h.Patient.ID
+		r.hists.push(h)
+		r.ids.push(h.Patient.ID)
 		year, _ := YearOf(h.Patient.Birth)
 		births[year]++
 		for j := 0; vb != nil && j < len(h.Entries); j++ {
@@ -264,7 +264,7 @@ func finishStore(col *model.Collection, base *postings, codes []model.Code) *Sto
 	if vb != nil {
 		base.byValue = vb.postings()
 	}
-	r.ordBase = ordinalIndex(r.ids)
+	r.ordBase = ordinalIndex(&r.ids)
 	r.stats = collectStats(r, births)
 	s := &Store{}
 	s.rev.Store(r)
@@ -290,7 +290,7 @@ func (s *Store) Stats() *Stats { return s.loadRev().stats }
 func (s *Store) Collection() *model.Collection { return s.loadRev().collection() }
 
 // Len returns the number of patients.
-func (s *Store) Len() int { return len(s.loadRev().hists) }
+func (s *Store) Len() int { return s.loadRev().hists.n }
 
 // DistinctCodes returns every code present, sorted by system then value.
 func (s *Store) DistinctCodes() []model.Code {
@@ -306,14 +306,14 @@ func (s *Store) Ordinal(id model.PatientID) (int, bool) {
 }
 
 // PatientAt returns the patient ID at a bit position.
-func (s *Store) PatientAt(ordinal int) model.PatientID { return s.loadRev().ids[ordinal] }
+func (s *Store) PatientAt(ordinal int) model.PatientID { return s.loadRev().ids.at(ordinal) }
 
 // IDsOf materializes a bitset as patient IDs in collection order.
 func (s *Store) IDsOf(b *Bitset) []model.PatientID {
 	r := s.loadRev()
 	out := make([]model.PatientID, 0, b.Count())
 	b.Range(func(i int) bool {
-		out = append(out, r.ids[i])
+		out = append(out, r.ids.at(i))
 		return true
 	})
 	return out
@@ -334,7 +334,7 @@ func (r *storeRev) codeBits(k codeKey) (base, delta *Bitset) {
 // system == "").
 func (s *Store) WithCode(system, value string) *Bitset {
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
+	out := NewBitset(r.hists.n)
 	if system != "" {
 		base, delta := r.codeBits(codeKey{system, value})
 		layerOrInto(out, base)
@@ -376,7 +376,7 @@ func matchCodes(codes []model.Code, system, pattern string, fn func(model.Code))
 // pre-computed patient sets, rather than scanning millions of entries.
 func (s *Store) WithCodeRegex(system, pattern string) (*Bitset, error) {
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
+	out := NewBitset(r.hists.n)
 	err := matchCodes(r.codes, system, pattern, func(c model.Code) {
 		base, delta := r.codeBits(codeKey{c.System, c.Value})
 		layerOrInto(out, base)
@@ -397,8 +397,9 @@ func (s *Store) WithCodeRegexScan(system, pattern string) (*Bitset, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
-	for i, h := range r.hists {
+	out := NewBitset(r.hists.n)
+	for i := range r.hists.n {
+		h := r.hists.at(i)
 		for j := range h.Entries {
 			e := &h.Entries[j]
 			if e.Code.IsZero() {
@@ -419,22 +420,22 @@ func (s *Store) WithCodeRegexScan(system, pattern string) (*Bitset, error) {
 // WithType returns the patients having at least one entry of the type.
 func (s *Store) WithType(t model.Type) *Bitset {
 	r := s.loadRev()
-	return growUnion(r.base.byType[t], r.delta.byType[t], len(r.hists))
+	return growUnion(r.base.byType[t], r.delta.byType[t], r.hists.n)
 }
 
 // WithSource returns the patients having at least one entry from the source.
 func (s *Store) WithSource(src model.Source) *Bitset {
 	r := s.loadRev()
-	return growUnion(r.base.bySource[src], r.delta.bySource[src], len(r.hists))
+	return growUnion(r.base.bySource[src], r.delta.bySource[src], r.hists.n)
 }
 
 // Where returns the patients whose history satisfies pred; the general
 // (scan) fallback for predicates the indexes cannot answer.
 func (s *Store) Where(pred func(*model.History) bool) *Bitset {
 	r := s.loadRev()
-	out := NewBitset(len(r.hists))
-	for i, h := range r.hists {
-		if pred(h) {
+	out := NewBitset(r.hists.n)
+	for i := range r.hists.n {
+		if pred(r.hists.at(i)) {
 			out.Set(i)
 		}
 	}

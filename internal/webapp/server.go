@@ -228,20 +228,24 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // patients extend their histories, and in-flight queries keep answering
 // over the pre-append generation. Responds with the post-append ingest
 // counters. 409 for a workbench without a local store (connected to
-// remote shards), 400 for a bundle integration rejects.
+// remote shards), 400 for a body that is not exactly one bundle
+// (sources.DecodeBundle: bytes after it are refused, not ignored) and for
+// a bundle integration rejects.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.wb.Store == nil {
 		http.Error(w, "ingest requires a local store (this workbench coordinates remote shards)", http.StatusConflict)
 		return
 	}
-	var bundle sources.Bundle
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&bundle); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	var bundle *sources.Bundle
+	if err == nil {
+		bundle, err = sources.DecodeBundle(body)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad bundle: %v", err), http.StatusBadRequest)
 		return
 	}
-	if err := s.wb.Append(&bundle); err != nil {
+	if err := s.wb.Append(bundle); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

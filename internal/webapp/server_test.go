@@ -394,3 +394,42 @@ func TestCohortViewPage(t *testing.T) {
 		t.Errorf("bad pattern accepted: %d", rec.Code)
 	}
 }
+
+// TestIngestRejectsMalformedBundles: a body that is not exactly one valid
+// bundle answers 400 and leaves the store as it was — bytes after the
+// bundle included, so a second concatenated bundle is refused, not lost.
+func TestIngestRejectsMalformedBundles(t *testing.T) {
+	s, wb := testServer(t, 200)
+	bundle := func(first, last uint64, round int) string {
+		b, err := json.Marshal(synth.GenerateAppend(synth.DefaultConfig(200), first, last, round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	one, two := bundle(201, 202, 1), bundle(203, 204, 2)
+	gen, patients := wb.Store.Generation(), wb.Patients()
+	for name, body := range map[string]string{
+		"broken json":          `{"persons":[{"id":201,`,
+		"unknown field":        `{"persons":[],"nicknames":[]}`,
+		"unknown nested field": `{"persons":[{"id":201,"birth":"1990-01-01","sex":"F","nick":"x"}]}`,
+		"wrong type":           `{"persons":[{"id":"201","birth":"1990-01-01","sex":"F"}]}`,
+		"concatenated bundles": one + two,
+		"trailing garbage":     `{"persons":[]} trailing garbage`,
+		"bundle then garbage":  one + "\n}",
+	} {
+		rec := postJSON(t, s, "/api/ingest?pw=tromsø", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: ingest = %d %s, want 400", name, rec.Code, rec.Body.String())
+		}
+		if g, p := wb.Store.Generation(), wb.Patients(); g != gen || p != patients {
+			t.Fatalf("%s: generation %d → %d, patients %d → %d, want unchanged", name, gen, g, patients, p)
+		}
+	}
+	if rec := postJSON(t, s, "/api/ingest?pw=tromsø", one+" \n"); rec.Code != http.StatusOK {
+		t.Fatalf("valid bundle: ingest = %d %s", rec.Code, rec.Body.String())
+	}
+	if p := wb.Patients(); p != patients+2 {
+		t.Errorf("after a valid bundle: %d patients, want %d", p, patients+2)
+	}
+}

@@ -127,8 +127,8 @@ func NewLocalBackend(v *store.View, shard int) *LocalBackend {
 // Meta implements ShardBackend.
 func (b *LocalBackend) Meta() ShardMeta { return b.meta }
 
-// Stats implements ShardBackend by popcounting the parent postings over
-// the view's range.
+// Stats implements ShardBackend: the parent postings sliced to the view's
+// range and popcounted, or the revision's own stats for a whole-store view.
 func (b *LocalBackend) Stats(context.Context) (*store.Stats, error) { return b.v.Stats(), nil }
 
 // IDsOf implements ShardBackend.

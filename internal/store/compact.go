@@ -66,9 +66,8 @@ func (s *Store) Compact() CompactionStats {
 		// lazy Once-guarded build; the folded revision rebuilds on demand.
 		// The frame's holder is shared instead: same hists, same frame.
 		frame:      cur.frame,
-		maxEntryID: cur.computeMaxEntryID(),
+		maxEntryID: cur.maxEntryID,
 	}
-	next.maxIDOnce.Do(func() {})
 	s.rev.Store(next)
 	return comp
 }

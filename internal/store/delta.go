@@ -85,29 +85,8 @@ func (s *Store) Freeze() *Store {
 }
 
 // MaxEntryID returns the largest entry ID present, so an incremental
-// consumer can seed its ID counter past everything batch-built. Computed
-// lazily per revision (appends track it incrementally).
-func (s *Store) MaxEntryID() uint64 { return s.loadRev().computeMaxEntryID() }
-
-// computeMaxEntryID scans for the max entry ID the first time it is
-// asked for on a revision whose constructor did not stamp it (snapshot
-// loads); constructor- and append-built revisions consume the Once at
-// build time so the scan never runs.
-func (r *storeRev) computeMaxEntryID() uint64 {
-	r.maxIDOnce.Do(func() {
-		var max uint64
-		for i := range r.hists.n {
-			h := r.hists.at(i)
-			for j := range h.Entries {
-				if h.Entries[j].ID > max {
-					max = h.Entries[j].ID
-				}
-			}
-		}
-		r.maxEntryID = max
-	})
-	return r.maxEntryID
-}
+// consumer can seed its ID counter past everything batch-built.
+func (s *Store) MaxEntryID() uint64 { return s.loadRev().maxEntryID }
 
 // --- layered read helpers -------------------------------------------------
 //
@@ -276,7 +255,7 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 
 	codes2 := cur.codes
 	codesGrown := false
-	maxID := cur.computeMaxEntryID()
+	maxID := cur.maxEntryID
 
 	added := 0
 	var touched []int // ordinals whose history this batch replaces or adds
@@ -364,7 +343,6 @@ func (s *Store) Append(b AppendBatch) (uint64, error) {
 		maxEntryID:    maxID,
 		frame:         cur.frame.carry(&hists2, touched),
 	}
-	next.maxIDOnce.Do(func() {})
 	s.rev.Store(next)
 	return next.gen, nil
 }

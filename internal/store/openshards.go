@@ -16,7 +16,7 @@ import (
 	"pastas/internal/model"
 )
 
-// OpenedShard is one lazily loaded shard of a sharded snapshot.
+// OpenedShard is one shard of a sharded snapshot, read and decoded.
 type OpenedShard struct {
 	// Shard is the shard id (its index in the snapshot's shard table).
 	Shard int
@@ -25,15 +25,19 @@ type OpenedShard struct {
 	Offset int
 	// Col holds the shard's histories, in the order they were saved.
 	Col *model.Collection
-	// Postings holds the shard's inverted indexes, decoded from its
-	// postings segment.
-	Postings *ShardPostings
+	// post and codes are the shard's code, type and source postings and
+	// its sorted codes, decoded from its postings segment.
+	post  *postings
+	codes []model.Code
 }
 
-// Store indexes the opened shard from its postings segment, without
-// re-walking the entries.
+// Store indexes the opened shard around its decoded postings: its one
+// walk over the entries builds only what a snapshot does not carry (value
+// postings, birth counts, the max entry ID). It does not fail: OpenShards
+// checked the postings against the shard's patient count.
 func (os *OpenedShard) Store() (*Store, error) {
-	return NewFromPostings(os.Col, os.Postings)
+	post := *os.post // finishStore adds the value postings to its own copy
+	return finishStore(os.Col.Histories(), &post, os.codes), nil
 }
 
 // OpenShards opens the given shards of a snapshot, reading only the
@@ -144,11 +148,11 @@ func openShard(f io.ReaderAt, si ShardInfo, pi PostingsInfo, histAt, postAt int6
 	if _, err := f.ReadAt(seg, postAt); err != nil {
 		return nil, fmt.Errorf("read postings (%d bytes at %d): %w", pi.Bytes, postAt, err)
 	}
-	sp, err := pi.decode(seg, si.Patients)
+	post, codes, err := pi.decode(seg, si.Patients)
 	if err != nil {
 		return nil, fmt.Errorf("postings: %w", err)
 	}
-	return &OpenedShard{Shard: si.Shard, Col: col, Postings: sp}, nil
+	return &OpenedShard{Shard: si.Shard, Col: col, post: post, codes: codes}, nil
 }
 
 // validateSnapshotSize checks the header's tables against the file size:

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -91,8 +92,10 @@ func newPatients(want *[]*model.History, k int, nextEntry *uint64) AppendBatch {
 
 // samePin holds a pinned view row by row to ref, a store built from
 // scratch on the histories the view's generation should hold: patients,
-// histories, ordinals, framed rows, and the three word kernels over views
-// at aligned and unaligned offsets, on full and sparse candidate words.
+// histories, ordinals, framed rows, stats and the max entry ID, and over
+// sub-views at aligned and unaligned offsets the stats — against a store
+// built on the sub-view's histories — and the three word kernels, on
+// full and sparse candidate words.
 func samePin(t *testing.T, what string, v *View, ref *Store) {
 	t.Helper()
 	w := ref.Pin()
@@ -111,9 +114,16 @@ func samePin(t *testing.T, what string, v *View, ref *Store) {
 	if !reflect.DeepEqual(frameContent(v.Frame()), frameContent(w.Frame())) {
 		t.Fatalf("%s: the frame differs from a rebuild's", what)
 	}
+	if !reflect.DeepEqual(v.Stats(), w.Stats()) || v.r.maxEntryID != ref.MaxEntryID() {
+		t.Fatalf("%s: the stats or the max entry ID differ from a rebuild's", what)
+	}
 	at, lo, span := int64(model.Date(2011, 1, 1)), int64(40*model.Year), uint64(25*model.Year)
 	for _, off := range []int{0, 37, pageLen - 5} {
-		a, b := v.Sub(off, v.Len()).Frame(), w.Sub(off, w.Len()).Frame()
+		sub := v.Sub(off, v.Len())
+		if !reflect.DeepEqual(sub.Stats(), New(model.MustCollection(sub.Histories()...)).Stats()) {
+			t.Fatalf("%s: the stats at offset %d differ from a store built on its histories", what, off)
+		}
+		a, b := sub.Frame(), w.Sub(off, w.Len()).Frame()
 		for base := 0; base < a.Len(); base += 64 {
 			all := ^uint64(0) >> max(0, 64-(a.Len()-base))
 			for _, cand := range []uint64{all, all & 0x8000_4000_0100_0011} {
@@ -131,9 +141,9 @@ func samePin(t *testing.T, what string, v *View, ref *Store) {
 // patients, and updates at ordinals 0, pageLen−1, pageLen and the last,
 // meeting equal sort keys), Compacts and Pins, every pin still held
 // equals, after every step, a store.New of its own generation's histories
-// row by row; so does the current revision at the end. A page written
-// under a published revision, or an update merged out of Sort's order,
-// fails it.
+// row by row; so does the current revision at the end, whose Save writes
+// the rebuild's postings segments. A page written under a published
+// revision, or an update merged out of Sort's order, fails it.
 func FuzzAppendedPagesMatchRebuild(f *testing.F) {
 	// op%5: 0 new patients (1 + op>>3%4 of them), 1 and 2 updates at the
 	// ordinals op>>2's low four bits pick, 3 Compact, 4 Pin.
@@ -174,7 +184,11 @@ func FuzzAppendedPagesMatchRebuild(f *testing.F) {
 				samePin(t, fmt.Sprintf("step %d, pin %d", step, k), p.v, p.ref)
 			}
 		}
-		samePin(t, "the current revision", s.Pin(), New(model.MustCollection(cloneAll(want)...)))
+		rebuild := New(model.MustCollection(cloneAll(want)...))
+		samePin(t, "the current revision", s.Pin(), rebuild)
+		if !bytes.Equal(postingsSegments(t, s, 3), postingsSegments(t, rebuild, 3)) {
+			t.Fatal("Save writes other postings than a rebuild's")
+		}
 	})
 }
 

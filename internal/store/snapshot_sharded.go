@@ -185,11 +185,10 @@ func shardBounds(n, shards int) [][2]int {
 // save. Segments are encoded concurrently on a worker pool.
 func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotInfo, error) {
 	r := s.loadRev()
-	col := r.collection()
-	hs := col.Histories()
+	n := r.hists.n
 	kept := make([]CohortRecord, 0, len(cohorts))
 	for _, c := range cohorts {
-		if c.Bits != nil && c.Bits.Len() == len(hs) {
+		if c.Bits != nil && c.Bits.Len() == n {
 			kept = append(kept, c)
 		}
 	}
@@ -201,8 +200,9 @@ func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotI
 		return nil, fmt.Errorf("store: save snapshot: %w", err)
 	}
 
-	bounds := shardBounds(len(hs), shards)
+	bounds := shardBounds(n, shards)
 	segs := make([][]byte, len(bounds))
+	entries := make([]int, len(bounds))
 	postSegs := make([][]byte, len(bounds))
 	postInfos := make([]PostingsInfo, len(bounds))
 	postErrs := make([]error, len(bounds))
@@ -211,12 +211,12 @@ func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotI
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, b := range bounds {
 		wg.Add(1)
-		go func(i int, lo, hi int) {
+		go func(i int, v *View) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			segs[i] = encodeSegment(hs[lo:hi])
-			seg, pi, err := encodePostings(buildShardPostings(hs[lo:hi]))
+			segs[i], entries[i] = encodeSegment(v.Histories()), v.Entries()
+			seg, pi, err := encodePostings(v.postings())
 			if err != nil {
 				postErrs[i] = err
 				return
@@ -224,7 +224,7 @@ func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotI
 			pi.Shard = i
 			pi.Checksum = crc32.Checksum(seg, crcTable)
 			postSegs[i], postInfos[i] = seg, pi
-		}(i, b[0], b[1])
+		}(i, &View{r: r, lo: b[0], hi: b[1]})
 	}
 	wg.Wait()
 	for _, err := range postErrs {
@@ -236,8 +236,8 @@ func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotI
 	info := &SnapshotInfo{
 		Version:  snapshotVersion,
 		Shards:   len(bounds),
-		Patients: len(hs),
-		Entries:  col.TotalEntries(),
+		Patients: n,
+		Entries:  r.entries,
 		Postings: postInfos,
 
 		Generation:    r.gen,
@@ -264,16 +264,12 @@ func Save(w io.Writer, s *Store, shards int, cohorts []CohortRecord) (*SnapshotI
 	header = binary.BigEndian.AppendUint32(header, info.CohortChecksum)
 	offset := int64(0)
 	for i, b := range bounds {
-		entries := 0
-		for _, h := range hs[b[0]:b[1]] {
-			entries += h.Len()
-		}
 		si := ShardInfo{
 			Shard:    i,
 			Offset:   offset,
 			Bytes:    int64(len(segs[i])),
 			Patients: b[1] - b[0],
-			Entries:  entries,
+			Entries:  entries[i],
 			Checksum: crc32.Checksum(segs[i], crcTable),
 		}
 		info.ShardDetail = append(info.ShardDetail, si)

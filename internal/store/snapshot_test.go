@@ -248,7 +248,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 						t.Fatalf("shard %d: id %d offset %d, want offset %d", i, sh.Shard, sh.Offset, off)
 					}
 					historySlicesEqual(t, col.Histories()[off:off+sh.Col.Len()], sh.Col.Histories())
-					if sh.Postings == nil {
+					if sh.post == nil {
 						t.Fatalf("shard %d: no postings", i)
 					}
 					fromPostings, err := sh.Store()
@@ -299,7 +299,7 @@ func TestGoldenV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opened) != 2 || opened[0].Postings == nil || opened[1].Postings == nil {
+	if len(opened) != 2 || opened[0].post == nil || opened[1].post == nil {
 		t.Errorf("golden opened as %d shards", len(opened))
 	}
 }

@@ -42,29 +42,24 @@ type Stats struct {
 	codes      []model.Code   // shared with the owning revision; do not mutate
 }
 
-// collectStats popcounts every posting list of a revision once, summing
-// the base and delta layers (additive by the disjointness invariant), and
-// adopts the birth buckets its caller counted.
-func collectStats(r *storeRev, births map[int64]int) *Stats {
+// collectStats popcounts every posting list of one layer once and adopts
+// the codes and birth buckets its caller collected.
+func collectStats(patients, entries int, codes []model.Code, births map[int64]int, p *postings) *Stats {
 	st := &Stats{
-		Patients:      r.hists.n,
-		Entries:       r.entries,
-		DistinctCodes: len(r.codes),
-		codeCard:      make(map[codeKey]int, len(r.base.byCodeValue)),
-		typeCard:      make(map[model.Type]int, len(r.base.byType)),
-		sourceCard:    make(map[model.Source]int, len(r.base.bySource)),
-		valueCard:     make(map[uint16]int, len(r.base.byValue)),
+		Patients:      patients,
+		Entries:       entries,
+		DistinctCodes: len(codes),
+		codeCard:      make(map[codeKey]int, len(p.byCodeValue)),
+		typeCard:      make(map[model.Type]int, len(p.byType)),
+		sourceCard:    make(map[model.Source]int, len(p.bySource)),
+		valueCard:     make(map[uint16]int, len(p.byValue)),
 		birthCard:     births,
-		codes:         r.codes,
+		codes:         codes,
 	}
-	addCounts(st.codeCard, r.base.byCodeValue)
-	addCounts(st.codeCard, r.delta.byCodeValue)
-	addCounts(st.typeCard, r.base.byType)
-	addCounts(st.typeCard, r.delta.byType)
-	addCounts(st.sourceCard, r.base.bySource)
-	addCounts(st.sourceCard, r.delta.bySource)
-	addCounts(st.valueCard, r.base.byValue)
-	addCounts(st.valueCard, r.delta.byValue)
+	addCounts(st.codeCard, p.byCodeValue)
+	addCounts(st.typeCard, p.byType)
+	addCounts(st.sourceCard, p.bySource)
+	addCounts(st.valueCard, p.byValue)
 	return st
 }
 
@@ -384,13 +379,62 @@ func (v *View) HistoryAt(local int) *model.History {
 }
 
 // Stats returns the view's exact cardinalities: the revision's own for
-// the full population, and for a slice those a store built from its
-// histories — a shard server's store — collects.
+// the full population, and for a slice the popcounts of the revision's
+// postings sliced to it, plus its births and entries — what a store built
+// from its histories, a shard server's, collects.
 func (v *View) Stats() *Stats {
 	if v.lo == 0 && v.hi == v.r.hists.n {
 		return v.r.stats
 	}
-	return New(model.MustCollection(v.Histories()...)).Stats()
+	births, entries := map[int64]int{}, 0
+	for i := v.lo; i < v.hi; i++ {
+		h := v.r.hists.at(i)
+		year, _ := YearOf(h.Patient.Birth)
+		births[year]++
+		entries += len(h.Entries)
+	}
+	p, codes := v.postings()
+	return collectStats(v.Len(), entries, codes, births, p)
+}
+
+// postings slices the revision's layered postings (base ∪ delta) to the
+// view as one layer in local ordinal space, keeping only the lists with
+// a patient in range, and returns it with the codes it holds, sorted: the
+// postings a store built from the view's histories holds, as Save writes
+// them and Stats counts them.
+func (v *View) postings() (*postings, []model.Code) {
+	r := v.r
+	p := &postings{
+		byCodeValue: make(map[codeKey]*Bitset),
+		byType:      sliceLayer(v, r.base.byType, r.delta.byType),
+		bySource:    sliceLayer(v, r.base.bySource, r.delta.bySource),
+		byValue:     sliceLayer(v, r.base.byValue, r.delta.byValue),
+	}
+	codes := make([]model.Code, 0, len(r.codes))
+	for _, c := range r.codes {
+		k := codeKey{c.System, c.Value}
+		if bs := v.slice(r.codeBits(k)); bs.Count() > 0 {
+			p.byCodeValue[k] = bs
+			codes = append(codes, c)
+		}
+	}
+	return p, codes
+}
+
+// sliceLayer slices one index's layered postings to the view, keeping
+// the non-empty lists.
+func sliceLayer[K comparable](v *View, base, delta map[K]*Bitset) map[K]*Bitset {
+	out := make(map[K]*Bitset)
+	for _, m := range []map[K]*Bitset{base, delta} {
+		for k := range m {
+			if _, done := out[k]; !done {
+				if bs := v.slice(base[k], delta[k]); bs.Count() > 0 {
+					out[k] = bs
+				}
+			}
+		}
+	}
+	return out
 }
 
 // slice extracts a layered posting into local ordinal space, fast-pathing

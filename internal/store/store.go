@@ -143,8 +143,7 @@ type storeRev struct {
 	// with the same hists share the holder.
 	frame *frameHolder
 
-	maxIDOnce  sync.Once
-	maxEntryID uint64
+	maxEntryID uint64 // the largest entry ID present
 }
 
 type codeKey struct {
@@ -197,75 +196,64 @@ func ordinalIndex(ids *paged[model.PatientID]) []int32 {
 
 // New indexes a collection, sorting each history's entries in place. The
 // collection must not be mutated afterwards.
-func New(col *model.Collection) *Store {
-	hists := col.Histories()
-	n := len(hists)
-	p := newPostings()
-	vb := new(valueBuild)
-	var maxID uint64
-	for i, h := range hists {
-		for j := range h.Entries {
-			e := &h.Entries[j]
-			maxID = max(maxID, e.ID)
-			if !e.Code.IsZero() {
-				setIn(p.byCodeValue, codeKey{e.Code.System, e.Code.Value}, n, i)
-			}
-			setIn(p.byType, e.Type, n, i)
-			setIn(p.bySource, e.Source, n, i)
-			vb.set(e.Value, n, i)
-		}
-	}
-	p.byValue = vb.postings()
-	codes := make([]model.Code, 0, len(p.byCodeValue))
-	for k := range p.byCodeValue {
-		codes = append(codes, model.Code{System: k.system, Value: k.value})
-	}
-	sortCodes(codes)
-	s := finishStore(col, p, codes)
-	r := s.loadRev()
-	r.maxEntryID = maxID
-	r.maxIDOnce.Do(func() {})
-	return s
-}
+func New(col *model.Collection) *Store { return finishStore(col.Histories(), nil, nil) }
 
-// finishStore builds a gen-0 revision around base postings that cover the
-// whole collection (shared by New and NewFromPostings), counting births and
-// building the value postings a snapshot does not carry. It sorts every
+// finishStore builds a gen-0 revision over hists in the one walk over
+// their entries. It builds the code, type and source postings and the
+// sorted codes unless the caller passes them (a loaded shard's, decoded
+// from its snapshot), and always the value postings, which a snapshot
+// does not carry, the birth counts and the max entry ID. It sorts every
 // history it adopts, once, so no reader that sorts a history (a sequence
 // search, the model.History helpers) ever writes one a concurrent reader
 // is framing. The collection itself, and its ID map, are not kept: the
 // ordinal index answers lookups, and Collection rebuilds one on demand.
-func finishStore(col *model.Collection, base *postings, codes []model.Code) *Store {
-	hists := col.Histories()
+func finishStore(hists []*model.History, base *postings, codes []model.Code) *Store {
 	n := len(hists)
+	walk := base == nil
+	if walk {
+		base = newPostings()
+	}
 	r := &storeRev{
 		ordDelta: map[model.PatientID]int{},
-		entries:  col.TotalEntries(),
 		base:     base,
 		delta:    newPostings(),
-		codes:    codes,
 		frame:    new(frameHolder),
 	}
-	var vb *valueBuild
-	if base.byValue == nil {
-		vb = new(valueBuild)
-	}
+	vb := new(valueBuild)
 	births := map[int64]int{}
+	entries, maxID := 0, uint64(0)
 	for i, h := range hists {
 		h.Sort()
 		r.hists.push(h)
 		r.ids.push(h.Patient.ID)
 		year, _ := YearOf(h.Patient.Birth)
 		births[year]++
-		for j := 0; vb != nil && j < len(h.Entries); j++ {
-			vb.set(h.Entries[j].Value, n, i)
+		entries += len(h.Entries)
+		for j := range h.Entries {
+			e := &h.Entries[j]
+			maxID = max(maxID, e.ID)
+			vb.set(e.Value, n, i)
+			if !walk {
+				continue
+			}
+			if !e.Code.IsZero() {
+				setIn(base.byCodeValue, codeKey{e.Code.System, e.Code.Value}, n, i)
+			}
+			setIn(base.byType, e.Type, n, i)
+			setIn(base.bySource, e.Source, n, i)
 		}
 	}
-	if vb != nil {
-		base.byValue = vb.postings()
+	base.byValue = vb.postings()
+	if walk {
+		codes = make([]model.Code, 0, len(base.byCodeValue))
+		for k := range base.byCodeValue {
+			codes = append(codes, model.Code{System: k.system, Value: k.value})
+		}
+		sortCodes(codes)
 	}
+	r.entries, r.maxEntryID, r.codes = entries, maxID, codes
 	r.ordBase = ordinalIndex(&r.ids)
-	r.stats = collectStats(r, births)
+	r.stats = collectStats(n, entries, codes, births, base)
 	s := &Store{}
 	s.rev.Store(r)
 	return s
